@@ -24,6 +24,7 @@ surfaces).  Point-mass distributions are kept exact rather than tabulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,7 +55,11 @@ from .fsc import FileSystemCreator, FileSystemLayout
 from .gds import DistributionSpecifier
 from .oplog import OpSink, UsageLog
 from .spec import UserTypeSpec, WorkloadSpec
-from .synthesis import SessionGenerator
+from .synthesis import (
+    SessionGenerator,
+    derive_user_seats,
+    user_stream_family,
+)
 from .usim import RealRunner
 
 __all__ = [
@@ -77,6 +82,11 @@ FAST_BACKENDS = ("fast", "fast-columnar")
 RUN_BACKENDS = SIM_BACKENDS + FAST_BACKENDS
 """Everything :meth:`WorkloadGenerator.run_simulated` accepts: the DES
 backends plus the engine-free analytic replays."""
+
+# Users whose stream states are derived per vectorised call: enough that
+# the derivation's fixed cost is ~1 us a user, few enough that the block
+# (users x ~34 streams x two 128-bit ints) stays under a MiB.
+_SEAT_BLOCK_USERS = 128
 
 
 class TableSampler:
@@ -339,29 +349,47 @@ class WorkloadGenerator:
         every time — callers must fully consume one user before
         advancing, which the engine-free backends do; the DES
         materialises all users at once and must leave this False.
+
+        Either way the users' random-stream states are derived a block
+        of users ahead, one vectorised call per user type in the block
+        (:func:`~repro.core.synthesis.derive_user_seats`), and handed to
+        the kernel to seat.
         """
         if assignment is None:
             assignment = self._assigned_user_types()
         tabulated = self._tabulated_by_type_name()
+        families = {name: user_stream_family(user_type)
+                    for name, user_type in tabulated.items()}
         kernels: dict[str, SessionGenerator] = {}
-        for user_id in selected:
-            type_name = assignment[user_id].name
-            phase = phase_model_factory() if phase_model_factory else None
-            kernel = kernels.get(type_name) if reuse_kernels else None
-            if kernel is None:
-                kernel = SessionGenerator(
-                    tabulated[type_name],
-                    layout,
-                    self.streams,
-                    user_id=user_id,
-                    access_pattern=access_pattern,
-                    phase_model=phase,
-                )
-                if reuse_kernels:
-                    kernels[type_name] = kernel
-            else:
-                kernel.rebind_user(user_id, phase_model=phase)
-            yield kernel
+        upcoming = iter(selected)
+        while block := list(islice(upcoming, _SEAT_BLOCK_USERS)):
+            type_names = [assignment[user_id].name for user_id in block]
+            by_type: dict[str, list[int]] = {}
+            for user_id, type_name in zip(block, type_names):
+                by_type.setdefault(type_name, []).append(user_id)
+            seats = {}
+            for type_name, user_ids in by_type.items():
+                seats.update(zip(user_ids, derive_user_seats(
+                    self.streams, families[type_name], user_ids)))
+            for user_id, type_name in zip(block, type_names):
+                phase = phase_model_factory() if phase_model_factory else None
+                kernel = kernels.get(type_name) if reuse_kernels else None
+                if kernel is None:
+                    kernel = SessionGenerator(
+                        tabulated[type_name],
+                        layout,
+                        self.streams,
+                        user_id=user_id,
+                        access_pattern=access_pattern,
+                        phase_model=phase,
+                        seats=seats[user_id],
+                    )
+                    if reuse_kernels:
+                        kernels[type_name] = kernel
+                else:
+                    kernel.rebind_user(user_id, phase_model=phase,
+                                       seats=seats[user_id])
+                yield kernel
 
     def synthesize_users(
         self,

@@ -177,8 +177,8 @@ def _remap_indices(idx: np.ndarray, source: StringTable,
         return idx.astype(np.int32, copy=True)
     values = source.values()
     lut = np.full(int(used[-1]) + 1, -1, dtype=np.int32)
-    for i in used:
-        lut[int(i)] = target.intern(values[int(i)])
+    # np.unique sorts, so values are interned in ascending source index.
+    lut[used] = target.intern_many([values[i] for i in used.tolist()])
     out = lut[np.maximum(idx, 0)]
     out[idx < 0] = -1
     return out

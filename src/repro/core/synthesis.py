@@ -46,11 +46,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..distributions import BatchSampler, RandomStreams, Uniform
+from ..distributions import (
+    BatchSampler,
+    PooledStream,
+    RandomStreams,
+    StreamFamily,
+    Uniform,
+)
 from ..vfs import OpenFlags
 from .fsc import FileSystemLayout
 from .opbatch import (
@@ -86,7 +92,7 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _CHUNK_SLAB = 64
 
 # Rows a plan builder reserves before a chunk run: one run never exceeds
-# the chunk sampler's block size (512 in SessionGenerator.__init__).
+# the chunk sampler's block cap (512 in SessionGenerator.__init__).
 _CHUNK_RESERVE = 512
 
 _CREAT_FLAGS = int(OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
@@ -185,18 +191,29 @@ class _FilePlan:
         return op
 
 
-def _stream_factory(streams: RandomStreams, name: str) -> Callable[[], np.random.Generator]:
-    """A zero-arg constructor for ``streams.get(name)``.
+def user_stream_family(user_type: UserTypeSpec) -> StreamFamily:
+    """Every stream a user of ``user_type`` can draw from its
+    ``user-{id}`` fork: the kernel's fixed names plus a count/budget/size
+    triple per usage entry.  ``seek`` and ``phase`` are always members —
+    a stream nobody draws is seated and never installed, which costs
+    less than a name list that varies with the run's options."""
+    return StreamFamily([
+        "select", "slot", "chunk", "think", "write-mix", "seek", "phase",
+        *(name for usage in user_type.usage for name in (
+            f"count:{usage.category.key}",
+            f"apb:{usage.category.key}",
+            f"size:{usage.category.key}",
+        )),
+    ])
 
-    Handed to :class:`BatchSampler` as ``rng_factory`` so streams that a
-    user never draws (a usage entry whose fraction gate never fires, the
-    ``size:`` stream of a non-creating category) never pay generator
-    setup.  Resolution order cannot matter: an unbuilt generator was
-    never consumed.
-    """
-    def make() -> np.random.Generator:
-        return streams.get(name)
-    return make
+
+def derive_user_seats(streams: RandomStreams, family: StreamFamily,
+                      user_ids: Sequence[int],
+                      ) -> list[list[tuple[int, int]]]:
+    """Per user, the seat of every ``family`` stream in its
+    ``user-{id}`` fork — what :meth:`SessionGenerator.rebind_user`
+    installs.  One vectorised derivation for the whole of ``user_ids``."""
+    return family.states(streams, [f"user-{user_id}" for user_id in user_ids])
 
 
 @dataclass(frozen=True)
@@ -236,8 +253,8 @@ class _ChunkBlock(BatchSampler):
 
     __slots__ = ("san", "cum0")
 
-    def __init__(self, dist, rng, block: int = 512):
-        super().__init__(dist, rng, block=block)
+    def __init__(self, dist, rng_factory, block: int = 512):
+        super().__init__(dist, rng_factory=rng_factory, block=block)
         self.san: np.ndarray | None = None
         self.cum0: np.ndarray | None = None
 
@@ -256,9 +273,9 @@ class _ChunkBlock(BatchSampler):
         self.cum0 = cum0
         return buffer
 
-    def rebind(self, rng=None, rng_factory=None) -> "_ChunkBlock":
+    def rebind(self) -> "_ChunkBlock":
         """:meth:`BatchSampler.rebind` plus dropping the prefix-sum cache."""
-        super().rebind(rng, rng_factory)
+        super().rebind()
         self.san = None
         self.cum0 = None
         return self
@@ -282,7 +299,7 @@ class _ChunkBlock(BatchSampler):
         May advance fewer bytes than ``boundary`` when the block runs
         out — the caller loops, and the next call refills.  The caller
         must have reserved ``row + block`` rows (a run never exceeds
-        the block size).
+        the block cap).
         """
         buffer = self._buffer
         if buffer is None or self._next >= len(buffer):
@@ -420,6 +437,7 @@ class SessionGenerator:
         user_id: int,
         access_pattern: str = "sequential",
         phase_model: PhaseModel | None = None,
+        seats: Sequence | None = None,
     ):
         if access_pattern not in ("sequential", "random"):
             raise ValueError(
@@ -428,56 +446,51 @@ class SessionGenerator:
             )
         self.user_type = user_type
         self.layout = layout
-        self.user_id = user_id
         self.access_pattern = access_pattern
-        self.phase_model = phase_model
         self._root = streams
-        base = streams.fork(f"user-{user_id}")
-        self._rng_select = base.get("select")
+        # One pooled generator per family name; a user's stream states
+        # are seated into them by rebind_user.  Every sampler resolves
+        # its stream at first draw, so a stream a user never draws — the
+        # write mix of an all-read session, seek offsets outside random
+        # mode, phase steps without a phase model, the count/budget/size
+        # streams of entries whose fraction gate never fires — is never
+        # installed.  That cannot change any stream: an uninstalled
+        # state was never consumed.
+        self._family = user_stream_family(user_type)
+        self._streams = [PooledStream() for _ in self._family.names]
+        stream = dict(zip(self._family.names, self._streams)).__getitem__
+        self._select_stream = stream("select")
         # Plan interleaving draws from its own uniform stream ("slot",
         # distinct from "select") so the columnar path can pre-draw a
         # whole session's slot uniforms in one block: a uniform is
         # bound-independent (slot = floor(u * width)), unlike bounded
         # integer draws whose bit consumption depends on the bound.
-        self._slot = BatchSampler(_UNIT, base.get("slot"), block=512)
-        self._chunk = _ChunkBlock(user_type.access_size, base.get("chunk"),
+        self._slot = BatchSampler(_UNIT, rng_factory=stream("slot"),
                                   block=512)
-        self._think = BatchSampler(user_type.think_time, base.get("think"),
-                                   block=512)
-        # Streams that may never be drawn — the write mix of an all-read
-        # session, seek offsets outside random mode, phase steps without
-        # a phase model, and the per-category count/budget/size streams
-        # of entries whose fraction gate never fires — are built lazily
-        # at first draw.  Skipping (or deferring) their generator setup
-        # cannot change any stream: an unbuilt generator is never
-        # consumed.
+        self._chunk = _ChunkBlock(user_type.access_size, stream("chunk"),
+                                  block=512)
+        self._think = BatchSampler(user_type.think_time,
+                                   rng_factory=stream("think"), block=512)
         self._write_mix = BatchSampler(
-            _UNIT, rng_factory=_stream_factory(base, "write-mix"), block=512)
-        self._seek = (
-            BatchSampler(_UNIT, rng_factory=_stream_factory(base, "seek"),
-                         block=256)
-            if access_pattern == "random" else None)
-        self._phase = (
-            BatchSampler(_UNIT, rng_factory=_stream_factory(base, "phase"),
-                         block=256)
-            if phase_model is not None else None)
+            _UNIT, rng_factory=stream("write-mix"), block=512)
+        self._seek = BatchSampler(_UNIT, rng_factory=stream("seek"),
+                                  block=256)
+        self._phase = BatchSampler(_UNIT, rng_factory=stream("phase"),
+                                   block=256)
         self._usage_samplers = tuple(
             _UsageSamplers(
                 usage=usage,
                 file_count=BatchSampler(
                     usage.file_count, block=32,
-                    rng_factory=_stream_factory(
-                        base, f"count:{usage.category.key}"),
+                    rng_factory=stream(f"count:{usage.category.key}"),
                 ),
                 access_per_byte=BatchSampler(
                     usage.access_per_byte, block=128,
-                    rng_factory=_stream_factory(
-                        base, f"apb:{usage.category.key}"),
+                    rng_factory=stream(f"apb:{usage.category.key}"),
                 ),
                 file_size=BatchSampler(
                     usage.file_size, block=32,
-                    rng_factory=_stream_factory(
-                        base, f"size:{usage.category.key}"),
+                    rng_factory=stream(f"size:{usage.category.key}"),
                 ),
                 key=usage.category.key,
                 creates=usage.category.creates_files,
@@ -492,51 +505,42 @@ class SessionGenerator:
             )
             for usage in user_type.usage
         )
-        self._plan_counter = 0
+        self._samplers = (
+            self._slot, self._chunk, self._think, self._write_mix,
+            self._seek, self._phase,
+            *(sampler for entry in self._usage_samplers for sampler in (
+                entry.file_count, entry.access_per_byte, entry.file_size)),
+        )
+        self.rebind_user(user_id, phase_model, seats)
 
     def rebind_user(self, user_id: int,
-                    phase_model: PhaseModel | None = None
+                    phase_model: PhaseModel | None = None,
+                    seats: Sequence | None = None,
                     ) -> "SessionGenerator":
-        """Re-target this kernel at another user of the same type.
+        """Target this kernel at a user of its type.
 
-        The pooled per-user setup: every sampler object, chunk-block
-        buffer and precomputed per-entry constant is *reused* — only the
-        random streams are re-derived (``fork(f"user-{user_id}")``, the
-        same derivation ``__init__`` performs) and every sampler's block
-        is dropped, so the first draw after a rebind refills from the
-        new user's stream.  The served sequences are therefore exactly
-        those of a freshly constructed generator
-        (``tests/core/test_pooled_state.py``), at a fraction of the
-        setup cost.  Callers must drain one user fully before rebinding
-        (the engine-free executors do).
+        The whole of per-user set-up, for a fresh kernel (``__init__``
+        ends here) and a pooled one alike: every sampler object,
+        chunk-block buffer, pooled generator and precomputed per-entry
+        constant is *reused* — the user's stream states are seated and
+        every sampler's block is dropped, so the first draw after a
+        rebind installs the new user's state and refills from it.  The
+        served sequences are therefore exactly those of a freshly
+        constructed generator (``tests/core/test_pooled_state.py``).
+        ``seats`` is this user's row of :func:`derive_user_seats` when
+        the caller derived a block of users at once; without it the
+        kernel derives a one-user block itself.  Callers must drain one
+        user fully before rebinding (the engine-free executors do).
         """
-        base = self._root.fork(f"user-{user_id}")
+        if seats is None:
+            seats, = derive_user_seats(self._root, self._family, [user_id])
         self.user_id = user_id
         self.phase_model = phase_model
-        self._rng_select = base.get("select")
-        self._slot.rebind(base.get("slot"))
-        self._chunk.rebind(base.get("chunk"))
-        self._think.rebind(base.get("think"))
-        self._write_mix.rebind(rng_factory=_stream_factory(base, "write-mix"))
-        if self._seek is not None:
-            self._seek.rebind(rng_factory=_stream_factory(base, "seek"))
-        if phase_model is not None:
-            factory = _stream_factory(base, "phase")
-            if self._phase is None:
-                self._phase = BatchSampler(_UNIT, rng_factory=factory,
-                                           block=256)
-            else:
-                self._phase.rebind(rng_factory=factory)
-        else:
-            self._phase = None
-        for samplers in self._usage_samplers:
-            key = samplers.key
-            samplers.file_count.rebind(
-                rng_factory=_stream_factory(base, f"count:{key}"))
-            samplers.access_per_byte.rebind(
-                rng_factory=_stream_factory(base, f"apb:{key}"))
-            samplers.file_size.rebind(
-                rng_factory=_stream_factory(base, f"size:{key}"))
+        for stream, seat in zip(self._streams, seats, strict=True):
+            stream.seat(seat)
+        self._rng_select = self._select_stream()
+        for sampler in self._samplers:
+            sampler.rebind()
         self._plan_counter = 0
         return self
 

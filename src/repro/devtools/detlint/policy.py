@@ -52,7 +52,11 @@ GLOBAL_RNG_ALLOWED = ("distributions/rng.py",)
 # (self.streams, self._streams, shard_streams, ...) match implicitly.
 STREAM_HOLDER_NAMES = frozenset({"streams", "base", "fork", "_root"})
 STREAM_METHODS = frozenset({"get", "fork", "spawn_seed"})
-STREAM_FACTORY_FUNCS = frozenset({"_stream_factory"})
+# The batched derivation takes names a collection at a time:
+# StreamFamily([...names...]) and <family>.states(streams, [...forks...]).
+# Every literal inside the collection is checked like a .get() argument.
+STREAM_FAMILY_CLASS = "StreamFamily"
+STREAM_FAMILY_METHOD = "states"
 REGISTRY_RELPATH = "distributions/streamnames.py"
 
 # -- unordered-iteration -------------------------------------------------------

@@ -114,13 +114,17 @@ def no_wall_clock(ctx) -> Iterator[Hit]:
 
 # -- stream-name-registry ------------------------------------------------------
 
-def _is_stream_holder(receiver: ast.expr) -> bool:
+def _holder_name(receiver: ast.expr) -> str:
+    """The last name of a ``x`` / ``a.b.x`` receiver, else ``""``."""
     if isinstance(receiver, ast.Name):
-        name = receiver.id
-    elif isinstance(receiver, ast.Attribute):
-        name = receiver.attr
-    else:
-        return False
+        return receiver.id
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr
+    return ""
+
+
+def _is_stream_holder(receiver: ast.expr) -> bool:
+    name = _holder_name(receiver)
     return name in policy.STREAM_HOLDER_NAMES or name.endswith("streams")
 
 
@@ -139,55 +143,90 @@ def _literal_stream_name(arg: ast.expr) -> tuple[str, bool] | None:
     return None
 
 
+def _collected_names(arg: ast.expr) -> Iterator[ast.expr]:
+    """The element expressions of a names collection, flattened.
+
+    Descends list/tuple displays, ``*`` unpacking and comprehensions
+    (their element and what they iterate over) — the shapes a literal
+    name list is written in.
+    """
+    if isinstance(arg, (ast.List, ast.Tuple)):
+        for element in arg.elts:
+            yield from _collected_names(element)
+    elif isinstance(arg, ast.Starred):
+        yield from _collected_names(arg.value)
+    elif isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+        yield from _collected_names(arg.elt)
+        for generator in arg.generators:
+            yield from _collected_names(generator.iter)
+    else:
+        yield arg
+
+
+def _stream_name_args(node: ast.Call) -> Iterator[ast.expr]:
+    """The expressions of ``node`` that name a stream, if it names any."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        called, receiver = func.id, None
+    elif isinstance(func, ast.Attribute):
+        called, receiver = func.attr, func.value
+    else:
+        return
+    if called == policy.STREAM_FAMILY_CLASS:
+        if node.args:
+            yield from _collected_names(node.args[0])
+    elif receiver is None:
+        return
+    elif called == policy.STREAM_FAMILY_METHOD:
+        if _holder_name(receiver).endswith("family") and len(node.args) >= 2:
+            yield from _collected_names(node.args[1])
+    elif called in policy.STREAM_METHODS:
+        if _is_stream_holder(receiver) and node.args:
+            yield node.args[0]
+
+
 def stream_name_registry(ctx) -> Iterator[Hit]:
     """Stream names must exist in distributions/streamnames.py.
 
     ``derive_seed`` hashes any string, so a misspelled stream name yields
     a different-but-plausible generator — the #1 historical source of
     byte-identity breaks.  Every literal passed to ``RandomStreams.get``/
-    ``fork``/``spawn_seed`` (or ``_stream_factory``) is cross-checked
-    against the canonical registry.
+    ``fork``/``spawn_seed``, and every literal inside the name and fork
+    collections of the batched ``StreamFamily`` derivation, is
+    cross-checked against the canonical registry.
     """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        arg: ast.expr | None = None
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in policy.STREAM_METHODS
-                and _is_stream_holder(node.func.value)
-                and node.args):
-            arg = node.args[0]
-        elif (isinstance(node.func, ast.Name)
-                and node.func.id in policy.STREAM_FACTORY_FUNCS
-                and len(node.args) >= 2):
-            arg = node.args[1]
-        if arg is None:
-            continue
-        literal = _literal_stream_name(arg)
-        if literal is None:
-            continue  # a variable: checked at its own literal source
-        text, is_prefix = literal
-        if ctx.registry is None:
-            yield (node.lineno, node.col_offset,
-                   "stream name used but no registry found (expected "
-                   f"{policy.REGISTRY_RELPATH}); pass --registry or add one")
-            continue
-        names, prefixes = ctx.registry
-        if is_prefix:
-            if not text:
-                yield (node.lineno, node.col_offset,
-                       "dynamic stream name with no static prefix; start "
-                       "the f-string with a registered family prefix")
-            elif not text.startswith(tuple(prefixes)):
-                yield (node.lineno, node.col_offset,
-                       f"stream family prefix {text!r} not in the registry "
-                       f"({policy.REGISTRY_RELPATH}); registered prefixes: "
-                       f"{sorted(prefixes)}")
-        elif text not in names and not text.startswith(tuple(prefixes)):
-            yield (node.lineno, node.col_offset,
-                   f"stream name {text!r} not in the registry "
-                   f"({policy.REGISTRY_RELPATH}); a typo here silently "
-                   "derives a different generator")
+        for arg in _stream_name_args(node):
+            literal = _literal_stream_name(arg)
+            if literal is None:
+                continue  # a variable: checked at its own literal source
+            text, is_prefix = literal
+            where = (getattr(arg, "lineno", node.lineno),
+                     getattr(arg, "col_offset", node.col_offset))
+            if ctx.registry is None:
+                yield (*where,
+                       "stream name used but no registry found (expected "
+                       f"{policy.REGISTRY_RELPATH}); pass --registry or add "
+                       "one")
+                continue
+            names, prefixes = ctx.registry
+            if is_prefix:
+                if not text:
+                    yield (*where,
+                           "dynamic stream name with no static prefix; start "
+                           "the f-string with a registered family prefix")
+                elif not text.startswith(tuple(prefixes)):
+                    yield (*where,
+                           f"stream family prefix {text!r} not in the "
+                           f"registry ({policy.REGISTRY_RELPATH}); registered "
+                           f"prefixes: {sorted(prefixes)}")
+            elif text not in names and not text.startswith(tuple(prefixes)):
+                yield (*where,
+                       f"stream name {text!r} not in the registry "
+                       f"({policy.REGISTRY_RELPATH}); a typo here silently "
+                       "derives a different generator")
 
 
 # -- unordered-iteration -------------------------------------------------------

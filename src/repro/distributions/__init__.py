@@ -24,7 +24,7 @@ from .fitting import (
     ks_two_sample,
 )
 from .gamma import MultiStageGamma, ShiftedGamma
-from .rng import RandomStreams, derive_seed
+from .rng import PooledStream, RandomStreams, StreamFamily, derive_seed
 from .serialize import from_jsonable, to_jsonable
 
 __all__ = [
@@ -51,7 +51,9 @@ __all__ = [
     "ks_distance",
     "ks_test",
     "ks_two_sample",
+    "PooledStream",
     "RandomStreams",
+    "StreamFamily",
     "derive_seed",
     "from_jsonable",
     "to_jsonable",

@@ -22,6 +22,7 @@ stream.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 
@@ -78,14 +79,19 @@ class ProgressMeter:
     """
 
     def __init__(self, total_users: int | None = None, *,
-                 label: str = "run", stream=None, interval_s: float = 0.5):
+                 label: str = "run", stream=None, interval_s: float = 0.5,
+                 clock=time.monotonic):
         self.total_users = total_users
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.interval_s = interval_s
+        self._clock = clock
         self._shards: dict[int, tuple[int, int]] = {}
-        self._start = time.monotonic()
-        self._last_paint = 0.0
+        self._start = clock()
+        # "Never painted", not 0.0: a monotonic clock's epoch is
+        # arbitrary (boot, on Linux), so a literal would throttle the
+        # first paint away on a host younger than the interval.
+        self._last_paint = -math.inf
         self._painted = False
 
     # -- feeding --------------------------------------------------------------
@@ -97,7 +103,7 @@ class ProgressMeter:
     def update_shard(self, shard: int, users: int, ops: int) -> None:
         """Absolute counts for one shard; repaints when due."""
         self._shards[shard] = (users, ops)
-        now = time.monotonic()
+        now = self._clock()
         if now - self._last_paint >= self.interval_s:
             self._paint(now)
 
@@ -109,7 +115,7 @@ class ProgressMeter:
         return users, ops
 
     def _paint(self, now: float | None = None) -> None:
-        now = time.monotonic() if now is None else now
+        now = self._clock() if now is None else now
         users, ops = self._totals()
         line = format_progress_line(self.label, users, self.total_users,
                                     ops, now - self._start)
@@ -142,14 +148,16 @@ class QueueProgressSender:
     converges even if the last throttled update was dropped.
     """
 
-    def __init__(self, shard: int, queue, *, min_interval_s: float = 0.25):
+    def __init__(self, shard: int, queue, *, min_interval_s: float = 0.25,
+                 clock=time.monotonic):
         self.shard = shard
         self.queue = queue
         self.min_interval_s = min_interval_s
-        self._last_send = 0.0
+        self._clock = clock
+        self._last_send = -math.inf  # never sent (see ProgressMeter)
 
     def update(self, users: int, ops: int) -> None:
-        now = time.monotonic()
+        now = self._clock()
         if now - self._last_send < self.min_interval_s:
             return
         self._last_send = now

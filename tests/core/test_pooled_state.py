@@ -12,6 +12,10 @@ patterns; the golden matrix re-pins the fused plan builder's byte
 identity (scalar ``fast`` vs ``fast-columnar``) across every registered
 scenario with arrivals on and off and under ``time_limit_us``
 truncation.
+
+The sampler half of the contract — a :class:`BatchSampler` serves the
+same values whatever sizes its refills take — is pinned against a
+literal golden drawn with the fixed-block sampler this one replaced.
 """
 
 import pytest
@@ -20,6 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core import PhaseModel, WorkloadGenerator, paper_workload_spec
 from repro.core.arrivals import DEFAULT_ARRIVALS
+from repro.core.generator import TableSampler
+from repro.distributions import (
+    BatchSampler,
+    CdfTable,
+    RandomStreams,
+    ShiftedExponential,
+)
 from repro.scenarios import get_scenario, scenario_names
 from repro.vfs import MemoryFileSystem
 
@@ -139,6 +150,57 @@ class TestPooledStateIsolation:
             assert fused_ops[split:split + span] == list(
                 single.iter_session_ops())
             split += span
+
+
+# First 48 variates served by ``BatchSampler(table, block=16)`` through
+# ``_mixed_sequence`` at the last commit whose refills were fixed-size
+# (PR 12): taken there, pasted here.
+FIXED_BLOCK_GOLDEN = [
+    5.598475517557758, 8.814917611542038, 20.482949850710042,
+    44.57942148377049, 8.981767453523073, 33.905263486202195,
+    67.22728164707082, 17.83935176072523, 36.51683580954493,
+    12.80779189598801, 24.492324461583777, 33.896851961576495,
+    16.549050909124613, 33.59258894370834, 57.29177184808865,
+    10.745351642867302, 21.370327164017098, 17.099504902817845,
+    14.164923523243147, 14.317538874494518, 12.278396817402566,
+    42.79979242091448, 23.064024421982573, 7.344139116603618,
+    15.020060585907114, 15.360618066982282, 35.572401685557885,
+    28.84252333910611, 56.04505803371955, 20.143153914866428,
+    29.121524084693558, 45.007959527301345, 13.339030953862135,
+    9.556919408287229, 56.77063742998866, 74.20680627235885,
+    10.63009395050876, 46.09925613560771, 99.88665906049454,
+    4.0561204291466435, 5.886069843479504, 15.772158324558795,
+    8.99586509838161, 9.303392530637948, 20.2074808645597,
+    11.73251102510085, 6.243335199748379, 12.479722244298344,
+]
+
+
+def _mixed_sequence(sampler, n=48):
+    """``n`` variates through every consumption method, interleaved."""
+    out = []
+    while len(out) < n:
+        out += [sampler.draw() for _ in range(3)]
+        out += sampler.take(5).tolist()
+        view = sampler.peek_buffer()
+        k = min(2, len(view))
+        out += view[:k].tolist()
+        sampler.consume(k)
+        out += sampler.take(0).tolist()
+        out += sampler.take(11).tolist()
+        out.append(sampler.draw())
+    return out[:n]
+
+
+class TestBlockSizeIsNotPartOfTheStream:
+    """draw/take/peek+consume serve the fixed-block sampler's values."""
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 512])
+    def test_mixed_consumption_equals_fixed_block_golden(self, block):
+        source = ShiftedExponential(scale=22.1, offset=4.0)
+        dist = TableSampler(CdfTable.from_distribution(source), source)
+        rng = RandomStreams(5).fork("user-3").get("chunk")
+        sampler = BatchSampler(dist, rng, block=block)
+        assert _mixed_sequence(sampler) == FIXED_BLOCK_GOLDEN
 
 
 class TestFusedBuilderGoldenMatrix:

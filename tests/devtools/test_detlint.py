@@ -121,6 +121,23 @@ def test_registry_clean_on_registered_names(tmp_path):
     assert run_rule([root], "stream-name-registry") == []
 
 
+def test_registry_catches_misnamed_stream_inside_a_family_list(tmp_path):
+    """The batched derivation takes names by the list; each is checked."""
+    root = _staged_with_registry(tmp_path, "bad_stream_family.py")
+    findings = run_rule([root], "stream-name-registry")
+    assert len(findings) == 3
+    messages = " | ".join(f.message for f in findings)
+    assert "'thnik'" in messages    # misspelling of think, mid-list
+    assert "'cnt:'" in messages     # unregistered prefix in a generator
+    assert "'usr-'" in messages     # unregistered fork prefix
+    assert sorted(f.line for f in findings) == [6, 7, 9]
+
+
+def test_registry_clean_on_registered_family_list(tmp_path):
+    root = _staged_with_registry(tmp_path, "good_stream_family.py")
+    assert run_rule([root], "stream-name-registry") == []
+
+
 def test_registry_explicit_path_flag(tmp_path):
     root = stage(tmp_path, {"bad_stream_names.py": "repro/core/build.py"})
     findings = run_rule([root], "stream-name-registry",

@@ -10,11 +10,21 @@ Two properties are pinned for every distribution family:
 
 Together these make block pre-drawing in the synthesis stage a pure
 optimisation: it can never change a generated workload.
+
+A third property frees the block *sizes*: ``sample(rng, a)`` then
+``sample(rng, b)`` equals ``sample(rng, a + b)`` (split invariance), so
+:class:`BatchSampler` may size each refill to demand.  It is pinned for
+every family and for the samplers production wraps (``TableSampler``,
+``CdfTable``, ``Uniform``).  No family fails it; one that did would have
+to keep fixed-size refills and be excluded here by name.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.generator import TableSampler
 from repro.distributions import (
     BatchSampler,
     CdfTable,
@@ -51,9 +61,14 @@ FAMILIES = {
     "empirical": EmpiricalDistribution([1.0, 2.0, 2.5, 7.0, 11.0, 13.0]),
 }
 
+_TABLE = CdfTable.from_distribution(ShiftedExponential(10.0))
+
 SAMPLERS = dict(
     FAMILIES,
-    **{"cdf-table": CdfTable.from_distribution(ShiftedExponential(10.0))},
+    **{
+        "cdf-table": _TABLE,
+        "table-sampler": TableSampler(_TABLE, ShiftedExponential(10.0)),
+    },
 )
 
 N = 257  # deliberately not a multiple of any block size
@@ -77,6 +92,80 @@ def test_batch_sampler_equals_scalar_sequence(name, block):
     scalars = [float(dist.sample(rng)) for _ in range(N)]
     drawn = [sampler.draw() for _ in range(N)]
     assert drawn == scalars
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@given(a=st.integers(min_value=0, max_value=70),
+       b=st.integers(min_value=0, max_value=70),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_sampling_is_split_invariant(name, a, b, seed):
+    dist = SAMPLERS[name]
+    rng = np.random.default_rng(seed)
+    split = np.concatenate([np.asarray(dist.sample(rng, size=a), dtype=float),
+                            np.asarray(dist.sample(rng, size=b), dtype=float)])
+    whole = np.asarray(
+        dist.sample(np.random.default_rng(seed), size=a + b), dtype=float)
+    np.testing.assert_array_equal(split, whole)
+
+
+class _CountingSampler:
+    """Uniform draws, recording the size of every ``sample`` call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def sample(self, rng, size=None):
+        self.sizes.append(size)
+        return rng.random(size)
+
+
+def test_refills_grow_geometrically_up_to_block():
+    dist = _CountingSampler()
+    sampler = BatchSampler(dist, np.random.default_rng(0), block=100)
+    for _ in range(8 + 32 + 100 + 100):
+        sampler.draw()
+    assert dist.sizes == [8, 32, 100, 100]
+
+
+def test_block_below_first_refill_is_still_the_cap():
+    dist = _CountingSampler()
+    sampler = BatchSampler(dist, np.random.default_rng(0), block=3)
+    for _ in range(7):
+        sampler.draw()
+    assert dist.sizes == [3, 3, 3]
+
+
+def test_take_draws_exactly_the_unbuffered_remainder():
+    dist = _CountingSampler()
+    sampler = BatchSampler(dist, np.random.default_rng(0), block=512)
+    sampler.take(0)
+    assert dist.sizes == []  # nothing asked, nothing drawn
+    sampler.take(37)
+    assert dist.sizes == [37]
+    sampler.draw()  # first refill: 8 drawn, 1 served, 7 buffered
+    sampler.take(5)  # served from the buffer
+    assert dist.sizes == [37, 8]
+    sampler.take(10)  # 2 buffered + exactly 8 fresh
+    assert dist.sizes == [37, 8, 8]
+    expected = np.random.default_rng(0).random(37 + 8 + 8)
+    again = BatchSampler(_CountingSampler(), np.random.default_rng(0))
+    np.testing.assert_array_equal(again.take(53), expected)
+
+
+def test_rebind_resolves_the_factory_again_and_restarts_growth():
+    dist = _CountingSampler()
+    seeds = iter([1, 2])
+    sampler = BatchSampler(
+        dist, rng_factory=lambda: np.random.default_rng(next(seeds)))
+    first = [sampler.draw() for _ in range(9)]
+    sampler.rebind()
+    second = [sampler.draw() for _ in range(9)]
+    assert dist.sizes == [8, 32, 8, 32]
+    assert first == np.random.default_rng(1).random(9).tolist()
+    assert second == np.random.default_rng(2).random(9).tolist()
+    with pytest.raises(DistributionError):
+        BatchSampler(dist, np.random.default_rng(0)).rebind()
 
 
 def test_batch_sampler_block_size_is_invisible():

@@ -78,12 +78,34 @@ class TestProgressMeter:
         meter.update(2, 20)
         assert stream.getvalue().count("\r") == 1
 
+    def test_first_paint_is_never_throttled_on_a_young_host(self):
+        clock = FakeClock()
+        meter, stream = self._meter(total_users=10, interval_s=3600.0,
+                                    clock=clock)
+        meter.update(1, 10)  # uptime 0 s < interval: must still paint
+        clock.now = 3599.0
+        meter.update(2, 20)
+        assert stream.getvalue().count("\r") == 1
+        clock.now = 3600.0
+        meter.update(3, 30)
+        assert stream.getvalue().count("\r") == 2
+
     def test_closed_stream_goes_quiet(self):
         stream = io.StringIO()
         meter = ProgressMeter(total_users=4, stream=stream, interval_s=0.0)
         stream.close()
         meter.update(1, 1)
         meter.finish()
+
+
+class FakeClock:
+    """A monotonic clock that starts at 0.0, like a just-booted host's."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
 
 
 class FakeQueue:
@@ -105,11 +127,19 @@ class TestQueueProgressSender:
         assert queue.items == [(3, 5, 500, False)]
 
     def test_throttle_drops_rapid_updates(self):
+        # The clock reads 0.0, as on a host that has just booted: the
+        # first sample must go out however young the host is.
+        clock = FakeClock()
         queue = FakeQueue()
-        sender = QueueProgressSender(0, queue, min_interval_s=3600.0)
+        sender = QueueProgressSender(0, queue, min_interval_s=3600.0,
+                                     clock=clock)
         sender.update(1, 10)
+        clock.now = 3599.0
         sender.update(2, 20)
-        assert len(queue.items) == 1
+        assert queue.items == [(0, 1, 10, False)]
+        clock.now = 3600.0
+        sender.update(3, 30)
+        assert queue.items[-1] == (0, 3, 30, False)
 
     def test_finish_bypasses_throttle_and_marks_done(self):
         queue = FakeQueue()
