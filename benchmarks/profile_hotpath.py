@@ -7,7 +7,10 @@ pipeline stage by its module — plan (GDS/FSC/spec), synthesize
 driver/other — then reports the top-N functions by cumulative time
 inside each stage.  This is the attribution tool the stage spans in
 ``BENCH_backends.json`` point at: spans say *which stage* regressed,
-this harness says *which function*.
+this harness says *which function*.  The block kernel's entry points
+(``ENTRY_POINTS``: per-user ``append_user`` and its plan walk, per-block
+``assemble`` and ``_run_block``) get their own rows with their share of
+the profiled wall.
 
 Interpretation caveat: cProfile's tracing hook roughly doubles the cost
 of hot Python loops while leaving vectorized NumPy calls almost
@@ -72,6 +75,17 @@ _STAGE_RULES = (
 
 STAGES = ("plan", "synthesize", "execute", "sink", "driver", "other")
 
+# The block kernel's entry points, (file, function): the per-user plan
+# walk and draws, the per-block assembly and the per-block execution.
+# Their cumulative shares are the ledger the next hot-path step is
+# decided on (is what remains the plan walk's Python, or array math?).
+ENTRY_POINTS = (
+    ("synthesis.py", "append_user"),
+    ("synthesis.py", "_append_session_plans"),
+    ("synthesis.py", "assemble"),
+    ("execution.py", "_run_block"),
+)
+
 
 def _stage_of(filename: str) -> str:
     normalized = filename.replace(os.sep, "/")
@@ -109,6 +123,10 @@ def profile_hotpath_results(users: int = None, seed: int = SEED) -> dict:
             "tottime_s": tottime,
             "cumtime_s": cumtime,
         })
+    entry_points = [
+        row for rows in buckets.values() for row in rows
+        if (row["file"], row["function"]) in ENTRY_POINTS
+    ]
     stages = {}
     for stage in STAGES:
         rows = sorted(buckets[stage], key=lambda r: -r["cumtime_s"])
@@ -126,6 +144,7 @@ def profile_hotpath_results(users: int = None, seed: int = SEED) -> dict:
         "top_n": TOPN,
         "profiled_wall_s": stats.total_tt,
         "stages": stages,
+        "entry_points": sorted(entry_points, key=lambda r: -r["cumtime_s"]),
     }
 
 
@@ -145,6 +164,13 @@ def results_table(results: dict) -> str:
                 f"{entry['file']}:{entry['line']}({entry['function']})",
                 entry["ncalls"], entry["tottime_s"], entry["cumtime_s"],
             ))
+    for entry in results["entry_points"]:
+        share = 100.0 * entry["cumtime_s"] / results["profiled_wall_s"]
+        rows.append((
+            f"block ({share:.0f}% of wall)",
+            f"{entry['file']}:{entry['line']}({entry['function']})",
+            entry["ncalls"], entry["tottime_s"], entry["cumtime_s"],
+        ))
     return format_table(
         ["stage", "function", "ncalls", "tottime s", "cumtime s"],
         rows,
@@ -173,6 +199,10 @@ def test_profile_hotpath(benchmark):
            + results["stages"]["sink"]["tottime_s"]
            + results["stages"]["plan"]["tottime_s"])
     assert hot > 0.0
+    # The block entry points must all have run: a rename that orphans
+    # one would silently drop its row from the ledger.
+    assert ({(e["file"], e["function"]) for e in results["entry_points"]}
+            == set(ENTRY_POINTS))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ Three implementations ship:
   and no engine.  Several times the ops/s (the floor ``benchmarks/
   bench_backends.py`` enforces is 5x); identical op stream.
 * :class:`ColumnarReplayBackend` — the array-native throughput path.
-  Whole sessions arrive as :class:`~repro.core.opbatch.OpBatch`
-  columns; service times, start clocks and the time-limit cutoff are
-  single array expressions, and batches flow to batch-aware sinks via
-  ``record_batch``.  Several times the scalar fast path again (floors:
-  4x fast, 20x the DES); identical records, timing included.
+  A block of users arrives as one :class:`~repro.core.opbatch.OpBatch`;
+  service times, start clocks and the time-limit cutoff are single
+  array expressions per block, and per-session slices flow to
+  batch-aware sinks via ``record_batch``.  Several times the scalar
+  fast path again (floors: 4x fast, 20x the DES); identical records,
+  timing included.
 
 All record through the :class:`~repro.core.oplog.OpSink` protocol.
 Because synthesis is a pure function of ``(root seed, user id)``, the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .oplog import (
     SessionRecord,
     apply_op_effects,
 )
-from .synthesis import SessionGenerator
+from .synthesis import _SEAT_BLOCK_USERS, BlockColumns, SessionGenerator
 
 __all__ = [
     "UserSessions",
@@ -286,9 +287,15 @@ class FastReplayBackend(ExecutionBackend):
         time_limit_us: float | None = None,
     ) -> float:
         duration = 0.0
-        for task in tasks:
-            duration = max(duration, self._run_user(task, log, time_limit_us))
+        for clock in self._user_clocks(tasks, log, time_limit_us):
+            duration = max(duration, clock)
         return duration
+
+    def _user_clocks(self, tasks: Iterable[UserSessions], log: OpSink,
+                     limit: float | None) -> Iterator[float]:
+        """Run every task in order; yield the clock each user stops at."""
+        for task in tasks:
+            yield self._run_user(task, log, limit)
 
     def _run_user(self, task: UserSessions, log: OpSink,
                   limit: float | None) -> float:
@@ -351,182 +358,263 @@ class FastReplayBackend(ExecutionBackend):
         return clock if limit is None else min(clock, limit)
 
 
+# Rows at which the columnar executor closes a block of users, however
+# few they are: what keeps a block's arrays (and so RSS) the size of one
+# long-session user while ~80-row users still share a pass by the hundred.
+_BLOCK_ROW_CAP = 8192
+
+
 class ColumnarReplayBackend(FastReplayBackend):
-    """Array-native fast replay: whole sessions as one :class:`OpBatch`.
+    """Array-native fast replay: a *block* of users as one :class:`OpBatch`.
 
     Same analytic timing model and same op stream as
     :class:`FastReplayBackend` — the scalar per-op loop (dataclass per
     op, three Python calls per record) is replaced by array expressions
-    over one batch per session:
+    over one batch per block of up to ``_SEAT_BLOCK_USERS`` users (or
+    ``_BLOCK_ROW_CAP`` rows):
 
+    * each user appends its sessions to the block's shared
+      :class:`~repro.core.synthesis.BlockColumns` as the task iterator
+      is drained (a pooled kernel is rebound by the next ``next()``, so
+      a user takes all its draws first);
     * service times come from
       :meth:`AnalyticServiceModel.response_us_array` in one shot;
     * ``start_us`` is a cumulative sum over the interleaved
-      service/think contribution column, seeded with the user's clock so
-      float rounding matches the scalar running sum bit for bit;
-    * a ``time_limit_us`` cutoff is one ``searchsorted`` over the
-      (non-decreasing) op start column;
-    * the executed slice goes to the sink via ``record_batch`` when the
-      sink has one, else through the :meth:`OpBatch.to_records` bridge.
+      service/think contribution column, *restarted at every user* and
+      seeded with that user's clock (:func:`_block_clocks`), so float
+      rounding matches the scalar running sum bit for bit;
+    * a ``time_limit_us`` cutoff is one comparison over the op start
+      column (non-decreasing within a user);
+    * path resolution, the recorded-size rule and every session summary
+      are computed once per block;
+    * sinks still receive one ``record_batch`` slice per executed
+      session followed by its ``record_session`` — batch boundaries are
+      observable (a sink's running-moment fold, the stream writer's
+      session row positions) — as zero-copy views sharing the block's
+      string tables.
 
     The golden tests pin byte-identical op records, session summaries
-    and tallies against both the scalar fast path and the DES.
+    and tallies against both the scalar fast path and the DES, and
+    ``tests/core/test_block_kernel.py`` pins a block of many users to
+    blocks of one.
     """
 
     name = "fast-columnar"
 
-    def _run_user(self, task: UserSessions, log: OpSink,
-                  limit: float | None) -> float:
-        generator = task.generator
-        user_id = generator.user_id
-        type_name = generator.user_type.name
-        record_batch = getattr(log, "record_batch", None)
-        offset = task.offset_us
-        if limit is not None and offset >= limit:
-            return min(offset, limit)
-        n_sessions = task.sessions
-        # One fused batch for the user's whole lifetime: service times,
-        # the clock cumsum, the limit cutoff, path resolution and the
-        # recorded-size rule all run once per user instead of once per
-        # session.  bounds[s] is the first row of session s.
-        batch, bounds = generator.generate_user_batch(range(n_sessions))
-        n = len(batch)
+    def _user_clocks(self, tasks: Iterable[UserSessions], log: OpSink,
+                     limit: float | None) -> Iterator[float]:
+        cols = BlockColumns()
+        block: list[UserSessions] = []
+        for task in tasks:
+            if limit is not None and task.offset_us >= limit:
+                # Logs in at or past the limit: nothing runs, nothing is
+                # drawn (the user's streams are its own).
+                yield limit
+                continue
+            task.generator.append_user(range(task.sessions), cols)
+            block.append(task)
+            if (len(block) >= _SEAT_BLOCK_USERS
+                    or cols.total >= _BLOCK_ROW_CAP):
+                yield from self._run_block(cols, block, log, limit)
+                cols = BlockColumns()
+                block = []
+        if block:
+            yield from self._run_block(cols, block, log, limit)
+
+    def _run_block(self, cols: BlockColumns, tasks: list[UserSessions],
+                   log: OpSink, limit: float | None) -> Iterator[float]:
+        """Time and record one block; yield each user's final clock."""
+        batch = cols.assemble()
+        lows = cols.bounds  # session s is rows [lows[s], lows[s + 1])
+        bounds = np.asarray(lows, dtype=np.int64)
+        # User u's sessions are [user_sess[u], user_sess[u + 1]).
+        user_sess = np.zeros(len(tasks) + 1, dtype=np.int64)
+        np.cumsum([task.sessions for task in tasks], out=user_sess[1:])
         service = self.model.response_us_array(batch.kinds, batch.sizes)
-        ends = np.asarray(bounds[1:], dtype=np.int64)
-        sess_axis = np.arange(n_sessions, dtype=np.int64)
-        # Interleave the clock contributions — service of op i, then its
-        # think pause, with each session's logout gap spliced in after
-        # its last think — and cumsum once, seeded with the user's
-        # offset: np.cumsum accumulates left to right, so every op's
-        # start (and every inter-session gap hop) reproduces the scalar
-        # running float sum bit for bit.  Adding the final session's
-        # 0.0 gap is exact (x + 0.0 == x for the non-negative clocks).
-        contrib = np.zeros(2 * n + n_sessions + 1, dtype=np.float64)
-        contrib[0] = offset
-        sess_of_op = batch.session_ids  # == repeat(arange, row counts)
-        op_slots = 2 * np.arange(n, dtype=np.int64) + sess_of_op
-        contrib[op_slots + 1] = service
-        contrib[op_slots + 2] = batch.think_us
-        contrib[2 * ends + sess_axis + 1] = [
-            task.gap_after_us(s) for s in range(n_sessions)
-        ]
-        cumulative = np.cumsum(contrib)
-        op_starts = cumulative[op_slots]
-        session_starts = cumulative[
-            2 * np.asarray(bounds[:-1], dtype=np.int64) + sess_axis]
-        session_ends = cumulative[2 * ends + sess_axis]
-
-        cut = n
-        if limit is not None:
-            cut = int(np.searchsorted(op_starts, limit, side="left"))
-
-        rec = batch.select(slice(0, cut))
-        rec.path_idx = self._resolved_paths(rec)
-        rec.start_us = op_starts[:cut]
-        rec.response_us = service[:cut]
+        op_starts, session_starts, session_ends, final = _block_clocks(
+            service, batch.think_us, bounds, user_sess,
+            [task.offset_us for task in tasks],
+            [task.gap_after_us(s) for task in tasks
+             for s in range(task.sessions)],
+        )
         # The recorded size column follows apply_op_effects: data movers
         # keep their byte count, everything else records 0.
-        rec.sizes = np.where(_DATA_MASK[rec.kinds], rec.sizes, 0)
-
-        # Emit per session — the same sink event sequence (one batch and
-        # one summary per executed session) the per-session path
-        # produced, as zero-copy slices of the user batch.
+        moved = np.where(_DATA_MASK[batch.kinds], batch.sizes, 0)
+        summaries = _session_summaries(batch, bounds, moved)
+        rec = batch.select(slice(None))
+        rec.path_idx = _resolved_paths(batch, np.repeat(
+            np.arange(len(tasks)), np.diff(bounds[user_sess])))
+        rec.start_us = op_starts
+        rec.response_us = service
+        rec.sizes = moved
+        if limit is None:
+            stops = lows[1:]
+        else:
+            # Op starts never decrease within a user, so the rows below
+            # the limit are a prefix of each user's rows.
+            below = np.zeros(len(batch) + 1, dtype=np.int64)
+            np.cumsum(op_starts < limit, out=below[1:])
+            stops = (bounds[:-1] + below[bounds[1:]]
+                     - below[bounds[:-1]]).tolist()
         starts_list = session_starts.tolist()
         ends_list = session_ends.tolist()
-        truncated = False
-        for s in range(n_sessions):
-            if limit is not None and starts_list[s] >= limit:
-                # The scalar loop breaks before entering this session;
-                # no rows recorded (every one starts at or past the
-                # limit), no summary.
-                break
-            lo, hi = bounds[s], bounds[s + 1]
-            executed = hi if hi <= cut else cut
-            sub = rec.select(slice(lo, executed))
-            if record_batch is not None:
-                record_batch(sub)
-            else:
-                record_op = log.record_op
-                for record in sub.to_records():
-                    record_op(record)
-            if executed < hi or (limit is not None
-                                 and ends_list[s] > limit):
-                # Ops dropped, or a trailing think pushed the clock past
-                # the limit: the session did not complete — its executed
-                # ops are recorded but its summary is not (the DES
-                # cutoff rule), and no later session starts.
-                truncated = True
-                break
-            log.record_session(
-                self._session_summary(batch.select(slice(lo, hi)), user_id,
-                                      type_name, s, starts_list[s],
-                                      ends_list[s])
-            )
-        end_clock = limit if truncated else float(cumulative[-1])
-        return end_clock if limit is None else min(end_clock, limit)
+        user_types = batch.user_types.values()
+        record_batch = getattr(log, "record_batch", None)
+        # Emit per session — the same sink event sequence (one batch and
+        # one summary per executed session) a block of one produces.
+        first = 0
+        for task, end_clock in zip(tasks, final.tolist()):
+            for s in range(first, first + task.sessions):
+                if limit is not None and starts_list[s] >= limit:
+                    # The scalar loop breaks before entering this
+                    # session; no rows recorded (every one starts at or
+                    # past the limit), no summary.
+                    break
+                sub = rec.select(slice(lows[s], stops[s]))
+                if record_batch is not None:
+                    record_batch(sub)
+                else:
+                    record_op = log.record_op
+                    for record in sub.to_records():
+                        record_op(record)
+                if stops[s] < lows[s + 1] or (limit is not None
+                                              and ends_list[s] > limit):
+                    # Ops dropped, or a trailing think pushed the clock
+                    # past the limit: the session did not complete — its
+                    # executed ops are recorded but its summary is not
+                    # (the DES cutoff rule), and no later session starts.
+                    end_clock = limit
+                    break
+                files, nbytes, file_bytes, categories = summaries[s]
+                log.record_session(SessionRecord(
+                    user_id=cols.sess_user[s],
+                    user_type=user_types[cols.sess_type[s]],
+                    session_id=cols.sess_id[s],
+                    start_us=starts_list[s],
+                    end_us=ends_list[s],
+                    files_referenced=files,
+                    bytes_accessed=nbytes,
+                    file_bytes_referenced=file_bytes,
+                    categories=categories,
+                ))
+            first += task.sessions
+            yield end_clock if limit is None else min(end_clock, limit)
 
-    @staticmethod
-    def _resolved_paths(rec: OpBatch) -> np.ndarray:
-        """Fill pathless rows from their plan's open/creat row.
 
-        The columnar equivalent of the scalar executors' ``path_by_plan``
-        dict: a dense plan-id → path-index table built from the executed
-        open/creat rows (every data op's open precedes it in the batch,
-        so the table always covers the lookups).
-        """
-        path_idx = rec.path_idx
-        need = np.flatnonzero((path_idx < 0) & (rec.plan_ids >= 0))
-        if not len(need):
-            return path_idx
-        opens = np.flatnonzero(
-            (rec.kinds == KIND_OPEN) | (rec.kinds == KIND_CREAT))
-        if not len(opens):
-            return path_idx
-        open_plans = rec.plan_ids[opens]
-        # Plan ids grow monotonically across a user's whole lifetime, so
-        # the table is offset to this batch's own id range — its size is
-        # O(plans in this session), not O(plans ever created).
-        low = int(open_plans.min())
-        table = np.full(int(open_plans.max()) - low + 1, -1, dtype=np.int32)
-        table[open_plans - low] = path_idx[opens]
-        lookup = rec.plan_ids[need] - low
-        covered = (lookup >= 0) & (lookup < len(table))
-        resolved = path_idx.copy()  # path_idx may be a view of the batch
-        resolved[need[covered]] = table[lookup[covered]]
-        return resolved
+def _block_clocks(service: np.ndarray, think_us: np.ndarray,
+                  bounds: np.ndarray, user_sess: np.ndarray,
+                  offsets: list, gaps: list) -> tuple:
+    """Every clock of a block: ``(op starts, session starts, session
+    ends, users' final clocks)``.
 
-    @staticmethod
-    def _session_summary(batch: OpBatch, user_id: int, type_name: str,
-                         session_id: int, start_us: float,
-                         end_us: float) -> SessionRecord:
-        """The session's :class:`SessionRecord`, computed columnar-ly.
+    Each user owns a contiguous segment of one contribution column —
+    its login offset, then per op the service time and the think pause
+    after it, with each session's logout gap spliced in after the
+    session's last think — and the clock is that segment's *own*
+    ``np.cumsum``: accumulation runs left to right from the user's
+    offset, so every op start, gap hop and session end reproduces the
+    scalar running float sum bit for bit.  A single cumsum over the
+    block minus each user's base would not: ``(base + x) - base``
+    rounds.  Adding the final session's 0.0 gap is exact
+    (``x + 0.0 == x`` for the non-negative clocks).
+    """
+    n = len(service)
+    n_sessions = len(bounds) - 1
+    n_users = len(user_sess) - 1
+    # Op i of (block-wide) session s of user u sits 2i + s + u slots in:
+    # two per earlier op, a gap per earlier session, an offset per user.
+    sess_shift = (np.arange(n_sessions, dtype=np.int64)
+                  + np.repeat(np.arange(n_users, dtype=np.int64),
+                              np.diff(user_sess)))
+    op_slots = (2 * np.arange(n, dtype=np.int64)
+                + np.repeat(sess_shift, np.diff(bounds)))
+    end_slots = 2 * bounds[1:] + sess_shift
+    seg = np.empty(n_users + 1, dtype=np.int64)
+    seg[:-1] = 2 * bounds[user_sess[:-1]] + user_sess[:-1] + np.arange(n_users)
+    seg[-1] = 2 * n + n_sessions + n_users
+    contrib = np.zeros(seg[-1], dtype=np.float64)
+    contrib[seg[:-1]] = offsets
+    contrib[op_slots + 1] = service
+    contrib[op_slots + 2] = think_us
+    contrib[end_slots + 1] = gaps
+    clock = np.empty_like(contrib)
+    edges = seg.tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        np.cumsum(contrib[lo:hi], out=clock[lo:hi])
+    return (clock[op_slots], clock[2 * bounds[:-1] + sess_shift],
+            clock[end_slots], clock[seg[1:] - 1])
 
-        Mirrors :class:`~repro.core.oplog.SessionAccounting` exactly:
-        open/creat/stat rows reference a file (keeping the per-path
-        maximum size), read/write/listdir rows move bytes, categories
-        come from the referencing rows.
-        """
-        kinds = batch.kinds
-        refs = np.flatnonzero(_REF_MASK[kinds])
-        per_path = np.full(len(batch.paths), -1, dtype=np.int64)
-        if len(refs):
-            np.maximum.at(per_path, batch.path_idx[refs], batch.sizes[refs])
-        seen = per_path >= 0
-        data_mask = _DATA_MASK[kinds]
-        category_names = batch.categories.values()
-        categories = {
-            category_names[i]
-            for i in np.unique(batch.category_idx[refs])
-            if i >= 0 and category_names[i]
-        }
-        return SessionRecord(
-            user_id=user_id,
-            user_type=type_name,
-            session_id=session_id,
-            start_us=start_us,
-            end_us=end_us,
-            files_referenced=int(seen.sum()),
-            bytes_accessed=int(batch.sizes[data_mask].sum()),
-            file_bytes_referenced=int(per_path[seen].sum()),
-            categories=tuple(sorted(categories)),
-        )
+
+def _resolved_paths(batch: OpBatch, user_of_op: np.ndarray) -> np.ndarray:
+    """The path column with pathless rows filled from their plan's
+    open/creat row.
+
+    The columnar equivalent of the scalar executors' ``path_by_plan``
+    dict, for a block: plan ids restart with every user, so the lookup
+    key is (user, plan id), searched in the sorted keys of the block's
+    open/creat rows (every data op's open precedes it in its user's
+    rows, so an executed row's open is always executed too).
+    """
+    path_idx = batch.path_idx
+    plan_ids = batch.plan_ids
+    need = np.flatnonzero((path_idx < 0) & (plan_ids >= 0))
+    opens = np.flatnonzero(
+        (batch.kinds == KIND_OPEN) | (batch.kinds == KIND_CREAT))
+    if not len(need) or not len(opens):
+        return path_idx
+    keys = user_of_op * (int(plan_ids.max()) + 1) + plan_ids
+    order = np.argsort(keys[opens])
+    open_keys = keys[opens][order]
+    at = np.minimum(np.searchsorted(open_keys, keys[need]),
+                    len(open_keys) - 1)
+    covered = open_keys[at] == keys[need]
+    resolved = path_idx.copy()
+    resolved[need[covered]] = path_idx[opens[order[at[covered]]]]
+    return resolved
+
+
+def _session_summaries(batch: OpBatch, bounds: np.ndarray,
+                       moved: np.ndarray) -> list[tuple]:
+    """Per session of a block: ``(files referenced, bytes accessed,
+    file bytes referenced, categories)`` — the :class:`SessionRecord`
+    content, computed columnar-ly.
+
+    Mirrors :class:`~repro.core.oplog.SessionAccounting` exactly:
+    open/creat/stat rows reference a file (keeping the per-path maximum
+    size), read/write/listdir rows move bytes (``moved``, the recorded
+    size column), categories come from the referencing rows.  One sort
+    over ``(session, path)`` keys serves the whole block.
+    """
+    n_sessions = len(bounds) - 1
+    sessions = np.arange(n_sessions + 1, dtype=np.int64)
+    refs = np.flatnonzero(_REF_MASK[batch.kinds])
+    ref_session = np.repeat(sessions[:-1], np.diff(bounds))[refs]
+    n_paths = max(1, len(batch.paths))
+    keys = ref_session * n_paths + batch.path_idx[refs]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # One group per distinct (session, path): its size is the maximum.
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    heads = np.flatnonzero(fresh)
+    sizes = np.maximum.reduceat(batch.sizes[refs][order], heads)
+    edges = np.searchsorted(keys[heads] // n_paths, sessions)
+    size_sums = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=size_sums[1:])
+    moved_sums = np.zeros(len(moved) + 1, dtype=np.int64)
+    np.cumsum(moved, out=moved_sums[1:])
+    n_categories = max(1, len(batch.categories))
+    category = batch.category_idx[refs]
+    names = batch.categories.values()
+    categories: list[list[str]] = [[] for _ in range(n_sessions)]
+    for key in np.unique((ref_session * n_categories
+                          + category)[category >= 0]).tolist():
+        name = names[key % n_categories]
+        if name:
+            categories[key // n_categories].append(name)
+    return list(zip(
+        np.diff(edges).tolist(),
+        (moved_sums[bounds[1:]] - moved_sums[bounds[:-1]]).tolist(),
+        (size_sums[edges[1:]] - size_sums[edges[:-1]]).tolist(),
+        (tuple(sorted(found)) for found in categories),
+    ))

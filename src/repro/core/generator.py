@@ -56,6 +56,7 @@ from .gds import DistributionSpecifier
 from .oplog import OpSink, UsageLog
 from .spec import UserTypeSpec, WorkloadSpec
 from .synthesis import (
+    _SEAT_BLOCK_USERS,
     SessionGenerator,
     derive_user_seats,
     user_stream_family,
@@ -82,12 +83,6 @@ FAST_BACKENDS = ("fast", "fast-columnar")
 RUN_BACKENDS = SIM_BACKENDS + FAST_BACKENDS
 """Everything :meth:`WorkloadGenerator.run_simulated` accepts: the DES
 backends plus the engine-free analytic replays."""
-
-# Users whose stream states are derived per vectorised call: enough that
-# the derivation's fixed cost is ~1 us a user, few enough that the block
-# (users x ~34 streams x two 128-bit ints) stays under a MiB.
-_SEAT_BLOCK_USERS = 128
-
 
 class TableSampler:
     """A CDF-table-backed sampler with a ``Distribution``-like surface.

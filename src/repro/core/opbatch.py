@@ -11,11 +11,12 @@ columns hold int32 indices into those tables, ``-1`` meaning "absent").
 
 The batch is the unit the columnar pipeline moves around:
 
-* :meth:`repro.core.synthesis.SessionGenerator.generate_session_batch`
-  produces one batch per login session (timing columns zero);
+* :meth:`repro.core.synthesis.BlockColumns.assemble` produces one batch
+  per block of users (timing columns zero;
+  ``SessionGenerator.generate_session_batch`` is its one-session form);
 * :class:`repro.core.execution.ColumnarReplayBackend` fills
-  ``start_us``/``response_us`` with one array expression and hands the
-  executed slice to the sink;
+  ``start_us``/``response_us`` with one array expression and hands each
+  session's executed slice to the sink;
 * sinks that implement ``record_batch`` (:class:`~repro.core.oplog.
   UsageLog`, :class:`~repro.fleet.merge.WorkloadTally`,
   :class:`~repro.fleet.merge.ShardAccumulator`) fold whole batches with

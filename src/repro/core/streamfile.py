@@ -57,6 +57,7 @@ import os
 import struct
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -184,43 +185,49 @@ def _remap_indices(idx: np.ndarray, source: StringTable,
     return out
 
 
+# (index column, the table it indexes), and every per-row column.
+_STRING_COLUMNS = (("path_idx", "paths"), ("category_idx", "categories"),
+                   ("user_type_idx", "user_types"))
+_ROW_COLUMNS = ("kinds", "plan_ids", "sizes", "flags", "user_ids",
+                "session_ids", "start_us", "response_us",
+                *(column for column, _ in _STRING_COLUMNS))
+
+
 def concat_batches(batches: Iterable[OpBatch]) -> OpBatch:
     """Concatenate batches into one, re-interning the string tables.
 
-    The ``think_us`` column survives only when *every* input carries it
-    (a record batch without thinks has no pause information to invent).
-    An empty input list yields a well-typed empty batch.
+    Consecutive batches that share their table *objects* (slices of one
+    parent — a user block's per-session views) are re-interned as one
+    run, so the cost follows the number of distinct parents, not the
+    number of slices.  The ``think_us`` column survives only when
+    *every* input carries it (a record batch without thinks has no
+    pause information to invent).  An empty input list yields a
+    well-typed empty batch.
     """
     batches = [b for b in batches if len(b)]
     if not batches:
         return OpBatch.empty(0)
     if len(batches) == 1:
         return batches[0]
-    total = sum(len(b) for b in batches)
-    out = OpBatch.empty(total)
-    keep_think = all(b.think_us is not None for b in batches)
-    if keep_think:
-        out.think_us = np.empty(total, dtype=np.int64)
-    pos = 0
-    for b in batches:
-        n = len(b)
-        part = slice(pos, pos + n)
-        out.kinds[part] = b.kinds
-        out.plan_ids[part] = b.plan_ids
-        out.sizes[part] = b.sizes
-        out.flags[part] = b.flags
-        out.user_ids[part] = b.user_ids
-        out.session_ids[part] = b.session_ids
-        out.start_us[part] = b.start_us
-        out.response_us[part] = b.response_us
-        out.path_idx[part] = _remap_indices(b.path_idx, b.paths, out.paths)
-        out.category_idx[part] = _remap_indices(
-            b.category_idx, b.categories, out.categories)
-        out.user_type_idx[part] = _remap_indices(
-            b.user_type_idx, b.user_types, out.user_types)
-        if keep_think:
-            out.think_us[part] = b.think_us
-        pos += n
+    out = OpBatch.empty(sum(len(b) for b in batches))
+    for column in _ROW_COLUMNS:
+        np.concatenate([getattr(b, column) for b in batches],
+                       out=getattr(out, column))
+    if all(b.think_us is not None for b in batches):
+        out.think_us = np.concatenate([b.think_us for b in batches],
+                                      dtype=np.int64)
+    pos = run_start = 0
+    for b, following in zip(batches, batches[1:] + [None]):
+        pos += len(b)
+        if following is not None and all(
+                getattr(following, table) is getattr(b, table)
+                for _, table in _STRING_COLUMNS):
+            continue
+        for column, table in _STRING_COLUMNS:
+            run = getattr(out, column)[run_start:pos]
+            run[:] = _remap_indices(run, getattr(b, table),
+                                    getattr(out, table))
+        run_start = pos
     return out
 
 
@@ -487,7 +494,7 @@ class StreamWriter:
         # Neither changes a single byte of the artifact itself.
         self._checkpoint = bool(checkpoint)
         self._flush_hook = flush_hook
-        self._pieces: list[OpBatch] = []
+        self._pieces: deque[OpBatch] = deque()
         self._buffered = 0
         self._rows_done = 0
         self._sessions: list[tuple[int, SessionRecord]] = []
@@ -537,7 +544,7 @@ class StreamWriter:
                             and getattr(observer, "enabled", False) else None)
         writer._checkpoint = bool(checkpoint)
         writer._flush_hook = flush_hook
-        writer._pieces = []
+        writer._pieces = deque()
         writer._buffered = 0
         writer._rows_done = salvaged.rows
         writer._sessions = []
@@ -635,14 +642,15 @@ class StreamWriter:
 
     def _take_rows(self, n: int) -> OpBatch:
         taken: list[OpBatch] = []
+        pieces = self._pieces
         while n > 0:
-            piece = self._pieces[0]
+            piece = pieces[0]
             if len(piece) <= n:
-                taken.append(self._pieces.pop(0))
+                taken.append(pieces.popleft())
                 n -= len(piece)
             else:
                 taken.append(piece.select(slice(0, n)))
-                self._pieces[0] = piece.select(slice(n, len(piece)))
+                pieces[0] = piece.select(slice(n, len(piece)))
                 n = 0
         return concat_batches(taken)
 

@@ -97,6 +97,12 @@ _CHUNK_RESERVE = 512
 
 _CREAT_FLAGS = int(OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
 
+# Users per block — whose stream states are derived per vectorised call
+# and whose sessions the columnar executor assembles per array pass:
+# enough that either fixed cost is ~1 us a user, few enough that the
+# seats (users x ~34 streams x two 128-bit ints) stay under a MiB.
+_SEAT_BLOCK_USERS = 128
+
 _UNIT = Uniform(0.0, 1.0)
 
 
@@ -323,36 +329,42 @@ class _ChunkBlock(BatchSampler):
         return take, boundary
 
 
-class _SessionColumns:
-    """Accumulates a user's plan columns without per-plan arrays.
+class BlockColumns:
+    """Accumulates a block of users' plan columns without per-plan arrays.
 
     Plan builders write kind/size rows straight into two growable flat
     buffers (``kinds_buf``/``sizes_buf`` — int8 kinds, float64 sizes so
     a chunk sampler's sanitised block can land by slice without a
-    per-segment cast) plus sparse fix-up lists; the
-    constant-within-a-plan columns (plan id, category) are materialised
-    at the end with one ``np.repeat`` over the plan lengths, path /
-    flag columns with one fancy assignment each, and the size column
-    with one ``astype(int64)`` pass — so building a session costs
-    O(plans) small Python appends plus O(ops) vectorized slice writes,
-    with no per-plan allocation and no final concatenation.
+    per-segment cast) plus sparse fix-up lists.  Each user appends its
+    sessions through :meth:`SessionGenerator.append_user` — plans, the
+    interleave permutation, and its own write-mix/think draws — and
+    :meth:`assemble` then materialises every column for the whole block
+    at once: one ``np.repeat`` per constant-within-a-plan (or
+    -session) column, one fancy assignment per sparse column, one
+    permutation gather, one ``astype(int64)`` and one think sanitise.
+    So a block costs O(plans) small Python appends plus O(ops)
+    vectorized slice writes, and the per-call NumPy overhead is paid
+    per block, not per user.
     """
 
     __slots__ = (
-        "paths", "categories", "kinds_buf", "sizes_buf", "cap", "lengths",
-        "plan_base", "cat_base", "plan_fix_pos", "plan_fix_val",
-        "path_pos", "path_ord", "plan_paths", "flag_pos", "flag_val",
-        "mix_start", "mix_count", "mix_step", "mix_wf", "total",
+        "paths", "categories", "user_types", "kinds_buf", "sizes_buf",
+        "cap", "lengths", "offsets", "plan_base", "cat_base",
+        "plan_fix_pos", "plan_fix_val", "path_pos", "path_ord",
+        "plan_paths", "flag_pos", "flag_val", "mix_start", "mix_count",
+        "mix_step", "mix_wf", "total", "order", "bounds", "sess_user",
+        "sess_id", "sess_type", "mix_draws", "think_raw",
     )
 
-    def __init__(self, paths: StringTable, categories: StringTable,
-                 capacity: int = 4096):
-        self.paths = paths
-        self.categories = categories
+    def __init__(self, capacity: int = 4096):
+        self.paths = StringTable()
+        self.categories = StringTable()
+        self.user_types = StringTable()
         self.cap = capacity
         self.kinds_buf = np.empty(capacity, dtype=np.int8)
         self.sizes_buf = np.empty(capacity, dtype=np.float64)
         self.lengths: list[int] = []
+        self.offsets: list[int] = []     # first (pre-interleave) row per plan
         self.plan_base: list[int] = []   # np.repeat fill per plan
         self.cat_base: list[int] = []
         self.plan_fix_pos: list[int] = []  # sparse overrides (unlink/stat)
@@ -367,17 +379,29 @@ class _SessionColumns:
         self.flag_val: list[int] = []
         # Write-mix draw ranges: each chunk segment that consumes
         # write-mix uniforms records (first row, count, row stride,
-        # write fraction); the draws happen once per session, in range
-        # order — the same order the scalar loop consumes them.
+        # write fraction); each user takes its draws in range order —
+        # the same order the scalar loop consumes them.
         self.mix_start: list[int] = []
         self.mix_count: list[int] = []
         self.mix_step: list[int] = []
         self.mix_wf: list[float] = []
         self.total = 0
+        self.order: list[int] = []       # interleaved row → plan-order row
+        # Session s occupies rows [bounds[s], bounds[s + 1]); sessions
+        # (and so users) are contiguous and in append order.
+        self.bounds: list[int] = [0]
+        self.sess_user: list[int] = []
+        self.sess_id: list[int] = []
+        self.sess_type: list[int] = []
+        # Per user, in append order: the write-mix and (phase-scaled)
+        # think variates it drew, concatenated once at assembly.
+        self.mix_draws: list[np.ndarray] = []
+        self.think_raw: list[np.ndarray] = []
 
     def add_plan(self, n: int, plan_value: int, cat_idx: int) -> None:
         """Close one plan of ``n`` rows (rows already written)."""
         self.lengths.append(n)
+        self.offsets.append(self.total)
         self.plan_base.append(plan_value)
         self.cat_base.append(cat_idx)
         self.total += n
@@ -402,6 +426,72 @@ class _SessionColumns:
         self.kinds_buf = kinds
         self.sizes_buf = sizes
         self.cap = cap
+
+    def assemble(self) -> OpBatch:
+        """Every appended user's sessions as one :class:`OpBatch`.
+
+        Rows are in interleaved order, users and sessions contiguous
+        (:attr:`bounds`); timing columns are zero.  Every array pass
+        here runs once for the block, whatever its user count.
+        """
+        n = self.total
+        kinds = self.kinds_buf[:n]
+        if self.mix_draws:
+            # The users' write-mix blocks line up with the ranges: both
+            # were appended user by user, ranges in draw order.
+            counts = np.asarray(self.mix_count)
+            mix = np.concatenate(self.mix_draws)
+            writes = mix < np.repeat(np.asarray(self.mix_wf), counts)
+            if writes.any():
+                head = np.empty(len(counts), dtype=np.int64)
+                head[0] = 0
+                np.cumsum(counts[:-1], out=head[1:])
+                intra = np.arange(len(mix)) - np.repeat(head, counts)
+                rows = (np.repeat(np.asarray(self.mix_start), counts)
+                        + intra * np.repeat(np.asarray(self.mix_step),
+                                            counts))
+                kinds[rows[writes]] = KIND_WRITE
+        perm = np.asarray(self.order, dtype=np.int64)
+        reps = np.asarray(self.lengths, dtype=np.int64)
+        plan_col = np.repeat(np.asarray(self.plan_base, dtype=np.int64), reps)
+        if self.plan_fix_pos:
+            plan_col[self.plan_fix_pos] = self.plan_fix_val
+        path_col = np.full(n, -1, dtype=np.int32)
+        if self.path_pos:
+            path_ids = self.paths.intern_many(self.plan_paths)
+            path_col[self.path_pos] = path_ids[self.path_ord]
+        flags_col = np.zeros(n, dtype=np.int16)
+        if self.flag_pos:
+            flags_col[self.flag_pos] = self.flag_val
+        # perm permutes within sessions only, so the per-session columns
+        # need no gather.
+        per_session = np.diff(np.asarray(self.bounds, dtype=np.int64))
+        raw = np.concatenate(self.think_raw)
+        # The vectorized _sample_think_us clamp.
+        ok = np.isfinite(raw) & (raw >= 0.0)
+        think = np.zeros(n, dtype=np.float64)
+        np.rint(raw, where=ok, out=think)
+        return OpBatch(
+            kinds=kinds[perm],
+            plan_ids=plan_col[perm],
+            sizes=self.sizes_buf[:n][perm].astype(np.int64),
+            flags=flags_col[perm],
+            path_idx=path_col[perm],
+            category_idx=np.repeat(
+                np.asarray(self.cat_base, dtype=np.int32), reps)[perm],
+            user_ids=np.repeat(
+                np.asarray(self.sess_user, dtype=np.int64), per_session),
+            session_ids=np.repeat(
+                np.asarray(self.sess_id, dtype=np.int64), per_session),
+            user_type_idx=np.repeat(
+                np.asarray(self.sess_type, dtype=np.int32), per_session),
+            start_us=np.zeros(n, dtype=np.float64),
+            response_us=np.zeros(n, dtype=np.float64),
+            think_us=np.minimum(think, _INT64_SATURATE).astype(np.int64),
+            paths=self.paths,
+            categories=self.categories,
+            user_types=self.user_types,
+        )
 
 
 class SessionGenerator:
@@ -819,7 +909,7 @@ class SessionGenerator:
     # columnar equality across every scenario.
 
     def _append_data_cols(self, budget: int, file_size: int,
-                          write_fraction: float, cols: _SessionColumns,
+                          write_fraction: float, cols: BlockColumns,
                           row0: int) -> int:
         """Vectorized :meth:`_data_ops`, appended straight into ``cols``.
 
@@ -899,7 +989,7 @@ class SessionGenerator:
                 remaining -= advanced
         return row - row0
 
-    def _append_write_out(self, target_size: int, cols: _SessionColumns,
+    def _append_write_out(self, target_size: int, cols: BlockColumns,
                           row0: int) -> int:
         """Vectorized :meth:`_write_out_ops`; returns rows appended."""
         row = row0
@@ -916,7 +1006,7 @@ class SessionGenerator:
     def _append_plan_for_existing(self, path: str, file_size: int,
                                   budget: int, write_fraction: float,
                                   mode_flag: int, cat_idx: int,
-                                  cols: _SessionColumns) -> None:
+                                  cols: BlockColumns) -> None:
         """Columnar :meth:`_plan_for_existing`: open → data ops → close.
 
         The budget, write fraction, open mode and category index arrive
@@ -946,7 +1036,7 @@ class SessionGenerator:
 
     def _append_plan_for_new(self, path: str, target_size: int, budget: int,
                              temporary: bool, cat_idx: int,
-                             cols: _SessionColumns) -> None:
+                             cols: BlockColumns) -> None:
         """Columnar :meth:`_plan_for_new`: creat, write out, re-read,
         close (+unlink for TEMP)."""
         self._plan_counter += 1
@@ -992,7 +1082,7 @@ class SessionGenerator:
 
     def _append_plan_for_directory(self, path: str, dir_size: int,
                                    passes: int, cat_idx: int,
-                                   cols: _SessionColumns) -> None:
+                                   cols: BlockColumns) -> None:
         """Columnar :meth:`_plan_for_directory`: stat + per-pass listdir."""
         self._plan_counter += 1
         n = 1 + passes
@@ -1010,20 +1100,8 @@ class SessionGenerator:
         cols.plan_fix_val.append(self._plan_counter)
         cols.add_plan(n, -1, cat_idx)
 
-    def _think_col(self, n: int) -> np.ndarray:
-        """``n`` think times (µs, int64) — the vectorized
-        :meth:`_sample_think_us`, phase modulation included."""
-        raw = self._think.take(n)
-        if self.phase_model is not None:
-            raw = raw * self.phase_model.step_many(self._phase.take(n))
-        ok = np.isfinite(raw) & (raw >= 0.0)
-        think = np.zeros(n, dtype=np.float64)
-        np.rint(raw, where=ok, out=think)
-        return np.minimum(think, _INT64_SATURATE).astype(np.int64)
-
-
     def _append_session_plans(self, session_id: int,
-                              cols: _SessionColumns) -> None:
+                              cols: BlockColumns) -> None:
         """The columnar :meth:`_session_plan_specs` walk, entry-grouped.
 
         Consumes the ``select`` and per-category ``count:`` streams
@@ -1095,116 +1173,65 @@ class SessionGenerator:
                         write_fraction, mode_flag, cat_idx, cols,
                     )
 
+    def append_user(self, session_ids, cols: BlockColumns) -> None:
+        """Append this user's ``session_ids`` to the block ``cols``.
+
+        Everything that draws from the user's streams happens here, so a
+        pooled kernel may be rebound the moment this returns: the plan
+        walk per session, then the user's whole ``slot`` block (every op
+        consumes exactly one uniform) and the interleave it drives, its
+        ``write-mix`` block and its think (and phase) block.  Each named
+        stream is still consumed session by session in draw order — a
+        block only *regroups* draws across users, whose streams are
+        disjoint — so rows are byte-identical to the scalar path's
+        whatever the block holds.
+        """
+        type_idx = cols.user_types.intern(self.user_type.name)
+        lengths, bounds = cols.lengths, cols.bounds
+        row0 = cols.total
+        first = len(bounds) - 1  # this user's first session
+        mix0 = len(cols.mix_count)
+        marks = [len(lengths)]
+        for session_id in session_ids:
+            self._append_session_plans(session_id, cols)
+            bounds.append(cols.total)
+            marks.append(len(lengths))
+            cols.sess_user.append(self.user_id)
+            cols.sess_id.append(session_id)
+            cols.sess_type.append(type_idx)
+        n = cols.total - row0
+        # Interleave plans exactly as generate_session does: same FIFO
+        # admission to the open-file window, same per-op slot uniform.
+        uniforms = self._slot.take(n).tolist()
+        order = [0] * n
+        max_open = self.user_type.max_open_files
+        for s in range(len(marks) - 1):
+            _interleave(lengths, cols.offsets, marks[s], marks[s + 1],
+                        uniforms, order, bounds[first + s] - row0, max_open)
+        cols.order += order
+        mix_n = sum(cols.mix_count[mix0:])
+        if mix_n:
+            cols.mix_draws.append(self._write_mix.take(mix_n))
+        think = self._think.take(n)
+        if self.phase_model is not None:
+            think = think * self.phase_model.step_many(self._phase.take(n))
+        cols.think_raw.append(think)
+
     def generate_user_batch(
         self, session_ids,
     ) -> "tuple[OpBatch, list[int]]":
         """All of ``session_ids`` fused into one :class:`OpBatch`.
 
-        The fused per-user kernel: every session's plans land in one
-        shared :class:`_SessionColumns`, and the whole user pays *one*
-        kind/size concatenation, one ``np.repeat`` per constant column,
-        one permutation gather, one think-column take, one write-mix
-        take and one :meth:`StringTable.intern_many` — instead of one of
-        each per session.  Returns ``(batch, bounds)`` where
-        ``bounds[i]`` is the first row of the ``i``-th session
-        (``len(bounds) == len(session_ids) + 1``).
-
-        Byte-identity with the scalar path is preserved because fusion
-        only *regroups* draws across sessions, never across streams:
-        each named stream is still consumed session-by-session in draw
-        order (slot/think/write-mix blocks are the concatenation of the
-        per-session blocks), and rows of session ``i`` occupy exactly
-        ``[bounds[i], bounds[i+1])`` — the interleave permutes within a
-        session only.
+        The block-of-one form of :meth:`append_user` +
+        :meth:`BlockColumns.assemble`.  Returns ``(batch, bounds)``
+        where ``bounds[i]`` is the first row of the ``i``-th session
+        (``len(bounds) == len(session_ids) + 1``); the interleave
+        permutes within a session only, so rows of session ``i`` occupy
+        exactly ``[bounds[i], bounds[i+1])``.
         """
-        cols = _SessionColumns(StringTable(), StringTable())
-        sids = list(session_ids)
-        bounds = [0]
-        plan_marks = [0]
-        for session_id in sids:
-            self._append_session_plans(session_id, cols)
-            bounds.append(cols.total)
-            plan_marks.append(len(cols.lengths))
-
-        lengths = cols.lengths
-        n = cols.total
-        user_types = StringTable()
-        type_idx = user_types.intern(self.user_type.name)
-        if n == 0:
-            batch = OpBatch.empty(0, cols.paths, cols.categories, user_types)
-            batch.think_us = self._think_col(0)
-            return batch, bounds
-
-        offsets = [0] * len(lengths)
-        acc = 0
-        for j, length in enumerate(lengths):
-            offsets[j] = acc
-            acc += length
-        # Interleave plans exactly as generate_session does: same FIFO
-        # admission to the open-file window, same per-op slot uniform.
-        # Every op consumes exactly one "slot" draw, so the user's whole
-        # uniform block pre-draws in one take.
-        uniforms = self._slot.take(n).tolist()
-        order = [0] * n
-        max_open = self.user_type.max_open_files
-        for s in range(len(sids)):
-            _interleave(lengths, offsets, plan_marks[s], plan_marks[s + 1],
-                        uniforms, order, bounds[s], max_open)
-
-        kinds = cols.kinds_buf[:n]
-        if cols.mix_count:
-            # One write-mix block for the whole user: same draws, in the
-            # same per-stream order, as the scalar per-op draws.
-            counts = np.asarray(cols.mix_count)
-            total_mix = int(counts.sum())
-            mix = self._write_mix.take(total_mix)
-            writes = mix < np.repeat(np.asarray(cols.mix_wf), counts)
-            if writes.any():
-                head = np.empty(len(counts), dtype=np.int64)
-                head[0] = 0
-                np.cumsum(counts[:-1], out=head[1:])
-                intra = np.arange(total_mix) - np.repeat(head, counts)
-                rows = (np.repeat(np.asarray(cols.mix_start), counts)
-                        + intra * np.repeat(np.asarray(cols.mix_step),
-                                            counts))
-                kinds[rows[writes]] = KIND_WRITE
-        perm = np.asarray(order, dtype=np.int64)
-        reps = np.asarray(lengths)
-        plan_col = np.repeat(np.asarray(cols.plan_base, dtype=np.int64), reps)
-        if cols.plan_fix_pos:
-            plan_col[cols.plan_fix_pos] = cols.plan_fix_val
-        path_col = np.full(n, -1, dtype=np.int32)
-        if cols.path_pos:
-            path_ids = cols.paths.intern_many(cols.plan_paths)
-            path_col[cols.path_pos] = path_ids[cols.path_ord]
-        flags_col = np.zeros(n, dtype=np.int16)
-        if cols.flag_pos:
-            flags_col[cols.flag_pos] = cols.flag_val
-        session_col = np.repeat(
-            np.asarray(sids, dtype=np.int64),
-            np.diff(np.asarray(bounds, dtype=np.int64)),
-        )
-        batch = OpBatch(
-            kinds=kinds[perm],
-            plan_ids=plan_col[perm],
-            sizes=cols.sizes_buf[:n][perm].astype(np.int64),
-            flags=flags_col[perm],
-            path_idx=path_col[perm],
-            category_idx=np.repeat(
-                np.asarray(cols.cat_base, dtype=np.int32), reps)[perm],
-            user_ids=np.full(n, self.user_id, dtype=np.int64),
-            # perm permutes within sessions only, so the session column
-            # needs no gather.
-            session_ids=session_col,
-            user_type_idx=np.full(n, type_idx, dtype=np.int32),
-            start_us=np.zeros(n, dtype=np.float64),
-            response_us=np.zeros(n, dtype=np.float64),
-            think_us=self._think_col(n),
-            paths=cols.paths,
-            categories=cols.categories,
-            user_types=user_types,
-        )
-        return batch, bounds
+        cols = BlockColumns()
+        self.append_user(session_ids, cols)
+        return cols.assemble(), cols.bounds
 
     def generate_session_batch(self, session_id: int) -> OpBatch:
         """The columnar :meth:`generate_session`: one login session as an

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .base import Distribution, DistributionError, as_float_array
 from .exponential import PhaseTypeExponential, ShiftedExponential
@@ -81,10 +80,14 @@ def ks_test(samples: Sequence[float], dist: Distribution) -> tuple[float, float]
     when the candidate distribution was not fitted on the same data (for
     fitted distributions treat the p-value as an optimistic upper bound).
     """
+    # Imported here: scipy.stats is ~1 s of start-up and only this call
+    # needs it (tests/test_cli.py holds `import repro` free of it).
+    from scipy.stats import kstwobign
+
     data = as_float_array(samples, "samples")
     d = ks_distance(data, dist)
     n = len(data)
-    p = float(scipy_stats.kstwobign.sf(d * np.sqrt(n)))
+    p = float(kstwobign.sf(d * np.sqrt(n)))
     return d, min(max(p, 0.0), 1.0)
 
 

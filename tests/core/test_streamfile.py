@@ -462,6 +462,51 @@ class TestReaderSlicing:
             assert len(visited) < len(reader.chunk_index)
 
 
+class TestConcatRuns:
+    """Slices of one parent are re-interned as one run, not one by one."""
+
+    RECORDS = [
+        OpRecord(user_id=i % 3, user_type=f"t{i % 2}", session_id=0,
+                 op="read", path=f"/p{i % 5}", category_key=f"c{i % 4}",
+                 size=i, start_us=float(i), response_us=1.0)
+        for i in range(40)
+    ]
+
+    def pieces(self):
+        """Two parents cut into slices: A A A | B | A A (table-wise)."""
+        a = OpBatch.from_records(self.RECORDS[:30] + self.RECORDS[34:])
+        b = OpBatch.from_records(self.RECORDS[30:34])
+        return [a.select(slice(0, 7)), a.select(slice(7, 8)),
+                a.select(slice(8, 30)), b,
+                a.select(slice(30, 32)), a.select(slice(32, 36))]
+
+    def test_rows_survive_whatever_tables_they_shared(self):
+        assert concat_batches(self.pieces()).to_records() == self.RECORDS
+
+    def test_one_remap_per_run_of_same_table_pieces(self, monkeypatch):
+        from repro.core import streamfile
+
+        calls = []
+        real = streamfile._remap_indices
+        monkeypatch.setattr(
+            streamfile, "_remap_indices",
+            lambda idx, source, target: (calls.append(len(idx)),
+                                         real(idx, source, target))[1])
+        concat_batches(self.pieces())
+        # Three string columns x three runs (A-slices, B, A-slices).
+        assert calls == [30] * 3 + [4] * 3 + [6] * 3
+
+    def test_writer_drains_many_small_pieces(self, tmp_path):
+        path = str(tmp_path / "many.opstream")
+        parent = OpBatch.from_records(self.RECORDS)
+        with StreamWriter(path, 7) as writer:
+            for i in range(len(parent)):
+                writer.add_batch(parent.select(slice(i, i + 1)))
+        got = [r for batch in iter_batches(path)
+               for r in batch.to_records()]
+        assert got == self.RECORDS
+
+
 class TestEmptyBatches:
     """Degenerate containers stay well-typed end to end."""
 

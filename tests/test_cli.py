@@ -1,8 +1,50 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+class TestStartup:
+    """Start-up is one import: ``scipy.stats`` (~1 s, ~40 MiB) loads
+    where a fit's p-value is computed, not with the package."""
+
+    def probe(self, body: str) -> str:
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = body + "\nprint('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_import_repro_does_not_load_scipy_stats(self):
+        assert self.probe("import sys, repro").split() == ["False"]
+
+    def test_version_command_does_not_load_scipy_stats(self):
+        out = self.probe(
+            "import runpy, sys\n"
+            "sys.argv = ['repro', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert not stop.code, stop.code")
+        assert out.split()[-1] == "False" and "repro-workload" in out
+
+    def test_ks_test_still_loads_it_on_demand(self):
+        out = self.probe(
+            "import sys\n"
+            "from repro.distributions import ShiftedExponential\n"
+            "from repro.distributions.fitting import ks_test\n"
+            "d, p = ks_test([1.0, 2.0, 3.0, 4.0], ShiftedExponential(2.5))\n"
+            "assert 0.0 <= p <= 1.0")
+        assert out.split() == ["True"]
 
 
 class TestParser:
