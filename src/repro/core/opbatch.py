@@ -95,19 +95,25 @@ class StringTable:
 
     def __init__(self, values: Iterable[str] = ()):
         self._values: list[str] = list(values)
-        self._index: dict[str, int] = {
-            value: i for i, value in enumerate(self._values)
-        }
+        # Built on first intern: a table decoded from a stream chunk is
+        # usually only ever looked up.
+        self._index: "dict[str, int] | None" = None
+
+    def _reverse(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self._values)}
+        return self._index
 
     def intern(self, value: "str | None") -> int:
         """Index of ``value`` (appending it on first sight); None → -1."""
         if value is None:
             return -1
-        idx = self._index.get(value)
+        index = self._index or self._reverse()
+        idx = index.get(value)
         if idx is None:
             idx = len(self._values)
             self._values.append(value)
-            self._index[value] = idx
+            index[value] = idx
         return idx
 
     def intern_many(self, values: Sequence[str]) -> np.ndarray:
@@ -118,7 +124,7 @@ class StringTable:
         batched interning the columnar plan builder uses.  Append order
         (first sight wins) is identical to sequential ``intern`` calls.
         """
-        index = self._index
+        index = self._reverse()
         table = self._values
         out = np.empty(len(values), dtype=np.int32)
         for i, value in enumerate(values):

@@ -91,6 +91,9 @@ def _unescape(value: str) -> str:
 
 def _split_categories(field_text: str) -> tuple[str, ...]:
     """Split a comma-joined category list, honouring ``\\,`` escapes."""
+    if "\\" not in field_text:
+        # No escape anywhere: every comma is a separator.
+        return tuple(p for p in field_text.split(",") if p)
     parts: list[str] = []
     current: list[str] = []
     i = 0

@@ -58,7 +58,8 @@ import struct
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -304,96 +305,124 @@ def _encode_chunk(batch: OpBatch,
     return out.getvalue()
 
 
-class _PayloadReader:
-    """Bounds-checked cursor over one decoded frame payload."""
+_U32 = struct.Struct("<L")
+_U64 = struct.Struct("<Q")
+_CHUNK_HEAD = struct.Struct("<QB")  # op rows, think flag
+_SESSION_HEAD = struct.Struct("<QL")  # global op-row position, line bytes
+_NPY_HEAD = struct.Struct("<8xH")  # npy 1.0 magic + version, header bytes
+_COLUMN_DTYPES = tuple((name, np.dtype(dtype))
+                       for name, dtype in (*_COLUMNS, _THINK_COLUMN))
 
-    def __init__(self, payload: bytes, what: str):
-        self._data = payload
-        self._pos = 0
-        self._what = what
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise StreamFormatError(
-                f"{self._what}: truncated payload "
-                f"(wanted {n} bytes at offset {self._pos})"
-            )
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def done(self) -> None:
-        if self._pos != len(self._data):
-            raise StreamFormatError(
-                f"{self._what}: {len(self._data) - self._pos} trailing bytes"
-            )
+# (dtype, shape) per npy header seen, keyed on its raw bytes: chunks repeat
+# the same dozen headers and numpy's ``ast.literal_eval`` parse costs more
+# than copying the column.  Bounded: a hostile file can vary them forever.
+_NPY_HEADERS: dict[bytes, tuple[np.dtype, tuple]] = {}
+_NPY_HEADERS_MAX = 64
 
 
-def _read_table(cursor: _PayloadReader) -> StringTable:
-    (count,) = cursor.unpack("<L")
+def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
+    """The string table at ``pos`` and the offset just past it."""
+    unpack, end = _U32.unpack_from, len(payload)
+    (count,) = unpack(payload, pos)
+    pos += _U32.size
     values = []
     for _ in range(count):
-        (nbytes,) = cursor.unpack("<L")
+        (nbytes,) = unpack(payload, pos)
+        pos += _U32.size + nbytes
+        if pos > end:
+            raise struct.error("string table runs past the payload")
+        values.append(payload[pos - nbytes:pos].decode("utf-8"))
+    return StringTable(values), pos
+
+
+def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
+                n: int) -> tuple[np.ndarray, int]:
+    """The npy-framed column at ``pos`` and the offset just past it.
+
+    The array is a copy that owns its memory, not a view: a consumer
+    keeping one column of each chunk must not pin every payload.  New
+    headers go through numpy's own parser, so nothing numpy rejects is
+    accepted, nor is anything but npy 1.0, C order, no object dtype.
+    """
+    (nbytes,) = _U64.unpack_from(payload, pos)
+    pos += _U64.size
+    stop = pos + nbytes
+    if stop > len(payload):
+        raise struct.error(f"column {name!r} runs past the payload")
+    data = pos + _NPY_HEAD.size + _NPY_HEAD.unpack_from(payload, pos)[0]
+    raw = payload[pos:data]
+    declared = _NPY_HEADERS.get(raw)
+    if declared is None:
         try:
-            values.append(cursor.take(nbytes).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise StreamFormatError(f"corrupt string table: {exc}") from None
-    return StringTable(values)
-
-
-def _read_array(cursor: _PayloadReader, name: str, dtype: str,
-                n: int) -> np.ndarray:
-    (nbytes,) = cursor.unpack("<Q")
-    raw = cursor.take(nbytes)
-    try:
-        array = np.load(io.BytesIO(raw), allow_pickle=False)
-    except Exception as exc:
+            stream = io.BytesIO(raw)
+            if np.lib.format.read_magic(stream) != (1, 0):
+                raise ValueError("not an npy 1.0 block")
+            shape, fortran_order, found = (
+                np.lib.format.read_array_header_1_0(stream))
+            if fortran_order or found.hasobject:
+                raise ValueError(f"unsupported layout or dtype {found}")
+        except Exception as exc:
+            raise StreamFormatError(
+                f"column {name!r}: corrupt npy block ({exc})") from None
+        if len(_NPY_HEADERS) >= _NPY_HEADERS_MAX:
+            _NPY_HEADERS.clear()
+        declared = _NPY_HEADERS[raw] = (found, shape)
+    if declared != (dtype, (n,)) or stop - data != n * dtype.itemsize:
         raise StreamFormatError(
-            f"column {name!r}: corrupt npy block ({exc})"
-        ) from None
-    if array.dtype != np.dtype(dtype) or array.shape != (n,):
-        raise StreamFormatError(
-            f"column {name!r}: expected {n} x {dtype}, "
-            f"got {array.shape} x {array.dtype}"
-        )
-    return array
+            f"column {name!r}: expected {n} x {dtype}, got "
+            f"{declared[1]} x {declared[0]} in {stop - data} bytes")
+    return np.frombuffer(payload, dtype, n, data).copy(), stop
 
 
 def _decode_chunk(payload: bytes, what: str):
-    cursor = _PayloadReader(payload, what)
-    n, has_think = cursor.unpack("<QB")
-    if has_think not in (0, 1):
-        raise StreamFormatError(f"{what}: bad think flag {has_think}")
-    tables = [_read_table(cursor) for _ in range(3)]
-    batch = OpBatch.empty(int(n), paths=tables[0], categories=tables[1],
-                          user_types=tables[2])
-    for name, dtype in _COLUMNS:
-        setattr(batch, name, _read_array(cursor, name, dtype, int(n)))
-    if has_think:
-        batch.think_us = _read_array(cursor, *_THINK_COLUMN, int(n))
-    for idx_name, table in (("path_idx", tables[0]),
-                            ("category_idx", tables[1]),
-                            ("user_type_idx", tables[2])):
-        idx = getattr(batch, idx_name)
-        if len(idx) and (int(idx.min()) < -1 or int(idx.max()) >= len(table)):
-            raise StreamFormatError(f"{what}: {idx_name} out of table range")
-    (n_sessions,) = cursor.unpack("<L")
-    sessions = []
-    for _ in range(n_sessions):
-        position, nbytes = cursor.unpack("<QL")
-        raw = cursor.take(nbytes)
-        try:
-            record = SessionRecord.from_line(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise StreamFormatError(
-                f"{what}: corrupt session record ({exc})"
-            ) from None
-        sessions.append((int(position), record))
-    cursor.done()
-    return batch, sessions
+    """One bounds-checked forward pass over a CRC-checked chunk payload.
+
+    Returns the op rows and the *framed* session records: ``(position,
+    line bytes)`` pairs whose extents and count are checked here and
+    whose text :func:`_parse_sessions` parses when someone reads it.
+    """
+    try:
+        n, has_think = _CHUNK_HEAD.unpack_from(payload, 0)
+        if has_think not in (0, 1):
+            raise StreamFormatError(f"{what}: bad think flag {has_think}")
+        pos = _CHUNK_HEAD.size
+        tables = {}
+        for _, table in _STRING_COLUMNS:
+            tables[table], pos = _read_table(payload, pos)
+        columns = {}
+        for name, dtype in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
+            columns[name], pos = _read_array(payload, pos, name, dtype, n)
+        (n_sessions,) = _U32.unpack_from(payload, pos)
+        pos += _U32.size
+        frames = []
+        for _ in range(n_sessions):
+            position, nbytes = _SESSION_HEAD.unpack_from(payload, pos)
+            pos += _SESSION_HEAD.size + nbytes
+            if pos > len(payload):
+                raise struct.error("session record runs past the payload")
+            frames.append((position, payload[pos - nbytes:pos]))
+    except struct.error as exc:  # unpack_from past the end, or raised above
+        raise StreamFormatError(f"{what}: truncated payload ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"corrupt string table: {exc}") from None
+    if pos != len(payload):
+        raise StreamFormatError(f"{what}: {len(payload) - pos} trailing bytes")
+    for column, table in _STRING_COLUMNS:
+        idx = columns[column]
+        if n and (int(idx.min()) < -1
+                  or int(idx.max()) >= len(tables[table])):
+            raise StreamFormatError(f"{what}: {column} out of table range")
+    return OpBatch(**columns, **tables), frames
+
+
+def _parse_sessions(frames, what: str) -> list[tuple[int, SessionRecord]]:
+    """Parse the session lines :func:`_decode_chunk` framed."""
+    try:
+        return [(position, SessionRecord.from_line(raw.decode("utf-8")))
+                for position, raw in frames]
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise StreamFormatError(
+            f"{what}: corrupt session record ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -886,15 +915,31 @@ class ChunkInfo:
     start_lo: float | None
     start_hi: float | None
 
+    def entry(self) -> dict:
+        """The writer-style index entry this was read from."""
+        entry = asdict(self)
+        del entry["index"], entry["row_start"]
+        return entry
+
 
 @dataclass
 class StreamChunk:
-    """One decoded chunk: op rows plus positioned session records."""
+    """One decoded chunk: op rows plus positioned session records.
+
+    Session lines are framed and counted at decode time but parsed on
+    first read of :attr:`sessions` (a corrupt one raises
+    :class:`StreamFormatError` there): row consumers never pay for them.
+    """
 
     index: int
     batch: OpBatch
-    sessions: list[tuple[int, SessionRecord]]
+    frames: list[tuple[int, bytes]]
     row_start: int
+
+    @cached_property
+    def sessions(self) -> list[tuple[int, SessionRecord]]:
+        """``(global op-row position, record)`` pairs, in stream order."""
+        return _parse_sessions(self.frames, f"chunk {self.index}")
 
 
 def _normalize_users(users) -> "np.ndarray | None":
@@ -902,9 +947,7 @@ def _normalize_users(users) -> "np.ndarray | None":
         return None
     if isinstance(users, (int, np.integer)):
         return np.array([int(users)], dtype=np.int64)
-    out = np.unique(np.asarray(sorted(int(u) for u in users),
-                               dtype=np.int64))
-    return out
+    return np.unique(np.array([int(u) for u in users], dtype=np.int64))
 
 
 class StreamReader:
@@ -942,8 +985,8 @@ class StreamReader:
         return raw
 
     def _read_header(self) -> None:
-        version, header, _ = _parse_header(self._stream, self._size,
-                                           self.path)
+        version, header, self._data_start = _parse_header(
+            self._stream, self._size, self.path)
         self.version = version
         self.header = header
         self.rows_per_chunk = int(header["rows_per_chunk"])
@@ -973,24 +1016,53 @@ class StreamReader:
             footer = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise StreamFormatError(f"corrupt footer JSON: {exc}") from None
-        self.total_rows = int(footer["rows"])
-        self.total_sessions = int(footer["sessions"])
         self._footer_offset = footer_offset
+        # CRC-valid is not well-formed: every field a seek, a skip
+        # decision or a slice comparison will trust is type- and
+        # range-checked here, once, so nothing downstream can raise
+        # anything but StreamFormatError.
+
+        def count(holder: dict, key: str) -> int:
+            value = holder.get(key)
+            if type(value) is not int or value < 0:
+                raise StreamFormatError(
+                    f"corrupt footer: {key!r} is {value!r}, not a count")
+            return value
+
+        if not isinstance(footer, dict) or not isinstance(
+                footer.get("chunks"), list):
+            raise StreamFormatError("corrupt footer: not a chunk index")
+        self.total_rows = count(footer, "rows")
+        self.total_sessions = count(footer, "sessions")
         chunks = []
         row_start = 0
+        floor = self._data_start
         for i, entry in enumerate(footer["chunks"]):
-            chunks.append(ChunkInfo(
-                index=i,
-                offset=int(entry["offset"]),
-                rows=int(entry["rows"]),
-                row_start=row_start,
-                sessions=int(entry["sessions"]),
-                user_lo=entry["user_lo"],
-                user_hi=entry["user_hi"],
-                start_lo=entry["start_lo"],
-                start_hi=entry["start_hi"],
-            ))
-            row_start += int(entry["rows"])
+            if not isinstance(entry, dict):
+                raise StreamFormatError(
+                    f"corrupt footer: chunk {i} entry is not an object")
+            offset, rows = count(entry, "offset"), count(entry, "rows")
+            if not floor <= offset < self._footer_offset:
+                raise StreamFormatError(
+                    f"corrupt footer: chunk {i} offset {offset} is out of "
+                    "order or outside the data region")
+            floor = offset + 1
+            bounds = []
+            for key, kinds in (("user", (int,)), ("start", (int, float))):
+                lo, hi = entry.get(f"{key}_lo"), entry.get(f"{key}_hi")
+                if rows == 0:
+                    valid = lo is None and hi is None
+                else:
+                    valid = (type(lo) in kinds and type(hi) in kinds
+                             and lo <= hi)
+                if not valid:
+                    raise StreamFormatError(
+                        f"corrupt footer: chunk {i} {key} range "
+                        f"{lo!r}..{hi!r} with {rows} rows")
+                bounds += [lo, hi]
+            chunks.append(ChunkInfo(i, offset, rows, row_start,
+                                    count(entry, "sessions"), *bounds))
+            row_start += rows
         if row_start != self.total_rows:
             raise StreamFormatError("corrupt footer: chunk rows disagree "
                                     "with the total")
@@ -1014,13 +1086,12 @@ class StreamReader:
         kind, payload = self._read_frame(info.offset, f"chunk {index}")
         if kind != _FRAME_CHUNK:
             raise StreamFormatError(f"chunk {index}: not a chunk frame")
-        batch, sessions = _decode_chunk(payload, f"chunk {index}")
-        if len(batch) != info.rows or len(sessions) != info.sessions:
+        batch, frames = _decode_chunk(payload, f"chunk {index}")
+        if len(batch) != info.rows or len(frames) != info.sessions:
             raise StreamFormatError(
                 f"chunk {index}: payload disagrees with the footer index"
             )
-        return StreamChunk(index=index, batch=batch, sessions=sessions,
-                           row_start=info.row_start)
+        return StreamChunk(index, batch, frames, info.row_start)
 
     def _chunk_matches(self, info: ChunkInfo, users: "np.ndarray | None",
                        time_range) -> bool:
@@ -1052,8 +1123,10 @@ class StreamReader:
     def iter_batches(self, users=None, time_range=None) -> Iterator[OpBatch]:
         """Yield op-row batches, row-filtered by user and time window."""
         norm = _normalize_users(users)
-        for chunk in self.iter_chunks(users=users, time_range=time_range):
-            batch = chunk.batch
+        for info in self.chunk_index:
+            if not self._chunk_matches(info, norm, time_range):
+                continue
+            batch = self.read_chunk(info.index).batch
             if norm is None and time_range is None:
                 if len(batch):
                     yield batch
@@ -1347,9 +1420,10 @@ def _sequential_scan(stream, size: int, data_start: int):
             return (entries, pos,
                     f"chunk {len(entries)} failed its checksum "
                     f"(offset {pos})")
+        what = f"chunk {len(entries)}"
         try:
-            batch, sessions = _decode_chunk(
-                payload, f"chunk {len(entries)}")
+            batch, frames = _decode_chunk(payload, what)
+            sessions = _parse_sessions(frames, what)
         except StreamFormatError as exc:
             return entries, pos, str(exc)
         entries.append(_entry_from_chunk(pos, batch, sessions))
@@ -1416,7 +1490,9 @@ class SalvagedStream:
                         f"{self.path}: salvaged chunk {i} failed "
                         "re-verification"
                     )
-                yield _decode_chunk(payload, f"salvaged chunk {i}")
+                what = f"salvaged chunk {i}"
+                batch, frames = _decode_chunk(payload, what)
+                yield batch, _parse_sessions(frames, what)
 
     def replay(self, sink) -> ReplaySummary:
         """Re-emit the salvaged prefix into ``sink`` (see StreamReader).
@@ -1489,18 +1565,7 @@ def salvage_stream(path: str) -> SalvagedStream:
         raise StreamFormatError(f"cannot stat stream file: {exc}") from None
     try:
         with StreamReader(path) as reader:
-            entries = [
-                {
-                    "offset": info.offset,
-                    "rows": info.rows,
-                    "sessions": info.sessions,
-                    "user_lo": info.user_lo,
-                    "user_hi": info.user_hi,
-                    "start_lo": info.start_lo,
-                    "start_hi": info.start_hi,
-                }
-                for info in reader.chunk_index
-            ]
+            entries = [info.entry() for info in reader.chunk_index]
             return SalvagedStream(
                 path=path, version=reader.version,
                 rows_per_chunk=reader.rows_per_chunk,
@@ -1666,43 +1731,47 @@ def verify_stream(path: str) -> StreamVerifyReport:
                                   chunks=0, chunks_ok=0, rows=0, sessions=0,
                                   file_bytes=0, errors=[str(exc)])
     try:
-        with open(path, "rb") as stream:
-            _, _, data_start = _parse_header(stream, size, path)
-    except (OSError, StreamFormatError) as exc:
-        return StreamVerifyReport(path=path, ok=False, complete=False,
-                                  chunks=0, chunks_ok=0, rows=0, sessions=0,
-                                  file_bytes=size, errors=[f"header: {exc}"])
-    reader = None
-    try:
         reader = StreamReader(path)
     except StreamFormatError as exc:
-        errors.append(f"footer: {exc}")
-    if reader is not None:
-        try:
-            chunks = len(reader.chunk_index)
+        footer_error = exc
+    else:
+        with reader:
             chunks_ok = 0
             sessions_seen = 0
             for info in reader.chunk_index:
                 try:
                     chunk = reader.read_chunk(info.index)
+                    sessions = chunk.sessions
                 except StreamFormatError as exc:
                     errors.append(f"chunk {info.index}: {exc}")
-                else:
-                    chunks_ok += 1
-                    sessions_seen += len(chunk.sessions)
+                    continue
+                chunks_ok += 1
+                sessions_seen += len(sessions)
+                if info.entry() != _entry_from_chunk(info.offset, chunk.batch,
+                                                     sessions):
+                    errors.append(f"chunk {info.index}: footer index "
+                                  "disagrees with rows")
             if sessions_seen != reader.total_sessions and not errors:
                 errors.append(
                     f"footer: session total {reader.total_sessions} != "
                     f"{sessions_seen} found in chunks"
                 )
             return StreamVerifyReport(
-                path=path, ok=not errors, complete=True, chunks=chunks,
-                chunks_ok=chunks_ok, rows=reader.total_rows,
-                sessions=reader.total_sessions, file_bytes=size,
-                errors=errors,
+                path=path, ok=not errors, complete=True,
+                chunks=len(reader.chunk_index), chunks_ok=chunks_ok,
+                rows=reader.total_rows, sessions=reader.total_sessions,
+                file_bytes=size, errors=errors,
             )
-        finally:
-            reader.close()
+    # No usable footer: say whether the header or the footer is at fault,
+    # then count whatever chunk frames a forward CRC walk still finds.
+    try:
+        with open(path, "rb") as stream:
+            _, _, data_start = _parse_header(stream, size, path)
+    except (OSError, StreamFormatError) as exc:
+        return StreamVerifyReport(path=path, ok=False, complete=False,
+                                  chunks=0, chunks_ok=0, rows=0, sessions=0,
+                                  file_bytes=size, errors=[f"header: {exc}"])
+    errors.append(f"footer: {footer_error}")
     with open(path, "rb") as stream:
         entries, _, scan_error = _sequential_scan(stream, size, data_start)
     if scan_error is not None:

@@ -43,6 +43,16 @@ class TestStringTable:
         assert table.lookup(-1) is None
         assert len(table) == 2
 
+    def test_prefilled_table_interns_from_its_values(self):
+        # The reverse map is built on first intern, not at construction.
+        table = StringTable(["/x", "/y"])
+        assert table.lookup(1) == "/y"
+        assert table.intern("/y") == 1
+        assert table.intern("/z") == 2
+        many = StringTable(["/x", "/y"])
+        assert many.intern_many(["/y", "/w", "/x"]).tolist() == [1, 2, 0]
+        assert many.values() == ["/x", "/y", "/w"]
+
 
 class TestOpBatchBridges:
     def test_records_round_trip(self):

@@ -1,8 +1,13 @@
 """Unit tests for the usage log and its text round-trip."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import OpRecord, SessionRecord, UsageLog
+from repro.core.oplog import _split_categories, _unescape
 
 
 def op(kind="read", size=100, user=0, session=0, response=12.5):
@@ -223,3 +228,56 @@ class TestRobustRoundTrip:
         line = op().to_line().replace("/user00/f", "/user00/f\\")
         with pytest.raises(ValueError, match="dangling escape"):
             OpRecord.from_line(line)
+
+
+def _split_categories_walk(field_text):
+    """The escape-aware character walk, kept here as the reference."""
+    parts, current, i = [], [], 0
+    while i < len(field_text):
+        ch = field_text[i]
+        if ch == "\\" and i + 1 < len(field_text):
+            current += [ch, field_text[i + 1]]
+            i += 2
+        elif ch == ",":
+            parts.append("".join(current))
+            current = []
+            i += 1
+        else:
+            current.append(ch)
+            i += 1
+    parts.append("".join(current))
+    return tuple(_unescape(p) for p in parts if p)
+
+
+class TestSplitCategories:
+    """``str.split`` on escape-free fields must equal the escape walk."""
+
+    @pytest.mark.parametrize("field_text, expected", [
+        ("", ()),
+        (",", ()),
+        (",a,,b,", ("a", "b")),
+        ("REG:USER:RDONLY,DIR:USER:RDONLY",
+         ("REG:USER:RDONLY", "DIR:USER:RDONLY")),
+        ("a\\,b,c", ("a,b", "c")),
+        ("a\\\\,b", ("a\\", "b")),
+        ("\\t,\\n", ("\t", "\n")),
+    ])
+    def test_known_fields(self, field_text, expected):
+        assert _split_categories(field_text) == expected
+        assert _split_categories_walk(field_text) == expected
+
+    @given(st.text(alphabet=list("ab:,\\tnq "), max_size=16))
+    def test_matches_escape_walk(self, field_text):
+        try:
+            expected = _split_categories_walk(field_text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _split_categories(field_text)
+        else:
+            assert _split_categories(field_text) == expected
+
+    @given(st.lists(st.text(alphabet=list("ab,\\\t\n:é"), min_size=1,
+                            max_size=6), max_size=4))
+    def test_session_line_round_trip(self, categories):
+        record = dataclasses.replace(session(), categories=tuple(categories))
+        assert SessionRecord.from_line(record.to_line()) == record

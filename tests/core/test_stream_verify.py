@@ -9,11 +9,15 @@ The recovery contract has three legs:
   original event stream reproduces the uninterrupted file bit for bit
   (chunk boundaries are a pure function of global row count);
 * **verify** — ``verify_stream`` walks every chunk CRC and reports
-  corruption and truncation per chunk, loudly.
+  corruption and truncation per chunk, loudly — and a CRC-valid footer
+  whose fields are mis-shaped, or whose index lies about the rows, is
+  reported the same way, never raised as a raw exception.
 """
 
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -27,9 +31,16 @@ from repro.core import (
     paper_workload_spec,
     resume_stream_sink,
     salvage_stream,
+    iter_batches,
     verify_stream,
 )
-from repro.core.streamfile import ROW_BYTES, StreamWriter
+from repro.core.streamfile import (
+    _FRAME_FMT,
+    _TAIL_FMT,
+    MAGIC,
+    ROW_BYTES,
+    StreamWriter,
+)
 
 BUDGET = ROW_BYTES * 32  # 32-row chunks: plenty of flushes at test scale
 
@@ -283,3 +294,114 @@ class TestVerify:
         report = verify_stream(path)
         assert not report.ok and not report.complete
         assert report.chunks_ok == report.chunks > 0
+
+
+def reframe_footer(path, mutate):
+    """Rewrite ``path``'s footer as ``mutate(footer)`` leaves it, re-CRC'd."""
+    with StreamReader(path) as reader:
+        offset = reader._footer_offset
+        _, raw = reader._read_frame(offset, "footer")
+    footer = json.loads(raw)
+    footer = mutate(footer) or footer
+    raw = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "r+b") as stream:
+        stream.truncate(offset)
+        stream.seek(offset)
+        stream.write(struct.pack(_FRAME_FMT, b"F", len(raw), zlib.crc32(raw)))
+        stream.write(raw)
+        stream.write(struct.pack(_TAIL_FMT, offset) + MAGIC)
+
+
+def _set(holder, key, value):
+    def mutate(footer):
+        target = footer if holder is None else footer["chunks"][holder]
+        target[key] = value
+    return mutate
+
+
+def _drop(holder, key):
+    def mutate(footer):
+        del footer["chunks"][holder][key]
+    return mutate
+
+
+def _swap_offsets(footer):
+    first, second = footer["chunks"][:2]
+    first["offset"], second["offset"] = second["offset"], first["offset"]
+
+
+FOOTER_MUTATIONS = {
+    "rows is a string": _set(None, "rows", "x"),
+    "rows is negative": _set(None, "rows", -1),
+    "sessions is a float": _set(None, "sessions", 1.5),
+    "chunks is a number": _set(None, "chunks", 7),
+    "footer is a list": lambda footer: [footer],
+    "entry is a number": lambda footer: footer["chunks"].insert(0, 7),
+    "entry lacks offset": _drop(0, "offset"),
+    "entry rows is a bool": _set(1, "rows", True),
+    "offset is negative": _set(0, "offset", -5),
+    "offset inside the header": _set(0, "offset", 3),
+    "offset past the footer": _set(-1, "offset", 2**40),
+    "offsets out of order": _swap_offsets,
+    "user_lo is null": _set(0, "user_lo", None),
+    "user_hi is a float": _set(0, "user_hi", 1.0),
+    "user range is inverted": _set(0, "user_lo", 10**6),
+    "start_hi is a string": _set(0, "start_hi", "9.5"),
+    "start_lo is NaN": _set(0, "start_lo", float("nan")),
+    "start_lo is missing": _drop(0, "start_lo"),
+}
+
+
+class TestHostileFooter:
+    """A CRC-valid footer is still outside input: typed errors only."""
+
+    @pytest.mark.parametrize("why", sorted(FOOTER_MUTATIONS))
+    def test_misshaped_footer_is_a_typed_error(self, clean_artifact, why):
+        reframe_footer(clean_artifact, FOOTER_MUTATIONS[why])
+        with pytest.raises(StreamFormatError, match="footer"):
+            StreamReader(clean_artifact)
+        for selector in ({"users": [0]}, {"time_range": (0.0, 1e12)}):
+            with pytest.raises(StreamFormatError, match="footer"):
+                list(iter_batches(clean_artifact, **selector))
+        report = verify_stream(clean_artifact)
+        assert not report.ok and not report.complete
+        assert any(e.startswith("footer:") for e in report.errors)
+        # Salvage treats the footer as lost and falls back to the frames.
+        assert not salvage_stream(clean_artifact).complete
+
+    def test_ranges_on_an_empty_chunk_are_rejected(self, tmp_path, events):
+        path = str(tmp_path / "sessions-only.opstream")
+        with StreamWriter(path, 32) as writer:
+            for kind, payload in events.events:
+                if kind == "session":
+                    writer.add_session(payload)
+        assert verify_stream(path).ok
+        reframe_footer(path, _set(0, "user_lo", 0))
+        with pytest.raises(StreamFormatError, match="footer"):
+            StreamReader(path)
+
+    def test_reframing_alone_changes_nothing(self, clean_artifact):
+        before = open(clean_artifact, "rb").read()
+        reframe_footer(clean_artifact, lambda footer: None)
+        assert open(clean_artifact, "rb").read() == before
+
+    @pytest.mark.parametrize("key, shift", [
+        ("user_lo", -1), ("user_hi", 1), ("start_lo", -0.5),
+        ("start_hi", 0.5), ("user_lo", 1), ("start_hi", -0.5),
+    ])
+    def test_verify_catches_an_index_that_lies(self, clean_artifact, key,
+                                               shift):
+        # Well-formed but wrong: slices would skip (or needlessly read)
+        # this chunk, so the artifact must not verify clean.
+        def lie(footer):
+            entry = footer["chunks"][1]
+            entry[key] += shift
+            if key == "user_lo" and shift > 0:  # keep lo <= hi
+                entry["user_hi"] = max(entry["user_hi"], entry[key])
+
+        reframe_footer(clean_artifact, lie)
+        with StreamReader(clean_artifact) as reader:
+            assert len(reader.chunk_index) > 2  # still opens
+        report = verify_stream(clean_artifact)
+        assert not report.ok and report.complete
+        assert report.errors == ["chunk 1: footer index disagrees with rows"]

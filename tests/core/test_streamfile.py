@@ -14,7 +14,10 @@ The format's contract has three legs, each tested here:
   a k-way shard merge is bit-identical to the 1-shard artifact.
 """
 
+import io
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -36,11 +39,18 @@ from repro.core import (
     merge_stream_files,
     paper_workload_spec,
 )
+from repro.core import streamfile
 from repro.core.streamfile import (
+    _COLUMNS,
+    _FRAME_FMT,
+    _THINK_COLUMN,
     ROW_BYTES,
     StreamWriter,
+    _decode_chunk,
+    _parse_sessions,
     concat_batches,
     rows_per_chunk_for,
+    verify_stream,
 )
 from repro.fleet.merge import ShardAccumulator
 
@@ -285,6 +295,238 @@ class TestCorruptionIsLoud:
         other.write_bytes(b"this is not an op stream, not even close....")
         with pytest.raises(StreamFormatError, match="magic"):
             StreamReader(str(other))
+
+
+def chunk_payloads(path):
+    """Every chunk frame's CRC-checked payload, in file order."""
+    with StreamReader(path) as reader:
+        return [reader._read_frame(info.offset, "chunk")[1]
+                for info in reader.chunk_index]
+
+
+def reference_decode(payload):
+    """The pre-rewrite decoder: per-field cursor takes and ``np.load``.
+
+    Returns ``(tables, columns, sessions)`` with plain lists for the
+    tables so the comparison needs nothing from the code under test.
+    """
+    cursor = io.BytesIO(payload)
+
+    def unpack(fmt):
+        return struct.unpack(fmt, cursor.read(struct.calcsize(fmt)))
+
+    n, has_think = unpack("<QB")
+    tables = []
+    for _ in range(3):
+        (count,) = unpack("<L")
+        tables.append([cursor.read(unpack("<L")[0]).decode("utf-8")
+                       for _ in range(count)])
+    columns = {}
+    for name, _ in _COLUMNS + ((_THINK_COLUMN,) if has_think else ()):
+        (nbytes,) = unpack("<Q")
+        columns[name] = np.load(io.BytesIO(cursor.read(nbytes)),
+                                allow_pickle=False)
+        assert columns[name].shape == (n,)
+    sessions = []
+    for _ in range(unpack("<L")[0]):
+        position, nbytes = unpack("<QL")
+        sessions.append((position, SessionRecord.from_line(
+            cursor.read(nbytes).decode("utf-8"))))
+    assert cursor.read() == b""
+    return tables, columns, sessions
+
+
+class TestDecoderMatchesReference:
+    """The one-pass decoder is the old decoder, only faster."""
+
+    @given(events=event_streams(), rows_per_chunk=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_every_chunk_decodes_like_the_reference(
+            self, tmp_path_factory, events, rows_per_chunk):
+        path = str(tmp_path_factory.mktemp("ref") / "a.opstream")
+        write_events(path, events, rows_per_chunk)
+        for payload in chunk_payloads(path):
+            tables, columns, sessions = reference_decode(payload)
+            batch, frames = _decode_chunk(payload, "chunk")
+            assert [batch.paths.values(), batch.categories.values(),
+                    batch.user_types.values()] == tables
+            assert (batch.think_us is None) == ("think_us" not in columns)
+            for name, want in columns.items():
+                got = getattr(batch, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert _parse_sessions(frames, "chunk") == sessions
+
+    def test_sessions_only_artifact_has_an_empty_chunk(self, tmp_path):
+        path = str(tmp_path / "empty.opstream")
+        _, sessions = small_artifact(str(tmp_path / "unused.opstream"))
+        write_events(path, sessions, rows_per_chunk=3)
+        (payload,) = chunk_payloads(path)
+        batch, frames = _decode_chunk(payload, "chunk")
+        parsed = _parse_sessions(frames, "chunk")
+        assert len(batch) == 0
+        assert [record for _, record in parsed] == sessions
+        assert parsed == reference_decode(payload)[2]
+
+    def test_decoded_columns_own_writable_memory(self, tmp_path):
+        # Views of the payload would pin every chunk a consumer keeps
+        # one column of, and np.load's arrays were writable.
+        path = str(tmp_path / "own.opstream")
+        records, _ = small_artifact(str(tmp_path / "unused.opstream"))
+        batch = OpBatch.from_records(records)
+        batch.think_us = np.arange(len(batch), dtype=np.int64)
+        write_events(path, [batch], rows_per_chunk=5)
+        for batch in iter_batches(path):
+            for name, _ in (*_COLUMNS, _THINK_COLUMN):
+                column = getattr(batch, name)
+                assert column.flags.owndata and column.flags.writeable, name
+
+
+def npy_block(array, version=(1, 0)):
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, version=version)
+    return out.getvalue()
+
+
+def npy_block_with_header(header, data):
+    """An npy 1.0 block around ``header`` (a dict, or raw header text)."""
+    if isinstance(header, bytes):
+        return (np.lib.format.magic(1, 0) + struct.pack("<H", len(header))
+                + header + data)
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, header)
+    return out.getvalue() + data
+
+
+def payload_with(n=2, **blocks):
+    """A chunk payload of ``n`` rows with some columns' blocks replaced."""
+    out = io.BytesIO()
+    out.write(struct.pack("<QB", n, 0))
+    out.write(struct.pack("<L", 0) * 3)  # three empty string tables
+    for name, dtype in _COLUMNS:
+        block = blocks.get(name)
+        if block is None:
+            block = npy_block(np.full(n, -1, dtype=dtype))
+        out.write(struct.pack("<Q", len(block)))
+        out.write(block)
+    out.write(struct.pack("<L", 0))  # no sessions
+    return out.getvalue()
+
+
+GOOD_SIZES = npy_block(np.array([5, 6], dtype=np.int64))
+HOSTILE_BLOCKS = {
+    "object dtype": npy_block_with_header(
+        {"descr": "|O", "fortran_order": False, "shape": (2,)}, b"\0" * 16),
+    "fortran order": npy_block_with_header(
+        {"descr": "<i8", "fortran_order": True, "shape": (2,)}, b"\0" * 16),
+    "wrong dtype": npy_block(np.array([5, 6], dtype=np.int32)),
+    "big-endian dtype": npy_block(np.array([5, 6], dtype=">i8")),
+    "too many rows": npy_block(np.array([5, 6, 7], dtype=np.int64)),
+    "two axes": npy_block(np.array([[5], [6]], dtype=np.int64)),
+    "data one byte short": GOOD_SIZES[:-1],
+    "data one byte long": GOOD_SIZES + b"\0",
+    "v2 header": npy_block(np.array([5, 6], dtype=np.int64), (2, 0)),
+    "v3 header": npy_block(np.array([5, 6], dtype=np.int64), (3, 0)),
+    "header length past the block": (
+        GOOD_SIZES[:8] + struct.pack("<H", 0xFFFF) + GOOD_SIZES[10:]),
+    "bad magic": b"\x93NUMPX" + GOOD_SIZES[6:],
+    "header is not a dict": npy_block_with_header(b"7\n", b"\0" * 16),
+    "header is not a literal": npy_block_with_header(
+        b"__import__('os')\n", b"\0" * 16),
+    "empty block": b"",
+}
+
+
+class TestHostileNpyBlocks:
+    """CRC-valid payloads carrying npy blocks the writer never emits."""
+
+    def test_the_untouched_payload_decodes(self):
+        batch, frames = _decode_chunk(payload_with(sizes=GOOD_SIZES), "c")
+        assert batch.sizes.tolist() == [5, 6] and frames == []
+
+    @pytest.mark.parametrize("why", sorted(HOSTILE_BLOCKS))
+    def test_block_is_rejected_with_the_typed_error(self, why):
+        with pytest.raises(StreamFormatError, match="sizes|truncated"):
+            _decode_chunk(payload_with(sizes=HOSTILE_BLOCKS[why]), "c")
+        assert not any(dtype.hasobject
+                       for dtype, _ in streamfile._NPY_HEADERS.values())
+
+    def test_length_field_past_the_payload(self):
+        payload = payload_with(sizes=GOOD_SIZES)
+        at = payload.index(GOOD_SIZES) - 8
+        for nbytes in (len(payload), 2**63, 2**64 - 1):
+            bad = payload[:at] + struct.pack("<Q", nbytes) + payload[at + 8:]
+            with pytest.raises(StreamFormatError, match="truncated"):
+                _decode_chunk(bad, "c")
+
+    def test_header_memo_is_bounded(self):
+        for n in range(3 * streamfile._NPY_HEADERS_MAX):
+            _decode_chunk(payload_with(n=n), "c")
+            assert len(streamfile._NPY_HEADERS) <= streamfile._NPY_HEADERS_MAX
+
+
+def rewrite_chunk(path, index, mutate):
+    """Replace chunk ``index``'s payload with ``mutate(payload)``, re-CRC'd.
+
+    The new payload must keep its length (the footer's offsets stand).
+    """
+    with StreamReader(path) as reader:
+        offset = reader.chunk_index[index].offset
+        _, payload = reader._read_frame(offset, "chunk")
+    mutated = mutate(payload)
+    assert len(mutated) == len(payload) and mutated != payload
+    with open(path, "r+b") as stream:
+        stream.seek(offset)
+        stream.write(struct.pack(_FRAME_FMT, b"C", len(mutated),
+                                 zlib.crc32(mutated)))
+        stream.write(mutated)
+
+
+class TestLazySessions:
+    """Session lines are framed at decode time, parsed on first read."""
+
+    @pytest.fixture()
+    def corrupt_line(self, tmp_path):
+        path = str(tmp_path / "line.opstream")
+        records, _ = small_artifact(path, rows_per_chunk=12)
+        rewrite_chunk(path, 0, lambda payload: payload.replace(
+            b"SESSION\t0\theavy\t1", b"SESSION\tx\theavy\t1"))
+        return path, records
+
+    def test_row_readers_never_parse_the_line(self, corrupt_line):
+        path, records = corrupt_line
+        got = [r for batch in iter_batches(path) for r in batch.to_records()]
+        assert got == records
+        sliced = [r for batch in iter_batches(path, users=1)
+                  for r in batch.to_records()]
+        assert sliced == [r for r in records if r.user_id == 1]
+
+    def test_session_readers_get_the_typed_error(self, corrupt_line):
+        path, _ = corrupt_line
+        with StreamReader(path) as reader:
+            chunk = reader.read_chunk(0)
+            with pytest.raises(StreamFormatError, match="session record"):
+                chunk.sessions
+            with pytest.raises(StreamFormatError, match="session record"):
+                reader.replay(UsageLog())
+        with pytest.raises(StreamFormatError, match="session record"):
+            merge_stream_files(path + ".merged", [path])
+        assert not os.path.exists(path + ".merged")
+
+    def test_verify_reports_it(self, corrupt_line):
+        path, _ = corrupt_line
+        report = verify_stream(path)
+        assert not report.ok and report.complete
+        assert report.chunks_ok == report.chunks - 1
+        assert any("session record" in e for e in report.errors)
+
+    def test_parsed_once_and_kept(self, tmp_path):
+        path = str(tmp_path / "ok.opstream")
+        _, sessions = small_artifact(path, rows_per_chunk=12)
+        with StreamReader(path) as reader:
+            chunk = reader.read_chunk(0)
+        assert chunk.sessions is chunk.sessions
+        assert [r for _, r in chunk.sessions] == sessions[:len(chunk.sessions)]
 
 
 class TestSinkBudget:
