@@ -1,29 +1,27 @@
-"""Backend throughput: DES simulation vs scalar and columnar fast replay.
+"""Backend throughput: DES simulation vs the engine-free replay.
 
 Runs the same ``mixed-campus`` population through the discrete-event
-``nfs`` backend, the engine-free scalar ``fast`` backend, and the
-array-native ``fast-columnar`` backend, and reports, per backend,
-wall-clock time and ops per second — plus the pairwise speedups.  Before
-timing anything it asserts that all three backends' **op streams are
-byte-identical** (op kind, path, size, per user and session) at a
-reduced population: that identity is the staged pipeline's core
-guarantee, and a throughput number for a *different* workload would be
-meaningless.
+``nfs`` backend and the engine-free ``fast-columnar`` backend (the same
+executor ``fast`` selects), and reports, per backend, wall-clock time
+and ops per second — plus the speedup.  Before timing anything it
+asserts that the two backends' **op streams are byte-identical** (op
+kind, path, size, per user and session) at a reduced population: that
+identity is the staged pipeline's core guarantee, and a throughput
+number for a *different* workload would be meaningless.
 
 Speedup floors enforced at full size (tiny smoke runs skip them):
 
-* ``fast``          >= 5x the DES ops/s (the PR 3 floor);
-* ``fast-columnar`` >= 4x the scalar fast ops/s and >= 20x the DES;
-* ``fast-columnar`` >= 20x the DES **with arrivals enabled** too — the
+* ``fast-columnar`` >= 40x the DES ops/s;
+* ``fast-columnar`` >= 40x the DES **with arrivals enabled** too — the
   temporal load layer resolves schedules once per user, so it must not
-  erode the columnar floor.
+  erode the floor.
 
 Each sweep therefore runs twice: once classic (all users at clock 0)
 and once with the scenario's arrival model (diurnal session timing).
 The identity check also runs both ways: arrivals must move the
 timeline without touching the op stream.
 
-Observability: the columnar backend is additionally timed with a full
+Observability: the engine-free backend is additionally timed with a full
 :class:`repro.obs.RunObserver` attached (metrics registry, stage spans,
 instrumented sink, manifest write) and the overhead is recorded as
 ``metrics_overhead_pct`` — best metrics-on wall over best metrics-off
@@ -32,9 +30,9 @@ wall across interleaved runs, floored at 10% as a regression tripwire
 record-for-record identity check proves the observer never perturbs the
 op stream on any backend.
 
-The fast paths are timed best-of-``BENCH_BACKENDS_REPEATS`` (default 3)
-because their runs are short enough for scheduler noise to matter; the
-DES run is long and timed once.
+The engine-free run is timed best-of-``BENCH_BACKENDS_REPEATS``
+(default 3) because it is short enough for scheduler noise to matter;
+the DES run is long and timed once.
 
 Machine-readable results go to ``BENCH_backends.json`` (override with
 ``BENCH_BACKENDS_JSON``).  ``BENCH_BACKENDS_USERS`` /
@@ -66,9 +64,7 @@ DEFAULT_USERS = 240
 DEFAULT_SESSIONS = 4
 SEED = 7
 SCENARIO = "mixed-campus"
-BACKENDS = ("nfs", "fast", "fast-columnar")
-MIN_SPEEDUP = 5.0                  # fast over DES
-MIN_COLUMNAR_OVER_FAST = 4.0       # fast-columnar over fast
+BACKENDS = ("nfs", "fast-columnar")
 # Raised from 20x with the fused per-user kernel (pooled samplers, flat
 # column buffers, one intern_many per user): measured ~55-60x on the CI
 # box, floored with ~30% headroom for scheduler noise.
@@ -94,8 +90,8 @@ JSON_PATH = os.environ.get("BENCH_BACKENDS_JSON", DEFAULT_JSON_PATH)
 def _content_by_user(log):
     """Per-user, in-order, timing-free projection of an op log.
 
-    The DES interleaves users on the engine clock while the fast paths
-    run them sequentially, so global order legitimately differs — but
+    The DES interleaves users on the engine clock while the engine-free
+    executor runs them sequentially, so global order legitimately differs — but
     each user's own stream must match element for element.
     """
     by_user = {}
@@ -112,8 +108,7 @@ def assert_identical_streams(users: int, seed: int = SEED,
 
     With ``arrivals=True`` the scenario's temporal load model is
     enabled: the op stream must *still* be identical across backends
-    (arrivals move only the timeline), and the engine-free pair must
-    stay bit-identical on records — start clocks included.
+    (arrivals move only the timeline).
 
     Returns the number of ops compared.
     """
@@ -135,11 +130,6 @@ def assert_identical_streams(users: int, seed: int = SEED,
             f"{backend} op stream diverged from the {BACKENDS[0]} stream"
             f"{' (arrivals enabled)' if arrivals else ''}"
         )
-    # The two engine-free paths must agree on *timing* too — same
-    # analytic model, same float accumulation order.
-    assert logs["fast"].operations == logs["fast-columnar"].operations, (
-        "fast-columnar records diverged from fast (timing included)"
-    )
     return sum(len(ops) for ops in reference.values())
 
 
@@ -243,9 +233,9 @@ def _timed_sweep(users: int, seed: int, arrivals: bool):
     runs = []
     wall_by_backend = {}
     for backend in BACKENDS:
-        # The DES run is minutes-long and steady; the engine-free runs
-        # are sub-second, where one scheduler hiccup would swing the
-        # recorded speedups, so they take the best of several repeats.
+        # The DES run is minutes-long and steady; the engine-free run
+        # is sub-second, where one scheduler hiccup would swing the
+        # recorded speedup, so it takes the best of several repeats.
         repeats = 1 if backend == "nfs" else REPEATS
         wall_s, result = _timed_run(backend, users, seed, repeats,
                                     arrivals=arrivals)
@@ -267,8 +257,8 @@ def backend_throughput_results(users: int = None, seed: int = SEED) -> dict:
 
     Two sweeps run: the classic everyone-starts-at-zero configuration,
     and the same population with the scenario's arrival model enabled —
-    the temporal layer must not erode the columnar floor (>= 20x the
-    DES), since schedules are resolved once per user and the hot path
+    the temporal layer must not erode the floor (>= 40x the DES),
+    since schedules are resolved once per user and the hot path
     is untouched.
     """
     users = USERS if users is None else users
@@ -327,9 +317,6 @@ def backend_throughput_results(users: int = None, seed: int = SEED) -> dict:
         "metrics_overhead_pct": metrics_overhead_pct,
         "metrics_overhead_pairs_pct": overhead_pairs,
         "stage_spans": stage_spans,
-        "speedup_fast_over_sim": speedup(wall_by_backend, "nfs", "fast"),
-        "speedup_columnar_over_fast": speedup(
-            wall_by_backend, "fast", "fast-columnar"),
         "speedup_columnar_over_sim": speedup(
             wall_by_backend, "nfs", "fast-columnar"),
         "speedup_columnar_over_sim_arrivals": speedup(
@@ -363,11 +350,9 @@ def results_table(results: dict) -> str:
             f"Backend throughput — {results['scenario']}, "
             f"{results['users']} users x {results['sessions_per_user']} "
             f"sessions, seed {results['seed']}; streams identical over "
-            f"{results['identity_checked_ops']} ops; fast is "
-            f"{results['speedup_fast_over_sim']:.1f}x sim, columnar is "
-            f"{results['speedup_columnar_over_fast']:.1f}x fast "
-            f"({results['speedup_columnar_over_sim']:.1f}x sim, "
-            f"{results['speedup_columnar_over_sim_arrivals']:.1f}x sim "
+            f"{results['identity_checked_ops']} ops; columnar is "
+            f"{results['speedup_columnar_over_sim']:.1f}x sim "
+            f"({results['speedup_columnar_over_sim_arrivals']:.1f}x "
             "with arrivals); metrics overhead "
             f"{results['metrics_overhead_pct']:+.1f}%"
         ),
@@ -385,8 +370,6 @@ def check_speedup_floors(results: dict) -> list[str]:
     """Floor violations (empty when all speedups clear their floors)."""
     failures = []
     for key, floor in (
-        ("speedup_fast_over_sim", MIN_SPEEDUP),
-        ("speedup_columnar_over_fast", MIN_COLUMNAR_OVER_FAST),
         ("speedup_columnar_over_sim", MIN_COLUMNAR_OVER_SIM),
         ("speedup_columnar_over_sim_arrivals", MIN_COLUMNAR_OVER_SIM),
     ):

@@ -27,6 +27,7 @@ import time
 
 from . import __version__
 from .core import RUN_BACKENDS, WorkloadGenerator, paper_workload_spec
+from .core.generator import artifact_backend
 from .faults import FaultError, parse_fault
 from .fleet import (
     FleetConfig,
@@ -57,6 +58,9 @@ from .harness import (
 )
 
 __all__ = ["main", "build_parser"]
+
+_ALIAS_HELP = ("`fast-columnar` is the same executor as `fast`, kept for "
+               "scripts and recorded runs")
 
 _FIGURES = {
     "table5.1": lambda: table_5_1(),
@@ -139,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution backend: nfs/local/afs run the DES "
                           "(full queueing fidelity); fast replays the "
                           "identical op stream with analytic service "
-                          "times, no engine; fast-columnar does the same "
-                          "through vectorized array batches")
+                          "times, no engine; " + _ALIAS_HELP)
     arrival_args(sim)
     stream_out_args(sim)
     obs_args(sim)
@@ -187,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--backend",
                            choices=RUN_BACKENDS,
                            default="nfs",
-                           help="DES backend, or `fast`/`fast-columnar` "
-                                "for engine-free analytic replay (same op "
-                                "stream, many times the ops/s)")
+                           help="DES backend, or `fast` for engine-free "
+                                "analytic replay (same op stream, many "
+                                "times the ops/s); " + _ALIAS_HELP)
     fleet_run.add_argument("--oplog", metavar="PATH", default=None,
                            help="also collect and write the merged usage log")
     arrival_args(fleet_run)
@@ -329,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate via the fleet layer when > 1")
     t_val.add_argument("--backend", choices=RUN_BACKENDS,
                        default="nfs",
-                       help="regeneration backend; `fast`/`fast-columnar` "
-                            "skip the DES "
+                       help="regeneration backend; `fast` skips the DES "
                             "(content-identical, so fidelity measures "
-                            "other than think time are unaffected)")
+                            "other than think time are unaffected); "
+                            + _ALIAS_HELP)
     t_val.add_argument("--threshold", type=float, default=None,
                        help="KS pass/fail threshold (default 0.35)")
     t_val.add_argument("--seed", type=int, default=None,
@@ -411,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
                                      or DEFAULT_MEMORY_BUDGET),
                 metadata={
                     "tool": "repro-simulate",
-                    "backend": args.backend,
+                    "backend": artifact_backend(args.backend),
                     "seed": args.seed,
                     "users": args.users,
                     "sessions_per_user": args.sessions,

@@ -3,33 +3,32 @@
 Stage three of the generation pipeline (plan → synthesize → execute):
 an :class:`ExecutionBackend` replays the pure operation streams produced
 by :class:`~repro.core.synthesis.SessionGenerator` and attaches timing.
-Three implementations ship:
+Two implementations ship:
 
 * :class:`DesBackend` — the discrete-event simulation path.  Every call
   runs through a simulated file-system client (NFS, local-disk or
   AFS-like), users contend for shared server/network/disk resources, and
   response times come off the engine clock.  Full timing fidelity, one
   Python-generator resumption chain per call.
-* :class:`FastReplayBackend` — the scalar throughput path.  Each op is
-  charged the *analytic mean* service time of the same calibrated
+* :class:`FastReplayBackend` — the engine-free throughput path.  Each
+  op is charged the *analytic mean* service time of the same calibrated
   timing parameters (:class:`AnalyticServiceModel`), with no queueing
-  and no engine.  Several times the ops/s (the floor ``benchmarks/
-  bench_backends.py`` enforces is 5x); identical op stream.
-* :class:`ColumnarReplayBackend` — the array-native throughput path.
-  A block of users arrives as one :class:`~repro.core.opbatch.OpBatch`;
-  service times, start clocks and the time-limit cutoff are single
-  array expressions per block, and per-session slices flow to
-  batch-aware sinks via ``record_batch``.  Several times the scalar
-  fast path again (floors: 4x fast, 20x the DES); identical records,
-  timing included.
+  and no engine.  A block of users arrives as one
+  :class:`~repro.core.opbatch.OpBatch`; service times, start clocks and
+  the time-limit cutoff are single array expressions per block, and
+  per-session slices flow to batch-aware sinks via ``record_batch``.
+  Tens of times the DES's ops/s (the floor ``benchmarks/
+  bench_backends.py`` enforces is 40x); identical op stream.
+  ``ColumnarReplayBackend`` is an empty subclass kept for its name,
+  and the backend names ``fast`` and ``fast-columnar`` both select it.
 
-All record through the :class:`~repro.core.oplog.OpSink` protocol.
+Both record through the :class:`~repro.core.oplog.OpSink` protocol.
 Because synthesis is a pure function of ``(root seed, user id)``, the
 backends emit **byte-identical** op sequences (op kind, path, size) —
-only ``start_us``/``response_us`` differ, and the two engine-free paths
-agree even on those, bit for bit.  ``benchmarks/bench_backends.py``
-asserts the identity and records the measured speedups in
-``BENCH_backends.json``.
+only ``start_us``/``response_us`` differ.  ``benchmarks/
+bench_backends.py`` asserts the identity and records the speedup in
+``BENCH_backends.json``; the engine-free records, timing included, are
+pinned to the per-op replay in ``tests/core/reference_scalar.py``.
 
 What the fast path gives up: queueing.  Users do not contend, so
 response times carry no load dependence — Figure 5.6-style saturation
@@ -57,13 +56,7 @@ from .opbatch import (
     OpBatch,
     REFERENCE_KIND_CODES,
 )
-from .oplog import (
-    OpRecord,
-    OpSink,
-    SessionAccounting,
-    SessionRecord,
-    apply_op_effects,
-)
+from .oplog import OpSink, SessionRecord
 from .synthesis import _SEAT_BLOCK_USERS, BlockColumns, SessionGenerator
 
 __all__ = [
@@ -123,8 +116,6 @@ _REF_MASK[list(REFERENCE_KIND_CODES)] = True
 class ExecutionBackend(abc.ABC):
     """Replays synthesized op streams, attaching timing and recording."""
 
-    name: str = "abstract"
-
     @abc.abstractmethod
     def execute(
         self,
@@ -134,12 +125,13 @@ class ExecutionBackend(abc.ABC):
     ) -> float:
         """Run every task, record into ``log``, return the duration (µs).
 
-        ``tasks`` may be any iterable — the engine-free backends drain
+        ``tasks`` may be any iterable — the engine-free backend drains
         it lazily, one user at a time, so a fleet-scale run can stream
         task construction instead of materialising every user's
-        generator up front.  ``time_limit_us`` truncates the run: the DES stops the shared
-        engine clock at the limit, the fast backends stop each user's
-        own clock (users are independent there).  The boundary rule is
+        generator up front.  ``time_limit_us`` truncates the run: the
+        DES stops the shared engine clock at the limit, the engine-free
+        backend stops each user's own clock (users are independent
+        there).  The boundary rule is
         the same everywhere: **an op starting exactly at the limit is
         excluded** (``start >= limit`` drops the op).  A session cut off
         by the limit records its executed ops but no session summary —
@@ -154,8 +146,6 @@ class DesBackend(ExecutionBackend):
     :meth:`~repro.core.generator.WorkloadGenerator.build_simulation`; all
     users run concurrently and contend for the simulated resources.
     """
-
-    name = "sim"
 
     def __init__(self, engine, client):
         self.engine = engine
@@ -193,7 +183,7 @@ class DesBackend(ExecutionBackend):
 class AnalyticServiceModel:
     """Mean per-call service times derived from an ``NfsTiming`` set.
 
-    The fast backend applies the DES's calibrated timing parameters
+    The engine-free backend applies the DES's calibrated timing parameters
     *analytically*: each call is charged the expected cost of its
     components under no contention —
 
@@ -265,16 +255,44 @@ class AnalyticServiceModel:
         return out
 
 
+# Rows at which the executor closes a block of users, however few they
+# are: what keeps a block's arrays (and so RSS) the size of one
+# long-session user while ~80-row users still share a pass by the hundred.
+_BLOCK_ROW_CAP = 8192
+
+
 class FastReplayBackend(ExecutionBackend):
     """Analytic replay: the op stream without the discrete-event engine.
 
     Users run on independent virtual clocks (no cross-user queueing);
     each op is charged its :class:`AnalyticServiceModel` mean service
-    time and streamed straight to the :class:`~repro.core.oplog.OpSink`.
-    The reported duration is the slowest user's clock.
-    """
+    time, and the reported duration is the slowest user's clock.  The
+    work is array expressions over one :class:`OpBatch` per block of up
+    to ``_SEAT_BLOCK_USERS`` users (or ``_BLOCK_ROW_CAP`` rows):
 
-    name = "fast"
+    * each user appends its sessions to the block's shared
+      :class:`~repro.core.synthesis.BlockColumns` as the task iterator
+      is drained (a pooled kernel is rebound by the next ``next()``, so
+      a user takes all its draws first);
+    * service times come from
+      :meth:`AnalyticServiceModel.response_us_array` in one shot;
+    * ``start_us`` is a cumulative sum over the interleaved
+      service/think contribution column, *restarted at every user* and
+      seeded with that user's clock (:func:`_block_clocks`), so float
+      rounding matches a per-op running sum bit for bit;
+    * a ``time_limit_us`` cutoff is one comparison over the op start
+      column (non-decreasing within a user);
+    * path resolution, the recorded-size rule and every session summary
+      are computed once per block;
+    * sinks still receive one ``record_batch`` slice per executed
+      session followed by its ``record_session`` — batch boundaries are
+      observable (a sink's running-moment fold, the stream writer's
+      session row positions) — as zero-copy views sharing the block's
+      string tables.
+
+    ``tests/core/test_block_kernel.py`` pins a block of many users to
+    blocks of one.
+    """
 
     def __init__(self, timing: NfsTiming | None = None,
                  model: AnalyticServiceModel | None = None):
@@ -286,140 +304,27 @@ class FastReplayBackend(ExecutionBackend):
         log: OpSink,
         time_limit_us: float | None = None,
     ) -> float:
-        duration = 0.0
-        for clock in self._user_clocks(tasks, log, time_limit_us):
-            duration = max(duration, clock)
-        return duration
-
-    def _user_clocks(self, tasks: Iterable[UserSessions], log: OpSink,
-                     limit: float | None) -> Iterator[float]:
-        """Run every task in order; yield the clock each user stops at."""
-        for task in tasks:
-            yield self._run_user(task, log, limit)
-
-    def _run_user(self, task: UserSessions, log: OpSink,
-                  limit: float | None) -> float:
-        generator = task.generator
-        user_id = generator.user_id
-        type_name = generator.user_type.name
-        response_us = self.model.response_us
-        record_op = log.record_op
-        clock = task.offset_us
-        for session_id in range(task.sessions):
-            if limit is not None and clock >= limit:
-                break
-            accounting = SessionAccounting(user_id, type_name, session_id,
-                                           clock)
-            path_by_plan: dict[int, str] = {}
-            truncated = False
-            for op in generator.generate_session(session_id):
-                kind = op.kind
-                if kind == "think":
-                    clock += op.size
-                    continue
-                if limit is not None and clock >= limit:
-                    truncated = True
-                    break
-                if kind in ("open", "creat"):
-                    path_by_plan[op.plan_id] = op.path
-                # No I/O happens here, so the recorded size is the
-                # synthesized one — the same rules as the other backends,
-                # via the shared helper.
-                moved = apply_op_effects(op, accounting)
-                service = response_us(kind, op.size)
-                record_op(
-                    OpRecord(
-                        user_id=user_id,
-                        user_type=type_name,
-                        session_id=session_id,
-                        op=kind,
-                        path=op.path or path_by_plan.get(op.plan_id, ""),
-                        category_key=op.category_key or "",
-                        size=moved,
-                        start_us=clock,
-                        response_us=service,
-                    )
-                )
-                clock += service
-            if limit is not None and not truncated and clock > limit:
-                # A trailing think pushed the clock past the limit with no
-                # further op to notice: the session did not complete within
-                # the limit either.
-                truncated = True
-            if truncated:
-                # Matches the DES cutoff: the interrupted session's ops
-                # are recorded but its summary is not.
-                clock = limit if limit is not None else clock
-                break
-            log.record_session(accounting.finish(clock))
-            gap = task.gap_after_us(session_id)
-            if gap > 0:
-                clock += gap
-        return clock if limit is None else min(clock, limit)
-
-
-# Rows at which the columnar executor closes a block of users, however
-# few they are: what keeps a block's arrays (and so RSS) the size of one
-# long-session user while ~80-row users still share a pass by the hundred.
-_BLOCK_ROW_CAP = 8192
-
-
-class ColumnarReplayBackend(FastReplayBackend):
-    """Array-native fast replay: a *block* of users as one :class:`OpBatch`.
-
-    Same analytic timing model and same op stream as
-    :class:`FastReplayBackend` — the scalar per-op loop (dataclass per
-    op, three Python calls per record) is replaced by array expressions
-    over one batch per block of up to ``_SEAT_BLOCK_USERS`` users (or
-    ``_BLOCK_ROW_CAP`` rows):
-
-    * each user appends its sessions to the block's shared
-      :class:`~repro.core.synthesis.BlockColumns` as the task iterator
-      is drained (a pooled kernel is rebound by the next ``next()``, so
-      a user takes all its draws first);
-    * service times come from
-      :meth:`AnalyticServiceModel.response_us_array` in one shot;
-    * ``start_us`` is a cumulative sum over the interleaved
-      service/think contribution column, *restarted at every user* and
-      seeded with that user's clock (:func:`_block_clocks`), so float
-      rounding matches the scalar running sum bit for bit;
-    * a ``time_limit_us`` cutoff is one comparison over the op start
-      column (non-decreasing within a user);
-    * path resolution, the recorded-size rule and every session summary
-      are computed once per block;
-    * sinks still receive one ``record_batch`` slice per executed
-      session followed by its ``record_session`` — batch boundaries are
-      observable (a sink's running-moment fold, the stream writer's
-      session row positions) — as zero-copy views sharing the block's
-      string tables.
-
-    The golden tests pin byte-identical op records, session summaries
-    and tallies against both the scalar fast path and the DES, and
-    ``tests/core/test_block_kernel.py`` pins a block of many users to
-    blocks of one.
-    """
-
-    name = "fast-columnar"
-
-    def _user_clocks(self, tasks: Iterable[UserSessions], log: OpSink,
-                     limit: float | None) -> Iterator[float]:
+        limit = time_limit_us
+        duration = 0.0  # the slowest user's final clock
         cols = BlockColumns()
         block: list[UserSessions] = []
         for task in tasks:
             if limit is not None and task.offset_us >= limit:
                 # Logs in at or past the limit: nothing runs, nothing is
                 # drawn (the user's streams are its own).
-                yield limit
+                duration = max(duration, limit)
                 continue
             task.generator.append_user(range(task.sessions), cols)
             block.append(task)
             if (len(block) >= _SEAT_BLOCK_USERS
                     or cols.total >= _BLOCK_ROW_CAP):
-                yield from self._run_block(cols, block, log, limit)
+                duration = max(duration,
+                               *self._run_block(cols, block, log, limit))
                 cols = BlockColumns()
                 block = []
         if block:
-            yield from self._run_block(cols, block, log, limit)
+            duration = max(duration, *self._run_block(cols, block, log, limit))
+        return duration
 
     def _run_block(self, cols: BlockColumns, tasks: list[UserSessions],
                    log: OpSink, limit: float | None) -> Iterator[float]:
@@ -466,9 +371,9 @@ class ColumnarReplayBackend(FastReplayBackend):
         for task, end_clock in zip(tasks, final.tolist()):
             for s in range(first, first + task.sessions):
                 if limit is not None and starts_list[s] >= limit:
-                    # The scalar loop breaks before entering this
-                    # session; no rows recorded (every one starts at or
-                    # past the limit), no summary.
+                    # The user stops before entering this session: no
+                    # rows recorded (every one starts at or past the
+                    # limit), no summary.
                     break
                 sub = rec.select(slice(lows[s], stops[s]))
                 if record_batch is not None:
@@ -499,6 +404,12 @@ class ColumnarReplayBackend(FastReplayBackend):
                 ))
             first += task.sessions
             yield end_clock if limit is None else min(end_clock, limit)
+
+
+class ColumnarReplayBackend(FastReplayBackend):
+    """The executor's older name, and the one ``run_simulated`` builds.
+    Empty on purpose: the frozen end-to-end tracer patches ``execute``
+    *here* and restores it by deletion, so it must be inherited."""
 
 
 def _block_clocks(service: np.ndarray, think_us: np.ndarray,
@@ -549,8 +460,8 @@ def _resolved_paths(batch: OpBatch, user_of_op: np.ndarray) -> np.ndarray:
     """The path column with pathless rows filled from their plan's
     open/creat row.
 
-    The columnar equivalent of the scalar executors' ``path_by_plan``
-    dict, for a block: plan ids restart with every user, so the lookup
+    What a per-op executor keeps in a ``path_by_plan`` dict, for a
+    block: plan ids restart with every user, so the lookup
     key is (user, plan id), searched in the sorted keys of the block's
     open/creat rows (every data op's open precedes it in its user's
     rows, so an executed row's open is always executed too).

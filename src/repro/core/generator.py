@@ -48,7 +48,6 @@ from .execution import (
     ColumnarReplayBackend,
     DesBackend,
     ExecutionBackend,
-    FastReplayBackend,
     UserSessions,
 )
 from .fsc import FileSystemCreator, FileSystemLayout
@@ -71,18 +70,28 @@ __all__ = [
     "SIM_BACKENDS",
     "FAST_BACKENDS",
     "RUN_BACKENDS",
+    "artifact_backend",
 ]
 
 SIM_BACKENDS = ("nfs", "local", "afs")
 """Discrete-event simulation backends (full queueing fidelity)."""
 
 FAST_BACKENDS = ("fast", "fast-columnar")
-"""Engine-free analytic replays: scalar per-op, and columnar
-(array-native batches through the same service model)."""
+"""The engine-free analytic replay: one executor
+(:class:`~repro.core.execution.FastReplayBackend`), two spellings."""
 
 RUN_BACKENDS = SIM_BACKENDS + FAST_BACKENDS
 """Everything :meth:`WorkloadGenerator.run_simulated` accepts: the DES
-backends plus the engine-free analytic replays."""
+backends plus the engine-free analytic replay."""
+
+
+def artifact_backend(backend: str) -> str:
+    """The backend name a stream artifact's header records: the two
+    engine-free spellings are one executor, so both record one name
+    (the one existing artifacts carry) and a run is the same bytes under
+    either.  Manifests and run records keep the spelling as given."""
+    return "fast-columnar" if backend in FAST_BACKENDS else backend
+
 
 class TableSampler:
     """A CDF-table-backed sampler with a ``Distribution``-like surface.
@@ -330,8 +339,8 @@ class WorkloadGenerator:
         million-user population must not hold them all at once.  Because
         synthesis is a pure function of ``(root seed, user id)``, the
         order and content of every draw is identical whether generators
-        are built eagerly or on demand — the engine-free backends
-        consume this iterator directly and stay flat in memory.
+        are built eagerly or on demand — the engine-free executor
+        consumes this iterator directly and stays flat in memory.
 
         ``reuse_kernels=True`` pools one kernel per user type and
         rebinds it to each successive user
@@ -342,7 +351,7 @@ class WorkloadGenerator:
         byte-identical streams (each user's randomness comes only from
         its own ``user-{id}`` fork), but the *same object* is yielded
         every time — callers must fully consume one user before
-        advancing, which the engine-free backends do; the DES
+        advancing, which the engine-free executor does; the DES
         materialises all users at once and must leave this False.
 
         Either way the users' random-stream states are derived a block
@@ -432,8 +441,10 @@ class WorkloadGenerator:
         run the discrete-event simulation (shared resources, queueing,
         full timing fidelity); ``fast`` replays the identical op stream
         through :class:`~repro.core.execution.FastReplayBackend`,
-        charging analytic mean service times with no engine — several
+        charging analytic mean service times with no engine — tens of
         times the ops/s when only the workload *content* matters.
+        ``fast-columnar`` is the same executor under its older name;
+        :attr:`RunResult.backend` echoes the spelling given.
 
         ``user_ids`` restricts the run to a subset of the population (the
         fleet layer's shards).  Each selected user keeps the identity —
@@ -447,8 +458,8 @@ class WorkloadGenerator:
         first-login offset and inter-session gaps are resolved up front
         (one :class:`~repro.core.arrivals.SessionSchedule` per user,
         from the user's own named streams) and handed to the backend —
-        the DES delays the user process, the fast paths seed the user's
-        clock.  The op stream is byte-identical with or without
+        the DES delays the user process, the engine-free executor seeds
+        the user's clock.  The op stream is byte-identical with or without
         arrivals; only the timeline moves.
 
         ``observer`` attaches a :class:`~repro.obs.RunObserver`: stage
@@ -469,9 +480,10 @@ class WorkloadGenerator:
         obs = observer if observer is not None else NULL_OBSERVER
         handle = None
         executor: ExecutionBackend
+        engine_free = backend in FAST_BACKENDS
         with obs.stage("plan"):
             assignment, selected = self.plan_users(user_ids)
-            if backend in FAST_BACKENDS:
+            if engine_free:
                 # No store is ever read: materialise nothing at all,
                 # just sample the manifest (sizes are drawn identically
                 # either way, so the layout — and hence the op stream —
@@ -486,9 +498,7 @@ class WorkloadGenerator:
                         materialize_shared=False,
                     )
                 layout = self._manifest_layout
-                executor = (ColumnarReplayBackend(timing)
-                            if backend == "fast-columnar"
-                            else FastReplayBackend(timing))
+                executor = ColumnarReplayBackend(timing)
             else:
                 handle = self.build_simulation(backend, timing)
                 layout = self.create_file_system(
@@ -499,7 +509,7 @@ class WorkloadGenerator:
                 executor = DesBackend(handle.engine, handle.client)
         if log is None:
             log = UsageLog()
-        task_iter = (
+        tasks = (
             UserSessions(
                 g, sessions_per_user,
                 schedule=(arrivals.schedule(self.streams, g.user_id,
@@ -515,22 +525,16 @@ class WorkloadGenerator:
                     layout, selected, assignment,
                     access_pattern=access_pattern,
                     phase_model_factory=phase_model_factory,
-                    # The engine-free backends drain one user fully
+                    # The engine-free executor drains one user fully
                     # before pulling the next, so a per-type kernel can
-                    # be rebound instead of rebuilt; the DES holds every
-                    # user at once and needs distinct generators.
-                    reuse_kernels=backend in FAST_BACKENDS,
+                    # be rebound instead of rebuilt, and it never holds
+                    # more than a block of users (flat memory at a
+                    # million users).  The DES spawns every user before
+                    # its clock starts and needs distinct generators.
+                    reuse_kernels=engine_free,
                 ),
                 tick_users=True,
             )
-        )
-        # The engine-free backends run users one after another, so they
-        # take the lazy iterator and never hold more than one user's
-        # generator — the flat-memory property million-user stream runs
-        # rely on.  The DES interleaves every user on one engine and
-        # needs them all alive; it gets the materialised list.
-        tasks: "Iterable[UserSessions]" = (
-            task_iter if backend in FAST_BACKENDS else list(task_iter)
         )
         sink = obs.wrap_sink(log)
         with obs.stage("execute"):
@@ -570,15 +574,9 @@ class WorkloadGenerator:
             fs = LocalFileSystem(fs)
         layout = self.create_file_system(fs)
         log = UsageLog()
-        tabulated = self._tabulated_by_type_name()
-        for user_id, user_type in enumerate(self._assigned_user_types()):
-            generator = SessionGenerator(
-                tabulated[user_type.name],
-                layout,
-                self.streams,
-                user_id=user_id,
-                access_pattern=access_pattern,
-            )
+        for generator in self.iter_synthesized_users(
+                layout, range(self.spec.n_users),
+                access_pattern=access_pattern):
             RealRunner(fs, generator, log,
                        sleep_thinks=sleep_thinks).run_sessions(
                 sessions_per_user

@@ -1,22 +1,25 @@
 """Columnar operation streams — the op stream as parallel NumPy arrays.
 
-A scalar op stream is a sequence of :class:`~repro.core.synthesis.
-SessionOp` / :class:`~repro.core.oplog.OpRecord` dataclasses; at fleet
-scale the per-object allocation and per-field attribute access dominate
-the fast backend's runtime.  :class:`OpBatch` stores the same stream as
-a struct-of-arrays: one int8 *kind code* per operation, int64
+A scalar op stream is a sequence of :class:`SessionOp` /
+:class:`~repro.core.oplog.OpRecord` dataclasses; at fleet scale the
+per-object allocation and per-field attribute access dominate an
+executor's runtime.  :class:`OpBatch` stores the same stream as a
+struct-of-arrays: one int8 *kind code* per operation, int64
 ``plan_id``/``size`` columns, float64 timing columns, and small interned
 string tables for paths, category keys and user-type names (string
 columns hold int32 indices into those tables, ``-1`` meaning "absent").
 
-The batch is the unit the columnar pipeline moves around:
+The batch is the unit the pipeline moves around:
 
 * :meth:`repro.core.synthesis.BlockColumns.assemble` produces one batch
   per block of users (timing columns zero;
   ``SessionGenerator.generate_session_batch`` is its one-session form);
-* :class:`repro.core.execution.ColumnarReplayBackend` fills
+* :class:`repro.core.execution.FastReplayBackend` fills
   ``start_us``/``response_us`` with one array expression and hands each
   session's executed slice to the sink;
+* the DES user process and ``RealRunner`` issue one call at a time, so
+  they read a session through :meth:`OpBatch.iter_session_ops`
+  (``SessionGenerator.generate_session``);
 * sinks that implement ``record_batch`` (:class:`~repro.core.oplog.
   UsageLog`, :class:`~repro.fleet.merge.WorkloadTally`,
   :class:`~repro.fleet.merge.ShardAccumulator`) fold whole batches with
@@ -25,13 +28,14 @@ The batch is the unit the columnar pipeline moves around:
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,
-:meth:`iter_session_ops`) are exact inverses of the scalar structures,
-which is what the golden tests in ``tests/core/test_columnar_golden.py``
-pin down.
+:meth:`iter_session_ops`) are exact images of the scalar structures;
+``tests/core/test_columnar_golden.py`` pins the bridged stream to the
+scalar reference builder kept in ``tests/core/reference_scalar.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,6 +58,7 @@ __all__ = [
     "KIND_THINK",
     "DATA_KIND_CODES",
     "REFERENCE_KIND_CODES",
+    "SessionOp",
     "StringTable",
     "OpBatch",
 ]
@@ -86,6 +91,24 @@ DATA_KIND_CODES: tuple[int, ...] = (KIND_READ, KIND_WRITE, KIND_LISTDIR)
 REFERENCE_KIND_CODES: tuple[int, ...] = (KIND_OPEN, KIND_CREAT, KIND_STAT)
 
 _KIND_NAME_ARRAY = np.array(OP_KIND_NAMES)
+
+
+@dataclass(frozen=True)
+class SessionOp:
+    """One element of a session's operation stream.
+
+    ``size`` is overloaded per kind: file size for open/creat, byte count
+    for read/write/listdir, absolute offset for lseek, microseconds for
+    think.
+    """
+
+    kind: str                       # open|creat|read|write|lseek|close|
+    #                                 unlink|stat|listdir|think
+    plan_id: int | None = None      # links data ops to their open file
+    path: str | None = None
+    category_key: str | None = None
+    size: int = 0
+    flags: OpenFlags = OpenFlags.RDONLY
 
 
 class StringTable:
@@ -316,31 +339,28 @@ class OpBatch:
             for i in range(len(self))
         ]
 
-    def iter_session_ops(self) -> Iterator:
-        """Bridge to scalar :class:`~repro.core.synthesis.SessionOp`\\ s.
+    def iter_session_ops(self) -> Iterator[SessionOp]:
+        """Bridge to scalar :class:`SessionOp`\\ s — what the DES user
+        process and ``RealRunner`` consume.
 
-        Reconstructs the synthesized stream exactly — each op followed
-        by its think op (from the ``think_us`` column), ``None`` for
-        absent strings/plan ids, and ``OpenFlags`` values — so a
-        columnar session can be compared element-for-element against
-        :meth:`~repro.core.synthesis.SessionGenerator.generate_session`.
+        Yields each op followed by its think op (from the ``think_us``
+        column), ``None`` for absent strings/plan ids, and ``OpenFlags``
+        values.  Each column is converted to Python scalars once.
         """
-        from .synthesis import SessionOp  # cycle: synthesis imports opbatch
-
         paths = self.paths.values()
         categories = self.categories.values()
-        think = self.think_us
-        for i in range(len(self)):
-            plan_id = int(self.plan_ids[i])
-            path_i = int(self.path_idx[i])
-            cat_i = int(self.category_idx[i])
+        thinks = self.think_us.tolist() if self.think_us is not None else None
+        rows = zip(self.kinds.tolist(), self.plan_ids.tolist(),
+                   self.path_idx.tolist(), self.category_idx.tolist(),
+                   self.sizes.tolist(), self.flags.tolist())
+        for i, (kind, plan_id, path_i, cat_i, size, flags) in enumerate(rows):
             yield SessionOp(
-                kind=OP_KIND_NAMES[self.kinds[i]],
+                kind=OP_KIND_NAMES[kind],
                 plan_id=plan_id if plan_id >= 0 else None,
                 path=paths[path_i] if path_i >= 0 else None,
                 category_key=categories[cat_i] if cat_i >= 0 else None,
-                size=int(self.sizes[i]),
-                flags=OpenFlags(int(self.flags[i])),
+                size=size,
+                flags=OpenFlags(flags),
             )
-            if think is not None:
-                yield SessionOp("think", size=int(think[i]))
+            if thinks is not None:
+                yield SessionOp("think", size=thinks[i])

@@ -467,18 +467,27 @@ def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise StreamFormatError(f"corrupt header JSON: {exc}") from None
-    if int(header.get("version", -1)) != version:
+    # CRC-valid is not well-formed: shape-check every field read, once.
+    if not isinstance(header, dict):
+        raise StreamFormatError("corrupt header: not an object")
+    if header.get("version") != version:
         raise StreamFormatError(
             f"header version {header.get('version')!r} disagrees with "
             f"the file's version field {version} (corrupt header?)"
         )
-    if tuple(header.get("kinds", ())) != OP_KIND_NAMES:
+    if header.get("kinds") != list(OP_KIND_NAMES):
         raise StreamFormatError(
             "stream file kind table does not match this build: "
-            f"{tuple(header.get('kinds', ()))!r}"
+            f"{header.get('kinds')!r}"
         )
-    if [tuple(c) for c in header.get("columns", [])] != list(_COLUMNS):
+    if header.get("columns") != [list(column) for column in _COLUMNS]:
         raise StreamFormatError("stream file column schema mismatch")
+    rows_per_chunk = header.get("rows_per_chunk")
+    if type(rows_per_chunk) is not int or rows_per_chunk < 1:
+        raise StreamFormatError(
+            f"corrupt header: rows_per_chunk is {rows_per_chunk!r}")
+    if not isinstance(header.get("metadata", {}), dict):
+        raise StreamFormatError("corrupt header: metadata is not an object")
     return version, header, stream.tell()
 
 
@@ -989,9 +998,9 @@ class StreamReader:
             self._stream, self._size, self.path)
         self.version = version
         self.header = header
-        self.rows_per_chunk = int(header["rows_per_chunk"])
+        self.rows_per_chunk = header["rows_per_chunk"]
         self.metadata = dict(header.get("metadata", {}))
-        self.kinds = tuple(header.get("kinds", ()))
+        self.kinds = tuple(header["kinds"])
 
     def _read_footer(self) -> None:
         self._stream.seek(0, os.SEEK_END)
@@ -1578,7 +1587,7 @@ def salvage_stream(path: str) -> SalvagedStream:
         pass
     with open(path, "rb") as stream:
         version, header, data_start = _parse_header(stream, size, path)
-        rows_per_chunk = int(header["rows_per_chunk"])
+        rows_per_chunk = header["rows_per_chunk"]
         entries = _salvage_via_sidecar(stream, size, path, rows_per_chunk)
         if entries is None:
             entries, _, _ = _sequential_scan(stream, size, data_start)

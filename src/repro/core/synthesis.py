@@ -16,21 +16,23 @@ implements exactly that selection as a pure, deterministic function of
    analytic fast replay, or a real file system).
 
 Nothing here imports the simulator: the op stream exists independently of
-how (or whether) it is timed, which is what lets the fast backend skip
-the DES entirely while producing a byte-identical stream.
+how (or whether) it is timed, which is what lets the engine-free
+executor skip the DES entirely while producing a byte-identical stream.
 
 Sampling is *batched*: every per-quantity random stream is wrapped in a
 :class:`~repro.distributions.batch.BatchSampler` that pre-draws blocks of
 variates with one vectorized call instead of paying NumPy's scalar-call
 overhead per operation.
 
-Sessions come out in either of two byte-identical representations:
-:meth:`SessionGenerator.generate_session` yields scalar
-:class:`SessionOp` objects, and
-:meth:`SessionGenerator.generate_session_batch` builds the same stream
-as one columnar :class:`~repro.core.opbatch.OpBatch` — the per-chunk
-loops replaced by ``searchsorted`` cuts over pre-drawn blocks — for the
-array-native fast backend.
+There is one plan builder: :meth:`SessionGenerator.append_user` writes a
+user's sessions as columns into a :class:`BlockColumns` — per-chunk
+loops are ``searchsorted`` cuts over pre-drawn blocks — and
+:meth:`BlockColumns.assemble` turns the block into one
+:class:`~repro.core.opbatch.OpBatch`.  The engine-free executor consumes
+those batches whole; the DES user process and ``RealRunner`` issue one
+call at a time and read the same batch op by op through
+:meth:`SessionGenerator.generate_session`.  The scalar builder this
+replaced is the test reference (``tests/core/reference_scalar.py``).
 
 Extensions beyond the thesis's minimum (its section 6.2 future work):
 
@@ -44,7 +46,6 @@ Extensions beyond the thesis's minimum (its section 6.2 future work):
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -70,6 +71,7 @@ from .opbatch import (
     KIND_UNLINK,
     KIND_WRITE,
     OpBatch,
+    SessionOp,
     StringTable,
 )
 from .spec import UsageSpec, UserTypeSpec, UseType
@@ -81,12 +83,9 @@ __all__ = [
 ]
 
 # int64 cannot hold every Python int a pathological (but finite) draw
-# could produce; the columnar path saturates instead of wrapping.  Real
-# specs live many orders of magnitude below this.
+# could produce; the size and think columns saturate instead of
+# wrapping.  Real specs live many orders of magnitude below this.
 _INT64_SATURATE = float(2**63 - 1024)
-
-_EMPTY_I8 = np.empty(0, dtype=np.int8)
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 # Max chunk variates sanitised per cumsum pass (see _chunk_run).
 _CHUNK_SLAB = 64
@@ -104,24 +103,6 @@ _CREAT_FLAGS = int(OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
 _SEAT_BLOCK_USERS = 128
 
 _UNIT = Uniform(0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class SessionOp:
-    """One element of a session's operation stream.
-
-    ``size`` is overloaded per kind: file size for open/creat, byte count
-    for read/write/listdir, absolute offset for lseek, microseconds for
-    think.
-    """
-
-    kind: str                       # open|creat|read|write|lseek|close|
-    #                                 unlink|stat|listdir|think
-    plan_id: int | None = None      # links data ops to their open file
-    path: str | None = None
-    category_key: str | None = None
-    size: int = 0
-    flags: OpenFlags = OpenFlags.RDONLY
 
 
 class PhaseModel:
@@ -179,24 +160,6 @@ class PhaseModel:
         return out
 
 
-class _FilePlan:
-    """A per-file script: open → data ops → close (+unlink for TEMP)."""
-
-    def __init__(self, plan_id: int, ops: list[SessionOp]):
-        self.plan_id = plan_id
-        self._ops = ops
-        self._next = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._ops)
-
-    def pop(self) -> SessionOp:
-        op = self._ops[self._next]
-        self._next += 1
-        return op
-
-
 def user_stream_family(user_type: UserTypeSpec) -> StreamFamily:
     """Every stream a user of ``user_type`` can draw from its
     ``user-{id}`` fork: the kernel's fixed names plus a count/budget/size
@@ -249,12 +212,11 @@ class _UsageSamplers:
 class _ChunkBlock(BatchSampler):
     """Chunk-size sampler whose blocks carry a sanitised prefix-sum cache.
 
-    Every refilled block is sanitised once (finite, rounded, >= 1 — the
-    vectorized :meth:`SessionGenerator._sample_chunk` clamp) and
-    prefix-summed, so cutting a segment of chunks to a byte boundary is
-    a single ``searchsorted`` over the cached sums instead of a fresh
-    sanitise + cumsum per segment.  ``draw()`` still serves the *raw*
-    variates, keeping the scalar path untouched.
+    Every refilled block is sanitised once (non-finite draws become 1,
+    the rest are rounded and floored at 1) and prefix-summed, so cutting
+    a segment of chunks to a byte boundary is a single ``searchsorted``
+    over the cached sums instead of a fresh sanitise + cumsum per
+    segment.  ``draw()`` still serves the *raw* variates.
     """
 
     __slots__ = ("san", "cum0")
@@ -301,7 +263,7 @@ class _ChunkBlock(BatchSampler):
         buffer (no per-segment allocation or cast — the whole size
         column is cast to int64 once per batch) and returns
         ``(take, advanced)``.  The crossing chunk is cut to land
-        exactly on the boundary, as the scalar per-draw clamp does.
+        exactly on the boundary (each draw is clamped to what remains).
         May advance fewer bytes than ``boundary`` when the block runs
         out — the caller loops, and the next call refills.  The caller
         must have reserved ``row + block`` rows (a run never exceeds
@@ -379,8 +341,8 @@ class BlockColumns:
         self.flag_val: list[int] = []
         # Write-mix draw ranges: each chunk segment that consumes
         # write-mix uniforms records (first row, count, row stride,
-        # write fraction); each user takes its draws in range order —
-        # the same order the scalar loop consumes them.
+        # write fraction); each user takes its draws in range order,
+        # one per chunk.
         self.mix_start: list[int] = []
         self.mix_count: list[int] = []
         self.mix_step: list[int] = []
@@ -467,7 +429,7 @@ class BlockColumns:
         # need no gather.
         per_session = np.diff(np.asarray(self.bounds, dtype=np.int64))
         raw = np.concatenate(self.think_raw)
-        # The vectorized _sample_think_us clamp.
+        # Non-finite and negative think draws become 0.
         ok = np.isfinite(raw) & (raw >= 0.0)
         think = np.zeros(n, dtype=np.float64)
         np.rint(raw, where=ok, out=think)
@@ -620,7 +582,7 @@ class SessionGenerator:
         ``seats`` is this user's row of :func:`derive_user_seats` when
         the caller derived a block of users at once; without it the
         kernel derives a one-user block itself.  Callers must drain one
-        user fully before rebinding (the engine-free executors do).
+        user fully before rebinding (the engine-free executor does).
         """
         if seats is None:
             seats, = derive_user_seats(self._root, self._family, [user_id])
@@ -634,13 +596,15 @@ class SessionGenerator:
         self._plan_counter = 0
         return self
 
-    # -- sampling helpers --------------------------------------------------------
-
+    # -- plan construction ---------------------------------------------------
+    #
     # Fitted distributions can emit pathological variates (NaN from a
-    # degenerate fit, negative values from a shifted family).  Each helper
-    # clamps to its quantity's valid range instead of letting the value
-    # reach an executor — where it would surface much later as an
-    # ``int(nan)`` ValueError or a negative Delay SimulationError.
+    # degenerate fit, negative values from a shifted family).  Every
+    # quantity is clamped to its valid range where it is drawn — counts
+    # and sizes to >= 1, ratios and thinks to >= 0, non-finite draws to
+    # the floor — instead of letting the value reach an executor, where
+    # it would surface much later as an ``int(nan)`` ValueError or a
+    # negative Delay SimulationError.
 
     def _sample_count(self, samplers: _UsageSamplers) -> int:
         raw = samplers.file_count.draw()
@@ -648,277 +612,18 @@ class SessionGenerator:
             return 1
         return max(1, int(round(raw)))
 
-    def _sample_ratio(self, samplers: _UsageSamplers) -> float:
-        """A non-negative, finite accesses-per-byte draw."""
-        ratio = samplers.access_per_byte.draw()
-        if not math.isfinite(ratio) or ratio < 0.0:
-            return 0.0
-        return ratio
-
-    def _sample_access_budget(self, samplers: _UsageSamplers,
-                              file_size: int) -> int:
-        return int(round(self._sample_ratio(samplers) * file_size))
-
-    def _sample_file_size(self, samplers: _UsageSamplers) -> int:
-        raw = samplers.file_size.draw()
-        if not math.isfinite(raw):
-            return 1
-        return max(1, int(round(raw)))
-
-    def _sample_chunk(self, remaining: int) -> int:
-        raw = self._chunk.draw()
-        if not math.isfinite(raw):
-            return 1
-        return max(1, min(int(round(raw)), remaining))
-
-    def _sample_think_us(self) -> int:
-        raw = self._think.draw()
-        if self.phase_model is not None:
-            raw *= self.phase_model.step(self._phase.draw())
-        if not math.isfinite(raw) or raw < 0.0:
-            return 0
-        return int(round(raw))
-
-    def _seek_offset(self, file_size: int) -> int:
-        """A uniform random offset in ``[0, file_size)`` (random mode)."""
-        return min(int(self._seek.draw() * file_size), file_size - 1)
-
-    # -- per-category plan construction ------------------------------------------
-
-    def _data_ops(self, plan_id: int, budget: int, file_size: int,
-                  write_fraction: float,
-                  category_key: str | None = None) -> list[SessionOp]:
-        """Chunked read/write ops consuming ``budget`` bytes of a file.
-
-        Sequential mode walks the file, wrapping to offset 0 at EOF (the
-        thesis models sequential access only); random mode seeks to a
-        uniform offset before every chunk.
-        """
-        ops: list[SessionOp] = []
-        if budget <= 0 or file_size <= 0:
-            return ops
-        position = 0
-        remaining = budget
-        while remaining > 0:
-            if self.access_pattern == "random":
-                position = self._seek_offset(file_size)
-                ops.append(SessionOp("lseek", plan_id=plan_id, size=position,
-                                     category_key=category_key))
-            elif position >= file_size:
-                position = 0
-                ops.append(SessionOp("lseek", plan_id=plan_id, size=0,
-                                     category_key=category_key))
-            chunk = self._sample_chunk(min(remaining, file_size - position
-                                           if self.access_pattern == "sequential"
-                                           else remaining))
-            chunk = min(chunk, file_size - position)
-            if chunk <= 0:
-                position = 0
-                continue
-            is_write = self._write_mix.draw() < write_fraction
-            ops.append(
-                SessionOp(
-                    "write" if is_write else "read",
-                    plan_id=plan_id,
-                    size=chunk,
-                    category_key=category_key,
-                )
-            )
-            position += chunk
-            remaining -= chunk
-        return ops
-
-    def _write_out_ops(self, plan_id: int, target_size: int,
-                       category_key: str | None = None) -> list[SessionOp]:
-        """Sequential writes creating ``target_size`` bytes of fresh file."""
-        ops: list[SessionOp] = []
-        written = 0
-        while written < target_size:
-            chunk = self._sample_chunk(target_size - written)
-            ops.append(SessionOp("write", plan_id=plan_id, size=chunk,
-                                 category_key=category_key))
-            written += chunk
-        return ops
-
-    def _plan_for_existing(self, samplers: _UsageSamplers, path: str,
-                           file_size: int) -> _FilePlan:
-        """RDONLY / RD-WRT plan over a file the FSC created."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        budget = self._sample_access_budget(samplers, file_size)
-        write_fraction = 0.5 if category.use is UseType.RD_WRT else 0.0
-        mode = OpenFlags.RDWR if category.writes else OpenFlags.RDONLY
-        ops = [
-            SessionOp("open", plan_id=plan_id, path=path,
-                      category_key=category.key, size=file_size, flags=mode)
-        ]
-        ops.extend(self._data_ops(plan_id, budget, file_size, write_fraction,
-                                  category_key=category.key))
-        ops.append(SessionOp("close", plan_id=plan_id, path=path,
-                             category_key=category.key))
-        return _FilePlan(plan_id, ops)
-
-    def _plan_for_new(self, samplers: _UsageSamplers, path: str,
-                      temporary: bool) -> _FilePlan:
-        """NEW / TEMP plan: create, write out, (re-read and unlink)."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        target_size = self._sample_file_size(samplers)
-        flags = OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC
-        ops = [
-            SessionOp("creat", plan_id=plan_id, path=path,
-                      category_key=category.key, size=target_size,
-                      flags=flags)
-        ]
-        ops.extend(self._write_out_ops(plan_id, target_size,
-                                       category_key=category.key))
-        # Spend the rest of the category's access budget re-reading the
-        # fresh file: Table 5.2 gives NEW files 2.36 accesses per byte and
-        # TEMP files 2.00, i.e. well beyond the single write-out pass.
-        budget = self._sample_access_budget(samplers, target_size)
-        read_budget = max(0, budget - target_size)
-        if read_budget > 0:
-            ops.append(SessionOp("lseek", plan_id=plan_id, size=0,
-                                 category_key=category.key))
-            ops.extend(
-                self._data_ops(plan_id, read_budget, target_size, 0.0,
-                               category_key=category.key)
-            )
-        ops.append(SessionOp("close", plan_id=plan_id, path=path,
-                             category_key=category.key))
-        if temporary:
-            ops.append(SessionOp("unlink", path=path,
-                                 category_key=category.key))
-        return _FilePlan(plan_id, ops)
-
-    def _plan_for_directory(self, samplers: _UsageSamplers, path: str,
-                            dir_size: int) -> _FilePlan:
-        """DIR plan: stat once, then one readdir per whole-directory pass."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        passes = max(1, int(round(self._sample_ratio(samplers))))
-        ops = [SessionOp("stat", path=path, category_key=category.key,
-                         plan_id=plan_id, size=dir_size)]
-        for _ in range(passes):
-            ops.append(SessionOp("listdir", path=path,
-                                 category_key=category.key, size=dir_size))
-        return _FilePlan(plan_id, ops)
-
-    def _next_plan_id(self) -> int:
-        self._plan_counter += 1
-        return self._plan_counter
-
-    # -- session assembly ------------------------------------------------------------
-
-    def _session_plan_specs(self, session_id: int):
-        """Yield one ``(shape, samplers, path, extra)`` spec per file plan.
-
-        This is the session's *selection* walk — which categories fire,
-        how many files, which pool members — shared verbatim by the
-        scalar (:meth:`_build_plans`) and columnar
-        (:meth:`generate_session_batch`) paths so both consume the
-        ``select`` stream identically.  ``extra`` is the ``temporary``
-        flag for ``"new"`` plans and the file/directory size otherwise.
-        Specs are yielded lazily: new-file paths embed the live plan
-        counter, which the consumer advances between specs exactly as
-        the pre-refactor loop did.
-        """
-        for samplers in self._usage_samplers:
-            usage = samplers.usage
-            if self._rng_select.random() >= usage.fraction_of_users:
-                continue
-            category = usage.category
-            count = self._sample_count(samplers)
-            if category.creates_files:
-                temporary = category.use is UseType.TEMP
-                home = self.layout.user_home(self.user_id)
-                prefix = "tmp" if temporary else "new"
-                for k in range(count):
-                    path = (
-                        f"{home}/{prefix}-s{session_id:04d}-"
-                        f"p{self._plan_counter:05d}-{k}"
-                    )
-                    yield "new", samplers, path, temporary
-                continue
-            pool = self.layout.files_for(category, self.user_id)
-            if not pool:
-                continue
-            chosen_idx = self._rng_select.choice(
-                len(pool), size=min(count, len(pool)), replace=False
-            )
-            for idx in chosen_idx.reshape(-1):
-                record = pool[int(idx)]
-                shape = "dir" if category.is_directory else "existing"
-                yield shape, samplers, record.path, record.size
-
-    def _build_plans(self, session_id: int) -> list[_FilePlan]:
-        plans: list[_FilePlan] = []
-        for shape, samplers, path, extra in self._session_plan_specs(
-            session_id
-        ):
-            if shape == "new":
-                plans.append(self._plan_for_new(samplers, path, extra))
-            elif shape == "dir":
-                plans.append(self._plan_for_directory(samplers, path, extra))
-            else:
-                plans.append(self._plan_for_existing(samplers, path, extra))
-        return plans
-
-    def generate_session(self, session_id: int) -> Iterator[SessionOp]:
-        """Yield the operation stream of one login session.
-
-        File plans are interleaved by independent random selection among
-        the currently open files (the thesis's independence assumption),
-        with at most ``user_type.max_open_files`` concurrently open.
-        A think-time operation follows every file operation.
-        """
-        # deque: popping the head of a list is O(n) per pop, O(n²) per
-        # session; popleft keeps the identical FIFO order in O(1).
-        pending = deque(self._build_plans(session_id))
-        active: list[_FilePlan] = []
-        max_open = self.user_type.max_open_files
-        while pending or active:
-            while pending and len(active) < max_open:
-                active.append(pending.popleft())
-            if not active:
-                break
-            # One uniform per op; floor(u * width) can land on width
-            # itself only through float rounding of u ≈ 1, hence the
-            # clamp (same rule as _seek_offset).
-            slot = int(self._slot.draw() * len(active))
-            if slot == len(active):
-                slot -= 1
-            plan = active[slot]
-            op = plan.pop()
-            yield op
-            if plan.exhausted:
-                active.pop(slot)
-            think = self._sample_think_us()
-            yield SessionOp("think", size=think)
-
-    # -- columnar synthesis ------------------------------------------------------
-    #
-    # The batch path draws the *same* variate sequence from the same
-    # per-quantity streams as the scalar path — chunk sizes, write-mix
-    # and seek uniforms, slot uniforms, think times, phase steps — but
-    # in whole blocks, with the per-chunk while loops replaced by
-    # searchsorted cuts against the chunk block's cached prefix sums.
-    # Because every quantity owns a named stream and both paths consume
-    # each stream strictly in draw order, the emitted streams are
-    # byte-identical; tests/core/test_columnar_golden.py holds scalar vs
-    # columnar equality across every scenario.
-
     def _append_data_cols(self, budget: int, file_size: int,
                           write_fraction: float, cols: BlockColumns,
                           row0: int) -> int:
-        """Vectorized :meth:`_data_ops`, appended straight into ``cols``.
+        """Chunked read/write rows consuming ``budget`` bytes of a file,
+        appended straight into ``cols``.
 
-        Emits the identical row sequence — chunked read/write ops plus
-        the interleaved lseek rows (wrap-to-zero in sequential mode, one
-        per chunk in random mode) — and registers each chunk segment's
-        write-mix range (patched once per session).  ``row0`` is the
-        global row index of the first appended row; returns the number
-        of rows appended.
+        Sequential mode walks the file, wrapping to offset 0 with an
+        lseek row at EOF (the thesis models sequential access only);
+        random mode seeks to a uniform offset before every chunk.  Each
+        chunk segment registers its write-mix range (resolved once per
+        block).  ``row0`` is the global row index of the first appended
+        row; returns the number of rows appended.
         """
         if budget <= 0 or file_size <= 0:
             return 0
@@ -991,7 +696,8 @@ class SessionGenerator:
 
     def _append_write_out(self, target_size: int, cols: BlockColumns,
                           row0: int) -> int:
-        """Vectorized :meth:`_write_out_ops`; returns rows appended."""
+        """Sequential write rows creating ``target_size`` bytes of fresh
+        file; returns rows appended."""
         row = row0
         remaining = target_size
         while remaining > 0:
@@ -1003,11 +709,12 @@ class SessionGenerator:
             remaining -= advanced
         return row - row0
 
-    def _append_plan_for_existing(self, path: str, file_size: int,
+    def _append_existing_plan(self, path: str, file_size: int,
                                   budget: int, write_fraction: float,
                                   mode_flag: int, cat_idx: int,
                                   cols: BlockColumns) -> None:
-        """Columnar :meth:`_plan_for_existing`: open → data ops → close.
+        """RDONLY / RD-WRT plan over a file the FSC created: open → data
+        ops → close.
 
         The budget, write fraction, open mode and category index arrive
         precomputed from the entry-grouped walk
@@ -1034,11 +741,11 @@ class SessionGenerator:
             cols.flag_val.append(mode_flag)
         cols.add_plan(n, self._plan_counter, cat_idx)
 
-    def _append_plan_for_new(self, path: str, target_size: int, budget: int,
+    def _append_new_plan(self, path: str, target_size: int, budget: int,
                              temporary: bool, cat_idx: int,
                              cols: BlockColumns) -> None:
-        """Columnar :meth:`_plan_for_new`: creat, write out, re-read,
-        close (+unlink for TEMP)."""
+        """NEW / TEMP plan: creat, write out, re-read, close (+unlink
+        for TEMP)."""
         self._plan_counter += 1
         plan_id = self._plan_counter
         start = cols.total
@@ -1080,10 +787,11 @@ class SessionGenerator:
         cols.flag_val.append(_CREAT_FLAGS)
         cols.add_plan(n, plan_id, cat_idx)
 
-    def _append_plan_for_directory(self, path: str, dir_size: int,
+    def _append_directory_plan(self, path: str, dir_size: int,
                                    passes: int, cat_idx: int,
                                    cols: BlockColumns) -> None:
-        """Columnar :meth:`_plan_for_directory`: stat + per-pass listdir."""
+        """DIR plan: stat once, then one listdir per whole-directory
+        pass."""
         self._plan_counter += 1
         n = 1 + passes
         start = cols.total
@@ -1102,17 +810,17 @@ class SessionGenerator:
 
     def _append_session_plans(self, session_id: int,
                               cols: BlockColumns) -> None:
-        """The columnar :meth:`_session_plan_specs` walk, entry-grouped.
+        """One session's selection walk — which categories fire, how
+        many files, which pool members — and a plan per selected file.
 
-        Consumes the ``select`` and per-category ``count:`` streams
-        exactly as the scalar walk does — one fraction gate per entry,
-        one count draw per fired entry, one pool ``choice`` per
-        non-creating entry — but takes each fired entry's per-plan
-        budget/size draws as *one block per stream* instead of one
-        scalar draw per plan.  Per-stream draw order is unchanged (each
-        quantity owns a named stream and plans consume it in plan
-        order), so the emitted rows are byte-identical to the scalar
-        walk's; only the Python overhead per plan goes away.
+        Consumes the ``select`` and per-category ``count:`` streams one
+        entry at a time — one fraction gate per entry, one count draw
+        per fired entry, one pool ``choice`` per non-creating entry —
+        and takes each fired entry's per-plan budget/size draws as *one
+        block per stream*.  Each quantity owns a named stream and plans
+        consume it in plan order, so the block is the same sequence a
+        draw per plan would serve.  New-file paths embed the live plan
+        counter.
         """
         select_random = self._rng_select.random
         choice = self._rng_select.choice
@@ -1139,7 +847,7 @@ class SessionGenerator:
                         f"{home}/{prefix}-s{session_id:04d}-"
                         f"p{self._plan_counter:05d}-{k}"
                     )
-                    self._append_plan_for_new(
+                    self._append_new_plan(
                         path, int(targets[k]), int(budgets[k]), temporary,
                         cat_idx, cols,
                     )
@@ -1157,7 +865,7 @@ class SessionGenerator:
             if samplers.is_dir:
                 passes = np.maximum(np.rint(ratios), 1.0).tolist()
                 for j, idx in enumerate(chosen.tolist()):
-                    self._append_plan_for_directory(
+                    self._append_directory_plan(
                         pool_paths[idx], int(pool_sizes[idx]),
                         int(passes[j]), cat_idx, cols,
                     )
@@ -1168,7 +876,7 @@ class SessionGenerator:
                 write_fraction = samplers.write_fraction
                 mode_flag = samplers.mode_flag
                 for j, idx in enumerate(chosen.tolist()):
-                    self._append_plan_for_existing(
+                    self._append_existing_plan(
                         pool_paths[idx], sizes[j], int(budgets[j]),
                         write_fraction, mode_flag, cat_idx, cols,
                     )
@@ -1183,8 +891,8 @@ class SessionGenerator:
         ``write-mix`` block and its think (and phase) block.  Each named
         stream is still consumed session by session in draw order — a
         block only *regroups* draws across users, whose streams are
-        disjoint — so rows are byte-identical to the scalar path's
-        whatever the block holds.
+        disjoint — so a user's rows are the same whatever else the
+        block holds.
         """
         type_idx = cols.user_types.intern(self.user_type.name)
         lengths, bounds = cols.lengths, cols.bounds
@@ -1200,8 +908,8 @@ class SessionGenerator:
             cols.sess_id.append(session_id)
             cols.sess_type.append(type_idx)
         n = cols.total - row0
-        # Interleave plans exactly as generate_session does: same FIFO
-        # admission to the open-file window, same per-op slot uniform.
+        # Interleave each session's plans: FIFO admission to the
+        # open-file window, one slot uniform per op.
         uniforms = self._slot.take(n).tolist()
         order = [0] * n
         max_open = self.user_type.max_open_files
@@ -1234,23 +942,38 @@ class SessionGenerator:
         return cols.assemble(), cols.bounds
 
     def generate_session_batch(self, session_id: int) -> OpBatch:
-        """The columnar :meth:`generate_session`: one login session as an
-        :class:`~repro.core.opbatch.OpBatch`.
+        """One login session as an :class:`~repro.core.opbatch.OpBatch`.
 
         Row ``i`` is the ``i``-th file operation; the think pause that
-        follows it lands in the batch's ``think_us`` column (the exact
-        stream :meth:`generate_session` yields, re-interleavable via
-        :meth:`~repro.core.opbatch.OpBatch.iter_session_ops`).  Timing
+        follows it lands in the batch's ``think_us`` column.  Timing
         columns are zero; an execution backend fills them.  (One-session
         form of :meth:`generate_user_batch`.)
         """
         batch, _ = self.generate_user_batch((session_id,))
         return batch
 
+    def generate_session(self, session_id: int) -> Iterator[SessionOp]:
+        """Yield the operation stream of one login session, op by op.
+
+        File plans are interleaved by independent random selection among
+        the currently open files (the thesis's independence assumption),
+        with at most ``user_type.max_open_files`` concurrently open.
+        A think-time operation follows every file operation.
+
+        This is :meth:`generate_session_batch` read op by op, for the
+        DES user process and ``RealRunner``.  Nothing is drawn until the
+        first ``next()``; the whole session is drawn then.  Sizes and
+        think times come out of int64 columns, so a pathological draw
+        saturates at ``_INT64_SATURATE`` where a Python int would keep
+        growing — unreachable for real specs (the scalar reference in
+        ``tests/core/reference_scalar.py`` keeps Python ints).
+        """
+        yield from self.generate_session_batch(session_id).iter_session_ops()
+
 
 def _sane_ratios(ratios: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`SessionGenerator._sample_ratio` clamp:
-    non-finite or negative accesses-per-byte draws become 0.0."""
+    """Accesses-per-byte draws with non-finite or negative ones
+    replaced by 0.0."""
     bad = ~(np.isfinite(ratios) & (ratios >= 0.0))
     if bad.any():
         ratios = np.where(bad, 0.0, ratios)
@@ -1261,15 +984,15 @@ def _interleave(lengths: list, offsets: list, p0: int, p1: int,
                 uniforms: list, order: list, i: int, max_open: int) -> None:
     """Fill ``order[i:]`` with one session's plan-interleave permutation.
 
-    The same walk as :meth:`SessionGenerator.generate_session`'s loop —
     FIFO admission of plans ``p0..p1`` into the open-file window, one
-    slot uniform per op, ``floor(u * width)`` with the u ≈ 1 clamp —
-    over pre-drawn uniforms.  Structured so admission is only re-checked
-    after an exhaustion event (the window can only open then), and the
-    common single-plan tail is emitted as one slice assignment: with
-    ``width == 1`` every remaining draw selects slot 0, so the rows are
-    simply sequential (the uniforms were already drawn; skipping their
-    *reads* consumes nothing).
+    slot uniform per op, ``floor(u * width)`` — which can land on
+    ``width`` itself only through float rounding of u ≈ 1, hence the
+    clamp — over pre-drawn uniforms.  Structured so admission is only
+    re-checked after an exhaustion event (the window can only open
+    then), and the common single-plan tail is emitted as one slice
+    assignment: with ``width == 1`` every remaining draw selects slot 0,
+    so the rows are simply sequential (the uniforms were already drawn;
+    skipping their *reads* consumes nothing).
     """
     cursor: list[int] = []     # per active slot: next global row
     remaining: list[int] = []  # per active slot: ops left
@@ -1292,7 +1015,7 @@ def _interleave(lengths: list, offsets: list, p0: int, p1: int,
             return
         while True:
             s = int(uniforms[i] * width)
-            if s == width:  # float rounding of u ≈ 1 (see _seek_offset)
+            if s == width:  # float rounding of u ≈ 1
                 s = width - 1
             row = cursor[s]
             order[i] = row

@@ -15,8 +15,9 @@ time:
   ``FileSystemAPI`` and measures wall-clock time, the thesis's
   "difference of before and after calling a system call".
 
-The engine-free analytic executor lives in
-:class:`~repro.core.execution.FastReplayBackend`.
+Both read a session op by op through ``SessionGenerator.
+generate_session``, the per-op view of the batch the engine-free executor
+(:class:`~repro.core.execution.FastReplayBackend`) replays whole.
 
 ``SessionOp``, ``PhaseModel`` and ``SessionGenerator`` are re-exported
 here for compatibility with pre-split imports.
@@ -68,7 +69,7 @@ def simulated_user_process(
     ``task`` is the user's :class:`~repro.core.execution.UserSessions`
     work order; its ``offset_us``/``gap_after_us`` encode the arrival
     timing rules (first-login delay, gaps between sessions, no trailing
-    gap) shared verbatim with the fast backends.  ``deadline_us``
+    gap) shared verbatim with the engine-free executor.  ``deadline_us``
     applies the shared truncation rule: an op whose start clock is at or
     past the deadline is not issued, and an interrupted session records
     no summary.

@@ -67,7 +67,12 @@ from ..core.arrivals import (
     arrival_model_to_jsonable,
     get_profile,
 )
-from ..core.generator import FAST_BACKENDS, RUN_BACKENDS, WorkloadGenerator
+from ..core.generator import (
+    FAST_BACKENDS,
+    RUN_BACKENDS,
+    WorkloadGenerator,
+    artifact_backend,
+)
 from ..core.oplog import UsageLog
 from ..core.spec import SpecError, WorkloadSpec
 from ..core.specjson import spec_from_jsonable, spec_to_jsonable
@@ -980,7 +985,7 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             stream_metadata = {
                 "tool": "repro-fleet",
                 "scenario": config.scenario or "custom-spec",
-                "backend": config.backend,
+                "backend": artifact_backend(config.backend),
                 "seed": config.root_seed,
                 "users": spec.n_users,
                 "sessions_per_user": sessions,

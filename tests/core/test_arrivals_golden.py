@@ -2,13 +2,14 @@
 
 The arrivals layer's contract extends the staged pipeline's: schedules
 move the *timeline* only.  With arrivals on, every backend must still
-emit the byte-identical op stream it emits with arrivals off, the two
-engine-free backends must agree bit-for-bit on records — start clocks
-included — and the merged fleet tally (windowed offered-load buckets
-included) must stay shard-count-invariant.  The DES shares the exact
-first-login offsets (they come from the same pre-resolved schedules)
-but times subsequent ops on its own queueing clock, so it is held to
-content identity plus offset identity.
+emit the byte-identical op stream it emits with arrivals off, and the
+merged fleet tally (windowed offered-load buckets included) must stay
+shard-count-invariant.  The DES shares the exact first-login offsets
+(they come from the same pre-resolved schedules) but times subsequent
+ops on its own queueing clock, so it is held to content identity plus
+offset identity.  (Bit identity of the engine-free executor's records
+with the scalar reference — start clocks included, arrivals on, plain
+and truncated — is ``test_columnar_golden.py``'s replay matrix.)
 """
 
 import pytest
@@ -21,6 +22,8 @@ from repro.core import (
 )
 from repro.fleet import FleetConfig, run_fleet
 from repro.scenarios import get_scenario
+
+from .test_columnar_golden import content_by_user
 
 SCENARIOS = ("mixed-campus", "batch-heavy")
 SEED = 17
@@ -40,35 +43,16 @@ def run_scenario(name, backend, arrivals, **kwargs):
     )
 
 
-def content_by_user(log):
-    """Per-user, in-order, timing-free projection of an op log."""
-    out = {}
-    for op in log.operations:
-        out.setdefault(op.user_id, []).append(
-            (op.session_id, op.op, op.path, op.category_key, op.size)
-        )
-    return out
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
 class TestArrivalsGoldenIdentity:
     def model(self, name):
         return get_scenario(name).arrival_model or DEFAULT_ARRIVALS
 
-    def test_all_backends_same_stream_fast_pair_bit_identical(self, name):
+    def test_des_and_engine_free_emit_the_same_stream(self, name):
         model = self.model(name)
         des = run_scenario(name, "nfs", model)
-        fast = run_scenario(name, "fast", model)
         columnar = run_scenario(name, "fast-columnar", model)
-        # content identity across all three
-        reference = content_by_user(fast.log)
-        assert content_by_user(des.log) == reference
-        assert content_by_user(columnar.log) == reference
-        # bit identity (start clocks and response times included) for
-        # the engine-free pair, sessions and duration too
-        assert fast.log.operations == columnar.log.operations
-        assert fast.log.sessions == columnar.log.sessions
-        assert fast.simulated_duration_us == columnar.simulated_duration_us
+        assert content_by_user(des.log) == content_by_user(columnar.log)
 
     def test_des_shares_the_first_login_offsets(self, name):
         model = self.model(name)
@@ -93,18 +77,6 @@ class TestArrivalsGoldenIdentity:
         starts = {op.start_us for op in with_arrivals.log.operations}
         assert min(starts) > 0.0
 
-    def test_truncation_stays_bit_identical(self, name):
-        model = self.model(name)
-        full = run_scenario(name, "fast", model)
-        limit = full.simulated_duration_us / 2
-        fast = run_scenario(name, "fast", model, time_limit_us=limit)
-        columnar = run_scenario(name, "fast-columnar", model,
-                                time_limit_us=limit)
-        assert fast.log.operations == columnar.log.operations
-        assert fast.log.sessions == columnar.log.sessions
-        assert fast.simulated_duration_us == columnar.simulated_duration_us
-        assert len(columnar.log.operations) < len(full.log.operations)
-
     def test_des_truncation_obeys_the_boundary_rule(self, name):
         model = self.model(name)
         full = run_scenario(name, "nfs", model)
@@ -120,10 +92,10 @@ class TestArrivalsFleetInvariance:
     """The ISSUE acceptance property: `fleet run --profile` output is
     invariant to shard count (windowed offered-load buckets included)."""
 
-    def fleet(self, shards, backend="fast-columnar", **kwargs):
+    def fleet(self, shards, **kwargs):
         return run_fleet(FleetConfig(
             scenario="mixed-campus", users=9, shards=shards, workers=1,
-            seed=5, backend=backend, use_arrivals=True, **kwargs,
+            seed=5, backend="fast-columnar", use_arrivals=True, **kwargs,
         ))
 
     def test_windowed_aggregate_shard_invariant(self):
@@ -136,11 +108,6 @@ class TestArrivalsFleetInvariance:
             # engine-free backends (per-user clocks)
             assert many.tally.ops_by_window == one.tally.ops_by_window
             assert many.tally == one.tally
-
-    def test_scalar_and_columnar_windowed_tallies_match(self):
-        scalar = self.fleet(2, backend="fast")
-        columnar = self.fleet(2, backend="fast-columnar")
-        assert scalar.tally == columnar.tally
 
     def test_profile_override_changes_the_curve(self):
         office = self.fleet(1)

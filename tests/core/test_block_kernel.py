@@ -1,7 +1,7 @@
 """A block of users ≡ blocks of one user, bit for bit.
 
 The columnar executor assembles, times and summarises a whole *block* of
-users per array pass (`ColumnarReplayBackend._run_block`).  How many
+users per array pass (`FastReplayBackend._run_block`).  How many
 users share a block is a cost decision only: forcing blocks of one user,
 of two, and of everyone must give the same artifact bytes, the same sink
 event sequence (batch boundaries included — sinks fold per batch) and
@@ -24,6 +24,8 @@ from repro.core.execution import _block_clocks
 from repro.core.streamfile import StreamFileSink, TeeSink
 from repro.fleet.merge import ShardAccumulator
 from repro.scenarios import get_scenario, scenario_names
+
+from .reference_scalar import reference_run
 
 USERS = 7
 EVERYONE = 10**9
@@ -160,13 +162,13 @@ class TestZeroRowUsers:
         # An idle session is an empty batch, then its summary.
         first_idle = reference["events"].index(("session", idle[0]))
         assert reference["events"][first_idle - 1] == ("batch", 0)
-        scalar = generator.run_simulated(sessions_per_user=2, backend="fast")
-        assert scalar.log.sessions == reference["sessions"]
-        assert scalar.log.operations == reference["operations"]
+        scalar, _ = reference_run(generator.spec, 2)
+        assert scalar.sessions == reference["sessions"]
+        assert scalar.operations == reference["operations"]
 
 
 class TestTimeLimitInsideABlock:
-    """Every cutoff position, each against the scalar backend too."""
+    """Every cutoff position, each against the scalar reference too."""
 
     KWARGS = {"sessions_per_user": 2}
 
@@ -189,10 +191,10 @@ class TestTimeLimitInsideABlock:
                       time_limit_us=limit)
         reference = assert_blockings_agree(
             monkeypatch, generator, tmp_path, **kwargs)
-        scalar = generator.run_simulated(backend="fast", **kwargs)
-        assert scalar.log.operations == reference["operations"]
-        assert scalar.log.sessions == reference["sessions"]
-        assert scalar.simulated_duration_us == reference["duration_us"]
+        scalar, duration = reference_run(generator.spec, **kwargs)
+        assert scalar.operations == reference["operations"]
+        assert scalar.sessions == reference["sessions"]
+        assert duration == reference["duration_us"]
         return reference
 
     def test_limit_before_a_users_offset(self, monkeypatch, tmp_path,

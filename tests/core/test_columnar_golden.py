@@ -1,18 +1,27 @@
-"""Golden scalar-vs-columnar equivalence, across the whole scenario space.
+"""Golden reference-vs-production equivalence, across the scenario space.
 
-The columnar pipeline's contract is *representation change only*: for any
-workload, `generate_session_batch` must emit the byte-identical op stream
-that `generate_session` yields, and the `fast-columnar` backend must
-record the bit-identical operation records, session summaries and fleet
-tallies that the scalar `fast` backend records — including under
-`time_limit_us` truncation, for both access patterns, and with the phase
-model on or off.  These tests are the determinism floor the benchmark's
-identity check re-asserts before timing anything.
+Production has one plan builder (columns, pre-drawn blocks) and one
+engine-free executor (a block of users per array pass).  What they must
+reproduce is the scalar twin they replaced, kept verbatim in
+``reference_scalar.py``: one object per op, one draw per variate, one
+running float clock per user.
+
+* **synthesis** — `session_ops` against
+  `generate_session_batch(...).iter_session_ops()` (what
+  `generate_session` yields): every scenario, and the paper spec ×
+  access pattern × phase model;
+* **replay** — `replay` against the executor behind `--backend fast` /
+  `fast-columnar`: records (timing included), summaries, duration and
+  fleet tallies — plain, truncated, with arrivals, over pooled kernels;
+* **DES** — content identity with the same reference (it reads the
+  builder's batch through the per-op bridge).
 """
 
 import pytest
 
 from repro.core import (
+    DEFAULT_ARRIVALS,
+    HOUR_US,
     PhaseModel,
     StreamReader,
     WorkloadGenerator,
@@ -23,13 +32,15 @@ from repro.fleet.merge import ShardAccumulator
 from repro.scenarios import get_scenario, scenario_names
 from repro.vfs import MemoryFileSystem
 
+from .reference_scalar import reference_run, session_ops
+
 SPEC = paper_workload_spec(n_users=3, total_files=150, seed=11)
 
 
 def synthesizers(spec, access_pattern="sequential", phases=False):
-    """Two stream-aligned generator sets for one spec (scalar/columnar
-    paths consume the same per-user streams, so each side needs its own
-    fresh ``WorkloadGenerator``)."""
+    """Two stream-aligned generator sets for one spec (reference and
+    production consume the same per-user streams, so each side needs
+    its own fresh ``WorkloadGenerator``)."""
     out = []
     for _ in range(2):
         generator = WorkloadGenerator(spec)
@@ -51,7 +62,7 @@ def assert_streams_identical(spec, access_pattern, phases, sessions=2):
     compared = 0
     for scalar_gen, columnar_gen in zip(scalar_users, columnar_users):
         for session_id in range(sessions):
-            scalar = list(scalar_gen.generate_session(session_id))
+            scalar = list(session_ops(scalar_gen, session_id))
             batch = columnar_gen.generate_session_batch(session_id)
             columnar = list(batch.iter_session_ops())
             assert scalar == columnar
@@ -60,7 +71,8 @@ def assert_streams_identical(spec, access_pattern, phases, sessions=2):
 
 
 class TestSessionStreamsAcrossScenarios:
-    """Every registered scenario: scalar and columnar synthesis agree."""
+    """Every registered scenario: reference and production synthesis
+    agree."""
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_streams_identical(self, name):
@@ -81,79 +93,133 @@ class TestSessionStreamsMatrix:
         assert_streams_identical(SPEC, access_pattern, phases)
 
 
-class TestBackendRecordsMatrix:
-    """fast vs fast-columnar: bit-identical records, timing included."""
+def assert_replays_identical(spec, sessions, pooled=False, **kwargs):
+    """Reference replay ≡ the executor: records (timing included),
+    summaries, duration."""
+    reference, duration = reference_run(spec, sessions, pooled=pooled,
+                                        **kwargs)
+    produced = WorkloadGenerator(spec).run_simulated(
+        sessions_per_user=sessions, backend="fast-columnar", **kwargs)
+    assert reference.operations == produced.log.operations
+    assert reference.sessions == produced.log.sessions
+    assert duration == produced.simulated_duration_us
+    return reference
 
-    def run(self, backend, **kwargs):
-        return WorkloadGenerator(SPEC).run_simulated(
-            sessions_per_user=2, backend=backend, **kwargs
-        )
 
+def scenario_kwargs(scenario, arrivals):
+    return {
+        "access_pattern": scenario.access_pattern,
+        "phase_model_factory": (PhaseModel if scenario.use_phase_model
+                                else None),
+        "arrivals": ((scenario.arrival_model or DEFAULT_ARRIVALS)
+                     if arrivals else None),
+    }
+
+
+class TestReplayMatrix:
+    """Reference replay vs the one engine-free executor."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("kwargs", [
         {},
         {"access_pattern": "random"},
         {"phase_model_factory": PhaseModel},
         {"access_pattern": "random", "phase_model_factory": PhaseModel},
     ])
-    def test_records_identical(self, kwargs):
-        scalar = self.run("fast", **kwargs)
-        columnar = self.run("fast-columnar", **kwargs)
-        assert scalar.log.operations == columnar.log.operations
-        assert scalar.log.sessions == columnar.log.sessions
-        assert (scalar.simulated_duration_us
-                == columnar.simulated_duration_us)
+    def test_records_identical(self, kwargs, pooled):
+        reference = assert_replays_identical(SPEC, 2, pooled=pooled, **kwargs)
+        assert reference.operations and reference.sessions
 
-    def test_truncation_identical(self):
-        full = self.run("fast")
-        limit = full.simulated_duration_us / 4
-        scalar = self.run("fast", time_limit_us=limit)
-        columnar = self.run("fast-columnar", time_limit_us=limit)
-        assert scalar.log.operations == columnar.log.operations
-        assert scalar.log.sessions == columnar.log.sessions
-        assert (scalar.simulated_duration_us
-                == columnar.simulated_duration_us)
-        assert len(columnar.log.operations) < len(full.log.operations)
+    @pytest.mark.parametrize("arrivals", [False, True])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_records_identical(self, name, arrivals):
+        scenario = get_scenario(name)
+        reference = assert_replays_identical(
+            scenario.build(4, 17), 2, pooled=True,
+            **scenario_kwargs(scenario, arrivals))
+        assert reference.operations
+        if arrivals:  # the timeline did move: nobody starts at clock 0
+            assert min(op.start_us for op in reference.operations) > 0.0
 
-    def test_matches_des_content(self):
-        sim = self.run("nfs")
-        columnar = self.run("fast-columnar")
+    @pytest.mark.parametrize("arrivals", [False, True])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_truncation_identical(self, name, arrivals):
+        scenario = get_scenario(name)
+        spec = scenario.build(4, 17)
+        kwargs = scenario_kwargs(scenario, arrivals)
+        full, duration = reference_run(spec, 2, **kwargs)
+        reference = assert_replays_identical(
+            spec, 2, time_limit_us=duration * (0.5 if arrivals else 1 / 3),
+            **kwargs)
+        assert len(reference.operations) < len(full.operations)
 
-        def by_user(log):
-            out = {}
-            for op in log.operations:
-                out.setdefault(op.user_id, []).append(
-                    (op.session_id, op.op, op.path, op.category_key, op.size)
-                )
-            return out
 
-        assert by_user(sim.log) == by_user(columnar.log)
+def content_by_user(log):
+    """Per-user, in-order, timing-free projection of an op log (the DES
+    interleaves users on the engine clock)."""
+    out = {}
+    for op in log.operations:
+        out.setdefault(op.user_id, []).append(
+            (op.session_id, op.op, op.path, op.category_key, op.size)
+        )
+    return out
+
+
+def content_sessions(log):
+    return sorted(
+        (s.user_id, s.user_type, s.session_id, s.files_referenced,
+         s.bytes_accessed, s.file_bytes_referenced, s.categories)
+        for s in log.sessions
+    )
+
+
+class TestDesContent:
+    """The DES issues the reference's stream, read through the bridge."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario(self, name):
+        scenario = get_scenario(name)
+        spec = scenario.build(4, 13)
+        kwargs = scenario_kwargs(scenario, arrivals=False)
+        sim = WorkloadGenerator(spec).run_simulated(
+            sessions_per_user=1, backend="nfs", **kwargs)
+        reference, _ = reference_run(spec, 1, **kwargs)
+        assert content_by_user(sim.log) == content_by_user(reference)
+        assert content_sessions(sim.log) == content_sessions(reference)
+        assert reference.operations
 
 
 class TestFleetTallies:
-    """The fleet aggregate is bit-for-bit backend- and shard-invariant."""
+    """The fleet aggregate is bit-for-bit the reference's, whatever the
+    shard count."""
 
+    @staticmethod
+    def reference_tally(name, users, seed, arrivals=False):
+        scenario = get_scenario(name)
+        kwargs = scenario_kwargs(scenario, arrivals)
+        sink = ShardAccumulator(window_us=HOUR_US if arrivals else None)
+        reference_run(scenario.build(users, seed),
+                      scenario.default_sessions, log=sink, **kwargs)
+        return sink.tally
+
+    @pytest.mark.parametrize("arrivals", [False, True])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_columnar_tally_equals_scalar(self, shards):
-        scalar = run_fleet(FleetConfig(
+    def test_fleet_tally_equals_reference(self, shards, arrivals):
+        fleet = run_fleet(FleetConfig(
             scenario="mixed-campus", users=12, shards=shards, workers=1,
-            seed=5, backend="fast",
+            seed=5, backend="fast-columnar", use_arrivals=arrivals,
         ))
-        columnar = run_fleet(FleetConfig(
-            scenario="mixed-campus", users=12, shards=shards, workers=1,
-            seed=5, backend="fast-columnar",
-        ))
-        assert scalar.tally == columnar.tally
-        assert scalar.aggregate_kv() == columnar.aggregate_kv()
+        assert fleet.tally == self.reference_tally(
+            "mixed-campus", 12, 5, arrivals)
+        assert bool(fleet.tally.ops_by_window) == arrivals
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_tallies_match(self, name):
-        runs = [
-            run_fleet(FleetConfig(scenario=name, users=4, shards=1,
-                                  workers=1, seed=3, backend=backend))
-            for backend in ("fast", "fast-columnar")
-        ]
-        assert runs[0].tally == runs[1].tally
-        assert runs[0].tally.operations > 0
+        fleet = run_fleet(FleetConfig(scenario=name, users=4, shards=1,
+                                      workers=1, seed=3,
+                                      backend="fast-columnar"))
+        assert fleet.tally == self.reference_tally(name, 4, 3)
+        assert fleet.tally.operations > 0
 
 
 class TestStreamArtifactsAcrossScenarios:

@@ -9,11 +9,14 @@ import pytest
 
 from repro.core import (
     AnalyticServiceModel,
+    ColumnarReplayBackend,
+    FAST_BACKENDS,
     FastReplayBackend,
     FileSystemCreator,
     PhaseModel,
     RUN_BACKENDS,
     SessionGenerator,
+    StreamFileSink,
     UsageLog,
     UserSessions,
     WorkloadGenerator,
@@ -22,6 +25,8 @@ from repro.core import (
 )
 from repro.distributions import Distribution, RandomStreams
 from repro.vfs import MemoryFileSystem
+
+from .reference_scalar import reference_run
 
 SPEC = paper_workload_spec(n_users=3, total_files=200, seed=21)
 
@@ -104,6 +109,31 @@ class TestCrossBackendDeterminism:
             run("warp")
         assert "fast" in RUN_BACKENDS
 
+    def test_both_engine_free_names_are_one_executor(self, monkeypatch,
+                                                     tmp_path):
+        # Nothing of its own but the name (the e2e tracer needs
+        # `execute` inherited, so it is a subclass and not an alias).
+        assert "execute" not in vars(ColumnarReplayBackend)
+        assert ColumnarReplayBackend.execute is FastReplayBackend.execute
+        built = []
+        execute = FastReplayBackend.execute
+
+        def spy(self, *args, **kwargs):
+            built.append(type(self))
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastReplayBackend, "execute", spy)
+        artifacts = []
+        for backend in FAST_BACKENDS:
+            path = tmp_path / f"{backend}.opstream"
+            with StreamFileSink(str(path)) as sink:
+                result = run(backend, log=sink)
+            # The spelling asked for is the one recorded.
+            assert result.backend == backend
+            artifacts.append(path.read_bytes())
+        assert built == [ColumnarReplayBackend, ColumnarReplayBackend]
+        assert artifacts[0] == artifacts[1]
+
 
 class TestStagedPipeline:
     def test_plan_users_validates_ids(self):
@@ -179,22 +209,22 @@ class TestAnalyticServiceModel:
     @pytest.mark.parametrize("which", ["op-start", "session-end"])
     def test_exact_boundary_limit_is_exclusive_across_backends(self, which):
         # The pinned rule: an op starting exactly at the limit is
-        # excluded — `start >= limit` drops the op — and fast vs
-        # fast-columnar stay bit-identical at that exact boundary.
+        # excluded — `start >= limit` drops the op — and the executor
+        # stays bit-identical to the per-op reference replay at that
+        # exact boundary.
         full = run("fast")
         if which == "op-start":
             limit = full.log.operations[len(full.log.operations) // 2].start_us
         else:
             limit = full.log.sessions[0].end_us
         assert limit > 0.0
-        scalar = run("fast", time_limit_us=limit)
-        columnar = run("fast-columnar", time_limit_us=limit)
-        assert scalar.log.operations == columnar.log.operations
-        assert scalar.log.sessions == columnar.log.sessions
-        assert scalar.simulated_duration_us == columnar.simulated_duration_us
-        for result in (scalar, columnar):
-            assert all(o.start_us < limit for o in result.log.operations)
-            assert not any(o.start_us == limit for o in result.log.operations)
+        reference, duration = reference_run(SPEC, 2, time_limit_us=limit)
+        cut = run("fast", time_limit_us=limit)
+        assert reference.operations == cut.log.operations
+        assert reference.sessions == cut.log.sessions
+        assert duration == cut.simulated_duration_us
+        assert 0 < len(cut.log.operations) < len(full.log.operations)
+        assert all(o.start_us < limit for o in cut.log.operations)
         # the DES applies the same exclusive-boundary rule to its own clock
         des = run("nfs", time_limit_us=limit)
         assert all(o.start_us < limit for o in des.log.operations)

@@ -1,4 +1,4 @@
-"""Pooled-kernel state isolation and fused-builder byte identity.
+"""Pooled-kernel state isolation.
 
 The fused per-user kernel pools one :class:`SessionGenerator` per user
 type and re-targets it with
@@ -8,10 +8,8 @@ leakage*: a rebound kernel must serve draw-for-draw exactly what a
 freshly constructed generator serves, no matter which users (or how
 many sessions of them) it drained before.  The hypothesis tests here
 pin that property over random populations, session counts and access
-patterns; the golden matrix re-pins the fused plan builder's byte
-identity (scalar ``fast`` vs ``fast-columnar``) across every registered
-scenario with arrivals on and off and under ``time_limit_us``
-truncation.
+patterns.  (The plan builder's byte identity with the scalar reference,
+pooled kernels included, lives in ``test_columnar_golden.py``.)
 
 The sampler half of the contract — a :class:`BatchSampler` serves the
 same values whatever sizes its refills take — is pinned against a
@@ -23,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PhaseModel, WorkloadGenerator, paper_workload_spec
-from repro.core.arrivals import DEFAULT_ARRIVALS
 from repro.core.generator import TableSampler
 from repro.distributions import (
     BatchSampler,
@@ -31,7 +28,6 @@ from repro.distributions import (
     RandomStreams,
     ShiftedExponential,
 )
-from repro.scenarios import get_scenario, scenario_names
 from repro.vfs import MemoryFileSystem
 
 
@@ -47,8 +43,10 @@ def _staged(spec, access_pattern="sequential"):
 
 
 def _drain_users(generator, layout, assignment, selected, access_pattern,
-                 sessions, reuse_kernels, phases=False, columnar=False):
-    """Op streams per user, drained through pooled or fresh kernels."""
+                 sessions, reuse_kernels, phases=False, fused=False):
+    """Op streams per user, drained through pooled or fresh kernels:
+    session by session through the per-op iterator, or ``fused`` into
+    one user batch."""
     streams = {}
     for kernel in generator.iter_synthesized_users(
         layout, selected, assignment,
@@ -56,7 +54,7 @@ def _drain_users(generator, layout, assignment, selected, access_pattern,
         phase_model_factory=PhaseModel if phases else None,
         reuse_kernels=reuse_kernels,
     ):
-        if columnar:
+        if fused:
             batch, _bounds = kernel.generate_user_batch(range(sessions))
             ops = list(batch.iter_session_ops())
         else:
@@ -101,9 +99,9 @@ class TestPooledStateIsolation:
                                    seed=seed,
                                    heavy_fraction=heavy_fraction)
         pooled = _drain_users(*_staged(spec), access_pattern, sessions,
-                              reuse_kernels=True, columnar=True)
+                              reuse_kernels=True, fused=True)
         fresh = _drain_users(*_staged(spec), access_pattern, sessions,
-                             reuse_kernels=False, columnar=True)
+                             reuse_kernels=False, fused=True)
         assert pooled == fresh
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -201,51 +199,3 @@ class TestBlockSizeIsNotPartOfTheStream:
         rng = RandomStreams(5).fork("user-3").get("chunk")
         sampler = BatchSampler(dist, rng, block=block)
         assert _mixed_sequence(sampler) == FIXED_BLOCK_GOLDEN
-
-
-class TestFusedBuilderGoldenMatrix:
-    """fast ≡ fast-columnar records for every scenario × arrivals ×
-    truncation — the fused plan builder's byte-identity pin."""
-
-    @pytest.mark.parametrize("arrivals", [False, True])
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_records_identical(self, name, arrivals):
-        scenario = get_scenario(name)
-        spec = scenario.build(4, 17)
-        model = ((scenario.arrival_model or DEFAULT_ARRIVALS)
-                 if arrivals else None)
-        results = {}
-        for backend in ("fast", "fast-columnar"):
-            results[backend] = WorkloadGenerator(spec).run_simulated(
-                sessions_per_user=2,
-                backend=backend,
-                access_pattern=scenario.access_pattern,
-                phase_model_factory=(PhaseModel if scenario.use_phase_model
-                                     else None),
-                arrivals=model,
-            )
-        assert (results["fast"].log.operations
-                == results["fast-columnar"].log.operations)
-        assert (results["fast"].log.sessions
-                == results["fast-columnar"].log.sessions)
-
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_truncation_identical(self, name):
-        scenario = get_scenario(name)
-        spec = scenario.build(4, 17)
-
-        def run(backend, limit=None):
-            return WorkloadGenerator(spec).run_simulated(
-                sessions_per_user=2,
-                backend=backend,
-                access_pattern=scenario.access_pattern,
-                time_limit_us=limit,
-            )
-
-        limit = run("fast").simulated_duration_us / 3
-        scalar = run("fast", limit)
-        columnar = run("fast-columnar", limit)
-        assert scalar.log.operations == columnar.log.operations
-        assert scalar.log.sessions == columnar.log.sessions
-        assert (scalar.simulated_duration_us
-                == columnar.simulated_duration_us)

@@ -10,8 +10,9 @@ The recovery contract has three legs:
   (chunk boundaries are a pure function of global row count);
 * **verify** — ``verify_stream`` walks every chunk CRC and reports
   corruption and truncation per chunk, loudly — and a CRC-valid footer
-  whose fields are mis-shaped, or whose index lies about the rows, is
-  reported the same way, never raised as a raw exception.
+  or header whose fields are mis-shaped, or a footer whose index lies
+  about the rows, is reported the same way, never raised as a raw
+  exception.
 """
 
 import json
@@ -36,6 +37,7 @@ from repro.core import (
 )
 from repro.core.streamfile import (
     _FRAME_FMT,
+    _HEAD_FMT,
     _TAIL_FMT,
     MAGIC,
     ROW_BYTES,
@@ -405,3 +407,89 @@ class TestHostileFooter:
         report = verify_stream(clean_artifact)
         assert not report.ok and report.complete
         assert report.errors == ["chunk 1: footer index disagrees with rows"]
+
+
+def reframe_header(path, mutate):
+    """Rewrite ``path``'s header as ``mutate(header)`` leaves it, re-CRC'd.
+
+    The header's length may change, so every frame moves: the footer's
+    chunk offsets and the tail's footer offset are shifted to match, and
+    a header that is still well-formed leaves a valid artifact.
+    """
+    with StreamReader(path) as reader:
+        data_start, footer_offset = reader._data_start, reader._footer_offset
+        header = reader.header
+        _, raw_footer = reader._read_frame(footer_offset, "footer")
+    with open(path, "rb") as stream:
+        data = stream.read()
+    header = mutate(header) or header
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    head = (data[:len(MAGIC) + 2]
+            + struct.pack(_HEAD_FMT, len(raw), zlib.crc32(raw)) + raw)
+    shift = len(head) - data_start
+    footer = json.loads(raw_footer)
+    for entry in footer["chunks"]:
+        entry["offset"] += shift
+    raw_footer = json.dumps(footer, sort_keys=True,
+                            separators=(",", ":")).encode()
+    with open(path, "wb") as stream:
+        stream.write(head + data[data_start:footer_offset])
+        stream.write(struct.pack(_FRAME_FMT, b"F", len(raw_footer),
+                                 zlib.crc32(raw_footer)))
+        stream.write(raw_footer)
+        stream.write(struct.pack(_TAIL_FMT, footer_offset + shift) + MAGIC)
+
+
+def _drop_rows_per_chunk(header):
+    del header["rows_per_chunk"]
+
+
+HEADER_MUTATIONS = {
+    "header is a list": lambda header: [header],
+    "header is a number": lambda header: 7,
+    "rows_per_chunk is missing": _drop_rows_per_chunk,
+    "rows_per_chunk is a string": _set(None, "rows_per_chunk", "x"),
+    "rows_per_chunk is null": _set(None, "rows_per_chunk", None),
+    "rows_per_chunk is a float": _set(None, "rows_per_chunk", 32.5),
+    "rows_per_chunk is a bool": _set(None, "rows_per_chunk", True),
+    "rows_per_chunk is zero": _set(None, "rows_per_chunk", 0),
+    "rows_per_chunk is a list": _set(None, "rows_per_chunk", [32]),
+    "metadata is a list": _set(None, "metadata", [["a", 1]]),
+    "metadata is a number": _set(None, "metadata", 7),
+    "kinds is a number": _set(None, "kinds", 7),
+    "columns is a number": _set(None, "columns", 7),
+    "columns holds a number": _set(None, "columns", [7]),
+    "version is a string": _set(None, "version", "x"),
+    "version is a list": _set(None, "version", [1]),
+}
+
+
+class TestHostileHeader:
+    """A CRC-valid header is outside input too: typed errors only."""
+
+    @pytest.mark.parametrize("why", sorted(HEADER_MUTATIONS))
+    def test_misshaped_header_is_a_typed_error(self, clean_artifact, why):
+        reframe_header(clean_artifact, HEADER_MUTATIONS[why])
+        with pytest.raises(StreamFormatError, match="header|kind|column"):
+            StreamReader(clean_artifact)
+        report = verify_stream(clean_artifact)
+        assert not report.ok and not report.complete
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("header:")
+        # Without a header there is no chunk size to salvage against.
+        with pytest.raises(StreamFormatError, match="header|kind|column"):
+            salvage_stream(clean_artifact)
+
+    def test_reframing_alone_changes_nothing(self, clean_artifact):
+        before = open(clean_artifact, "rb").read()
+        reframe_header(clean_artifact, lambda header: None)
+        assert open(clean_artifact, "rb").read() == before
+
+    def test_a_longer_wellformed_header_still_verifies(self, clean_artifact,
+                                                       events):
+        reframe_header(clean_artifact,
+                       _set(None, "metadata", {"note": "x" * 100}))
+        report = verify_stream(clean_artifact)
+        assert report.ok and report.rows == events.rows
+        with StreamReader(clean_artifact) as reader:
+            assert reader.metadata == {"note": "x" * 100}

@@ -187,6 +187,19 @@ class TestStreamContent:
         b = collect_ops(layout, sessions=1, user_id=1)
         assert a != b
 
+    def test_generate_session_draws_nothing_before_first_next(self, layout):
+        # The DES creates a user's iterator and may never advance it (a
+        # time limit, a late login): an unadvanced iterator must leave
+        # every stream and the plan counter where they were.
+        touched, fresh = make_generator(layout), make_generator(layout)
+        unadvanced = touched.generate_session(0)
+        assert touched._plan_counter == 0
+        assert (list(touched.generate_session(1))
+                == list(fresh.generate_session(1)))
+        # ...and the whole session is drawn at the first next().
+        next(unadvanced)
+        assert touched._plan_counter > fresh._plan_counter
+
 
 class TestPhaseModel:
     def test_validation(self):

@@ -40,11 +40,13 @@ def _config(tmp_path, name="out.opstream", **overrides):
     return FleetConfig(**base)
 
 
-def _killed_run(tmp_path, row=2000, name="victim.opstream", shards=2):
+def _killed_run(tmp_path, row=2000, name="victim.opstream", shards=2,
+                **overrides):
     """Run until shard 0 dies at ``row`` with retries off; keep the dir."""
     config = _config(tmp_path, name=name, shards=shards, max_retries=0,
                      keep_run_dir=True,
-                     faults=(FaultSpec(kind="kill", shard=0, row=row),))
+                     faults=(FaultSpec(kind="kill", shard=0, row=row),),
+                     **overrides)
     with pytest.raises(FleetPartialError):
         run_fleet(config)
     return config
@@ -73,6 +75,21 @@ class TestResumeGolden:
         config = _killed_run(tmp_path, row=1500)
         resumed = run_fleet(
             resume_fleet_config(config.out_stream + ".run", workers=1))
+        assert filecmp.cmp(resumed.out_stream, clean.out_stream,
+                           shallow=False)
+
+    def test_a_run_recorded_as_fast_resumes_to_the_same_bytes(self,
+                                                              tmp_path):
+        # Both engine-free spellings are one executor: a directory
+        # recorded under the other name resumes, keeps its name, and
+        # lands on the bytes a clean `fast-columnar` run writes.
+        clean = run_fleet(_config(tmp_path, name="clean.opstream"))
+        config = _killed_run(tmp_path, row=1500, backend="fast")
+        resumed_config = resume_fleet_config(config.out_stream + ".run",
+                                             workers=1)
+        assert resumed_config.backend == "fast"
+        resumed = run_fleet(resumed_config)
+        assert resumed.resumed and resumed.reused_chunks >= 1
         assert filecmp.cmp(resumed.out_stream, clean.out_stream,
                            shallow=False)
 

@@ -374,6 +374,23 @@ class TestStreamCommands:
         assert "op rows" in out
         assert "meta.tool" in out
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--users", "2", "--sessions", "1"],
+        ["fleet", "run", "--scenario", "dev-team", "--users", "2",
+         "--shards", "2", "--workers", "1"],
+    ], ids=["simulate", "fleet"])
+    def test_both_engine_free_spellings_write_the_same_bytes(
+            self, tmp_path, command):
+        # One executor, and the header names it, not the spelling typed.
+        blobs = []
+        for backend in ("fast", "fast-columnar"):
+            path = tmp_path / f"{backend}.opstream"
+            assert main(command + ["--files", "80", "--seed", "9",
+                                   "--backend", backend,
+                                   "--out-stream", str(path)]) == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_replay_round_trip(self, tmp_path, capsys):
         path = self.simulate_artifact(tmp_path)
         capsys.readouterr()
