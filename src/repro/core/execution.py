@@ -55,6 +55,7 @@ from .opbatch import (
     KIND_THINK,
     OpBatch,
     REFERENCE_KIND_CODES,
+    batch_emitter,
 )
 from .oplog import OpSink, SessionRecord
 from .synthesis import _SEAT_BLOCK_USERS, BlockColumns, SessionGenerator
@@ -364,7 +365,7 @@ class FastReplayBackend(ExecutionBackend):
         starts_list = session_starts.tolist()
         ends_list = session_ends.tolist()
         user_types = batch.user_types.values()
-        record_batch = getattr(log, "record_batch", None)
+        emit = batch_emitter(log)
         # Emit per session — the same sink event sequence (one batch and
         # one summary per executed session) a block of one produces.
         first = 0
@@ -375,13 +376,7 @@ class FastReplayBackend(ExecutionBackend):
                     # rows recorded (every one starts at or past the
                     # limit), no summary.
                     break
-                sub = rec.select(slice(lows[s], stops[s]))
-                if record_batch is not None:
-                    record_batch(sub)
-                else:
-                    record_op = log.record_op
-                    for record in sub.to_records():
-                        record_op(record)
+                emit(rec.select(slice(lows[s], stops[s])))
                 if stops[s] < lows[s + 1] or (limit is not None
                                               and ends_list[s] > limit):
                     # Ops dropped, or a trailing think pushed the clock

@@ -24,7 +24,8 @@ The batch is the unit the pipeline moves around:
   UsageLog`, :class:`~repro.fleet.merge.WorkloadTally`,
   :class:`~repro.fleet.merge.ShardAccumulator`) fold whole batches with
   ``np.bincount``-style reductions; everything else receives the batch
-  through the :meth:`to_records` bridge, one record at a time.
+  through the :meth:`to_records` bridge, one record at a time —
+  :func:`batch_emitter` is the one place that choice is made.
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,
@@ -61,6 +62,7 @@ __all__ = [
     "SessionOp",
     "StringTable",
     "OpBatch",
+    "batch_emitter",
 ]
 
 OP_KIND_NAMES: tuple[str, ...] = (
@@ -364,3 +366,31 @@ class OpBatch:
             )
             if thinks is not None:
                 yield SessionOp("think", size=thinks[i])
+
+
+def batch_emitter(*sinks):
+    """One ``emit(batch)`` callable feeding every sink in ``sinks``, in order.
+
+    A sink with ``record_batch`` receives the batch itself; any other
+    receives the same rows through the :meth:`OpBatch.to_records` bridge,
+    one ``record_op`` at a time (converted once per batch, however many
+    scalar sinks there are).  The choice is made here, once per sink, so
+    no forwarding wrapper or replay loop branches on it per batch.
+    """
+    folds = [getattr(sink, "record_batch", None) for sink in sinks]
+    if len(folds) == 1 and folds[0] is not None:
+        return folds[0]
+
+    def emit(batch) -> None:
+        records = None
+        for sink, fold in zip(sinks, folds):
+            if fold is not None:
+                fold(batch)
+                continue
+            if records is None:
+                records = batch.to_records()
+            record_op = sink.record_op
+            for record in records:
+                record_op(record)
+
+    return emit

@@ -43,6 +43,19 @@ same frames byte for byte.  Every frame is CRC-checked; any truncation
 or bit flip surfaces as :class:`StreamFormatError`, never as garbage
 records.
 
+Reading is said once: :func:`_read_frame` is the one frame walk (seek,
+frame head, length bounded by the file size, read, CRC) behind indexed
+chunk/footer reads, the sequential scan and salvage's re-read, and
+:func:`_chunk_events` is the one interleave of a chunk's op rows and
+session summaries behind both replays and the shard merge.
+
+Crash recovery trusts the file alone.  ``checkpoint=True`` makes the
+writer ``flush()`` after every chunk frame, so a killed process leaves
+whole frames; :func:`salvage_stream` is *footer, else scan* — a file
+whose footer opens is complete, otherwise the frames are walked from
+the header and only chunks that pass their CRC and decode survive.
+Nothing beside the artifact is written or read.
+
 Versioning: ``FORMAT_VERSION`` bumps on any layout change; readers
 reject newer versions loudly.  See ``docs/architecture.md`` for the
 format's rationale and evolution rules.
@@ -64,7 +77,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .opbatch import OP_KIND_NAMES, OpBatch, StringTable
+from .opbatch import OP_KIND_NAMES, OpBatch, StringTable, batch_emitter
 from .oplog import OpRecord, SessionRecord
 
 __all__ = [
@@ -72,7 +85,6 @@ __all__ = [
     "STREAM_FORMAT_VERSION",
     "ROW_BYTES",
     "DEFAULT_MEMORY_BUDGET",
-    "CHECKPOINT_SUFFIX",
     "StreamFormatError",
     "rows_per_chunk_for",
     "TeeSink",
@@ -132,21 +144,6 @@ _HEAD_FMT = "<LL"  # frame length, crc32 (header frame)
 _FRAME_FMT = "<cQL"  # frame type, payload length, crc32
 _TAIL_FMT = "<Q"  # footer frame offset (followed by MAGIC)
 _TAIL_BYTES = struct.calcsize(_TAIL_FMT) + len(MAGIC)
-
-CHECKPOINT_SUFFIX = ".progress"
-"""Sidecar suffix of a checkpointing writer's progress record.
-
-The sidecar is a small JSON document rewritten atomically
-(tmp + ``os.replace``) after every chunk flush: it names the chunks
-already durable in the main file so :func:`salvage_stream` can verify
-exactly those frames after a crash instead of scanning blind.  It is
-advisory — salvage falls back to a sequential CRC walk whenever the
-sidecar is missing, stale, or disagrees with the data file — and it is
-deleted when the artifact closes cleanly (a complete file carries its
-own footer index).
-"""
-CHECKPOINT_FORMAT = "repro.opstream-progress"
-CHECKPOINT_VERSION = 1
 
 
 class StreamFormatError(ValueError):
@@ -282,9 +279,7 @@ def _encode_chunk(batch: OpBatch,
     has_think = batch.think_us is not None
     out.write(struct.pack("<QB", len(batch), int(has_think)))
     compacted = {}
-    for idx_name, table_name in (("path_idx", "paths"),
-                                 ("category_idx", "categories"),
-                                 ("user_type_idx", "user_types")):
+    for idx_name, table_name in _STRING_COLUMNS:
         new_idx, values = _compact_column(
             getattr(batch, idx_name), getattr(batch, table_name))
         compacted[idx_name] = new_idx
@@ -425,9 +420,70 @@ def _parse_sessions(frames, what: str) -> list[tuple[int, SessionRecord]]:
             f"{what}: corrupt session record ({exc})") from None
 
 
+def _entry_from_chunk(offset: int, batch: OpBatch,
+                      sessions: list) -> dict:
+    """The footer-index entry of a chunk (the writer's, or one rebuilt
+    from a decoded chunk)."""
+    n = len(batch)
+    return {
+        "offset": offset,
+        "rows": n,
+        "sessions": len(sessions),
+        "user_lo": int(batch.user_ids.min()) if n else None,
+        "user_hi": int(batch.user_ids.max()) if n else None,
+        "start_lo": float(batch.start_us.min()) if n else None,
+        "start_hi": float(batch.start_us.max()) if n else None,
+    }
+
+
+def _chunk_events(batch: OpBatch, sessions, row_start: int):
+    """A chunk's events in recorded order.
+
+    Yields ``("rows", piece)`` for each non-empty run of op rows and
+    ``("session", record)`` for each summary, cut at the global op-row
+    positions the writer tagged the summaries with — the one interleave
+    behind both replays and the shard merge.
+    """
+    cursor = 0
+    for position, record in sessions:
+        local = min(max(position - row_start, 0), len(batch))
+        if local > cursor:
+            yield "rows", batch.select(slice(cursor, local))
+            cursor = local
+        yield "session", record
+    if cursor < len(batch):
+        yield "rows", batch.select(slice(cursor, len(batch)))
+
+
 # ---------------------------------------------------------------------------
-# Header parsing (shared by the reader, salvage, and verification)
+# Frame and header parsing (shared by the reader, salvage, and verification)
 # ---------------------------------------------------------------------------
+
+
+def _read_frame(stream, offset: int, size: int, what: str):
+    """The frame at ``offset`` of a ``size``-byte file, CRC-checked.
+
+    Returns ``(kind, payload, next_offset)``.  The one frame walk: every
+    reader of frames — indexed seeks, the sequential scan, salvage —
+    comes through here, so a corrupt length field always surfaces as
+    :class:`StreamFormatError` (bounded by the file size *before*
+    reading, never a huge allocation) and no payload escapes unchecked.
+    """
+    head_bytes = struct.calcsize(_FRAME_FMT)
+    stream.seek(offset)
+    head = stream.read(head_bytes)
+    if len(head) != head_bytes:
+        raise StreamFormatError(
+            f"truncated stream file: {what} frame header")
+    kind, length, crc = struct.unpack(_FRAME_FMT, head)
+    stop = offset + head_bytes + length
+    if stop <= size:
+        payload = stream.read(length)
+    if stop > size or len(payload) != length:
+        raise StreamFormatError(f"truncated stream file: {what} payload")
+    if zlib.crc32(payload) != crc:
+        raise StreamFormatError(f"{what} failed its checksum")
+    return kind, payload, stop
 
 
 def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
@@ -511,7 +567,8 @@ class StreamWriter:
 
     def __init__(self, path: str, rows_per_chunk: int,
                  metadata: dict | None = None, observer=None,
-                 checkpoint: bool = False, flush_hook=None):
+                 checkpoint: bool = False, flush_hook=None, *,
+                 _salvaged: "SalvagedStream | None" = None):
         if rows_per_chunk < 1:
             raise ValueError(
                 f"rows_per_chunk must be >= 1, got {rows_per_chunk}"
@@ -525,24 +582,32 @@ class StreamWriter:
         # boundaries stay a pure function of the global row count.
         self._observer = (observer if observer is not None
                           and getattr(observer, "enabled", False) else None)
-        # ``checkpoint`` makes every chunk flush durable (file flush +
-        # atomic sidecar rewrite) so a crashed run can salvage the
-        # prefix; ``flush_hook(chunk_index)`` runs before each flush —
-        # the fault-injection seam for spill-path errors (ENOSPC).
-        # Neither changes a single byte of the artifact itself.
+        # ``checkpoint`` pushes every chunk frame to the OS as soon as
+        # it is written (``flush()`` after each), so a killed process
+        # leaves whole frames for :func:`salvage_stream` rather than a
+        # userspace buffer; ``flush_hook(chunk_index)`` runs before each
+        # flush — the fault-injection seam for spill-path errors
+        # (ENOSPC).  Neither changes a single byte of the artifact.
         self._checkpoint = bool(checkpoint)
         self._flush_hook = flush_hook
         self._pieces: deque[OpBatch] = deque()
         self._buffered = 0
-        self._rows_done = 0
         self._sessions: list[tuple[int, SessionRecord]] = []
-        self._sessions_done = 0
-        self._index: list[dict] = []
         self._closed = False
-        self.chunks_written = 0
-        self._stream = open(path, "wb")
+        self._rows_done = self._sessions_done = 0
+        self._index: list[dict] = []
+        if _salvaged is not None:  # continue its prefix (see resume())
+            self._rows_done = _salvaged.rows
+            self._sessions_done = _salvaged.sessions
+            self._index = [dict(entry) for entry in _salvaged.index]
+        self.chunks_written = len(self._index)
+        self._stream = open(path, "wb" if _salvaged is None else "r+b")
         try:
-            self._write_header()
+            if _salvaged is None:
+                self._write_header()
+            else:
+                self._stream.truncate(_salvaged.data_end)
+                self._stream.seek(_salvaged.data_end)
         except BaseException:
             self._stream.close()
             raise
@@ -574,30 +639,10 @@ class StreamWriter:
                 f"{salvaged.path}: resume metadata does not match the "
                 "on-disk header"
             )
-        writer = cls.__new__(cls)
-        writer.path = salvaged.path
-        writer.rows_per_chunk = int(salvaged.rows_per_chunk)
-        writer.metadata = dict(salvaged.metadata)
-        writer._observer = (observer if observer is not None
-                            and getattr(observer, "enabled", False) else None)
-        writer._checkpoint = bool(checkpoint)
-        writer._flush_hook = flush_hook
-        writer._pieces = deque()
-        writer._buffered = 0
-        writer._rows_done = salvaged.rows
-        writer._sessions = []
-        writer._sessions_done = salvaged.sessions
-        writer._index = [dict(entry) for entry in salvaged.index]
-        writer._closed = False
-        writer.chunks_written = len(salvaged.index)
-        writer._stream = open(salvaged.path, "r+b")
-        try:
-            writer._stream.truncate(salvaged.data_end)
-            writer._stream.seek(salvaged.data_end)
-        except BaseException:
-            writer._stream.close()
-            raise
-        return writer
+        return cls(salvaged.path, salvaged.rows_per_chunk,
+                   metadata=salvaged.metadata, observer=observer,
+                   checkpoint=checkpoint, flush_hook=flush_hook,
+                   _salvaged=salvaged)
 
     # -- events ---------------------------------------------------------------
 
@@ -629,11 +674,6 @@ class StreamWriter:
             if self._buffered or self._sessions:
                 self._flush_chunk(self._buffered)
             self._write_footer()
-            if self._checkpoint:
-                # A complete artifact carries its own footer index; the
-                # sidecar would only go stale from here.
-                with contextlib.suppress(OSError):
-                    os.unlink(self.path + CHECKPOINT_SUFFIX)
         finally:
             self._closed = True
             self._stream.close()
@@ -722,44 +762,15 @@ class StreamWriter:
                 time.perf_counter() - wall0, time.process_time() - cpu0,
                 rows=take, nbytes=framed,
             )
-        entry = {
-            "offset": offset,
-            "rows": take,
-            "sessions": len(sessions),
-            "user_lo": int(rows.user_ids.min()) if take else None,
-            "user_hi": int(rows.user_ids.max()) if take else None,
-            "start_lo": float(rows.start_us.min()) if take else None,
-            "start_hi": float(rows.start_us.max()) if take else None,
-        }
-        self._index.append(entry)
+        self._index.append(_entry_from_chunk(offset, rows, sessions))
         self._rows_done = boundary
         self._buffered -= take
         self._sessions_done += len(sessions)
         self.chunks_written += 1
         if self._checkpoint:
-            self._write_checkpoint()
-
-    def _write_checkpoint(self) -> None:
-        """Make the flushed prefix durable and record it in the sidecar."""
-        self._stream.flush()
-        state = json.dumps(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "version": CHECKPOINT_VERSION,
-                "rows_per_chunk": self.rows_per_chunk,
-                "chunks": self.chunks_written,
-                "rows": self._rows_done,
-                "sessions": self._sessions_done,
-                "data_end": self._stream.tell(),
-                "index": self._index,
-            },
-            sort_keys=True, separators=(",", ":"),
-        )
-        sidecar = self.path + CHECKPOINT_SUFFIX
-        tmp = sidecar + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(state)
-        os.replace(tmp, sidecar)
+            # The frame leaves the userspace buffer now: what a killed
+            # process leaves behind is whole, salvageable chunks.
+            self._stream.flush()
 
     def _write_footer(self) -> None:
         footer = json.dumps(
@@ -781,14 +792,15 @@ class StreamWriter:
 class TeeSink:
     """Fan one op stream out to several sinks (e.g. tally + stream file).
 
-    Batches go to batch-aware sinks as batches; any sink without
-    ``record_batch`` receives the same rows through the
-    :meth:`~repro.core.opbatch.OpBatch.to_records` bridge (converted
-    once per batch, however many scalar sinks are attached).
+    ``record_batch`` is :func:`~repro.core.opbatch.batch_emitter` over
+    the sinks: batch-aware ones get the batch, any sink without
+    ``record_batch`` the same rows through the ``to_records`` bridge
+    (converted once per batch, however many scalar sinks are attached).
     """
 
     def __init__(self, *sinks):
         self.sinks = sinks
+        self.record_batch = batch_emitter(*sinks)
 
     def record_op(self, record: OpRecord) -> None:
         for sink in self.sinks:
@@ -797,19 +809,6 @@ class TeeSink:
     def record_session(self, record: SessionRecord) -> None:
         for sink in self.sinks:
             sink.record_session(record)
-
-    def record_batch(self, batch: OpBatch) -> None:
-        records = None
-        for sink in self.sinks:
-            fold = getattr(sink, "record_batch", None)
-            if fold is not None:
-                fold(batch)
-                continue
-            if records is None:
-                records = batch.to_records()
-            record_op = sink.record_op
-            for record in records:
-                record_op(record)
 
 
 class StreamFileSink:
@@ -829,26 +828,17 @@ class StreamFileSink:
     def __init__(self, path: str,
                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
                  metadata: dict | None = None, observer=None,
-                 checkpoint: bool = False, flush_hook=None):
+                 checkpoint: bool = False, flush_hook=None, *,
+                 _writer: "StreamWriter | None" = None):
         self.memory_budget_bytes = int(memory_budget_bytes)
-        self._writer = StreamWriter(
+        # ``_writer``: an already-open (resumed) writer to wrap instead.
+        self._writer = _writer or StreamWriter(
             path, rows_per_chunk_for(memory_budget_bytes), metadata=metadata,
             observer=observer, checkpoint=checkpoint, flush_hook=flush_hook)
         self._scalar: list[OpRecord] = []
         # Scalar records columnarise in blocks; never hold more than a
         # chunk's worth (and keep tiny-budget tests exact).
         self._scalar_block = min(4096, self._writer.rows_per_chunk)
-
-    @classmethod
-    def _from_writer(cls, writer: StreamWriter,
-                     memory_budget_bytes: int) -> "StreamFileSink":
-        """Wrap an already-open writer (the resume path)."""
-        sink = cls.__new__(cls)
-        sink.memory_budget_bytes = int(memory_budget_bytes)
-        sink._writer = writer
-        sink._scalar = []
-        sink._scalar_block = min(4096, writer.rows_per_chunk)
-        return sink
 
     @property
     def path(self) -> str:
@@ -983,16 +973,6 @@ class StreamReader:
 
     # -- parsing --------------------------------------------------------------
 
-    def _must_read(self, n: int, what: str) -> bytes:
-        # Bound by the file size before reading: a corrupt length field
-        # must surface as StreamFormatError, not as a huge allocation.
-        if n > self._size:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        raw = self._stream.read(n)
-        if len(raw) != n:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        return raw
-
     def _read_header(self) -> None:
         version, header, self._data_start = _parse_header(
             self._stream, self._size, self.path)
@@ -1003,12 +983,11 @@ class StreamReader:
         self.kinds = tuple(header["kinds"])
 
     def _read_footer(self) -> None:
-        self._stream.seek(0, os.SEEK_END)
-        size = self._stream.tell()
+        size = self._size
         if size < _TAIL_BYTES:
             raise StreamFormatError("truncated stream file: no tail")
         self._stream.seek(size - _TAIL_BYTES)
-        tail = self._must_read(_TAIL_BYTES, "tail")
+        tail = self._stream.read(_TAIL_BYTES)
         if tail[struct.calcsize(_TAIL_FMT):] != MAGIC:
             raise StreamFormatError(
                 "truncated stream file: missing footer (was the writer "
@@ -1078,14 +1057,7 @@ class StreamReader:
         self.chunk_index: tuple[ChunkInfo, ...] = tuple(chunks)
 
     def _read_frame(self, offset: int, what: str):
-        self._stream.seek(offset)
-        head = self._must_read(struct.calcsize(_FRAME_FMT),
-                               f"{what} frame header")
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        payload = self._must_read(length, f"{what} payload")
-        if zlib.crc32(payload) != crc:
-            raise StreamFormatError(f"{what} failed its checksum")
-        return kind, payload
+        return _read_frame(self._stream, offset, self._size, what)[:2]
 
     # -- access ---------------------------------------------------------------
 
@@ -1159,31 +1131,17 @@ class StreamReader:
         :class:`StreamFileSink` with the same budget reproduces the
         artifact byte for byte.
         """
-        record_batch = getattr(sink, "record_batch", None)
+        emit = batch_emitter(sink)
         rows = sessions = 0
         for chunk in self.iter_chunks():
-            batch = chunk.batch
-            cursor = 0
-            for position, record in chunk.sessions:
-                local = min(max(position - chunk.row_start, 0), len(batch))
-                if local > cursor:
-                    piece = batch.select(slice(cursor, local))
-                    if record_batch is not None:
-                        record_batch(piece)
-                    else:
-                        for op in piece.to_records():
-                            sink.record_op(op)
-                    cursor = local
-                sink.record_session(record)
-                sessions += 1
-            if cursor < len(batch):
-                piece = batch.select(slice(cursor, len(batch)))
-                if record_batch is not None:
-                    record_batch(piece)
+            for kind, event in _chunk_events(chunk.batch, chunk.sessions,
+                                             chunk.row_start):
+                if kind == "rows":
+                    emit(event)
                 else:
-                    for op in piece.to_records():
-                        sink.record_op(op)
-            rows += len(batch)
+                    sink.record_session(event)
+                    sessions += 1
+            rows += len(chunk.batch)
         return rows, sessions
 
     def info_kv(self) -> dict:
@@ -1249,50 +1207,29 @@ def _iter_user_groups(reader: StreamReader):
     current: int | None = None
     events: list = []
     for chunk in reader.iter_chunks():
-        batch = chunk.batch
-        n = len(batch)
-        boundaries: list[tuple[int, SessionRecord | None]] = [
-            (min(max(pos - chunk.row_start, 0), n), rec)
-            for pos, rec in chunk.sessions
-        ]
-        boundaries.append((n, None))
-        cursor = 0
-        for local, record in boundaries:
-            if local > cursor:
-                seg = batch.select(slice(cursor, local))
-                uids = seg.user_ids
-                splits = list(np.flatnonzero(np.diff(uids)) + 1) + [len(seg)]
-                start = 0
-                for stop in splits:
-                    sub = seg.select(slice(start, int(stop)))
-                    uid = int(sub.user_ids[0])
-                    if uid != current:
-                        if current is not None:
-                            yield current, events
-                            if uid <= current:
-                                raise StreamFormatError(
-                                    f"{reader.path}: user {uid} follows "
-                                    f"user {current}; stream merge needs "
-                                    "user-contiguous artifacts (engine-free "
-                                    "backends)"
-                                )
-                        current, events = uid, []
-                    events.append(("rows", sub))
-                    start = int(stop)
-                cursor = local
-            if record is not None:
-                uid = record.user_id
+        for kind, event in _chunk_events(chunk.batch, chunk.sessions,
+                                         chunk.row_start):
+            if kind == "rows":
+                # One item per run of equal user ids inside the piece.
+                cuts = (np.flatnonzero(np.diff(event.user_ids)) + 1).tolist()
+                items = [event.select(slice(a, b)) for a, b in
+                         zip([0, *cuts], [*cuts, len(event)])]
+                uids = event.user_ids[[0, *cuts]].tolist()
+            else:
+                items, uids = [event], [event.user_id]
+            for uid, item in zip(uids, items):
                 if uid != current:
                     if current is not None:
                         yield current, events
                         if uid <= current:
                             raise StreamFormatError(
-                                f"{reader.path}: session for user {uid} "
-                                f"follows user {current}; stream merge "
-                                "needs user-contiguous artifacts"
+                                f"{reader.path}: user {uid} follows user "
+                                f"{current}; stream merge needs "
+                                "user-contiguous artifacts (engine-free "
+                                "backends)"
                             )
                     current, events = uid, []
-                events.append(("session", record))
+                events.append((kind, item))
     if current is not None:
         yield current, events
 
@@ -1382,61 +1319,32 @@ def merge_stream_files(output: str, inputs: Iterable[str],
 # ---------------------------------------------------------------------------
 
 
-def _entry_from_chunk(offset: int, batch: OpBatch,
-                      sessions: list) -> dict:
-    """A writer-style index entry rebuilt from a decoded chunk."""
-    n = len(batch)
-    return {
-        "offset": offset,
-        "rows": n,
-        "sessions": len(sessions),
-        "user_lo": int(batch.user_ids.min()) if n else None,
-        "user_hi": int(batch.user_ids.max()) if n else None,
-        "start_lo": float(batch.start_us.min()) if n else None,
-        "start_hi": float(batch.start_us.max()) if n else None,
-    }
-
-
 def _sequential_scan(stream, size: int, data_start: int):
-    """Walk chunk frames forward from ``data_start``, CRC-checking each.
+    """Walk chunk frames forward from ``data_start``, checking each.
 
     Returns ``(entries, data_end, error)``: the index entries of every
-    intact chunk frame before the first problem, the offset just past
-    the last of them, and a description of what stopped the walk (None
-    when it ended cleanly at a footer frame or at end of data).
+    intact (CRC-checked *and decoded*) chunk frame before the first
+    problem, the offset just past the last of them, and a description of
+    what stopped the walk (None when it ended cleanly at a footer frame
+    or at end of data).
     """
-    frame_head = struct.calcsize(_FRAME_FMT)
     entries: list[dict] = []
     pos = data_start
-    while True:
-        if pos == size:
-            return entries, pos, None
-        stream.seek(pos)
-        head = stream.read(frame_head)
-        if len(head) < frame_head:
-            return entries, pos, f"truncated frame header at offset {pos}"
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        if kind == _FRAME_FOOTER:
-            return entries, pos, None
-        if kind != _FRAME_CHUNK:
-            return entries, pos, f"unknown frame type {kind!r} at offset {pos}"
-        if pos + frame_head + length > size:
-            return entries, pos, f"truncated chunk payload at offset {pos}"
-        payload = stream.read(length)
-        if len(payload) != length:
-            return entries, pos, f"truncated chunk payload at offset {pos}"
-        if zlib.crc32(payload) != crc:
-            return (entries, pos,
-                    f"chunk {len(entries)} failed its checksum "
-                    f"(offset {pos})")
+    while pos < size:
         what = f"chunk {len(entries)}"
         try:
+            kind, payload, stop = _read_frame(stream, pos, size, what)
+            if kind == _FRAME_FOOTER:
+                break
+            if kind != _FRAME_CHUNK:
+                raise StreamFormatError(f"unknown frame type {kind!r}")
             batch, frames = _decode_chunk(payload, what)
             sessions = _parse_sessions(frames, what)
         except StreamFormatError as exc:
-            return entries, pos, str(exc)
+            return entries, pos, f"{exc} (offset {pos})"
         entries.append(_entry_from_chunk(pos, batch, sessions))
-        pos += frame_head + length
+        pos = stop
+    return entries, pos, None
 
 
 @dataclass
@@ -1482,24 +1390,14 @@ class SalvagedStream:
     data_end: int
 
     def _iter_chunks(self):
-        frame_head = struct.calcsize(_FRAME_FMT)
         with open(self.path, "rb") as stream:
+            size = os.fstat(stream.fileno()).st_size
             for i, entry in enumerate(self.index):
-                stream.seek(int(entry["offset"]))
-                head = stream.read(frame_head)
-                if len(head) < frame_head:
-                    raise StreamFormatError(
-                        f"{self.path}: salvaged chunk {i} vanished"
-                    )
-                kind, length, crc = struct.unpack(_FRAME_FMT, head)
-                payload = stream.read(length)
-                if (kind != _FRAME_CHUNK or len(payload) != length
-                        or zlib.crc32(payload) != crc):
-                    raise StreamFormatError(
-                        f"{self.path}: salvaged chunk {i} failed "
-                        "re-verification"
-                    )
-                what = f"salvaged chunk {i}"
+                what = f"{self.path}: salvaged chunk {i}"
+                kind, payload, _ = _read_frame(stream, entry["offset"], size,
+                                               what)
+                if kind != _FRAME_CHUNK:
+                    raise StreamFormatError(f"{what}: not a chunk frame")
                 batch, frames = _decode_chunk(payload, what)
                 yield batch, _parse_sessions(frames, what)
 
@@ -1511,49 +1409,27 @@ class SalvagedStream:
         ends up exactly as if it had seen the original events.  The
         returned summary carries the resume boundary.
         """
-        record_batch = getattr(sink, "record_batch", None)
+        emit = batch_emitter(sink)
         out = ReplaySummary()
-        row_start = 0
-
-        def emit(piece: OpBatch) -> None:
-            if not len(piece):
-                return
-            if record_batch is not None:
-                record_batch(piece)
-            else:
-                for op in piece.to_records():
-                    sink.record_op(op)
-            end = float((piece.start_us + piece.response_us).max())
-            if end > out.max_end_us:
-                out.max_end_us = end
-            last = int(piece.user_ids[-1])
-            if out.last_user is None or last > out.last_user:
-                out.last_user = last
-                out.last_user_rows = 0
-                out.last_user_sessions = 0
-            out.last_user_rows += int((piece.user_ids == last).sum())
-
         for batch, sessions in self._iter_chunks():
-            cursor = 0
-            for position, record in sessions:
-                local = min(max(position - row_start, 0), len(batch))
-                if local > cursor:
-                    emit(batch.select(slice(cursor, local)))
-                    cursor = local
-                sink.record_session(record)
-                out.sessions += 1
-                uid = int(record.user_id)
+            for kind, event in _chunk_events(batch, sessions, out.rows):
+                if kind == "rows":
+                    emit(event)
+                    end = float((event.start_us + event.response_us).max())
+                    uid = int(event.user_ids[-1])
+                else:
+                    sink.record_session(event)
+                    out.sessions += 1
+                    end, uid = float(event.end_us), int(event.user_id)
+                if end > out.max_end_us:
+                    out.max_end_us = end
                 if out.last_user is None or uid > out.last_user:
                     out.last_user = uid
-                    out.last_user_rows = 0
-                    out.last_user_sessions = 0
-                if uid == out.last_user:
+                    out.last_user_rows = out.last_user_sessions = 0
+                if kind == "rows":
+                    out.last_user_rows += int((event.user_ids == uid).sum())
+                elif uid == out.last_user:
                     out.last_user_sessions += 1
-                if record.end_us > out.max_end_us:
-                    out.max_end_us = float(record.end_us)
-            if cursor < len(batch):
-                emit(batch.select(slice(cursor, len(batch))))
-            row_start += len(batch)
             out.rows += len(batch)
         return out
 
@@ -1562,10 +1438,8 @@ def salvage_stream(path: str) -> SalvagedStream:
     """Find the intact, resumable prefix of an artifact at ``path``.
 
     A file with a valid footer is ``complete`` (fully reusable).
-    Otherwise the checkpoint sidecar, when present and consistent, names
-    the candidate chunks and only their CRCs are re-verified; a missing
-    or disagreeing sidecar degrades to a sequential CRC walk.  Either
-    way only *verified full* chunks survive into the result — anything
+    Otherwise the chunk frames are walked from the header forward and
+    only what that walk CRC-checked *and decoded* survives; anything
     doubtful is treated as lost and will be regenerated.
     """
     try:
@@ -1587,74 +1461,20 @@ def salvage_stream(path: str) -> SalvagedStream:
         pass
     with open(path, "rb") as stream:
         version, header, data_start = _parse_header(stream, size, path)
-        rows_per_chunk = header["rows_per_chunk"]
-        entries = _salvage_via_sidecar(stream, size, path, rows_per_chunk)
-        if entries is None:
-            entries, _, _ = _sequential_scan(stream, size, data_start)
-    frame_head = struct.calcsize(_FRAME_FMT)
+        entries, data_end, _ = _sequential_scan(stream, size, data_start)
+    rows_per_chunk = header["rows_per_chunk"]
     # Only full chunks resume on the original boundaries; a short tail
     # chunk (written by a crashed close()) is dropped and regenerated.
-    while entries and int(entries[-1]["rows"]) != rows_per_chunk:
-        entries.pop()
-    data_end = data_start
-    if entries:
-        with open(path, "rb") as stream:
-            stream.seek(int(entries[-1]["offset"]))
-            head = stream.read(frame_head)
-            _, length, _ = struct.unpack(_FRAME_FMT, head)
-            data_end = int(entries[-1]["offset"]) + frame_head + length
+    # Frames are contiguous, so the prefix ends where the dropped one began.
+    while entries and entries[-1]["rows"] != rows_per_chunk:
+        data_end = entries.pop()["offset"]
     return SalvagedStream(
         path=path, version=version, rows_per_chunk=rows_per_chunk,
         metadata=dict(header.get("metadata", {})), complete=False,
-        index=entries, rows=sum(int(e["rows"]) for e in entries),
-        sessions=sum(int(e["sessions"]) for e in entries),
+        index=entries, rows=sum(e["rows"] for e in entries),
+        sessions=sum(e["sessions"] for e in entries),
         data_end=data_end,
     )
-
-
-def _salvage_via_sidecar(stream, size: int, path: str,
-                         rows_per_chunk: int) -> "list[dict] | None":
-    """Re-verify the chunks a checkpoint sidecar claims, or None."""
-    sidecar = path + CHECKPOINT_SUFFIX
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    try:
-        if (state["format"] != CHECKPOINT_FORMAT
-                or int(state["version"]) > CHECKPOINT_VERSION
-                or int(state["rows_per_chunk"]) != rows_per_chunk
-                or int(state["data_end"]) > size):
-            return None
-        claimed = list(state["index"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    frame_head = struct.calcsize(_FRAME_FMT)
-    entries: list[dict] = []
-    expected_offset = None
-    for entry in claimed:
-        try:
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError):
-            break
-        # Chunk frames are contiguous; a sidecar claiming an entry that
-        # does not start where the previous frame ended is lying.
-        if expected_offset is not None and offset != expected_offset:
-            break
-        stream.seek(offset)
-        head = stream.read(frame_head)
-        if len(head) < frame_head:
-            break
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        if kind != _FRAME_CHUNK or offset + frame_head + length > size:
-            break
-        payload = stream.read(length)
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            break
-        entries.append(dict(entry))
-        expected_offset = offset + frame_head + length
-    return entries
 
 
 def resume_stream_sink(path: str,
@@ -1693,7 +1513,7 @@ def resume_stream_sink(path: str,
     writer = StreamWriter.resume(
         salvaged, metadata=metadata, observer=observer,
         checkpoint=checkpoint, flush_hook=flush_hook)
-    return StreamFileSink._from_writer(writer, memory_budget_bytes), salvaged
+    return StreamFileSink(path, memory_budget_bytes, _writer=writer), salvaged
 
 
 @dataclass
@@ -1788,7 +1608,7 @@ def verify_stream(path: str) -> StreamVerifyReport:
     return StreamVerifyReport(
         path=path, ok=False, complete=False, chunks=len(entries),
         chunks_ok=len(entries),
-        rows=sum(int(e["rows"]) for e in entries),
-        sessions=sum(int(e["sessions"]) for e in entries),
+        rows=sum(e["rows"] for e in entries),
+        sessions=sum(e["sessions"] for e in entries),
         file_bytes=size, errors=errors,
     )

@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .core.opbatch import batch_emitter
+
 __all__ = [
     "FAULT_KINDS",
     "KILL_EXIT_CODE",
@@ -206,7 +208,7 @@ class _FaultSink:
         self.inner = inner
         self._triggers = sorted(triggers, key=lambda s: s.row)
         self._rows = 0
-        self._inner_batch = getattr(inner, "record_batch", None)
+        self._emit = batch_emitter(inner)
 
     def _fire(self, spec: FaultSpec) -> None:
         if spec.kind == "kill":
@@ -232,21 +234,12 @@ class _FaultSink:
                 self._triggers[0].row:
             spec = self._triggers.pop(0)
             cut = spec.row - self._rows
-            head = batch.select(slice(0, cut))
-            if self._inner_batch is not None:
-                self._inner_batch(head)
-            else:
-                for record in head.to_records():
-                    self.inner.record_op(record)
+            self._emit(batch.select(slice(0, cut)))
             self._rows += cut
             batch = batch.select(slice(cut, len(batch)))
             self._fire(spec)
         if len(batch):
-            if self._inner_batch is not None:
-                self._inner_batch(batch)
-            else:
-                for record in batch.to_records():
-                    self.inner.record_op(record)
+            self._emit(batch)
             self._rows += len(batch)
 
     def record_session(self, record) -> None:

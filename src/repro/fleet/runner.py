@@ -13,9 +13,11 @@ Execution model
   sites the population is split across.  Each shard has its own engine,
   server and network, so users only contend with users in their shard.
 * ``workers`` is a **mechanical** knob: how many OS processes execute
-  shards.  ``workers=1`` runs every shard in-process (no multiprocessing
-  involved); results are identical either way, which is the property the
-  fleet tests pin down.
+  shards.  ``workers=1`` (with no process-killing fault and no
+  ``shard_timeout_s``) runs every shard in this process — the
+  supervisor is handed no multiprocessing context and executes each
+  attempt itself; results are identical either way, which is the
+  property the fleet tests pin down.
 
 Workers are handed plain picklable data: the resolved
 :class:`~repro.core.spec.WorkloadSpec` (frozen dataclasses of floats),
@@ -28,7 +30,9 @@ a fresh registry.
 Fault tolerance
 ---------------
 
-Shard execution is supervised (see :mod:`repro.fleet.supervisor`): a
+Shard execution is always supervised — in worker processes or in this
+one, :class:`~repro.fleet.supervisor.ShardSupervisor` owns the one retry
+policy (see :mod:`repro.fleet.supervisor`): a
 worker that dies, hangs past ``shard_timeout_s``, raises, or hands back
 a corrupt stream artifact fails only that shard's *attempt*.  The shard
 is retried with exponential backoff up to ``max_retries`` times — and
@@ -43,9 +47,10 @@ Stream-writing runs keep every per-shard temp under a run-scoped
 directory (``<out_stream>.run``) that is swept on *every* exit path;
 the final artifact appears at ``out_stream`` only through an atomic
 rename, never half-written.  On the engine-free backends the temps
-checkpoint at each chunk flush, so a killed run can be continued with
-``resume_fleet_config`` / ``fleet run --resume``: completed chunks are
-CRC-verified and reused, and only the tail is regenerated — the resumed
+flush every chunk frame as it is written, so a killed run can be
+continued with ``resume_fleet_config`` / ``fleet run --resume``: the
+chunk frames on disk are the checkpoint — those that pass their CRC and
+decode are reused, and only the tail is regenerated — the resumed
 artifact is bit-for-bit identical to an uninterrupted run's.
 """
 
@@ -76,8 +81,8 @@ from ..core.generator import (
 from ..core.oplog import UsageLog
 from ..core.spec import SpecError, WorkloadSpec
 from ..core.specjson import spec_from_jsonable, spec_to_jsonable
+from ..core.opbatch import batch_emitter
 from ..core.streamfile import (
-    CHECKPOINT_SUFFIX,
     DEFAULT_MEMORY_BUDGET,
     StreamFileSink,
     TeeSink,
@@ -486,21 +491,6 @@ def _init_worker_progress(queue) -> None:
     _PROGRESS_QUEUE = queue
 
 
-class _MeterQueue:
-    """Queue-shaped adapter driving a ProgressMeter directly (in-process).
-
-    Lets the ``workers == 1`` path reuse the exact worker-side sender
-    code: the "queue" is this object, and every put paints the meter.
-    """
-
-    def __init__(self, meter: ProgressMeter):
-        self.meter = meter
-
-    def put_nowait(self, item) -> None:
-        shard, users, ops, _done = item
-        self.meter.update_shard(shard, users, ops)
-
-
 class _SkipSink:
     """Drop the first N op rows / M session records, forward the rest.
 
@@ -515,7 +505,7 @@ class _SkipSink:
         self.inner = inner
         self._rows = int(skip_rows)
         self._sessions = int(skip_sessions)
-        self._inner_batch = getattr(inner, "record_batch", None)
+        self._emit = batch_emitter(inner)
 
     def record_op(self, record) -> None:
         if self._rows > 0:
@@ -531,11 +521,7 @@ class _SkipSink:
                 return
             batch = batch.select(slice(self._rows, n))
             self._rows = 0
-        if self._inner_batch is not None:
-            self._inner_batch(batch)
-        else:
-            for record in batch.to_records():
-                self.inner.record_op(record)
+        self._emit(batch)
 
     def record_session(self, record) -> None:
         if self._sessions > 0:
@@ -709,13 +695,8 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-class _ShardCorrupt(RuntimeError):
-    """Inline-path marker: a shard's artifact failed verification."""
-
-
-def _verify_outcome(task: _ShardTask, outcome) -> str | None:
+def _verify_outcome(task: _ShardTask) -> str | None:
     """Coordinator-side acceptance check: CRC-walk the shard artifact."""
-    del outcome
     if task.stream_path is None or not os.path.exists(task.stream_path):
         return None
     report = verify_stream(task.stream_path)
@@ -724,76 +705,11 @@ def _verify_outcome(task: _ShardTask, outcome) -> str | None:
     # A condemned artifact must not survive: it carries a footer, so a
     # resumed retry would salvage it as "complete" and re-serve the
     # corruption instead of regenerating.
-    for stale in (task.stream_path,
-                  task.stream_path + CHECKPOINT_SUFFIX):
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
-    return "; ".join(report.errors[:3]) or "stream artifact corrupt"
-
-
-def _backoff_delay(backoff_s: float, attempt: int) -> float:
-    """Backoff before retry attempt ``attempt`` (2, 3, ...)."""
-    if attempt <= 1 or backoff_s <= 0.0:
-        return 0.0
-    return min(backoff_s * (2.0 ** (attempt - 2)), 30.0)
-
-
-def _run_shards_inline(tasks: "list[_ShardTask]",
-                       meter: "ProgressMeter | None", *,
-                       max_retries: int = 0, backoff_s: float = 0.0,
-                       retask=None, verify=None):
-    """Run every shard in this process, with the same retry semantics.
-
-    Covers the ``workers == 1`` path (including catchable injected
-    faults — ENOSPC, errors, bitflips); faults that kill or hang a
-    process route through the supervisor instead.  Returns the same
-    ``(outcomes, failures, quarantined, retries, recovery_s)`` shape.
-    """
-    global _PROGRESS_QUEUE
-    previous = _PROGRESS_QUEUE
-    if meter is not None:
-        _PROGRESS_QUEUE = _MeterQueue(meter)
-    outcomes = []
-    failures: list[ShardFailure] = []
-    quarantined: list[int] = []
-    retries = 0
-    recovery_s = 0.0
     try:
-        for task in tasks:
-            shard = task.plan.shard_index
-            attempt = 1
-            while True:
-                current = retask(task, attempt) if retask is not None \
-                    else task
-                try:
-                    outcome = _run_shard(current)
-                    if verify is not None:
-                        detail = verify(current, outcome)
-                        if detail is not None:
-                            raise _ShardCorrupt(detail)
-                except Exception as exc:
-                    reason = ("corrupt" if isinstance(exc, _ShardCorrupt)
-                              else "error")
-                    failures.append(ShardFailure(
-                        shard_index=shard, attempt=attempt, reason=reason,
-                        detail=f"{type(exc).__name__}: {exc}"))
-                    if attempt > max_retries:
-                        quarantined.append(shard)
-                        break
-                    retries += 1
-                    delay = _backoff_delay(backoff_s, attempt + 1)
-                    recovery_s += delay
-                    if delay:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                outcomes.append(outcome)
-                break
-    finally:
-        _PROGRESS_QUEUE = previous
-    return outcomes, failures, quarantined, retries, recovery_s
+        os.unlink(task.stream_path)
+    except OSError:
+        pass
+    return "; ".join(report.errors[:3]) or "stream artifact corrupt"
 
 
 # ---------------------------------------------------------------------------
@@ -852,26 +768,22 @@ def _load_run_record(run_dir: str) -> dict:
     return record
 
 
-def _validate_resume(record: dict, config: FleetConfig, spec, pattern,
-                     phases, sessions, model, window_us,
-                     stream_budget) -> None:
-    """Resuming must describe byte-for-byte the run that was recorded."""
-    expected = {
-        "spec_sha256": spec_fingerprint(spec),
-        "seed": config.root_seed,
-        "shards": config.shards,
-        "backend": config.backend,
-        "access_pattern": pattern,
-        "use_phase_model": phases,
-        "sessions_per_user": sessions,
-        "arrival_model": (arrival_model_to_jsonable(model)
-                          if model is not None else None),
-        "window_us": window_us,
-        "time_limit_us": config.time_limit_us,
-        "stream_budget_bytes": stream_budget,
-    }
-    for key, want in expected.items():
-        have = record.get(key)
+_RESUME_MUST_MATCH = (
+    "spec_sha256", "seed", "shards", "backend", "access_pattern",
+    "use_phase_model", "sessions_per_user", "arrival_model", "window_us",
+    "time_limit_us", "stream_budget_bytes",
+)
+"""Run-record fields that shape the artifact's bytes."""
+
+
+def _validate_resume(record: dict, expected: dict) -> None:
+    """Resuming must describe byte-for-byte the run that was recorded.
+
+    ``expected`` is the record :func:`_build_run_record` would write for
+    the resuming config.
+    """
+    for key in _RESUME_MUST_MATCH:
+        have, want = record.get(key), expected[key]
         if have != want:
             raise SpecError(
                 f"cannot resume: recorded {key} {have!r} does not match "
@@ -963,6 +875,22 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     stream_metadata = None
     resuming = False
     if config.out_stream is not None:
+        # Run-level metadata only — anything shard-specific here would
+        # make the merged artifact's header differ from a 1-shard run's.
+        stream_metadata = {
+            "tool": "repro-fleet",
+            "scenario": config.scenario or "custom-spec",
+            "backend": artifact_backend(config.backend),
+            "seed": config.root_seed,
+            "users": spec.n_users,
+            "sessions_per_user": sessions,
+            "access_pattern": pattern,
+            "phases": phases,
+            "arrivals": model is not None,
+        }
+        record = _build_run_record(config, spec, pattern, phases, sessions,
+                                   model, window_us, stream_budget,
+                                   stream_metadata)
         if config.resume_dir is not None:
             if (os.path.abspath(config.resume_dir)
                     != os.path.abspath(run_dir)):
@@ -971,34 +899,16 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                     f"out_stream {config.out_stream!r} (expected "
                     f"{run_dir!r})"
                 )
-            record = _load_run_record(run_dir)
-            _validate_resume(record, config, spec, pattern, phases,
-                             sessions, model, window_us, stream_budget)
+            recorded = _load_run_record(run_dir)
+            _validate_resume(recorded, record)
             # The recorded metadata is authoritative: headers of resumed
             # shard temps must match it byte for byte.
-            stream_metadata = record["stream_metadata"]
+            stream_metadata = recorded["stream_metadata"]
             resuming = True
         else:
-            # Run-level metadata only — anything shard-specific here
-            # would make the merged artifact's header differ from a
-            # 1-shard run's.
-            stream_metadata = {
-                "tool": "repro-fleet",
-                "scenario": config.scenario or "custom-spec",
-                "backend": artifact_backend(config.backend),
-                "seed": config.root_seed,
-                "users": spec.n_users,
-                "sessions_per_user": sessions,
-                "access_pattern": pattern,
-                "phases": phases,
-                "arrivals": model is not None,
-            }
             if os.path.isdir(run_dir):
                 shutil.rmtree(run_dir)  # stale leftovers from a dead run
             os.makedirs(run_dir, exist_ok=True)
-            record = _build_run_record(config, spec, pattern, phases,
-                                       sessions, model, window_us,
-                                       stream_budget, stream_metadata)
             with open(os.path.join(run_dir, RUN_RECORD_NAME), "w",
                       encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2, sort_keys=True)
@@ -1059,42 +969,29 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     started = time.perf_counter()
     complete = False
     try:
-        timeouts = 0
-        if not supervised:
-            outcomes, failures, quarantined, retries, recovery_s = \
-                _run_shards_inline(
-                    tasks, meter, max_retries=config.max_retries,
-                    backoff_s=config.retry_backoff_s, retask=_retask,
-                    verify=verifier,
-                )
-        else:
-            supervisor = ShardSupervisor(
-                tasks,
-                ctx=_pool_context(),
-                run_shard=_run_shard,
-                workers=workers,
-                max_retries=config.max_retries,
-                backoff_s=config.retry_backoff_s,
-                timeout_s=config.shard_timeout_s,
-                meter=meter,
-                verify=verifier,
-                retask=_retask,
-                initializer=_init_worker_progress,
-            )
-            report = supervisor.run()
-            outcomes = report.outcomes
-            failures = report.failures
-            quarantined = report.quarantined
-            retries = report.retries
-            timeouts = report.timeouts
-            recovery_s = report.recovery_wall_s
+        # One retry policy either way: without a context the supervisor
+        # executes every attempt in this process.
+        report = ShardSupervisor(
+            tasks,
+            ctx=_pool_context() if supervised else None,
+            run_shard=_run_shard,
+            workers=workers,
+            max_retries=config.max_retries,
+            backoff_s=config.retry_backoff_s,
+            timeout_s=config.shard_timeout_s,
+            meter=meter,
+            verify=verifier,
+            retask=_retask,
+            initializer=_init_worker_progress,
+        ).run()
+        # Outcomes arrive in shard order, quarantined indexes sorted.
+        outcomes, quarantined = report.outcomes, report.quarantined
+        retries, timeouts = report.retries, report.timeouts
         if meter is not None:
             meter.finish()
         if config.out_stream is not None and (
                 not quarantined or config.allow_partial):
-            done_paths = [shard_paths[o.shard_index]
-                          for o in sorted(outcomes,
-                                          key=lambda o: o.shard_index)]
+            done_paths = [shard_paths[o.shard_index] for o in outcomes]
             if done_paths:
                 publish_metadata = stream_metadata
                 if quarantined:
@@ -1127,7 +1024,6 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             shutil.rmtree(run_dir, ignore_errors=True)
     wall_s = time.perf_counter() - started
 
-    outcomes.sort(key=lambda o: o.shard_index)
     merged_log = None
     if config.collect_ops:
         merged_log = UsageLog.merged(o.log for o in outcomes)
@@ -1148,7 +1044,7 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             },
             "stages": {
                 "recovery": {
-                    "wall_s": recovery_s, "cpu_s": 0.0,
+                    "wall_s": report.recovery_wall_s, "cpu_s": 0.0,
                     "calls": int(retries), "rows": 0, "bytes": 0,
                 },
             },
@@ -1167,7 +1063,7 @@ def run_fleet(config: FleetConfig) -> FleetResult:
         metrics=merged_metrics,
         metrics_out=config.metrics_out,
         quarantined=tuple(quarantined),
-        failures=tuple(failures),
+        failures=tuple(report.failures),
         retries=retries,
         timeouts=timeouts,
         reused_chunks=reused_chunks,

@@ -32,6 +32,18 @@ presumed dead (or timed out) can never race a retry already in flight.
 An optional ``verify`` hook runs in the coordinator after each success
 — the fleet uses it to CRC-walk the shard's stream artifact, turning
 silent corruption into an ordinary retryable failure.
+
+One loop, two executors.  :meth:`ShardSupervisor.run` is the only place
+that knows attempt numbering, backoff, verify-then-accept and
+quarantine.  Handed a multiprocessing context it launches attempts into
+owned worker processes as above; handed ``ctx=None`` (a run that needs
+no isolation: one worker, no process-killing fault, no hang deadline)
+it executes each attempt *in this process* at the launch step and posts
+the result to the same queue the workers would have — no process, no
+``multiprocessing`` queue, and the poll sleep is only ever reached
+while a backoff is pending.  Only ``Exception`` is caught there, so a
+``KeyboardInterrupt`` unwinds through :meth:`~ShardSupervisor.run` to
+the caller's cleanup.
 """
 
 from __future__ import annotations
@@ -119,23 +131,40 @@ class _Worker:
         self.last_beat = 0.0
 
 
+class _MeterFeed:
+    """The in-process heartbeat channel: every put paints the meter.
+
+    Queue-shaped so shards run the exact worker-side sender code; there
+    is no coordinator loop to drain a real queue while a shard runs in
+    this process, so the sample goes straight to the display.
+    """
+
+    def __init__(self, meter):
+        self.meter = meter
+
+    def put_nowait(self, item) -> None:
+        shard, users, ops, _done = item
+        self.meter.update_shard(shard, users, ops)
+
+
 class ShardSupervisor:
     """Run shard tasks under supervision (see the module docstring).
 
     ``tasks`` need a ``plan.shard_index``; ``run_shard(task)`` executes
-    one in a worker process.  ``retask(task, attempt)`` rewrites a task
-    for a retry (the fleet uses it to stamp the attempt number and flip
-    the resume flag); ``verify(task, outcome)`` returns an error string
-    to fail an apparently successful attempt, or None to accept it.
-    ``initializer(progress_queue)`` runs once per worker process — the
-    fleet installs the heartbeat queue there.
+    one — in a worker process of ``ctx``, or in this process when
+    ``ctx`` is None.  ``retask(task, attempt)`` rewrites a task for a
+    retry (the fleet uses it to stamp the attempt number and flip the
+    resume flag); ``verify(task)`` returns an error string to fail an
+    apparently successful attempt, or None to accept it.
+    ``initializer(progress_queue)`` runs once per worker process (once
+    here, with the meter feed, when in-process) — the fleet installs
+    the heartbeat channel there.
     """
 
     def __init__(self, tasks, *, ctx, run_shard, workers: int,
                  max_retries: int = 2, backoff_s: float = 0.25,
                  timeout_s: float | None = None, meter=None,
-                 verify=None, retask=None, initializer=None,
-                 on_failure=None):
+                 verify=None, retask=None, initializer=None):
         self._tasks = list(tasks)
         self._ctx = ctx
         self._run_shard = run_shard
@@ -147,7 +176,6 @@ class ShardSupervisor:
         self._verify = verify
         self._retask = retask
         self._initializer = initializer
-        self._on_failure = on_failure
 
     # -- internals ------------------------------------------------------------
 
@@ -175,8 +203,18 @@ class ShardSupervisor:
         n_shards = len(self._tasks)
         if n_shards == 0:
             return report
-        result_queue = self._ctx.Queue()
-        progress_queue = self._ctx.Queue()
+        in_process = self._ctx is None
+        if in_process:
+            # Attempts run at the launch step and post here; heartbeats
+            # bypass the (never fed) progress queue and paint the meter.
+            result_queue = queue_mod.SimpleQueue()
+            progress_queue = queue_mod.SimpleQueue()
+            if self._initializer is not None:
+                self._initializer(_MeterFeed(self._meter)
+                                  if self._meter is not None else None)
+        else:
+            result_queue = self._ctx.Queue()
+            progress_queue = self._ctx.Queue()
         base = {task.plan.shard_index: task for task in self._tasks}
         pending: deque = deque(
             (task.plan.shard_index, 1) for task in self._tasks)
@@ -192,8 +230,6 @@ class ShardSupervisor:
             failure = ShardFailure(shard_index=shard, attempt=attempt,
                                    reason=reason, detail=detail)
             report.failures.append(failure)
-            if self._on_failure is not None:
-                self._on_failure(failure)
             # Invalidate the attempt so a zombie's late result is stale.
             current_attempt[shard] = 0
             if attempt > self._max_retries:
@@ -205,12 +241,8 @@ class ShardSupervisor:
             waiting.append((time.monotonic() + delay, shard, attempt + 1))
 
         def accept(shard: int, attempt: int, outcome) -> None:
-            if shard in outcomes or shard in quarantined:
-                return
-            if current_attempt.get(shard) != attempt:
-                return  # stale result from a presumed-dead worker
             if self._verify is not None:
-                detail = self._verify(current_task[shard], outcome)
+                detail = self._verify(current_task[shard])
                 if detail is not None:
                     fail(shard, attempt, "corrupt", detail)
                     return
@@ -250,7 +282,7 @@ class ShardSupervisor:
                     if shard in outcomes or shard in quarantined:
                         continue
                     if current_attempt.get(shard) != attempt:
-                        continue
+                        continue  # stale: from a presumed-dead worker
                     if kind == "ok":
                         accept(shard, attempt, payload)
                     else:
@@ -296,32 +328,46 @@ class ShardSupervisor:
                         pending.append((entry[1], entry[2]))
                         progressed = True
 
-                # Launch pending attempts into idle (or new) workers.
+                # Launch pending attempts: into idle (or new) workers,
+                # or right here when no isolation is needed.
                 while pending:
-                    idle = next((w for w in workers.values()
-                                 if w.shard is None), None)
-                    if idle is None:
-                        if len(workers) >= self._workers_target:
-                            break
-                        idle = self._spawn(next_worker_id, result_queue,
-                                           progress_queue)
-                        workers[next_worker_id] = idle
-                        next_worker_id += 1
+                    idle = None
+                    if not in_process:
+                        idle = next((w for w in workers.values()
+                                     if w.shard is None), None)
+                        if idle is None:
+                            if len(workers) >= self._workers_target:
+                                break
+                            idle = self._spawn(next_worker_id, result_queue,
+                                               progress_queue)
+                            workers[next_worker_id] = idle
+                            next_worker_id += 1
                     shard, attempt = pending.popleft()
                     task = base[shard]
                     if self._retask is not None:
                         task = self._retask(task, attempt)
                     current_attempt[shard] = attempt
                     current_task[shard] = task
-                    idle.shard = shard
-                    idle.attempt = attempt
-                    idle.started = idle.last_beat = time.monotonic()
-                    idle.queue.put((task, attempt))
                     progressed = True
+                    if idle is not None:
+                        idle.shard = shard
+                        idle.attempt = attempt
+                        idle.started = idle.last_beat = time.monotonic()
+                        idle.queue.put((task, attempt))
+                        continue
+                    try:
+                        result = ("ok", None, shard, attempt,
+                                  self._run_shard(task))
+                    except Exception as exc:  # noqa: BLE001 - retry boundary
+                        result = ("error", None, shard, attempt,
+                                  f"{type(exc).__name__}: {exc}")
+                    result_queue.put(result)
 
                 if not progressed:
                     time.sleep(_POLL_S)
         finally:
+            if in_process and self._initializer is not None:
+                self._initializer(None)
             for worker in workers.values():
                 try:
                     worker.queue.put_nowait(None)

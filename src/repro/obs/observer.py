@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.opbatch import batch_emitter
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -292,9 +293,9 @@ class ObservingSink:
     pays a few attribute updates per record and is deliberately not
     timed — two clock reads per op would cost more than the accounting
     itself.  If the wrapped sink has no ``record_batch``, batches are
-    bridged through :meth:`~repro.core.opbatch.OpBatch.to_records`
-    exactly the way the executors themselves would have bridged them,
-    so wrapping never changes what the inner sink receives.
+    bridged by the same :func:`~repro.core.opbatch.batch_emitter` the
+    executors use, so wrapping never changes what the inner sink
+    receives.
     """
 
     __slots__ = ("inner", "observer", "_inner_batch", "_times",
@@ -304,7 +305,7 @@ class ObservingSink:
     def __init__(self, inner, observer: RunObserver):
         self.inner = inner
         self.observer = observer
-        self._inner_batch = getattr(inner, "record_batch", None)
+        self._inner_batch = batch_emitter(inner)
         self._times = observer.stage_times("sink")
         metrics = observer.metrics
         self._sessions = metrics.counter("sessions")
@@ -330,12 +331,7 @@ class ObservingSink:
         n = len(batch)
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        if self._inner_batch is not None:
-            self._inner_batch(batch)
-        else:
-            record_op = self.inner.record_op
-            for record in batch.to_records():
-                record_op(record)
+        self._inner_batch(batch)
         self._pending_response.append(batch.response_us)
         self._pending_sizes.append(batch.sizes)
         self._pending_rows += n

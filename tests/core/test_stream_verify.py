@@ -2,9 +2,9 @@
 
 The recovery contract has three legs:
 
-* **salvage** — an aborted (footer-less) artifact yields exactly its
-  CRC-verified full chunks, whether via the checkpoint sidecar or a
-  sequential scan, and never a byte of a torn tail;
+* **salvage** — an aborted (footer-less) artifact yields exactly the
+  full chunks a sequential scan CRC-checks and decodes, never a byte of
+  a torn tail, and never anything a stray ``.progress`` file claims;
 * **resume** — continuing a salvaged artifact with the remainder of the
   original event stream reproduces the uninterrupted file bit for bit
   (chunk boundaries are a pure function of global row count);
@@ -23,7 +23,6 @@ import zlib
 import pytest
 
 from repro.core import (
-    CHECKPOINT_SUFFIX,
     StreamFileSink,
     StreamFormatError,
     StreamReader,
@@ -137,19 +136,6 @@ class TestAbort:
         with StreamReader(path) as reader:
             assert reader.total_rows == events.rows
 
-    def test_close_unlinks_checkpoint_sidecar(self, tmp_path, events):
-        path = str(tmp_path / "a.opstream")
-        sink = StreamFileSink(path, memory_budget_bytes=BUDGET,
-                              checkpoint=True)
-        _feed(sink, events.events)
-        assert os.path.exists(path + CHECKPOINT_SUFFIX)
-        sink.close()
-        assert not os.path.exists(path + CHECKPOINT_SUFFIX)
-
-    def test_abort_keeps_sidecar_for_salvage(self, tmp_path, events):
-        path = _crashed_artifact(tmp_path, events, stop_after=100)
-        assert os.path.exists(path + CHECKPOINT_SUFFIX)
-
 
 class TestSalvage:
     def test_salvage_keeps_only_full_verified_chunks(self, tmp_path, events):
@@ -160,29 +146,6 @@ class TestSalvage:
         rows_per_chunk = salvaged.rows_per_chunk
         assert all(e["rows"] == rows_per_chunk for e in salvaged.index)
         assert salvaged.rows <= 100
-
-    def test_salvage_without_sidecar_scans_identically(self, tmp_path,
-                                                       events):
-        path = _crashed_artifact(tmp_path, events, stop_after=150)
-        via_sidecar = salvage_stream(path)
-        os.unlink(path + CHECKPOINT_SUFFIX)
-        via_scan = salvage_stream(path)
-        assert via_scan.rows == via_sidecar.rows
-        assert via_scan.index == via_sidecar.index
-        assert via_scan.data_end == via_sidecar.data_end
-
-    def test_salvage_ignores_lying_sidecar(self, tmp_path, events):
-        path = _crashed_artifact(tmp_path, events, stop_after=150)
-        sidecar = path + CHECKPOINT_SUFFIX
-        state = json.loads(open(sidecar, encoding="utf-8").read())
-        state["rows"] += 32  # claims a chunk the file never got
-        state["chunks"] += 1
-        state["index"].append(dict(state["index"][-1]))
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(state))
-        salvaged = salvage_stream(path)  # falls back to the real bytes
-        os.unlink(sidecar)
-        assert salvaged.rows == salvage_stream(path).rows
 
     def test_salvage_replay_reports_boundary_user(self, tmp_path, events):
         path = _crashed_artifact(tmp_path, events, stop_after=200)
@@ -215,7 +178,6 @@ class TestResume:
         sink.close()
         clean = open(clean_artifact, "rb").read()
         assert open(path, "rb").read() == clean
-        assert not os.path.exists(path + CHECKPOINT_SUFFIX)
 
     def test_resume_nothing_salvageable_starts_fresh(self, tmp_path, events,
                                                      clean_artifact):

@@ -1,10 +1,12 @@
 """Checkpoint/resume of killed fleet runs, pinned to bit-for-bit golden.
 
-A run killed mid-shard leaves CRC-framed chunks plus a checkpoint
-sidecar in its run directory; ``resume_fleet_config`` rebuilds the run
-from the recorded spec and regenerates only the tail.  The acceptance
-property (ISSUE 9): the resumed artifact is **byte-identical** to an
-uninterrupted run's, having reused at least one verified chunk.
+A run killed mid-shard leaves CRC-framed chunks in its run directory;
+``resume_fleet_config`` rebuilds the run from the recorded spec and
+regenerates only the tail.  The acceptance property (ISSUE 9): the
+resumed artifact is **byte-identical** to an uninterrupted run's, having
+reused at least one verified chunk.  Salvage trusts the chunk frames
+alone — a ``.progress`` file beside a shard temp (older builds wrote
+one) is never opened, whatever it says.
 """
 
 import filecmp
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import SpecError
+from repro.core import SpecError, salvage_stream
 from repro.faults import FaultSpec
 from repro.fleet import (
     FleetConfig,
@@ -131,6 +133,61 @@ class TestResumeGolden:
                            shallow=False)
 
 
+def _plant_progress(run_dir, mutate):
+    """Leave the ``.progress`` file older builds kept beside shard 0.
+
+    Offsets, counts and ``data_end`` are the truth (re-derived from the
+    frames on disk); ``mutate(state)`` then makes it lie, and may return
+    replacement text to write instead of the JSON.
+    """
+    shard = os.path.join(run_dir, "shard0000.opstream")
+    salvaged = salvage_stream(shard)
+    assert salvaged.index and not salvaged.complete
+    state = {
+        "format": "repro.opstream-progress", "version": 1,
+        "rows_per_chunk": salvaged.rows_per_chunk,
+        "chunks": len(salvaged.index), "rows": salvaged.rows,
+        "sessions": salvaged.sessions, "data_end": salvaged.data_end,
+        "index": [dict(entry) for entry in salvaged.index],
+    }
+    text = mutate(state) or json.dumps(state)
+    with open(shard + ".progress", "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _first_entry_claims_50_rows(state):
+    state["index"][0]["rows"] = 50
+
+
+def _last_entry_lacks_rows(state):
+    del state["index"][-1]["rows"]
+
+
+STALE_PROGRESS_FILES = {
+    "first entry says rows: 50": _first_entry_claims_50_rows,
+    "last entry has no rows key": _last_entry_lacks_rows,
+    "not JSON": lambda state: "\x00garbage{",
+}
+
+
+class TestStaleProgressFile:
+    """Every chunk on disk is intact; only the bystander file is wrong."""
+
+    @pytest.mark.parametrize("why", sorted(STALE_PROGRESS_FILES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_never_reads_it(self, tmp_path, why, workers):
+        clean = run_fleet(_config(tmp_path, name="clean.opstream"))
+        config = _killed_run(tmp_path, row=2000)
+        run_dir = config.out_stream + ".run"
+        _plant_progress(run_dir, STALE_PROGRESS_FILES[why])
+        resumed = run_fleet(resume_fleet_config(run_dir, workers=workers))
+        assert resumed.retries == 0 and not resumed.failures
+        assert resumed.reused_chunks >= 1
+        assert filecmp.cmp(resumed.out_stream, clean.out_stream,
+                           shallow=False)
+        assert resumed.tally == clean.tally
+
+
 class TestResumeValidation:
     def test_missing_record_fails_loudly(self, tmp_path):
         bogus = tmp_path / "nothing.run"
@@ -206,3 +263,21 @@ class TestCrashMatrix:
             faults=(FaultSpec(kind="kill", shard=shard, row=row),)))
         assert result.tally == ref_tally
         assert open(result.out_stream, "rb").read() == ref_bytes
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(row=st.integers(min_value=1, max_value=800),
+           shards=st.integers(min_value=1, max_value=3))
+    def test_any_kill_resumes_beside_a_planted_progress_file(
+            self, tmp_path, row, shards):
+        ref_bytes, ref_tally = self._reference(tmp_path, shards)
+        config = _killed_run(tmp_path, row=row, shards=shards, users=6,
+                             name=f"p{shards}-{row}.opstream")
+        run_dir = config.out_stream + ".run"
+        with open(os.path.join(run_dir, "shard0000.opstream.progress"),
+                  "w", encoding="utf-8") as fh:
+            fh.write('{"format": "repro.opstream-progress", "index": [{}]}')
+        resumed = run_fleet(resume_fleet_config(run_dir, workers=1))
+        assert resumed.retries == 0
+        assert resumed.tally == ref_tally
+        assert open(resumed.out_stream, "rb").read() == ref_bytes

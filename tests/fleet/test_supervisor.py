@@ -7,6 +7,8 @@ finished".
 """
 
 import filecmp
+import json
+import multiprocessing
 import os
 
 import pytest
@@ -20,6 +22,7 @@ from repro.faults import (
     random_faults,
 )
 from repro.fleet import FleetConfig, FleetPartialError, run_fleet
+from repro.fleet import runner as fleet_runner
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning")
@@ -102,8 +105,8 @@ class TestRetryRecovery:
         assert result.tally == clean.tally
 
     def test_enospc_inline_retry_byte_identical(self, tmp_path, clean):
-        # workers=1 with a catchable fault exercises the inline retry
-        # loop (no worker processes at all).
+        # workers=1 with a catchable fault: the supervisor's loop runs
+        # every attempt in this process (no worker processes at all).
         result = run_fleet(_config(
             tmp_path, workers=1,
             faults=(parse_fault("enospc:shard=1,chunk=1"),)))
@@ -156,6 +159,159 @@ class TestRetryRecovery:
         assert clean.timeouts == 0
         assert not clean.quarantined
         assert not clean.failures
+
+
+def _errors_every_attempt(shard, attempts):
+    return tuple(FaultSpec(kind="error", shard=shard, row=25, attempt=a)
+                 for a in range(1, attempts + 1))
+
+
+# name -> (faults, config overrides, expected retries,
+#          expected failed (shard, attempt, reason) set, expected quarantine)
+CATCHABLE_CASES = {
+    "error": ((parse_fault("error:shard=1,row=25"),), {},
+              1, {(1, 1, "error")}, ()),
+    "enospc": ((parse_fault("enospc:shard=1,chunk=1"),), {},
+               1, {(1, 1, "error")}, ()),
+    "bitflip": ((parse_fault("bitflip:shard=0"),), {},
+                1, {(0, 1, "corrupt")}, ()),
+    "second attempt faults too": (
+        (parse_fault("error:shard=0,row=40"),
+         parse_fault("enospc:shard=0,chunk=2,attempt=2")), {},
+        2, {(0, 1, "error"), (0, 2, "error")}, ()),
+    "two shards fail": (
+        (parse_fault("enospc:shard=1,chunk=1"),
+         parse_fault("error:shard=0,row=25")), {},
+        2, {(0, 1, "error"), (1, 1, "error")}, ()),
+    "retries exhausted": (
+        _errors_every_attempt(0, 2), {"max_retries": 1},
+        1, {(0, 1, "error"), (0, 2, "error")}, (0,)),
+    "allow_partial": (
+        _errors_every_attempt(0, 1),
+        {"max_retries": 0, "allow_partial": True},
+        0, {(0, 1, "error")}, (0,)),
+}
+
+
+class TestOneLoopTwoExecutors:
+    """The catchable faults, in this process and in worker processes.
+
+    ``workers=1`` makes the supervisor execute attempts itself,
+    ``workers=2`` hands them to owned processes; the retry policy is
+    the same code either way, so everything observable must agree.
+    """
+
+    def _observe(self, tmp_path, workers, faults, overrides):
+        home = tmp_path / f"w{workers}"
+        home.mkdir()
+        manifest = str(home / "manifest.json")
+        config = _config(home, workers=workers, faults=faults,
+                         metrics_out=manifest, **overrides)
+        try:
+            result = run_fleet(config)
+            raised = False
+        except FleetPartialError as exc:
+            result, raised = exc.result, True
+        counters = json.loads(
+            open(manifest, encoding="utf-8").read())["metrics"]["counters"]
+        artifact = None
+        if os.path.exists(config.out_stream):
+            artifact = open(config.out_stream, "rb").read()
+        return {
+            "raised": raised,
+            "retries": result.retries,
+            "failures": {(f.shard_index, f.attempt, f.reason)
+                         for f in result.failures},
+            "quarantined": result.quarantined,
+            "counters": {k: v for k, v in counters.items()
+                         if k.startswith("fleet.")},
+            "tally": result.tally.as_kv(),
+            "artifact": artifact,
+            "run_dir_left": os.path.exists(config.run_dir),
+        }
+
+    @pytest.mark.parametrize("case", sorted(CATCHABLE_CASES))
+    def test_both_executors_agree(self, tmp_path, clean, case):
+        faults, overrides, retries, failures, quarantined = \
+            CATCHABLE_CASES[case]
+        seen = {workers: self._observe(tmp_path, workers, faults, overrides)
+                for workers in (1, 2)}
+        assert seen[1] == seen[2]
+        one = seen[1]
+        assert one["retries"] == retries
+        assert one["failures"] == failures
+        assert one["quarantined"] == quarantined
+        assert one["counters"]["fleet.retries"] == retries
+        assert one["counters"]["fleet.quarantined_shards"] == len(quarantined)
+        assert not one["run_dir_left"]
+        partial_ok = overrides.get("allow_partial", False)
+        assert one["raised"] == (bool(quarantined) and not partial_ok)
+        if not quarantined:
+            assert one["artifact"] == open(clean.out_stream, "rb").read()
+        else:
+            assert (one["artifact"] is not None) == partial_ok
+
+    def test_keep_run_dir_on_quarantine_either_way(self, tmp_path):
+        for workers in (1, 2):
+            config = _config(tmp_path, name=f"k{workers}.opstream",
+                             workers=workers, max_retries=0,
+                             keep_run_dir=True,
+                             faults=_errors_every_attempt(0, 1))
+            with pytest.raises(FleetPartialError):
+                run_fleet(config)
+            assert "fleet-run.json" in os.listdir(config.run_dir)
+            assert not os.path.exists(config.out_stream)
+
+    def test_in_process_mode_starts_no_process_and_no_mp_queue(
+            self, tmp_path, clean, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the in-process executor reached "
+                                 "multiprocessing")
+
+        monkeypatch.setattr(fleet_runner, "_pool_context", forbidden)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            forbidden)
+        monkeypatch.setattr(multiprocessing.queues.Queue, "__init__",
+                            forbidden)
+        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "__init__",
+                            forbidden)
+        result = run_fleet(_config(
+            tmp_path, workers=1,
+            faults=(parse_fault("error:shard=1,row=25"),
+                    parse_fault("bitflip:shard=0"))))
+        assert result.retries == 2
+        assert filecmp.cmp(result.out_stream, clean.out_stream,
+                           shallow=False)
+
+    def test_backoff_is_waited_out_in_process(self, tmp_path, clean):
+        result = run_fleet(_config(
+            tmp_path, workers=1, retry_backoff_s=0.05,
+            metrics_out=str(tmp_path / "m.json"),
+            faults=(parse_fault("error:shard=0,row=25"),)))
+        assert result.retries == 1
+        recovery = result.metrics["stages"]["recovery"]
+        assert recovery["wall_s"] == pytest.approx(0.05)
+        assert result.wall_s >= 0.05
+        assert filecmp.cmp(result.out_stream, clean.out_stream,
+                           shallow=False)
+
+    def test_keyboard_interrupt_in_a_shard_unwinds_and_sweeps(
+            self, tmp_path, monkeypatch):
+        real = fleet_runner._run_shard
+
+        def interrupted(task):
+            if task.plan.shard_index == 1:
+                raise KeyboardInterrupt
+            return real(task)
+
+        monkeypatch.setattr(fleet_runner, "_run_shard", interrupted)
+        config = _config(tmp_path, workers=1)
+        with pytest.raises(KeyboardInterrupt):
+            run_fleet(config)
+        # Shard 0's finished temp went with the run directory.
+        assert not os.path.exists(config.run_dir)
+        assert not os.path.exists(config.out_stream)
+        assert fleet_runner._PROGRESS_QUEUE is None
 
 
 class TestQuarantine:
