@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sim import Histogram, RunningStats
+from .characterize import extract_samples
 from .fsc import FileSystemLayout
 from .oplog import UsageLog
 from .plotting import render_histogram
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _DATA_OPS = ("read", "write")
-_REFERENCE_OPS = ("open", "creat", "stat")
 
 
 @dataclass(frozen=True)
@@ -169,71 +169,24 @@ class UsageAnalyzer:
 
     def characterization(self) -> list[CategoryCharacterization]:
         """Per-category usage measures, averaged over accessing sessions."""
-        # (session key, category) -> accumulators
-        per_cell_bytes: dict[tuple[tuple[int, int], str], int] = {}
-        per_cell_sizes: dict[tuple[tuple[int, int], str], dict[str, int]] = {}
-        session_keys: set[tuple[int, int]] = set()
+        by_category, _, _ = extract_samples(self.log, self.layout)
+        # The %-of-users denominator: sessions that touched any category,
+        # or the logged session count when that is larger.
+        touched = {(op.user_id, op.session_id)
+                   for op in self.log.operations if op.category_key}
+        n_sessions = max(len(touched), len(self.log.sessions), 1)
 
-        for op in self.log.operations:
-            if not op.category_key:
-                continue
-            session = (op.user_id, op.session_id)
-            session_keys.add(session)
-            cell = (session, op.category_key)
-            if op.op in _DATA_OPS or op.op == "listdir":
-                per_cell_bytes[cell] = per_cell_bytes.get(cell, 0) + op.size
-            if op.op in _REFERENCE_OPS:
-                sizes = per_cell_sizes.setdefault(cell, {})
-                sizes.setdefault(op.path, 0)
-            if op.op == "write":
-                sizes = per_cell_sizes.setdefault(cell, {})
-                sizes[op.path] = sizes.get(op.path, 0) + op.size
+        def mean(values: list[float]) -> float:
+            return float(np.mean(values)) if values else 0.0
 
-        # Resolve referenced-file sizes: FSC-recorded sizes are
-        # authoritative for pre-existing files (a rewritten file's size is
-        # its length, not the bytes written over it); session-created
-        # files fall back to their accumulated write bytes.
-        for (session, key), sizes in per_cell_sizes.items():
-            for path in list(sizes):
-                recorded = (self.layout.size_of(path)
-                            if self.layout is not None else None)
-                if recorded is not None:
-                    sizes[path] = recorded
-
-        categories = sorted({cell[1] for cell in per_cell_sizes}
-                            | {cell[1] for cell in per_cell_bytes})
-        n_sessions = max(len(session_keys), len(self.log.sessions), 1)
-        out: list[CategoryCharacterization] = []
-        for key in categories:
-            ratios: list[float] = []
-            file_sizes: list[float] = []
-            file_counts: list[float] = []
-            accessing = 0
-            for session in session_keys:
-                cell = (session, key)
-                sizes = per_cell_sizes.get(cell)
-                if not sizes:
-                    continue
-                accessing += 1
-                total_size = sum(sizes.values())
-                file_counts.append(float(len(sizes)))
-                file_sizes.extend(float(v) for v in sizes.values())
-                accessed = per_cell_bytes.get(cell, 0)
-                if total_size > 0:
-                    ratios.append(accessed / total_size)
-            if accessing == 0:
-                continue
-            out.append(
-                CategoryCharacterization(
-                    category_key=key,
-                    mean_accesses_per_byte=float(np.mean(ratios))
-                    if ratios else 0.0,
-                    mean_file_size=float(np.mean(file_sizes))
-                    if file_sizes else 0.0,
-                    mean_files=float(np.mean(file_counts))
-                    if file_counts else 0.0,
-                    percent_of_users=100.0 * accessing / n_sessions,
-                    sessions_accessing=accessing,
-                )
+        return [
+            CategoryCharacterization(
+                category_key=key,
+                mean_accesses_per_byte=mean(samples.accesses_per_byte),
+                mean_file_size=mean(samples.file_sizes),
+                mean_files=mean(samples.files_per_session),
+                percent_of_users=100.0 * samples.sessions_accessing / n_sessions,
+                sessions_accessing=samples.sessions_accessing,
             )
-        return out
+            for key, samples in by_category.items()
+        ]

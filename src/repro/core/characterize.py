@@ -90,12 +90,12 @@ def extract_samples(
 
     for op in log.operations:
         session = (op.user_id, op.session_id)
-        session_keys.add(session)
         op_starts.setdefault(session, []).append(op.start_us)
         if op.op in _DATA_OPS:
             access_sizes.append(float(op.size))
         if not op.category_key:
             continue
+        session_keys.add(session)
         cell = (session, op.category_key)
         if op.op in _DATA_OPS or op.op == "listdir":
             per_cell_bytes[cell] = per_cell_bytes.get(cell, 0) + op.size
@@ -105,6 +105,9 @@ def extract_samples(
             sizes = per_cell_sizes.setdefault(cell, {})
             sizes[op.path] = sizes.get(op.path, 0) + op.size
 
+    # FSC-recorded sizes are authoritative for pre-existing files (a
+    # rewritten file's size is its length, not the bytes written over it);
+    # session-created files fall back to their accumulated write bytes.
     for (session, key), sizes in per_cell_sizes.items():
         for path in list(sizes):
             recorded = layout.size_of(path) if layout is not None else None

@@ -389,9 +389,8 @@ class UsageLog:
 
     @property
     def total_response_us(self) -> float:
-        """Summed response time across all
-
-        file-access calls (think time excluded)."""
+        """Summed response time across all file-access calls (think time
+        excluded)."""
         return sum(op.response_us for op in self.operations)
 
     # -- persistence -----------------------------------------------------------

@@ -51,6 +51,71 @@ def _payload(nbytes: int) -> bytes:
     return bytes(nbytes)
 
 
+class _SessionReplay:
+    """One session's replay state, shared by both executors.
+
+    Holds the plan-id → descriptor/path tables and the session accounting,
+    picks the file-system call for an op (:meth:`call`) and turns its
+    result into the :class:`OpRecord` (:meth:`record`).  The DES ``yield
+    from``s what :meth:`call` returns (a simulated client's generator);
+    :class:`RealRunner` takes it as the value.
+    """
+
+    def __init__(self, generator: SessionGenerator, session_id: int,
+                 now_us: float):
+        self.user_id = generator.user_id
+        self.type_name = generator.user_type.name
+        self.session_id = session_id
+        self.accounting = SessionAccounting(self.user_id, self.type_name,
+                                            session_id, now_us)
+        self._fd_by_plan: dict[int, int] = {}
+        self._path_by_plan: dict[int, str] = {}
+
+    def call(self, fs, op: SessionOp):
+        """Issue ``op`` on ``fs``: the one op-kind → syscall ladder."""
+        kind = op.kind
+        if kind in ("open", "creat"):
+            self._path_by_plan[op.plan_id] = op.path
+            return fs.open(op.path, op.flags)
+        if kind == "read":
+            return fs.read(self._fd_by_plan[op.plan_id], op.size)
+        if kind == "write":
+            return fs.write(self._fd_by_plan[op.plan_id], _payload(op.size))
+        if kind == "lseek":
+            return fs.lseek(self._fd_by_plan[op.plan_id], op.size, Whence.SET)
+        if kind == "close":
+            return fs.close(self._fd_by_plan.pop(op.plan_id))
+        if kind == "unlink":
+            return fs.unlink(op.path)
+        if kind == "stat":
+            return fs.stat(op.path)
+        if kind == "listdir":
+            return fs.listdir(op.path)
+        raise ValueError(f"unknown op kind {kind!r}")  # pragma: no cover
+
+    def record(self, op: SessionOp, result, started: float,
+               now_us: float) -> OpRecord:
+        """Fold the finished call into the accounting; build its record."""
+        observed = None
+        if op.kind in ("open", "creat"):
+            self._fd_by_plan[op.plan_id] = result
+        elif op.kind == "read":
+            observed = len(result)
+        elif op.kind == "write":
+            observed = result
+        return OpRecord(
+            user_id=self.user_id,
+            user_type=self.type_name,
+            session_id=self.session_id,
+            op=op.kind,
+            path=op.path or self._path_by_plan.get(op.plan_id, ""),
+            category_key=op.category_key or "",
+            size=apply_op_effects(op, self.accounting, observed),
+            start_us=started,
+            response_us=now_us - started,
+        )
+
+
 def simulated_user_process(
     engine: Engine,
     client,
@@ -75,19 +140,13 @@ def simulated_user_process(
     no summary.
     """
     generator: SessionGenerator = task.generator
-    sessions: int = task.sessions
-    user_id = generator.user_id
-    type_name = generator.user_type.name
     offset = task.offset_us
     if offset > 0:
         yield Delay(offset)
-    for session_id in range(sessions):
+    for session_id in range(task.sessions):
         if deadline_us is not None and engine.now >= deadline_us:
             return
-        accounting = SessionAccounting(user_id, type_name, session_id,
-                                       engine.now)
-        fd_by_plan: dict[int, int] = {}
-        path_by_plan: dict[int, str] = {}
+        replay = _SessionReplay(generator, session_id, engine.now)
         for op in generator.generate_session(session_id):
             if op.kind == "think":
                 if op.size > 0:
@@ -96,48 +155,9 @@ def simulated_user_process(
             if deadline_us is not None and engine.now >= deadline_us:
                 return
             started = engine.now
-            observed = None
-            if op.kind in ("open", "creat"):
-                # ``op.size`` is the file's size: the FSC-recorded size for
-                # opens, the target write-out size for creates.
-                fd = yield from client.open(op.path, op.flags)
-                fd_by_plan[op.plan_id] = fd
-                path_by_plan[op.plan_id] = op.path
-            elif op.kind == "read":
-                data = yield from client.read(fd_by_plan[op.plan_id], op.size)
-                observed = len(data)
-            elif op.kind == "write":
-                observed = yield from client.write(
-                    fd_by_plan[op.plan_id], _payload(op.size)
-                )
-            elif op.kind == "lseek":
-                yield from client.lseek(fd_by_plan[op.plan_id], op.size,
-                                        Whence.SET)
-            elif op.kind == "close":
-                yield from client.close(fd_by_plan.pop(op.plan_id))
-            elif op.kind == "unlink":
-                yield from client.unlink(op.path)
-            elif op.kind == "stat":
-                yield from client.stat(op.path)
-            elif op.kind == "listdir":
-                yield from client.listdir(op.path)
-            else:  # pragma: no cover - generator only emits known kinds
-                raise ValueError(f"unknown op kind {op.kind!r}")
-            moved = apply_op_effects(op, accounting, observed)
-            log.record_op(
-                OpRecord(
-                    user_id=user_id,
-                    user_type=type_name,
-                    session_id=session_id,
-                    op=op.kind,
-                    path=op.path or path_by_plan.get(op.plan_id, ""),
-                    category_key=op.category_key or "",
-                    size=moved,
-                    start_us=started,
-                    response_us=engine.now - started,
-                )
-            )
-        log.record_session(accounting.finish(engine.now))
+            result = yield from replay.call(client, op)
+            log.record_op(replay.record(op, result, started, engine.now))
+        log.record_session(replay.accounting.finish(engine.now))
         gap = task.gap_after_us(session_id)
         if gap > 0:
             yield Delay(gap)
@@ -168,54 +188,15 @@ class RealRunner:
         return time.perf_counter_ns() / 1000.0
 
     def _run_one(self, session_id: int) -> None:
-        generator = self.generator
-        user_id = generator.user_id
-        type_name = generator.user_type.name
-        accounting = SessionAccounting(user_id, type_name, session_id,
-                                       self._now_us())
-        fd_by_plan: dict[int, int] = {}
-        path_by_plan: dict[int, str] = {}
-        for op in generator.generate_session(session_id):
+        replay = _SessionReplay(self.generator, session_id, self._now_us())
+        for op in self.generator.generate_session(session_id):
             if op.kind == "think":
                 if self.sleep_thinks and op.size > 0:
                     time.sleep(op.size / 1e6)
                 continue
             started = self._now_us()
-            observed = None
-            if op.kind in ("open", "creat"):
-                fd = self.fs.open(op.path, op.flags)
-                fd_by_plan[op.plan_id] = fd
-                path_by_plan[op.plan_id] = op.path
-            elif op.kind == "read":
-                data = self.fs.read(fd_by_plan[op.plan_id], op.size)
-                observed = len(data)
-            elif op.kind == "write":
-                observed = self.fs.write(fd_by_plan[op.plan_id],
-                                         _payload(op.size))
-            elif op.kind == "lseek":
-                self.fs.lseek(fd_by_plan[op.plan_id], op.size, Whence.SET)
-            elif op.kind == "close":
-                self.fs.close(fd_by_plan.pop(op.plan_id))
-            elif op.kind == "unlink":
-                self.fs.unlink(op.path)
-            elif op.kind == "stat":
-                self.fs.stat(op.path)
-            elif op.kind == "listdir":
-                self.fs.listdir(op.path)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown op kind {op.kind!r}")
-            moved = apply_op_effects(op, accounting, observed)
+            result = replay.call(self.fs, op)
             self.log.record_op(
-                OpRecord(
-                    user_id=user_id,
-                    user_type=type_name,
-                    session_id=session_id,
-                    op=op.kind,
-                    path=op.path or path_by_plan.get(op.plan_id, ""),
-                    category_key=op.category_key or "",
-                    size=moved,
-                    start_us=started,
-                    response_us=self._now_us() - started,
-                )
+                replay.record(op, result, started, self._now_us())
             )
-        self.log.record_session(accounting.finish(self._now_us()))
+        self.log.record_session(replay.accounting.finish(self._now_us()))

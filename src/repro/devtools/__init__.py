@@ -7,6 +7,4 @@ at the source level, in CI, before any artifact can be corrupted:
 
 * :mod:`repro.devtools.detlint` — AST-based determinism/concurrency lint
   (``python -m repro.devtools.detlint src``).
-* :mod:`repro.devtools.mypy_gate` — advisory mypy error-count ratchet
-  (``python -m repro.devtools.mypy_gate``).
 """

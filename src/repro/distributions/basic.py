@@ -18,6 +18,8 @@ __all__ = ["Constant", "Uniform"]
 class Constant(Distribution):
     """A point mass at ``value`` (e.g. the zero think time of Table 5.4)."""
 
+    _PARAMS = ("value",)
+
     def __init__(self, value: float):
         if not np.isfinite(value):
             raise DistributionError(f"value must be finite, got {value!r}")
@@ -51,18 +53,11 @@ class Constant(Distribution):
     def quantile_range(self, q: float = 0.999) -> tuple[float, float]:
         return self.value, self.value
 
-    def __repr__(self) -> str:
-        return f"Constant({self.value!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Constant) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((Constant, self.value))
-
 
 class Uniform(Distribution):
     """Continuous uniform on ``[lo, hi]``."""
+
+    _PARAMS = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
@@ -93,12 +88,3 @@ class Uniform(Distribution):
 
     def support(self) -> tuple[float, float]:
         return self.lo, self.hi
-
-    def __repr__(self) -> str:
-        return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Uniform) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((Uniform, self.lo, self.hi))

@@ -17,6 +17,8 @@ from .base import Distribution, DistributionError, as_float_array
 
 __all__ = ["TabulatedPdf", "TabulatedCdf", "EmpiricalDistribution"]
 
+MAX_BINS = 1 << 20  # histogram bins an EmpiricalDistribution may allocate
+
 
 def _check_grid(x: np.ndarray, name: str) -> None:
     if len(x) < 2:
@@ -33,6 +35,8 @@ class TabulatedPdf(Distribution):
     integral of that piecewise-linear density, so ``pdf``/``cdf`` are
     mutually consistent.
     """
+
+    _PARAMS = ("xs", "densities")
 
     def __init__(self, xs: Sequence[float], densities: Sequence[float]):
         self.xs = as_float_array(xs, "xs")
@@ -87,16 +91,6 @@ class TabulatedPdf(Distribution):
     def support(self) -> tuple[float, float]:
         return float(self.xs[0]), float(self.xs[-1])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TabulatedPdf)
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.densities, other.densities)
-        )
-
-    def __hash__(self) -> int:
-        return hash((TabulatedPdf, self.xs.tobytes(), self.densities.tobytes()))
-
 
 class TabulatedCdf(Distribution):
     """A distribution given as ``(x, cdf(x))`` value pairs on a finite grid.
@@ -104,6 +98,8 @@ class TabulatedCdf(Distribution):
     The table must be non-decreasing; it is rescaled to span [0, 1].  The PDF
     is the piecewise-constant derivative of the interpolated CDF.
     """
+
+    _PARAMS = ("xs", "cdf_values")
 
     def __init__(self, xs: Sequence[float], cdf_values: Sequence[float]):
         self.xs = as_float_array(xs, "xs")
@@ -157,16 +153,6 @@ class TabulatedCdf(Distribution):
     def support(self) -> tuple[float, float]:
         return float(self.xs[0]), float(self.xs[-1])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TabulatedCdf)
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.cdf_values, other.cdf_values)
-        )
-
-    def __hash__(self) -> int:
-        return hash((TabulatedCdf, self.xs.tobytes(), self.cdf_values.tobytes()))
-
 
 class EmpiricalDistribution(Distribution):
     """The empirical distribution of a set of observed samples.
@@ -176,16 +162,20 @@ class EmpiricalDistribution(Distribution):
     usual step ECDF and ``pdf`` a histogram density estimate.
     """
 
+    _PARAMS = ("samples", "bins")
+
     def __init__(self, samples: Sequence[float], bins: int = 50):
         self.samples = np.sort(as_float_array(samples, "samples"))
-        if bins < 1:
-            raise DistributionError("bins must be >= 1")
-        self._bins = int(bins)
+        # ``bins`` sizes the histogram allocation and arrives from spec
+        # files, so it is bounded above as well as below.
+        if not 1 <= bins <= MAX_BINS:
+            raise DistributionError(f"bins must be in 1..{MAX_BINS}, got {bins!r}")
+        self.bins = int(bins)
         lo, hi = float(self.samples[0]), float(self.samples[-1])
         if hi == lo:
             hi = lo + 1.0
         self._hist, self._edges = np.histogram(
-            self.samples, bins=self._bins, range=(lo, hi), density=True
+            self.samples, bins=self.bins, range=(lo, hi), density=True
         )
 
     def pdf(self, x):
@@ -220,13 +210,3 @@ class EmpiricalDistribution(Distribution):
 
     def support(self) -> tuple[float, float]:
         return float(self.samples[0]), float(self.samples[-1])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EmpiricalDistribution)
-            and self._bins == other._bins
-            and np.array_equal(self.samples, other.samples)
-        )
-
-    def __hash__(self) -> int:
-        return hash((EmpiricalDistribution, self._bins, self.samples.tobytes()))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import Distribution, DistributionError, as_float_array
+from .base import Distribution, DistributionError, StageMixture
 
 __all__ = ["ShiftedExponential", "PhaseTypeExponential"]
 
@@ -28,6 +28,8 @@ class ShiftedExponential(Distribution):
     This is a single phase of the thesis's phase-type family: density
     ``(1/scale) * exp(-(x - offset)/scale)`` for ``x >= offset``.
     """
+
+    _PARAMS = ("scale", "offset")
 
     def __init__(self, scale: float, offset: float = 0.0):
         if not np.isfinite(scale) or scale <= 0:
@@ -66,21 +68,8 @@ class ShiftedExponential(Distribution):
     def support(self) -> tuple[float, float]:
         return self.offset, np.inf
 
-    def __repr__(self) -> str:
-        return f"ShiftedExponential(scale={self.scale!r}, offset={self.offset!r})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShiftedExponential)
-            and self.scale == other.scale
-            and self.offset == other.offset
-        )
-
-    def __hash__(self) -> int:
-        return hash((ShiftedExponential, self.scale, self.offset))
-
-
-class PhaseTypeExponential(Distribution):
+class PhaseTypeExponential(StageMixture):
     """Mixture of shifted exponentials — the thesis's phase-type family.
 
     Parameters
@@ -103,55 +92,21 @@ class PhaseTypeExponential(Distribution):
         )
     """
 
+    _PARAMS = ("weights", "scales", "offsets")
+    _stage = ShiftedExponential
+
     def __init__(
         self,
         weights: Sequence[float],
         scales: Sequence[float],
         offsets: Sequence[float] | None = None,
     ):
-        self.weights = as_float_array(weights, "weights")
-        self.scales = as_float_array(scales, "scales")
-        if offsets is None:
-            offsets = np.zeros_like(self.scales)
-        self.offsets = as_float_array(offsets, "offsets")
-        if not (len(self.weights) == len(self.scales) == len(self.offsets)):
-            raise DistributionError(
-                "weights, scales and offsets must have equal length; got "
-                f"{len(self.weights)}, {len(self.scales)}, {len(self.offsets)}"
-            )
-        if np.any(self.weights <= 0):
-            raise DistributionError("weights must be strictly positive")
-        if np.any(self.scales <= 0):
-            raise DistributionError("scales must be strictly positive")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise DistributionError(
-                f"weights must sum to 1 (within 1e-6), got {total!r}"
-            )
-        self.weights = self.weights / total
-        self._cum_weights = np.cumsum(self.weights)
-        self._phases = [
-            ShiftedExponential(s, o) for s, o in zip(self.scales, self.offsets)
-        ]
+        super().__init__(weights=weights, scales=scales, offsets=offsets)
 
     @property
     def n_phases(self) -> int:
         """Number of mixture phases ``N``."""
-        return len(self._phases)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, phase in zip(self.weights, self._phases):
-            out = out + w * phase.pdf(x)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, phase in zip(self.weights, self._phases):
-            out = out + w * phase.cdf(x)
-        return out if out.ndim else float(out)
+        return len(self._stages)
 
     def mean(self) -> float:
         return float(np.sum(self.weights * (self.offsets + self.scales)))
@@ -162,50 +117,5 @@ class PhaseTypeExponential(Distribution):
         ex2 = float(np.sum(self.weights * second))
         return ex2 - self.mean() ** 2
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        # Per-element inverse transform: each variate consumes exactly two
-        # uniforms in row-major order (phase pick, then the phase's
-        # exponential quantile), so element i of a size-N draw equals the
-        # i-th scalar draw — the property batched sampling relies on.
-        n = 1 if size is None else int(size)
-        u = rng.random((n, 2))
-        phase_idx = np.minimum(
-            np.searchsorted(self._cum_weights, u[:, 0], side="right"),
-            self.n_phases - 1,
-        )
-        draws = (
-            -self.scales[phase_idx] * np.log1p(-u[:, 1])
-            + self.offsets[phase_idx]
-        )
-        if size is None:
-            return float(draws[0])
-        return draws
-
-    def support(self) -> tuple[float, float]:
-        return float(self.offsets.min()), np.inf
-
-    def __repr__(self) -> str:
-        return (
-            "PhaseTypeExponential("
-            f"weights={self.weights.tolist()!r}, "
-            f"scales={self.scales.tolist()!r}, "
-            f"offsets={self.offsets.tolist()!r})"
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhaseTypeExponential)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.scales, other.scales)
-            and np.array_equal(self.offsets, other.offsets)
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                PhaseTypeExponential,
-                self.weights.tobytes(),
-                self.scales.tobytes(),
-                self.offsets.tobytes(),
-            )
-        )
+    def _stage_quantile(self, stage_idx, u):
+        return -self.scales[stage_idx] * np.log1p(-u) + self.offsets[stage_idx]

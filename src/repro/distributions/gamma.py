@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .base import Distribution, DistributionError, as_float_array
+from .base import Distribution, DistributionError, StageMixture
 
 __all__ = ["ShiftedGamma", "MultiStageGamma"]
 
@@ -28,6 +28,8 @@ class ShiftedGamma(Distribution):
 
     Density ``g(shape, scale, x - offset)`` in the thesis's notation.
     """
+
+    _PARAMS = ("shape", "scale", "offset")
 
     def __init__(self, shape: float, scale: float, offset: float = 0.0):
         if not np.isfinite(shape) or shape <= 0:
@@ -75,25 +77,8 @@ class ShiftedGamma(Distribution):
     def support(self) -> tuple[float, float]:
         return self.offset, np.inf
 
-    def __repr__(self) -> str:
-        return (
-            f"ShiftedGamma(shape={self.shape!r}, scale={self.scale!r}, "
-            f"offset={self.offset!r})"
-        )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShiftedGamma)
-            and self.shape == other.shape
-            and self.scale == other.scale
-            and self.offset == other.offset
-        )
-
-    def __hash__(self) -> int:
-        return hash((ShiftedGamma, self.shape, self.scale, self.offset))
-
-
-class MultiStageGamma(Distribution):
+class MultiStageGamma(StageMixture):
     """Mixture of shifted gammas — the thesis's multi-stage gamma family.
 
     Example (third panel of Figure 5.2)::
@@ -106,6 +91,9 @@ class MultiStageGamma(Distribution):
         )
     """
 
+    _PARAMS = ("weights", "shapes", "scales", "offsets")
+    _stage = ShiftedGamma
+
     def __init__(
         self,
         weights: Sequence[float],
@@ -113,54 +101,13 @@ class MultiStageGamma(Distribution):
         scales: Sequence[float],
         offsets: Sequence[float] | None = None,
     ):
-        self.weights = as_float_array(weights, "weights")
-        self.shapes = as_float_array(shapes, "shapes")
-        self.scales = as_float_array(scales, "scales")
-        if offsets is None:
-            offsets = np.zeros_like(self.scales)
-        self.offsets = as_float_array(offsets, "offsets")
-        lengths = {
-            len(self.weights),
-            len(self.shapes),
-            len(self.scales),
-            len(self.offsets),
-        }
-        if len(lengths) != 1:
-            raise DistributionError(
-                "weights, shapes, scales and offsets must have equal length"
-            )
-        if np.any(self.weights <= 0):
-            raise DistributionError("weights must be strictly positive")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise DistributionError(
-                f"weights must sum to 1 (within 1e-6), got {total!r}"
-            )
-        self.weights = self.weights / total
-        self._cum_weights = np.cumsum(self.weights)
-        self._stages = [
-            ShiftedGamma(a, s, o)
-            for a, s, o in zip(self.shapes, self.scales, self.offsets)
-        ]
+        super().__init__(weights=weights, shapes=shapes, scales=scales,
+                         offsets=offsets)
 
     @property
     def n_stages(self) -> int:
         """Number of mixture stages ``N``."""
         return len(self._stages)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, stage in zip(self.weights, self._stages):
-            out = out + w * stage.pdf(x)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, stage in zip(self.weights, self._stages):
-            out = out + w * stage.cdf(x)
-        return out if out.ndim else float(out)
 
     def mean(self) -> float:
         stage_means = self.offsets + self.shapes * self.scales
@@ -172,55 +119,10 @@ class MultiStageGamma(Distribution):
         ex2 = float(np.sum(self.weights * (stage_vars + stage_means**2)))
         return ex2 - self.mean() ** 2
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        # Per-element inverse transform: each variate consumes exactly two
-        # uniforms in row-major order (stage pick, then the stage's gamma
-        # quantile via the inverse regularised incomplete gamma), so
-        # element i of a size-N draw equals the i-th scalar draw — the
-        # property batched sampling relies on.
-        n = 1 if size is None else int(size)
-        u = rng.random((n, 2))
-        stage_idx = np.minimum(
-            np.searchsorted(self._cum_weights, u[:, 0], side="right"),
-            self.n_stages - 1,
-        )
-        draws = (
-            special.gammaincinv(self.shapes[stage_idx], u[:, 1])
+    def _stage_quantile(self, stage_idx, u):
+        # Inverse regularised incomplete gamma, then scale and shift.
+        return (
+            special.gammaincinv(self.shapes[stage_idx], u)
             * self.scales[stage_idx]
             + self.offsets[stage_idx]
-        )
-        if size is None:
-            return float(draws[0])
-        return draws
-
-    def support(self) -> tuple[float, float]:
-        return float(self.offsets.min()), np.inf
-
-    def __repr__(self) -> str:
-        return (
-            "MultiStageGamma("
-            f"weights={self.weights.tolist()!r}, "
-            f"shapes={self.shapes.tolist()!r}, "
-            f"scales={self.scales.tolist()!r}, "
-            f"offsets={self.offsets.tolist()!r})"
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiStageGamma)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.shapes, other.shapes)
-            and np.array_equal(self.scales, other.scales)
-            and np.array_equal(self.offsets, other.offsets)
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                MultiStageGamma,
-                self.weights.tobytes(),
-                self.shapes.tobytes(),
-                self.scales.tobytes(),
-                self.offsets.tobytes(),
-            )
         )

@@ -3,16 +3,18 @@
 Calibrated workload specs must be shareable artefacts (the trace
 subsystem writes them to disk and the scenario registry loads them back),
 so every distribution family the spec layer can hold needs a stable,
-version-free JSON form.  The codec is a registry keyed by a ``kind``
-string; payloads are plain JSON-able dicts of floats and lists.
+version-free JSON form.  The codec is one ``kind`` → class table; a
+payload is the ``kind`` string plus the family's ``_PARAMS`` (its
+constructor keywords) as plain floats and lists.  Unknown keys are
+ignored and a missing optional parameter takes the constructor default.
 
 Round-trip guarantee: ``from_jsonable(to_jsonable(d)) == d`` for every
-supported family (the families define value-based ``__eq__``).
+supported family (equality is by ``_PARAMS`` value).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from .base import Distribution, DistributionError
 from .basic import Constant, Uniform
@@ -22,95 +24,18 @@ from .gamma import MultiStageGamma, ShiftedGamma
 
 __all__ = ["to_jsonable", "from_jsonable"]
 
-
-def _encode_constant(d: Constant) -> dict[str, Any]:
-    return {"value": d.value}
-
-
-def _encode_uniform(d: Uniform) -> dict[str, Any]:
-    return {"lo": d.lo, "hi": d.hi}
-
-
-def _encode_shifted_exponential(d: ShiftedExponential) -> dict[str, Any]:
-    return {"scale": d.scale, "offset": d.offset}
-
-
-def _encode_phase_type_exponential(d: PhaseTypeExponential) -> dict[str, Any]:
-    return {
-        "weights": d.weights.tolist(),
-        "scales": d.scales.tolist(),
-        "offsets": d.offsets.tolist(),
-    }
-
-
-def _encode_shifted_gamma(d: ShiftedGamma) -> dict[str, Any]:
-    return {"shape": d.shape, "scale": d.scale, "offset": d.offset}
-
-
-def _encode_multi_stage_gamma(d: MultiStageGamma) -> dict[str, Any]:
-    return {
-        "weights": d.weights.tolist(),
-        "shapes": d.shapes.tolist(),
-        "scales": d.scales.tolist(),
-        "offsets": d.offsets.tolist(),
-    }
-
-
-def _encode_empirical(d: EmpiricalDistribution) -> dict[str, Any]:
-    return {"samples": d.samples.tolist(), "bins": d._bins}
-
-
-def _encode_tabulated_pdf(d: TabulatedPdf) -> dict[str, Any]:
-    return {"xs": d.xs.tolist(), "densities": d.densities.tolist()}
-
-
-def _encode_tabulated_cdf(d: TabulatedCdf) -> dict[str, Any]:
-    return {"xs": d.xs.tolist(), "cdf_values": d.cdf_values.tolist()}
-
-
-# kind -> (class, encode, decode). Decoders take the payload dict minus
-# the "kind" key and must reproduce an equal object.
-_CODECS: dict[str, tuple[type, Callable, Callable]] = {
-    "constant": (Constant, _encode_constant, lambda p: Constant(p["value"])),
-    "uniform": (Uniform, _encode_uniform, lambda p: Uniform(p["lo"], p["hi"])),
-    "shifted-exponential": (
-        ShiftedExponential,
-        _encode_shifted_exponential,
-        lambda p: ShiftedExponential(p["scale"], p.get("offset", 0.0)),
-    ),
-    "phase-type-exponential": (
-        PhaseTypeExponential,
-        _encode_phase_type_exponential,
-        lambda p: PhaseTypeExponential(p["weights"], p["scales"], p.get("offsets")),
-    ),
-    "shifted-gamma": (
-        ShiftedGamma,
-        _encode_shifted_gamma,
-        lambda p: ShiftedGamma(p["shape"], p["scale"], p.get("offset", 0.0)),
-    ),
-    "multi-stage-gamma": (
-        MultiStageGamma,
-        _encode_multi_stage_gamma,
-        lambda p: MultiStageGamma(p["weights"], p["shapes"], p["scales"], p.get("offsets")),
-    ),
-    "empirical": (
-        EmpiricalDistribution,
-        _encode_empirical,
-        lambda p: EmpiricalDistribution(p["samples"], bins=int(p.get("bins", 50))),
-    ),
-    "tabulated-pdf": (
-        TabulatedPdf,
-        _encode_tabulated_pdf,
-        lambda p: TabulatedPdf(p["xs"], p["densities"]),
-    ),
-    "tabulated-cdf": (
-        TabulatedCdf,
-        _encode_tabulated_cdf,
-        lambda p: TabulatedCdf(p["xs"], p["cdf_values"]),
-    ),
+_KINDS: dict[str, type[Distribution]] = {
+    "constant": Constant,
+    "uniform": Uniform,
+    "shifted-exponential": ShiftedExponential,
+    "phase-type-exponential": PhaseTypeExponential,
+    "shifted-gamma": ShiftedGamma,
+    "multi-stage-gamma": MultiStageGamma,
+    "empirical": EmpiricalDistribution,
+    "tabulated-pdf": TabulatedPdf,
+    "tabulated-cdf": TabulatedCdf,
 }
-
-_KIND_BY_TYPE = {cls: kind for kind, (cls, _, _) in _CODECS.items()}
+_KIND_BY_TYPE = {cls: kind for kind, cls in _KINDS.items()}
 
 
 def to_jsonable(dist: Distribution) -> dict[str, Any]:
@@ -119,12 +44,9 @@ def to_jsonable(dist: Distribution) -> dict[str, Any]:
     if kind is None:
         raise DistributionError(
             f"cannot serialise a {type(dist).__name__}; supported kinds: "
-            f"{', '.join(sorted(_CODECS))}"
+            f"{', '.join(sorted(_KINDS))}"
         )
-    _, encode, _ = _CODECS[kind]
-    payload = encode(dist)
-    payload["kind"] = kind
-    return payload
+    return {**dist._plain_params(), "kind": kind}
 
 
 def from_jsonable(payload: dict[str, Any]) -> Distribution:
@@ -132,14 +54,14 @@ def from_jsonable(payload: dict[str, Any]) -> Distribution:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise DistributionError(f"not a distribution payload: {payload!r}")
     kind = payload["kind"]
-    if kind not in _CODECS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DistributionError(
-            f"unknown distribution kind {kind!r}; supported: {', '.join(sorted(_CODECS))}"
+            f"unknown distribution kind {kind!r}; supported: {', '.join(sorted(_KINDS))}"
         )
-    _, _, decode = _CODECS[kind]
+    cls = _KINDS[kind]
     try:
-        return decode(payload)
+        return cls(**{name: payload[name] for name in cls._PARAMS if name in payload})
     except DistributionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DistributionError(f"bad {kind!r} payload: {exc}") from exc

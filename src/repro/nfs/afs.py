@@ -12,9 +12,9 @@ trade-off for the section 5.3 comparison procedure.
 from __future__ import annotations
 
 from ..sim import Delay, Engine
-from ..vfs import InvalidArgumentError, Stat
+from ..vfs import Stat
 from .cache import WholeFileCache
-from .client_base import ClientOpenFile, SimulatedClientBase
+from .client_base import ClientOpenFile, NetworkedClientBase
 from .network import NetworkLink
 from .server import FileServer
 from .timing import AFS_LIKE_TIMING, NfsTiming
@@ -24,31 +24,18 @@ __all__ = ["AfsLikeFileSystem"]
 _LOCAL_COPY_US_PER_BYTE = 0.002  # memcpy-speed local cache access
 
 
-class AfsLikeFileSystem(SimulatedClientBase):
+class AfsLikeFileSystem(NetworkedClientBase):
     """Whole-file-caching client over the shared network."""
 
     def __init__(self, engine: Engine, server: FileServer,
                  network: NetworkLink, timing: NfsTiming | None = None,
                  name: str = "afs-client"):
         timing = timing or AFS_LIKE_TIMING
-        super().__init__(engine, timing, name=name)
-        self.server = server
-        self.network = network
+        super().__init__(engine, server, network, timing, name)
         self.cache = WholeFileCache(timing.client.whole_file_cache_bytes)
         self._dirty: set[str] = set()
         self.whole_file_fetches = 0
         self.whole_file_stores = 0
-
-    # -- RPC plumbing ---------------------------------------------------------
-
-    def _rpc(self, procedure, request_payload: int = 0, reply_payload: int = 0):
-        params = self.timing.network
-        yield from self.network.transfer(
-            params.rpc_request_bytes + request_payload
-        )
-        result = yield from procedure
-        yield from self.network.transfer(params.rpc_reply_bytes + reply_payload)
-        return result
 
     # -- whole-file transfer on open/close ----------------------------------------
 
@@ -57,7 +44,7 @@ class AfsLikeFileSystem(SimulatedClientBase):
         if self.cache.lookup(path, stat.mtime):
             return
         # Bulk fetch: one request, data streamed back in the reply.
-        yield from self._rpc(
+        yield from self._remote(
             self.server.read(path, 0, stat.size), reply_payload=stat.size
         )
         self.cache.insert(path, stat.mtime, stat.size)
@@ -70,7 +57,7 @@ class AfsLikeFileSystem(SimulatedClientBase):
             return
         self._dirty.discard(path)
         stat = self.server.stat_nowait(path)
-        yield from self._rpc(
+        yield from self._remote(
             self.server.write(path, 0, self.server.store.read_at(
                 path, 0, stat.size)),
             request_payload=stat.size,
@@ -81,16 +68,13 @@ class AfsLikeFileSystem(SimulatedClientBase):
 
     # -- timed primitives ------------------------------------------------------------
 
-    def _remote_getattr(self, path: str):
-        return (yield from self._rpc(self.server.getattr(path)))
-
     def _remote_create(self, path: str):
-        stat = yield from self._rpc(self.server.create(path))
+        stat = yield from super()._remote_create(path)
         self.cache.insert(path, stat.mtime, 0)
         return stat
 
     def _remote_truncate(self, path: str, size: int):
-        result = yield from self._rpc(self.server.truncate(path, size))
+        result = yield from super()._remote_truncate(path, size)
         stat = self.server.stat_nowait(path)
         self.cache.update_version(path, stat.mtime, stat.size)
         return result
@@ -117,42 +101,16 @@ class AfsLikeFileSystem(SimulatedClientBase):
             yield Delay(cost)
         return count
 
-    # -- namespace calls ----------------------------------------------------------------
+    # -- namespace calls: the shared ones plus cache eviction -----------------------
 
     def unlink(self, path: str):
         """Timed ``unlink(2)`` → REMOVE RPC plus local cache eviction."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.remove(path))
+        yield from super().unlink(path)
         self.cache.evict(path)
         self._dirty.discard(path)
 
-    def mkdir(self, path: str):
-        """Timed ``mkdir(2)``."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.mkdir(path))
-
-    def rmdir(self, path: str):
-        """Timed ``rmdir(2)``."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.rmdir(path))
-
-    def listdir(self, path: str):
-        """Timed directory scan."""
-        yield from self._syscall()
-        entries = yield from self._rpc(self.server.readdir(path))
-        yield from self.network.transfer(32 * len(entries))
-        return entries
-
     def rename(self, old: str, new: str):
-        """Timed ``rename(2)``."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.rename(old, new))
+        """Timed ``rename(2)`` → RENAME RPC plus local cache eviction."""
+        yield from super().rename(old, new)
         self.cache.evict(old)
         self.cache.evict(new)
-
-    def truncate(self, path: str, size: int):
-        """Timed ``truncate(2)``."""
-        if size < 0:
-            raise InvalidArgumentError(f"negative truncate size {size}")
-        yield from self._syscall()
-        yield from self._remote_truncate(path, size)

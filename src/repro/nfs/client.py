@@ -7,7 +7,7 @@ the shared network to the :class:`~repro.nfs.server.FileServer`:
 * ``read``   → one READ RPC per ``max_transfer_bytes`` page
 * ``write``  → one synchronous WRITE RPC per page (NFSv2 write-through)
 * ``close``  → purely local (NFS is stateless)
-* directory calls → their RPC counterparts
+* directory calls → their RPC counterparts (in the shared base class)
 
 Request messages carry the RPC header plus any write payload; replies
 carry the header plus any read payload.  Both directions cross the shared
@@ -18,8 +18,7 @@ from.
 from __future__ import annotations
 
 from ..sim import Engine
-from ..vfs import InvalidArgumentError
-from .client_base import SimulatedClientBase
+from .client_base import NetworkedClientBase
 from .network import NetworkLink
 from .server import FileServer
 from .timing import NfsTiming
@@ -27,38 +26,16 @@ from .timing import NfsTiming
 __all__ = ["NfsClient"]
 
 
-class NfsClient(SimulatedClientBase):
+class NfsClient(NetworkedClientBase):
     """A workstation's NFS client, shared by all its simulated users."""
 
     def __init__(self, engine: Engine, server: FileServer,
                  network: NetworkLink, timing: NfsTiming | None = None,
                  name: str = "nfs-client"):
-        super().__init__(engine, timing or server.timing, name=name)
-        self.server = server
-        self.network = network
-
-    # -- RPC plumbing -----------------------------------------------------------
-
-    def _rpc(self, procedure, request_payload: int = 0, reply_payload: int = 0):
-        """Round trip: request over the wire, server work, reply back."""
-        params = self.timing.network
-        yield from self.network.transfer(
-            params.rpc_request_bytes + request_payload
-        )
-        result = yield from procedure
-        yield from self.network.transfer(params.rpc_reply_bytes + reply_payload)
-        return result
+        super().__init__(engine, server, network, timing or server.timing,
+                         name)
 
     # -- timed primitives required by the base class ------------------------------
-
-    def _remote_getattr(self, path: str):
-        return (yield from self._rpc(self.server.getattr(path)))
-
-    def _remote_create(self, path: str):
-        return (yield from self._rpc(self.server.create(path)))
-
-    def _remote_truncate(self, path: str, size: int):
-        return (yield from self._rpc(self.server.truncate(path, size)))
 
     def _timed_read(self, path: str, offset: int, size: int):
         """Paged READ RPCs; the reply carries the data."""
@@ -68,7 +45,7 @@ class NfsClient(SimulatedClientBase):
         position = offset
         while remaining > 0:
             chunk_size = min(page, remaining)
-            chunk = yield from self._rpc(
+            chunk = yield from self._remote(
                 self.server.read(path, position, chunk_size),
                 reply_payload=chunk_size,
             )
@@ -85,46 +62,9 @@ class NfsClient(SimulatedClientBase):
         written = 0
         while written < len(data):
             chunk = data[written:written + page]
-            count = yield from self._rpc(
+            count = yield from self._remote(
                 self.server.write(path, offset + written, chunk),
                 request_payload=len(chunk),
             )
             written += count
         return written
-
-    # -- directory / namespace calls ------------------------------------------------
-
-    def unlink(self, path: str):
-        """Timed ``unlink(2)`` → REMOVE RPC."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.remove(path))
-
-    def mkdir(self, path: str):
-        """Timed ``mkdir(2)`` → MKDIR RPC."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.mkdir(path))
-
-    def rmdir(self, path: str):
-        """Timed ``rmdir(2)`` → RMDIR RPC."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.rmdir(path))
-
-    def listdir(self, path: str):
-        """Timed directory scan → READDIR RPC (entries in the reply)."""
-        yield from self._syscall()
-        entries = yield from self._rpc(self.server.readdir(path))
-        # Approximate reply payload: 32 bytes per directory entry.
-        yield from self.network.transfer(32 * len(entries))
-        return entries
-
-    def rename(self, old: str, new: str):
-        """Timed ``rename(2)`` → RENAME RPC."""
-        yield from self._syscall()
-        yield from self._rpc(self.server.rename(old, new))
-
-    def truncate(self, path: str, size: int):
-        """Timed ``truncate(2)`` → SETATTR RPC."""
-        if size < 0:
-            raise InvalidArgumentError(f"negative truncate size {size}")
-        yield from self._syscall()
-        yield from self._remote_truncate(path, size)

@@ -9,8 +9,10 @@ thesis measured "the difference of before and after calling a system
 call" (section 5.1).
 
 This base class owns what every client shares: the descriptor table, POSIX
-flag semantics (EXCL, TRUNC, APPEND, access-mode checks), and client-CPU
-syscall overhead.  Subclasses implement the timed primitives.
+flag semantics (EXCL, TRUNC, APPEND, access-mode checks), client-CPU
+syscall overhead, the namespace calls, and the one seam through which
+every call reaches the server (``_remote``).  Subclasses implement the
+timed data primitives and, when the server is across a wire, the seam.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from ..vfs import (
     Stat,
     Whence,
 )
+from .network import NetworkLink
+from .server import FileServer
 from .timing import NfsTiming
 
-__all__ = ["SimulatedClientBase", "ClientOpenFile"]
+__all__ = ["SimulatedClientBase", "NetworkedClientBase", "ClientOpenFile"]
 
 
 @dataclass
@@ -48,18 +52,20 @@ class SimulatedClientBase:
 
     Subclasses provide (all generators):
 
-    * ``_remote_getattr(path) -> Stat``
-    * ``_remote_create(path) -> Stat``
-    * ``_remote_truncate(path, size)``
     * ``_timed_read(path, offset, size) -> bytes``
     * ``_timed_write(path, offset, data) -> int``
     * ``_on_open(path, stat)`` / ``_on_close(open_file)`` — cache hooks
       (default no-ops).
+
+    and may wrap ``_remote`` (what reaching the server costs) and the
+    ``_remote_getattr/_create/_truncate`` defaults built on it.
     """
 
-    def __init__(self, engine: Engine, timing: NfsTiming, name: str = "client"):
+    def __init__(self, engine: Engine, timing: NfsTiming, server: FileServer,
+                 name: str = "client"):
         self.engine = engine
         self.timing = timing
+        self.server = server
         self.name = name
         self._next_fd = 3
         self._open_files: dict[int, ClientOpenFile] = {}
@@ -79,6 +85,30 @@ class SimulatedClientBase:
         if open_file is None:
             raise BadDescriptorError(f"descriptor {fd} is not open")
         return open_file
+
+    # -- the transport seam ----------------------------------------------------
+
+    def _remote(self, procedure, request_payload: int = 0,
+                reply_payload: int = 0):
+        """Run one server ``procedure``; payloads are bytes beyond the headers.
+
+        Here the server is the local kernel, so the procedure just runs.
+        """
+        return (yield from procedure)
+
+    def _late_reply(self, payload_bytes: int):
+        """Reply data sized only after the procedure ran (free locally)."""
+        return
+        yield  # pragma: no cover - generator form for subclasses
+
+    def _remote_getattr(self, path: str):
+        return (yield from self._remote(self.server.getattr(path)))
+
+    def _remote_create(self, path: str):
+        return (yield from self._remote(self.server.create(path)))
+
+    def _remote_truncate(self, path: str, size: int):
+        return (yield from self._remote(self.server.truncate(path, size)))
 
     # -- hooks ---------------------------------------------------------------
 
@@ -200,7 +230,67 @@ class SimulatedClientBase:
         except NoSuchFileError:
             return False
 
+    # -- directory / namespace calls -------------------------------------------
+
+    def unlink(self, path: str):
+        """Timed ``unlink(2)`` → REMOVE."""
+        yield from self._syscall()
+        yield from self._remote(self.server.remove(path))
+
+    def mkdir(self, path: str):
+        """Timed ``mkdir(2)`` → MKDIR."""
+        yield from self._syscall()
+        yield from self._remote(self.server.mkdir(path))
+
+    def rmdir(self, path: str):
+        """Timed ``rmdir(2)`` → RMDIR."""
+        yield from self._syscall()
+        yield from self._remote(self.server.rmdir(path))
+
+    def listdir(self, path: str):
+        """Timed directory scan → READDIR (entries follow the reply)."""
+        yield from self._syscall()
+        entries = yield from self._remote(self.server.readdir(path))
+        # Approximate reply payload: 32 bytes per directory entry.
+        yield from self._late_reply(32 * len(entries))
+        return entries
+
+    def rename(self, old: str, new: str):
+        """Timed ``rename(2)`` → RENAME."""
+        yield from self._syscall()
+        yield from self._remote(self.server.rename(old, new))
+
+    def truncate(self, path: str, size: int):
+        """Timed ``truncate(2)`` → SETATTR."""
+        if size < 0:
+            raise InvalidArgumentError(f"negative truncate size {size}")
+        yield from self._syscall()
+        yield from self._remote_truncate(path, size)
+
     @property
     def open_descriptor_count(self) -> int:
         """Live descriptors on this client."""
         return len(self._open_files)
+
+
+class NetworkedClientBase(SimulatedClientBase):
+    """A client whose server sits across the shared network (NFS, AFS)."""
+
+    def __init__(self, engine: Engine, server: FileServer,
+                 network: NetworkLink, timing: NfsTiming, name: str):
+        super().__init__(engine, timing, server, name=name)
+        self.network = network
+
+    def _remote(self, procedure, request_payload: int = 0,
+                reply_payload: int = 0):
+        """Round trip: request over the wire, server work, reply back."""
+        params = self.timing.network
+        yield from self.network.transfer(
+            params.rpc_request_bytes + request_payload
+        )
+        result = yield from procedure
+        yield from self.network.transfer(params.rpc_reply_bytes + reply_payload)
+        return result
+
+    def _late_reply(self, payload_bytes: int):
+        yield from self.network.transfer(payload_bytes)

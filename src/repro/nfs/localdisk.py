@@ -10,7 +10,7 @@ exactly the file-system comparison procedure the thesis walks through.
 from __future__ import annotations
 
 from ..sim import Engine
-from ..vfs import InvalidArgumentError, MemoryFileSystem
+from ..vfs import MemoryFileSystem
 from .client_base import SimulatedClientBase
 from .server import FileServer
 from .timing import LOCAL_DISK_TIMING, NfsTiming
@@ -25,57 +25,13 @@ class LocalDiskFileSystem(SimulatedClientBase):
                  store: MemoryFileSystem | None = None,
                  name: str = "local-disk"):
         timing = timing or LOCAL_DISK_TIMING
-        super().__init__(engine, timing, name=name)
-        self.server = FileServer(engine, timing, store=store,
-                                 name=f"{name}-kernel")
+        server = FileServer(engine, timing, store=store, name=f"{name}-kernel")
+        super().__init__(engine, timing, server, name=name)
 
-    # -- timed primitives --------------------------------------------------------
-
-    def _remote_getattr(self, path: str):
-        return (yield from self.server.getattr(path))
-
-    def _remote_create(self, path: str):
-        return (yield from self.server.create(path))
-
-    def _remote_truncate(self, path: str, size: int):
-        return (yield from self.server.truncate(path, size))
+    # -- timed primitives (the namespace calls are the base class's) -------------
 
     def _timed_read(self, path: str, offset: int, size: int):
         return (yield from self.server.read(path, offset, size))
 
     def _timed_write(self, path: str, offset: int, data: bytes):
         return (yield from self.server.write(path, offset, data))
-
-    # -- namespace calls ------------------------------------------------------------
-
-    def unlink(self, path: str):
-        """Timed ``unlink(2)``."""
-        yield from self._syscall()
-        yield from self.server.remove(path)
-
-    def mkdir(self, path: str):
-        """Timed ``mkdir(2)``."""
-        yield from self._syscall()
-        yield from self.server.mkdir(path)
-
-    def rmdir(self, path: str):
-        """Timed ``rmdir(2)``."""
-        yield from self._syscall()
-        yield from self.server.rmdir(path)
-
-    def listdir(self, path: str):
-        """Timed directory scan."""
-        yield from self._syscall()
-        return (yield from self.server.readdir(path))
-
-    def rename(self, old: str, new: str):
-        """Timed ``rename(2)``."""
-        yield from self._syscall()
-        yield from self.server.rename(old, new)
-
-    def truncate(self, path: str, size: int):
-        """Timed ``truncate(2)``."""
-        if size < 0:
-            raise InvalidArgumentError(f"negative truncate size {size}")
-        yield from self._syscall()
-        yield from self.server.truncate(path, size)

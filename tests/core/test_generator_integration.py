@@ -116,6 +116,62 @@ class TestRealPipeline:
         assert sim_ops == real_ops
 
 
+class TestDesTimingGoldens:
+    """Literal DES clocks per backend, and DES ≡ RealRunner call for call.
+
+    Captured at the parent of PR 21 (before the simulated clients' RPC
+    plumbing and the two executors' op ladders were each folded into one
+    definition); the CLI smoke population (3 users × 2 sessions, 80
+    files, seed 7).
+    """
+
+    GOLDEN = {
+        # backend: (simulated_duration_us, summed response_us, ops,
+        #           client.syscall_count, server.rpc_count)
+        "nfs": (14421496.933333658, 6221226.953333754, 3542, 3542, 3291),
+        "local": (11722750.266666653, 1813701.9733333264, 3542, 3542, 3291),
+        "afs": (12122348.001999974, 2699291.998666635, 3542, 3542, 460),
+    }
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return paper_workload_spec(n_users=3, total_files=80, seed=7)
+
+    @pytest.fixture(scope="class")
+    def real_log(self, spec):
+        return WorkloadGenerator(spec).run_real(
+            MemoryFileSystem(), sessions_per_user=2
+        ).log
+
+    @pytest.mark.parametrize("backend", ["nfs", "local", "afs"])
+    def test_backend_clock_and_calls(self, spec, real_log, backend):
+        result = WorkloadGenerator(spec).run_simulated(
+            sessions_per_user=2, backend=backend
+        )
+        assert (
+            result.simulated_duration_us,
+            result.log.total_response_us,
+            len(result.log.operations),
+            result.handle.client.syscall_count,
+            result.handle.server.rpc_count,
+        ) == self.GOLDEN[backend]
+
+        def calls(log, user_id):
+            return [(o.session_id, o.op, o.path, o.category_key, o.size)
+                    for o in log.operations if o.user_id == user_id]
+
+        # The DES interleaves users on one clock; RealRunner runs them
+        # back to back.  Per user the recorded calls are the same.
+        for user_id in range(spec.n_users):
+            assert calls(result.log, user_id) == calls(real_log, user_id)
+
+        def sessions(log):
+            return sorted((s.user_id, s.session_id, s.files_referenced,
+                           s.bytes_accessed) for s in log.sessions)
+
+        assert sessions(result.log) == sessions(real_log)
+
+
 class TestAnalyzerOnRuns:
     @pytest.fixture(scope="class")
     def run(self):

@@ -371,3 +371,80 @@ class TestAfsLike:
         nfs_time = total_time(NfsClient)
         afs_time = total_time(AfsLikeFileSystem)
         assert afs_time < nfs_time
+
+
+def _build_backend(backend):
+    """Engine, client, server, network wired as ``build_simulation`` does."""
+    engine = Engine()
+    if backend == "local":
+        client = LocalDiskFileSystem(engine, timing=SUN_NFS_TIMING)
+        return engine, client, client.server, None
+    server = FileServer(engine, SUN_NFS_TIMING)
+    network = NetworkLink(engine, SUN_NFS_TIMING.network)
+    make = NfsClient if backend == "nfs" else AfsLikeFileSystem
+    client = make(engine, server, network, SUN_NFS_TIMING)
+    return engine, client, server, network
+
+
+def _every_syscall(client):
+    """One pass through the whole syscall surface, namespace calls included."""
+    yield from client.mkdir("/d")
+    fd = yield from client.creat("/d/a")
+    yield from client.write(fd, b"w" * 20_000)      # three pages on NFS
+    yield from client.fstat(fd)
+    yield from client.close(fd)
+    fd = yield from client.open("/d/a", OpenFlags.RDWR)
+    yield from client.read(fd, 9_000)
+    yield from client.lseek(fd, 100, Whence.SET)
+    yield from client.lseek(fd, 10, Whence.CUR)
+    yield from client.lseek(fd, -50, Whence.END)
+    yield from client.read(fd, 500)                 # short read at EOF
+    yield from client.write(fd, b"x" * 300)
+    yield from client.close(fd)
+    fd = yield from client.open("/d/a", OpenFlags.WRONLY | OpenFlags.APPEND)
+    yield from client.write(fd, b"+" * 64)
+    yield from client.close(fd)
+    yield from client.truncate("/d/a", 1_000)
+    fd = yield from client.open("/d/a", OpenFlags.WRONLY | OpenFlags.TRUNC)
+    yield from client.close(fd)
+    yield from client.stat("/d/a")
+    found = yield from client.exists("/d/a")
+    missing = yield from client.exists("/d/nope")
+    yield from client.rename("/d/a", "/d/b")
+    fd = yield from client.creat("/d/c")
+    yield from client.close(fd)
+    entries = yield from client.listdir("/d")
+    empty = yield from client.listdir("/")          # still one entry: "d"
+    yield from client.unlink("/d/b")
+    yield from client.unlink("/d/c")
+    yield from client.rmdir("/d")
+    gone = yield from client.listdir("/")           # zero-entry reply
+    return found, missing, sorted(entries), empty, gone
+
+
+class TestTimingGoldens:
+    """Literal clocks and counters for every syscall on every client.
+
+    Captured at the parent of PR 21 (before the three clients' RPC
+    plumbing and namespace calls moved into ``SimulatedClientBase``); any
+    change to the per-call ``Delay``/``Acquire``/``Release`` sequence
+    moves ``engine.now``.
+    """
+
+    GOLDEN = {
+        # backend: (engine.now, client.syscall_count, server.rpc_count,
+        #           network.messages_sent, network.bytes_sent)
+        "nfs": (46390.479999999996, 31, 32, 64, 37304),
+        "local": (6497.280000000001, 31, 29, 0, 0),
+        "afs": (68495.30799999999, 31, 27, 54, 66904),
+    }
+
+    @pytest.mark.parametrize("backend", ["nfs", "local", "afs"])
+    def test_scripted_pass(self, backend):
+        engine, client, server, network = _build_backend(backend)
+        result = run(engine, _every_syscall(client))
+        assert result == (True, False, ["b", "c"], ["d"], [])
+        assert client.open_descriptor_count == 0
+        wire = (network.messages_sent, network.bytes_sent) if network else (0, 0)
+        assert (engine.now, client.syscall_count, server.rpc_count,
+                *wire) == self.GOLDEN[backend]

@@ -63,6 +63,116 @@ class TestDistributionCodec:
         with pytest.raises(DistributionError, match="bad"):
             from_jsonable({"kind": "uniform", "lo": 1.0})
 
+    @pytest.mark.parametrize("kind", [["constant"], {"k": 1}, 7, None],
+                             ids=["list", "dict", "int", "null"])
+    def test_non_string_kind_is_a_typed_error(self, kind):
+        # An unhashable ``kind`` used to escape the table lookup as a raw
+        # TypeError, past every ``except DistributionError`` caller.
+        from repro.distributions import DistributionError
+
+        with pytest.raises(DistributionError, match="unknown distribution kind"):
+            from_jsonable({"kind": kind, "value": 1})
+
+    @pytest.mark.parametrize("bins", [10**12, 10**9, float("inf")])
+    def test_empirical_bins_are_capped(self, bins):
+        # ``bins`` sizes an allocation and comes from a spec file: 10**12
+        # used to die in a 7 TiB ``np.histogram`` (MemoryError).
+        from repro.distributions import DistributionError
+        from repro.distributions.empirical import MAX_BINS
+
+        with pytest.raises(DistributionError, match="bins"):
+            from_jsonable({"kind": "empirical", "samples": [1, 2], "bins": bins})
+        assert to_jsonable(from_jsonable(
+            {"kind": "empirical", "samples": [1, 2], "bins": MAX_BINS}
+        ))["bins"] == MAX_BINS
+
+    def test_non_string_kind_in_arrivals_block_is_a_spec_error(self):
+        from repro.core import ArrivalModel
+        from repro.core.specjson import spec_arrivals
+
+        payload = spec_to_jsonable(_empirical_spec(), arrivals=ArrivalModel())
+        payload["arrivals"]["session_gap"]["kind"] = ["constant"]
+        with pytest.raises(SpecError, match="bad arrivals block"):
+            spec_arrivals(payload)
+
+
+#: One instance of each of the nine kinds and the exact payload
+#: ``to_jsonable`` emitted for it before the codec became table-driven
+#: (captured at the parent of PR 21, keys in emission order).
+WIRE_GOLDENS = [
+    (Constant(7.0), {"value": 7.0, "kind": "constant"}),
+    (Uniform(1.0, 9.0), {"lo": 1.0, "hi": 9.0, "kind": "uniform"}),
+    (ShiftedExponential(1024.0, 3.0),
+     {"scale": 1024.0, "offset": 3.0, "kind": "shifted-exponential"}),
+    (PhaseTypeExponential([0.4, 0.6], [10.0, 20.0], [0.0, 5.0]),
+     {"weights": [0.4, 0.6], "scales": [10.0, 20.0], "offsets": [0.0, 5.0],
+      "kind": "phase-type-exponential"}),
+    (ShiftedGamma(1.5, 8.0, 2.0),
+     {"shape": 1.5, "scale": 8.0, "offset": 2.0, "kind": "shifted-gamma"}),
+    (MultiStageGamma([0.7, 0.3], [1.2, 2.0], [3.0, 4.0], [0.0, 1.0]),
+     {"weights": [0.7, 0.3], "shapes": [1.2, 2.0], "scales": [3.0, 4.0],
+      "offsets": [0.0, 1.0], "kind": "multi-stage-gamma"}),
+    (EmpiricalDistribution([5.0, 1.0, 3.0, 3.0, 8.0], bins=4),
+     {"samples": [1.0, 3.0, 3.0, 5.0, 8.0], "bins": 4, "kind": "empirical"}),
+    (TabulatedPdf([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+     {"xs": [0.0, 1.0, 2.0], "densities": [0.0, 1.0, 0.0],
+      "kind": "tabulated-pdf"}),
+    (TabulatedCdf([0.0, 1.0, 2.0], [0.0, 0.4, 1.0]),
+     {"xs": [0.0, 1.0, 2.0], "cdf_values": [0.0, 0.4, 1.0],
+      "kind": "tabulated-cdf"}),
+]
+
+
+class TestWireIdentity:
+    """The JSON form is an on-disk format (spec files, ``spec_sha256`` in
+    fleet run records): literals, not round trips."""
+
+    @pytest.mark.parametrize("dist,payload", WIRE_GOLDENS,
+                             ids=[p["kind"] for _, p in WIRE_GOLDENS])
+    def test_to_jsonable_is_literal(self, dist, payload):
+        encoded = to_jsonable(dist)
+        assert encoded == payload
+        assert list(encoded) == list(payload)  # emission order too
+        assert from_jsonable(payload) == dist
+
+    @pytest.mark.parametrize("dist,payload", WIRE_GOLDENS,
+                             ids=[p["kind"] for _, p in WIRE_GOLDENS])
+    def test_unknown_keys_ignored(self, dist, payload):
+        assert from_jsonable({**payload, "comment": "x", "v": 2}) == dist
+
+    @pytest.mark.parametrize(
+        "payload,expected",
+        [
+            ({"kind": "shifted-exponential", "scale": 2.0},
+             ShiftedExponential(2.0, 0.0)),
+            ({"kind": "shifted-gamma", "shape": 1.5, "scale": 2.0},
+             ShiftedGamma(1.5, 2.0, 0.0)),
+            ({"kind": "phase-type-exponential", "weights": [1.0],
+              "scales": [2.0]},
+             PhaseTypeExponential([1.0], [2.0], [0.0])),
+            ({"kind": "multi-stage-gamma", "weights": [1.0], "shapes": [1.5],
+              "scales": [2.0]},
+             MultiStageGamma([1.0], [1.5], [2.0], [0.0])),
+            ({"kind": "empirical", "samples": [1, 2]},
+             EmpiricalDistribution([1.0, 2.0], bins=50)),
+        ],
+        ids=lambda v: v["kind"] if isinstance(v, dict) else None,
+    )
+    def test_missing_optional_fields_default(self, payload, expected):
+        decoded = from_jsonable(payload)
+        assert decoded == expected
+        assert to_jsonable(decoded) == to_jsonable(expected)
+
+    def test_spec_fingerprint_is_literal(self):
+        from repro.obs.manifest import spec_fingerprint
+
+        # The ``spec_sha256`` a ``fleet run --resume`` must match.
+        spec = paper_workload_spec(n_users=2, total_files=50, seed=0)
+        assert spec_fingerprint(spec) == (
+            "1f10020a606d8992aa262073d72d998b"
+            "81cc8e642516db2868d87f614cea088c"
+        )
+
 
 def _empirical_spec() -> WorkloadSpec:
     category = FileCategory.from_key("REG:USER:RD-WRT")
