@@ -118,7 +118,7 @@ def assert_identical_streams(users: int, seed: int = SEED,
     logs = {}
     for backend in BACKENDS:
         result = WorkloadGenerator(spec).run_simulated(
-            sessions_per_user=scenario.default_sessions,
+            sessions_per_user=1,
             backend=backend,
             access_pattern=scenario.access_pattern,
             arrivals=model,
@@ -149,12 +149,12 @@ def assert_metrics_noninvasive(users: int, seed: int = SEED) -> int:
     compared = 0
     for backend in BACKENDS:
         bare = WorkloadGenerator(spec).run_simulated(
-            sessions_per_user=scenario.default_sessions,
+            sessions_per_user=1,
             backend=backend,
             access_pattern=scenario.access_pattern,
         )
         observed = WorkloadGenerator(spec).run_simulated(
-            sessions_per_user=scenario.default_sessions,
+            sessions_per_user=1,
             backend=backend,
             access_pattern=scenario.access_pattern,
             observer=RunObserver(),

@@ -112,8 +112,6 @@ from .obs import (
     RunObserver,
     build_manifest,
     merge_snapshots,
-    snapshot_jsonl,
-    snapshot_prometheus,
     write_manifest,
 )
 from .scenarios import (
@@ -182,8 +180,6 @@ __all__ = [
     "RunObserver",
     "build_manifest",
     "merge_snapshots",
-    "snapshot_jsonl",
-    "snapshot_prometheus",
     "write_manifest",
     "Scenario",
     "build_scenario_spec",

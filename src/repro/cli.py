@@ -36,50 +36,16 @@ from .fleet import (
     run_fleet,
 )
 from .harness import (
-    fleet_report,
+    PAPER_EXPERIMENTS,
     compare_file_systems,
-    figure_5_1,
-    figure_5_2,
-    figure_5_3,
-    figure_5_4,
-    figure_5_5,
-    figure_5_6,
-    figure_5_7,
-    figure_5_8,
-    figure_5_9,
-    figure_5_10,
-    figure_5_11,
-    figure_5_12,
+    fleet_report,
     format_kv,
-    table_5_1,
-    table_5_2,
-    table_5_3,
-    table_5_4,
 )
 
 __all__ = ["main", "build_parser"]
 
 _ALIAS_HELP = ("`fast-columnar` is the same executor as `fast`, kept for "
                "scripts and recorded runs")
-
-_FIGURES = {
-    "table5.1": lambda: table_5_1(),
-    "table5.2": lambda: table_5_2(),
-    "table5.3": lambda: table_5_3(),
-    "table5.4": lambda: table_5_4(),
-    "fig5.1": lambda: figure_5_1(),
-    "fig5.2": lambda: figure_5_2(),
-    "fig5.3": lambda: figure_5_3(),
-    "fig5.4": lambda: figure_5_4(),
-    "fig5.5": lambda: figure_5_5(),
-    "fig5.6": lambda: figure_5_6(),
-    "fig5.7": lambda: figure_5_7(),
-    "fig5.8": lambda: figure_5_8(),
-    "fig5.9": lambda: figure_5_9(),
-    "fig5.10": lambda: figure_5_10(),
-    "fig5.11": lambda: figure_5_11(),
-    "fig5.12": lambda: figure_5_12(),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     mkfs.add_argument("directory")
 
     fig = sub.add_parser("figures", help="regenerate a paper table/figure")
-    fig.add_argument("ident", choices=sorted(_FIGURES),
+    fig.add_argument("ident", choices=sorted(PAPER_EXPERIMENTS),
                      help="e.g. table5.3 or fig5.6")
 
     cmp_p = sub.add_parser("compare", help="section 5.3 comparison")
@@ -490,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "trace":
         return _main_trace(args)
     elif args.command == "figures":
-        print(_FIGURES[args.ident]().formatted())
+        print(PAPER_EXPERIMENTS[args.ident]().formatted())
     elif args.command == "compare":
         comparison = compare_file_systems(
             n_users=args.users,

@@ -51,6 +51,8 @@ __all__ = [
 _DATA_OPS = ("read", "write")
 _REFERENCE_OPS = ("open", "creat", "stat")
 _MIN_FIT_SAMPLES = 8
+# A category accessed in fewer sessions than this is left out of the spec.
+_MIN_SESSIONS_PER_CATEGORY = 2
 
 
 @dataclass
@@ -180,7 +182,6 @@ def characterize_log(
     total_files: int = 400,
     n_users: int = 1,
     seed: int = 0,
-    min_sessions_per_category: int = 2,
 ) -> WorkloadSpec:
     """Build a :class:`WorkloadSpec` whose distributions fit the log.
 
@@ -195,7 +196,7 @@ def characterize_log(
     usage_specs: list[UsageSpec] = []
     weighted: list[tuple[FileCategory, Distribution, float]] = []
     for key, samples in sorted(by_category.items()):
-        if samples.sessions_accessing < min_sessions_per_category:
+        if samples.sessions_accessing < _MIN_SESSIONS_PER_CATEGORY:
             continue
         if not samples.has_enough(2):
             continue

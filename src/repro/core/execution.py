@@ -16,7 +16,7 @@ Two implementations ship:
   and no engine.  A block of users arrives as one
   :class:`~repro.core.opbatch.OpBatch`; service times, start clocks and
   the time-limit cutoff are single array expressions per block, and
-  per-session slices flow to batch-aware sinks via ``record_batch``.
+  per-session slices flow to the sink via ``record_batch``.
   Tens of times the DES's ops/s (the floor ``benchmarks/
   bench_backends.py`` enforces is 40x); identical op stream.
   ``ColumnarReplayBackend`` is an empty subclass kept for its name,
@@ -55,7 +55,7 @@ from .opbatch import (
     KIND_THINK,
     OpBatch,
     REFERENCE_KIND_CODES,
-    batch_emitter,
+    RecordBatcher,
 )
 from .oplog import OpSink, SessionRecord
 from .synthesis import _SEAT_BLOCK_USERS, BlockColumns, SessionGenerator
@@ -76,13 +76,11 @@ class UserSessions:
 
     ``schedule`` (from an :class:`~repro.core.arrivals.ArrivalModel`)
     gives the user a first-login offset and per-session gaps; without
-    one the user starts at clock 0 and ``inter_session_us`` separates
-    sessions uniformly (the pre-arrivals behaviour).
+    one the user starts at clock 0 and runs its sessions back to back.
     """
 
     generator: SessionGenerator
     sessions: int
-    inter_session_us: float = 0.0
     schedule: SessionSchedule | None = None
 
     @property
@@ -97,11 +95,9 @@ class UserSessions:
         never applied (0.0), so a run's duration ends with work, not
         with an idle logout tail.
         """
-        if session_id + 1 >= self.sessions:
+        if session_id + 1 >= self.sessions or self.schedule is None:
             return 0.0
-        if self.schedule is not None:
-            return self.schedule.gap_after(session_id)
-        return self.inter_session_us
+        return self.schedule.gap_after(session_id)
 
 
 # Kind-code → bool lookup tables (indexing an int8 column through these
@@ -160,10 +156,11 @@ class DesBackend(ExecutionBackend):
     ) -> float:
         from .usim import simulated_user_process  # usim imports the sim layer
 
+        records = RecordBatcher(log)  # one for every user process
         processes = [
             self.engine.spawn(
                 simulated_user_process(
-                    self.engine, self.client, task, log,
+                    self.engine, self.client, task, records,
                     deadline_us=time_limit_us,
                 ),
                 name=f"user-{task.generator.user_id}",
@@ -178,6 +175,7 @@ class DesBackend(ExecutionBackend):
         self.engine.run_until_processes_finish(
             processes, limit=time_limit_us, truncate=True
         )
+        records.flush()
         return self.engine.now
 
 
@@ -365,7 +363,6 @@ class FastReplayBackend(ExecutionBackend):
         starts_list = session_starts.tolist()
         ends_list = session_ends.tolist()
         user_types = batch.user_types.values()
-        emit = batch_emitter(log)
         # Emit per session — the same sink event sequence (one batch and
         # one summary per executed session) a block of one produces.
         first = 0
@@ -376,7 +373,7 @@ class FastReplayBackend(ExecutionBackend):
                     # rows recorded (every one starts at or past the
                     # limit), no summary.
                     break
-                emit(rec.select(slice(lows[s], stops[s])))
+                log.record_batch(rec.select(slice(lows[s], stops[s])))
                 if stops[s] < lows[s + 1] or (limit is not None
                                               and ends_list[s] > limit):
                     # Ops dropped, or a trailing think pushed the clock

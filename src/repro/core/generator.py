@@ -395,28 +395,6 @@ class WorkloadGenerator:
                                        seats=seats[user_id])
                 yield kernel
 
-    def synthesize_users(
-        self,
-        layout: FileSystemLayout,
-        selected: Iterable[int],
-        assignment: "list[UserTypeSpec] | None" = None,
-        access_pattern: str = "sequential",
-        phase_model_factory=None,
-    ) -> list[SessionGenerator]:
-        """Stage 2 (synthesize): one pure op-stream generator per user.
-
-        The returned :class:`~repro.core.synthesis.SessionGenerator`\\ s
-        sample from GDS CDF tables through batched per-quantity streams;
-        they carry no timing and can be drained directly (``for op in
-        g.generate_session(0)``) or handed to an execution backend.
-        (Eager list form of :meth:`iter_synthesized_users`.)
-        """
-        return list(self.iter_synthesized_users(
-            layout, selected, assignment,
-            access_pattern=access_pattern,
-            phase_model_factory=phase_model_factory,
-        ))
-
     def run_simulated(
         self,
         sessions_per_user: int = 1,

@@ -20,12 +20,10 @@ The batch is the unit the pipeline moves around:
 * the DES user process and ``RealRunner`` issue one call at a time, so
   they read a session through :meth:`OpBatch.iter_session_ops`
   (``SessionGenerator.generate_session``);
-* sinks that implement ``record_batch`` (:class:`~repro.core.oplog.
-  UsageLog`, :class:`~repro.fleet.merge.WorkloadTally`,
-  :class:`~repro.fleet.merge.ShardAccumulator`) fold whole batches with
-  ``np.bincount``-style reductions; everything else receives the batch
-  through the :meth:`to_records` bridge, one record at a time —
-  :func:`batch_emitter` is the one place that choice is made.
+* every sink folds whole batches (``record_batch``); the producers
+  that emit one record at a time reach it through
+  :class:`RecordBatcher`, and :class:`~repro.core.oplog.UsageLog`, the
+  row store, unpacks a batch with :meth:`to_records`.
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,
@@ -47,6 +45,7 @@ from .oplog import OpRecord
 __all__ = [
     "OP_KIND_NAMES",
     "OP_KIND_CODES",
+    "RECORD_KIND_NAMES",
     "KIND_OPEN",
     "KIND_CREAT",
     "KIND_READ",
@@ -62,7 +61,7 @@ __all__ = [
     "SessionOp",
     "StringTable",
     "OpBatch",
-    "batch_emitter",
+    "RecordBatcher",
 ]
 
 OP_KIND_NAMES: tuple[str, ...] = (
@@ -72,6 +71,14 @@ OP_KIND_NAMES: tuple[str, ...] = (
 """Canonical op-kind order; the int8 code of a kind is its index here."""
 
 OP_KIND_CODES: dict[str, int] = {name: i for i, name in enumerate(OP_KIND_NAMES)}
+
+RECORD_KIND_NAMES: tuple[str, ...] = OP_KIND_NAMES + ("mkdir", "rmdir")
+"""Op names a *record* batch may carry: the kinds above plus the two
+namespace calls only an imported trace records
+(``repro.traces.CANONICAL_OPS``).  Their codes lie past the stream
+file's kind table, so the stream writer refuses them."""
+
+_RECORD_KIND_CODES = {name: i for i, name in enumerate(RECORD_KIND_NAMES)}
 
 (
     KIND_OPEN,
@@ -91,8 +98,6 @@ DATA_KIND_CODES: tuple[int, ...] = (KIND_READ, KIND_WRITE, KIND_LISTDIR)
 
 # Kinds that reference a file for session accounting (open/creat/stat).
 REFERENCE_KIND_CODES: tuple[int, ...] = (KIND_OPEN, KIND_CREAT, KIND_STAT)
-
-_KIND_NAME_ARRAY = np.array(OP_KIND_NAMES)
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ class OpBatch:
             batch.paths, batch.categories, batch.user_types
         )
         for i, record in enumerate(records):
-            batch.kinds[i] = OP_KIND_CODES[record.op]
+            batch.kinds[i] = _RECORD_KIND_CODES[record.op]
             batch.plan_ids[i] = -1
             batch.sizes[i] = record.size
             batch.flags[i] = 0
@@ -312,10 +317,6 @@ class OpBatch:
 
     # -- bridges ---------------------------------------------------------------
 
-    def kind_names(self) -> np.ndarray:
-        """The kind column as strings (diagnostics and tests)."""
-        return _KIND_NAME_ARRAY[self.kinds]
-
     def to_records(self) -> list[OpRecord]:
         """Bridge to scalar :class:`OpRecord` rows (1:1 with op rows;
         the ``think_us`` column, if any, is not part of records).
@@ -331,7 +332,7 @@ class OpBatch:
                 user_id=int(self.user_ids[i]),
                 user_type=user_types[ti] if (ti := int(self.user_type_idx[i])) >= 0 else "",
                 session_id=int(self.session_ids[i]),
-                op=OP_KIND_NAMES[self.kinds[i]],
+                op=RECORD_KIND_NAMES[self.kinds[i]],
                 path=paths[pi] if (pi := int(self.path_idx[i])) >= 0 else "",
                 category_key=categories[ci] if (ci := int(self.category_idx[i])) >= 0 else "",
                 size=int(self.sizes[i]),
@@ -368,29 +369,35 @@ class OpBatch:
                 yield SessionOp("think", size=thinks[i])
 
 
-def batch_emitter(*sinks):
-    """One ``emit(batch)`` callable feeding every sink in ``sinks``, in order.
+class RecordBatcher:
+    """The one way a record-at-a-time producer feeds a sink.
 
-    A sink with ``record_batch`` receives the batch itself; any other
-    receives the same rows through the :meth:`OpBatch.to_records` bridge,
-    one ``record_op`` at a time (converted once per batch, however many
-    scalar sinks there are).  The choice is made here, once per sink, so
-    no forwarding wrapper or replay loop branches on it per batch.
+    Sinks fold batches; the DES user processes, ``RealRunner`` and the
+    trace sessionizer emit one :class:`OpRecord` at a time.  This
+    buffers their records, in arrival order, and hands the sink
+    ``OpBatch.from_records(...)`` every :attr:`BLOCK_ROWS` records and
+    before forwarding any ``record_session`` (so a summary lands after
+    every op recorded before it).  The producer calls :meth:`flush`
+    when it ends, a ``time_limit_us`` truncation included.
     """
-    folds = [getattr(sink, "record_batch", None) for sink in sinks]
-    if len(folds) == 1 and folds[0] is not None:
-        return folds[0]
 
-    def emit(batch) -> None:
-        records = None
-        for sink, fold in zip(sinks, folds):
-            if fold is not None:
-                fold(batch)
-                continue
-            if records is None:
-                records = batch.to_records()
-            record_op = sink.record_op
-            for record in records:
-                record_op(record)
+    BLOCK_ROWS = 4096
 
-    return emit
+    def __init__(self, sink):
+        self.sink = sink
+        self._pending: list[OpRecord] = []
+
+    def record_op(self, record: OpRecord) -> None:
+        self._pending.append(record)
+        if len(self._pending) >= self.BLOCK_ROWS:
+            self.flush()
+
+    def record_session(self, record) -> None:
+        self.flush()
+        self.sink.record_session(record)
+
+    def flush(self) -> None:
+        """Hand the buffered records to the sink as one batch."""
+        if self._pending:
+            records, self._pending = self._pending, []
+            self.sink.record_batch(OpBatch.from_records(records))

@@ -306,25 +306,22 @@ def apply_op_effects(op, accounting: SessionAccounting,
 
 @runtime_checkable
 class OpSink(Protocol):
-    """Anything a workload executor can record into.
+    """Anything a workload run records into: batches in, summaries in.
+
+    ``record_batch`` folds a columnar :class:`~repro.core.opbatch.OpBatch`
+    of executed ops; ``record_session`` takes each login session's
+    summary, after every op recorded before it.  That is the whole
+    protocol.  The engine-free executor and the stream readers emit
+    batches; the producers that finish one call at a time (the DES user
+    processes, ``RealRunner``, the trace sessionizer) reach a sink
+    through :class:`~repro.core.opbatch.RecordBatcher`.
 
     :class:`UsageLog` is the archival implementation;
     :class:`repro.fleet.merge.ShardAccumulator` is the constant-memory
     one used for large fleet runs.
-
-    Sinks *may* additionally implement ``record_batch(batch: OpBatch)``
-    to fold whole columnar batches: the columnar backend probes for it
-    with ``getattr`` and otherwise falls back to per-record
-    ``record_op`` calls through the
-    :meth:`~repro.core.opbatch.OpBatch.to_records` bridge, so a sink
-    that only implements the two scalar methods keeps working — it just
-    forgoes the vectorized fold.  (``record_batch`` is deliberately not
-    part of the runtime-checkable protocol surface: listing it would
-    make ``isinstance(sink, OpSink)`` reject exactly the minimal sinks
-    the fallback exists for.)
     """
 
-    def record_op(self, record: OpRecord) -> None: ...
+    def record_batch(self, batch: "OpBatch") -> None: ...
 
     def record_session(self, record: SessionRecord) -> None: ...
 

@@ -77,8 +77,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .opbatch import OP_KIND_NAMES, OpBatch, StringTable, batch_emitter
-from .oplog import OpRecord, SessionRecord
+from .opbatch import OP_KIND_NAMES, OpBatch, StringTable
+from .oplog import SessionRecord
 
 __all__ = [
     "FORMAT_VERSION",
@@ -275,6 +275,10 @@ def _write_array(out: io.BytesIO, array: np.ndarray) -> None:
 
 def _encode_chunk(batch: OpBatch,
                   sessions: list[tuple[int, SessionRecord]]) -> bytes:
+    if len(batch) and int(batch.kinds.max()) >= len(OP_KIND_NAMES):
+        raise StreamFormatError(
+            "op kinds past the stream file's kind table (a trace's "
+            "mkdir/rmdir, see RECORD_KIND_NAMES) cannot be written")
     out = io.BytesIO()
     has_think = batch.think_us is not None
     out.write(struct.pack("<QB", len(batch), int(has_think)))
@@ -790,21 +794,14 @@ class StreamWriter:
 
 
 class TeeSink:
-    """Fan one op stream out to several sinks (e.g. tally + stream file).
-
-    ``record_batch`` is :func:`~repro.core.opbatch.batch_emitter` over
-    the sinks: batch-aware ones get the batch, any sink without
-    ``record_batch`` the same rows through the ``to_records`` bridge
-    (converted once per batch, however many scalar sinks are attached).
-    """
+    """Fan one op stream out to several sinks (e.g. tally + stream file)."""
 
     def __init__(self, *sinks):
         self.sinks = sinks
-        self.record_batch = batch_emitter(*sinks)
 
-    def record_op(self, record: OpRecord) -> None:
+    def record_batch(self, batch: OpBatch) -> None:
         for sink in self.sinks:
-            sink.record_op(record)
+            sink.record_batch(batch)
 
     def record_session(self, record: SessionRecord) -> None:
         for sink in self.sinks:
@@ -820,9 +817,6 @@ class StreamFileSink:
     session records embed at their exact op-row positions.  Close the
     sink (or use it as a context manager) to write the footer index —
     an unclosed file has no footer and readers reject it as truncated.
-
-    Scalar ``record_op`` calls are batched into columnar pieces before
-    buffering, so even a DES run writes the same chunked format.
     """
 
     def __init__(self, path: str,
@@ -835,10 +829,6 @@ class StreamFileSink:
         self._writer = _writer or StreamWriter(
             path, rows_per_chunk_for(memory_budget_bytes), metadata=metadata,
             observer=observer, checkpoint=checkpoint, flush_hook=flush_hook)
-        self._scalar: list[OpRecord] = []
-        # Scalar records columnarise in blocks; never hold more than a
-        # chunk's worth (and keep tiny-budget tests exact).
-        self._scalar_block = min(4096, self._writer.rows_per_chunk)
 
     @property
     def path(self) -> str:
@@ -855,37 +845,18 @@ class StreamFileSink:
         """Chunk frames flushed so far."""
         return self._writer.chunks_written
 
-    @property
-    def buffered_rows(self) -> int:
-        """Op rows currently buffered in memory."""
-        return self._writer.buffered_rows + len(self._scalar)
-
-    def _drain_scalar(self) -> None:
-        if self._scalar:
-            records, self._scalar = self._scalar, []
-            self._writer.add_batch(OpBatch.from_records(records))
-
-    def record_op(self, record: OpRecord) -> None:
-        self._scalar.append(record)
-        if len(self._scalar) >= self._scalar_block:
-            self._drain_scalar()
-
     def record_batch(self, batch: OpBatch) -> None:
-        self._drain_scalar()
         self._writer.add_batch(batch)
 
     def record_session(self, record: SessionRecord) -> None:
-        self._drain_scalar()
         self._writer.add_session(record)
 
     def close(self) -> None:
         """Flush everything and finalise the artifact."""
-        self._drain_scalar()
         self._writer.close()
 
     def abort(self) -> None:
         """Close the file without a footer (see StreamWriter.abort)."""
-        self._scalar = []
         self._writer.abort()
 
     def __enter__(self) -> "StreamFileSink":
@@ -1124,20 +1095,18 @@ class StreamReader:
     def replay(self, sink) -> tuple[int, int]:
         """Re-emit the artifact's exact event stream into ``sink``.
 
-        Ops go through ``record_batch`` when the sink has one (the
-        fast-columnar consumption path), else through the record bridge;
-        session summaries interleave at their recorded positions.
+        Ops go through ``record_batch``; session summaries interleave
+        at their recorded positions.
         Returns ``(op_rows, sessions)`` replayed.  Replaying into a new
         :class:`StreamFileSink` with the same budget reproduces the
         artifact byte for byte.
         """
-        emit = batch_emitter(sink)
         rows = sessions = 0
         for chunk in self.iter_chunks():
             for kind, event in _chunk_events(chunk.batch, chunk.sessions,
                                              chunk.row_start):
                 if kind == "rows":
-                    emit(event)
+                    sink.record_batch(event)
                 else:
                     sink.record_session(event)
                     sessions += 1
@@ -1409,12 +1378,11 @@ class SalvagedStream:
         ends up exactly as if it had seen the original events.  The
         returned summary carries the resume boundary.
         """
-        emit = batch_emitter(sink)
         out = ReplaySummary()
         for batch, sessions in self._iter_chunks():
             for kind, event in _chunk_events(batch, sessions, out.rows):
                 if kind == "rows":
-                    emit(event)
+                    sink.record_batch(event)
                     end = float((event.start_us + event.response_us).max())
                     uid = int(event.user_ids[-1])
                 else:

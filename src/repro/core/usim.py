@@ -29,6 +29,7 @@ import time
 
 from ..sim import Delay, Engine
 from ..vfs import FileSystemAPI, Whence
+from .opbatch import RecordBatcher
 from .oplog import OpRecord, OpSink, SessionAccounting, apply_op_effects
 from .synthesis import PhaseModel, SessionGenerator, SessionOp
 
@@ -120,7 +121,7 @@ def simulated_user_process(
     engine: Engine,
     client,
     task,
-    log: OpSink,
+    log: RecordBatcher,
     deadline_us: float | None = None,
 ):
     """A DES process: one virtual user running its login sessions.
@@ -128,8 +129,9 @@ def simulated_user_process(
     ``client`` is any simulated file-system client
     (:class:`~repro.nfs.NfsClient`, local-disk, AFS-like).  Response time
     of every call is the engine-clock delta around it; think operations
-    become plain delays.  ``log`` is any :class:`~repro.core.oplog.OpSink`
-    — a full :class:`~repro.core.oplog.UsageLog` or an online accumulator.
+    become plain delays.  ``log`` is the one
+    :class:`~repro.core.opbatch.RecordBatcher` every user process of the
+    engine shares, so the sink sees ops in engine-clock order.
 
     ``task`` is the user's :class:`~repro.core.execution.UserSessions`
     work order; its ``offset_us``/``gap_after_us`` encode the arrival
@@ -180,14 +182,16 @@ class RealRunner:
 
     def run_sessions(self, sessions: int) -> None:
         """Execute ``sessions`` login sessions back to back."""
+        log = RecordBatcher(self.log)
         for session_id in range(sessions):
-            self._run_one(session_id)
+            self._run_one(session_id, log)
+        log.flush()
 
     def _now_us(self) -> float:
         # detlint: ignore[no-wall-clock] — RealRunner measures a real FS; wall time is the product
         return time.perf_counter_ns() / 1000.0
 
-    def _run_one(self, session_id: int) -> None:
+    def _run_one(self, session_id: int, log: RecordBatcher) -> None:
         replay = _SessionReplay(self.generator, session_id, self._now_us())
         for op in self.generator.generate_session(session_id):
             if op.kind == "think":
@@ -196,7 +200,5 @@ class RealRunner:
                 continue
             started = self._now_us()
             result = replay.call(self.fs, op)
-            self.log.record_op(
-                replay.record(op, result, started, self._now_us())
-            )
-        self.log.record_session(replay.accounting.finish(self._now_us()))
+            log.record_op(replay.record(op, result, started, self._now_us()))
+        log.record_session(replay.accounting.finish(self._now_us()))

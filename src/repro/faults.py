@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core.opbatch import batch_emitter
-
 __all__ = [
     "FAULT_KINDS",
     "KILL_EXIT_CODE",
@@ -208,7 +206,6 @@ class _FaultSink:
         self.inner = inner
         self._triggers = sorted(triggers, key=lambda s: s.row)
         self._rows = 0
-        self._emit = batch_emitter(inner)
 
     def _fire(self, spec: FaultSpec) -> None:
         if spec.kind == "kill":
@@ -223,23 +220,17 @@ class _FaultSink:
             f"{spec.describe()!r})"
         )
 
-    def record_op(self, record) -> None:
-        self.inner.record_op(record)
-        self._rows += 1
-        while self._triggers and self._rows >= self._triggers[0].row:
-            self._fire(self._triggers.pop(0))
-
     def record_batch(self, batch) -> None:
         while self._triggers and self._rows + len(batch) >= \
                 self._triggers[0].row:
             spec = self._triggers.pop(0)
             cut = spec.row - self._rows
-            self._emit(batch.select(slice(0, cut)))
+            self.inner.record_batch(batch.select(slice(0, cut)))
             self._rows += cut
             batch = batch.select(slice(cut, len(batch)))
             self._fire(spec)
         if len(batch):
-            self._emit(batch)
+            self.inner.record_batch(batch)
             self._rows += len(batch)
 
     def record_session(self, record) -> None:

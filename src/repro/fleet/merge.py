@@ -27,13 +27,11 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.opbatch import KIND_READ, KIND_WRITE, OP_KIND_NAMES, OpBatch
-from ..core.oplog import OpRecord, SessionRecord, UsageLog
+from ..core.opbatch import KIND_READ, KIND_WRITE, RECORD_KIND_NAMES, OpBatch
+from ..core.oplog import SessionRecord, UsageLog
 from ..sim import RunningStats
 
 __all__ = ["WorkloadTally", "ShardAccumulator"]
-
-_DATA_OPS = ("read", "write")
 
 
 @dataclass(eq=True)
@@ -67,26 +65,6 @@ class WorkloadTally:
 
     # -- OpSink-shaped recording ---------------------------------------------
 
-    def record_op(self, record: OpRecord) -> None:
-        """Fold one executed system call into the tally."""
-        self.operations += 1
-        kind = record.op
-        self.ops_by_kind[kind] = self.ops_by_kind.get(kind, 0) + 1
-        if kind == "read":
-            self.bytes_read += record.size
-        elif kind == "write":
-            self.bytes_written += record.size
-        if kind in _DATA_OPS and record.category_key:
-            key = record.category_key
-            self.bytes_by_category[key] = (
-                self.bytes_by_category.get(key, 0) + record.size
-            )
-        if self.window_us is not None:
-            bucket = int(record.start_us // self.window_us)
-            self.ops_by_window[bucket] = (
-                self.ops_by_window.get(bucket, 0) + 1
-            )
-
     def record_session(self, record: SessionRecord) -> None:
         """Fold one login session's summary into the tally."""
         self.sessions += 1
@@ -97,13 +75,12 @@ class WorkloadTally:
         )
 
     def record_batch(self, batch: OpBatch) -> None:
-        """Fold a columnar batch — ``np.bincount`` over the kind and
-        category code columns instead of one dict update per op.
+        """Fold a batch of executed ops — ``np.bincount`` over the kind
+        and category code columns, one dict update per distinct key.
 
-        Exact-integer equivalent of calling :meth:`record_op` on every
-        row (including the quirk that a data op *creates* its category
-        key even when it moves zero bytes), which is what keeps columnar
-        and scalar tallies bit-for-bit equal.
+        A read or write with a category key counts the key even when it
+        moves zero bytes; with ``window_us`` set, row ``i`` counts into
+        bucket ``int(start_us[i] // window_us)``.
         """
         n = len(batch)
         if n == 0:
@@ -112,9 +89,9 @@ class WorkloadTally:
         kinds = batch.kinds
         sizes = batch.sizes
         by_kind = self.ops_by_kind
-        counts = np.bincount(kinds, minlength=len(OP_KIND_NAMES))
+        counts = np.bincount(kinds, minlength=len(RECORD_KIND_NAMES))
         for code in np.flatnonzero(counts).tolist():
-            name = OP_KIND_NAMES[code]
+            name = RECORD_KIND_NAMES[code]
             by_kind[name] = by_kind.get(name, 0) + int(counts[code])
         read_mask = kinds == KIND_READ
         write_mask = kinds == KIND_WRITE
@@ -136,8 +113,6 @@ class WorkloadTally:
                         by_category.get(key, 0) + int(per_category[i])
                     )
         if self.window_us is not None:
-            # float floor-division then int cast: the same IEEE floor as
-            # the scalar ``int(start_us // window_us)`` per element.
             buckets = (batch.start_us // self.window_us).astype(np.int64)
             uniq, per_bucket = np.unique(buckets, return_counts=True)
             by_window = self.ops_by_window
@@ -197,8 +172,7 @@ class WorkloadTally:
                  window_us: float | None = None) -> "WorkloadTally":
         """Replay an archived log into a tally."""
         tally = cls(window_us=window_us)
-        for op in log.operations:
-            tally.record_op(op)
+        tally.record_batch(OpBatch.from_records(log.operations))
         for session in log.sessions:
             tally.record_session(session)
         return tally
@@ -255,12 +229,6 @@ class ShardAccumulator:
         self.tally = WorkloadTally(window_us=window_us)
         self.response_us = RunningStats()
         self.log: UsageLog | None = UsageLog() if collect_ops else None
-
-    def record_op(self, record: OpRecord) -> None:
-        self.tally.record_op(record)
-        self.response_us.add(record.response_us)
-        if self.log is not None:
-            self.log.record_op(record)
 
     def record_session(self, record: SessionRecord) -> None:
         self.tally.record_session(record)

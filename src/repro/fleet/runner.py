@@ -81,7 +81,6 @@ from ..core.generator import (
 from ..core.oplog import UsageLog
 from ..core.spec import SpecError, WorkloadSpec
 from ..core.specjson import spec_from_jsonable, spec_to_jsonable
-from ..core.opbatch import batch_emitter
 from ..core.streamfile import (
     DEFAULT_MEMORY_BUDGET,
     StreamFileSink,
@@ -177,8 +176,8 @@ class FleetConfig:
     :class:`FleetPartialError` unless ``allow_partial`` accepts partial
     results.  ``faults`` arms deterministic failures
     (:class:`~repro.faults.FaultSpec`) for tests and chaos runs;
-    ``verify_shard_streams`` CRC-walks each shard artifact in the
-    coordinator (default: only when faults are armed).  ``resume_dir``
+    with faults armed and an ``out_stream``, the coordinator CRC-walks
+    each shard artifact before accepting it.  ``resume_dir``
     continues a killed run from its run directory (``keep_run_dir``
     preserves that directory when a run fails so it *can* be resumed).
 
@@ -217,7 +216,6 @@ class FleetConfig:
     resume_dir: str | None = None
     allow_partial: bool = False
     keep_run_dir: bool = False
-    verify_shard_streams: bool | None = None
 
     def __post_init__(self) -> None:
         if (self.scenario is None) == (self.spec is None):
@@ -472,7 +470,7 @@ def _resolve_run_inputs(config: FleetConfig):
         pattern = config.access_pattern or scenario.access_pattern
         phases = (scenario.use_phase_model if config.use_phase_model is None
                   else config.use_phase_model)
-        sessions = config.sessions_per_user or scenario.default_sessions
+        sessions = config.sessions_per_user or 1
         scenario_model = scenario.arrival_model
     model, window_us = _resolve_arrivals(config, scenario_model)
     return spec, pattern, phases, sessions, model, window_us
@@ -505,13 +503,6 @@ class _SkipSink:
         self.inner = inner
         self._rows = int(skip_rows)
         self._sessions = int(skip_sessions)
-        self._emit = batch_emitter(inner)
-
-    def record_op(self, record) -> None:
-        if self._rows > 0:
-            self._rows -= 1
-            return
-        self.inner.record_op(record)
 
     def record_batch(self, batch) -> None:
         if self._rows > 0:
@@ -521,7 +512,7 @@ class _SkipSink:
                 return
             batch = batch.select(slice(self._rows, n))
             self._rows = 0
-        self._emit(batch)
+        self.inner.record_batch(batch)
 
     def record_session(self, record) -> None:
         if self._sessions > 0:
@@ -745,7 +736,21 @@ def _build_run_record(config: FleetConfig, spec, pattern, phases, sessions,
     }
 
 
+_RUN_RECORD_FIELDS = {
+    (dict,): ("spec", "stream_metadata"),
+    (int,): ("shards", "sessions_per_user", "stream_budget_bytes"),
+    (str,): ("backend", "access_pattern", "out_stream"),
+    (bool,): ("use_phase_model", "collect_ops"),
+    (dict, type(None)): ("arrival_model",),
+    (int, float, type(None)): ("window_us", "time_limit_us"),
+}
+"""Every run-record field a resume reads, by the JSON types it may hold
+(exact types: ``True`` is not a shard count)."""
+
+
 def _load_run_record(run_dir: str) -> dict:
+    """The run record of ``run_dir``, shape-checked: a hand-edited or
+    damaged record fails with :class:`SpecError`, never a raw error."""
     path = os.path.join(run_dir, RUN_RECORD_NAME)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -755,16 +760,23 @@ def _load_run_record(run_dir: str) -> dict:
             f"cannot resume from {run_dir!r}: no readable run record "
             f"({exc})"
         ) from None
-    if record.get("format") != RUN_RECORD_FORMAT:
+    if not isinstance(record, dict) or (
+            record.get("format") != RUN_RECORD_FORMAT):
+        raise SpecError(f"{path!r} is not a fleet run record")
+    version = record.get("version")
+    if type(version) is not int or version < 1:
+        raise SpecError(f"{path!r} has a bad version field ({version!r})")
+    if version > RUN_RECORD_VERSION:
         raise SpecError(
-            f"{path!r} is not a fleet run record "
-            f"(format {record.get('format')!r})"
+            f"{path!r} was written by a newer version ({version})"
         )
-    if int(record.get("version", 0)) > RUN_RECORD_VERSION:
-        raise SpecError(
-            f"{path!r} was written by a newer version "
-            f"({record.get('version')})"
-        )
+    for kinds, keys in _RUN_RECORD_FIELDS.items():
+        for key in keys:
+            if key not in record or type(record[key]) not in kinds:
+                raise SpecError(
+                    f"{path!r} is damaged: field {key!r} is "
+                    f"{record.get(key, 'missing')!r}"
+                )
     return record
 
 
@@ -812,22 +824,26 @@ def resume_fleet_config(run_dir: str, *, workers: int | None = None,
     """
     record = _load_run_record(run_dir)
     spec = spec_from_jsonable(record["spec"])
-    model = (arrival_model_from_jsonable(record["arrival_model"])
-             if record.get("arrival_model") is not None else None)
+    model = None
+    if record["arrival_model"] is not None:
+        try:
+            model = arrival_model_from_jsonable(record["arrival_model"])
+        except ArrivalError as exc:
+            raise SpecError(f"run record in {run_dir!r}: {exc}") from None
     return FleetConfig(
         spec=spec,
-        shards=int(record["shards"]),
+        shards=record["shards"],
         workers=workers,
-        sessions_per_user=int(record["sessions_per_user"]),
+        sessions_per_user=record["sessions_per_user"],
         backend=record["backend"],
-        collect_ops=bool(record.get("collect_ops", False)),
-        time_limit_us=record.get("time_limit_us"),
+        collect_ops=record["collect_ops"],
+        time_limit_us=record["time_limit_us"],
         access_pattern=record["access_pattern"],
-        use_phase_model=bool(record["use_phase_model"]),
+        use_phase_model=record["use_phase_model"],
         arrival_model=model,
-        window_us=record.get("window_us"),
+        window_us=record["window_us"],
         out_stream=record["out_stream"],
-        stream_budget_bytes=int(record["stream_budget_bytes"]),
+        stream_budget_bytes=record["stream_budget_bytes"],
         metrics_out=metrics_out,
         progress=progress,
         max_retries=max_retries,
@@ -957,11 +973,8 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             resume=task.resume or (attempt > 1 and task.checkpoint),
         )
 
-    verify_streams = config.verify_shard_streams
-    if verify_streams is None:
-        verify_streams = bool(config.faults)
     verifier = (_verify_outcome
-                if verify_streams and config.out_stream is not None else None)
+                if config.faults and config.out_stream is not None else None)
     needs_isolation = any(f.needs_isolation for f in config.faults)
     supervised = (workers > 1 or needs_isolation
                   or config.shard_timeout_s is not None)

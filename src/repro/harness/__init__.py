@@ -12,6 +12,7 @@ from .comparison import (
     compare_file_systems,
 )
 from .figures import (
+    PAPER_EXPERIMENTS,
     FigureResult,
     TableResult,
     figure_5_1,
@@ -47,6 +48,7 @@ __all__ = [
     "CandidateResult",
     "FileSystemComparison",
     "compare_file_systems",
+    "PAPER_EXPERIMENTS",
     "FigureResult",
     "TableResult",
     "figure_5_1",

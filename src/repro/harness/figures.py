@@ -63,6 +63,7 @@ __all__ = [
     "figure_5_11",
     "figure_5_12",
     "response_per_byte_vs_users",
+    "PAPER_EXPERIMENTS",
 ]
 
 
@@ -526,3 +527,25 @@ def figure_5_12(
         xs=list(access_sizes),
         series={"response µs/byte": values},
     )
+
+
+PAPER_EXPERIMENTS = {
+    "table5.1": table_5_1,
+    "table5.2": table_5_2,
+    "table5.3": table_5_3,
+    "table5.4": table_5_4,
+    "fig5.1": figure_5_1,
+    "fig5.2": figure_5_2,
+    "fig5.3": figure_5_3,
+    "fig5.4": figure_5_4,
+    "fig5.5": figure_5_5,
+    "fig5.6": figure_5_6,
+    "fig5.7": figure_5_7,
+    "fig5.8": figure_5_8,
+    "fig5.9": figure_5_9,
+    "fig5.10": figure_5_10,
+    "fig5.11": figure_5_11,
+    "fig5.12": figure_5_12,
+}
+"""``figures`` CLI ident → the function that regenerates that table or
+figure (called with its defaults)."""

@@ -6,12 +6,11 @@ it: a disabled run pays one predicate check (see
 counters/gauges/stats/histograms into a
 :class:`~repro.obs.metrics.MetricsRegistry`, charges wall+CPU spans to
 pipeline stages, optionally paints a live progress line, and can be
-rolled up into a run-manifest JSON artifact or exported as JSONL /
-Prometheus text.  Instrumentation never consumes randomness or alters
-recorded bytes — golden byte-identity holds with metrics on.
+rolled up into a run-manifest JSON artifact.  Instrumentation never
+consumes randomness or alters recorded bytes — golden byte-identity
+holds with metrics on.
 """
 
-from .export import snapshot_jsonl, snapshot_prometheus
 from .manifest import (
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
@@ -51,6 +50,4 @@ __all__ = [
     "peak_rss_kib",
     "spec_fingerprint",
     "write_manifest",
-    "snapshot_jsonl",
-    "snapshot_prometheus",
 ]

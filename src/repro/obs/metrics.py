@@ -9,8 +9,8 @@ registries with the exact parallel-Welford math the tally merge uses.
 
 Everything round-trips through :meth:`MetricsRegistry.snapshot`: a
 plain JSON-able dict that workers can pickle back to the coordinator,
-:func:`merge_snapshots` can fold across shards, and the exporters in
-:mod:`repro.obs.export` can render as JSONL or Prometheus text.
+:func:`merge_snapshots` can fold across shards, and the run manifest
+embeds as is.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ The observability contract has two halves:
   run stage.
 * **Never touch the workload.**  An enabled observer only *reads* the
   event stream: :class:`ObservingSink` wraps the run's
-  :class:`~repro.core.oplog.OpSink` and forwards every record and batch
+  :class:`~repro.core.oplog.OpSink` and forwards every batch and summary
   untouched after folding counts into the
   :class:`~repro.obs.metrics.MetricsRegistry`.  No random stream is
   consumed and no column is written, so golden byte-identity holds with
@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.opbatch import batch_emitter
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -48,7 +47,7 @@ RESPONSE_HIST_US = (0.0, 100_000.0, 100)
 """Default response-time histogram layout: 1 ms bins up to 100 ms.
 
 Calls slower than 100 ms land in the overflow bucket, which the
-exporters report alongside the bins.
+snapshot reports alongside the bins.
 """
 
 
@@ -281,31 +280,24 @@ streaming million-user run keeps alive to a few thousand small views.
 class ObservingSink:
     """Counts what flows into a sink, then forwards it untouched.
 
-    The columnar path forwards each batch, then only *buffers* its
-    response and size columns — the array reductions behind the
+    Each batch is forwarded, then only its response and size columns
+    are *buffered* — the array reductions behind the
     ``response_us`` stat/histogram and the ``bytes_moved`` counter run
     over large concatenated chunks at flush time, so the per-batch
     marginal cost is two clock reads and two list appends.  Deferral is
     safe because executed batches carry freshly built columns (nothing
     mutates them after ``record_batch``) and exact for counts, extrema,
     bins and byte totals; mean/variance land within the documented
-    parallel-Welford tolerance of per-batch folding.  The scalar path
-    pays a few attribute updates per record and is deliberately not
-    timed — two clock reads per op would cost more than the accounting
-    itself.  If the wrapped sink has no ``record_batch``, batches are
-    bridged by the same :func:`~repro.core.opbatch.batch_emitter` the
-    executors use, so wrapping never changes what the inner sink
-    receives.
+    parallel-Welford tolerance of per-batch folding.
     """
 
-    __slots__ = ("inner", "observer", "_inner_batch", "_times",
-                 "_sessions", "_bytes", "_response", "_hist",
-                 "_pending_response", "_pending_sizes", "_pending_rows")
+    __slots__ = ("inner", "observer", "_times", "_sessions", "_bytes",
+                 "_response", "_hist", "_pending_response",
+                 "_pending_sizes", "_pending_rows")
 
     def __init__(self, inner, observer: RunObserver):
         self.inner = inner
         self.observer = observer
-        self._inner_batch = batch_emitter(inner)
         self._times = observer.stage_times("sink")
         metrics = observer.metrics
         self._sessions = metrics.counter("sessions")
@@ -316,13 +308,6 @@ class ObservingSink:
         self._pending_sizes: list = []
         self._pending_rows = 0
 
-    def record_op(self, record) -> None:
-        self._bytes.inc(record.size)
-        self._response.add(record.response_us)
-        self._hist.add(record.response_us)
-        self.observer.tick_ops(1)
-        self.inner.record_op(record)
-
     def record_session(self, record) -> None:
         self._sessions.inc()
         self.inner.record_session(record)
@@ -331,7 +316,7 @@ class ObservingSink:
         n = len(batch)
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        self._inner_batch(batch)
+        self.inner.record_batch(batch)
         self._pending_response.append(batch.response_us)
         self._pending_sizes.append(batch.sizes)
         self._pending_rows += n

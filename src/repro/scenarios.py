@@ -90,7 +90,6 @@ class Scenario:
     build: _SpecBuilder
     access_pattern: str = "sequential"
     use_phase_model: bool = False
-    default_sessions: int = 1
     tags: tuple[str, ...] = field(default=())
     arrival_model: "ArrivalModel | None" = None
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..core.opbatch import RecordBatcher
 from ..core.oplog import OpRecord, OpSink, SessionRecord
 from ..core.spec import FileCategory, SpecError
 from .events import IngestStats, IssueCollector, TraceEvent
@@ -158,13 +159,14 @@ def sessionize_events(
     session_counts: dict[int, int] = {}
     stats = IngestStats()
     paths_seen: set[str] = set()
+    records = RecordBatcher(sink)
 
     def close(user_id: int, state: _OpenSession) -> None:
         file_bytes = 0
         for path, write_bytes in state.referenced.items():
             known = size_index.size_of(path)
             file_bytes += known if known is not None else write_bytes
-        sink.record_session(
+        records.record_session(
             SessionRecord(
                 user_id=user_id,
                 user_type=TRACE_USER_TYPE,
@@ -228,7 +230,7 @@ def sessionize_events(
         if event.file_size is not None:
             size_index.observe(event.path, event.file_size)
 
-        sink.record_op(
+        records.record_op(
             OpRecord(
                 user_id=user_id,
                 user_type=TRACE_USER_TYPE,
@@ -256,6 +258,7 @@ def sessionize_events(
 
     for user_id, state in sorted(open_sessions.items()):
         close(user_id, state)
+    records.flush()
 
     stats.users = len(user_ids)
     stats.distinct_paths = len(paths_seen)

@@ -40,9 +40,6 @@ class EventSink:
     def __init__(self):
         self.events = []
 
-    def record_op(self, record):  # pragma: no cover - columnar never calls it
-        raise AssertionError("the columnar backend records batches")
-
     def record_batch(self, batch):
         self.events.append(("batch", len(batch)))
 

@@ -27,6 +27,7 @@ from repro.core import (
     WorkloadGenerator,
     paper_workload_spec,
 )
+from repro.core.opbatch import RecordBatcher
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.merge import ShardAccumulator
 from repro.scenarios import get_scenario, scenario_names
@@ -49,11 +50,11 @@ def synthesizers(spec, access_pattern="sequential", phases=False):
             materialize_shared=False,
         )
         assignment, selected = generator.plan_users()
-        out.append(generator.synthesize_users(
+        out.append(list(generator.iter_synthesized_users(
             layout, selected, assignment,
             access_pattern=access_pattern,
             phase_model_factory=PhaseModel if phases else None,
-        ))
+        )))
     return out
 
 
@@ -198,8 +199,9 @@ class TestFleetTallies:
         scenario = get_scenario(name)
         kwargs = scenario_kwargs(scenario, arrivals)
         sink = ShardAccumulator(window_us=HOUR_US if arrivals else None)
-        reference_run(scenario.build(users, seed),
-                      scenario.default_sessions, log=sink, **kwargs)
+        records = RecordBatcher(sink)
+        reference_run(scenario.build(users, seed), 1, log=records, **kwargs)
+        records.flush()
         return sink.tally
 
     @pytest.mark.parametrize("arrivals", [False, True])

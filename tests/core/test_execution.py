@@ -150,7 +150,7 @@ class TestStagedPipeline:
             MemoryFileSystem(), materialize_users=set()
         )
         _, selected = generator.plan_users()
-        users = generator.synthesize_users(layout, selected)
+        users = list(generator.iter_synthesized_users(layout, selected))
         ops = [op for op in users[0].generate_session(0)]
         assert any(op.kind != "think" for op in ops)
 

@@ -128,23 +128,21 @@ class TestBatchSamplerVectorConsumption:
 
 
 class TestTallyRecordBatch:
-    def test_matches_per_record_folding(self):
-        records = make_records()
-        scalar = WorkloadTally()
-        for record in records:
-            scalar.record_op(record)
-        columnar = WorkloadTally()
-        columnar.record_batch(OpBatch.from_records(records))
-        assert scalar == columnar
-
     def test_zero_byte_data_op_still_creates_category_key(self):
         record = OpRecord(0, "t", 0, "read", "/f", "cat", 0, 0.0, 0.0)
-        scalar = WorkloadTally()
-        scalar.record_op(record)
-        columnar = WorkloadTally()
-        columnar.record_batch(OpBatch.from_records([record]))
-        assert scalar == columnar
-        assert columnar.bytes_by_category == {"cat": 0}
+        tally = WorkloadTally()
+        tally.record_batch(OpBatch.from_records([record]))
+        assert tally.bytes_by_category == {"cat": 0}
+
+    def test_trace_only_kinds_fold_by_name(self):
+        # mkdir/rmdir: recorded by imported traces, never synthesized.
+        records = [OpRecord(0, "trace", 0, kind, "/d", "DIR:USER:RDONLY",
+                            0, 0.0, 1.0) for kind in ("mkdir", "rmdir")]
+        batch = OpBatch.from_records(records)
+        assert batch.to_records() == records
+        tally = WorkloadTally()
+        tally.record_batch(batch)
+        assert tally.ops_by_kind == {"mkdir": 1, "rmdir": 1}
 
     def test_empty_batch_is_a_no_op(self):
         tally = WorkloadTally()
@@ -155,9 +153,8 @@ class TestTallyRecordBatch:
 class TestMergeAll:
     def _tally(self, kind: str, n: int) -> WorkloadTally:
         tally = WorkloadTally()
-        for i in range(n):
-            tally.record_op(
-                OpRecord(0, "t", 0, kind, "/f", "c", 10, 0.0, 0.0))
+        tally.record_batch(OpBatch.from_records(
+            [OpRecord(0, "t", 0, kind, "/f", "c", 10, 0.0, 0.0)] * n))
         return tally
 
     def test_merge_all_equals_fold_of_merge(self):
@@ -172,23 +169,6 @@ class TestMergeAll:
         a.merge(b)
         WorkloadTally.merge_all([a, b])
         assert a == before_a and b == before_b
-
-
-class TestShardAccumulatorBatch:
-    def test_batch_and_scalar_tallies_match(self):
-        records = make_records()
-        scalar = ShardAccumulator(collect_ops=True)
-        for record in records:
-            scalar.record_op(record)
-        columnar = ShardAccumulator(collect_ops=True)
-        columnar.record_batch(OpBatch.from_records(records))
-        assert scalar.tally == columnar.tally
-        assert scalar.log.operations == columnar.log.operations
-        assert scalar.response_us.count == columnar.response_us.count
-        assert scalar.response_us.mean == pytest.approx(
-            columnar.response_us.mean)
-        assert scalar.response_us.std == pytest.approx(
-            columnar.response_us.std)
 
 
 class TestRunningStatsAddArray:
@@ -239,41 +219,7 @@ class TestUsageLogFastPaths:
         assert log.operations == make_records()
 
 
-class TestRecordBatchDefault:
-    """A sink without record_batch still works through the bridge."""
-
-    def test_minimal_sink_still_satisfies_protocol(self):
-        from repro.core import OpSink
-
-        class TwoMethodSink:
-            def record_op(self, record):
-                pass
-
-            def record_session(self, record):
-                pass
-
-        assert isinstance(TwoMethodSink(), OpSink)
-
-    def test_fallback_loops_record_op(self):
-        class MinimalSink:
-            def __init__(self):
-                self.ops = []
-
-            def record_op(self, record):
-                self.ops.append(record)
-
-            def record_session(self, record):
-                pass
-
-        from repro.core import paper_workload_spec, WorkloadGenerator
-
-        spec = paper_workload_spec(n_users=2, total_files=120, seed=3)
-        sink = MinimalSink()
-        WorkloadGenerator(spec).run_simulated(
-            backend="fast-columnar", log=sink)
-        reference = WorkloadGenerator(spec).run_simulated(backend="fast")
-        assert sink.ops == reference.log.operations
-
+class TestRecordedKinds:
     def test_think_codes_never_reach_sinks(self):
         from repro.core import paper_workload_spec, WorkloadGenerator
 

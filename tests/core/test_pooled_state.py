@@ -133,7 +133,8 @@ class TestPooledStateIsolation:
         spec = paper_workload_spec(n_users=1, total_files=120, seed=21)
         generator, layout, assignment, selected = _staged(spec)
         fused_kernel, per_session_kernel = (
-            _staged(spec)[0].synthesize_users(layout, selected)[0]
+            list(_staged(spec)[0].iter_synthesized_users(
+                layout, selected))[0]
             for _ in range(2)
         )
         batch, bounds = fused_kernel.generate_user_batch(range(3))

@@ -551,12 +551,12 @@ class TestSinkBudget:
 
             sink._writer._flush_chunk = counting_flush
             records, _ = small_artifact(str(tmp_path / "src.opstream"))
-            for record in records:
-                sink.record_op(record)
+            for i in range(0, len(records), 3):
+                sink.record_batch(OpBatch.from_records(records[i:i + 3]))
                 # The budget bound: a full chunk awaiting its flush
-                # trigger plus at most one scalar block in flight.
-                assert (sink.buffered_rows
-                        <= sink.rows_per_chunk + sink._scalar_block)
+                # trigger (the incoming batch's overflow is flushed
+                # before record_batch returns).
+                assert sink._writer.buffered_rows <= sink.rows_per_chunk
         # Every non-final flush is exactly one full chunk.
         assert all(take == 8 for take in flushes[:-1])
         assert sum(flushes) == len(records)
@@ -566,8 +566,7 @@ class TestSinkBudget:
         records, sessions = small_artifact(src)
         path = str(tmp_path / "tiny.opstream")
         with StreamFileSink(path, memory_budget_bytes=1) as sink:
-            for record in records:
-                sink.record_op(record)
+            sink.record_batch(OpBatch.from_records(records))
             for record in sessions:
                 sink.record_session(record)
         with StreamReader(path) as reader:
@@ -814,35 +813,6 @@ class _CountingBatchSink(UsageLog):
         super().record_batch(batch)
 
 
-class _ScalarOnlySink:
-    """No ``record_batch`` at all — must be fed through the bridge."""
-
-    def __init__(self):
-        self.ops = []
-        self.sessions = []
-
-    def record_op(self, record):
-        self.ops.append(record)
-
-    def record_session(self, record):
-        self.sessions.append(record)
-
-
-class _ConversionCountingBatch:
-    """OpBatch stand-in that counts ``to_records`` conversions."""
-
-    def __init__(self, batch):
-        self._batch = batch
-        self.conversions = 0
-
-    def __len__(self):
-        return len(self._batch)
-
-    def to_records(self):
-        self.conversions += 1
-        return self._batch.to_records()
-
-
 class TestTeeSinkBatchPath:
     def _batch(self, n=5):
         records = [
@@ -860,38 +830,8 @@ class TestTeeSinkBatchPath:
         assert a.batches == [batch] and b.batches == [batch]
         assert a.operations == batch.to_records()
 
-    def test_scalar_only_sink_gets_bridged_rows(self):
-        batch_aware, scalar = _CountingBatchSink(), _ScalarOnlySink()
-        batch = self._batch()
-        TeeSink(batch_aware, scalar).record_batch(batch)
-        assert batch_aware.batches == [batch]
-        assert scalar.ops == batch.to_records()
-
-    def test_bridge_converts_once_for_many_scalar_sinks(self):
-        scalars = [_ScalarOnlySink() for _ in range(3)]
-        batch = _ConversionCountingBatch(self._batch())
-        TeeSink(*scalars).record_batch(batch)
-        assert batch.conversions == 1
-        expected = batch.to_records()
-        for sink in scalars:
-            assert sink.ops == expected
-
-    def test_all_batch_aware_never_converts(self):
-        class BatchOnly:
-            def __init__(self):
-                self.batches = []
-
-            def record_batch(self, batch):
-                self.batches.append(batch)
-
-        sinks = [BatchOnly(), BatchOnly()]
-        batch = _ConversionCountingBatch(self._batch())
-        TeeSink(*sinks).record_batch(batch)
-        assert batch.conversions == 0
-        assert all(s.batches == [batch] for s in sinks)
-
     def test_sessions_fan_out_to_every_sink(self):
-        a, b = _CountingBatchSink(), _ScalarOnlySink()
+        a, b = _CountingBatchSink(), _CountingBatchSink()
         session = SessionRecord(
             user_id=1, user_type="t", session_id=0, start_us=0.0,
             end_us=5.0, files_referenced=1, bytes_accessed=10,
@@ -899,9 +839,3 @@ class TestTeeSinkBatchPath:
         TeeSink(a, b).record_session(session)
         assert a.sessions == [session]
         assert b.sessions == [session]
-
-    def test_scalar_ops_fan_out_to_every_sink(self):
-        a, b = _ScalarOnlySink(), _CountingBatchSink()
-        record = self._batch(1).to_records()[0]
-        TeeSink(a, b).record_op(record)
-        assert a.ops == [record] and b.operations == [record]

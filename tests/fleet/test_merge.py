@@ -1,6 +1,6 @@
 """WorkloadTally / ShardAccumulator: online tallies merge exactly."""
 
-from repro.core import OpRecord, OpSink, SessionRecord, UsageLog
+from repro.core import OpBatch, OpRecord, OpSink, SessionRecord, UsageLog
 from repro.fleet import ShardAccumulator, WorkloadTally
 
 
@@ -10,6 +10,10 @@ def _op(op="read", size=100, category="REG:USER:RDONLY", user=0):
         path="/user00/f", category_key=category, size=size,
         start_us=0.0, response_us=12.5,
     )
+
+
+def _fold(sink, *ops):
+    sink.record_batch(OpBatch.from_records(ops))
 
 
 def _session(user=0, files=3, accessed=500, referenced=900, utype="heavy"):
@@ -23,9 +27,7 @@ def _session(user=0, files=3, accessed=500, referenced=900, utype="heavy"):
 class TestWorkloadTally:
     def test_counts_ops_and_bytes(self):
         tally = WorkloadTally()
-        tally.record_op(_op("read", 100))
-        tally.record_op(_op("write", 40))
-        tally.record_op(_op("open", 0))
+        _fold(tally, _op("read", 100), _op("write", 40), _op("open", 0))
         assert tally.operations == 3
         assert tally.bytes_read == 100
         assert tally.bytes_written == 40
@@ -43,13 +45,10 @@ class TestWorkloadTally:
     def test_merge_equals_sequential_recording(self):
         ops = [_op("read", s) for s in (10, 20, 30, 40)]
         whole = WorkloadTally()
-        for op in ops:
-            whole.record_op(op)
+        _fold(whole, *ops)
         left, right = WorkloadTally(), WorkloadTally()
-        for op in ops[:2]:
-            left.record_op(op)
-        for op in ops[2:]:
-            right.record_op(op)
+        _fold(left, *ops[:2])
+        _fold(right, *ops[2:])
         assert left.merge(right) == whole
         # merge is symmetric for the aggregate
         assert right.merge(left) == whole
@@ -61,8 +60,7 @@ class TestWorkloadTally:
         log.record_session(_session())
         replayed = WorkloadTally.from_log(log)
         online = WorkloadTally()
-        for op in log.operations:
-            online.record_op(op)
+        _fold(online, *log.operations)
         for session in log.sessions:
             online.record_session(session)
         assert replayed == online
@@ -70,8 +68,8 @@ class TestWorkloadTally:
 
     def test_as_kv_deterministic_order(self):
         tally = WorkloadTally()
-        tally.record_op(_op("write", 1, category="Z"))
-        tally.record_op(_op("read", 1, category="A"))
+        _fold(tally, _op("write", 1, category="Z"),
+              _op("read", 1, category="A"))
         keys = list(tally.as_kv())
         assert keys.index("bytes[A]") < keys.index("bytes[Z]")
 
@@ -80,10 +78,8 @@ class TestWindowedTally:
     """Temporal bucketing: the offered-load curve inside the tally."""
 
     def _record(self, tally):
-        for start in (0.0, 5.0, 9.999, 10.0, 25.0):
-            record = _op()
-            tally.record_op(OpRecord(**{**record.__dict__,
-                                        "start_us": start}))
+        _fold(tally, *(OpRecord(**{**_op().__dict__, "start_us": start})
+                       for start in (0.0, 5.0, 9.999, 10.0, 25.0)))
 
     def test_buckets_by_start_clock(self):
         tally = WorkloadTally(window_us=10.0)
@@ -99,25 +95,11 @@ class TestWindowedTally:
         assert tally.ops_by_window == {}
         assert tally.offered_load() == []
 
-    def test_record_batch_matches_scalar_buckets(self):
-        from repro.core import OpBatch
-
-        records = [
-            OpRecord(**{**_op().__dict__, "start_us": start})
-            for start in (0.0, 3.0, 10.0, 19.5, 20.0, 47.0)
-        ]
-        scalar = WorkloadTally(window_us=10.0)
-        for record in records:
-            scalar.record_op(record)
-        columnar = WorkloadTally(window_us=10.0)
-        columnar.record_batch(OpBatch.from_records(records))
-        assert columnar == scalar
-
     def test_merge_adds_buckets_and_keeps_window(self):
         a = WorkloadTally(window_us=10.0)
         b = WorkloadTally(window_us=10.0)
-        a.record_op(OpRecord(**{**_op().__dict__, "start_us": 1.0}))
-        b.record_op(OpRecord(**{**_op().__dict__, "start_us": 11.0}))
+        _fold(a, OpRecord(**{**_op().__dict__, "start_us": 1.0}))
+        _fold(b, OpRecord(**{**_op().__dict__, "start_us": 11.0}))
         merged = a.merge(b)
         assert merged.window_us == 10.0
         assert merged.ops_by_window == {0: 1, 1: 1}
@@ -136,9 +118,9 @@ class TestWindowedTally:
         import pytest
 
         windowless = WorkloadTally()
-        windowless.record_op(_op())
+        _fold(windowless, _op())
         windowed = WorkloadTally(window_us=10.0)
-        windowed.record_op(_op())
+        _fold(windowed, _op())
         with pytest.raises(ValueError, match="different windows"):
             windowless.merge(windowed)
         with pytest.raises(ValueError, match="different windows"):
@@ -149,9 +131,8 @@ class TestWindowedTally:
 
     def test_offered_load_rates(self):
         tally = WorkloadTally(window_us=2e6)  # 2-second windows
-        for start in (0.0, 1e6, 2.5e6):
-            tally.record_op(OpRecord(**{**_op().__dict__,
-                                        "start_us": start}))
+        _fold(tally, *(OpRecord(**{**_op().__dict__, "start_us": start})
+                       for start in (0.0, 1e6, 2.5e6)))
         rows = tally.offered_load()
         assert rows == [(0.0, 2, 1.0), (2e6, 1, 0.5)]
 
@@ -169,7 +150,7 @@ class TestShardAccumulator:
 
     def test_stats_only_mode_drops_records(self):
         sink = ShardAccumulator(collect_ops=False)
-        sink.record_op(_op())
+        _fold(sink, _op())
         sink.record_session(_session())
         assert sink.log is None
         assert sink.tally.operations == 1
@@ -177,7 +158,7 @@ class TestShardAccumulator:
 
     def test_collect_mode_retains_log(self):
         sink = ShardAccumulator(collect_ops=True)
-        sink.record_op(_op())
+        _fold(sink, _op())
         sink.record_session(_session())
         assert len(sink.log.operations) == 1
         assert len(sink.log.sessions) == 1

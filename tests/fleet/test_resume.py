@@ -233,6 +233,75 @@ class TestResumeValidation:
                         resume_dir=str(tmp_path / "x.opstream.run"))
 
 
+def _drop(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _retype(key, value):
+    return lambda record: {**record, key: value}
+
+
+_RECORD_FIELDS = ("spec", "shards", "backend", "access_pattern",
+                  "use_phase_model", "sessions_per_user", "arrival_model",
+                  "window_us", "collect_ops", "time_limit_us", "out_stream",
+                  "stream_budget_bytes", "stream_metadata")
+
+RECORD_MUTATIONS = {
+    **{f"not-an-object-{i}": (lambda record, doc=doc: doc)
+       for i, doc in enumerate(([], "record", None, 7))},
+    "only-format-and-version": lambda record: {
+        "format": record["format"], "version": 1},
+    **{f"version-{value!r}": _retype("version", value)
+       for value in ("x", None, 1.5, True, 0, [1])},
+    "no-version": _drop("version"),
+    **{f"no-{key}": _drop(key) for key in _RECORD_FIELDS},
+    **{f"{key}-{value!r}": _retype(key, value) for key, value in (
+        ("spec", []), ("spec", {}), ("shards", "2"), ("shards", True),
+        ("shards", 2.0), ("backend", 5), ("access_pattern", None),
+        ("use_phase_model", 0), ("sessions_per_user", "1"),
+        ("arrival_model", "office-hours"), ("arrival_model", {}),
+        ("window_us", "1"), ("collect_ops", "no"), ("time_limit_us", []),
+        ("out_stream", None), ("stream_budget_bytes", 4096.0),
+        ("stream_metadata", None))},
+}
+
+
+class TestHostileRunRecord:
+    """``fleet-run.json`` is outside input: any damaged record is a
+    ``SpecError`` (``error: …`` / exit 2 from the CLI), never a raw
+    ``AttributeError`` / ``KeyError`` / ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def record(self, tmp_path_factory):
+        config = _killed_run(tmp_path_factory.mktemp("record"))
+        path = os.path.join(config.run_dir, "fleet-run.json")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def run_dir_with(tmp_path, document):
+        run_dir = tmp_path / "x.opstream.run"
+        run_dir.mkdir()
+        (run_dir / "fleet-run.json").write_text(json.dumps(document))
+        return str(run_dir)
+
+    def test_the_unmutated_record_loads(self, tmp_path, record):
+        config = resume_fleet_config(self.run_dir_with(tmp_path, record))
+        assert (config.shards, config.backend) == (2, "fast-columnar")
+
+    @pytest.mark.parametrize("name", sorted(RECORD_MUTATIONS))
+    def test_mutated_record_fails_typed(self, tmp_path, record, name,
+                                        capsys):
+        from repro.cli import main
+
+        run_dir = self.run_dir_with(
+            tmp_path, RECORD_MUTATIONS[name](dict(record)))
+        with pytest.raises(SpecError):
+            resume_fleet_config(run_dir)
+        assert main(["fleet", "run", "--resume", run_dir]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCrashMatrix:
     """Satellite: hypothesis sweep over kill row × shard count."""
 

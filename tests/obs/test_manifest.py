@@ -1,4 +1,4 @@
-"""Unit tests for the run manifest and the snapshot exporters."""
+"""Unit tests for the run manifest."""
 
 import json
 import re
@@ -8,8 +8,6 @@ from repro.core import paper_workload_spec
 from repro.obs import (
     RunObserver,
     build_manifest,
-    snapshot_jsonl,
-    snapshot_prometheus,
     write_manifest,
 )
 from repro.obs.manifest import peak_rss_kib, spec_fingerprint
@@ -80,46 +78,3 @@ class TestBuildManifest:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text) == manifest
-
-
-class TestJsonlExport:
-    def test_every_line_parses_and_is_typed(self):
-        lines = snapshot_jsonl(sample_snapshot()).splitlines()
-        parsed = [json.loads(line) for line in lines]
-        types = {obj["type"] for obj in parsed}
-        assert types == {"counter", "gauge", "stat", "histogram", "stage"}
-        by_name = {(obj["type"], obj["name"]): obj for obj in parsed}
-        assert by_name[("counter", "ops")]["value"] == 10
-        assert by_name[("stat", "response_us")]["count"] == 3
-        assert by_name[("stage", "execute")]["calls"] == 1
-
-    def test_empty_snapshot_is_empty(self):
-        assert snapshot_jsonl({}) == ""
-
-
-class TestPrometheusExport:
-    def test_counter_gauge_summary_lines(self):
-        text = snapshot_prometheus(sample_snapshot())
-        assert "# TYPE repro_ops_total counter" in text
-        assert "repro_ops_total 10" in text
-        # Dots in metric names are sanitised for Prometheus.
-        assert "repro_shard_wall_s 1.5" in text
-        assert "repro_response_us_count 3" in text
-        assert "repro_response_us_sum 60.0" in text
-        assert "repro_stage_execute_calls 1" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        text = snapshot_prometheus(sample_snapshot())
-        buckets = re.findall(
-            r'repro_response_us_hist_bucket\{le="([^"]+)"\} (\d+)', text)
-        assert buckets[-1][0] == "+Inf"
-        counts = [int(c) for _, c in buckets]
-        assert counts == sorted(counts)
-        # 4 samples total: one underflow folded into the first bucket's
-        # cumulative count, one overflow into +Inf.
-        assert counts[-1] == 4
-        assert "repro_response_us_hist_count 4" in text
-
-    def test_custom_prefix(self):
-        text = snapshot_prometheus({"counters": {"ops": 1}}, prefix="x_")
-        assert "x_ops_total 1" in text

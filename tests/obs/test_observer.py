@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import WorkloadGenerator, paper_workload_spec
-from repro.core.opbatch import OpBatch
-from repro.core.oplog import OpRecord, SessionRecord, UsageLog
+from repro.core.opbatch import OpBatch, RecordBatcher
+from repro.core.oplog import OpRecord, UsageLog
 from repro.obs import NULL_OBSERVER, RunObserver
 from repro.obs.observer import NullObserver, Observer, ObservingSink
 
@@ -21,20 +21,6 @@ def make_records(n=4):
                  start_us=float(i), response_us=float(10 + i))
         for i in range(n)
     ]
-
-
-class ScalarOnlySink:
-    """OpSink with no ``record_batch`` — forces the bridge path."""
-
-    def __init__(self):
-        self.ops = []
-        self.sessions = []
-
-    def record_op(self, record):
-        self.ops.append(record)
-
-    def record_session(self, record):
-        self.sessions.append(record)
 
 
 class RecordingProgress:
@@ -121,33 +107,11 @@ class TestRunObserver:
 
 
 class TestObservingSink:
-    def test_scalar_path_counts_and_forwards(self):
-        obs = RunObserver()
-        inner = ScalarOnlySink()
-        sink = obs.wrap_sink(inner)
-        assert isinstance(sink, ObservingSink)
-        records = make_records(4)
-        for record in records:
-            sink.record_op(record)
-        sink.record_session(SessionRecord(
-            user_id=1, user_type="researcher", session_id=0,
-            start_us=0.0, end_us=1.0, files_referenced=2,
-            bytes_accessed=600, file_bytes_referenced=600,
-            categories=("research-small",)))
-        assert inner.ops == records
-        assert len(inner.sessions) == 1
-        assert obs.metrics.counter("ops").value == 4
-        assert obs.metrics.counter("sessions").value == 1
-        assert (obs.metrics.counter("bytes_moved").value
-                == sum(r.size for r in records))
-        stat = obs.metrics.stat("response_us")
-        assert stat.count == 4
-        assert stat.minimum == 10.0
-
     def test_batch_path_forwards_to_batch_aware_inner(self):
         obs = RunObserver()
         inner = UsageLog()
         sink = obs.wrap_sink(inner)
+        assert isinstance(sink, ObservingSink)
         batch = OpBatch.from_records(make_records(5))
         sink.record_batch(batch)
         # Forwarding and the op/row ticks are live; the array accounting
@@ -159,19 +123,6 @@ class TestObservingSink:
         assert (obs.metrics.counter("bytes_moved").value
                 == int(batch.sizes.sum()))
         assert obs.stages["sink"].bytes == int(batch.sizes.sum())
-
-    def test_batch_path_bridges_for_scalar_only_inner(self):
-        obs = RunObserver()
-        inner = ScalarOnlySink()
-        sink = obs.wrap_sink(inner)
-        batch = OpBatch.from_records(make_records(3))
-        sink.record_batch(batch)
-        # The bridge must hand the inner sink exactly what the executor's
-        # own to_records fallback would have handed it.
-        assert inner.ops == batch.to_records()
-        assert obs.metrics.counter("ops").value == 3
-        sink.flush()
-        assert obs.metrics.stat("response_us").count == 3
 
     def test_snapshot_flushes_deferred_batch_accounting(self):
         obs = RunObserver()
@@ -207,14 +158,16 @@ class TestEndToEndCounters:
         assert isinstance(result.log, UsageLog)
 
     def test_scalar_and_columnar_byte_counters_agree(self):
-        # The instrumented sink folds per record (the scalar reference
-        # replay) and per batch (the executor) to the same counters.
+        # The scalar reference replay (batched in blocks) and the
+        # executor (one batch per session) fold to the same counters.
         batched = RunObserver()
         WorkloadGenerator(SPEC).run_simulated(
             sessions_per_user=2, backend="fast", observer=batched)
         scalar = RunObserver()
         sink = scalar.wrap_sink(UsageLog())
-        reference_run(SPEC, 2, log=sink)
+        records = RecordBatcher(sink)
+        reference_run(SPEC, 2, log=records)
+        records.flush()
         sink.flush()
         counters = dict(batched.snapshot()["counters"], users=0)
         assert scalar.snapshot()["counters"] == counters
