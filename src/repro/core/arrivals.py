@@ -199,7 +199,10 @@ class LoadProfile:
         try:
             return cls(payload["edges_us"], payload["weights"],
                        name=str(payload.get("name", "")))
-        except (KeyError, TypeError) as exc:
+        except ArrivalError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError: NumPy refusing a string or a nested list.
             raise ArrivalError(f"bad load-profile payload: {exc}") from exc
 
 

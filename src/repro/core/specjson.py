@@ -127,6 +127,14 @@ def _require(payload: dict, key: str, context: str):
         raise SpecError(f"spec JSON: {context} is missing {key!r}") from None
 
 
+def _int_field(payload: dict, key: str, default: int) -> int:
+    # ``type(...) is int``: 2.7 and true are rejected, not truncated.
+    value = payload.get(key, default)
+    if type(value) is not int:
+        raise SpecError(f"spec JSON: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_jsonable(payload: dict[str, Any]) -> WorkloadSpec:
     """Decode a dict produced by :func:`spec_to_jsonable`.
 
@@ -158,7 +166,7 @@ def spec_from_jsonable(payload: dict[str, Any]) -> WorkloadSpec:
             UserTypeSpec(
                 name=str(_require(ut, "name", "user type")),
                 fraction=float(_require(ut, "fraction", "user type")),
-                max_open_files=int(ut.get("max_open_files", 8)),
+                max_open_files=_int_field(ut, "max_open_files", 8),
                 think_time=from_jsonable(_require(ut, "think_time", "user type")),
                 access_size=from_jsonable(_require(ut, "access_size", "user type")),
                 usage=tuple(
@@ -186,9 +194,9 @@ def spec_from_jsonable(payload: dict[str, Any]) -> WorkloadSpec:
     return WorkloadSpec(
         file_categories=categories,
         user_types=user_types,
-        total_files=int(payload.get("total_files", 400)),
-        n_users=int(payload.get("n_users", 1)),
-        seed=int(payload.get("seed", 0)),
+        total_files=_int_field(payload, "total_files", 400),
+        n_users=_int_field(payload, "n_users", 1),
+        seed=_int_field(payload, "seed", 0),
     )
 
 

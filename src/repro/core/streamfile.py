@@ -257,53 +257,6 @@ def _compact_column(idx: np.ndarray, table: StringTable):
 # ---------------------------------------------------------------------------
 
 
-def _write_table(out: io.BytesIO, values: list[str]) -> None:
-    out.write(struct.pack("<L", len(values)))
-    for value in values:
-        raw = value.encode("utf-8")
-        out.write(struct.pack("<L", len(raw)))
-        out.write(raw)
-
-
-def _write_array(out: io.BytesIO, array: np.ndarray) -> None:
-    block = io.BytesIO()
-    np.save(block, array, allow_pickle=False)
-    raw = block.getvalue()
-    out.write(struct.pack("<Q", len(raw)))
-    out.write(raw)
-
-
-def _encode_chunk(batch: OpBatch,
-                  sessions: list[tuple[int, SessionRecord]]) -> bytes:
-    if len(batch) and int(batch.kinds.max()) >= len(OP_KIND_NAMES):
-        raise StreamFormatError(
-            "op kinds past the stream file's kind table (a trace's "
-            "mkdir/rmdir, see RECORD_KIND_NAMES) cannot be written")
-    out = io.BytesIO()
-    has_think = batch.think_us is not None
-    out.write(struct.pack("<QB", len(batch), int(has_think)))
-    compacted = {}
-    for idx_name, table_name in _STRING_COLUMNS:
-        new_idx, values = _compact_column(
-            getattr(batch, idx_name), getattr(batch, table_name))
-        compacted[idx_name] = new_idx
-        _write_table(out, values)
-    for name, dtype in _COLUMNS:
-        column = compacted.get(name, None)
-        if column is None:
-            column = getattr(batch, name)
-        _write_array(out, np.ascontiguousarray(column, dtype=np.dtype(dtype)))
-    if has_think:
-        _write_array(out, np.ascontiguousarray(
-            batch.think_us, dtype=np.int64))
-    out.write(struct.pack("<L", len(sessions)))
-    for position, record in sessions:
-        raw = record.to_line().encode("utf-8")
-        out.write(struct.pack("<QL", position, len(raw)))
-        out.write(raw)
-    return out.getvalue()
-
-
 _U32 = struct.Struct("<L")
 _U64 = struct.Struct("<Q")
 _CHUNK_HEAD = struct.Struct("<QB")  # op rows, think flag
@@ -317,6 +270,70 @@ _COLUMN_DTYPES = tuple((name, np.dtype(dtype))
 # than copying the column.  Bounded: a hostile file can vary them forever.
 _NPY_HEADERS: dict[bytes, tuple[np.dtype, tuple]] = {}
 _NPY_HEADERS_MAX = 64
+# The write-side twin: u64 block length + npy 1.0 magic + header, per
+# (dtype.str, rows) — every full chunk of a run repeats the same dozen.
+_NPY_PREAMBLES: dict[tuple[str, int], bytes] = {}
+
+
+def _table_bytes(values: list[str]) -> bytes:
+    """A string table: u32 count, then u32 length + UTF-8 per value."""
+    out = [_U32.pack(len(values))]
+    for value in values:
+        raw = value.encode("utf-8")
+        out += (_U32.pack(len(raw)), raw)
+    return b"".join(out)
+
+
+def _npy_preamble(column: np.ndarray) -> bytes:
+    """What ``np.save`` writes ahead of ``column``'s data, length-framed."""
+    key = (column.dtype.str, len(column))
+    preamble = _NPY_PREAMBLES.get(key)
+    if preamble is None:
+        head = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            head, np.lib.format.header_data_from_array_1_0(column))
+        if len(_NPY_PREAMBLES) >= _NPY_HEADERS_MAX:
+            _NPY_PREAMBLES.clear()
+        preamble = _NPY_PREAMBLES[key] = (
+            _U64.pack(head.tell() + column.nbytes) + head.getvalue())
+    return preamble
+
+
+def _encode_chunk(batch: OpBatch, sessions: list[tuple[int, SessionRecord]]
+                  ) -> list[bytes | memoryview]:
+    """The chunk payload as a list of buffers in file order.
+
+    Small ``bytes`` (counts, string tables, npy preambles, session
+    lines) alternate with a byte ``memoryview`` of each C-contiguous
+    column — a reference, not a copy, and for a column already in its
+    file dtype a view of the batch's own array.  The caller owns CRC
+    and write order (chain ``zlib.crc32`` over the parts, then write
+    them) and must do both before anything mutates the batch.
+    """
+    if len(batch) and int(batch.kinds.max()) >= len(OP_KIND_NAMES):
+        raise StreamFormatError(
+            "op kinds past the stream file's kind table (a trace's "
+            "mkdir/rmdir, see RECORD_KIND_NAMES) cannot be written")
+    has_think = batch.think_us is not None
+    head = [_CHUNK_HEAD.pack(len(batch), int(has_think))]
+    compacted = {}
+    for idx_name, table_name in _STRING_COLUMNS:
+        compacted[idx_name], values = _compact_column(
+            getattr(batch, idx_name), getattr(batch, table_name))
+        head.append(_table_bytes(values))
+    parts: list[bytes | memoryview] = [b"".join(head)]
+    for name, dtype in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
+        column = compacted.get(name)
+        if column is None:
+            column = getattr(batch, name)
+        column = np.ascontiguousarray(column, dtype=dtype)
+        parts += (_npy_preamble(column), memoryview(column).cast("B"))
+    tail = [_U32.pack(len(sessions))]
+    for position, record in sessions:
+        raw = record.to_line().encode("utf-8")
+        tail += (_SESSION_HEAD.pack(position, len(raw)), raw)
+    parts.append(b"".join(tail))
+    return parts
 
 
 def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
@@ -750,13 +767,17 @@ class StreamWriter:
                and self._sessions[cut][0] <= boundary):
             cut += 1
         sessions, self._sessions = self._sessions[:cut], self._sessions[cut:]
-        payload = _encode_chunk(rows, sessions)
+        parts = _encode_chunk(rows, sessions)
+        crc = nbytes = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            nbytes += len(part)
         offset = self._stream.tell()
-        self._stream.write(struct.pack(_FRAME_FMT, _FRAME_CHUNK,
-                                       len(payload), zlib.crc32(payload)))
-        self._stream.write(payload)
+        self._stream.write(struct.pack(_FRAME_FMT, _FRAME_CHUNK, nbytes, crc))
+        for part in parts:
+            self._stream.write(part)
         if self._observer is not None:
-            framed = len(payload) + struct.calcsize(_FRAME_FMT)
+            framed = nbytes + struct.calcsize(_FRAME_FMT)
             metrics = self._observer.metrics
             metrics.counter("stream.chunks").inc()
             metrics.counter("stream.rows").inc(take)

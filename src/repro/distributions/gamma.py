@@ -9,6 +9,10 @@ for ``0 <= y < inf``, the ``w_i`` sum to one, and ``s_i`` are per-stage
 offsets.  Devarakonda and Iyer [DI86] found that real file and usage
 distributions are well approximated by this family, which is why the GDS
 supports it natively.
+
+``scipy.special`` (~0.2 s and ~20 MiB of start-up) is imported where a
+density, CDF or quantile is evaluated, not with the package: no bundled
+scenario carries a gamma family, so engine-free runs never load SciPy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .base import Distribution, DistributionError, StageMixture
 
@@ -43,6 +46,8 @@ class ShiftedGamma(Distribution):
         self.offset = float(offset)
 
     def pdf(self, x):
+        from scipy import special  # on first use; see module docstring
+
         x = np.asarray(x, dtype=float)
         y = x - self.offset
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -59,6 +64,8 @@ class ShiftedGamma(Distribution):
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy import special  # on first use; see module docstring
+
         x = np.asarray(x, dtype=float)
         y = np.maximum(x - self.offset, 0.0)
         out = special.gammainc(self.shape, y / self.scale)
@@ -120,6 +127,8 @@ class MultiStageGamma(StageMixture):
         return ex2 - self.mean() ** 2
 
     def _stage_quantile(self, stage_idx, u):
+        from scipy import special  # on first use; see module docstring
+
         # Inverse regularised incomplete gamma, then scale and shift.
         return (
             special.gammaincinv(self.shapes[stage_idx], u)

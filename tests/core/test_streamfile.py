@@ -17,6 +17,7 @@ The format's contract has three legs, each tested here:
 import io
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -43,10 +44,13 @@ from repro.core import streamfile
 from repro.core.streamfile import (
     _COLUMNS,
     _FRAME_FMT,
+    _STRING_COLUMNS,
     _THINK_COLUMN,
     ROW_BYTES,
     StreamWriter,
+    _compact_column,
     _decode_chunk,
+    _encode_chunk,
     _parse_sessions,
     concat_batches,
     rows_per_chunk_for,
@@ -380,6 +384,177 @@ class TestDecoderMatchesReference:
             for name, _ in (*_COLUMNS, _THINK_COLUMN):
                 column = getattr(batch, name)
                 assert column.flags.owndata and column.flags.writeable, name
+
+
+def reference_encode(batch, sessions):
+    """The pre-rewrite encoder: ``np.save`` into a ``BytesIO`` per
+    column, every piece copied into one payload ``BytesIO``."""
+    def write_table(out, values):
+        out.write(struct.pack("<L", len(values)))
+        for value in values:
+            raw = value.encode("utf-8")
+            out.write(struct.pack("<L", len(raw)))
+            out.write(raw)
+
+    def write_array(out, array):
+        block = io.BytesIO()
+        np.save(block, array, allow_pickle=False)
+        raw = block.getvalue()
+        out.write(struct.pack("<Q", len(raw)))
+        out.write(raw)
+
+    out = io.BytesIO()
+    has_think = batch.think_us is not None
+    out.write(struct.pack("<QB", len(batch), int(has_think)))
+    compacted = {}
+    for idx_name, table_name in _STRING_COLUMNS:
+        new_idx, values = _compact_column(
+            getattr(batch, idx_name), getattr(batch, table_name))
+        compacted[idx_name] = new_idx
+        write_table(out, values)
+    for name, dtype in _COLUMNS:
+        column = compacted.get(name, None)
+        if column is None:
+            column = getattr(batch, name)
+        write_array(out, np.ascontiguousarray(column, dtype=np.dtype(dtype)))
+    if has_think:
+        write_array(out, np.ascontiguousarray(
+            batch.think_us, dtype=np.int64))
+    out.write(struct.pack("<L", len(sessions)))
+    for position, record in sessions:
+        raw = record.to_line().encode("utf-8")
+        out.write(struct.pack("<QL", position, len(raw)))
+        out.write(raw)
+    return out.getvalue()
+
+
+def assert_parts_reference_columns(parts):
+    """Each part is ``bytes`` or a byte view of a C-contiguous column."""
+    for part in parts:
+        if isinstance(part, bytes):
+            continue
+        assert isinstance(part, memoryview), type(part)
+        assert part.format == "B" and part.c_contiguous
+        column = part.obj
+        assert isinstance(column, np.ndarray) and column.ndim == 1
+        assert column.flags.c_contiguous and part.nbytes == column.nbytes
+
+
+class TestEncoderMatchesReference:
+    """The parts-list encoder writes the old encoder's bytes, uncopied."""
+
+    @given(batch=op_batches(max_rows=12),
+           sessions=st.lists(session_records, max_size=3),
+           step=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_parts_join_to_the_reference_bytes(self, batch, sessions, step):
+        # step > 1: strided (non-contiguous) views the encoder must make
+        # contiguous before it may reference them.
+        rows = batch.select(slice(None, None, step))
+        framed = list(enumerate(sessions))
+        parts = _encode_chunk(rows, framed)
+        assert b"".join(parts) == reference_encode(rows, framed)
+        assert_parts_reference_columns(parts)
+
+    @given(events=event_streams(), rows_per_chunk=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_written_chunks_are_the_reference_bytes(
+            self, tmp_path_factory, events, rows_per_chunk):
+        # Through _take_rows / _flush_chunk: what lands in each frame
+        # (CRC-checked by the reader) is the reference's payload for the
+        # rows and sessions the writer cut.
+        path = str(tmp_path_factory.mktemp("enc") / "a.opstream")
+        want = []
+
+        def recording(rows, sessions):
+            want.append(reference_encode(rows, sessions))
+            return _encode_chunk(rows, sessions)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streamfile, "_encode_chunk", recording)
+            write_events(path, events, rows_per_chunk)
+        assert chunk_payloads(path) == want
+
+    def test_sessions_only_chunk(self):
+        sessions = [(0, SessionRecord(1, "héavy", 0, 0.0, 9.0, 2, 128, 256,
+                                      ("user:rdonly",)))]
+        for think in (None, np.empty(0, dtype=np.int64)):
+            batch = OpBatch.empty(0)
+            batch.think_us = think
+            parts = _encode_chunk(batch, sessions)
+            assert b"".join(parts) == reference_encode(batch, sessions)
+            assert_parts_reference_columns(parts)
+
+    def test_int64_extremes_and_non_ascii_paths(self):
+        records = [
+            OpRecord(INT64_MAX, "日本", INT64_MAX, op, f"/ü/🐍\t{i}", "ß:é",
+                     size, -1e308, 1e308)
+            for i, (op, size) in enumerate(
+                zip(RECORD_KINDS, (INT64_MIN, INT64_MAX, 0, -1) * 3))
+        ]
+        batch = OpBatch.from_records(records)
+        batch.think_us = np.array(
+            [(INT64_MIN, INT64_MAX)[i % 2] for i in range(len(batch))],
+            dtype=np.int64)
+        assert b"".join(_encode_chunk(batch, [])) == reference_encode(batch, [])
+
+    def test_unused_string_column_aliases_the_batch(self, tmp_path):
+        # Every index -1: _compact_column hands back the column itself
+        # (astype(copy=False)), so the part is a view of the caller's
+        # array — same bytes as the reference, and the reason nothing
+        # may touch the rows between _encode_chunk and the write.
+        records, _ = small_artifact(str(tmp_path / "unused.opstream"))
+        batch = OpBatch.from_records(records)
+        batch.path_idx[:] = -1
+        parts = _encode_chunk(batch, [])
+        assert b"".join(parts) == reference_encode(batch, [])
+        assert_parts_reference_columns(parts)
+        views = [p for p in parts if isinstance(p, memoryview)]
+        path_part = views[[name for name, _ in _COLUMNS].index("path_idx")]
+        assert np.shares_memory(path_part.obj, batch.path_idx)
+        assert np.shares_memory(views[1].obj, batch.plan_ids)
+
+    def test_preamble_memo_is_bounded(self):
+        for n in range(3 * streamfile._NPY_HEADERS_MAX):
+            batch = OpBatch.empty(n)
+            batch.kinds[:] = 0
+            for column, _ in _STRING_COLUMNS:
+                getattr(batch, column)[:] = -1
+            _encode_chunk(batch, [])
+            assert (len(streamfile._NPY_PREAMBLES)
+                    <= streamfile._NPY_HEADERS_MAX)
+
+    def test_flush_allocates_under_half_the_payload(self, tmp_path):
+        # The old path copied every column three times (np.save's
+        # BytesIO, the payload BytesIO, getvalue()) and peaked at
+        # ~1.4 x the payload here.  What is left (~0.43 x) is the three
+        # compacted int32 index columns and _compact_column's transients.
+        n = 20_000
+        rng = np.random.default_rng(5)
+        batch = OpBatch.empty(n)
+        batch.kinds[:] = rng.integers(0, len(RECORD_KINDS), n)
+        for name in ("plan_ids", "sizes", "user_ids", "session_ids"):
+            getattr(batch, name)[:] = rng.integers(0, 2**40, n)
+        batch.flags[:] = 0
+        batch.think_us = rng.integers(0, 10**6, n)
+        batch.path_idx[:] = batch.paths.intern_many(
+            [f"/home/u{i % 400}/file{i % 400}" for i in range(n)])
+        batch.category_idx[:] = batch.categories.intern("REG:USER:RDONLY")
+        batch.user_type_idx[:] = batch.user_types.intern("heavy")
+        with StreamWriter(str(tmp_path / "a.opstream"), n) as writer:
+            writer.add_batch(batch)  # exactly one chunk: nothing flushed yet
+            assert writer.chunks_written == 0
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                writer._flush_chunk(n)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert writer.chunks_written == 1
+        (payload,) = chunk_payloads(str(tmp_path / "a.opstream"))
+        assert payload == reference_encode(batch, [])
+        assert peak < 0.5 * len(payload), (peak, len(payload))
 
 
 def npy_block(array, version=(1, 0)):

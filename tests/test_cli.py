@@ -11,23 +11,35 @@ from repro.cli import build_parser, main
 
 
 class TestStartup:
-    """Start-up is one import: ``scipy.stats`` (~1 s, ~40 MiB) loads
-    where a fit's p-value is computed, not with the package."""
+    """Start-up pays for what the run uses: no module under ``src/``
+    imports SciPy at module level.  ``scipy.stats`` (~1 s, ~40 MiB)
+    loads where a fit's p-value is computed and ``scipy.special``
+    (~0.2 s, ~20 MiB) where a gamma density, CDF or quantile is
+    evaluated; ``import repro`` is ~0.3 s and ~36 MiB without them."""
 
     def probe(self, body: str) -> str:
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = body + "\nprint('scipy.stats' in sys.modules)"
+        code = body + (
+            "\nimport sys"
+            "\nprint(any(m == 'scipy' or m.startswith('scipy.')"
+            " for m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    def test_import_repro_does_not_load_scipy_stats(self):
-        assert self.probe("import sys, repro").split() == ["False"]
+    def run_cli(self, *commands) -> str:
+        return self.probe(
+            "from repro.cli import main\n" + "\n".join(
+                f"assert main({list(argv)!r}) == 0" for argv in commands))
 
-    def test_version_command_does_not_load_scipy_stats(self):
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_import_does_not_load_scipy(self, module):
+        assert self.probe(f"import {module}").split() == ["False"]
+
+    def test_version_command_does_not_load_scipy(self):
         out = self.probe(
             "import runpy, sys\n"
             "sys.argv = ['repro', '--version']\n"
@@ -37,14 +49,51 @@ class TestStartup:
             "    assert not stop.code, stop.code")
         assert out.split()[-1] == "False" and "repro-workload" in out
 
+    def test_engine_free_simulate_and_verify_do_not_load_scipy(self, tmp_path):
+        artifact = str(tmp_path / "a.opstream")
+        out = self.run_cli(
+            ["simulate", "--users", "2", "--sessions", "1", "--files", "60",
+             "--backend", "fast", "--out-stream", artifact],
+            ["stream", "verify", artifact])
+        assert out.split()[-1] == "False"
+
+    def test_in_process_fleet_run_does_not_load_scipy(self, tmp_path):
+        out = self.run_cli(
+            ["fleet", "run", "--scenario", "batch-heavy", "--users", "4",
+             "--files", "60", "--backend", "fast", "--workers", "1",
+             "--out-stream", str(tmp_path / "f.opstream")])
+        assert out.split()[-1] == "False"
+
+    def test_des_simulate_does_not_load_scipy(self):
+        out = self.run_cli(["simulate", "--users", "1", "--sessions", "1",
+                            "--files", "60", "--backend", "nfs"])
+        assert out.split()[-1] == "False"
+
     def test_ks_test_still_loads_it_on_demand(self):
         out = self.probe(
-            "import sys\n"
             "from repro.distributions import ShiftedExponential\n"
             "from repro.distributions.fitting import ks_test\n"
             "d, p = ks_test([1.0, 2.0, 3.0, 4.0], ShiftedExponential(2.5))\n"
             "assert 0.0 <= p <= 1.0")
         assert out.split() == ["True"]
+
+    # Expected values are what the commit before the deferral computed.
+    def test_gamma_cdf_and_pdf_load_it_on_demand(self):
+        out = self.probe(
+            "from repro.distributions import ShiftedGamma\n"
+            "gamma = ShiftedGamma(2.0, 3.0)\n"
+            "print(repr(gamma.cdf(1.0)), repr(gamma.pdf(1.0)))")
+        assert out.split() == [
+            "0.04462491923494765", "0.07961459006375433", "True"]
+
+    def test_multi_stage_gamma_sample_loads_it_on_demand(self):
+        out = self.probe(
+            "import numpy as np\n"
+            "from repro.distributions import MultiStageGamma\n"
+            "gamma = MultiStageGamma([0.7, 0.2, 0.1], [1.3, 1.5, 1.3],\n"
+            "                        [12.3, 12.4, 12.3], [0.0, 23.0, 41.0])\n"
+            "print(repr(gamma.sample(np.random.default_rng(7))))")
+        assert out.split() == ["34.14117909022235", "True"]
 
 
 class TestParser:

@@ -1,5 +1,8 @@
 """WorkloadSpec JSON round-trip tests, including empirical payloads."""
 
+import copy
+import json
+
 import pytest
 
 from repro.core import (
@@ -301,3 +304,122 @@ class TestScenarioRegistration:
             assert scenario.arrival_model == model
         finally:
             _REGISTRY.pop("test-timed", None)
+
+
+# ---------------------------------------------------------------------------
+# Structured-mutation sweep (ROADMAP item 6): every field of a valid
+# document deleted / null / string / list / dict / -1 must end in a
+# SpecError or a valid object — never another exception.
+# ---------------------------------------------------------------------------
+
+_DELETE = "<deleted>"
+_MUTANT_VALUES = (_DELETE, None, "x", [], {}, -1)
+
+
+def _sweep_document() -> dict:
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario("mixed-campus")
+    return json.loads(dumps_spec(scenario.build(6, 7, 80),
+                                 arrivals=scenario.arrival_model))
+
+
+def _field_paths(node, prefix=()):
+    """Every key path of a JSON tree; a list is probed at both ends."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list) and node:
+        children = sorted({0: node[0], len(node) - 1: node[-1]}.items())
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _mutated(document: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(document)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+_SWEEP_DOCUMENT = _sweep_document()
+_SWEEP = [(path, value)
+          for path in _field_paths(_SWEEP_DOCUMENT) if path[0] != "meta"
+          for value in _MUTANT_VALUES]
+# The raw TypeError / ValueError cases the sweep found at PR 22.
+_INT_FIELD_MUTANTS = [((field,), value)
+                      for field in ("n_users", "seed", "total_files")
+                      for value in (None, "x", [], {})]
+_PROFILE_MUTANTS = [
+    (("arrivals", "profile", column, *index), value)
+    for column, last in (("edges_us", 24), ("weights", 23))
+    for index, values in (((), ("x",)), ((0,), ("x", [])), ((last,), ("x", [])))
+    for value in values
+]
+
+
+def _mutant_id(case) -> str:
+    path, value = case
+    return f"{'.'.join(map(str, path))}={value!r}"
+
+
+class TestMutationSweep:
+    def test_sweep_covers_the_known_raw_exceptions(self):
+        assert len(_INT_FIELD_MUTANTS) == 12 and len(_PROFILE_MUTANTS) == 10
+        for case in _INT_FIELD_MUTANTS + _PROFILE_MUTANTS:
+            assert case in _SWEEP, case
+
+    @pytest.mark.parametrize("case", _SWEEP, ids=_mutant_id)
+    def test_spec_error_or_a_valid_object(self, case):
+        from repro.core.arrivals import ArrivalModel
+        from repro.core.specjson import spec_arrivals
+
+        payload = _mutated(_SWEEP_DOCUMENT, *case)
+        try:
+            spec = spec_from_jsonable(payload)
+            arrivals = spec_arrivals(payload)
+        except SpecError:
+            return
+        assert isinstance(spec, WorkloadSpec)
+        assert arrivals is None or isinstance(arrivals, ArrivalModel)
+
+    @pytest.mark.parametrize("case", _INT_FIELD_MUTANTS + _PROFILE_MUTANTS,
+                             ids=_mutant_id)
+    def test_register_spec_file_raises_spec_error(self, case, tmp_path):
+        from repro.scenarios import _REGISTRY, register_spec_file
+
+        path = tmp_path / "mutant.spec.json"
+        path.write_text(json.dumps(_mutated(_SWEEP_DOCUMENT, *case)))
+        try:
+            with pytest.raises(SpecError):
+                register_spec_file(str(path), name="test-mutant")
+        finally:
+            _REGISTRY.pop("test-mutant", None)
+
+    @pytest.mark.parametrize("case", _INT_FIELD_MUTANTS, ids=_mutant_id)
+    def test_trace_validate_exits_2_without_a_traceback(
+            self, case, tmp_path, example_trace, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "mutant.spec.json"
+        path.write_text(json.dumps(_mutated(_SWEEP_DOCUMENT, *case)))
+        assert main(["trace", "validate", str(path),
+                     "--against", example_trace]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load spec: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    @pytest.mark.parametrize(
+        "path", [("n_users",), ("seed",), ("total_files",),
+                 ("user_types", 0, "max_open_files")])
+    def test_integer_fields_are_not_truncated(self, path, value):
+        with pytest.raises(SpecError, match="must be an integer"):
+            spec_from_jsonable(_mutated(_SWEEP_DOCUMENT, path, value))
