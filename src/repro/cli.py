@@ -89,9 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "`stream info/replay`)")
         p.add_argument("--stream-budget-bytes", type=int, default=None,
                        metavar="N",
-                       help="stream-file buffer budget: at most N bytes "
-                            "of column data held between chunk flushes "
-                            "(default 64 MiB)")
+                       help="stream-file buffer budget of the whole run: "
+                            "at most N bytes of column data held between "
+                            "chunk flushes; a fleet's k shards spill at "
+                            "N/k each (default 64 MiB)")
 
     def obs_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--metrics-out", metavar="PATH", default=None,

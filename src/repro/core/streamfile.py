@@ -160,96 +160,69 @@ def rows_per_chunk_for(memory_budget_bytes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Batch concatenation and per-chunk table compaction
+# Per-chunk table compaction over the writer's pieces
 # ---------------------------------------------------------------------------
 
 
-def _remap_indices(idx: np.ndarray, source: StringTable,
-                   target: StringTable) -> np.ndarray:
-    """Re-intern ``idx`` (indices into ``source``) into ``target``.
-
-    Only the values actually used are interned, so a slice sharing a
-    large long-lived table costs O(distinct values used), not O(table).
-    """
-    used = np.unique(idx[idx >= 0])
-    if used.size == 0:
-        return idx.astype(np.int32, copy=True)
-    values = source.values()
-    lut = np.full(int(used[-1]) + 1, -1, dtype=np.int32)
-    # np.unique sorts, so values are interned in ascending source index.
-    lut[used] = target.intern_many([values[i] for i in used.tolist()])
-    out = lut[np.maximum(idx, 0)]
-    out[idx < 0] = -1
-    return out
-
-
-# (index column, the table it indexes), and every per-row column.
+# (index column, the table it indexes).
 _STRING_COLUMNS = (("path_idx", "paths"), ("category_idx", "categories"),
                    ("user_type_idx", "user_types"))
-_ROW_COLUMNS = ("kinds", "plan_ids", "sizes", "flags", "user_ids",
-                "session_ids", "start_us", "response_us",
-                *(column for column, _ in _STRING_COLUMNS))
 
 
-def concat_batches(batches: Iterable[OpBatch]) -> OpBatch:
-    """Concatenate batches into one, re-interning the string tables.
+def _joined(pieces: list[OpBatch], name: str) -> np.ndarray:
+    """Column ``name`` of ``pieces`` as one array (a lone piece's own)."""
+    if len(pieces) == 1:
+        return getattr(pieces[0], name)
+    return np.concatenate([getattr(piece, name) for piece in pieces])
 
-    Consecutive batches that share their table *objects* (slices of one
-    parent — a user block's per-session views) are re-interned as one
-    run, so the cost follows the number of distinct parents, not the
-    number of slices.  The ``think_us`` column survives only when
-    *every* input carries it (a record batch without thinks has no
-    pause information to invent).  An empty input list yields a
-    well-typed empty batch.
+
+def _table_runs(pieces: list[OpBatch]) -> list[list[OpBatch]]:
+    """``pieces`` cut into runs of consecutive pieces that share all
+    three string-table *objects* (slices of one parent — a user block's
+    per-session views), so compaction costs follow the number of
+    distinct parents, not the number of slices."""
+    runs: list[list[OpBatch]] = []
+    for piece in pieces:
+        if runs and all(getattr(piece, table) is getattr(runs[-1][-1], table)
+                        for _, table in _STRING_COLUMNS):
+            runs[-1].append(piece)
+        else:
+            runs.append([piece])
+    return runs
+
+
+def _compact_column(runs: list[list[OpBatch]], idx_name: str,
+                    table_name: str) -> tuple[list[np.ndarray], list[str]]:
+    """Compact one string column of a chunk's pieces for serialisation.
+
+    Returns ``(columns, values)``: ``values`` holds only the strings the
+    rows reference, ordered by first occurrence in row order across the
+    whole chunk (one entry per distinct string, whichever tables it came
+    from), and ``columns`` the rows' indices into it, one array per run.
+    A pure function of the rows, so identical rows always serialise to
+    identical bytes regardless of the tables they shared in memory.  A
+    chunk that references no string keeps its pieces' own columns.
     """
-    batches = [b for b in batches if len(b)]
-    if not batches:
-        return OpBatch.empty(0)
-    if len(batches) == 1:
-        return batches[0]
-    out = OpBatch.empty(sum(len(b) for b in batches))
-    for column in _ROW_COLUMNS:
-        np.concatenate([getattr(b, column) for b in batches],
-                       out=getattr(out, column))
-    if all(b.think_us is not None for b in batches):
-        out.think_us = np.concatenate([b.think_us for b in batches],
-                                      dtype=np.int64)
-    pos = run_start = 0
-    for b, following in zip(batches, batches[1:] + [None]):
-        pos += len(b)
-        if following is not None and all(
-                getattr(following, table) is getattr(b, table)
-                for _, table in _STRING_COLUMNS):
-            continue
-        for column, table in _STRING_COLUMNS:
-            run = getattr(out, column)[run_start:pos]
-            run[:] = _remap_indices(run, getattr(b, table),
-                                    getattr(out, table))
-        run_start = pos
-    return out
-
-
-def _compact_column(idx: np.ndarray, table: StringTable):
-    """Compact one string column for serialisation.
-
-    Returns ``(new_idx, values)`` where ``values`` holds only the
-    strings the column references, ordered by first occurrence in row
-    order — a pure function of the rows, so identical rows always
-    serialise to identical bytes regardless of the table they shared in
-    memory.
-    """
-    used = idx[idx >= 0]
-    if used.size == 0:
-        return idx.astype(np.int32, copy=False), []
-    uniq, first = np.unique(used, return_index=True)
-    order = np.argsort(first, kind="stable")
-    ordered = uniq[order]
-    lut = np.full(int(uniq[-1]) + 1, -1, dtype=np.int32)
-    lut[ordered] = np.arange(len(ordered), dtype=np.int32)
-    new_idx = lut[np.maximum(idx, 0)]
-    new_idx[idx < 0] = -1
-    values = table.values()
-    return new_idx, [values[int(i)] for i in ordered]
+    chunk_table: dict[str, int] = {}
+    columns = []
+    for run in runs:
+        # Source index i is i + 1 here; every negative index is 0.
+        shifted = np.maximum(_joined(run, idx_name), -1)
+        shifted += 1
+        # Each index's first row in one scatter pass (np.unique's sort
+        # costs ~20x the time and twice the transient memory).
+        first = np.full(int(shifted.max()) + 1, len(shifted), dtype=np.int64)
+        np.minimum.at(first, shifted, np.arange(len(shifted)))
+        used = np.flatnonzero(first[1:] < len(shifted))
+        ordered = used[np.argsort(first[used + 1], kind="stable")]
+        values = getattr(run[0], table_name).values()
+        lut = np.full(len(first), -1, dtype=np.int32)
+        lut[ordered + 1] = [chunk_table.setdefault(values[i], len(chunk_table))
+                            for i in ordered.tolist()]
+        columns.append(lut[shifted])
+    if not chunk_table:
+        return [getattr(piece, idx_name) for run in runs for piece in run], []
+    return columns, list(chunk_table)
 
 
 # ---------------------------------------------------------------------------
@@ -284,50 +257,64 @@ def _table_bytes(values: list[str]) -> bytes:
     return b"".join(out)
 
 
-def _npy_preamble(column: np.ndarray) -> bytes:
-    """What ``np.save`` writes ahead of ``column``'s data, length-framed."""
-    key = (column.dtype.str, len(column))
+def _npy_preamble(dtype: np.dtype, rows: int) -> bytes:
+    """What ``np.save`` writes ahead of a ``rows`` x ``dtype`` column,
+    length-framed."""
+    key = (dtype.str, rows)
     preamble = _NPY_PREAMBLES.get(key)
     if preamble is None:
         head = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            head, np.lib.format.header_data_from_array_1_0(column))
+        np.lib.format.write_array_header_1_0(head, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": (rows,)})
         if len(_NPY_PREAMBLES) >= _NPY_HEADERS_MAX:
             _NPY_PREAMBLES.clear()
         preamble = _NPY_PREAMBLES[key] = (
-            _U64.pack(head.tell() + column.nbytes) + head.getvalue())
+            _U64.pack(head.tell() + rows * dtype.itemsize) + head.getvalue())
     return preamble
 
 
-def _encode_chunk(batch: OpBatch, sessions: list[tuple[int, SessionRecord]]
-                  ) -> list[bytes | memoryview]:
-    """The chunk payload as a list of buffers in file order.
+def _encode_chunk(pieces: list[OpBatch],
+                  sessions: list[tuple[int, SessionRecord]]
+                  ) -> list[bytes | np.ndarray]:
+    """The payload of a chunk made of ``pieces``, as buffers in file order.
 
-    Small ``bytes`` (counts, string tables, npy preambles, session
-    lines) alternate with a byte ``memoryview`` of each C-contiguous
-    column — a reference, not a copy, and for a column already in its
-    file dtype a view of the batch's own array.  The caller owns CRC
-    and write order (chain ``zlib.crc32`` over the parts, then write
-    them) and must do both before anything mutates the batch.
+    The pieces are encoded as if concatenated, without concatenating
+    them: each column is one npy preamble for the chunk's row count
+    followed by one C-contiguous array per piece (per run of same-table
+    pieces for the compacted string columns) — for a column already
+    contiguous in its file dtype, the piece's own array, not a copy, and
+    not a ``memoryview`` cast (two small objects per part add up over
+    hundreds of pieces).  ``think_us`` is written only when every
+    non-empty piece carries one (a record batch has no pause to invent).
+    Small ``bytes`` (counts, string tables, preambles, session lines)
+    fill the gaps.  The caller owns CRC and write order (chain
+    ``zlib.crc32`` over the bytes-like parts, then write them) and must
+    do both before anything mutates the pieces.
     """
-    if len(batch) and int(batch.kinds.max()) >= len(OP_KIND_NAMES):
+    pieces = [piece for piece in pieces if len(piece)]
+    n = sum(len(piece) for piece in pieces)
+    if n and int(_joined(pieces, "kinds").max()) >= len(OP_KIND_NAMES):
         raise StreamFormatError(
             "op kinds past the stream file's kind table (a trace's "
             "mkdir/rmdir, see RECORD_KIND_NAMES) cannot be written")
-    has_think = batch.think_us is not None
-    head = [_CHUNK_HEAD.pack(len(batch), int(has_think))]
+    has_think = bool(pieces) and all(piece.think_us is not None
+                                     for piece in pieces)
+    runs = _table_runs(pieces)
+    head = [_CHUNK_HEAD.pack(n, int(has_think))]
     compacted = {}
     for idx_name, table_name in _STRING_COLUMNS:
-        compacted[idx_name], values = _compact_column(
-            getattr(batch, idx_name), getattr(batch, table_name))
+        compacted[idx_name], values = _compact_column(runs, idx_name,
+                                                      table_name)
         head.append(_table_bytes(values))
-    parts: list[bytes | memoryview] = [b"".join(head)]
+    parts: list[bytes | np.ndarray] = [b"".join(head)]
     for name, dtype in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-        column = compacted.get(name)
-        if column is None:
-            column = getattr(batch, name)
-        column = np.ascontiguousarray(column, dtype=dtype)
-        parts += (_npy_preamble(column), memoryview(column).cast("B"))
+        parts.append(_npy_preamble(dtype, n))
+        columns = compacted.get(name)
+        if columns is None:
+            columns = [getattr(piece, name) for piece in pieces]
+        parts += [np.ascontiguousarray(column, dtype=dtype)
+                  for column in columns]
     tail = [_U32.pack(len(sessions))]
     for position, record in sessions:
         raw = record.to_line().encode("utf-8")
@@ -441,20 +428,23 @@ def _parse_sessions(frames, what: str) -> list[tuple[int, SessionRecord]]:
             f"{what}: corrupt session record ({exc})") from None
 
 
-def _entry_from_chunk(offset: int, batch: OpBatch,
+def _entry_from_chunk(offset: int, pieces: list[OpBatch],
                       sessions: list) -> dict:
-    """The footer-index entry of a chunk (the writer's, or one rebuilt
-    from a decoded chunk)."""
-    n = len(batch)
-    return {
-        "offset": offset,
-        "rows": n,
-        "sessions": len(sessions),
-        "user_lo": int(batch.user_ids.min()) if n else None,
-        "user_hi": int(batch.user_ids.max()) if n else None,
-        "start_lo": float(batch.start_us.min()) if n else None,
-        "start_hi": float(batch.start_us.max()) if n else None,
-    }
+    """The footer-index entry of a chunk made of ``pieces`` (the
+    writer's, or one rebuilt from a decoded chunk)."""
+    n = sum(len(piece) for piece in pieces)
+    users = _column_range(pieces, "user_ids", int) if n else (None, None)
+    starts = _column_range(pieces, "start_us", float) if n else (None, None)
+    return {"offset": offset, "rows": n, "sessions": len(sessions),
+            "user_lo": users[0], "user_hi": users[1],
+            "start_lo": starts[0], "start_hi": starts[1]}
+
+
+def _column_range(pieces: list[OpBatch], name: str, scalar) -> tuple:
+    """``(min, max)`` of column ``name`` over ``pieces``, as ``scalar``s:
+    many small pieces reduce faster joined, one column at a time."""
+    column = _joined(pieces, name)
+    return scalar(column.min()), scalar(column.max())
 
 
 def _chunk_events(batch: OpBatch, sessions, row_start: int):
@@ -739,7 +729,8 @@ class StreamWriter:
                                        zlib.crc32(header)))
         self._stream.write(header)
 
-    def _take_rows(self, n: int) -> OpBatch:
+    def _take_rows(self, n: int) -> list[OpBatch]:
+        """The next ``n`` buffered rows as pieces (the last one split)."""
         taken: list[OpBatch] = []
         pieces = self._pieces
         while n > 0:
@@ -751,7 +742,7 @@ class StreamWriter:
                 taken.append(piece.select(slice(0, n)))
                 pieces[0] = piece.select(slice(n, len(piece)))
                 n = 0
-        return concat_batches(taken)
+        return taken
 
     def _flush_chunk(self, take: int) -> None:
         if self._flush_hook is not None:
@@ -760,19 +751,20 @@ class StreamWriter:
             # detlint: ignore[no-wall-clock] — observer-only spill span; never touches the stream
             wall0 = time.perf_counter()
             cpu0 = time.process_time()  # detlint: ignore[no-wall-clock] — observer-only spill span
-        rows = self._take_rows(take)
+        pieces = self._take_rows(take)
         boundary = self._rows_done + take
         cut = 0
         while (cut < len(self._sessions)
                and self._sessions[cut][0] <= boundary):
             cut += 1
         sessions, self._sessions = self._sessions[:cut], self._sessions[cut:]
-        parts = _encode_chunk(rows, sessions)
+        offset = self._stream.tell()
+        entry = _entry_from_chunk(offset, pieces, sessions)
+        parts = _encode_chunk(pieces, sessions)
         crc = nbytes = 0
         for part in parts:
             crc = zlib.crc32(part, crc)
-            nbytes += len(part)
-        offset = self._stream.tell()
+            nbytes += memoryview(part).nbytes
         self._stream.write(struct.pack(_FRAME_FMT, _FRAME_CHUNK, nbytes, crc))
         for part in parts:
             self._stream.write(part)
@@ -787,7 +779,7 @@ class StreamWriter:
                 time.perf_counter() - wall0, time.process_time() - cpu0,
                 rows=take, nbytes=framed,
             )
-        self._index.append(_entry_from_chunk(offset, rows, sessions))
+        self._index.append(entry)
         self._rows_done = boundary
         self._buffered -= take
         self._sessions_done += len(sessions)
@@ -1094,24 +1086,30 @@ class StreamReader:
                 yield self.read_chunk(info.index)
 
     def iter_batches(self, users=None, time_range=None) -> Iterator[OpBatch]:
-        """Yield op-row batches, row-filtered by user and time window."""
+        """Yield op-row batches, row-filtered by user and time window.
+
+        The reader keeps no decoded chunk alive while it decodes the
+        next, but it cannot release the caller's loop variable: ``for
+        batch in reader.iter_batches(): ...`` still holds the previous
+        batch while the next chunk is read.  A caller that must hold one
+        chunk at a time ends its loop body with ``del batch``.
+        """
         norm = _normalize_users(users)
         for info in self.chunk_index:
             if not self._chunk_matches(info, norm, time_range):
                 continue
             batch = self.read_chunk(info.index).batch
-            if norm is None and time_range is None:
-                if len(batch):
-                    yield batch
-                continue
-            mask = np.ones(len(batch), dtype=bool)
-            if norm is not None:
-                mask &= np.isin(batch.user_ids, norm)
-            if time_range is not None:
-                lo, hi = time_range
-                mask &= (batch.start_us >= lo) & (batch.start_us < hi)
-            if mask.any():
-                yield batch.select(mask)
+            if norm is not None or time_range is not None:
+                mask = np.ones(len(batch), dtype=bool)
+                if norm is not None:
+                    mask &= np.isin(batch.user_ids, norm)
+                if time_range is not None:
+                    lo, hi = time_range
+                    mask &= (batch.start_us >= lo) & (batch.start_us < hi)
+                batch = batch.select(mask)  # a copy: the chunk goes here
+            if len(batch):
+                yield batch
+            batch = None  # not alive while the next chunk decodes
 
     def replay(self, sink) -> tuple[int, int]:
         """Re-emit the artifact's exact event stream into ``sink``.
@@ -1120,10 +1118,12 @@ class StreamReader:
         at their recorded positions.
         Returns ``(op_rows, sessions)`` replayed.  Replaying into a new
         :class:`StreamFileSink` with the same budget reproduces the
-        artifact byte for byte.
+        artifact byte for byte.  One decoded chunk is alive at a time
+        (plus whatever views ``sink`` keeps).
         """
         rows = sessions = 0
-        for chunk in self.iter_chunks():
+        for info in self.chunk_index:
+            chunk = self.read_chunk(info.index)
             for kind, event in _chunk_events(chunk.batch, chunk.sessions,
                                              chunk.row_start):
                 if kind == "rows":
@@ -1132,6 +1132,7 @@ class StreamReader:
                     sink.record_session(event)
                     sessions += 1
             rows += len(chunk.batch)
+            chunk = event = None  # not alive while the next chunk decodes
         return rows, sessions
 
     def info_kv(self) -> dict:
@@ -1184,19 +1185,19 @@ def iter_batches(path: str, users=None, time_range=None) -> Iterator[OpBatch]:
 # ---------------------------------------------------------------------------
 
 
-def _iter_user_groups(reader: StreamReader):
-    """Yield ``(user_id, events)`` per user, in the artifact's order.
+def _iter_user_events(reader: StreamReader):
+    """Yield ``(user_id, kind, event)`` in the artifact's order: op rows
+    cut wherever the user id changes, and session records.
 
-    ``events`` is the user's slice of the event stream: ``("rows",
-    batch)`` and ``("session", record)`` entries in arrival order.
-    Requires user-contiguous artifacts (each user's events form one run,
-    users in ascending order) — what the engine-free backends write.
-    DES artifacts interleave users on the shared engine clock and are
-    rejected.
+    The merge copies a user's events through as they are read instead
+    of gathering them, so an input pins only the chunk it is read from.
+    Requires user-contiguous artifacts (users ascending, each one run) —
+    what the engine-free backends write; DES artifacts interleave users
+    on the shared engine clock and are rejected.
     """
-    current: int | None = None
-    events: list = []
-    for chunk in reader.iter_chunks():
+    last: int | None = None
+    for info in reader.chunk_index:
+        chunk = reader.read_chunk(info.index)
         for kind, event in _chunk_events(chunk.batch, chunk.sessions,
                                          chunk.row_start):
             if kind == "rows":
@@ -1208,37 +1209,37 @@ def _iter_user_groups(reader: StreamReader):
             else:
                 items, uids = [event], [event.user_id]
             for uid, item in zip(uids, items):
-                if uid != current:
-                    if current is not None:
-                        yield current, events
-                        if uid <= current:
-                            raise StreamFormatError(
-                                f"{reader.path}: user {uid} follows user "
-                                f"{current}; stream merge needs "
-                                "user-contiguous artifacts (engine-free "
-                                "backends)"
-                            )
-                    current, events = uid, []
-                events.append((kind, item))
-    if current is not None:
-        yield current, events
+                if last is not None and uid < last:
+                    raise StreamFormatError(
+                        f"{reader.path}: user {uid} follows user {last}; "
+                        "stream merge needs user-contiguous artifacts "
+                        "(engine-free backends)"
+                    )
+                last = uid
+                yield uid, kind, item
+        chunk = event = items = item = None  # not alive into the next read
 
 
 def merge_stream_files(output: str, inputs: Iterable[str],
-                       metadata: dict | None = None) -> int:
+                       metadata: dict | None = None,
+                       rows_per_chunk: int | None = None) -> int:
     """K-way merge per-shard artifacts into one canonical file.
 
-    Inputs must share the format version, schema and ``rows_per_chunk``
-    and hold disjoint, user-contiguous populations (what
-    ``run_fleet(..., out_stream=...)`` shards write).  Users interleave
-    back into ascending id order — the engine-free backends' canonical
-    execution order — and the event stream is re-chunked under the same
+    Inputs must share the format version and schema and hold disjoint,
+    user-contiguous populations (what ``run_fleet(..., out_stream=...)``
+    shards write).  Users interleave back into ascending id order — the
+    engine-free backends' canonical execution order — and the event
+    stream is re-chunked at ``rows_per_chunk`` rows under the same
     deterministic boundary rule, so the merged artifact is **bit
-    identical** to the one a single-shard run writes.  Returns the
+    identical** to the one a single-shard run at that chunk size writes,
+    whatever chunk sizes the inputs were written at.  Returns the
     number of op rows merged.
 
-    ``metadata`` defaults to the first input's (shard metadata is
-    run-level and identical across shards).
+    ``rows_per_chunk`` defaults to the inputs' own, which must then
+    agree.  The merge holds about one decoded chunk per input, so
+    ``run_fleet`` writes its k shard temps at ``1/k`` of the run's budget
+    and passes the run's chunk size here.  ``metadata`` defaults to the
+    first input's (shard metadata is run-level, the same in every shard).
     """
     paths = list(inputs)
     if not paths:
@@ -1252,29 +1253,33 @@ def merge_stream_files(output: str, inputs: Iterable[str],
                     f"{reader.path}: format version {reader.version} != "
                     f"{first.version}"
                 )
-            if reader.rows_per_chunk != first.rows_per_chunk:
+            if (rows_per_chunk is None
+                    and reader.rows_per_chunk != first.rows_per_chunk):
                 raise StreamFormatError(
                     f"{reader.path}: rows_per_chunk "
                     f"{reader.rows_per_chunk} != {first.rows_per_chunk}; "
-                    "shards must share one memory budget"
+                    "shards must share one memory budget (or name the "
+                    "output's rows_per_chunk)"
                 )
+        if rows_per_chunk is None:
+            rows_per_chunk = first.rows_per_chunk
         if metadata is None:
             metadata = first.metadata
-        groups = [_iter_user_groups(r) for r in readers]
-        heads: dict[int, tuple[int, list]] = {}
-        for i, group in enumerate(groups):
-            head = next(group, None)
+        streams = [_iter_user_events(r) for r in readers]
+        heads: dict[int, tuple] = {}  # each input's next event
+        for i, stream in enumerate(streams):
+            head = next(stream, None)
             if head is not None:
                 heads[i] = head
         rows = 0
         try:
-            with StreamWriter(output, first.rows_per_chunk,
+            with StreamWriter(output, rows_per_chunk,
                               metadata=metadata) as writer:
                 while heads:
                     source = min(heads, key=lambda i: heads[i][0])
-                    uid, events = heads[source]
-                    clashes = [i for i, (u, _) in heads.items()
-                               if u == uid and i != source]
+                    head = heads.pop(source)
+                    uid = head[0]
+                    clashes = [i for i, (u, *_) in heads.items() if u == uid]
                     if clashes:
                         raise StreamFormatError(
                             f"user {uid} appears in both "
@@ -1282,16 +1287,17 @@ def merge_stream_files(output: str, inputs: Iterable[str],
                             f"{readers[clashes[0]].path}; shards must be "
                             "disjoint"
                         )
-                    for kind, payload in events:
+                    # Copy the user's events through as they are read.
+                    while head is not None and head[0] == uid:
+                        _, kind, event = head
                         if kind == "rows":
-                            writer.add_batch(payload)
-                            rows += len(payload)
+                            writer.add_batch(event)
+                            rows += len(event)
                         else:
-                            writer.add_session(payload)
-                    head = next(groups[source], None)
-                    if head is None:
-                        del heads[source]
-                    else:
+                            writer.add_session(event)
+                        head = event = None  # not alive into the next read
+                        head = next(streams[source], None)
+                    if head is not None:
                         heads[source] = head
         except BaseException:
             # Never leave a half-written artifact behind.
@@ -1332,7 +1338,8 @@ def _sequential_scan(stream, size: int, data_start: int):
             sessions = _parse_sessions(frames, what)
         except StreamFormatError as exc:
             return entries, pos, f"{exc} (offset {pos})"
-        entries.append(_entry_from_chunk(pos, batch, sessions))
+        entries.append(_entry_from_chunk(pos, [batch], sessions))
+        payload = batch = None  # not alive while the next frame decodes
         pos = stop
     return entries, pos, None
 
@@ -1379,17 +1386,15 @@ class SalvagedStream:
     sessions: int
     data_end: int
 
-    def _iter_chunks(self):
-        with open(self.path, "rb") as stream:
-            size = os.fstat(stream.fileno()).st_size
-            for i, entry in enumerate(self.index):
-                what = f"{self.path}: salvaged chunk {i}"
-                kind, payload, _ = _read_frame(stream, entry["offset"], size,
-                                               what)
-                if kind != _FRAME_CHUNK:
-                    raise StreamFormatError(f"{what}: not a chunk frame")
-                batch, frames = _decode_chunk(payload, what)
-                yield batch, _parse_sessions(frames, what)
+    def _read_chunk(self, stream, size: int, i: int):
+        """Salvaged chunk ``i``: its op rows and parsed sessions."""
+        what = f"{self.path}: salvaged chunk {i}"
+        kind, payload, _ = _read_frame(stream, self.index[i]["offset"], size,
+                                       what)
+        if kind != _FRAME_CHUNK:
+            raise StreamFormatError(f"{what}: not a chunk frame")
+        batch, frames = _decode_chunk(payload, what)
+        return batch, _parse_sessions(frames, what)
 
     def replay(self, sink) -> ReplaySummary:
         """Re-emit the salvaged prefix into ``sink`` (see StreamReader).
@@ -1397,29 +1402,37 @@ class SalvagedStream:
         Ops and session records interleave at their recorded positions,
         so an order-invariant accumulator (the exact-integer tally)
         ends up exactly as if it had seen the original events.  The
-        returned summary carries the resume boundary.
+        returned summary carries the resume boundary.  One decoded
+        chunk is alive at a time (plus whatever views ``sink`` keeps).
         """
         out = ReplaySummary()
-        for batch, sessions in self._iter_chunks():
-            for kind, event in _chunk_events(batch, sessions, out.rows):
-                if kind == "rows":
-                    sink.record_batch(event)
-                    end = float((event.start_us + event.response_us).max())
-                    uid = int(event.user_ids[-1])
-                else:
-                    sink.record_session(event)
-                    out.sessions += 1
-                    end, uid = float(event.end_us), int(event.user_id)
-                if end > out.max_end_us:
-                    out.max_end_us = end
-                if out.last_user is None or uid > out.last_user:
-                    out.last_user = uid
-                    out.last_user_rows = out.last_user_sessions = 0
-                if kind == "rows":
-                    out.last_user_rows += int((event.user_ids == uid).sum())
-                elif uid == out.last_user:
-                    out.last_user_sessions += 1
-            out.rows += len(batch)
+        with open(self.path, "rb") as stream:
+            size = os.fstat(stream.fileno()).st_size
+            for i in range(len(self.index)):
+                batch, sessions = self._read_chunk(stream, size, i)
+                for kind, event in _chunk_events(batch, sessions, out.rows):
+                    if kind == "rows":
+                        sink.record_batch(event)
+                        end = float((event.start_us
+                                     + event.response_us).max())
+                        uid = int(event.user_ids[-1])
+                    else:
+                        sink.record_session(event)
+                        out.sessions += 1
+                        end, uid = float(event.end_us), int(event.user_id)
+                    if end > out.max_end_us:
+                        out.max_end_us = end
+                    if out.last_user is None or uid > out.last_user:
+                        out.last_user = uid
+                        out.last_user_rows = out.last_user_sessions = 0
+                    if kind == "rows":
+                        out.last_user_rows += int(
+                            (event.user_ids == uid).sum())
+                    elif uid == out.last_user:
+                        out.last_user_sessions += 1
+                out.rows += len(batch)
+                # Not alive while the next chunk decodes.
+                batch = sessions = event = None
         return out
 
 
@@ -1557,6 +1570,7 @@ def verify_stream(path: str) -> StreamVerifyReport:
             chunks_ok = 0
             sessions_seen = 0
             for info in reader.chunk_index:
+                chunk = None  # not alive while the next chunk decodes
                 try:
                     chunk = reader.read_chunk(info.index)
                     sessions = chunk.sessions
@@ -1565,8 +1579,8 @@ def verify_stream(path: str) -> StreamVerifyReport:
                     continue
                 chunks_ok += 1
                 sessions_seen += len(sessions)
-                if info.entry() != _entry_from_chunk(info.offset, chunk.batch,
-                                                     sessions):
+                if info.entry() != _entry_from_chunk(
+                        info.offset, [chunk.batch], sessions):
                     errors.append(f"chunk {info.index}: footer index "
                                   "disagrees with rows")
             if sessions_seen != reader.total_sessions and not errors:

@@ -149,9 +149,9 @@ class StageMixture(Distribution):
     _stage: type[Distribution]
 
     def __init__(self, **columns: Sequence[float] | None):
-        for name in self._PARAMS:
+        for name in self._PARAMS:  # "weights" first, "offsets" last
             value = columns[name]
-            if value is None:  # offsets default to all zeros
+            if value is None and name == "offsets":  # default: all zeros
                 value = np.zeros_like(self.weights)
             setattr(self, name, as_float_array(value, name))
         stage_columns = [getattr(self, name) for name in self._PARAMS[1:]]

@@ -87,6 +87,7 @@ from ..core.streamfile import (
     TeeSink,
     merge_stream_files,
     resume_stream_sink,
+    rows_per_chunk_for,
     verify_stream,
 )
 from ..core.synthesis import PhaseModel
@@ -161,6 +162,11 @@ class FleetConfig:
     so the merged tally carries the offered-load curve.  Arrival schedules are per-user
     draws from the root seed, so the curve is shard-count-invariant on
     the engine-free backends.
+
+    Memory: ``stream_budget_bytes`` (default 64 MiB) belongs to the run,
+    not to each shard — the merged artifact is chunked at it and the k
+    shard temps spill at ``budget // k`` each, so each worker holds 1/k
+    of it and the merge about 1-3 budgets of decoded rows whatever k is.
 
     Observability: ``metrics_out`` writes a run-manifest JSON artifact
     (merged per-shard metric snapshots, per-stage spans, versions, peak
@@ -947,7 +953,7 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             window_us=window_us,
             stream_path=(shard_paths[plan.shard_index]
                          if shard_paths else None),
-            stream_budget_bytes=stream_budget,
+            stream_budget_bytes=max(1, stream_budget // len(plans)),
             stream_metadata=stream_metadata,
             metrics=config.metrics_out is not None,
             progress=config.progress,
@@ -1015,16 +1021,17 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                 if len(shard_paths) == 1 and not quarantined:
                     os.replace(done_paths[0], config.out_stream)
                 else:
-                    # Streaming k-way merge by user id: holds one user's
-                    # events per shard plus one chunk buffer, never the
-                    # run.  The result is bit-identical to the artifact
-                    # a 1-shard run writes (same events, same
-                    # deterministic chunk boundaries); publication is an
-                    # atomic rename, so out_stream never holds a
-                    # half-written file.
+                    # Streaming k-way merge by user id, re-chunked at the
+                    # run's own chunk size: one decoded temp chunk per
+                    # shard (1/k of the budget each) plus the writer's
+                    # buffer, whatever k is — 5.5-6.0 MiB at 2-16 shards
+                    # for a 2 MiB budget.  The result is bit-identical to
+                    # the artifact a 1-shard run writes; publication is
+                    # an atomic rename, so out_stream is never partial.
                     merged_tmp = os.path.join(run_dir, "merged.opstream")
-                    merge_stream_files(merged_tmp, done_paths,
-                                       metadata=publish_metadata)
+                    merge_stream_files(
+                        merged_tmp, done_paths, metadata=publish_metadata,
+                        rows_per_chunk=rows_per_chunk_for(stream_budget))
                     os.replace(merged_tmp, config.out_stream)
         complete = not quarantined
     finally:

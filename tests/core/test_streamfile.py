@@ -48,11 +48,9 @@ from repro.core.streamfile import (
     _THINK_COLUMN,
     ROW_BYTES,
     StreamWriter,
-    _compact_column,
     _decode_chunk,
     _encode_chunk,
     _parse_sessions,
-    concat_batches,
     rows_per_chunk_for,
     verify_stream,
 )
@@ -386,9 +384,71 @@ class TestDecoderMatchesReference:
                 assert column.flags.owndata and column.flags.writeable, name
 
 
+def _reference_remap(idx, source, target):
+    """Re-intern ``idx`` (indices into ``source``) into ``target``."""
+    used = np.unique(idx[idx >= 0])
+    if used.size == 0:
+        return idx.astype(np.int32, copy=True)
+    values = source.values()
+    lut = np.full(int(used[-1]) + 1, -1, dtype=np.int32)
+    lut[used] = target.intern_many([values[i] for i in used.tolist()])
+    out = lut[np.maximum(idx, 0)]
+    out[idx < 0] = -1
+    return out
+
+
+def reference_concat(batches):
+    """The writer's former concatenation: one batch, tables re-interned
+    per run of same-table slices, ``think_us`` kept only when every
+    non-empty input carries it, a well-typed empty batch for none."""
+    batches = [b for b in batches if len(b)]
+    if not batches:
+        return OpBatch.empty(0)
+    if len(batches) == 1:
+        return batches[0]
+    out = OpBatch.empty(sum(len(b) for b in batches))
+    for column in ("kinds", "plan_ids", "sizes", "flags", "user_ids",
+                   "session_ids", "start_us", "response_us",
+                   *(idx for idx, _ in _STRING_COLUMNS)):
+        np.concatenate([getattr(b, column) for b in batches],
+                       out=getattr(out, column))
+    if all(b.think_us is not None for b in batches):
+        out.think_us = np.concatenate([b.think_us for b in batches],
+                                      dtype=np.int64)
+    pos = run_start = 0
+    for b, following in zip(batches, batches[1:] + [None]):
+        pos += len(b)
+        if following is not None and all(
+                getattr(following, table) is getattr(b, table)
+                for _, table in _STRING_COLUMNS):
+            continue
+        for column, table in _STRING_COLUMNS:
+            run = getattr(out, column)[run_start:pos]
+            run[:] = _reference_remap(run, getattr(b, table),
+                                      getattr(out, table))
+        run_start = pos
+    return out
+
+
+def _reference_compact(idx, table):
+    """``(new_idx, values)``: the strings ``idx`` uses, first use first."""
+    used = idx[idx >= 0]
+    if used.size == 0:
+        return idx.astype(np.int32, copy=False), []
+    uniq, first = np.unique(used, return_index=True)
+    ordered = uniq[np.argsort(first, kind="stable")]
+    lut = np.full(int(uniq[-1]) + 1, -1, dtype=np.int32)
+    lut[ordered] = np.arange(len(ordered), dtype=np.int32)
+    new_idx = lut[np.maximum(idx, 0)]
+    new_idx[idx < 0] = -1
+    values = table.values()
+    return new_idx, [values[int(i)] for i in ordered]
+
+
 def reference_encode(batch, sessions):
-    """The pre-rewrite encoder: ``np.save`` into a ``BytesIO`` per
-    column, every piece copied into one payload ``BytesIO``."""
+    """The pre-rewrite encoder of one (concatenated) batch: ``np.save``
+    into a ``BytesIO`` per column, every piece copied into one payload
+    ``BytesIO``.  Shares no code with the encoder under test."""
     def write_table(out, values):
         out.write(struct.pack("<L", len(values)))
         for value in values:
@@ -408,7 +468,7 @@ def reference_encode(batch, sessions):
     out.write(struct.pack("<QB", len(batch), int(has_think)))
     compacted = {}
     for idx_name, table_name in _STRING_COLUMNS:
-        new_idx, values = _compact_column(
+        new_idx, values = _reference_compact(
             getattr(batch, idx_name), getattr(batch, table_name))
         compacted[idx_name] = new_idx
         write_table(out, values)
@@ -429,31 +489,60 @@ def reference_encode(batch, sessions):
 
 
 def assert_parts_reference_columns(parts):
-    """Each part is ``bytes`` or a byte view of a C-contiguous column."""
+    """Each part is ``bytes`` or a C-contiguous 1-D column array."""
     for part in parts:
         if isinstance(part, bytes):
             continue
-        assert isinstance(part, memoryview), type(part)
-        assert part.format == "B" and part.c_contiguous
-        column = part.obj
-        assert isinstance(column, np.ndarray) and column.ndim == 1
-        assert column.flags.c_contiguous and part.nbytes == column.nbytes
+        assert isinstance(part, np.ndarray), type(part)
+        assert part.ndim == 1 and part.flags.c_contiguous
+
+
+@st.composite
+def chunk_pieces(draw):
+    """What the writer hands the encoder: slices of shared parents (so
+    runs of pieces share table objects) in any order (so others do not),
+    some empty or strided, with and without think columns."""
+    pieces = []
+    for parent in draw(st.lists(op_batches(max_rows=10), max_size=3)):
+        cuts = sorted(draw(st.lists(st.integers(0, len(parent)),
+                                    max_size=3)))
+        bounds = [0, *cuts, len(parent)]
+        step = draw(st.sampled_from([1, 1, 2, 3]))
+        pieces += [parent.select(slice(a, b, step))
+                   for a, b in zip(bounds, bounds[1:])]
+    return draw(st.permutations(pieces))
+
+
+def big_batch(n, seed=5):
+    """``n`` rows of realistic width: 400 paths, one category and type."""
+    rng = np.random.default_rng(seed)
+    batch = OpBatch.empty(n)
+    batch.kinds[:] = rng.integers(0, len(RECORD_KINDS), n)
+    for name in ("plan_ids", "sizes", "user_ids", "session_ids"):
+        getattr(batch, name)[:] = rng.integers(0, 2**40, n)
+    batch.flags[:] = 0
+    batch.think_us = rng.integers(0, 10**6, n)
+    batch.path_idx[:] = batch.paths.intern_many(
+        [f"/home/u{i % 400}/file{i % 400}" for i in range(n)])
+    batch.category_idx[:] = batch.categories.intern("REG:USER:RDONLY")
+    batch.user_type_idx[:] = batch.user_types.intern("heavy")
+    return batch
 
 
 class TestEncoderMatchesReference:
-    """The parts-list encoder writes the old encoder's bytes, uncopied."""
+    """The pieces encoder writes the concatenating encoder's bytes,
+    without the concatenation."""
 
-    @given(batch=op_batches(max_rows=12),
-           sessions=st.lists(session_records, max_size=3),
-           step=st.sampled_from([1, 2, 3]))
-    @settings(max_examples=80, deadline=None)
-    def test_parts_join_to_the_reference_bytes(self, batch, sessions, step):
-        # step > 1: strided (non-contiguous) views the encoder must make
-        # contiguous before it may reference them.
-        rows = batch.select(slice(None, None, step))
+    @given(pieces=chunk_pieces(),
+           sessions=st.lists(session_records, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_parts_join_to_the_reference_bytes(self, pieces, sessions):
+        # The pieces encode as their concatenation would have; strided
+        # pieces (step > 1) are made contiguous before being referenced.
         framed = list(enumerate(sessions))
-        parts = _encode_chunk(rows, framed)
-        assert b"".join(parts) == reference_encode(rows, framed)
+        parts = _encode_chunk(pieces, framed)
+        assert b"".join(parts) == reference_encode(reference_concat(pieces),
+                                                   framed)
         assert_parts_reference_columns(parts)
 
     @given(events=event_streams(), rows_per_chunk=st.integers(1, 7))
@@ -466,9 +555,9 @@ class TestEncoderMatchesReference:
         path = str(tmp_path_factory.mktemp("enc") / "a.opstream")
         want = []
 
-        def recording(rows, sessions):
-            want.append(reference_encode(rows, sessions))
-            return _encode_chunk(rows, sessions)
+        def recording(pieces, sessions):
+            want.append(reference_encode(reference_concat(pieces), sessions))
+            return _encode_chunk(pieces, sessions)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(streamfile, "_encode_chunk", recording)
@@ -478,12 +567,14 @@ class TestEncoderMatchesReference:
     def test_sessions_only_chunk(self):
         sessions = [(0, SessionRecord(1, "héavy", 0, 0.0, 9.0, 2, 128, 256,
                                       ("user:rdonly",)))]
+        empty = reference_encode(OpBatch.empty(0), sessions)
         for think in (None, np.empty(0, dtype=np.int64)):
             batch = OpBatch.empty(0)
             batch.think_us = think
-            parts = _encode_chunk(batch, sessions)
-            assert b"".join(parts) == reference_encode(batch, sessions)
-            assert_parts_reference_columns(parts)
+            for pieces in ([], [batch], [batch, batch]):
+                parts = _encode_chunk(pieces, sessions)
+                assert b"".join(parts) == empty
+                assert_parts_reference_columns(parts)
 
     def test_int64_extremes_and_non_ascii_paths(self):
         records = [
@@ -496,23 +587,51 @@ class TestEncoderMatchesReference:
         batch.think_us = np.array(
             [(INT64_MIN, INT64_MAX)[i % 2] for i in range(len(batch))],
             dtype=np.int64)
-        assert b"".join(_encode_chunk(batch, [])) == reference_encode(batch, [])
+        other = OpBatch.from_records(records[::-1])  # same strings, own tables
+        other.think_us = batch.think_us[::-1].copy()
+        pieces = [batch.select(slice(0, 5)), other, batch.select(slice(5, None))]
+        assert b"".join(_encode_chunk(pieces, [])) == reference_encode(
+            reference_concat(pieces), [])
+
+    def test_a_string_two_tables_share_is_one_entry(self):
+        # Distinct table objects holding the same strings: the chunk's
+        # table lists each string once, in first-use order.
+        a = OpBatch.from_records([OpRecord(1, "t", 0, "read", "/x", "c",
+                                           8, 0.0, 1.0)])
+        b = OpBatch.from_records([OpRecord(1, "t", 0, "read", p, "c",
+                                           8, 1.0, 1.0) for p in ("/y", "/x")])
+        assert a.paths is not b.paths
+        batch, _ = _decode_chunk(b"".join(_encode_chunk([a, b], [])), "c")
+        assert batch.paths.values() == ["/x", "/y"]
+        assert batch.path_idx.tolist() == [0, 1, 0]
+        assert batch.user_types.values() == ["t"]
 
     def test_unused_string_column_aliases_the_batch(self, tmp_path):
-        # Every index -1: _compact_column hands back the column itself
-        # (astype(copy=False)), so the part is a view of the caller's
-        # array — same bytes as the reference, and the reason nothing
-        # may touch the rows between _encode_chunk and the write.
+        # Every index -1: the chunk keeps the pieces' own columns, so the
+        # part is the caller's array — same bytes as the reference, and
+        # the reason nothing may touch the rows between _encode_chunk and
+        # the write.
         records, _ = small_artifact(str(tmp_path / "unused.opstream"))
         batch = OpBatch.from_records(records)
         batch.path_idx[:] = -1
-        parts = _encode_chunk(batch, [])
+        parts = _encode_chunk([batch], [])
         assert b"".join(parts) == reference_encode(batch, [])
         assert_parts_reference_columns(parts)
-        views = [p for p in parts if isinstance(p, memoryview)]
-        path_part = views[[name for name, _ in _COLUMNS].index("path_idx")]
-        assert np.shares_memory(path_part.obj, batch.path_idx)
-        assert np.shares_memory(views[1].obj, batch.plan_ids)
+        columns = [p for p in parts if isinstance(p, np.ndarray)]
+        path_part = columns[[name for name, _ in _COLUMNS].index("path_idx")]
+        assert path_part is batch.path_idx
+        assert columns[1] is batch.plan_ids
+
+    def test_a_column_of_many_pieces_references_each_piece(self):
+        batch = big_batch(600)
+        pieces = [batch.select(slice(i, i + 60)) for i in range(0, 600, 60)]
+        parts = _encode_chunk(pieces, [])
+        assert b"".join(parts) == reference_encode(batch, [])
+        sizes = [p for p in parts if isinstance(p, np.ndarray)
+                 and p.dtype == np.int64 and len(p) == 60]
+        assert any(np.shares_memory(p, batch.sizes) for p in sizes)
+        assert not any(isinstance(p, np.ndarray) and len(p) == 600
+                       and p.dtype != np.int32 for p in parts)
 
     def test_preamble_memo_is_bounded(self):
         for n in range(3 * streamfile._NPY_HEADERS_MAX):
@@ -520,30 +639,25 @@ class TestEncoderMatchesReference:
             batch.kinds[:] = 0
             for column, _ in _STRING_COLUMNS:
                 getattr(batch, column)[:] = -1
-            _encode_chunk(batch, [])
+            _encode_chunk([batch], [])
             assert (len(streamfile._NPY_PREAMBLES)
                     <= streamfile._NPY_HEADERS_MAX)
 
-    def test_flush_allocates_under_half_the_payload(self, tmp_path):
-        # The old path copied every column three times (np.save's
-        # BytesIO, the payload BytesIO, getvalue()) and peaked at
-        # ~1.4 x the payload here.  What is left (~0.43 x) is the three
-        # compacted int32 index columns and _compact_column's transients.
+    @pytest.mark.parametrize("piece_rows", [20_000, 60])
+    def test_flush_allocates_under_half_the_payload(self, tmp_path,
+                                                    piece_rows):
+        # The BytesIO encoder copied every column three times and peaked
+        # at ~1.4 x the payload here; the concatenating writer still
+        # copied every row of a many-piece chunk once (~1.4 x).  What is
+        # left (~0.33 x) is the three compacted int32 index columns and
+        # compaction's first-row scatter, plus, over many pieces, one
+        # joined index column at a time.
         n = 20_000
-        rng = np.random.default_rng(5)
-        batch = OpBatch.empty(n)
-        batch.kinds[:] = rng.integers(0, len(RECORD_KINDS), n)
-        for name in ("plan_ids", "sizes", "user_ids", "session_ids"):
-            getattr(batch, name)[:] = rng.integers(0, 2**40, n)
-        batch.flags[:] = 0
-        batch.think_us = rng.integers(0, 10**6, n)
-        batch.path_idx[:] = batch.paths.intern_many(
-            [f"/home/u{i % 400}/file{i % 400}" for i in range(n)])
-        batch.category_idx[:] = batch.categories.intern("REG:USER:RDONLY")
-        batch.user_type_idx[:] = batch.user_types.intern("heavy")
+        batch = big_batch(n)
         with StreamWriter(str(tmp_path / "a.opstream"), n) as writer:
-            writer.add_batch(batch)  # exactly one chunk: nothing flushed yet
-            assert writer.chunks_written == 0
+            for i in range(0, n, piece_rows):
+                writer.add_batch(batch.select(slice(i, i + piece_rows)))
+            assert writer.chunks_written == 0  # one chunk, not yet flushed
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -829,6 +943,7 @@ class TestDeterminism:
         assert not os.path.exists(out)
 
     def test_merge_rejects_mismatched_budgets(self, tmp_path):
+        # Only when the output's chunking is inferred from the inputs.
         a = tmp_path / "a.opstream"
         b = tmp_path / "b.opstream"
         self.run_spec(a, ROW_BYTES * 100, user_ids=[0])
@@ -836,6 +951,25 @@ class TestDeterminism:
         with pytest.raises(StreamFormatError, match="budget"):
             merge_stream_files(str(tmp_path / "bad.opstream"),
                                [str(a), str(b)])
+
+    @pytest.mark.parametrize("budgets", [
+        (ROW_BYTES * 50,) * 2, (ROW_BYTES * 7, ROW_BYTES * 100, 1 << 20),
+        (1,) * 4])
+    def test_merge_at_a_named_chunk_size_ignores_input_budgets(
+            self, tmp_path, budgets):
+        # The output is re-chunked by global row count, so the budgets
+        # the shards were written at cannot change a byte of it.
+        whole = self.run_spec(tmp_path / "whole.opstream", ROW_BYTES * 100)
+        k = len(budgets)
+        paths = []
+        for shard, budget in enumerate(budgets):
+            path = tmp_path / f"s{shard}.opstream"
+            self.run_spec(path, budget,
+                          user_ids=[u for u in range(4) if u % k == shard])
+            paths.append(str(path))
+        merged = tmp_path / "merged.opstream"
+        merge_stream_files(str(merged), paths, rows_per_chunk=100)
+        assert merged.read_bytes() == whole
 
 
 class TestReaderSlicing:
@@ -851,7 +985,7 @@ class TestReaderSlicing:
         return path
 
     def test_user_filter_matches_mask(self, artifact):
-        everything = concat_batches(list(iter_batches(artifact)))
+        everything = reference_concat(list(iter_batches(artifact)))
         for users in ([0], [1, 3], [99]):
             got = sum(len(b) for b in iter_batches(artifact, users=users))
             want = int(np.isin(everything.user_ids,
@@ -859,7 +993,7 @@ class TestReaderSlicing:
             assert got == want
 
     def test_time_window_matches_mask(self, artifact):
-        everything = concat_batches(list(iter_batches(artifact)))
+        everything = reference_concat(list(iter_batches(artifact)))
         hi = float(np.quantile(everything.start_us, 0.4))
         got = sum(len(b)
                   for b in iter_batches(artifact, time_range=(0.0, hi)))
@@ -879,7 +1013,7 @@ class TestReaderSlicing:
 
 
 class TestConcatRuns:
-    """Slices of one parent are re-interned as one run, not one by one."""
+    """Slices of one parent are compacted as one run, not one by one."""
 
     RECORDS = [
         OpRecord(user_id=i % 3, user_type=f"t{i % 2}", session_id=0,
@@ -897,20 +1031,21 @@ class TestConcatRuns:
                 a.select(slice(30, 32)), a.select(slice(32, 36))]
 
     def test_rows_survive_whatever_tables_they_shared(self):
-        assert concat_batches(self.pieces()).to_records() == self.RECORDS
+        payload = b"".join(_encode_chunk(self.pieces(), []))
+        assert _decode_chunk(payload, "c")[0].to_records() == self.RECORDS
 
-    def test_one_remap_per_run_of_same_table_pieces(self, monkeypatch):
-        from repro.core import streamfile
-
+    def test_one_compaction_per_run_of_same_table_pieces(self, monkeypatch):
         calls = []
-        real = streamfile._remap_indices
+        real = streamfile._compact_column
         monkeypatch.setattr(
-            streamfile, "_remap_indices",
-            lambda idx, source, target: (calls.append(len(idx)),
-                                         real(idx, source, target))[1])
-        concat_batches(self.pieces())
-        # Three string columns x three runs (A-slices, B, A-slices).
-        assert calls == [30] * 3 + [4] * 3 + [6] * 3
+            streamfile, "_compact_column",
+            lambda runs, *names: (
+                calls.append([sum(map(len, run)) for run in runs]),
+                real(runs, *names))[1])
+        _encode_chunk(self.pieces(), [])
+        # Three string columns, each over three runs (A-slices, B,
+        # A-slices).
+        assert calls == [[30, 4, 6]] * 3
 
     def test_writer_drains_many_small_pieces(self, tmp_path):
         path = str(tmp_path / "many.opstream")
@@ -939,9 +1074,12 @@ class TestEmptyBatches:
             assert reader.total_rows == 0
             assert list(reader.iter_batches()) == []
 
-    def test_concat_batches_empty_inputs(self):
-        assert len(concat_batches([])) == 0
-        assert len(concat_batches([OpBatch.from_records([])])) == 0
+    def test_empty_pieces_encode_an_empty_chunk(self):
+        for pieces in ([], [OpBatch.from_records([])]):
+            batch, frames = _decode_chunk(
+                b"".join(_encode_chunk(pieces, [])), "c")
+            assert len(batch) == 0 and batch.think_us is None
+            assert frames == []
 
     def test_empty_record_batch_accepted_by_every_sink(self, tmp_path):
         empty = OpBatch.from_records([])
