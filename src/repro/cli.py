@@ -27,6 +27,7 @@ import time
 
 from . import __version__
 from .core import RUN_BACKENDS, WorkloadGenerator, paper_workload_spec
+from .core.arrivals import resolve_arrivals
 from .core.generator import artifact_backend
 from .faults import FaultError, parse_fault
 from .fleet import (
@@ -322,18 +323,6 @@ def _spec_from(args: argparse.Namespace):
     )
 
 
-def _arrivals_from(args: argparse.Namespace):
-    """The ``--arrivals``/``--profile`` flags as an ArrivalModel (or None)."""
-    if not (args.arrivals or args.profile):
-        return None
-    from .core import DEFAULT_ARRIVALS, get_profile
-
-    model = DEFAULT_ARRIVALS
-    if args.profile:
-        model = model.with_profile(get_profile(args.profile))
-    return model
-
-
 def _print_summary(result) -> None:
     analyzer = result.analyzer
     resp = analyzer.response_time_stats().summary()
@@ -393,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             result = WorkloadGenerator(_spec_from(args)).run_simulated(
                 sessions_per_user=args.sessions, backend=args.backend,
-                arrivals=_arrivals_from(args), log=log, observer=observer,
+                arrivals=resolve_arrivals(args.arrivals, args.profile),
+                log=log, observer=observer,
             )
         finally:
             if stream_sink is not None:

@@ -64,6 +64,7 @@ __all__ = [
     "get_profile",
     "profile_names",
     "register_profile",
+    "resolve_arrivals",
     "arrival_model_to_jsonable",
     "arrival_model_from_jsonable",
 ]
@@ -335,6 +336,23 @@ def get_profile(name: str) -> LoadProfile:
 def profile_names() -> tuple[str, ...]:
     """All registered profile names, sorted."""
     return tuple(sorted(_PROFILES))
+
+
+def resolve_arrivals(enabled: bool, profile: str | None = None,
+                     model: ArrivalModel | None = None,
+                     default: ArrivalModel | None = None):
+    """A run's arrival model (or None) from its ``--arrivals`` settings.
+
+    An explicit ``model`` wins; otherwise a run with arrivals ``enabled``
+    (a ``profile`` name implies it) takes ``default`` — a scenario's
+    model — or ``DEFAULT_ARRIVALS``.  The named profile then replaces
+    the model's own.
+    """
+    if model is None and (enabled or profile is not None):
+        model = default or DEFAULT_ARRIVALS
+    if model is not None and profile is not None:
+        model = model.with_profile(get_profile(profile))
+    return model
 
 
 register_profile(LoadProfile.from_hourly([1.0] * 24, name="uniform"))

@@ -299,7 +299,3 @@ class WorkloadSpec:
         for user_type, count in zip(self.user_types, counts):
             assignment.extend([user_type] * count)
         return assignment[: self.n_users]
-
-    def shard_user_ids(self, n_shards: int) -> tuple[tuple[int, ...], ...]:
-        """This population's :func:`partition_user_ids` split."""
-        return partition_user_ids(self.n_users, n_shards)

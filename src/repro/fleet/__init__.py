@@ -5,7 +5,7 @@ across independent simulated sites executed by a process pool, then
 merging results:
 
 * :mod:`~repro.fleet.sharding` — deterministic shard plans (round-robin
-  user slices, spawned per-shard seeds);
+  user slices);
 * :mod:`~repro.fleet.merge` — the order-invariant
   :class:`~repro.fleet.merge.WorkloadTally` and the per-shard
   :class:`~repro.fleet.merge.ShardAccumulator` sink;

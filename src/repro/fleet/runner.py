@@ -19,9 +19,9 @@ Execution model
   attempt itself; results are identical either way, which is the
   property the fleet tests pin down.
 
-Workers are handed plain picklable data: the resolved
-:class:`~repro.core.spec.WorkloadSpec` (frozen dataclasses of floats),
-the execution options, and a :class:`~repro.fleet.sharding.ShardPlan`.
+Workers are handed plain picklable data: the resolved run (the built
+:class:`~repro.core.spec.WorkloadSpec` plus every option that shapes
+the output) and a :class:`~repro.fleet.sharding.ShardPlan`.
 Scenario resolution happens **once, in the coordinator** — so custom
 scenarios registered by the calling script work under any
 multiprocessing start method, including spawn, where workers re-import
@@ -61,16 +61,16 @@ import multiprocessing
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from ..core.arrivals import (
-    DEFAULT_ARRIVALS,
     HOUR_US,
     ArrivalError,
     ArrivalModel,
     arrival_model_from_jsonable,
     arrival_model_to_jsonable,
     get_profile,
+    resolve_arrivals,
 )
 from ..core.generator import (
     FAST_BACKENDS,
@@ -101,6 +101,7 @@ from ..obs import (
     spec_fingerprint,
     write_manifest,
 )
+from ..obs.manifest import canonical_sha256
 from ..sim import RunningStats
 from .merge import ShardAccumulator, WorkloadTally
 from .sharding import ShardPlan, plan_shards
@@ -121,7 +122,8 @@ RUN_RECORD_NAME = "fleet-run.json"
 """Resume record inside a run directory: the resolved run, as data."""
 
 RUN_RECORD_FORMAT = "repro.fleet-run"
-RUN_RECORD_VERSION = 1
+RUN_RECORD_VERSION = 2
+"""2: the record carries a digest; version 1 records cannot be verified."""
 
 
 class FleetPartialError(RuntimeError):
@@ -237,31 +239,24 @@ class FleetConfig:
             raise SpecError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
             )
-        if self.shards < 1:
-            raise SpecError(f"shards must be >= 1, got {self.shards}")
-        if self.workers is not None and self.workers < 1:
-            raise SpecError(f"workers must be >= 1, got {self.workers}")
-        if self.sessions_per_user is not None and self.sessions_per_user < 1:
-            raise SpecError("sessions_per_user must be >= 1")
+        for name, least in (("shards", 1), ("workers", 1),
+                            ("sessions_per_user", 1),
+                            ("stream_budget_bytes", 1), ("max_retries", 0),
+                            ("retry_backoff_s", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise SpecError(f"{name} must be >= {least}, got {value}")
+        for name in ("window_us", "shard_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise SpecError(f"{name} must be > 0, got {value}")
         if self.profile is not None:
             try:  # resolve eagerly: fail before any worker starts
                 get_profile(self.profile)
             except ArrivalError as exc:
                 raise SpecError(str(exc)) from None
-        if self.window_us is not None and not self.window_us > 0:
-            raise SpecError(
-                f"window_us must be > 0, got {self.window_us}"
-            )
-        if self.stream_budget_bytes is not None:
-            if self.stream_budget_bytes < 1:
-                raise SpecError(
-                    "stream_budget_bytes must be >= 1, got "
-                    f"{self.stream_budget_bytes}"
-                )
-            if self.out_stream is None:
-                raise SpecError(
-                    "stream_budget_bytes needs out_stream to be set"
-                )
+        if self.stream_budget_bytes is not None and self.out_stream is None:
+            raise SpecError("stream_budget_bytes needs out_stream to be set")
         if (self.out_stream is not None and self.shards > 1
                 and self.backend not in FAST_BACKENDS):
             raise SpecError(
@@ -269,18 +264,6 @@ class FleetConfig:
                 f"({FAST_BACKENDS}): the streaming shard merge relies on "
                 "user-contiguous artifacts, and the DES interleaves users "
                 "on a shared clock"
-            )
-        if self.max_retries < 0:
-            raise SpecError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise SpecError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.shard_timeout_s is not None and not self.shard_timeout_s > 0:
-            raise SpecError(
-                f"shard_timeout_s must be > 0, got {self.shard_timeout_s}"
             )
         object.__setattr__(self, "faults", tuple(self.faults))
         for fault in self.faults:
@@ -307,12 +290,6 @@ class FleetConfig:
                     f"({FAST_BACKENDS}): checkpointed chunks are only "
                     "reusable when users are generated contiguously"
                 )
-
-    @property
-    def arrivals_enabled(self) -> bool:
-        """Whether this config runs with a temporal load model."""
-        return (self.use_arrivals or self.arrival_model is not None
-                or self.profile is not None)
 
     @property
     def n_users(self) -> int:
@@ -343,7 +320,6 @@ class ShardOutcome:
     """What one shard sends back to the coordinator."""
 
     shard_index: int
-    shard_seed: int
     user_ids: tuple[int, ...]
     tally: WorkloadTally
     response_us: RunningStats
@@ -407,27 +383,210 @@ class FleetResult:
 
 
 # ---------------------------------------------------------------------------
+# The resolved run
+# ---------------------------------------------------------------------------
+
+
+_JSON_KINDS = {
+    "WorkloadSpec": (dict,), "ArrivalModel": (dict,), "str": (str,),
+    "int": (int,), "float": (int, float), "bool": (bool,),
+    "None": (type(None),),
+}
+"""The JSON types a run-record field may hold, by the parts of its
+annotation (exact types: ``True`` is not a shard count)."""
+
+
+@dataclass(frozen=True)
+class _ResolvedRun:
+    """Everything that shapes a fleet run's output, resolved once.
+
+    ``run_fleet`` builds it from the :class:`FleetConfig` on a fresh run
+    and from ``fleet-run.json`` on a resume, and every shard task
+    carries it as its run-level half.  The fields are the run record's
+    keys, their annotations the JSON types the loader accepts; the
+    record's other keys (the spec fingerprint, seed, user count, stream
+    metadata, format, version and digest) follow from the fields.  Every
+    field is also a :class:`FleetConfig` field of the same name.
+    """
+
+    spec: WorkloadSpec
+    scenario: str | None
+    shards: int
+    backend: str
+    access_pattern: str
+    use_phase_model: bool
+    sessions_per_user: int
+    arrival_model: ArrivalModel | None
+    window_us: float | None
+    collect_ops: bool
+    time_limit_us: float | None
+    out_stream: str | None
+    stream_budget_bytes: int
+
+    @classmethod
+    def from_config(cls, config: FleetConfig) -> "_ResolvedRun":
+        """Resolve a fresh run: scenario → spec, arrivals, defaults.
+
+        The caller's spec object is carried as is: shard generators are
+        pooled per spec *object* (:func:`_shard_generator`).
+        """
+        spec, pattern, phases, scenario_model = (
+            config.spec, "sequential", False, None)
+        if spec is None:
+            from ..scenarios import get_scenario  # deferred: scenarios import core
+
+            scenario = get_scenario(config.scenario)
+            spec = scenario.build(config.users, config.seed,
+                                  total_files=config.total_files)
+            if spec.n_users != config.users:
+                raise SpecError(
+                    f"scenario {config.scenario!r} built {spec.n_users} "
+                    f"users, expected {config.users}"
+                )
+            pattern, phases = scenario.access_pattern, scenario.use_phase_model
+            scenario_model = scenario.arrival_model
+        model = resolve_arrivals(config.use_arrivals, config.profile,
+                                 model=config.arrival_model,
+                                 default=scenario_model)
+        return cls(**{
+            **{f.name: getattr(config, f.name) for f in fields(cls)},
+            "spec": spec,
+            "access_pattern": config.access_pattern or pattern,
+            "use_phase_model": (phases if config.use_phase_model is None
+                                else config.use_phase_model),
+            "sessions_per_user": config.sessions_per_user or 1,
+            "arrival_model": model,
+            # Arrivals on: bucket ops into one-hour windows by default.
+            "window_us": config.window_us or (HOUR_US if model is not None
+                                              else None),
+            "out_stream": (os.path.abspath(config.out_stream)
+                           if config.out_stream is not None else None),
+            "stream_budget_bytes": (config.stream_budget_bytes
+                                    or DEFAULT_MEMORY_BUDGET),
+        })
+
+    @classmethod
+    def load(cls, run_dir: str) -> "_ResolvedRun":
+        """The run recorded in ``run_dir``: a damaged, edited or older
+        record fails with :class:`SpecError`, never a raw error."""
+        path = os.path.join(run_dir, RUN_RECORD_NAME)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SpecError(
+                f"cannot resume from {run_dir!r}: no readable run record "
+                f"({exc})"
+            ) from None
+        if not isinstance(record, dict) or (
+                record.get("format") != RUN_RECORD_FORMAT):
+            raise SpecError(f"{path!r} is not a fleet run record")
+        version = record.get("version")
+        if type(version) is not int or version != RUN_RECORD_VERSION:
+            raise SpecError(
+                f"{path!r} has version {version!r}, not {RUN_RECORD_VERSION}"
+                " (a record from an older build cannot be verified); rerun "
+                "without --resume"
+            )
+        for f in fields(cls):
+            kinds = [kind for part in f.type.split(" | ")
+                     for kind in _JSON_KINDS[part]]
+            if f.name not in record or type(record[f.name]) not in kinds:
+                raise SpecError(
+                    f"{path!r} is damaged: field {f.name!r} is "
+                    f"{record.get(f.name, 'missing')!r}"
+                )
+        digest = record.pop("digest", None)  # sealing every other key
+        if digest != canonical_sha256(record):
+            raise SpecError(
+                f"{path!r} does not match its digest: the record was "
+                "edited after it was written; rerun without --resume"
+            )
+        values = {f.name: record[f.name] for f in fields(cls)}
+        values["spec"] = spec_from_jsonable(record["spec"])
+        if record["arrival_model"] is not None:
+            try:
+                values["arrival_model"] = arrival_model_from_jsonable(
+                    record["arrival_model"])
+            except ArrivalError as exc:
+                raise SpecError(f"run record in {run_dir!r}: {exc}") from None
+        return cls(**values)
+
+    @property
+    def shape(self) -> dict:
+        """The run's shape as the stream header and the manifest state it."""
+        return {
+            "sessions_per_user": self.sessions_per_user,
+            "access_pattern": self.access_pattern,
+            "phases": self.use_phase_model,
+            "arrivals": self.arrival_model is not None,
+        }
+
+    @property
+    def stream_metadata(self) -> dict:
+        """Run-level header metadata — anything shard-specific here would
+        make the merged artifact's header differ from a 1-shard run's."""
+        return {
+            "tool": "repro-fleet",
+            "scenario": self.scenario or "custom-spec",
+            "backend": artifact_backend(self.backend),
+            "seed": self.spec.seed,
+            "users": self.spec.n_users,
+            **self.shape,
+        }
+
+    def record(self) -> dict:
+        """The run as ``fleet-run.json`` data, sealed by a digest."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record.update(
+            format=RUN_RECORD_FORMAT,
+            version=RUN_RECORD_VERSION,
+            spec=spec_to_jsonable(self.spec),
+            spec_sha256=spec_fingerprint(self.spec),
+            seed=self.spec.seed,
+            users=self.spec.n_users,
+            arrival_model=(arrival_model_to_jsonable(self.arrival_model)
+                           if self.arrival_model is not None else None),
+            stream_metadata=self.stream_metadata,
+        )
+        record["digest"] = canonical_sha256(record)
+        return record
+
+
+_RESUME_MUST_MATCH = (
+    "spec_sha256", "seed", "shards", "backend", "access_pattern",
+    "use_phase_model", "sessions_per_user", "arrival_model", "window_us",
+    "time_limit_us", "stream_budget_bytes",
+)
+"""Run-record keys that shape the artifact's bytes."""
+
+
+def _validate_resume(recorded: _ResolvedRun, resolved: _ResolvedRun) -> None:
+    """Resuming must describe byte-for-byte the run that was recorded."""
+    have_all, want_all = recorded.record(), resolved.record()
+    for key in _RESUME_MUST_MATCH:
+        have, want = have_all[key], want_all[key]
+        if have != want:
+            raise SpecError(
+                f"cannot resume: recorded {key} {have!r} does not match "
+                f"this config's {want!r} — a resumed run must regenerate "
+                "the exact same bytes"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Fully resolved work order for one shard — no registry lookups left."""
+    """One shard's work order: the resolved run plus per-shard and
+    per-attempt data — no registry lookups left."""
 
-    spec: WorkloadSpec
+    run: _ResolvedRun
     plan: ShardPlan
-    backend: str
-    access_pattern: str
-    use_phase_model: bool
-    sessions_per_user: int
-    collect_ops: bool
-    time_limit_us: float | None
-    arrival_model: ArrivalModel | None = None
-    window_us: float | None = None
     stream_path: str | None = None
-    stream_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-    stream_metadata: "dict | None" = None
     metrics: bool = False
     progress: bool = False
     attempt: int = 1
@@ -435,51 +594,6 @@ class _ShardTask:
     checkpoint: bool = False
     heartbeat: bool = False
     faults: tuple = ()
-
-
-def _resolve_arrivals(config: FleetConfig,
-                      scenario_model: "ArrivalModel | None"):
-    """The run's ``(arrival model, window)``, resolved in the coordinator.
-
-    Precedence: an explicit ``config.arrival_model`` wins; otherwise an
-    enabled run takes the scenario's model, falling back to
-    ``DEFAULT_ARRIVALS``.  A ``config.profile`` name then overrides the
-    model's profile.  The window defaults to one hour when arrivals are
-    on and no explicit ``window_us`` is given.
-    """
-    model = config.arrival_model
-    if model is None and config.arrivals_enabled:
-        model = scenario_model or DEFAULT_ARRIVALS
-    if model is not None and config.profile is not None:
-        model = model.with_profile(get_profile(config.profile))
-    window_us = config.window_us
-    if window_us is None and model is not None:
-        window_us = HOUR_US
-    return model, window_us
-
-
-def _resolve_run_inputs(config: FleetConfig):
-    """Spec + execution options, resolved once in the coordinator."""
-    if config.spec is not None:
-        spec = config.spec
-        pattern = config.access_pattern or "sequential"
-        phases = bool(config.use_phase_model)
-        sessions = config.sessions_per_user or 1
-        scenario_model = None
-    else:
-        from ..scenarios import get_scenario  # deferred: scenarios import core
-
-        scenario = get_scenario(config.scenario)
-        spec = scenario.build(
-            config.users, config.seed, total_files=config.total_files
-        )
-        pattern = config.access_pattern or scenario.access_pattern
-        phases = (scenario.use_phase_model if config.use_phase_model is None
-                  else config.use_phase_model)
-        sessions = config.sessions_per_user or 1
-        scenario_model = scenario.arrival_model
-    model, window_us = _resolve_arrivals(config, scenario_model)
-    return spec, pattern, phases, sessions, model, window_us
 
 
 _PROGRESS_QUEUE = None
@@ -562,7 +676,7 @@ def _shard_generator(spec: WorkloadSpec, backend: str) -> WorkloadGenerator:
 
 def _run_shard(task: _ShardTask) -> ShardOutcome:
     """Execute one shard (runs inside a worker process or in-process)."""
-    plan = task.plan
+    run, plan = task.run, task.plan
     started = time.perf_counter()
     injector = build_injector(task.faults, plan.shard_index, task.attempt)
     observer = None
@@ -572,35 +686,30 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
                 and _PROGRESS_QUEUE is not None):
             sender = QueueProgressSender(plan.shard_index, _PROGRESS_QUEUE)
         observer = RunObserver(progress=sender)
-    sink = ShardAccumulator(collect_ops=task.collect_ops,
-                            window_us=task.window_us)
+    sink = ShardAccumulator(collect_ops=run.collect_ops,
+                            window_us=run.window_us)
     log_sink = sink
     stream_sink = None
     salvaged = None
     flush_hook = injector.spill_hook if injector is not None else None
     if task.stream_path is not None:
-        # Spill this shard's op stream to its own artifact file; the
-        # coordinator merges shard files into the run-level artifact.
-        # Metadata is run-level (identical across shards) so the merged
-        # header is bit-identical to a 1-shard run's.
+        # Spill this shard's op stream to its own artifact file, at 1/k
+        # of the run's budget; the coordinator merges shard files into
+        # the run-level artifact.  Metadata is run-level (identical
+        # across shards) so the merged header is bit-identical to a
+        # 1-shard run's.
+        options = dict(
+            memory_budget_bytes=max(1, run.stream_budget_bytes // run.shards),
+            metadata=run.stream_metadata,
+            observer=observer,
+            checkpoint=task.checkpoint,
+            flush_hook=flush_hook,
+        )
         if task.resume:
-            stream_sink, salvaged = resume_stream_sink(
-                task.stream_path,
-                memory_budget_bytes=task.stream_budget_bytes,
-                metadata=task.stream_metadata,
-                observer=observer,
-                checkpoint=task.checkpoint,
-                flush_hook=flush_hook,
-            )
+            stream_sink, salvaged = resume_stream_sink(task.stream_path,
+                                                       **options)
         else:
-            stream_sink = StreamFileSink(
-                task.stream_path,
-                memory_budget_bytes=task.stream_budget_bytes,
-                metadata=task.stream_metadata,
-                observer=observer,
-                checkpoint=task.checkpoint,
-                flush_hook=flush_hook,
-            )
+            stream_sink = StreamFileSink(task.stream_path, **options)
         if stream_sink is not None:
             log_sink = TeeSink(sink, stream_sink)
     prefix = None
@@ -627,18 +736,18 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
                                  prefix.last_user_sessions)
         if injector is not None:
             log_sink = injector.wrap_sink(log_sink)
-        generator = _shard_generator(task.spec, task.backend)
+        generator = _shard_generator(run.spec, run.backend)
         try:
             result = generator.run_simulated(
-                sessions_per_user=task.sessions_per_user,
-                backend=task.backend,
-                access_pattern=task.access_pattern,
-                phase_model_factory=(PhaseModel if task.use_phase_model
+                sessions_per_user=run.sessions_per_user,
+                backend=run.backend,
+                access_pattern=run.access_pattern,
+                phase_model_factory=(PhaseModel if run.use_phase_model
                                      else None),
-                time_limit_us=task.time_limit_us,
+                time_limit_us=run.time_limit_us,
                 user_ids=remaining,
                 log=log_sink,
-                arrivals=task.arrival_model,
+                arrivals=run.arrival_model,
                 observer=observer,
             )
             if stream_sink is not None:
@@ -665,7 +774,6 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
             metrics = observer.snapshot()
     return ShardOutcome(
         shard_index=plan.shard_index,
-        shard_seed=plan.shard_seed,
         user_ids=plan.user_ids,
         tally=sink.tally,
         response_us=sink.response_us,
@@ -709,107 +817,6 @@ def _verify_outcome(task: _ShardTask) -> str | None:
     return "; ".join(report.errors[:3]) or "stream artifact corrupt"
 
 
-# ---------------------------------------------------------------------------
-# Run records (checkpoint/resume)
-# ---------------------------------------------------------------------------
-
-
-def _build_run_record(config: FleetConfig, spec, pattern, phases, sessions,
-                      model, window_us, stream_budget,
-                      stream_metadata) -> dict:
-    """The resolved run as plain data — everything a resume must match."""
-    return {
-        "format": RUN_RECORD_FORMAT,
-        "version": RUN_RECORD_VERSION,
-        "spec": spec_to_jsonable(spec),
-        "spec_sha256": spec_fingerprint(spec),
-        "scenario": config.scenario,
-        "seed": config.root_seed,
-        "users": spec.n_users,
-        "shards": config.shards,
-        "backend": config.backend,
-        "access_pattern": pattern,
-        "use_phase_model": phases,
-        "sessions_per_user": sessions,
-        "arrival_model": (arrival_model_to_jsonable(model)
-                          if model is not None else None),
-        "window_us": window_us,
-        "collect_ops": config.collect_ops,
-        "time_limit_us": config.time_limit_us,
-        "out_stream": os.path.abspath(config.out_stream),
-        "stream_budget_bytes": stream_budget,
-        "stream_metadata": stream_metadata,
-    }
-
-
-_RUN_RECORD_FIELDS = {
-    (dict,): ("spec", "stream_metadata"),
-    (int,): ("shards", "sessions_per_user", "stream_budget_bytes"),
-    (str,): ("backend", "access_pattern", "out_stream"),
-    (bool,): ("use_phase_model", "collect_ops"),
-    (dict, type(None)): ("arrival_model",),
-    (int, float, type(None)): ("window_us", "time_limit_us"),
-}
-"""Every run-record field a resume reads, by the JSON types it may hold
-(exact types: ``True`` is not a shard count)."""
-
-
-def _load_run_record(run_dir: str) -> dict:
-    """The run record of ``run_dir``, shape-checked: a hand-edited or
-    damaged record fails with :class:`SpecError`, never a raw error."""
-    path = os.path.join(run_dir, RUN_RECORD_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SpecError(
-            f"cannot resume from {run_dir!r}: no readable run record "
-            f"({exc})"
-        ) from None
-    if not isinstance(record, dict) or (
-            record.get("format") != RUN_RECORD_FORMAT):
-        raise SpecError(f"{path!r} is not a fleet run record")
-    version = record.get("version")
-    if type(version) is not int or version < 1:
-        raise SpecError(f"{path!r} has a bad version field ({version!r})")
-    if version > RUN_RECORD_VERSION:
-        raise SpecError(
-            f"{path!r} was written by a newer version ({version})"
-        )
-    for kinds, keys in _RUN_RECORD_FIELDS.items():
-        for key in keys:
-            if key not in record or type(record[key]) not in kinds:
-                raise SpecError(
-                    f"{path!r} is damaged: field {key!r} is "
-                    f"{record.get(key, 'missing')!r}"
-                )
-    return record
-
-
-_RESUME_MUST_MATCH = (
-    "spec_sha256", "seed", "shards", "backend", "access_pattern",
-    "use_phase_model", "sessions_per_user", "arrival_model", "window_us",
-    "time_limit_us", "stream_budget_bytes",
-)
-"""Run-record fields that shape the artifact's bytes."""
-
-
-def _validate_resume(record: dict, expected: dict) -> None:
-    """Resuming must describe byte-for-byte the run that was recorded.
-
-    ``expected`` is the record :func:`_build_run_record` would write for
-    the resuming config.
-    """
-    for key in _RESUME_MUST_MATCH:
-        have, want = record.get(key), expected[key]
-        if have != want:
-            raise SpecError(
-                f"cannot resume: recorded {key} {have!r} does not match "
-                f"this config's {want!r} — a resumed run must regenerate "
-                "the exact same bytes"
-            )
-
-
 def resume_fleet_config(run_dir: str, *, workers: int | None = None,
                         progress: bool = False,
                         metrics_out: str | None = None,
@@ -828,38 +835,12 @@ def resume_fleet_config(run_dir: str, *, workers: int | None = None,
     ``keep_run_dir`` defaults to True so a resume that fails again can
     itself be resumed.
     """
-    record = _load_run_record(run_dir)
-    spec = spec_from_jsonable(record["spec"])
-    model = None
-    if record["arrival_model"] is not None:
-        try:
-            model = arrival_model_from_jsonable(record["arrival_model"])
-        except ArrivalError as exc:
-            raise SpecError(f"run record in {run_dir!r}: {exc}") from None
-    return FleetConfig(
-        spec=spec,
-        shards=record["shards"],
-        workers=workers,
-        sessions_per_user=record["sessions_per_user"],
-        backend=record["backend"],
-        collect_ops=record["collect_ops"],
-        time_limit_us=record["time_limit_us"],
-        access_pattern=record["access_pattern"],
-        use_phase_model=record["use_phase_model"],
-        arrival_model=model,
-        window_us=record["window_us"],
-        out_stream=record["out_stream"],
-        stream_budget_bytes=record["stream_budget_bytes"],
-        metrics_out=metrics_out,
-        progress=progress,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        shard_timeout_s=shard_timeout_s,
-        faults=tuple(faults),
-        resume_dir=run_dir,
-        allow_partial=allow_partial,
-        keep_run_dir=keep_run_dir,
-    )
+    knobs = dict(locals())  # the mechanical keywords above, by name
+    run = _ResolvedRun.load(knobs.pop("run_dir"))
+    # The spec form of the recorded run: it resolves back to ``run``.
+    return FleetConfig(**{f.name: getattr(run, f.name) for f in fields(run)
+                          if f.name != "scenario"},
+                       resume_dir=run_dir, **knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -879,41 +860,14 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     """
     # Resolve the scenario/spec once, before spawning anything: workers
     # receive the built spec, never a registry name.
-    spec, pattern, phases, sessions, model, window_us = _resolve_run_inputs(
-        config
-    )
-    if config.spec is None and spec.n_users != config.users:
-        raise SpecError(
-            f"scenario {config.scenario!r} built {spec.n_users} users, "
-            f"expected {config.users}"
-        )
-    plans = plan_shards(spec.n_users, config.shards, config.root_seed)
+    run = _ResolvedRun.from_config(config)
+    plans = plan_shards(run.spec.n_users, run.shards)
     workers = config.effective_workers()
-    stream_budget = config.stream_budget_bytes or DEFAULT_MEMORY_BUDGET
-    resumable = (config.out_stream is not None
-                 and config.backend in FAST_BACKENDS)
     run_dir = config.run_dir
     shard_paths: list[str] = []
-    stream_metadata = None
-    resuming = False
-    if config.out_stream is not None:
-        # Run-level metadata only — anything shard-specific here would
-        # make the merged artifact's header differ from a 1-shard run's.
-        stream_metadata = {
-            "tool": "repro-fleet",
-            "scenario": config.scenario or "custom-spec",
-            "backend": artifact_backend(config.backend),
-            "seed": config.root_seed,
-            "users": spec.n_users,
-            "sessions_per_user": sessions,
-            "access_pattern": pattern,
-            "phases": phases,
-            "arrivals": model is not None,
-        }
-        record = _build_run_record(config, spec, pattern, phases, sessions,
-                                   model, window_us, stream_budget,
-                                   stream_metadata)
-        if config.resume_dir is not None:
+    resuming = config.resume_dir is not None  # resume_dir implies run_dir
+    if run_dir is not None:
+        if resuming:
             if (os.path.abspath(config.resume_dir)
                     != os.path.abspath(run_dir)):
                 raise SpecError(
@@ -921,19 +875,18 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                     f"out_stream {config.out_stream!r} (expected "
                     f"{run_dir!r})"
                 )
-            recorded = _load_run_record(run_dir)
-            _validate_resume(recorded, record)
-            # The recorded metadata is authoritative: headers of resumed
-            # shard temps must match it byte for byte.
-            stream_metadata = recorded["stream_metadata"]
-            resuming = True
+            recorded = _ResolvedRun.load(run_dir)
+            _validate_resume(recorded, run)
+            # The recorded run is authoritative: headers of resumed shard
+            # temps must match its metadata byte for byte.
+            run = recorded
         else:
             if os.path.isdir(run_dir):
                 shutil.rmtree(run_dir)  # stale leftovers from a dead run
             os.makedirs(run_dir, exist_ok=True)
             with open(os.path.join(run_dir, RUN_RECORD_NAME), "w",
                       encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
+                json.dump(run.record(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         shard_paths = [
             os.path.join(run_dir, f"shard{plan.shard_index:04d}.opstream")
@@ -941,35 +894,21 @@ def run_fleet(config: FleetConfig) -> FleetResult:
         ]
     tasks = [
         _ShardTask(
-            spec=spec,
+            run=run,
             plan=plan,
-            backend=config.backend,
-            access_pattern=pattern,
-            use_phase_model=phases,
-            sessions_per_user=sessions,
-            collect_ops=config.collect_ops,
-            time_limit_us=config.time_limit_us,
-            arrival_model=model,
-            window_us=window_us,
-            stream_path=(shard_paths[plan.shard_index]
-                         if shard_paths else None),
-            stream_budget_bytes=max(1, stream_budget // len(plans)),
-            stream_metadata=stream_metadata,
+            stream_path=shard_paths[plan.shard_index] if shard_paths else None,
             metrics=config.metrics_out is not None,
             progress=config.progress,
             resume=resuming,
-            checkpoint=resumable,
+            checkpoint=run_dir is not None and run.backend in FAST_BACKENDS,
             heartbeat=config.shard_timeout_s is not None,
             faults=config.faults,
         )
         for plan in plans
     ]
-    meter = None
-    if config.progress:
-        meter = ProgressMeter(
-            total_users=sum(len(p.user_ids) for p in plans),
-            label=f"fleet[{config.backend}]",
-        )
+    meter = (ProgressMeter(total_users=run.spec.n_users,
+                           label=f"fleet[{run.backend}]")
+             if config.progress else None)
 
     def _retask(task: _ShardTask, attempt: int) -> _ShardTask:
         """Stamp the attempt; retries of resumable shards salvage."""
@@ -981,9 +920,8 @@ def run_fleet(config: FleetConfig) -> FleetResult:
 
     verifier = (_verify_outcome
                 if config.faults and config.out_stream is not None else None)
-    needs_isolation = any(f.needs_isolation for f in config.faults)
-    supervised = (workers > 1 or needs_isolation
-                  or config.shard_timeout_s is not None)
+    supervised = (workers > 1 or config.shard_timeout_s is not None
+                  or any(f.needs_isolation for f in config.faults))
 
     started = time.perf_counter()
     complete = False
@@ -1012,10 +950,9 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                 not quarantined or config.allow_partial):
             done_paths = [shard_paths[o.shard_index] for o in outcomes]
             if done_paths:
-                publish_metadata = stream_metadata
+                publish_metadata = run.stream_metadata
                 if quarantined:
                     # A partial artifact must say so in its own header.
-                    publish_metadata = dict(stream_metadata)
                     publish_metadata["partial"] = True
                     publish_metadata["quarantined_shards"] = list(quarantined)
                 if len(shard_paths) == 1 and not quarantined:
@@ -1031,7 +968,8 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                     merged_tmp = os.path.join(run_dir, "merged.opstream")
                     merge_stream_files(
                         merged_tmp, done_paths, metadata=publish_metadata,
-                        rows_per_chunk=rows_per_chunk_for(stream_budget))
+                        rows_per_chunk=rows_per_chunk_for(
+                            run.stream_budget_bytes))
                     os.replace(merged_tmp, config.out_stream)
         complete = not quarantined
     finally:
@@ -1045,7 +983,7 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     wall_s = time.perf_counter() - started
 
     merged_log = None
-    if config.collect_ops:
+    if run.collect_ops:
         merged_log = UsageLog.merged(o.log for o in outcomes)
     reused_chunks = sum(o.reused_chunks for o in outcomes)
     reused_rows = sum(o.reused_rows for o in outcomes)
@@ -1093,21 +1031,18 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     if config.metrics_out is not None:
         manifest = build_manifest(
             merged_metrics,
-            seed=config.root_seed,
-            backend=config.backend,
-            scenario=config.scenario or "custom-spec",
-            spec=spec,
-            n_users=spec.n_users,
+            seed=run.spec.seed,
+            backend=run.backend,
+            scenario=run.scenario or "custom-spec",
+            spec=run.spec,
+            n_users=run.spec.n_users,
             wall_s=wall_s,
             simulated_us=result.simulated_us,
             extra={
-                "shards": config.shards,
+                "shards": run.shards,
                 "workers": workers,
-                "sessions_per_user": sessions,
-                "access_pattern": pattern,
-                "phases": phases,
-                "arrivals": model is not None,
-                "time_limit_us": config.time_limit_us,
+                **run.shape,
+                "time_limit_us": run.time_limit_us,
                 "out_stream": config.out_stream,
                 "status": "partial" if quarantined else "complete",
                 "quarantined_shards": list(quarantined),

@@ -1,4 +1,4 @@
-"""Shard planning: who runs where, with which seeds.
+"""Shard planning: who runs where.
 
 A fleet run splits a population of ``users`` virtual users into
 ``shards`` independent simulated sites.  The plan is pure data computed
@@ -9,14 +9,10 @@ up front in the coordinating process:
   representative slice of the user-type mix; with more shards than
   users the surplus shards are empty (zero users, zero tally) and merge
   harmlessly;
-* every shard gets a *derived* seed spawned from the root seed via
-  :meth:`repro.distributions.RandomStreams.spawn_seed` — shard-local
-  randomness (e.g. future fault injection, arrival jitter) must draw
-  from this family, **never** from the root streams, so that adding
-  shard-local draws can never perturb the workload content;
-* the workload spec itself is always built from the **root** seed inside
-  each worker, because user streams and the FSC layout must be identical
-  across all shards for the merged tally to match the single-process run.
+* a plan carries no seed: every shard builds the workload from the
+  run's **root** seed, because user streams and the FSC layout must be
+  identical across all shards for the merged tally to match the
+  single-process run.
 """
 
 from __future__ import annotations
@@ -24,38 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.spec import partition_user_ids
-from ..distributions import RandomStreams
 
 __all__ = ["ShardPlan", "plan_shards"]
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """One shard's identity: index, user slice, derived seed."""
+    """One shard's identity: its index and its user slice."""
 
     shard_index: int
-    n_shards: int
     user_ids: tuple[int, ...]
-    root_seed: int
-    shard_seed: int
-
-    @property
-    def n_users(self) -> int:
-        """Users simulated by this shard."""
-        return len(self.user_ids)
 
 
-def plan_shards(n_users: int, n_shards: int, seed: int) -> tuple[ShardPlan, ...]:
+def plan_shards(n_users: int, n_shards: int) -> tuple[ShardPlan, ...]:
     """Compute the full fleet plan for a population and shard count."""
-    streams = RandomStreams(seed)
-    slices = partition_user_ids(n_users, n_shards)
     return tuple(
-        ShardPlan(
-            shard_index=index,
-            n_shards=n_shards,
-            user_ids=user_ids,
-            root_seed=seed,
-            shard_seed=streams.spawn_seed(f"shard-{index}"),
-        )
-        for index, user_ids in enumerate(slices)
+        ShardPlan(shard_index=index, user_ids=user_ids)
+        for index, user_ids in enumerate(partition_user_ids(n_users, n_shards))
     )

@@ -43,13 +43,17 @@ MANIFEST_FORMAT = "repro.run-manifest"
 MANIFEST_VERSION = 1
 
 
+def canonical_sha256(document) -> str:
+    """sha256 over a JSON document's canonical (sorted-key, compact) form."""
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def spec_fingerprint(spec) -> str:
-    """sha256 over the spec's canonical (sorted-key) JSON form."""
+    """:func:`canonical_sha256` of the spec's JSON form."""
     from ..core.specjson import spec_to_jsonable
 
-    canonical = json.dumps(spec_to_jsonable(spec), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_sha256(spec_to_jsonable(spec))
 
 
 def peak_rss_kib() -> int | None:

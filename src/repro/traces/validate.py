@@ -169,31 +169,26 @@ def regenerate(
 ):
     """Run the spec's synthetic workload; returns ``(log, layout)``.
 
-    ``shards > 1`` routes through :func:`repro.fleet.run_fleet` (the
-    merged content is shard-count-invariant, so the fidelity numbers do
-    not depend on this choice — only wall-clock does).  ``backend``
-    accepts any execution backend, including ``fast``: the regenerated
-    op stream is backend-invariant, so a ``fast`` validation differs
-    only in the service-time component of recorded timings.
+    The run goes through :func:`repro.fleet.run_fleet` at any shard count
+    (the merged content is shard-count-invariant, so the fidelity
+    numbers do not depend on ``shards`` — only wall-clock does).
+    ``backend`` accepts any execution backend, including ``fast``: the
+    regenerated op stream is backend-invariant, so a ``fast`` validation
+    differs only in the service-time component of recorded timings.
     """
-    if shards > 1:
-        from ..fleet import FleetConfig, run_fleet
+    from ..fleet import FleetConfig, run_fleet
 
-        result = run_fleet(
-            FleetConfig(
-                spec=spec,
-                shards=min(shards, spec.n_users),
-                sessions_per_user=sessions_per_user,
-                backend=backend,
-                collect_ops=True,
-            )
+    result = run_fleet(
+        FleetConfig(
+            spec=spec,
+            shards=min(shards, spec.n_users),
+            sessions_per_user=sessions_per_user,
+            backend=backend,
+            collect_ops=True,
         )
-        layout = WorkloadGenerator(spec).create_file_system(MemoryFileSystem())
-        return result.log, layout
-    run = WorkloadGenerator(spec).run_simulated(
-        sessions_per_user=sessions_per_user, backend=backend
     )
-    return run.log, run.layout
+    layout = WorkloadGenerator(spec).create_file_system(MemoryFileSystem())
+    return result.log, layout
 
 
 def _has_sizes(layout) -> bool:

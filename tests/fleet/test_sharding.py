@@ -1,9 +1,8 @@
-"""Shard-plan properties: coverage, balance, determinism, derived seeds."""
+"""Shard-plan properties: coverage, balance, determinism."""
 
 import pytest
 
 from repro.core import SpecError, partition_user_ids
-from repro.distributions import RandomStreams
 from repro.fleet import plan_shards
 
 
@@ -47,26 +46,10 @@ class TestPartitionUserIds:
 
 class TestPlanShards:
     def test_plan_matches_partition(self):
-        plans = plan_shards(9, 3, seed=7)
+        plans = plan_shards(9, 3)
         assert [p.user_ids for p in plans] == list(partition_user_ids(9, 3))
         assert [p.shard_index for p in plans] == [0, 1, 2]
-        assert all(p.n_shards == 3 for p in plans)
 
-    def test_shard_seeds_are_spawned_from_root(self):
-        plans = plan_shards(4, 2, seed=11)
-        streams = RandomStreams(11)
-        assert [p.shard_seed for p in plans] == [
-            streams.spawn_seed("shard-0"),
-            streams.spawn_seed("shard-1"),
-        ]
-
-    def test_shard_seeds_distinct_and_seed_dependent(self):
-        plans_a = plan_shards(8, 4, seed=1)
-        plans_b = plan_shards(8, 4, seed=2)
-        seeds_a = [p.shard_seed for p in plans_a]
-        assert len(set(seeds_a)) == len(seeds_a)
-        assert seeds_a != [p.shard_seed for p in plans_b]
-
-    def test_n_users_property(self):
-        plans = plan_shards(10, 4, seed=0)
-        assert [p.n_users for p in plans] == [3, 3, 2, 2]
+    def test_plan_slices_are_balanced(self):
+        plans = plan_shards(10, 4)
+        assert [len(p.user_ids) for p in plans] == [3, 3, 2, 2]

@@ -10,7 +10,8 @@ subcommand or ``python -m repro``; ``ruff format --check`` names
 another program) against the tree and the argparse parser, and fail
 tier-1 instead.
 ``benchmarks/e2e/README.md`` is out of scope: it sits under the frozen
-benchmark path and is known stale.
+benchmark path and is known stale.  ``docs/architecture.md`` also has a
+line budget, so the prose stays cut to what code cannot say.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from repro.cli import build_parser
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("README.md", os.path.join("docs", "architecture.md"))
+ARCHITECTURE_MAX_LINES = 600
 
 _SPAN = re.compile(r"`([^`\n]+)`")
 # Not `"repro.run-manifest"`: format strings are data, not names.
@@ -117,3 +119,10 @@ def test_the_scan_finds_references():
     assert len(_mentions(_DOTTED)) > 20
     assert len(_mentions(_PATH, whole=True)) > 20
     assert len(_mentions(_FLAG, spans=_speaks_of_this_cli)) > 10
+
+
+def test_architecture_stays_within_its_line_budget():
+    with open(os.path.join(REPO, DOCS[1]), encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
+    assert lines <= ARCHITECTURE_MAX_LINES, (
+        f"{DOCS[1]} is {lines} lines; the budget is {ARCHITECTURE_MAX_LINES}")
