@@ -5,17 +5,18 @@ stores the whole run or only its statistics.  At the ROADMAP's
 million-user scale neither is enough: downstream consumers need the
 *operation stream itself* — LWS-style log-driven replay wants the exact
 ops, not a regeneration — and the machine generating it cannot hold it.
-``repro.core.streamfile`` makes the op stream a file:
+``repro.core.streamfile`` makes the op stream a file, with one writer
+and one reader:
 
-* :class:`StreamFileSink` is an :class:`~repro.core.oplog.OpSink` that
-  spills :class:`~repro.core.opbatch.OpBatch` chunks to disk under a
-  bounded ``memory_budget_bytes`` instead of accumulating;
-* :class:`StreamReader` / :func:`iter_batches` stream the artifact back
-  as batches, with a footer index for seeking and slicing by user id or
-  time window without touching unrelated chunks;
-* :meth:`StreamReader.replay` feeds a sink (tally, usage log, another
-  stream file) straight from disk — the fast-columnar consumption path
-  without regeneration;
+* :class:`StreamFileSink` is the writer: an
+  :class:`~repro.core.oplog.OpSink` that spills
+  :class:`~repro.core.opbatch.OpBatch` chunks to disk under a bounded
+  ``memory_budget_bytes`` instead of accumulating;
+* :class:`StreamReader` is the reader: it streams the artifact back as
+  batches, with a footer index for seeking and slicing by user id or
+  time window without touching unrelated chunks, and
+  :meth:`StreamReader.replay` feeds a sink (tally, usage log, another
+  stream file) straight from disk;
 * :func:`merge_stream_files` interleaves per-shard artifacts into one
   file **bit-identical** to the artifact a 1-shard run would have
   written.
@@ -39,22 +40,22 @@ function of the global op-row count (``rows_per_chunk`` rows each,
 derived from the byte budget via the fixed :data:`ROW_BYTES`), never of
 arrival granularity — so re-chunking the same event stream, whether it
 comes from one run, a replay, or a k-way shard merge, reproduces the
-same frames byte for byte.  Every frame is CRC-checked; any truncation
-or bit flip surfaces as :class:`StreamFormatError`, never as garbage
-records.
+same frames byte for byte.  Every frame is CRC-checked and every decoded
+field range-checked; any truncation, bit flip or out-of-range field
+surfaces as :class:`StreamFormatError`, never as garbage records.
 
 Reading is said once: :func:`_read_frame` is the one frame walk (seek,
-frame head, length bounded by the file size, read, CRC) behind indexed
-chunk/footer reads, the sequential scan and salvage's re-read, and
-:func:`_chunk_events` is the one interleave of a chunk's op rows and
-session summaries behind both replays and the shard merge.
+frame head, length bounded by the file size, read, CRC) and
+``StreamReader._events`` the one interleave of a chunk's op rows and
+session summaries, behind replay, the shard merge and resume.
 
-Crash recovery trusts the file alone.  ``checkpoint=True`` makes the
-writer ``flush()`` after every chunk frame, so a killed process leaves
-whole frames; :func:`salvage_stream` is *footer, else scan* — a file
-whose footer opens is complete, otherwise the frames are walked from
-the header and only chunks that pass their CRC and decode survive.
-Nothing beside the artifact is written or read.
+Crash recovery trusts the file alone.  The writer flushes every chunk
+frame as it writes it, so a killed process leaves whole frames;
+:func:`salvage_stream` opens whatever survives as a :class:`StreamReader`
+— indexed by the footer when it opens, otherwise by walking the frames
+from the header, keeping only chunks that pass their CRC and decode —
+and :func:`resume_stream_sink` continues writing after its last full
+chunk.  Nothing beside the artifact is written or read.
 
 Versioning: ``FORMAT_VERSION`` bumps on any layout change; readers
 reject newer versions loudly.  See ``docs/architecture.md`` for the
@@ -69,6 +70,7 @@ import json
 import os
 import struct
 import time
+import warnings
 import zlib
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -88,14 +90,12 @@ __all__ = [
     "StreamFormatError",
     "rows_per_chunk_for",
     "TeeSink",
-    "StreamWriter",
     "StreamFileSink",
     "ChunkInfo",
     "StreamChunk",
     "StreamReader",
     "iter_batches",
     "merge_stream_files",
-    "SalvagedStream",
     "salvage_stream",
     "resume_stream_sink",
     "StreamVerifyReport",
@@ -360,8 +360,11 @@ def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
             stream = io.BytesIO(raw)
             if np.lib.format.read_magic(stream) != (1, 0):
                 raise ValueError("not an npy 1.0 block")
-            shape, fortran_order, found = (
-                np.lib.format.read_array_header_1_0(stream))
+            with warnings.catch_warnings():
+                # numpy's Python 2 header fallback only warns: refuse it.
+                warnings.simplefilter("error")
+                shape, fortran_order, found = (
+                    np.lib.format.read_array_header_1_0(stream))
             if fortran_order or found.hasobject:
                 raise ValueError(f"unsupported layout or dtype {found}")
         except Exception as exc:
@@ -410,6 +413,9 @@ def _decode_chunk(payload: bytes, what: str):
         raise StreamFormatError(f"corrupt string table: {exc}") from None
     if pos != len(payload):
         raise StreamFormatError(f"{what}: {len(payload) - pos} trailing bytes")
+    kinds = columns["kinds"]
+    if n and (int(kinds.min()) < 0 or int(kinds.max()) >= len(OP_KIND_NAMES)):
+        raise StreamFormatError(f"{what}: op kind outside the kind table")
     for column, table in _STRING_COLUMNS:
         idx = columns[column]
         if n and (int(idx.min()) < -1
@@ -447,27 +453,8 @@ def _column_range(pieces: list[OpBatch], name: str, scalar) -> tuple:
     return scalar(column.min()), scalar(column.max())
 
 
-def _chunk_events(batch: OpBatch, sessions, row_start: int):
-    """A chunk's events in recorded order.
-
-    Yields ``("rows", piece)`` for each non-empty run of op rows and
-    ``("session", record)`` for each summary, cut at the global op-row
-    positions the writer tagged the summaries with — the one interleave
-    behind both replays and the shard merge.
-    """
-    cursor = 0
-    for position, record in sessions:
-        local = min(max(position - row_start, 0), len(batch))
-        if local > cursor:
-            yield "rows", batch.select(slice(cursor, local))
-            cursor = local
-        yield "session", record
-    if cursor < len(batch):
-        yield "rows", batch.select(slice(cursor, len(batch)))
-
-
 # ---------------------------------------------------------------------------
-# Frame and header parsing (shared by the reader, salvage, and verification)
+# Frame walk (the reader's indexed seeks and its scan)
 # ---------------------------------------------------------------------------
 
 
@@ -475,8 +462,8 @@ def _read_frame(stream, offset: int, size: int, what: str):
     """The frame at ``offset`` of a ``size``-byte file, CRC-checked.
 
     Returns ``(kind, payload, next_offset)``.  The one frame walk: every
-    reader of frames — indexed seeks, the sequential scan, salvage —
-    comes through here, so a corrupt length field always surfaces as
+    read of a frame — indexed seeks and the forward scan — comes through
+    here, so a corrupt length field always surfaces as
     :class:`StreamFormatError` (bounded by the file size *before*
     reading, never a huge allocation) and no payload escapes unchecked.
     """
@@ -497,109 +484,69 @@ def _read_frame(stream, offset: int, size: int, what: str):
     return kind, payload, stop
 
 
-def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
-    """Validate and decode the header at the start of ``stream``.
-
-    Returns ``(version, header, data_start)`` where ``data_start`` is
-    the offset of the first frame.  Raises :class:`StreamFormatError`
-    on any structural problem, exactly like :class:`StreamReader`.
-    """
-
-    def must_read(n: int, what: str) -> bytes:
-        if n < 0 or n > size:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        raw = stream.read(n)
-        if len(raw) != n:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        return raw
-
-    stream.seek(0)
-    magic = stream.read(len(MAGIC))
-    if magic != MAGIC:
-        raise StreamFormatError(
-            f"{path!r} is not an op-stream file (bad magic)"
-        )
-    (version,) = struct.unpack("<H", must_read(2, "version"))
-    if version > FORMAT_VERSION:
-        raise StreamFormatError(
-            f"stream format version {version} is newer than this "
-            f"reader (supports <= {FORMAT_VERSION})"
-        )
-    length, crc = struct.unpack(
-        _HEAD_FMT, must_read(struct.calcsize(_HEAD_FMT), "header"))
-    raw = must_read(length, "header JSON")
-    if zlib.crc32(raw) != crc:
-        raise StreamFormatError("header failed its checksum")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise StreamFormatError(f"corrupt header JSON: {exc}") from None
-    # CRC-valid is not well-formed: shape-check every field read, once.
-    if not isinstance(header, dict):
-        raise StreamFormatError("corrupt header: not an object")
-    if header.get("version") != version:
-        raise StreamFormatError(
-            f"header version {header.get('version')!r} disagrees with "
-            f"the file's version field {version} (corrupt header?)"
-        )
-    if header.get("kinds") != list(OP_KIND_NAMES):
-        raise StreamFormatError(
-            "stream file kind table does not match this build: "
-            f"{header.get('kinds')!r}"
-        )
-    if header.get("columns") != [list(column) for column in _COLUMNS]:
-        raise StreamFormatError("stream file column schema mismatch")
-    rows_per_chunk = header.get("rows_per_chunk")
-    if type(rows_per_chunk) is not int or rows_per_chunk < 1:
-        raise StreamFormatError(
-            f"corrupt header: rows_per_chunk is {rows_per_chunk!r}")
-    if not isinstance(header.get("metadata", {}), dict):
-        raise StreamFormatError("corrupt header: metadata is not an object")
-    return version, header, stream.tell()
-
-
 # ---------------------------------------------------------------------------
 # Writer
 # ---------------------------------------------------------------------------
 
 
-class StreamWriter:
-    """Low-level append writer: events in, canonical chunks out.
+class TeeSink:
+    """Fan one op stream out to several sinks (e.g. tally + stream file)."""
 
-    Feed it the run's event stream (:meth:`add_batch` op rows,
-    :meth:`add_session` summaries, in arrival order) and it emits frames
-    of exactly ``rows_per_chunk`` rows each (the final one shorter), with
-    every session attached to the chunk containing the op row it
-    followed.  Chunk *i* is flushed only once a row of chunk *i + 1*
-    arrives, so a summary landing exactly on a boundary still joins its
-    own chunk — the buffered high-water mark is ``rows_per_chunk`` rows
-    plus the incoming batch.
+    def __init__(self, *sinks):
+        self.sinks = sinks
+
+    def record_batch(self, batch: OpBatch) -> None:
+        for sink in self.sinks:
+            sink.record_batch(batch)
+
+    def record_session(self, record: SessionRecord) -> None:
+        for sink in self.sinks:
+            sink.record_session(record)
+
+
+class StreamFileSink:
+    """The writer: an :class:`~repro.core.oplog.OpSink` spilling to a
+    stream file.
+
+    Feed it the run's event stream (op rows, session summaries, in
+    arrival order).  Rows buffer up to ``memory_budget_bytes`` of column
+    data (``rows_per_chunk`` rows at the fixed :data:`ROW_BYTES` row
+    width) and leave as frames of exactly ``rows_per_chunk`` rows (the
+    final one shorter), every session attached to the chunk holding the
+    op row it followed.  Chunk *i* is written only once a row of chunk
+    *i + 1* arrives, so a summary landing exactly on a boundary still
+    joins its own chunk — the buffered high-water mark is
+    ``rows_per_chunk`` rows plus the incoming batch.  Each frame is
+    flushed to the OS as it is written, so a killed process leaves whole
+    frames for :func:`salvage_stream`.  Close the sink (or leave its
+    ``with`` block) to write the footer index; an unclosed file has no
+    footer and readers reject it as truncated.
+
+    ``flush_hook(chunk_index)`` runs before each chunk is written — the
+    fault-injection seam for spill-path errors (ENOSPC) — and an enabled
+    ``observer`` charges each write to the "spill" stage and ticks
+    ``stream.{chunks,rows,bytes}``.  Neither changes a byte of the file.
     """
 
-    def __init__(self, path: str, rows_per_chunk: int,
+    def __init__(self, path: str,
+                 memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
                  metadata: dict | None = None, observer=None,
-                 checkpoint: bool = False, flush_hook=None, *,
-                 _salvaged: "SalvagedStream | None" = None):
-        if rows_per_chunk < 1:
-            raise ValueError(
-                f"rows_per_chunk must be >= 1, got {rows_per_chunk}"
-            )
+                 flush_hook=None):
+        self._start(path, memory_budget_bytes, metadata, observer, flush_hook)
+        self._stream = open(path, "wb")
+        try:
+            self._write_header()
+        except BaseException:
+            self._stream.close()
+            raise
+
+    def _start(self, path, memory_budget_bytes, metadata, observer,
+               flush_hook) -> None:
         self.path = path
-        self.rows_per_chunk = int(rows_per_chunk)
+        self.rows_per_chunk = rows_per_chunk_for(memory_budget_bytes)
         self.metadata = dict(metadata or {})
-        # Spill accounting: an enabled observer charges each chunk flush
-        # to the "spill" stage and ticks stream.{chunks,rows,bytes}.
-        # Flush timing/counting never changes what is written — chunk
-        # boundaries stay a pure function of the global row count.
-        self._observer = (observer if observer is not None
-                          and getattr(observer, "enabled", False) else None)
-        # ``checkpoint`` pushes every chunk frame to the OS as soon as
-        # it is written (``flush()`` after each), so a killed process
-        # leaves whole frames for :func:`salvage_stream` rather than a
-        # userspace buffer; ``flush_hook(chunk_index)`` runs before each
-        # flush — the fault-injection seam for spill-path errors
-        # (ENOSPC).  Neither changes a single byte of the artifact.
-        self._checkpoint = bool(checkpoint)
+        self._observer = (observer if getattr(observer, "enabled", False)
+                          else None)
         self._flush_hook = flush_hook
         self._pieces: deque[OpBatch] = deque()
         self._buffered = 0
@@ -607,62 +554,41 @@ class StreamWriter:
         self._closed = False
         self._rows_done = self._sessions_done = 0
         self._index: list[dict] = []
-        if _salvaged is not None:  # continue its prefix (see resume())
-            self._rows_done = _salvaged.rows
-            self._sessions_done = _salvaged.sessions
-            self._index = [dict(entry) for entry in _salvaged.index]
-        self.chunks_written = len(self._index)
-        self._stream = open(path, "wb" if _salvaged is None else "r+b")
-        try:
-            if _salvaged is None:
-                self._write_header()
-            else:
-                self._stream.truncate(_salvaged.data_end)
-                self._stream.seek(_salvaged.data_end)
-        except BaseException:
-            self._stream.close()
-            raise
 
     @classmethod
-    def resume(cls, salvaged: "SalvagedStream",
-               metadata: dict | None = None, observer=None,
-               checkpoint: bool = False, flush_hook=None) -> "StreamWriter":
-        """Continue writing a crashed artifact from its salvaged prefix.
+    def _continuing(cls, prefix: "StreamReader", memory_budget_bytes: int,
+                    observer=None, flush_hook=None) -> "StreamFileSink":
+        """A sink appending to ``prefix``'s footer-less file after its
+        last indexed chunk.
 
-        The file is truncated to the end of the last intact chunk and
-        the writer picks up with the salvaged row/session/chunk counts,
-        so the frames it appends are exactly the frames the original
-        writer would have written next — chunk boundaries are a pure
-        function of the global row count.  The caller must feed the
-        *remaining* event stream (everything after the salvaged rows)
-        in the original order.
-
-        ``metadata`` must match the salvaged header's (the header is
-        already on disk and is not rewritten); a mismatch means the
-        resume does not describe the same run and is rejected.
+        The file is cut back to ``prefix.data_end`` and the sink takes up
+        the prefix's row, session and chunk counts, so the frames it
+        writes are exactly those the crashed writer would have written
+        next.  The caller feeds the events after the prefix, in order.
         """
-        if salvaged.complete:
-            raise StreamFormatError(
-                f"{salvaged.path}: artifact is complete; nothing to resume"
-            )
-        if metadata is not None and dict(metadata) != salvaged.metadata:
-            raise StreamFormatError(
-                f"{salvaged.path}: resume metadata does not match the "
-                "on-disk header"
-            )
-        return cls(salvaged.path, salvaged.rows_per_chunk,
-                   metadata=salvaged.metadata, observer=observer,
-                   checkpoint=checkpoint, flush_hook=flush_hook,
-                   _salvaged=salvaged)
+        sink = cls.__new__(cls)  # the header is on disk: no __init__
+        sink._start(prefix.path, memory_budget_bytes, prefix.metadata,
+                    observer, flush_hook)
+        sink._index = [info.entry() for info in prefix.chunk_index]
+        sink._rows_done = prefix.total_rows
+        sink._sessions_done = prefix.total_sessions
+        sink._stream = open(prefix.path, "r+b")
+        try:
+            sink._stream.truncate(prefix.data_end)
+            sink._stream.seek(prefix.data_end)
+        except BaseException:
+            sink._stream.close()
+            raise
+        return sink
+
+    @property
+    def chunks_written(self) -> int:
+        """Chunk frames in the file so far (a continued prefix's too)."""
+        return len(self._index)
 
     # -- events ---------------------------------------------------------------
 
-    @property
-    def buffered_rows(self) -> int:
-        """Op rows currently held in memory (pending the next flush)."""
-        return self._buffered
-
-    def add_batch(self, batch: OpBatch) -> None:
+    def record_batch(self, batch: OpBatch) -> None:
         """Append op rows (sliced views are fine; tables may be shared)."""
         if len(batch) == 0:
             return
@@ -671,7 +597,7 @@ class StreamWriter:
         while self._buffered > self.rows_per_chunk:
             self._flush_chunk(self.rows_per_chunk)
 
-    def add_session(self, record: SessionRecord) -> None:
+    def record_session(self, record: SessionRecord) -> None:
         """Append a session summary at the current op-row position."""
         self._sessions.append((self._rows_done + self._buffered, record))
 
@@ -692,7 +618,7 @@ class StreamWriter:
     def abort(self) -> None:
         """Stop writing WITHOUT a footer (crash/failure path).
 
-        Buffered rows are dropped; chunks already flushed stay on disk
+        Buffered rows are dropped; chunks already written stay on disk
         for :func:`salvage_stream`.  A footer must never cover a partial
         run — it would make the truncated artifact indistinguishable
         from a complete one and poison both resume and verification.
@@ -703,11 +629,14 @@ class StreamWriter:
         self._closed = True
         self._stream.close()
 
-    def __enter__(self) -> "StreamWriter":
+    def __enter__(self) -> "StreamFileSink":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
     # -- framing --------------------------------------------------------------
 
@@ -768,6 +697,9 @@ class StreamWriter:
         self._stream.write(struct.pack(_FRAME_FMT, _FRAME_CHUNK, nbytes, crc))
         for part in parts:
             self._stream.write(part)
+        # The frame leaves the userspace buffer now: what a killed
+        # process leaves behind is whole, salvageable chunks.
+        self._stream.flush()
         if self._observer is not None:
             framed = nbytes + struct.calcsize(_FRAME_FMT)
             metrics = self._observer.metrics
@@ -783,11 +715,6 @@ class StreamWriter:
         self._rows_done = boundary
         self._buffered -= take
         self._sessions_done += len(sessions)
-        self.chunks_written += 1
-        if self._checkpoint:
-            # The frame leaves the userspace buffer now: what a killed
-            # process leaves behind is whole, salvageable chunks.
-            self._stream.flush()
 
     def _write_footer(self) -> None:
         footer = json.dumps(
@@ -806,79 +733,6 @@ class StreamWriter:
         self._stream.write(MAGIC)
 
 
-class TeeSink:
-    """Fan one op stream out to several sinks (e.g. tally + stream file)."""
-
-    def __init__(self, *sinks):
-        self.sinks = sinks
-
-    def record_batch(self, batch: OpBatch) -> None:
-        for sink in self.sinks:
-            sink.record_batch(batch)
-
-    def record_session(self, record: SessionRecord) -> None:
-        for sink in self.sinks:
-            sink.record_session(record)
-
-
-class StreamFileSink:
-    """An :class:`~repro.core.oplog.OpSink` that spills to a stream file.
-
-    Drop-in for ``run_simulated(log=...)``: op rows buffer up to
-    ``memory_budget_bytes`` of column data (``rows_per_chunk`` rows at
-    the fixed :data:`ROW_BYTES` row width) and flush as one chunk frame;
-    session records embed at their exact op-row positions.  Close the
-    sink (or use it as a context manager) to write the footer index —
-    an unclosed file has no footer and readers reject it as truncated.
-    """
-
-    def __init__(self, path: str,
-                 memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-                 metadata: dict | None = None, observer=None,
-                 checkpoint: bool = False, flush_hook=None, *,
-                 _writer: "StreamWriter | None" = None):
-        self.memory_budget_bytes = int(memory_budget_bytes)
-        # ``_writer``: an already-open (resumed) writer to wrap instead.
-        self._writer = _writer or StreamWriter(
-            path, rows_per_chunk_for(memory_budget_bytes), metadata=metadata,
-            observer=observer, checkpoint=checkpoint, flush_hook=flush_hook)
-
-    @property
-    def path(self) -> str:
-        """The artifact path."""
-        return self._writer.path
-
-    @property
-    def rows_per_chunk(self) -> int:
-        """Op rows per chunk under this sink's budget."""
-        return self._writer.rows_per_chunk
-
-    @property
-    def chunks_written(self) -> int:
-        """Chunk frames flushed so far."""
-        return self._writer.chunks_written
-
-    def record_batch(self, batch: OpBatch) -> None:
-        self._writer.add_batch(batch)
-
-    def record_session(self, record: SessionRecord) -> None:
-        self._writer.add_session(record)
-
-    def close(self) -> None:
-        """Flush everything and finalise the artifact."""
-        self._writer.close()
-
-    def abort(self) -> None:
-        """Close the file without a footer (see StreamWriter.abort)."""
-        self._writer.abort()
-
-    def __enter__(self) -> "StreamFileSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # ---------------------------------------------------------------------------
 # Reader
 # ---------------------------------------------------------------------------
@@ -886,7 +740,7 @@ class StreamFileSink:
 
 @dataclass(frozen=True)
 class ChunkInfo:
-    """One footer-index entry (everything needed to seek and skip)."""
+    """One chunk-index entry (everything needed to seek and skip)."""
 
     index: int
     offset: int
@@ -917,7 +771,6 @@ class StreamChunk:
     index: int
     batch: OpBatch
     frames: list[tuple[int, bytes]]
-    row_start: int
 
     @cached_property
     def sessions(self) -> list[tuple[int, SessionRecord]]:
@@ -938,11 +791,22 @@ class StreamReader:
 
     Opens the file, validates magic/version/header, then seeks the
     footer through the fixed-size tail — so a reader never scans the
-    whole file to answer ``total_rows`` or to slice by user/time.
+    whole file to answer ``total_rows`` or to slice by user/time.  A
+    file without an intact footer is refused here; :func:`salvage_stream`
+    opens one anyway, indexed by a forward scan of its frames.
+
+    ``complete`` says the footer indexes the file; ``data_end`` is the
+    offset just past the last indexed chunk (where a continuing writer
+    appends); ``damage`` lists what a salvaging open found wrong, empty
+    for a complete file.
     """
 
     def __init__(self, path: str):
+        self._open(path, salvage=False)
+
+    def _open(self, path: str, salvage: bool) -> None:
         self.path = path
+        self.complete, self.damage = True, []
         try:
             self._stream = open(path, "rb")
         except OSError as exc:
@@ -950,7 +814,13 @@ class StreamReader:
         try:
             self._size = os.fstat(self._stream.fileno()).st_size
             self._read_header()
-            self._read_footer()
+            try:
+                self._read_footer()
+            except StreamFormatError as exc:
+                if not salvage:
+                    raise
+                self.complete, self.damage = False, [f"footer: {exc}"]
+                self._scan()
         except BaseException:
             self._stream.close()
             raise
@@ -958,13 +828,66 @@ class StreamReader:
     # -- parsing --------------------------------------------------------------
 
     def _read_header(self) -> None:
-        version, header, self._data_start = _parse_header(
-            self._stream, self._size, self.path)
+        """Validate and decode the header; ``_data_start`` is the offset
+        of the first frame."""
+        stream, size = self._stream, self._size
+
+        def must_read(n: int, what: str) -> bytes:
+            if n < 0 or n > size:
+                raise StreamFormatError(f"truncated stream file: {what}")
+            raw = stream.read(n)
+            if len(raw) != n:
+                raise StreamFormatError(f"truncated stream file: {what}")
+            return raw
+
+        stream.seek(0)
+        magic = stream.read(len(MAGIC))
+        if magic != MAGIC:
+            raise StreamFormatError(
+                f"{self.path!r} is not an op-stream file (bad magic)"
+            )
+        (version,) = struct.unpack("<H", must_read(2, "version"))
+        if version > FORMAT_VERSION:
+            raise StreamFormatError(
+                f"stream format version {version} is newer than this "
+                f"reader (supports <= {FORMAT_VERSION})"
+            )
+        length, crc = struct.unpack(
+            _HEAD_FMT, must_read(struct.calcsize(_HEAD_FMT), "header"))
+        raw = must_read(length, "header JSON")
+        if zlib.crc32(raw) != crc:
+            raise StreamFormatError("header failed its checksum")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise StreamFormatError(f"corrupt header JSON: {exc}") from None
+        # CRC-valid is not well-formed: shape-check every field read, once.
+        if not isinstance(header, dict):
+            raise StreamFormatError("corrupt header: not an object")
+        if header.get("version") != version:
+            raise StreamFormatError(
+                f"header version {header.get('version')!r} disagrees with "
+                f"the file's version field {version} (corrupt header?)"
+            )
+        if header.get("kinds") != list(OP_KIND_NAMES):
+            raise StreamFormatError(
+                "stream file kind table does not match this build: "
+                f"{header.get('kinds')!r}"
+            )
+        if header.get("columns") != [list(column) for column in _COLUMNS]:
+            raise StreamFormatError("stream file column schema mismatch")
+        rows_per_chunk = header.get("rows_per_chunk")
+        if type(rows_per_chunk) is not int or rows_per_chunk < 1:
+            raise StreamFormatError(
+                f"corrupt header: rows_per_chunk is {rows_per_chunk!r}")
+        if not isinstance(header.get("metadata", {}), dict):
+            raise StreamFormatError("corrupt header: metadata is not an object")
         self.version = version
         self.header = header
-        self.rows_per_chunk = header["rows_per_chunk"]
+        self.rows_per_chunk = rows_per_chunk
         self.metadata = dict(header.get("metadata", {}))
         self.kinds = tuple(header["kinds"])
+        self._data_start = stream.tell()
 
     def _read_footer(self) -> None:
         size = self._size
@@ -988,7 +911,6 @@ class StreamReader:
             footer = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise StreamFormatError(f"corrupt footer JSON: {exc}") from None
-        self._footer_offset = footer_offset
         # CRC-valid is not well-formed: every field a seek, a skip
         # decision or a slice comparison will trust is type- and
         # range-checked here, once, so nothing downstream can raise
@@ -1004,8 +926,8 @@ class StreamReader:
         if not isinstance(footer, dict) or not isinstance(
                 footer.get("chunks"), list):
             raise StreamFormatError("corrupt footer: not a chunk index")
-        self.total_rows = count(footer, "rows")
-        self.total_sessions = count(footer, "sessions")
+        total_rows = count(footer, "rows")
+        total_sessions = count(footer, "sessions")
         chunks = []
         row_start = 0
         floor = self._data_start
@@ -1014,7 +936,7 @@ class StreamReader:
                 raise StreamFormatError(
                     f"corrupt footer: chunk {i} entry is not an object")
             offset, rows = count(entry, "offset"), count(entry, "rows")
-            if not floor <= offset < self._footer_offset:
+            if not floor <= offset < footer_offset:
                 raise StreamFormatError(
                     f"corrupt footer: chunk {i} offset {offset} is out of "
                     "order or outside the data region")
@@ -1035,28 +957,84 @@ class StreamReader:
             chunks.append(ChunkInfo(i, offset, rows, row_start,
                                     count(entry, "sessions"), *bounds))
             row_start += rows
-        if row_start != self.total_rows:
+        if row_start != total_rows:
             raise StreamFormatError("corrupt footer: chunk rows disagree "
                                     "with the total")
+        self._index_as(chunks, total_sessions, footer_offset)
+
+    def _scan(self) -> None:
+        """Index the file by walking its chunk frames from the header on,
+        up to the first one that fails its CRC or decode (noted in
+        ``damage``), the footer frame, or the end of the file."""
+        chunks: list[ChunkInfo] = []
+        pos, row_start = self._data_start, 0
+        while pos < self._size:
+            index = len(chunks)
+            try:
+                kind, payload, stop = _read_frame(
+                    self._stream, pos, self._size, f"chunk {index}")
+                if kind == _FRAME_FOOTER:
+                    break
+                if kind != _FRAME_CHUNK:
+                    raise StreamFormatError(f"unknown frame type {kind!r}")
+                chunk = self._decode(index, payload, row_start)
+                sessions = chunk.sessions
+            except StreamFormatError as exc:
+                self.damage.append(f"{exc} (offset {pos})")
+                break
+            chunks.append(ChunkInfo(
+                index=index, row_start=row_start,
+                **_entry_from_chunk(pos, [chunk.batch], sessions)))
+            row_start += len(chunk.batch)
+            pos = stop
+            payload = chunk = sessions = None  # not alive into the next
+        self._index_as(chunks, sum(c.sessions for c in chunks), pos)
+
+    def _index_as(self, chunks, total_sessions: int, data_end: int) -> None:
         self.chunk_index: tuple[ChunkInfo, ...] = tuple(chunks)
+        self.total_rows = sum(c.rows for c in chunks)
+        self.total_sessions = total_sessions
+        self.data_end = data_end
+
+    def _keep(self, n: int) -> None:
+        """Forget chunks ``n`` on: the reader then indexes (and replays)
+        only the first ``n``, and ``data_end`` is where chunk ``n``
+        began."""
+        if n < len(self.chunk_index):
+            chunks = self.chunk_index[:n]
+            self._index_as(chunks, sum(c.sessions for c in chunks),
+                           self.chunk_index[n].offset)
 
     def _read_frame(self, offset: int, what: str):
         return _read_frame(self._stream, offset, self._size, what)[:2]
 
+    def _decode(self, index: int, payload: bytes,
+                row_start: int) -> StreamChunk:
+        """Chunk ``index``'s payload, its session positions checked to
+        run in order within the chunk's rows."""
+        what = f"chunk {index}"
+        batch, frames = _decode_chunk(payload, what)
+        bounds = [row_start, *(position for position, _ in frames),
+                  row_start + len(batch)]
+        if bounds != sorted(bounds):
+            raise StreamFormatError(
+                f"{what}: session positions out of order or outside its rows")
+        return StreamChunk(index, batch, frames)
+
     # -- access ---------------------------------------------------------------
 
     def read_chunk(self, index: int) -> StreamChunk:
-        """Decode chunk ``index`` (CRC-checked seek through the footer)."""
+        """Decode chunk ``index`` (CRC-checked seek through the index)."""
         info = self.chunk_index[index]
         kind, payload = self._read_frame(info.offset, f"chunk {index}")
         if kind != _FRAME_CHUNK:
             raise StreamFormatError(f"chunk {index}: not a chunk frame")
-        batch, frames = _decode_chunk(payload, f"chunk {index}")
-        if len(batch) != info.rows or len(frames) != info.sessions:
+        chunk = self._decode(index, payload, info.row_start)
+        if len(chunk.batch) != info.rows or len(chunk.frames) != info.sessions:
             raise StreamFormatError(
                 f"chunk {index}: payload disagrees with the footer index"
             )
-        return StreamChunk(index, batch, frames, info.row_start)
+        return chunk
 
     def _chunk_matches(self, info: ChunkInfo, users: "np.ndarray | None",
                        time_range) -> bool:
@@ -1072,21 +1050,12 @@ class StreamReader:
                 return False
         return True
 
-    def iter_chunks(self, users=None, time_range=None) -> Iterator[StreamChunk]:
-        """Yield chunks in order, skipping via the footer index.
-
-        ``users`` is a user id or an iterable of them; ``time_range`` a
-        ``(lo, hi)`` half-open window over op start times.  Filters are
-        applied chunk-wise here (a yielded chunk may still contain other
-        rows); :meth:`iter_batches` applies the row-level mask.
-        """
-        users = _normalize_users(users)
-        for info in self.chunk_index:
-            if self._chunk_matches(info, users, time_range):
-                yield self.read_chunk(info.index)
-
     def iter_batches(self, users=None, time_range=None) -> Iterator[OpBatch]:
         """Yield op-row batches, row-filtered by user and time window.
+
+        ``users`` is a user id or an iterable of them; ``time_range`` a
+        ``(lo, hi)`` half-open window over op start times.  Chunks the
+        index rules out are never read.
 
         The reader keeps no decoded chunk alive while it decodes the
         next, but it cannot release the caller's loop variable: ``for
@@ -1111,6 +1080,29 @@ class StreamReader:
                 yield batch
             batch = None  # not alive while the next chunk decodes
 
+    def _events(self):
+        """The artifact's events in recorded order.
+
+        Yields ``("rows", piece)`` for each non-empty run of op rows and
+        ``("session", record)`` for each summary, cut at the global
+        op-row positions the writer tagged the summaries with — the one
+        chunk-to-events walk behind :meth:`replay`, the shard merge and
+        the resume boundary.  One decoded chunk is alive at a time as
+        long as the caller drops each event before asking for the next.
+        """
+        for info in self.chunk_index:
+            chunk = self.read_chunk(info.index)
+            batch, cursor = chunk.batch, 0
+            for position, record in chunk.sessions:
+                if position - info.row_start > cursor:
+                    yield "rows", batch.select(
+                        slice(cursor, position - info.row_start))
+                    cursor = position - info.row_start
+                yield "session", record
+            if cursor < len(batch):
+                yield "rows", batch.select(slice(cursor, len(batch)))
+            chunk = batch = None  # not alive while the next chunk decodes
+
     def replay(self, sink) -> tuple[int, int]:
         """Re-emit the artifact's exact event stream into ``sink``.
 
@@ -1122,17 +1114,14 @@ class StreamReader:
         (plus whatever views ``sink`` keeps).
         """
         rows = sessions = 0
-        for info in self.chunk_index:
-            chunk = self.read_chunk(info.index)
-            for kind, event in _chunk_events(chunk.batch, chunk.sessions,
-                                             chunk.row_start):
-                if kind == "rows":
-                    sink.record_batch(event)
-                else:
-                    sink.record_session(event)
-                    sessions += 1
-            rows += len(chunk.batch)
-            chunk = event = None  # not alive while the next chunk decodes
+        for kind, event in self._events():
+            if kind == "rows":
+                sink.record_batch(event)
+                rows += len(event)
+            else:
+                sink.record_session(event)
+                sessions += 1
+            event = None  # not alive while the next chunk decodes
         return rows, sessions
 
     def info_kv(self) -> dict:
@@ -1196,28 +1185,26 @@ def _iter_user_events(reader: StreamReader):
     on the shared engine clock and are rejected.
     """
     last: int | None = None
-    for info in reader.chunk_index:
-        chunk = reader.read_chunk(info.index)
-        for kind, event in _chunk_events(chunk.batch, chunk.sessions,
-                                         chunk.row_start):
-            if kind == "rows":
-                # One item per run of equal user ids inside the piece.
-                cuts = (np.flatnonzero(np.diff(event.user_ids)) + 1).tolist()
-                items = [event.select(slice(a, b)) for a, b in
-                         zip([0, *cuts], [*cuts, len(event)])]
-                uids = event.user_ids[[0, *cuts]].tolist()
-            else:
-                items, uids = [event], [event.user_id]
-            for uid, item in zip(uids, items):
-                if last is not None and uid < last:
-                    raise StreamFormatError(
-                        f"{reader.path}: user {uid} follows user {last}; "
-                        "stream merge needs user-contiguous artifacts "
-                        "(engine-free backends)"
-                    )
-                last = uid
-                yield uid, kind, item
-        chunk = event = items = item = None  # not alive into the next read
+    for kind, event in reader._events():
+        if kind == "rows":
+            # One item per run of equal user ids inside the piece.
+            cuts = (np.flatnonzero(np.diff(event.user_ids)) + 1).tolist()
+            items = [event.select(slice(a, b)) for a, b in
+                     zip([0, *cuts], [*cuts, len(event)])]
+            uids = event.user_ids[[0, *cuts]].tolist()
+        else:
+            items, uids = [event], [event.user_id]
+        event = None
+        for uid, item in zip(uids, items):
+            if last is not None and uid < last:
+                raise StreamFormatError(
+                    f"{reader.path}: user {uid} follows user {last}; "
+                    "stream merge needs user-contiguous artifacts "
+                    "(engine-free backends)"
+                )
+            last = uid
+            yield uid, kind, item
+        items = item = None  # not alive into the next read
 
 
 def merge_stream_files(output: str, inputs: Iterable[str],
@@ -1229,8 +1216,8 @@ def merge_stream_files(output: str, inputs: Iterable[str],
     user-contiguous populations (what ``run_fleet(..., out_stream=...)``
     shards write).  Users interleave back into ascending id order — the
     engine-free backends' canonical execution order — and the event
-    stream is re-chunked at ``rows_per_chunk`` rows under the same
-    deterministic boundary rule, so the merged artifact is **bit
+    stream is re-chunked at ``rows_per_chunk`` rows by the same writer
+    under the same boundary rule, so the merged artifact is **bit
     identical** to the one a single-shard run at that chunk size writes,
     whatever chunk sizes the inputs were written at.  Returns the
     number of op rows merged.
@@ -1273,8 +1260,8 @@ def merge_stream_files(output: str, inputs: Iterable[str],
                 heads[i] = head
         rows = 0
         try:
-            with StreamWriter(output, rows_per_chunk,
-                              metadata=metadata) as writer:
+            with StreamFileSink(output, rows_per_chunk * ROW_BYTES,
+                                metadata=metadata) as sink:
                 while heads:
                     source = min(heads, key=lambda i: heads[i][0])
                     head = heads.pop(source)
@@ -1291,10 +1278,10 @@ def merge_stream_files(output: str, inputs: Iterable[str],
                     while head is not None and head[0] == uid:
                         _, kind, event = head
                         if kind == "rows":
-                            writer.add_batch(event)
+                            sink.record_batch(event)
                             rows += len(event)
                         else:
-                            writer.add_session(event)
+                            sink.record_session(event)
                         head = event = None  # not alive into the next read
                         head = next(streams[source], None)
                     if head is not None:
@@ -1315,207 +1302,73 @@ def merge_stream_files(output: str, inputs: Iterable[str],
 # ---------------------------------------------------------------------------
 
 
-def _sequential_scan(stream, size: int, data_start: int):
-    """Walk chunk frames forward from ``data_start``, checking each.
+def salvage_stream(path: str) -> StreamReader:
+    """Open what survives of the artifact at ``path``: *footer, else scan*.
 
-    Returns ``(entries, data_end, error)``: the index entries of every
-    intact (CRC-checked *and decoded*) chunk frame before the first
-    problem, the offset just past the last of them, and a description of
-    what stopped the walk (None when it ended cleanly at a footer frame
-    or at end of data).
+    A file whose footer opens is ``complete``.  Otherwise the reader is
+    indexed by walking the chunk frames from the header forward: only
+    chunks that pass their CRC *and decode* survive, ``data_end`` is the
+    offset just past the last of them and ``damage`` says what stopped
+    the walk.  A bad header still raises :class:`StreamFormatError` —
+    there is no chunk size to salvage against.
     """
-    entries: list[dict] = []
-    pos = data_start
-    while pos < size:
-        what = f"chunk {len(entries)}"
-        try:
-            kind, payload, stop = _read_frame(stream, pos, size, what)
-            if kind == _FRAME_FOOTER:
-                break
-            if kind != _FRAME_CHUNK:
-                raise StreamFormatError(f"unknown frame type {kind!r}")
-            batch, frames = _decode_chunk(payload, what)
-            sessions = _parse_sessions(frames, what)
-        except StreamFormatError as exc:
-            return entries, pos, f"{exc} (offset {pos})"
-        entries.append(_entry_from_chunk(pos, [batch], sessions))
-        payload = batch = None  # not alive while the next frame decodes
-        pos = stop
-    return entries, pos, None
-
-
-@dataclass
-class ReplaySummary:
-    """What :meth:`SalvagedStream.replay` fed into the sink.
-
-    ``last_user`` (with its op-row and session counts inside the
-    salvaged prefix) is the resume boundary: in a user-contiguous
-    artifact every event the crash lost belongs to that user or later
-    ones, because chunk *i* is only flushed once a row of chunk *i+1*
-    has arrived — the last salvaged user's first row postdates every
-    earlier user's entire event stream.
-    """
-
-    rows: int = 0
-    sessions: int = 0
-    max_end_us: float = 0.0
-    last_user: int | None = None
-    last_user_rows: int = 0
-    last_user_sessions: int = 0
-
-
-@dataclass
-class SalvagedStream:
-    """The verified, reusable prefix of a (possibly crashed) artifact.
-
-    ``complete`` means the footer was intact and the whole file is
-    reusable; otherwise ``index`` lists the CRC-verified *full* chunks
-    (exactly ``rows_per_chunk`` rows each — a short tail chunk is
-    dropped because resumed frames must land on the same deterministic
-    boundaries) and ``data_end`` is the byte offset a resumed writer
-    truncates to.
-    """
-
-    path: str
-    version: int
-    rows_per_chunk: int
-    metadata: dict
-    complete: bool
-    index: list[dict]
-    rows: int
-    sessions: int
-    data_end: int
-
-    def _read_chunk(self, stream, size: int, i: int):
-        """Salvaged chunk ``i``: its op rows and parsed sessions."""
-        what = f"{self.path}: salvaged chunk {i}"
-        kind, payload, _ = _read_frame(stream, self.index[i]["offset"], size,
-                                       what)
-        if kind != _FRAME_CHUNK:
-            raise StreamFormatError(f"{what}: not a chunk frame")
-        batch, frames = _decode_chunk(payload, what)
-        return batch, _parse_sessions(frames, what)
-
-    def replay(self, sink) -> ReplaySummary:
-        """Re-emit the salvaged prefix into ``sink`` (see StreamReader).
-
-        Ops and session records interleave at their recorded positions,
-        so an order-invariant accumulator (the exact-integer tally)
-        ends up exactly as if it had seen the original events.  The
-        returned summary carries the resume boundary.  One decoded
-        chunk is alive at a time (plus whatever views ``sink`` keeps).
-        """
-        out = ReplaySummary()
-        with open(self.path, "rb") as stream:
-            size = os.fstat(stream.fileno()).st_size
-            for i in range(len(self.index)):
-                batch, sessions = self._read_chunk(stream, size, i)
-                for kind, event in _chunk_events(batch, sessions, out.rows):
-                    if kind == "rows":
-                        sink.record_batch(event)
-                        end = float((event.start_us
-                                     + event.response_us).max())
-                        uid = int(event.user_ids[-1])
-                    else:
-                        sink.record_session(event)
-                        out.sessions += 1
-                        end, uid = float(event.end_us), int(event.user_id)
-                    if end > out.max_end_us:
-                        out.max_end_us = end
-                    if out.last_user is None or uid > out.last_user:
-                        out.last_user = uid
-                        out.last_user_rows = out.last_user_sessions = 0
-                    if kind == "rows":
-                        out.last_user_rows += int(
-                            (event.user_ids == uid).sum())
-                    elif uid == out.last_user:
-                        out.last_user_sessions += 1
-                out.rows += len(batch)
-                # Not alive while the next chunk decodes.
-                batch = sessions = event = None
-        return out
-
-
-def salvage_stream(path: str) -> SalvagedStream:
-    """Find the intact, resumable prefix of an artifact at ``path``.
-
-    A file with a valid footer is ``complete`` (fully reusable).
-    Otherwise the chunk frames are walked from the header forward and
-    only what that walk CRC-checked *and decoded* survives; anything
-    doubtful is treated as lost and will be regenerated.
-    """
-    try:
-        size = os.path.getsize(path)
-    except OSError as exc:
-        raise StreamFormatError(f"cannot stat stream file: {exc}") from None
-    try:
-        with StreamReader(path) as reader:
-            entries = [info.entry() for info in reader.chunk_index]
-            return SalvagedStream(
-                path=path, version=reader.version,
-                rows_per_chunk=reader.rows_per_chunk,
-                metadata=dict(reader.metadata), complete=True,
-                index=entries, rows=reader.total_rows,
-                sessions=reader.total_sessions,
-                data_end=reader._footer_offset,
-            )
-    except StreamFormatError:
-        pass
-    with open(path, "rb") as stream:
-        version, header, data_start = _parse_header(stream, size, path)
-        entries, data_end, _ = _sequential_scan(stream, size, data_start)
-    rows_per_chunk = header["rows_per_chunk"]
-    # Only full chunks resume on the original boundaries; a short tail
-    # chunk (written by a crashed close()) is dropped and regenerated.
-    # Frames are contiguous, so the prefix ends where the dropped one began.
-    while entries and entries[-1]["rows"] != rows_per_chunk:
-        data_end = entries.pop()["offset"]
-    return SalvagedStream(
-        path=path, version=version, rows_per_chunk=rows_per_chunk,
-        metadata=dict(header.get("metadata", {})), complete=False,
-        index=entries, rows=sum(e["rows"] for e in entries),
-        sessions=sum(e["sessions"] for e in entries),
-        data_end=data_end,
-    )
+    reader = StreamReader.__new__(StreamReader)  # StreamReader() refuses it
+    reader._open(path, salvage=True)
+    return reader
 
 
 def resume_stream_sink(path: str,
                        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
                        metadata: dict | None = None, observer=None,
-                       checkpoint: bool = True, flush_hook=None):
+                       flush_hook=None):
     """A :class:`StreamFileSink` continuing whatever survives at ``path``.
 
-    Returns ``(sink, salvaged)``:
+    Returns ``(sink, prefix)``, ``prefix`` an open :class:`StreamReader`
+    over the reused chunks (the caller closes it):
 
     * no usable prefix (missing file, foreign budget, nothing verified)
-      — a fresh sink overwriting ``path``, ``salvaged`` None;
-    * a crashed prefix — a sink resuming after the last intact chunk,
-      with ``salvaged`` describing what to replay and skip;
-    * an already-complete artifact — ``sink`` None, ``salvaged``
-      carries the full file.
+      — a fresh sink overwriting ``path``, ``prefix`` None;
+    * a crashed prefix — a sink appending after its last *full* chunk
+      (a short tail chunk, written by a crashed ``close()``, is dropped:
+      resumed frames must land on the original boundaries), with
+      ``prefix`` the chunks to replay and skip;
+    * an already-complete artifact — ``sink`` None, ``prefix`` the whole
+      file.
+
+    ``metadata`` must match the salvaged header's (the header is on
+    disk and is not rewritten): a mismatch means the resume does not
+    describe the same run and raises :class:`StreamFormatError`.
     """
     rows_per_chunk = rows_per_chunk_for(memory_budget_bytes)
-    salvaged = None
+    prefix = None
     if os.path.exists(path):
-        try:
-            salvaged = salvage_stream(path)
-        except StreamFormatError:
-            salvaged = None
-        if salvaged is not None and (
-                salvaged.rows_per_chunk != rows_per_chunk
-                or (not salvaged.complete and not salvaged.index)):
-            salvaged = None
-    if salvaged is None:
-        sink = StreamFileSink(
-            path, memory_budget_bytes, metadata=metadata, observer=observer,
-            checkpoint=checkpoint, flush_hook=flush_hook)
-        return sink, None
-    if salvaged.complete:
-        return None, salvaged
-    writer = StreamWriter.resume(
-        salvaged, metadata=metadata, observer=observer,
-        checkpoint=checkpoint, flush_hook=flush_hook)
-    return StreamFileSink(path, memory_budget_bytes, _writer=writer), salvaged
+        with contextlib.suppress(StreamFormatError):
+            prefix = salvage_stream(path)
+    if prefix is not None and not prefix.complete:
+        full = len(prefix.chunk_index)
+        while full and prefix.chunk_index[full - 1].rows != rows_per_chunk:
+            full -= 1
+        prefix._keep(full)
+    if prefix is not None and (
+            prefix.rows_per_chunk != rows_per_chunk
+            or (not prefix.complete and not prefix.chunk_index)):
+        prefix.close()
+        prefix = None
+    if prefix is None:
+        return StreamFileSink(path, memory_budget_bytes, metadata=metadata,
+                              observer=observer, flush_hook=flush_hook), None
+    if prefix.complete:
+        return None, prefix
+    try:
+        if metadata is not None and dict(metadata) != prefix.metadata:
+            raise StreamFormatError(
+                f"{path}: resume metadata does not match the on-disk header")
+        sink = StreamFileSink._continuing(prefix, memory_budget_bytes,
+                                          observer, flush_hook)
+    except BaseException:
+        prefix.close()
+        raise
+    return sink, prefix
 
 
 @dataclass
@@ -1552,9 +1405,10 @@ def verify_stream(path: str) -> StreamVerifyReport:
     Unlike lazy reads — which only fault on the chunks a consumer
     happens to touch — this walks header, every chunk payload (decoded,
     not just checksummed), the footer, and the tail, and reports every
-    problem found.  ``ok`` requires a complete file with zero errors.
+    problem found.  A file whose footer is lost is reported through the
+    chunks a salvaging scan still finds.  ``ok`` requires a complete
+    file with zero errors.
     """
-    errors: list[str] = []
     try:
         size = os.path.getsize(path)
     except OSError as exc:
@@ -1562,56 +1416,36 @@ def verify_stream(path: str) -> StreamVerifyReport:
                                   chunks=0, chunks_ok=0, rows=0, sessions=0,
                                   file_bytes=0, errors=[str(exc)])
     try:
-        reader = StreamReader(path)
+        reader = salvage_stream(path)
     except StreamFormatError as exc:
-        footer_error = exc
-    else:
-        with reader:
-            chunks_ok = 0
-            sessions_seen = 0
-            for info in reader.chunk_index:
-                chunk = None  # not alive while the next chunk decodes
-                try:
-                    chunk = reader.read_chunk(info.index)
-                    sessions = chunk.sessions
-                except StreamFormatError as exc:
-                    errors.append(f"chunk {info.index}: {exc}")
-                    continue
-                chunks_ok += 1
-                sessions_seen += len(sessions)
-                if info.entry() != _entry_from_chunk(
-                        info.offset, [chunk.batch], sessions):
-                    errors.append(f"chunk {info.index}: footer index "
-                                  "disagrees with rows")
-            if sessions_seen != reader.total_sessions and not errors:
-                errors.append(
-                    f"footer: session total {reader.total_sessions} != "
-                    f"{sessions_seen} found in chunks"
-                )
-            return StreamVerifyReport(
-                path=path, ok=not errors, complete=True,
-                chunks=len(reader.chunk_index), chunks_ok=chunks_ok,
-                rows=reader.total_rows, sessions=reader.total_sessions,
-                file_bytes=size, errors=errors,
-            )
-    # No usable footer: say whether the header or the footer is at fault,
-    # then count whatever chunk frames a forward CRC walk still finds.
-    try:
-        with open(path, "rb") as stream:
-            _, _, data_start = _parse_header(stream, size, path)
-    except (OSError, StreamFormatError) as exc:
         return StreamVerifyReport(path=path, ok=False, complete=False,
                                   chunks=0, chunks_ok=0, rows=0, sessions=0,
                                   file_bytes=size, errors=[f"header: {exc}"])
-    errors.append(f"footer: {footer_error}")
-    with open(path, "rb") as stream:
-        entries, _, scan_error = _sequential_scan(stream, size, data_start)
-    if scan_error is not None:
-        errors.append(scan_error)
-    return StreamVerifyReport(
-        path=path, ok=False, complete=False, chunks=len(entries),
-        chunks_ok=len(entries),
-        rows=sum(e["rows"] for e in entries),
-        sessions=sum(e["sessions"] for e in entries),
-        file_bytes=size, errors=errors,
-    )
+    with reader:
+        errors = list(reader.damage)
+        chunks_ok = sessions_seen = 0
+        for info in reader.chunk_index:
+            chunk = None  # not alive while the next chunk decodes
+            try:
+                chunk = reader.read_chunk(info.index)
+                sessions = chunk.sessions
+            except StreamFormatError as exc:
+                errors.append(f"chunk {info.index}: {exc}")
+                continue
+            chunks_ok += 1
+            sessions_seen += len(sessions)
+            if info.entry() != _entry_from_chunk(
+                    info.offset, [chunk.batch], sessions):
+                errors.append(f"chunk {info.index}: footer index "
+                              "disagrees with rows")
+        if sessions_seen != reader.total_sessions and not errors:
+            errors.append(
+                f"footer: session total {reader.total_sessions} != "
+                f"{sessions_seen} found in chunks"
+            )
+        return StreamVerifyReport(
+            path=path, ok=not errors, complete=reader.complete,
+            chunks=len(reader.chunk_index), chunks_ok=chunks_ok,
+            rows=reader.total_rows, sessions=reader.total_sessions,
+            file_bytes=size, errors=errors,
+        )

@@ -19,8 +19,8 @@ Fault kinds:
 * ``error`` — an :class:`InjectedFault` exception raised at ``row``:
   the catchable-failure path.
 * ``enospc`` — ``OSError(ENOSPC)`` raised by the stream spill path when
-  it is about to flush chunk ``chunk`` (fed through the
-  ``flush_hook`` of :class:`~repro.core.streamfile.StreamWriter`).
+  it is about to write chunk ``chunk`` (fed through the ``flush_hook``
+  of the writer, :class:`~repro.core.streamfile.StreamFileSink`).
 * ``bitflip`` — one byte of the shard's finished stream artifact is
   XOR-flipped after close: silent corruption, caught only by CRC
   verification.

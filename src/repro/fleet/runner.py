@@ -46,8 +46,8 @@ the manifest records the casualties, and ``run_fleet`` raises
 Stream-writing runs keep every per-shard temp under a run-scoped
 directory (``<out_stream>.run``) that is swept on *every* exit path;
 the final artifact appears at ``out_stream`` only through an atomic
-rename, never half-written.  On the engine-free backends the temps
-flush every chunk frame as it is written, so a killed run can be
+rename, never half-written.  The temps flush every chunk frame as it
+is written, so on the engine-free backends a killed run can be
 continued with ``resume_fleet_config`` / ``fleet run --resume``: the
 chunk frames on disk are the checkpoint — those that pass their CRC and
 decode are reused, and only the tail is regenerated — the resumed
@@ -287,7 +287,7 @@ class FleetConfig:
             if self.backend not in FAST_BACKENDS:
                 raise SpecError(
                     "resume needs an engine-free backend "
-                    f"({FAST_BACKENDS}): checkpointed chunks are only "
+                    f"({FAST_BACKENDS}): salvaged chunks are only "
                     "reusable when users are generated contiguously"
                 )
 
@@ -591,7 +591,6 @@ class _ShardTask:
     progress: bool = False
     attempt: int = 1
     resume: bool = False
-    checkpoint: bool = False
     heartbeat: bool = False
     faults: tuple = ()
 
@@ -639,6 +638,42 @@ class _SkipSink:
             self._sessions -= 1
             return
         self.inner.record_session(record)
+
+
+class _ResumeBoundary:
+    """Forward a salvaged prefix's replay, noting where it ends.
+
+    ``last_user``, with its op rows and sessions inside the prefix, is
+    the resume boundary: in a user-contiguous artifact every event the
+    crash lost belongs to that user or later ones, because chunk *i* is
+    only written once a row of chunk *i + 1* has arrived — the last
+    salvaged user's first row postdates every earlier user's entire
+    event stream.  ``max_end_us`` is the prefix's latest end clock.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_end_us = 0.0
+        self.last_user: int | None = None
+        self.last_user_rows = self.last_user_sessions = 0
+
+    def _reach(self, user: int, end_us: float) -> None:
+        self.max_end_us = max(self.max_end_us, end_us)
+        if self.last_user is None or user > self.last_user:
+            self.last_user = user
+            self.last_user_rows = self.last_user_sessions = 0
+
+    def record_batch(self, batch) -> None:
+        self.inner.record_batch(batch)
+        self._reach(int(batch.user_ids[-1]),
+                    float((batch.start_us + batch.response_us).max()))
+        self.last_user_rows += int((batch.user_ids == self.last_user).sum())
+
+    def record_session(self, record) -> None:
+        self.inner.record_session(record)
+        self._reach(int(record.user_id), float(record.end_us))
+        if record.user_id == self.last_user:
+            self.last_user_sessions += 1
 
 
 _GENERATOR_CACHE: "list[tuple[WorkloadSpec, WorkloadGenerator]]" = []
@@ -702,7 +737,6 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
             memory_budget_bytes=max(1, run.stream_budget_bytes // run.shards),
             metadata=run.stream_metadata,
             observer=observer,
-            checkpoint=task.checkpoint,
             flush_hook=flush_hook,
         )
         if task.resume:
@@ -718,7 +752,9 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
         # accumulator only.  The tally is an order-invariant exact sum,
         # so feeding the prefix first and the regenerated tail second
         # reproduces the uninterrupted aggregate exactly.
-        prefix = salvaged.replay(sink)
+        prefix = _ResumeBoundary(sink)
+        with salvaged:
+            salvaged.replay(prefix)
     simulated_us = prefix.max_end_us if prefix is not None else 0.0
     if task.stream_path is not None and task.resume and stream_sink is None:
         # The artifact was already complete: nothing to regenerate.
@@ -782,8 +818,8 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
         log=sink.log,
         metrics=metrics,
         attempt=task.attempt,
-        reused_chunks=len(salvaged.index) if salvaged is not None else 0,
-        reused_rows=salvaged.rows if salvaged is not None else 0,
+        reused_chunks=len(salvaged.chunk_index) if salvaged is not None else 0,
+        reused_rows=salvaged.total_rows if salvaged is not None else 0,
     )
 
 
@@ -900,7 +936,6 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             metrics=config.metrics_out is not None,
             progress=config.progress,
             resume=resuming,
-            checkpoint=run_dir is not None and run.backend in FAST_BACKENDS,
             heartbeat=config.shard_timeout_s is not None,
             faults=config.faults,
         )
@@ -910,12 +945,15 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                            label=f"fleet[{run.backend}]")
              if config.progress else None)
 
+    # Engine-free shard temps are user-contiguous: a retry salvages them.
+    resumable = run_dir is not None and run.backend in FAST_BACKENDS
+
     def _retask(task: _ShardTask, attempt: int) -> _ShardTask:
         """Stamp the attempt; retries of resumable shards salvage."""
         return replace(
             task,
             attempt=attempt,
-            resume=task.resume or (attempt > 1 and task.checkpoint),
+            resume=task.resume or (attempt > 1 and resumable),
         )
 
     verifier = (_verify_outcome

@@ -170,7 +170,8 @@ class TestProducersThroughTheBatcher:
         rows, sessions = [], []
         with StreamReader(path) as reader:
             assert len(reader.chunk_index) > 10
-            for chunk in reader.iter_chunks():
+            for info in reader.chunk_index:
+                chunk = reader.read_chunk(info.index)
                 rows.extend(chunk.batch.to_records())
                 sessions.extend(chunk.sessions)
         assert len(sessions) == 6

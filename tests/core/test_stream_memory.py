@@ -15,11 +15,13 @@ import pytest
 from repro.core import (
     OpBatch,
     SessionRecord,
+    StreamFileSink,
     StreamReader,
+    merge_stream_files,
     salvage_stream,
     verify_stream,
 )
-from repro.core.streamfile import ROW_BYTES, StreamWriter
+from repro.core.streamfile import ROW_BYTES
 
 ROWS_PER_CHUNK = 8192
 CHUNKS = 6
@@ -48,11 +50,11 @@ def artifact(tmp_path_factory):
         [f"/home/u{i % 400}/file{i % 400}" for i in range(n)])
     batch.category_idx[:] = batch.categories.intern("REG:USER:RDONLY")
     batch.user_type_idx[:] = batch.user_types.intern("heavy")
-    with StreamWriter(path, ROWS_PER_CHUNK) as writer:
+    with StreamFileSink(path, CHUNK_BYTES) as sink:
         for lo in range(0, n, USER_ROWS):
             user = batch.select(slice(lo, lo + USER_ROWS))
-            writer.add_batch(user)
-            writer.add_session(SessionRecord(
+            sink.record_batch(user)
+            sink.record_session(SessionRecord(
                 int(user.user_ids[0]), "heavy", 0, float(lo),
                 float(lo + len(user)), 1, 8, 8, ("REG:USER:RDONLY",)))
     with StreamReader(path) as reader:
@@ -106,12 +108,33 @@ class TestOneChunkAlive:
                                         reader.total_sessions)
         assert peak <= BOUND, peak / CHUNK_BYTES
 
-    def test_salvaged_stream_replay(self, artifact):
-        salvaged = salvage_stream(artifact)
-        peak, (rows, sessions) = peak_of(
-            lambda: replay_counts(salvaged.replay))
-        assert (rows, sessions) == (salvaged.rows, salvaged.sessions)
+    def test_salvaged_stream_replay(self, artifact, tmp_path):
+        # The footer cut off: the scan decodes every chunk once to index
+        # it, then the replay decodes each again, one at a time.
+        with StreamReader(artifact) as reader:
+            footer = reader.data_end
+        path = str(tmp_path / "footerless.opstream")
+        with open(artifact, "rb") as src, open(path, "wb") as out:
+            out.write(src.read(footer))
+
+        def salvage_and_replay():
+            with salvage_stream(path) as salvaged:
+                assert not salvaged.complete
+                return (replay_counts(salvaged.replay),
+                        (salvaged.total_rows, salvaged.total_sessions))
+
+        peak, (counted, indexed) = peak_of(salvage_and_replay)
+        assert counted == indexed
         assert peak <= BOUND, peak / CHUNK_BYTES
+
+    def test_merge_of_one_input(self, artifact, tmp_path):
+        # Reads through the per-user cut, writes through the sink: one
+        # decoded input chunk plus the writer's one-chunk buffer.
+        out = str(tmp_path / "merged.opstream")
+        peak, rows = peak_of(lambda: merge_stream_files(out, [artifact]))
+        assert rows == CHUNKS * ROWS_PER_CHUNK - 100
+        assert open(out, "rb").read() == open(artifact, "rb").read()
+        assert peak <= 3.5 * CHUNK_BYTES, peak / CHUNK_BYTES
 
     def test_iter_batches_by_user(self, artifact):
         # One user per chunk: every chunk is decoded, a sliver yielded.

@@ -1,13 +1,15 @@
-"""Crash salvage, checkpoint/resume, and verification of stream artifacts.
+"""Crash salvage, resume, and verification of stream artifacts.
 
 The recovery contract has three legs:
 
-* **salvage** — an aborted (footer-less) artifact yields exactly the
-  full chunks a sequential scan CRC-checks and decodes, never a byte of
-  a torn tail, and never anything a stray ``.progress`` file claims;
-* **resume** — continuing a salvaged artifact with the remainder of the
-  original event stream reproduces the uninterrupted file bit for bit
-  (chunk boundaries are a pure function of global row count);
+* **salvage** — an aborted (footer-less) artifact opens as a
+  ``StreamReader`` over exactly the chunks a forward scan CRC-checks and
+  decodes, never a byte of a torn tail, and never anything a stray
+  ``.progress`` file claims;
+* **resume** — continuing a salvaged artifact after its last full chunk
+  with the remainder of the original event stream reproduces the
+  uninterrupted file bit for bit (chunk boundaries are a pure function
+  of global row count);
 * **verify** — ``verify_stream`` walks every chunk CRC and reports
   corruption and truncation per chunk, loudly — and a CRC-valid footer
   or header whose fields are mis-shaped, or a footer whose index lies
@@ -40,8 +42,8 @@ from repro.core.streamfile import (
     _TAIL_FMT,
     MAGIC,
     ROW_BYTES,
-    StreamWriter,
 )
+from repro.fleet.runner import _ResumeBoundary
 
 BUDGET = ROW_BYTES * 32  # 32-row chunks: plenty of flushes at test scale
 
@@ -113,9 +115,9 @@ def clean_artifact(tmp_path, events):
 
 
 def _crashed_artifact(tmp_path, events, stop_after, name="crashed"):
-    """Write a checkpointing artifact, 'crash' after N rows, abort."""
+    """Write an artifact, 'crash' after N rows, abort."""
     path = str(tmp_path / f"{name}.opstream")
-    sink = StreamFileSink(path, memory_budget_bytes=BUDGET, checkpoint=True)
+    sink = StreamFileSink(path, memory_budget_bytes=BUDGET)
     _feed(sink, events.events, stop_after=stop_after)
     sink.abort()  # no footer: exactly what a dead process leaves
     return path
@@ -136,31 +138,84 @@ class TestAbort:
         with StreamReader(path) as reader:
             assert reader.total_rows == events.rows
 
+    def test_an_exception_in_the_with_block_writes_no_footer(self, tmp_path,
+                                                             events):
+        path = str(tmp_path / "raised.opstream")
+        with pytest.raises(RuntimeError):
+            with StreamFileSink(path, memory_budget_bytes=BUDGET) as sink:
+                _feed(sink, events.events, stop_after=100)
+                raise RuntimeError("crash")
+        with pytest.raises(StreamFormatError, match="footer"):
+            StreamReader(path)
+        with salvage_stream(path) as salvaged:
+            assert salvaged.chunk_index and not salvaged.complete
+
+
+def _footerless_copy(tmp_path, clean_artifact):
+    """``clean_artifact`` cut at its footer: every chunk, the short tail
+    chunk included, but no index — a writer killed inside ``close()``."""
+    with StreamReader(clean_artifact) as reader:
+        footer = reader.data_end
+    path = str(tmp_path / "footerless.opstream")
+    with open(clean_artifact, "rb") as src, open(path, "wb") as out:
+        out.write(src.read(footer))
+    return path
+
 
 class TestSalvage:
-    def test_salvage_keeps_only_full_verified_chunks(self, tmp_path, events):
+    def test_salvage_indexes_the_verified_chunks(self, tmp_path, events):
         path = _crashed_artifact(tmp_path, events, stop_after=100)
-        salvaged = salvage_stream(path)
-        assert not salvaged.complete
-        assert salvaged.rows > 0
-        rows_per_chunk = salvaged.rows_per_chunk
-        assert all(e["rows"] == rows_per_chunk for e in salvaged.index)
-        assert salvaged.rows <= 100
+        with salvage_stream(path) as salvaged:
+            assert not salvaged.complete
+            assert 0 < salvaged.total_rows <= 100
+            rows_per_chunk = salvaged.rows_per_chunk
+            assert all(c.rows == rows_per_chunk
+                       for c in salvaged.chunk_index)
+            assert salvaged.data_end == os.path.getsize(path)
+            assert salvaged.damage and salvaged.damage[0].startswith("footer:")
+            rows, _ = salvaged.replay(UsageLog())
+            assert rows == salvaged.total_rows
+
+    def test_salvage_keeps_a_short_tail_resume_drops_it(self, tmp_path,
+                                                        clean_artifact):
+        path = _footerless_copy(tmp_path, clean_artifact)
+        with StreamReader(clean_artifact) as clean:
+            chunks = clean.chunk_index
+            tail_rows = chunks[-1].rows
+        assert tail_rows < BUDGET // ROW_BYTES
+        with salvage_stream(path) as salvaged:
+            assert salvaged.chunk_index == chunks
+            assert salvaged.damage == [salvaged.damage[0]]  # footer only
+        sink, prefix = resume_stream_sink(path, memory_budget_bytes=BUDGET)
+        with prefix:
+            assert prefix.chunk_index == chunks[:-1]
+            assert prefix.data_end == chunks[-1].offset
+        sink.abort()
+        assert os.path.getsize(path) == chunks[-1].offset
 
     def test_salvage_replay_reports_boundary_user(self, tmp_path, events):
         path = _crashed_artifact(tmp_path, events, stop_after=200)
-        salvaged = salvage_stream(path)
         log = UsageLog()
-        summary = salvaged.replay(log)
-        assert summary.rows == salvaged.rows == len(log.operations)
-        assert summary.last_user == max(op.user_id for op in log.operations)
+        boundary = _ResumeBoundary(log)
+        with salvage_stream(path) as salvaged:
+            rows, sessions = salvaged.replay(boundary)
+            assert rows == salvaged.total_rows == len(log.operations)
+        assert boundary.last_user == max(op.user_id for op in log.operations)
         boundary_rows = sum(1 for op in log.operations
-                            if op.user_id == summary.last_user)
-        assert summary.last_user_rows == boundary_rows
+                            if op.user_id == boundary.last_user)
+        assert boundary.last_user_rows == boundary_rows
+        assert boundary.last_user_sessions == sum(
+            1 for record in log.sessions
+            if record.user_id == boundary.last_user)
+        assert boundary.max_end_us == max(
+            [op.start_us + op.response_us for op in log.operations]
+            + [record.end_us for record in log.sessions])
 
     def test_complete_artifact_salvages_complete(self, clean_artifact):
-        salvaged = salvage_stream(clean_artifact)
-        assert salvaged.complete
+        with salvage_stream(clean_artifact) as salvaged:
+            assert salvaged.complete and salvaged.damage == []
+            with StreamReader(clean_artifact) as reader:
+                assert salvaged.chunk_index == reader.chunk_index
 
 
 class TestResume:
@@ -172,12 +227,23 @@ class TestResume:
         sink, salvaged = resume_stream_sink(
             path, memory_budget_bytes=BUDGET)
         assert sink is not None and salvaged is not None
+        salvaged.close()
         # Continue with the remainder of the identical event stream.
-        _feed(sink, events.events, skip_rows=salvaged.rows,
-              skip_sessions=salvaged.sessions)
+        _feed(sink, events.events, skip_rows=salvaged.total_rows,
+              skip_sessions=salvaged.total_sessions)
         sink.close()
         clean = open(clean_artifact, "rb").read()
         assert open(path, "rb").read() == clean
+
+    def test_resume_after_a_lost_footer_is_bit_for_bit(self, tmp_path, events,
+                                                       clean_artifact):
+        path = _footerless_copy(tmp_path, clean_artifact)
+        sink, prefix = resume_stream_sink(path, memory_budget_bytes=BUDGET)
+        prefix.close()
+        _feed(sink, events.events, skip_rows=prefix.total_rows,
+              skip_sessions=prefix.total_sessions)
+        sink.close()
+        assert open(path, "rb").read() == open(clean_artifact, "rb").read()
 
     def test_resume_nothing_salvageable_starts_fresh(self, tmp_path, events,
                                                      clean_artifact):
@@ -194,6 +260,7 @@ class TestResume:
             clean_artifact, memory_budget_bytes=BUDGET)
         assert sink is None
         assert salvaged is not None and salvaged.complete
+        salvaged.close()
 
     def test_resume_budget_mismatch_starts_fresh(self, tmp_path, events,
                                                  clean_artifact):
@@ -205,20 +272,17 @@ class TestResume:
         assert salvaged is None
         sink.abort()
 
-    def test_writer_resume_rejects_complete(self, clean_artifact):
-        salvaged = salvage_stream(clean_artifact)
-        with pytest.raises(StreamFormatError, match="complete"):
-            StreamWriter.resume(salvaged)
-
-    def test_writer_resume_rejects_metadata_mismatch(self, tmp_path, events):
+    def test_resume_rejects_metadata_mismatch(self, tmp_path, events):
         path = str(tmp_path / "m.opstream")
         sink = StreamFileSink(path, memory_budget_bytes=BUDGET,
-                              metadata={"run": 1}, checkpoint=True)
+                              metadata={"run": 1})
         _feed(sink, events.events, stop_after=100)
         sink.abort()
-        salvaged = salvage_stream(path)
+        before = open(path, "rb").read()
         with pytest.raises(StreamFormatError, match="metadata"):
-            StreamWriter.resume(salvaged, metadata={"run": 2})
+            resume_stream_sink(path, memory_budget_bytes=BUDGET,
+                               metadata={"run": 2})
+        assert open(path, "rb").read() == before  # nothing cut or written
 
 
 class TestVerify:
@@ -263,7 +327,7 @@ class TestVerify:
 def reframe_footer(path, mutate):
     """Rewrite ``path``'s footer as ``mutate(footer)`` leaves it, re-CRC'd."""
     with StreamReader(path) as reader:
-        offset = reader._footer_offset
+        offset = reader.data_end
         _, raw = reader._read_frame(offset, "footer")
     footer = json.loads(raw)
     footer = mutate(footer) or footer
@@ -331,14 +395,15 @@ class TestHostileFooter:
         assert not report.ok and not report.complete
         assert any(e.startswith("footer:") for e in report.errors)
         # Salvage treats the footer as lost and falls back to the frames.
-        assert not salvage_stream(clean_artifact).complete
+        with salvage_stream(clean_artifact) as salvaged:
+            assert not salvaged.complete
 
     def test_ranges_on_an_empty_chunk_are_rejected(self, tmp_path, events):
         path = str(tmp_path / "sessions-only.opstream")
-        with StreamWriter(path, 32) as writer:
+        with StreamFileSink(path, 32 * ROW_BYTES) as sink:
             for kind, payload in events.events:
                 if kind == "session":
-                    writer.add_session(payload)
+                    sink.record_session(payload)
         assert verify_stream(path).ok
         reframe_footer(path, _set(0, "user_lo", 0))
         with pytest.raises(StreamFormatError, match="footer"):
@@ -379,7 +444,7 @@ def reframe_header(path, mutate):
     a header that is still well-formed leaves a valid artifact.
     """
     with StreamReader(path) as reader:
-        data_start, footer_offset = reader._data_start, reader._footer_offset
+        data_start, footer_offset = reader._data_start, reader.data_end
         header = reader.header
         _, raw_footer = reader._read_frame(footer_offset, "footer")
     with open(path, "rb") as stream:

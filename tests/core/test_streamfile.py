@@ -47,7 +47,6 @@ from repro.core.streamfile import (
     _STRING_COLUMNS,
     _THINK_COLUMN,
     ROW_BYTES,
-    StreamWriter,
     _decode_chunk,
     _encode_chunk,
     _parse_sessions,
@@ -121,13 +120,18 @@ def event_streams(draw):
         st.one_of(op_batches(), session_records), min_size=0, max_size=6))
 
 
+def sink_at(path, rows_per_chunk, metadata=None):
+    """A stream file sink writing ``rows_per_chunk``-row chunks."""
+    return StreamFileSink(path, rows_per_chunk * ROW_BYTES, metadata=metadata)
+
+
 def write_events(path, events, rows_per_chunk, metadata=None):
-    with StreamWriter(path, rows_per_chunk, metadata=metadata) as writer:
+    with sink_at(path, rows_per_chunk, metadata=metadata) as sink:
         for event in events:
             if isinstance(event, SessionRecord):
-                writer.add_session(event)
+                sink.record_session(event)
             else:
-                writer.add_batch(event)
+                sink.record_batch(event)
     return path
 
 
@@ -146,7 +150,8 @@ def flatten_events(events):
 def read_back(path):
     """(records, think-or-None, sessions) as the reader sees them."""
     with StreamReader(path) as reader:
-        chunks = list(reader.iter_chunks())
+        chunks = [reader.read_chunk(info.index)
+                  for info in reader.chunk_index]
     batches = [c.batch for c in chunks if len(c.batch)]
     records = [r for b in batches for r in b.to_records()]
     think = None
@@ -222,14 +227,14 @@ def small_artifact(path, rows_per_chunk=3):
         SessionRecord(u, "heavy", s, 0.0, 9.0, 2, 128, 256, ("user:rdonly",))
         for u in (0, 1) for s in (0, 1)
     ]
-    with StreamWriter(path, rows_per_chunk) as writer:
+    with sink_at(path, rows_per_chunk) as sink:
         for u in (0, 1):
             for s in (0, 1):
                 batch = OpBatch.from_records(
                     [r for r in records if r.user_id == u
                      and r.session_id == s])
-                writer.add_batch(batch)
-                writer.add_session(sessions[2 * u + s])
+                sink.record_batch(batch)
+                sink.record_session(sessions[2 * u + s])
     return records, sessions
 
 
@@ -281,13 +286,13 @@ class TestCorruptionIsLoud:
 
     def test_unclosed_writer_is_rejected(self, tmp_path):
         path = str(tmp_path / "open.opstream")
-        writer = StreamWriter(path, 4)
-        writer.add_batch(OpBatch.from_records(
+        sink = sink_at(path, 4)
+        sink.record_batch(OpBatch.from_records(
             [OpRecord(0, "t", 0, "open", "/f", "", 0, 0.0, 1.0)]))
-        writer._stream.flush()
+        sink._stream.flush()
         with pytest.raises(StreamFormatError, match="tail|footer"):
             StreamReader(path)
-        writer.close()
+        sink.close()
         consume_fully(path)
 
     def test_missing_file_and_non_stream_file(self, tmp_path):
@@ -654,18 +659,18 @@ class TestEncoderMatchesReference:
         # joined index column at a time.
         n = 20_000
         batch = big_batch(n)
-        with StreamWriter(str(tmp_path / "a.opstream"), n) as writer:
+        with sink_at(str(tmp_path / "a.opstream"), n) as sink:
             for i in range(0, n, piece_rows):
-                writer.add_batch(batch.select(slice(i, i + piece_rows)))
-            assert writer.chunks_written == 0  # one chunk, not yet flushed
+                sink.record_batch(batch.select(slice(i, i + piece_rows)))
+            assert sink.chunks_written == 0  # one chunk, not yet flushed
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                writer._flush_chunk(n)
+                sink._flush_chunk(n)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert writer.chunks_written == 1
+            assert sink.chunks_written == 1
         (payload,) = chunk_payloads(str(tmp_path / "a.opstream"))
         assert payload == reference_encode(batch, [])
         assert peak < 0.5 * len(payload), (peak, len(payload))
@@ -694,8 +699,8 @@ def payload_with(n=2, **blocks):
     out.write(struct.pack("<L", 0) * 3)  # three empty string tables
     for name, dtype in _COLUMNS:
         block = blocks.get(name)
-        if block is None:
-            block = npy_block(np.full(n, -1, dtype=dtype))
+        if block is None:  # kind 0 (open), every string index "none"
+            block = npy_block(np.full(n, -(name != "kinds"), dtype=dtype))
         out.write(struct.pack("<Q", len(block)))
         out.write(block)
     out.write(struct.pack("<L", 0))  # no sessions
@@ -832,20 +837,20 @@ class TestSinkBudget:
         flushes = []
         with StreamFileSink(path, memory_budget_bytes=budget) as sink:
             assert sink.rows_per_chunk == 8
-            inner = sink._writer._flush_chunk
+            inner = sink._flush_chunk
 
             def counting_flush(take):
                 flushes.append(take)
                 inner(take)
 
-            sink._writer._flush_chunk = counting_flush
+            sink._flush_chunk = counting_flush
             records, _ = small_artifact(str(tmp_path / "src.opstream"))
             for i in range(0, len(records), 3):
                 sink.record_batch(OpBatch.from_records(records[i:i + 3]))
                 # The budget bound: a full chunk awaiting its flush
                 # trigger (the incoming batch's overflow is flushed
                 # before record_batch returns).
-                assert sink._writer.buffered_rows <= sink.rows_per_chunk
+                assert sink._buffered <= sink.rows_per_chunk
         # Every non-final flush is exactly one full chunk.
         assert all(take == 8 for take in flushes[:-1])
         assert sum(flushes) == len(records)
@@ -932,9 +937,9 @@ class TestDeterminism:
         # A DES-style artifact interleaves users on the shared clock;
         # the merge must refuse it loudly rather than mis-chunk.
         path = str(tmp_path / "des.opstream")
-        with StreamWriter(path, 4) as writer:
+        with sink_at(path, 4) as sink:
             for user in (0, 1, 0):
-                writer.add_batch(OpBatch.from_records([
+                sink.record_batch(OpBatch.from_records([
                     OpRecord(user, "t", 0, "read", "/f", "", 8, 1.0, 1.0),
                 ]))
         out = str(tmp_path / "bad.opstream")
@@ -1005,10 +1010,14 @@ class TestReaderSlicing:
         with StreamReader(artifact) as reader:
             assert len(reader.chunk_index) > 1
             last_user_chunks = [
-                c for c in reader.chunk_index if c.rows and c.user_hi >= 3
+                c.index for c in reader.chunk_index
+                if c.rows and c.user_hi >= 3
             ]
-            visited = list(reader.iter_chunks(users=[3]))
-            assert len(visited) == len(last_user_chunks)
+            visited = []
+            read_chunk = reader.read_chunk
+            reader.read_chunk = lambda i: (visited.append(i), read_chunk(i))[1]
+            assert sum(map(len, reader.iter_batches(users=[3]))) > 0
+            assert visited == last_user_chunks
             assert len(visited) < len(reader.chunk_index)
 
 
@@ -1050,9 +1059,9 @@ class TestConcatRuns:
     def test_writer_drains_many_small_pieces(self, tmp_path):
         path = str(tmp_path / "many.opstream")
         parent = OpBatch.from_records(self.RECORDS)
-        with StreamWriter(path, 7) as writer:
+        with sink_at(path, 7) as sink:
             for i in range(len(parent)):
-                writer.add_batch(parent.select(slice(i, i + 1)))
+                sink.record_batch(parent.select(slice(i, i + 1)))
         got = [r for batch in iter_batches(path)
                for r in batch.to_records()]
         assert got == self.RECORDS
@@ -1068,8 +1077,8 @@ class TestEmptyBatches:
         assert batch.kinds.dtype == np.int8
         assert batch.user_ids.dtype == np.int64
         path = str(tmp_path / "empty.opstream")
-        with StreamWriter(path, 4) as writer:
-            writer.add_batch(batch)
+        with sink_at(path, 4) as sink:
+            sink.record_batch(batch)
         with StreamReader(path) as reader:
             assert reader.total_rows == 0
             assert list(reader.iter_batches()) == []

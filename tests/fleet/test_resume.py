@@ -141,15 +141,17 @@ def _plant_progress(run_dir, mutate):
     replacement text to write instead of the JSON.
     """
     shard = os.path.join(run_dir, "shard0000.opstream")
-    salvaged = salvage_stream(shard)
-    assert salvaged.index and not salvaged.complete
-    state = {
-        "format": "repro.opstream-progress", "version": 1,
-        "rows_per_chunk": salvaged.rows_per_chunk,
-        "chunks": len(salvaged.index), "rows": salvaged.rows,
-        "sessions": salvaged.sessions, "data_end": salvaged.data_end,
-        "index": [dict(entry) for entry in salvaged.index],
-    }
+    with salvage_stream(shard) as salvaged:
+        assert salvaged.chunk_index and not salvaged.complete
+        state = {
+            "format": "repro.opstream-progress", "version": 1,
+            "rows_per_chunk": salvaged.rows_per_chunk,
+            "chunks": len(salvaged.chunk_index),
+            "rows": salvaged.total_rows,
+            "sessions": salvaged.total_sessions,
+            "data_end": salvaged.data_end,
+            "index": [info.entry() for info in salvaged.chunk_index],
+        }
     text = mutate(state) or json.dumps(state)
     with open(shard + ".progress", "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -122,17 +122,17 @@ class TestResumeFromFullBudgetTemps:
     def rechunk(path, budget, complete):
         """Rewrite the temp at ``path`` at ``budget``: closed, or with its
         frames flushed and no footer (a killed writer's file)."""
-        salvaged = salvage_stream(path)
         tmp = path + ".full"
-        sink = StreamFileSink(tmp, budget, metadata=salvaged.metadata,
-                              checkpoint=True)
-        salvaged.replay(sink)
+        with salvage_stream(path) as salvaged:
+            sink = StreamFileSink(tmp, budget, metadata=salvaged.metadata)
+            salvaged.replay(sink)
         if complete:
             sink.close()
         else:
             sink.abort()
         os.replace(tmp, path)
-        return salvage_stream(path)
+        with salvage_stream(path) as rechunked:
+            return rechunked
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_regenerates_full_budget_temps(self, tmp_path, workers):
@@ -147,7 +147,7 @@ class TestResumeFromFullBudgetTemps:
                               BUDGET, complete=False)
         done = self.rechunk(os.path.join(run_dir, "shard0001.opstream"),
                             BUDGET, complete=True)
-        assert killed.index and not killed.complete and done.complete
+        assert killed.chunk_index and not killed.complete and done.complete
         full = rows_per_chunk_for(BUDGET)
         assert killed.rows_per_chunk == done.rows_per_chunk == full
 
