@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .core import RUN_BACKENDS, WorkloadGenerator, paper_workload_spec
@@ -379,15 +380,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             log = TeeSink(usage, stream_sink)
         started = time.perf_counter()
-        try:
+        # The sink seals its footer only if the run returns; an exception
+        # aborts it, so a partial artifact never passes as complete.
+        with stream_sink if stream_sink is not None else nullcontext():
             result = WorkloadGenerator(_spec_from(args)).run_simulated(
                 sessions_per_user=args.sessions, backend=args.backend,
                 arrivals=resolve_arrivals(args.arrivals, args.profile),
                 log=log, observer=observer,
             )
-        finally:
-            if stream_sink is not None:
-                stream_sink.close()
         wall_s = time.perf_counter() - started
         if meter is not None:
             meter.finish()

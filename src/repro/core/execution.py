@@ -14,9 +14,9 @@ Two implementations ship:
   op is charged the *analytic mean* service time of the same calibrated
   timing parameters (:class:`AnalyticServiceModel`), with no queueing
   and no engine.  A block of users arrives as one
-  :class:`~repro.core.opbatch.OpBatch`; service times, start clocks and
-  the time-limit cutoff are single array expressions per block, and
-  per-session slices flow to the sink via ``record_batch``.
+  :class:`~repro.core.opbatch.OpBatch`; service times and start clocks
+  are single array expressions per block, and per-session slices flow to
+  the sink via ``record_batch``.
   Tens of times the DES's ops/s (the floor ``benchmarks/
   bench_backends.py`` enforces is 40x); identical op stream.
   ``ColumnarReplayBackend`` is an empty subclass kept for its name,
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -114,25 +114,14 @@ class ExecutionBackend(abc.ABC):
     """Replays synthesized op streams, attaching timing and recording."""
 
     @abc.abstractmethod
-    def execute(
-        self,
-        tasks: Iterable[UserSessions],
-        log: OpSink,
-        time_limit_us: float | None = None,
-    ) -> float:
+    def execute(self, tasks: Iterable[UserSessions], log: OpSink) -> float:
         """Run every task, record into ``log``, return the duration (µs).
 
-        ``tasks`` may be any iterable — the engine-free backend drains
-        it lazily, one user at a time, so a fleet-scale run can stream
-        task construction instead of materialising every user's
-        generator up front.  ``time_limit_us`` truncates the run: the
-        DES stops the shared engine clock at the limit, the engine-free
-        backend stops each user's own clock (users are independent
-        there).  The boundary rule is
-        the same everywhere: **an op starting exactly at the limit is
-        excluded** (``start >= limit`` drops the op).  A session cut off
-        by the limit records its executed ops but no session summary —
-        an interrupted user never reaches its accounting epilogue.
+        Every user runs each of its sessions to completion.  ``tasks``
+        may be any iterable — the engine-free backend drains it lazily,
+        one user at a time, so a fleet-scale run can stream task
+        construction instead of materialising every user's generator up
+        front.
         """
 
 
@@ -148,33 +137,18 @@ class DesBackend(ExecutionBackend):
         self.engine = engine
         self.client = client
 
-    def execute(
-        self,
-        tasks: Iterable[UserSessions],
-        log: OpSink,
-        time_limit_us: float | None = None,
-    ) -> float:
+    def execute(self, tasks: Iterable[UserSessions], log: OpSink) -> float:
         from .usim import simulated_user_process  # usim imports the sim layer
 
         records = RecordBatcher(log)  # one for every user process
         processes = [
             self.engine.spawn(
-                simulated_user_process(
-                    self.engine, self.client, task, records,
-                    deadline_us=time_limit_us,
-                ),
+                simulated_user_process(self.engine, self.client, task, records),
                 name=f"user-{task.generator.user_id}",
             )
             for task in tasks
         ]
-        # Truncation, not a runaway guard: the engine stops the shared
-        # clock at the limit and leaves later events unprocessed.  User
-        # processes police the op-start boundary themselves (start >=
-        # limit drops the op); an op still in flight at the limit never
-        # completes, so it is never recorded.  Deadlocks still raise.
-        self.engine.run_until_processes_finish(
-            processes, limit=time_limit_us, truncate=True
-        )
+        self.engine.run_until_processes_finish(processes)
         records.flush()
         return self.engine.now
 
@@ -279,12 +253,10 @@ class FastReplayBackend(ExecutionBackend):
       service/think contribution column, *restarted at every user* and
       seeded with that user's clock (:func:`_block_clocks`), so float
       rounding matches a per-op running sum bit for bit;
-    * a ``time_limit_us`` cutoff is one comparison over the op start
-      column (non-decreasing within a user);
     * path resolution, the recorded-size rule and every session summary
       are computed once per block;
-    * sinks still receive one ``record_batch`` slice per executed
-      session followed by its ``record_session`` — batch boundaries are
+    * sinks still receive one ``record_batch`` slice per session
+      followed by its ``record_session`` — batch boundaries are
       observable (a sink's running-moment fold, the stream writer's
       session row positions) — as zero-copy views sharing the block's
       string tables.
@@ -297,37 +269,25 @@ class FastReplayBackend(ExecutionBackend):
                  model: AnalyticServiceModel | None = None):
         self.model = model or AnalyticServiceModel(timing)
 
-    def execute(
-        self,
-        tasks: Iterable[UserSessions],
-        log: OpSink,
-        time_limit_us: float | None = None,
-    ) -> float:
-        limit = time_limit_us
+    def execute(self, tasks: Iterable[UserSessions], log: OpSink) -> float:
         duration = 0.0  # the slowest user's final clock
         cols = BlockColumns()
         block: list[UserSessions] = []
         for task in tasks:
-            if limit is not None and task.offset_us >= limit:
-                # Logs in at or past the limit: nothing runs, nothing is
-                # drawn (the user's streams are its own).
-                duration = max(duration, limit)
-                continue
             task.generator.append_user(range(task.sessions), cols)
             block.append(task)
             if (len(block) >= _SEAT_BLOCK_USERS
                     or cols.total >= _BLOCK_ROW_CAP):
-                duration = max(duration,
-                               *self._run_block(cols, block, log, limit))
+                duration = max(duration, self._run_block(cols, block, log))
                 cols = BlockColumns()
                 block = []
         if block:
-            duration = max(duration, *self._run_block(cols, block, log, limit))
+            duration = max(duration, self._run_block(cols, block, log))
         return duration
 
     def _run_block(self, cols: BlockColumns, tasks: list[UserSessions],
-                   log: OpSink, limit: float | None) -> Iterator[float]:
-        """Time and record one block; yield each user's final clock."""
+                   log: OpSink) -> float:
+        """Time and record one block; return its slowest user's clock."""
         batch = cols.assemble()
         lows = cols.bounds  # session s is rows [lows[s], lows[s + 1])
         bounds = np.asarray(lows, dtype=np.int64)
@@ -351,51 +311,25 @@ class FastReplayBackend(ExecutionBackend):
         rec.start_us = op_starts
         rec.response_us = service
         rec.sizes = moved
-        if limit is None:
-            stops = lows[1:]
-        else:
-            # Op starts never decrease within a user, so the rows below
-            # the limit are a prefix of each user's rows.
-            below = np.zeros(len(batch) + 1, dtype=np.int64)
-            np.cumsum(op_starts < limit, out=below[1:])
-            stops = (bounds[:-1] + below[bounds[1:]]
-                     - below[bounds[:-1]]).tolist()
         starts_list = session_starts.tolist()
         ends_list = session_ends.tolist()
         user_types = batch.user_types.values()
         # Emit per session — the same sink event sequence (one batch and
-        # one summary per executed session) a block of one produces.
-        first = 0
-        for task, end_clock in zip(tasks, final.tolist()):
-            for s in range(first, first + task.sessions):
-                if limit is not None and starts_list[s] >= limit:
-                    # The user stops before entering this session: no
-                    # rows recorded (every one starts at or past the
-                    # limit), no summary.
-                    break
-                log.record_batch(rec.select(slice(lows[s], stops[s])))
-                if stops[s] < lows[s + 1] or (limit is not None
-                                              and ends_list[s] > limit):
-                    # Ops dropped, or a trailing think pushed the clock
-                    # past the limit: the session did not complete — its
-                    # executed ops are recorded but its summary is not
-                    # (the DES cutoff rule), and no later session starts.
-                    end_clock = limit
-                    break
-                files, nbytes, file_bytes, categories = summaries[s]
-                log.record_session(SessionRecord(
-                    user_id=cols.sess_user[s],
-                    user_type=user_types[cols.sess_type[s]],
-                    session_id=cols.sess_id[s],
-                    start_us=starts_list[s],
-                    end_us=ends_list[s],
-                    files_referenced=files,
-                    bytes_accessed=nbytes,
-                    file_bytes_referenced=file_bytes,
-                    categories=categories,
-                ))
-            first += task.sessions
-            yield end_clock if limit is None else min(end_clock, limit)
+        # one summary per session) a block of one produces.
+        for s, (files, nbytes, file_bytes, categories) in enumerate(summaries):
+            log.record_batch(rec.select(slice(lows[s], lows[s + 1])))
+            log.record_session(SessionRecord(
+                user_id=cols.sess_user[s],
+                user_type=user_types[cols.sess_type[s]],
+                session_id=cols.sess_id[s],
+                start_us=starts_list[s],
+                end_us=ends_list[s],
+                files_referenced=files,
+                bytes_accessed=nbytes,
+                file_bytes_referenced=file_bytes,
+                categories=categories,
+            ))
+        return float(final.max())
 
 
 class ColumnarReplayBackend(FastReplayBackend):
@@ -456,7 +390,7 @@ def _resolved_paths(batch: OpBatch, user_of_op: np.ndarray) -> np.ndarray:
     block: plan ids restart with every user, so the lookup
     key is (user, plan id), searched in the sorted keys of the block's
     open/creat rows (every data op's open precedes it in its user's
-    rows, so an executed row's open is always executed too).
+    rows).
     """
     path_idx = batch.path_idx
     plan_ids = batch.plan_ids

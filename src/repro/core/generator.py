@@ -402,7 +402,6 @@ class WorkloadGenerator:
         timing: NfsTiming | None = None,
         access_pattern: str = "sequential",
         phase_model_factory=None,
-        time_limit_us: float | None = None,
         user_ids: Iterable[int] | None = None,
         log: OpSink | None = None,
         arrivals: ArrivalModel | None = None,
@@ -413,7 +412,7 @@ class WorkloadGenerator:
         The file system is created on the backend's store *before* time
         starts (setup is not part of the measured workload, exactly as the
         thesis separates FSC from USIM).  Every virtual user runs
-        ``sessions_per_user`` login sessions.
+        ``sessions_per_user`` login sessions to completion.
 
         ``backend`` selects the execution stage: ``nfs``/``local``/``afs``
         run the discrete-event simulation (shared resources, queueing,
@@ -516,9 +515,7 @@ class WorkloadGenerator:
         )
         sink = obs.wrap_sink(log)
         with obs.stage("execute"):
-            duration_us = executor.execute(
-                tasks, sink, time_limit_us=time_limit_us,
-            )
+            duration_us = executor.execute(tasks, sink)
         if obs.enabled:
             # Fold the sink's deferred batch accounting now, so the
             # registry is complete the moment this run returns.

@@ -378,7 +378,7 @@ class RecordBatcher:
     ``OpBatch.from_records(...)`` every :attr:`BLOCK_ROWS` records and
     before forwarding any ``record_session`` (so a summary lands after
     every op recorded before it).  The producer calls :meth:`flush`
-    when it ends, a ``time_limit_us`` truncation included.
+    when it ends.
     """
 
     BLOCK_ROWS = 4096

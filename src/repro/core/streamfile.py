@@ -84,7 +84,6 @@ from .oplog import SessionRecord
 
 __all__ = [
     "FORMAT_VERSION",
-    "STREAM_FORMAT_VERSION",
     "ROW_BYTES",
     "DEFAULT_MEMORY_BUDGET",
     "StreamFormatError",
@@ -104,7 +103,6 @@ __all__ = [
 
 MAGIC = b"REPRO-OPSTREAM\x00"
 FORMAT_VERSION = 1
-STREAM_FORMAT_VERSION = FORMAT_VERSION  # package-level alias
 
 # Column schema, in serialisation order.  The chunk payload stores one
 # npy block per entry; ``think_us`` is optional per chunk (synthesis

@@ -18,9 +18,6 @@ time:
 Both read a session op by op through ``SessionGenerator.
 generate_session``, the per-op view of the batch the engine-free executor
 (:class:`~repro.core.execution.FastReplayBackend`) replays whole.
-
-``SessionOp``, ``PhaseModel`` and ``SessionGenerator`` are re-exported
-here for compatibility with pre-split imports.
 """
 
 from __future__ import annotations
@@ -31,12 +28,9 @@ from ..sim import Delay, Engine
 from ..vfs import FileSystemAPI, Whence
 from .opbatch import RecordBatcher
 from .oplog import OpRecord, OpSink, SessionAccounting, apply_op_effects
-from .synthesis import PhaseModel, SessionGenerator, SessionOp
+from .synthesis import SessionGenerator, SessionOp
 
 __all__ = [
-    "SessionOp",
-    "PhaseModel",
-    "SessionGenerator",
     "simulated_user_process",
     "RealRunner",
 ]
@@ -122,7 +116,6 @@ def simulated_user_process(
     client,
     task,
     log: RecordBatcher,
-    deadline_us: float | None = None,
 ):
     """A DES process: one virtual user running its login sessions.
 
@@ -136,26 +129,19 @@ def simulated_user_process(
     ``task`` is the user's :class:`~repro.core.execution.UserSessions`
     work order; its ``offset_us``/``gap_after_us`` encode the arrival
     timing rules (first-login delay, gaps between sessions, no trailing
-    gap) shared verbatim with the engine-free executor.  ``deadline_us``
-    applies the shared truncation rule: an op whose start clock is at or
-    past the deadline is not issued, and an interrupted session records
-    no summary.
+    gap) shared verbatim with the engine-free executor.
     """
     generator: SessionGenerator = task.generator
     offset = task.offset_us
     if offset > 0:
         yield Delay(offset)
     for session_id in range(task.sessions):
-        if deadline_us is not None and engine.now >= deadline_us:
-            return
         replay = _SessionReplay(generator, session_id, engine.now)
         for op in generator.generate_session(session_id):
             if op.kind == "think":
                 if op.size > 0:
                     yield Delay(op.size)
                 continue
-            if deadline_us is not None and engine.now >= deadline_us:
-                return
             started = engine.now
             result = yield from replay.call(client, op)
             log.record_op(replay.record(op, result, started, engine.now))

@@ -122,8 +122,9 @@ RUN_RECORD_NAME = "fleet-run.json"
 """Resume record inside a run directory: the resolved run, as data."""
 
 RUN_RECORD_FORMAT = "repro.fleet-run"
-RUN_RECORD_VERSION = 2
-"""2: the record carries a digest; version 1 records cannot be verified."""
+RUN_RECORD_VERSION = 3
+"""3: runs end when their sessions end, so the record has no time limit;
+2: the record carries a digest.  A record of any other version is refused."""
 
 
 class FleetPartialError(RuntimeError):
@@ -188,12 +189,6 @@ class FleetConfig:
     each shard artifact before accepting it.  ``resume_dir``
     continues a killed run from its run directory (``keep_run_dir``
     preserves that directory when a run fails so it *can* be resumed).
-
-    Caveat: ``time_limit_us`` truncates each shard at its *own* simulated
-    clock, and simulated time depends on per-site queueing — so with a
-    time limit the merged aggregate is **not** shard-count-invariant.
-    The bit-for-bit guarantee holds only for run-to-completion fleets
-    (``time_limit_us=None``).
     """
 
     scenario: str | None = None
@@ -206,7 +201,6 @@ class FleetConfig:
     backend: str = "nfs"
     total_files: int | None = None
     collect_ops: bool = False
-    time_limit_us: float | None = None
     access_pattern: str | None = None
     use_phase_model: bool | None = None
     use_arrivals: bool = False
@@ -419,7 +413,6 @@ class _ResolvedRun:
     arrival_model: ArrivalModel | None
     window_us: float | None
     collect_ops: bool
-    time_limit_us: float | None
     out_stream: str | None
     stream_budget_bytes: int
 
@@ -485,8 +478,8 @@ class _ResolvedRun:
         if type(version) is not int or version != RUN_RECORD_VERSION:
             raise SpecError(
                 f"{path!r} has version {version!r}, not {RUN_RECORD_VERSION}"
-                " (a record from an older build cannot be verified); rerun "
-                "without --resume"
+                " (a record from an older build describes a different run); "
+                "rerun without --resume"
             )
         for f in fields(cls):
             kinds = [kind for part in f.type.split(" | ")
@@ -556,7 +549,7 @@ class _ResolvedRun:
 _RESUME_MUST_MATCH = (
     "spec_sha256", "seed", "shards", "backend", "access_pattern",
     "use_phase_model", "sessions_per_user", "arrival_model", "window_us",
-    "time_limit_us", "stream_budget_bytes",
+    "stream_budget_bytes",
 )
 """Run-record keys that shape the artifact's bytes."""
 
@@ -780,7 +773,6 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
                 access_pattern=run.access_pattern,
                 phase_model_factory=(PhaseModel if run.use_phase_model
                                      else None),
-                time_limit_us=run.time_limit_us,
                 user_ids=remaining,
                 log=log_sink,
                 arrivals=run.arrival_model,
@@ -1080,7 +1072,6 @@ def run_fleet(config: FleetConfig) -> FleetResult:
                 "shards": run.shards,
                 "workers": workers,
                 **run.shape,
-                "time_limit_us": run.time_limit_us,
                 "out_stream": config.out_stream,
                 "status": "partial" if quarantined else "complete",
                 "quarantined_shards": list(quarantined),

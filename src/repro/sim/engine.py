@@ -150,17 +150,11 @@ class Engine:
             event.action()
         return self._now
 
-    def run_until_processes_finish(self, processes: list[Process],
-                                   limit: float | None = None,
-                                   truncate: bool = False) -> float:
+    def run_until_processes_finish(self, processes: list[Process]) -> float:
         """Run until every process in ``processes`` is done.
 
-        ``limit`` bounds the clock: by default exceeding it raises (a
-        runaway guard); with ``truncate=True`` the engine instead stops
-        the clock *at* the limit and returns, leaving later events
-        unprocessed (workload truncation — unfinished processes simply
-        never resume).  A deadlock — no events pending while tracked
-        processes are still alive — raises in every mode.
+        A deadlock — no events pending while tracked processes are still
+        alive — raises.
         """
         while not all(p.done for p in processes):
             if not self._heap:
@@ -168,13 +162,7 @@ class Engine:
                 raise SimulationError(
                     f"deadlock: no events pending but processes alive: {stuck}"
                 )
-            event = self._heap[0]
-            if limit is not None and event.time > limit:
-                if truncate:
-                    self._now = limit
-                    return self._now
-                raise SimulationError(f"simulation exceeded limit {limit}")
-            heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)
             self._now = event.time
             event.action()
         return self._now

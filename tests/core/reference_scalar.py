@@ -326,8 +326,7 @@ def session_ops(generator, session_id: int) -> Iterator[SessionOp]:
         yield SessionOp("think", size=think)
 
 
-def _run_user(model, task: UserSessions, log: OpSink,
-              limit: float | None) -> float:
+def _run_user(model, task: UserSessions, log: OpSink) -> float:
     generator = task.generator
     user_id = generator.user_id
     type_name = generator.user_type.name
@@ -335,20 +334,14 @@ def _run_user(model, task: UserSessions, log: OpSink,
     record_op = log.record_op
     clock = task.offset_us
     for session_id in range(task.sessions):
-        if limit is not None and clock >= limit:
-            break
         accounting = SessionAccounting(user_id, type_name, session_id,
                                        clock)
         path_by_plan: dict[int, str] = {}
-        truncated = False
         for op in session_ops(generator, session_id):
             kind = op.kind
             if kind == "think":
                 clock += op.size
                 continue
-            if limit is not None and clock >= limit:
-                truncated = True
-                break
             if kind in ("open", "creat"):
                 path_by_plan[op.plan_id] = op.path
             # No I/O happens here, so the recorded size is the
@@ -370,39 +363,27 @@ def _run_user(model, task: UserSessions, log: OpSink,
                 )
             )
             clock += service
-        if limit is not None and not truncated and clock > limit:
-            # A trailing think pushed the clock past the limit with no
-            # further op to notice: the session did not complete within
-            # the limit either.
-            truncated = True
-        if truncated:
-            # Matches the DES cutoff: the interrupted session's ops
-            # are recorded but its summary is not.
-            clock = limit if limit is not None else clock
-            break
         log.record_session(accounting.finish(clock))
         gap = task.gap_after_us(session_id)
         if gap > 0:
             clock += gap
-    return clock if limit is None else min(clock, limit)
+    return clock
 
 
 def replay(tasks: Iterable[UserSessions], log: OpSink,
-           timing: NfsTiming | None = None,
-           time_limit_us: float | None = None) -> float:
+           timing: NfsTiming | None = None) -> float:
     """Run every task in order on its own clock; the slowest user's
     final clock is the duration."""
     model = AnalyticServiceModel(timing)
     duration = 0.0
     for task in tasks:
-        duration = max(duration, _run_user(model, task, log, time_limit_us))
+        duration = max(duration, _run_user(model, task, log))
     return duration
 
 
 def reference_run(spec, sessions_per_user: int = 1, *,
                   access_pattern: str = "sequential",
                   phase_model_factory=None, arrivals=None,
-                  time_limit_us: float | None = None,
                   log: OpSink | None = None, pooled: bool = False):
     """One engine-free run of ``spec`` through :func:`replay`.
 
@@ -432,4 +413,4 @@ def reference_run(spec, sessions_per_user: int = 1, *,
         )
     )
     log = UsageLog() if log is None else log
-    return log, replay(tasks, log, None, time_limit_us)
+    return log, replay(tasks, log)

@@ -164,77 +164,33 @@ class TestZeroRowUsers:
         assert scalar.operations == reference["operations"]
 
 
-class TestTimeLimitInsideABlock:
-    """Every cutoff position, each against the scalar reference too."""
-
-    KWARGS = {"sessions_per_user": 2}
+class TestTheSlowestClockIsTheDuration:
+    """A block reports its slowest user's final clock; the run lasts
+    until the slowest block's, under every blocking and equal to the
+    scalar reference's."""
 
     @pytest.fixture(scope="class")
     def generator(self):
         return WorkloadGenerator(
             get_scenario("mixed-campus").build(USERS, 31, total_files=160))
 
-    @pytest.fixture(scope="class")
-    def full(self, generator):
-        return generator.run_simulated(
-            backend="fast", arrivals=self.arrivals(), **self.KWARGS).log
-
-    @staticmethod
-    def arrivals():
-        return get_scenario("mixed-campus").arrival_model
-
-    def check(self, monkeypatch, tmp_path, generator, limit):
-        kwargs = dict(self.KWARGS, arrivals=self.arrivals(),
-                      time_limit_us=limit)
-        reference = assert_blockings_agree(
-            monkeypatch, generator, tmp_path, **kwargs)
+    @pytest.mark.parametrize("sessions", [1, 2])
+    @pytest.mark.parametrize("arrivals", [False, True])
+    def test_duration_matches_the_scalar_reference(
+            self, monkeypatch, tmp_path, generator, sessions, arrivals):
+        kwargs = {
+            "sessions_per_user": sessions,
+            "arrivals": (get_scenario("mixed-campus").arrival_model
+                         if arrivals else None),
+        }
+        got = assert_blockings_agree(monkeypatch, generator, tmp_path,
+                                     **kwargs)
         scalar, duration = reference_run(generator.spec, **kwargs)
-        assert scalar.operations == reference["operations"]
-        assert scalar.sessions == reference["sessions"]
-        assert duration == reference["duration_us"]
-        return reference
-
-    def test_limit_before_a_users_offset(self, monkeypatch, tmp_path,
-                                         generator, full):
-        logins = sorted(s.start_us for s in full.sessions
-                        if s.session_id == 0)
-        got = self.check(monkeypatch, tmp_path, generator,
-                         (logins[2] + logins[3]) / 2)
-        assert len({op.user_id for op in got["operations"]}) == 3
-
-    def test_limit_exactly_on_an_op_start(self, monkeypatch, tmp_path,
-                                          generator, full):
-        ops = sorted(full.operations, key=lambda op: op.start_us)
-        target = ops[len(ops) // 2]
-        got = self.check(monkeypatch, tmp_path, generator, target.start_us)
-        assert target not in got["operations"]
-        assert all(op.start_us < target.start_us
-                   for op in got["operations"])
-
-    def test_limit_on_a_trailing_think(self, monkeypatch, tmp_path,
-                                       generator, full):
-        session = next(
-            s for s in sorted(full.sessions, key=lambda s: s.end_us)
-            if self.last_op(full, s).start_us
-            + self.last_op(full, s).response_us < s.end_us)
-        last = self.last_op(full, session)
-        limit = (last.start_us + last.response_us + session.end_us) / 2
-        got = self.check(monkeypatch, tmp_path, generator, limit)
-        assert last in got["operations"]
-        assert session not in got["sessions"]
-
-    @staticmethod
-    def last_op(log, session):
-        return [op for op in log.operations
-                if (op.user_id, op.session_id)
-                == (session.user_id, session.session_id)][-1]
-
-    def test_limit_mid_block(self, monkeypatch, tmp_path, generator, full):
-        ends = sorted(s.end_us for s in full.sessions)
-        got = self.check(monkeypatch, tmp_path, generator,
-                         ends[len(ends) // 2] + 0.5)
-        assert 0 < len(got["sessions"]) < len(full.sessions)
-        assert 0 < len(got["operations"]) < len(full.operations)
+        assert scalar.operations == got["operations"]
+        assert scalar.sessions == got["sessions"]
+        assert duration == got["duration_us"]
+        assert len(got["sessions"]) == USERS * sessions
+        assert duration >= max(s.end_us for s in got["sessions"])
 
 
 # -- the segmented clock -------------------------------------------------------

@@ -12,7 +12,7 @@ running float clock per user.
   access pattern × phase model;
 * **replay** — `replay` against the executor behind `--backend fast` /
   `fast-columnar`: records (timing included), summaries, duration and
-  fleet tallies — plain, truncated, with arrivals, over pooled kernels;
+  fleet tallies — plain, with arrivals, over pooled kernels;
 * **DES** — content identity with the same reference (it reads the
   builder's batch through the per-op bridge).
 """
@@ -23,7 +23,9 @@ from repro.core import (
     DEFAULT_ARRIVALS,
     HOUR_US,
     PhaseModel,
+    StreamFileSink,
     StreamReader,
+    UsageLog,
     WorkloadGenerator,
     paper_workload_spec,
 )
@@ -144,15 +146,41 @@ class TestReplayMatrix:
 
     @pytest.mark.parametrize("arrivals", [False, True])
     @pytest.mark.parametrize("name", scenario_names())
-    def test_scenario_truncation_identical(self, name, arrivals):
+    def test_scenario_artifact_holds_whole_sessions(self, tmp_path, name,
+                                                    arrivals):
+        # Runs end when their sessions end, so the artifact alone holds
+        # every session whole: read back, it is the reference run.
         scenario = get_scenario(name)
         spec = scenario.build(4, 17)
         kwargs = scenario_kwargs(scenario, arrivals)
-        full, duration = reference_run(spec, 2, **kwargs)
-        reference = assert_replays_identical(
-            spec, 2, time_limit_us=duration * (0.5 if arrivals else 1 / 3),
-            **kwargs)
-        assert len(reference.operations) < len(full.operations)
+        path = str(tmp_path / "run.opstream")
+        with StreamFileSink(path, memory_budget_bytes=16 << 10) as sink:
+            result = WorkloadGenerator(spec).run_simulated(
+                sessions_per_user=2, backend="fast-columnar", log=sink,
+                **kwargs)
+        log = UsageLog()
+        with StreamReader(path) as reader:
+            reader.replay(log)
+        assert_sessions_complete(log, spec.n_users, 2,
+                                 result.simulated_duration_us)
+        reference, duration = reference_run(spec, 2, **kwargs)
+        assert log.sessions == reference.sessions
+        assert duration == result.simulated_duration_us
+
+
+def assert_sessions_complete(log, users, sessions, duration_us):
+    """Every session in ``log`` ran to completion: one summary per
+    (user, session), every op inside its session's span, and the run
+    lasting at least until the last session ended."""
+    spans = {(s.user_id, s.session_id): (s.start_us, s.end_us)
+             for s in log.sessions}
+    assert len(log.sessions) == len(spans) == users * sessions
+    assert log.operations
+    for op in log.operations:
+        start, end = spans[(op.user_id, op.session_id)]
+        assert start <= op.start_us
+        assert op.start_us + op.response_us <= end
+    assert duration_us >= max(end for _, end in spans.values())
 
 
 def content_by_user(log):

@@ -1,5 +1,6 @@
 """Execution backends: cross-backend stream identity, the analytic
-service model, time limits, and pathological-draw clamping."""
+service model, runs that end when their sessions end, and
+pathological-draw clamping."""
 
 import dataclasses
 import math
@@ -10,6 +11,8 @@ import pytest
 from repro.core import (
     AnalyticServiceModel,
     ColumnarReplayBackend,
+    DEFAULT_ARRIVALS,
+    DesBackend,
     FAST_BACKENDS,
     FastReplayBackend,
     FileSystemCreator,
@@ -24,9 +27,12 @@ from repro.core import (
     paper_workload_spec,
 )
 from repro.distributions import Distribution, RandomStreams
+from repro.fleet import FleetConfig
+from repro.sim.engine import Engine
 from repro.vfs import MemoryFileSystem
 
-from .reference_scalar import reference_run
+from .test_columnar_golden import assert_sessions_complete
+
 
 SPEC = paper_workload_spec(n_users=3, total_files=200, seed=21)
 
@@ -184,50 +190,35 @@ class TestAnalyticServiceModel:
         # The page split charges a whole extra RPC round trip.
         assert two_pages - one_page >= model.per_rpc_us
 
-    def test_time_limit_truncates_fast_runs(self):
-        full = run("fast")
-        limit = full.simulated_duration_us / 4
-        cut = run("fast", time_limit_us=limit)
-        assert cut.simulated_duration_us <= limit
-        assert len(cut.log.operations) < len(full.log.operations)
-        assert all(o.start_us < limit for o in cut.log.operations)
-        # A session summary is only recorded if it completed within the
-        # limit (the DES drops interrupted sessions the same way).
-        assert all(s.end_us <= limit for s in cut.log.sessions)
 
-    def test_time_limit_truncates_des_runs(self):
-        # Regression: the DES used to raise SimulationError past the
-        # limit instead of truncating like the engine-free backends.
-        full = run("nfs")
-        limit = full.simulated_duration_us / 4
-        cut = run("nfs", time_limit_us=limit)
-        assert cut.simulated_duration_us <= limit
-        assert len(cut.log.operations) < len(full.log.operations)
-        assert all(o.start_us < limit for o in cut.log.operations)
-        assert all(s.end_us <= limit for s in cut.log.sessions)
+# Every way a caller could once cap a run in simulated time.
+TIME_LIMITED_CALLS = {
+    "run_simulated": lambda: WorkloadGenerator(SPEC).run_simulated(
+        backend="fast", time_limit_us=1.0),
+    "fleet-config": lambda: FleetConfig(
+        scenario="mixed-campus", users=2, time_limit_us=1.0),
+    "fast": lambda: FastReplayBackend().execute(
+        [], UsageLog(), time_limit_us=1.0),
+    "fast-columnar": lambda: ColumnarReplayBackend().execute(
+        [], UsageLog(), time_limit_us=1.0),
+    "nfs": lambda: DesBackend(Engine(), None).execute(
+        [], UsageLog(), time_limit_us=1.0),
+    "engine": lambda: Engine().run_until_processes_finish(
+        [], limit=1.0, truncate=True),
+}
 
-    @pytest.mark.parametrize("which", ["op-start", "session-end"])
-    def test_exact_boundary_limit_is_exclusive_across_backends(self, which):
-        # The pinned rule: an op starting exactly at the limit is
-        # excluded — `start >= limit` drops the op — and the executor
-        # stays bit-identical to the per-op reference replay at that
-        # exact boundary.
-        full = run("fast")
-        if which == "op-start":
-            limit = full.log.operations[len(full.log.operations) // 2].start_us
-        else:
-            limit = full.log.sessions[0].end_us
-        assert limit > 0.0
-        reference, duration = reference_run(SPEC, 2, time_limit_us=limit)
-        cut = run("fast", time_limit_us=limit)
-        assert reference.operations == cut.log.operations
-        assert reference.sessions == cut.log.sessions
-        assert duration == cut.simulated_duration_us
-        assert 0 < len(cut.log.operations) < len(full.log.operations)
-        assert all(o.start_us < limit for o in cut.log.operations)
-        # the DES applies the same exclusive-boundary rule to its own clock
-        des = run("nfs", time_limit_us=limit)
-        assert all(o.start_us < limit for o in des.log.operations)
+
+class TestRunsEndWhenSessionsEnd:
+    @pytest.mark.parametrize("backend", ["fast", "fast-columnar", "nfs"])
+    def test_every_session_runs_to_completion(self, backend):
+        result = run(backend, arrivals=DEFAULT_ARRIVALS)
+        assert_sessions_complete(result.log, SPEC.n_users, 2,
+                                 result.simulated_duration_us)
+
+    @pytest.mark.parametrize("entry", sorted(TIME_LIMITED_CALLS))
+    def test_no_entry_point_takes_a_time_limit(self, entry):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            TIME_LIMITED_CALLS[entry]()
 
 
 class _ScriptedDistribution(Distribution):

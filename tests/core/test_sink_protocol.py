@@ -185,18 +185,14 @@ class TestProducersThroughTheBatcher:
             assert all(t <= record.end_us + slack for t in done[:position])
             assert all(t >= record.end_us - slack for t in done[position:])
 
-    def test_truncated_des_run_still_flushes_its_tail(self):
-        full = small_run().log
-        limit = full.operations[len(full.operations) // 3].start_us
-        cut = small_run(time_limit_us=limit).log
-        n = len(cut.operations)
-        assert 0 < n < len(full.operations)
-        assert n % RecordBatcher.BLOCK_ROWS  # the tail is a partial block
-        # Same seed, same engine: the cut run is the full run's prefix,
-        # and it ends only where the next op had not completed in time.
-        assert cut.operations == full.operations[:n]
-        upcoming = full.operations[n]
-        assert upcoming.start_us + upcoming.response_us >= limit - 1e-6
+    def test_des_run_delivers_its_partial_last_block(self):
+        sink = EventSink()
+        small_run(log=sink)
+        ops = [record for kind, record in sink.events if kind == "op"]
+        assert len(ops) % RecordBatcher.BLOCK_ROWS  # the tail is a partial block
+        assert sum(sink.batches) == len(ops)
+        assert ops == small_run().log.operations
+        assert sink.events[-1][0] == "session"
 
     def test_real_runner_records_every_session_in_order(self):
         from repro.vfs import MemoryFileSystem

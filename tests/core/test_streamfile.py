@@ -1104,16 +1104,16 @@ class TestEmptyBatches:
             assert reader.total_rows == 0
 
     @pytest.mark.parametrize("backend", ["fast", "fast-columnar", "nfs"])
-    def test_time_limit_zero_yields_empty_artifact(self, tmp_path, backend):
-        # time_limit_us=0 truncates every session before its first op;
-        # all three backends must produce a clean, empty artifact.
+    def test_no_users_yields_empty_artifact(self, tmp_path, backend):
+        # A run over no users records nothing; all three backends must
+        # still produce a clean, empty, verifiable artifact.
         spec = paper_workload_spec(n_users=2, total_files=100, seed=5)
-        path = tmp_path / "zero.opstream"
+        path = tmp_path / "empty.opstream"
         direct = UsageLog()
         with StreamFileSink(str(path), memory_budget_bytes=1 << 16) as sink:
             WorkloadGenerator(spec).run_simulated(
                 sessions_per_user=1, backend=backend,
-                log=TeeSink(direct, sink), time_limit_us=0,
+                log=TeeSink(direct, sink), user_ids=(),
             )
         assert direct.operations == []
         assert direct.sessions == []
@@ -1121,6 +1121,8 @@ class TestEmptyBatches:
             assert reader.total_rows == 0
             assert reader.total_sessions == 0
             assert list(reader.iter_batches()) == []
+        report = verify_stream(str(path))
+        assert report.ok and report.complete
 
 
 class _CountingBatchSink(UsageLog):

@@ -188,9 +188,9 @@ class TestStreamContent:
         assert a != b
 
     def test_generate_session_draws_nothing_before_first_next(self, layout):
-        # The DES creates a user's iterator and may never advance it (a
-        # time limit, a late login): an unadvanced iterator must leave
-        # every stream and the plan counter where they were.
+        # Creating a session's iterator draws nothing: an unadvanced
+        # iterator must leave every stream and the plan counter where
+        # they were.
         touched, fresh = make_generator(layout), make_generator(layout)
         unadvanced = touched.generate_session(0)
         assert touched._plan_counter == 0

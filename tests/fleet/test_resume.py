@@ -245,7 +245,7 @@ def _retype(key, value):
 
 _RECORD_FIELDS = ("spec", "shards", "backend", "access_pattern",
                   "use_phase_model", "sessions_per_user", "arrival_model",
-                  "window_us", "collect_ops", "time_limit_us", "out_stream",
+                  "window_us", "collect_ops", "out_stream",
                   "stream_budget_bytes", "stream_metadata")
 
 RECORD_MUTATIONS = {
@@ -256,13 +256,15 @@ RECORD_MUTATIONS = {
     **{f"version-{value!r}": _retype("version", value)
        for value in ("x", None, 1.5, True, 0, [1])},
     "no-version": _drop("version"),
+    # the key an older build wrote: adding it back breaks the seal
+    "stale-time_limit_us": _retype("time_limit_us", None),
     **{f"no-{key}": _drop(key) for key in _RECORD_FIELDS},
     **{f"{key}-{value!r}": _retype(key, value) for key, value in (
         ("spec", []), ("spec", {}), ("shards", "2"), ("shards", True),
         ("shards", 2.0), ("backend", 5), ("access_pattern", None),
         ("use_phase_model", 0), ("sessions_per_user", "1"),
         ("arrival_model", "office-hours"), ("arrival_model", {}),
-        ("window_us", "1"), ("collect_ops", "no"), ("time_limit_us", []),
+        ("window_us", "1"), ("collect_ops", "no"),
         ("out_stream", None), ("stream_budget_bytes", 4096.0),
         ("stream_metadata", None))},
 }

@@ -81,7 +81,6 @@ GOLDEN = {
     "sessions_per_user": 1,
     "window_us": 3600000000.0,
     "collect_ops": False,
-    "time_limit_us": None,
     "stream_budget_bytes": 6144,
     "spec_sha256": SPEC_SHA256,
     "stream_metadata": {
@@ -145,7 +144,6 @@ TAMPERS = {
     "sessions_per_user": 2,
     "arrival_model": None,
     "window_us": 1800000000.0,
-    "time_limit_us": 1e12,
     "stream_budget_bytes": 8192,
 }
 
@@ -158,7 +156,7 @@ class TestTamperedRecord:
 
     def test_the_digest_covers_the_rest_of_the_record(self, killed):
         _, record = killed
-        assert record["version"] == 2
+        assert record["version"] == 3
         rest = {key: value for key, value in record.items()
                 if key != "digest"}
         assert record["digest"] == _canonical_sha256(rest)
@@ -199,6 +197,21 @@ class TestTamperedRecord:
         copy.mkdir()
         _write(str(copy), old)
         with pytest.raises(SpecError, match="older build"):
+            resume_fleet_config(str(copy))
+
+    def test_a_version_2_record_is_refused(self, killed, tmp_path):
+        # What the previous build wrote: a sealed record that still
+        # carried a time limit.  It is refused by its version, before
+        # any field or the digest is read.
+        _, record = killed
+        old = {key: value for key, value in record.items()
+               if key != "digest"}
+        old.update(version=2, time_limit_us=None)
+        old["digest"] = _canonical_sha256(old)
+        copy = tmp_path / "v2.run"
+        copy.mkdir()
+        _write(str(copy), old)
+        with pytest.raises(SpecError, match="has version 2, not 3"):
             resume_fleet_config(str(copy))
 
     @pytest.mark.parametrize("key", ["sessions_per_user", "window_us",

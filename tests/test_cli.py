@@ -394,6 +394,29 @@ class TestStreamCommands:
         assert code == 0
         return path
 
+    def test_an_interrupted_simulate_leaves_no_footer(self, tmp_path,
+                                                      monkeypatch):
+        from repro.core import StreamFileSink, StreamFormatError, StreamReader
+        from repro.core.streamfile import verify_stream
+
+        record_batch, calls = StreamFileSink.record_batch, []
+
+        def interrupted(sink, batch):
+            calls.append(1)
+            if len(calls) == 10:
+                raise KeyboardInterrupt
+            record_batch(sink, batch)
+
+        monkeypatch.setattr(StreamFileSink, "record_batch", interrupted)
+        path = str(tmp_path / "cut.opstream")
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--users", "6", "--sessions", "3",
+                  "--files", "80", "--backend", "fast", "--seed", "9",
+                  "--stream-budget-bytes", "4096", "--out-stream", path])
+        with pytest.raises(StreamFormatError):
+            StreamReader(path)
+        assert not verify_stream(path).complete
+
     def test_stream_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream"])
