@@ -22,14 +22,17 @@ experiments:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-import time
-from contextlib import nullcontext
 
 from . import __version__
-from .core import RUN_BACKENDS, WorkloadGenerator, paper_workload_spec
-from .core.arrivals import resolve_arrivals
-from .core.generator import artifact_backend
+from .core import (
+    RUN_BACKENDS,
+    SpecError,
+    UsageAnalyzer,
+    WorkloadGenerator,
+    paper_workload_spec,
+)
 from .faults import FaultError, parse_fault
 from .fleet import (
     FleetConfig,
@@ -324,14 +327,13 @@ def _spec_from(args: argparse.Namespace):
     )
 
 
-def _print_summary(result) -> None:
-    analyzer = result.analyzer
+def _print_summary(backend: str, analyzer) -> None:
     resp = analyzer.response_time_stats().summary()
     print(format_kv(
         {
-            "backend": result.backend,
-            "sessions": len(result.log.sessions),
-            "system calls": len(result.log.operations),
+            "backend": backend,
+            "sessions": len(analyzer.log.sessions),
+            "system calls": len(analyzer.log.operations),
             "mean response (µs)": resp["mean"],
             "response std (µs)": resp["std"],
             "response per byte (µs/B)": analyzer.response_per_byte(),
@@ -344,76 +346,43 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
 
+    if args.command in ("simulate", "real", "mkfs", "compare"):
+        try:
+            return _main_spec(args)
+        except SpecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    elif args.command == "fleet":
+        return _main_fleet(args)
+    elif args.command == "stream":
+        return _main_stream(args)
+    elif args.command == "characterize":
+        return _main_characterize(args)
+    elif args.command == "trace":
+        return _main_trace(args)
+    elif args.command == "figures":
+        print(PAPER_EXPERIMENTS[args.ident]().formatted())
+    return 0
+
+
+def _main_spec(args: argparse.Namespace) -> int:
+    """The verbs that build the paper spec from ``common`` flags."""
     if args.command == "simulate":
-        log = None
-        stream_sink = None
-        observer = None
-        meter = None
-        if args.metrics_out is not None or args.progress:
-            from .obs import ProgressMeter, RunObserver
-
-            if args.progress:
-                meter = ProgressMeter(total_users=args.users,
-                                      label=f"simulate[{args.backend}]")
-            observer = RunObserver(progress=meter)
-        if args.out_stream is not None:
-            from .core import (
-                DEFAULT_MEMORY_BUDGET,
-                StreamFileSink,
-                TeeSink,
-                UsageLog,
-            )
-
-            usage = UsageLog()
-            stream_sink = StreamFileSink(
-                args.out_stream,
-                memory_budget_bytes=(args.stream_budget_bytes
-                                     or DEFAULT_MEMORY_BUDGET),
-                metadata={
-                    "tool": "repro-simulate",
-                    "backend": artifact_backend(args.backend),
-                    "seed": args.seed,
-                    "users": args.users,
-                    "sessions_per_user": args.sessions,
-                },
-                observer=observer,
-            )
-            log = TeeSink(usage, stream_sink)
-        started = time.perf_counter()
-        # The sink seals its footer only if the run returns; an exception
-        # aborts it, so a partial artifact never passes as complete.
-        with stream_sink if stream_sink is not None else nullcontext():
-            result = WorkloadGenerator(_spec_from(args)).run_simulated(
-                sessions_per_user=args.sessions, backend=args.backend,
-                arrivals=resolve_arrivals(args.arrivals, args.profile),
-                log=log, observer=observer,
-            )
-        wall_s = time.perf_counter() - started
-        if meter is not None:
-            meter.finish()
-        if stream_sink is not None:
-            result.log = usage  # the analyzer needs the UsageLog, not the tee
-        _print_summary(result)
-        if stream_sink is not None:
-            print(f"\nop stream ({stream_sink.chunks_written} chunks) "
-                  f"written to {args.out_stream}")
+        # A one-shard fleet run: the same publication, header and
+        # manifest as `fleet run`.
+        result = run_fleet(FleetConfig(
+            spec=_spec_from(args), sessions_per_user=args.sessions,
+            backend=args.backend, use_arrivals=args.arrivals,
+            profile=args.profile, collect_ops=True,
+            out_stream=args.out_stream,
+            stream_budget_bytes=args.stream_budget_bytes,
+            metrics_out=args.metrics_out, progress=args.progress,
+        ))
+        _print_summary(args.backend, UsageAnalyzer(result.log))
+        if result.out_stream is not None:
+            print(f"\nop stream ({result.tally.operations} ops) "
+                  f"written to {result.out_stream}")
         if args.metrics_out is not None:
-            from .obs import build_manifest, write_manifest
-
-            manifest = build_manifest(
-                observer.snapshot(),
-                seed=args.seed,
-                backend=args.backend,
-                spec=result.spec,
-                n_users=args.users,
-                wall_s=wall_s,
-                simulated_us=result.simulated_duration_us,
-                extra={
-                    "sessions_per_user": args.sessions,
-                    "out_stream": args.out_stream,
-                },
-            )
-            write_manifest(args.metrics_out, manifest)
             print(f"\nrun manifest written to {args.metrics_out}")
     elif args.command == "real":
         result = WorkloadGenerator(_spec_from(args)).run_real(
@@ -421,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             sessions_per_user=args.sessions,
             sleep_thinks=args.sleep_thinks,
         )
-        _print_summary(result)
+        _print_summary(result.backend, result.analyzer)
     elif args.command == "mkfs":
         from .vfs import LocalFileSystem
 
@@ -438,17 +407,9 @@ def main(argv: list[str] | None = None) -> int:
             },
             title="File system created",
         ))
-    elif args.command == "fleet":
-        return _main_fleet(args)
-    elif args.command == "stream":
-        return _main_stream(args)
-    elif args.command == "characterize":
-        return _main_characterize(args)
-    elif args.command == "trace":
-        return _main_trace(args)
-    elif args.command == "figures":
-        print(PAPER_EXPERIMENTS[args.ident]().formatted())
-    elif args.command == "compare":
+    else:
+        if args.users < 1:  # before sessions are divided among them
+            raise SpecError(f"--users must be >= 1, got {args.users}")
         comparison = compare_file_systems(
             n_users=args.users,
             sessions_total=args.sessions * args.users,
@@ -475,15 +436,12 @@ def _main_fleet(args: argparse.Namespace) -> int:
                            title="Scenario library"))
         return 0
 
-    from .core import SpecError
     from .scenarios import ScenarioError
 
     probe_created = False
     if args.oplog is not None:
         # Fail fast on an unwritable target, but do not truncate an
         # existing file until the run has actually produced a log.
-        import os
-
         probe_created = not os.path.exists(args.oplog)
         try:
             with open(args.oplog, "a", encoding="utf-8"):
@@ -511,6 +469,11 @@ def _main_fleet(args: argparse.Namespace) -> int:
                 keep_run_dir=args.keep_run_dir or not args.allow_partial,
                 faults=faults,
             )
+            if args.oplog is not None and not config.collect_ops:
+                raise SpecError(
+                    f"{args.resume!r} was recorded without --oplog; resume "
+                    "without it, then run `stream replay --oplog PATH` on "
+                    "the finished artifact")
         else:
             config = FleetConfig(
                 scenario=args.scenario,
@@ -548,8 +511,6 @@ def _main_fleet(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         if probe_created:
-            import os
-
             try:
                 os.unlink(args.oplog)
             except OSError:
@@ -591,8 +552,6 @@ def _main_stream(args: argparse.Namespace) -> int:
         return 0
 
     if args.stream_command == "verify":
-        import os
-
         from .core import verify_stream
 
         if not os.path.exists(args.streamfile):
@@ -668,7 +627,7 @@ def _main_stream(args: argparse.Namespace) -> int:
 
 
 def _main_characterize(args: argparse.Namespace) -> int:
-    from .core import UsageAnalyzer, UsageLog
+    from .core import UsageLog
     from .harness import format_table
 
     try:
@@ -799,7 +758,7 @@ def _main_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.trace_command == "validate":
-        from .core import SpecError, UsageLog, loads_spec
+        from .core import UsageLog, loads_spec
 
         try:
             with open(args.specfile, "r", encoding="utf-8") as stream:

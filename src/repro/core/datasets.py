@@ -25,6 +25,7 @@ from .spec import (
     FileCategorySpec,
     FileType,
     Owner,
+    SpecError,
     UsageSpec,
     UserTypeSpec,
     UseType,
@@ -146,8 +147,14 @@ def paper_user_type(
 ) -> UserTypeSpec:
     """A Table 5.2 user with the given think-time mean (Table 5.4 values).
 
-    A zero mean produces the "extremely heavy I/O" point-mass think time.
+    A zero mean produces the "extremely heavy I/O" point-mass think time;
+    a negative one is a :class:`SpecError`.
     """
+    if not think_time_mean_us >= 0:
+        raise SpecError(
+            f"think time mean must be >= 0 µs, got {think_time_mean_us} "
+            f"for user type {name!r}"
+        )
     if think_time_mean_us > 0:
         think: Distribution = ShiftedExponential(think_time_mean_us)
     else:

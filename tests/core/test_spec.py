@@ -183,3 +183,9 @@ class TestPaperDatasets:
         user_type = paper_user_type("x", think_time_mean_us=0.0)
         assert user_type.think_time.mean() == 0.0
         assert user_type.think_time.var() == 0.0
+
+    @pytest.mark.parametrize("mean", [-5.0, -1e-9, float("nan")])
+    def test_negative_think_time_mean_is_refused(self, mean):
+        # Only zero is the Figure 5.6 point mass; below it is a typo.
+        with pytest.raises(SpecError, match="user type 'x'"):
+            paper_user_type("x", think_time_mean_us=mean)

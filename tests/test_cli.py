@@ -416,6 +416,28 @@ class TestStreamCommands:
         with pytest.raises(StreamFormatError):
             StreamReader(path)
         assert not verify_stream(path).complete
+        # Published by rename only, and the run directory is swept.
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".run")
+
+    @pytest.mark.parametrize("arrivals", [False, True],
+                             ids=["plain", "arrivals"])
+    def test_simulate_header_is_the_fleet_header(self, tmp_path, arrivals):
+        from repro.core import StreamReader, paper_workload_spec
+        from repro.fleet import FleetConfig
+        from repro.fleet.runner import _ResolvedRun
+
+        path = str(tmp_path / "a.opstream")
+        assert main(["simulate", "--users", "2", "--sessions", "2",
+                     "--files", "80", "--seed", "9", "--backend", "fast",
+                     "--out-stream", path]
+                    + (["--arrivals"] if arrivals else [])) == 0
+        run = _ResolvedRun.from_config(FleetConfig(
+            spec=paper_workload_spec(n_users=2, total_files=80, seed=9),
+            sessions_per_user=2, backend="fast", use_arrivals=arrivals))
+        with StreamReader(path) as reader:
+            assert reader.metadata == run.stream_metadata
+            assert reader.metadata["arrivals"] is arrivals
 
     def test_stream_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -664,6 +686,25 @@ class TestFaultToleranceCli:
         assert "chunks reused" in out
         assert victim.read_bytes() == clean.read_bytes()
 
+    def test_resume_refuses_an_oplog_the_run_never_collected(
+            self, tmp_path, capsys):
+        victim = tmp_path / "victim.opstream"
+        code = main(self.FLEET + [
+            "--workers", "1", "--out-stream", str(victim),
+            "--max-retries", "0", "--inject-fault", "error:shard=0,row=9"])
+        assert code == 3
+        capsys.readouterr()
+        run_dir, oplog = str(victim) + ".run", tmp_path / "out.log"
+        code = main(["fleet", "run", "--resume", run_dir,
+                     "--oplog", str(oplog)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "stream replay --oplog" in captured.err
+        assert not oplog.exists()  # the writability probe is removed
+        assert main(["fleet", "run", "--resume", run_dir]) == 0
+        assert victim.exists()
+
     def test_resume_missing_dir_exits_2(self, tmp_path, capsys):
         code = main(["fleet", "run", "--resume",
                      str(tmp_path / "never.run")])
@@ -690,3 +731,31 @@ class TestFaultToleranceCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+
+class TestHostileSpecFlags:
+    """Every verb that builds the paper spec refuses a bad one the same
+    way: an `error:` line, exit 2, nothing written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--users", "0"],
+        ["simulate", "--heavy-fraction", "2"],
+        ["simulate", "--sessions", "0"],
+        ["simulate", "--think-us", "-5"],
+        ["simulate", "--stream-budget-bytes", "0",
+         "--out-stream", "{tmp}/a.opstream"],
+        ["real", "--users", "0", "{tmp}/sandbox"],
+        ["mkfs", "--users", "0", "{tmp}/fsroot"],
+        ["compare", "--users", "0"],
+    ], ids=["simulate-users-0", "simulate-heavy-fraction-2",
+            "simulate-sessions-0", "simulate-think-negative",
+            "simulate-budget-0", "real-users-0", "mkfs-users-0",
+            "compare-users-0"])
+    def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv):
+        code = main([a.format(tmp=tmp_path) for a in argv]
+                    + ["--files", "60"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
