@@ -343,7 +343,24 @@ def _print_summary(backend: str, analyzer) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that stops early (``| head``) is not an error: the output
+    ends quietly, with the command's own exit code if it had finished,
+    else 0.
+    """
+    code = 0
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # No traceback, and no second EPIPE when the interpreter
+        # flushes stdout on the way out.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
+def _dispatch(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command in ("simulate", "real", "mkfs", "compare"):
@@ -581,6 +598,8 @@ def _main_stream(args: argparse.Namespace) -> int:
         if args.users is not None:
             try:
                 users = [int(u) for u in args.users.split(",") if u]
+                if not all(-2**63 <= u < 2**63 for u in users):
+                    raise ValueError("user id outside int64")
             except ValueError:
                 print(f"error: bad --users list {args.users!r}",
                       file=sys.stderr)
@@ -588,10 +607,12 @@ def _main_stream(args: argparse.Namespace) -> int:
         time_range = None
         if args.window_us is not None:
             try:
-                lo, hi = args.window_us.split(":")
-                time_range = (float(lo), float(hi))
+                lo, hi = map(float, args.window_us.split(":"))
+                if not lo < hi:  # also false when either is NaN
+                    raise ValueError("empty window")
+                time_range = (lo, hi)
             except ValueError:
-                print("error: --window-us wants LO:HI, got "
+                print("error: --window-us wants LO:HI with LO < HI, got "
                       f"{args.window_us!r}", file=sys.stderr)
                 return 2
         sink = ShardAccumulator(collect_ops=args.oplog is not None)

@@ -30,10 +30,12 @@ File layout (all integers little-endian)::
     u64 footer-offset  MAGIC                 (fixed-size tail)
 
 Chunk payloads hold per-chunk *compacted* string tables (first-use
-order) followed by one npy-framed block per column, then the session
-records that ended inside the chunk, each tagged with its global op-row
-position so the exact event order (ops interleaved with session
-summaries) reconstructs on replay.
+order) followed by one npy-framed block per column — an integer column
+at the narrowest signed width that holds the chunk's values, widened
+back to its schema dtype on read — then the session records that ended
+inside the chunk, each tagged with its global op-row position so the
+exact event order (ops interleaved with session summaries) reconstructs
+on replay.
 
 Determinism is the load-bearing property.  Chunk boundaries are a pure
 function of the global op-row count (``rows_per_chunk`` rows each,
@@ -58,8 +60,10 @@ and :func:`resume_stream_sink` continues writing after its last full
 chunk.  Nothing beside the artifact is written or read.
 
 Versioning: ``FORMAT_VERSION`` bumps on any layout change; readers
-reject newer versions loudly.  See ``docs/architecture.md`` for the
-format's rationale and evolution rules.
+reject newer versions loudly.  Version 2 narrowed the integer columns;
+a version-1 file is the all-schema-width case and reads the same way.
+See ``docs/architecture.md`` for the format's rationale and evolution
+rules.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ __all__ = [
 ]
 
 MAGIC = b"REPRO-OPSTREAM\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Column schema, in serialisation order.  The chunk payload stores one
 # npy block per entry; ``think_us`` is optional per chunk (synthesis
@@ -233,7 +237,21 @@ _U64 = struct.Struct("<Q")
 _CHUNK_HEAD = struct.Struct("<QB")  # op rows, think flag
 _SESSION_HEAD = struct.Struct("<QL")  # global op-row position, line bytes
 _NPY_HEAD = struct.Struct("<8xH")  # npy 1.0 magic + version, header bytes
-_COLUMN_DTYPES = tuple((name, np.dtype(dtype))
+
+
+def _file_dtypes(schema: np.dtype) -> tuple[np.dtype, ...]:
+    """The dtypes a column of ``schema`` may be stored at, narrowest
+    first: an integer column any signed little-endian width up to its
+    schema's (the writer picks the narrowest that holds the chunk), a
+    float column only its own.  A version-1 file is the all-schema-width
+    case."""
+    sizes = (1, 2, 4, 8) if schema.kind == "i" else (schema.itemsize,)
+    return tuple(np.dtype(f"<{schema.kind}{size}") for size in sizes
+                 if size <= schema.itemsize)
+
+
+# (name, schema dtype, file dtypes), in file order.
+_COLUMN_DTYPES = tuple((name, np.dtype(dtype), _file_dtypes(np.dtype(dtype)))
                        for name, dtype in (*_COLUMNS, _THINK_COLUMN))
 
 # (dtype, shape) per npy header seen, keyed on its raw bytes: chunks repeat
@@ -272,23 +290,40 @@ def _npy_preamble(dtype: np.dtype, rows: int) -> bytes:
     return preamble
 
 
+def _width(widths: tuple[np.dtype, ...], columns) -> np.dtype:
+    """The first of ``widths`` (narrowest first) that holds every value
+    of ``columns``, non-empty arrays reduced one at a time."""
+    if len(widths) > 1:
+        lo = hi = 0  # fits every width, so never changes the choice
+        for column in columns:
+            lo, hi = min(lo, int(column.min())), max(hi, int(column.max()))
+        for width in widths:
+            bound = 1 << (8 * width.itemsize - 1)
+            if -bound <= lo and hi < bound:
+                return width
+    return widths[-1]
+
+
 def _encode_chunk(pieces: list[OpBatch],
                   sessions: list[tuple[int, SessionRecord]]
-                  ) -> list[bytes | np.ndarray]:
-    """The payload of a chunk made of ``pieces``, as buffers in file order.
+                  ) -> list[bytes | tuple[np.dtype, list[np.ndarray]]]:
+    """The payload of a chunk made of ``pieces``, as parts in file order.
 
     The pieces are encoded as if concatenated, without concatenating
     them: each column is one npy preamble for the chunk's row count
-    followed by one C-contiguous array per piece (per run of same-table
-    pieces for the compacted string columns) — for a column already
-    contiguous in its file dtype, the piece's own array, not a copy, and
-    not a ``memoryview`` cast (two small objects per part add up over
-    hundreds of pieces).  ``think_us`` is written only when every
-    non-empty piece carries one (a record batch has no pause to invent).
-    Small ``bytes`` (counts, string tables, preambles, session lines)
-    fill the gaps.  The caller owns CRC and write order (chain
-    ``zlib.crc32`` over the bytes-like parts, then write them) and must
-    do both before anything mutates the pieces.
+    followed by one ``(file dtype, arrays)`` part: an array per piece
+    (per run of same-table pieces for the compacted string columns),
+    cast by :func:`_buffers` only as it is reached.  An integer column's
+    file dtype is the narrowest signed width holding the chunk's values
+    (:func:`_width`, one min/max per run of same-parent pieces); a
+    column already contiguous in its file dtype — every float column,
+    an integer one left at its schema width — is the piece's own array,
+    not a copy.  ``think_us`` is written only when every non-empty piece
+    carries one (a record batch has no pause to invent).  Small
+    ``bytes`` (counts, string tables, preambles, session lines) fill the
+    gaps.  The caller owns CRC and write order (chain ``zlib.crc32``
+    over one pass of the buffers, then write a second) and must do both
+    before anything mutates the pieces.
     """
     pieces = [piece for piece in pieces if len(piece)]
     n = sum(len(piece) for piece in pieces)
@@ -305,20 +340,36 @@ def _encode_chunk(pieces: list[OpBatch],
         compacted[idx_name], values = _compact_column(runs, idx_name,
                                                       table_name)
         head.append(_table_bytes(values))
-    parts: list[bytes | np.ndarray] = [b"".join(head)]
-    for name, dtype in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-        parts.append(_npy_preamble(dtype, n))
+    parts: list[bytes | tuple[np.dtype, list[np.ndarray]]] = [
+        b"".join(head)]
+    for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
         columns = compacted.get(name)
         if columns is None:
             columns = [getattr(piece, name) for piece in pieces]
-        parts += [np.ascontiguousarray(column, dtype=dtype)
-                  for column in columns]
+            joined = (_joined(run, name) for run in runs)
+        else:
+            joined = columns
+        width = _width(widths, joined) if n else widths[-1]
+        parts += [_npy_preamble(width, n), (width, columns)]
     tail = [_U32.pack(len(sessions))]
     for position, record in sessions:
         raw = record.to_line().encode("utf-8")
         tail += (_SESSION_HEAD.pack(position, len(raw)), raw)
     parts.append(b"".join(tail))
     return parts
+
+
+def _buffers(parts: list[bytes | tuple[np.dtype, list[np.ndarray]]]):
+    """:func:`_encode_chunk`'s parts as C-contiguous buffers, each array
+    cast to its file dtype only as it is reached: a caller that drops
+    each buffer before asking for the next holds one cast at a time."""
+    for part in parts:
+        if isinstance(part, bytes):
+            yield part
+        else:
+            width, columns = part
+            for column in columns:
+                yield np.ascontiguousarray(column, dtype=width)
 
 
 def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
@@ -337,9 +388,12 @@ def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
 
 
 def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
-                n: int) -> tuple[np.ndarray, int]:
-    """The npy-framed column at ``pos`` and the offset just past it.
+                widths: tuple[np.dtype, ...], n: int
+                ) -> tuple[np.ndarray, int]:
+    """The npy-framed column at ``pos``, widened to ``dtype``, and the
+    offset just past it.
 
+    The block must hold ``n`` rows at one of the file dtypes ``widths``.
     The array is a copy that owns its memory, not a view: a consumer
     keeping one column of each chunk must not pin every payload.  New
     headers go through numpy's own parser, so nothing numpy rejects is
@@ -371,11 +425,14 @@ def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
         if len(_NPY_HEADERS) >= _NPY_HEADERS_MAX:
             _NPY_HEADERS.clear()
         declared = _NPY_HEADERS[raw] = (found, shape)
-    if declared != (dtype, (n,)) or stop - data != n * dtype.itemsize:
+    found, shape = declared
+    allowed = [width.str for width in widths]
+    if (shape != (n,) or found.str not in allowed
+            or stop - data != n * found.itemsize):
         raise StreamFormatError(
-            f"column {name!r}: expected {n} x {dtype}, got "
-            f"{declared[1]} x {declared[0]} in {stop - data} bytes")
-    return np.frombuffer(payload, dtype, n, data).copy(), stop
+            f"column {name!r}: expected {n} x {'/'.join(allowed)}, got "
+            f"{shape} x {found.str} in {stop - data} bytes")
+    return np.frombuffer(payload, found, n, data).astype(dtype), stop
 
 
 def _decode_chunk(payload: bytes, what: str):
@@ -394,8 +451,9 @@ def _decode_chunk(payload: bytes, what: str):
         for _, table in _STRING_COLUMNS:
             tables[table], pos = _read_table(payload, pos)
         columns = {}
-        for name, dtype in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-            columns[name], pos = _read_array(payload, pos, name, dtype, n)
+        for name, dtype, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
+            columns[name], pos = _read_array(payload, pos, name, dtype,
+                                             widths, n)
         (n_sessions,) = _U32.unpack_from(payload, pos)
         pos += _U32.size
         frames = []
@@ -688,13 +746,17 @@ class StreamFileSink:
         offset = self._stream.tell()
         entry = _entry_from_chunk(offset, pieces, sessions)
         parts = _encode_chunk(pieces, sessions)
+        # Two passes, one cast array alive at a time: CRC and length
+        # first (the frame head precedes its payload), then the write.
         crc = nbytes = 0
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-            nbytes += memoryview(part).nbytes
+        for buffer in _buffers(parts):
+            crc = zlib.crc32(buffer, crc)
+            nbytes += memoryview(buffer).nbytes
+            buffer = None
         self._stream.write(struct.pack(_FRAME_FMT, _FRAME_CHUNK, nbytes, crc))
-        for part in parts:
-            self._stream.write(part)
+        for buffer in _buffers(parts):
+            self._stream.write(buffer)
+            buffer = None
         # The frame leaves the userspace buffer now: what a killed
         # process leaves behind is whole, salvageable chunks.
         self._stream.flush()
@@ -1134,6 +1196,9 @@ class StreamReader:
             "rows per chunk": self.rows_per_chunk,
             "file bytes": os.path.getsize(self.path),
         }
+        if self.total_rows:
+            out["bytes per op row"] = (
+                f"{out['file bytes'] / self.total_rows:.2f}")
         if users:
             out["user ids"] = (f"{min(c.user_lo for c in users)}.."
                                f"{max(c.user_hi for c in users)}")
@@ -1324,8 +1389,10 @@ def resume_stream_sink(path: str,
     Returns ``(sink, prefix)``, ``prefix`` an open :class:`StreamReader`
     over the reused chunks (the caller closes it):
 
-    * no usable prefix (missing file, foreign budget, nothing verified)
-      — a fresh sink overwriting ``path``, ``prefix`` None;
+    * no usable prefix (missing file, another format version, foreign
+      budget, nothing verified) — a fresh sink overwriting ``path``,
+      ``prefix`` None: the continued file must be the one a clean run
+      writes, header and frames alike;
     * a crashed prefix — a sink appending after its last *full* chunk
       (a short tail chunk, written by a crashed ``close()``, is dropped:
       resumed frames must land on the original boundaries), with
@@ -1348,7 +1415,8 @@ def resume_stream_sink(path: str,
             full -= 1
         prefix._keep(full)
     if prefix is not None and (
-            prefix.rows_per_chunk != rows_per_chunk
+            prefix.version != FORMAT_VERSION
+            or prefix.rows_per_chunk != rows_per_chunk
             or (not prefix.complete and not prefix.chunk_index)):
         prefix.close()
         prefix = None

@@ -29,6 +29,7 @@ from repro.core import (
 )
 from repro.core.opbatch import RecordBatcher
 from repro.traces import TraceEvent, sessionize_events
+from tests.core.test_streamfile import as_version_1
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -51,17 +52,20 @@ class TestGoldens:
 
     # Re-taken when `simulate` became a one-shard fleet run: the header
     # moved to the fleet's (and the footer offsets with it); every chunk
-    # payload and the replayed usage log stayed byte-identical.
+    # payload and the replayed usage log stayed byte-identical.  Re-taken
+    # again at stream format 2 (integer columns at their chunk's width):
+    # every chunk decodes to the same columns, rows and sessions, and the
+    # replayed usage log is byte-identical.
     @pytest.mark.parametrize("backend, budget, digest", [
         ("nfs", None,
-         "782b1d9f05327b7878b2137ebf5a0c77ffd5e30934471a1c35b5e8f91d007771"),
+         "a67bf50c8f3a7c1e98b1f01e4007619d321e9cd81229e9dbfdd1c643fa899ec4"),
         ("local", None,
-         "e0633073262cbd8417131fb158cbca2670e5321fdf5949f74dbe179c4a78d65c"),
+         "e00d427369c09576d78639cc5973517ba83265dc5bea775c80d55a022eef4b91"),
         ("afs", None,
-         "1f33305b839f9ae58b0681d31b812037e0d0064ee52c6c169dd0f9889b0c4c57"),
+         "8a3e0cb8beabd8448a10a365e8accb2ca93d0f24ae9c75e20afd601e2d0d29ba"),
         # 4 KiB: chunks far smaller than the batcher's block.
         ("nfs", 4096,
-         "5c953a0f3d37a75d95dd89ce93b4b71bf4a8dcdd6de965ba63e3c1d668e4178c"),
+         "a0f330325f8fe340f83d0e04b4bd3c84068a85edfa212777bc698f2a13db991b"),
     ])
     def test_des_simulate_out_stream(self, tmp_path, capsys, backend,
                                      budget, digest):
@@ -70,6 +74,27 @@ class TestGoldens:
         cli("simulate", *SIM, "--backend", backend, "--out-stream", out,
             *extra)
         assert sha256(out) == digest
+
+    # The same runs' format-1 digests (every column at schema width),
+    # pinned before format 2: the reference encoder's version-1 copy of
+    # today's artifact is the older build's file byte for byte.
+    @pytest.mark.parametrize("backend, budget, digest", [
+        ("nfs", None,
+         "782b1d9f05327b7878b2137ebf5a0c77ffd5e30934471a1c35b5e8f91d007771"),
+        ("local", None,
+         "e0633073262cbd8417131fb158cbca2670e5321fdf5949f74dbe179c4a78d65c"),
+        ("afs", None,
+         "1f33305b839f9ae58b0681d31b812037e0d0064ee52c6c169dd0f9889b0c4c57"),
+        ("nfs", 4096,
+         "5c953a0f3d37a75d95dd89ce93b4b71bf4a8dcdd6de965ba63e3c1d668e4178c"),
+    ])
+    def test_des_simulate_out_stream_as_format_1(self, tmp_path, capsys,
+                                                  backend, budget, digest):
+        out = tmp_path / "a.opstream"
+        extra = ["--stream-budget-bytes", budget] if budget else []
+        cli("simulate", *SIM, "--backend", backend, "--out-stream", out,
+            *extra)
+        assert sha256(as_version_1(out, tmp_path / "v1.opstream")) == digest
 
     def test_des_fleet_oplog(self, tmp_path, capsys):
         out = tmp_path / "fleet.oplog"

@@ -44,6 +44,7 @@ from repro.core.streamfile import (
     ROW_BYTES,
 )
 from repro.fleet.runner import _ResumeBoundary
+from tests.core.test_streamfile import as_version_1
 
 BUDGET = ROW_BYTES * 32  # 32-row chunks: plenty of flushes at test scale
 
@@ -271,6 +272,25 @@ class TestResume:
             path, memory_budget_bytes=BUDGET * 2)
         assert salvaged is None
         sink.abort()
+
+    @pytest.mark.parametrize("complete", [False, True],
+                             ids=["crashed", "complete"])
+    def test_resume_of_a_format_1_file_starts_fresh(
+            self, tmp_path, events, clean_artifact, complete):
+        # An older build's file: continuing it would append format-2
+        # frames under a version-1 header, and reusing a complete one
+        # would publish a file a clean run does not write.
+        src = (clean_artifact if complete
+               else _crashed_artifact(tmp_path, events, stop_after=100))
+        path = as_version_1(src, str(tmp_path / "v1.opstream"))
+        with salvage_stream(path) as old:
+            assert old.version == 1 and old.complete is complete
+            assert old.chunk_index
+        sink, salvaged = resume_stream_sink(path, memory_budget_bytes=BUDGET)
+        assert salvaged is None
+        _feed(sink, events.events)
+        sink.close()
+        assert open(path, "rb").read() == open(clean_artifact, "rb").read()
 
     def test_resume_rejects_metadata_mismatch(self, tmp_path, events):
         path = str(tmp_path / "m.opstream")

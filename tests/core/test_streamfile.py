@@ -15,6 +15,7 @@ The format's contract has three legs, each tested here:
 """
 
 import io
+import json
 import os
 import struct
 import tracemalloc
@@ -39,14 +40,18 @@ from repro.core import (
     iter_batches,
     merge_stream_files,
     paper_workload_spec,
+    salvage_stream,
 )
 from repro.core import streamfile
 from repro.core.streamfile import (
     _COLUMNS,
     _FRAME_FMT,
     _STRING_COLUMNS,
+    _TAIL_FMT,
     _THINK_COLUMN,
+    MAGIC,
     ROW_BYTES,
+    _buffers,
     _decode_chunk,
     _encode_chunk,
     _parse_sessions,
@@ -311,11 +316,12 @@ def chunk_payloads(path):
                 for info in reader.chunk_index]
 
 
-def reference_decode(payload):
+def reference_blocks(payload):
     """The pre-rewrite decoder: per-field cursor takes and ``np.load``.
 
     Returns ``(tables, columns, sessions)`` with plain lists for the
-    tables so the comparison needs nothing from the code under test.
+    tables and each column as stored, so the comparison needs nothing
+    from the code under test.
     """
     cursor = io.BytesIO(payload)
 
@@ -340,6 +346,27 @@ def reference_decode(payload):
         sessions.append((position, SessionRecord.from_line(
             cursor.read(nbytes).decode("utf-8"))))
     assert cursor.read() == b""
+    return tables, columns, sessions
+
+
+SCHEMA = dict((*_COLUMNS, _THINK_COLUMN))
+
+
+def reference_decode(payload):
+    """:func:`reference_blocks` with every column widened to its schema
+    dtype, after checking the width rule: an integer column is a signed
+    little-endian block no wider than its schema dtype, a float column
+    exactly its schema dtype."""
+    tables, columns, sessions = reference_blocks(payload)
+    for name, stored in columns.items():
+        schema = np.dtype(SCHEMA[name])
+        if schema.kind == "i":
+            assert stored.dtype.kind == "i", (name, stored.dtype)
+            assert stored.dtype.byteorder in "<=|", (name, stored.dtype)
+            assert stored.dtype.itemsize <= schema.itemsize, name
+        else:
+            assert stored.dtype.str == schema.newbyteorder("<").str, name
+        columns[name] = stored.astype(schema)
     return tables, columns, sessions
 
 
@@ -450,17 +477,25 @@ def _reference_compact(idx, table):
     return new_idx, [values[int(i)] for i in ordered]
 
 
-def reference_encode(batch, sessions):
-    """The pre-rewrite encoder of one (concatenated) batch: ``np.save``
-    into a ``BytesIO`` per column, every piece copied into one payload
-    ``BytesIO``.  Shares no code with the encoder under test."""
-    def write_table(out, values):
-        out.write(struct.pack("<L", len(values)))
-        for value in values:
-            raw = value.encode("utf-8")
-            out.write(struct.pack("<L", len(raw)))
-            out.write(raw)
+def reference_width(column, schema):
+    """The file dtype of ``column``: for an integer column of a
+    non-empty chunk, the first of int8/16/32/64 (no wider than
+    ``schema``) that round-trips every value; else ``schema`` itself."""
+    schema = np.dtype(schema)
+    if schema.kind == "i" and len(column):
+        for itemsize in (1, 2, 4):
+            width = np.dtype(f"<i{itemsize}")
+            if itemsize < schema.itemsize and np.array_equal(
+                    column.astype(width).astype(schema), column):
+                return width
+    return schema
 
+
+def reference_payload(tables, columns, sessions, narrow=True):
+    """A chunk payload from its parts: ``np.save`` into a ``BytesIO``
+    per column, every block copied into one payload ``BytesIO``.
+    ``narrow=False`` writes every column at its schema width (format
+    version 1).  Shares no code with the encoder under test."""
     def write_array(out, array):
         block = io.BytesIO()
         np.save(block, array, allow_pickle=False)
@@ -469,22 +504,19 @@ def reference_encode(batch, sessions):
         out.write(raw)
 
     out = io.BytesIO()
-    has_think = batch.think_us is not None
-    out.write(struct.pack("<QB", len(batch), int(has_think)))
-    compacted = {}
-    for idx_name, table_name in _STRING_COLUMNS:
-        new_idx, values = _reference_compact(
-            getattr(batch, idx_name), getattr(batch, table_name))
-        compacted[idx_name] = new_idx
-        write_table(out, values)
-    for name, dtype in _COLUMNS:
-        column = compacted.get(name, None)
-        if column is None:
-            column = getattr(batch, name)
-        write_array(out, np.ascontiguousarray(column, dtype=np.dtype(dtype)))
-    if has_think:
-        write_array(out, np.ascontiguousarray(
-            batch.think_us, dtype=np.int64))
+    n = len(columns["kinds"])
+    out.write(struct.pack("<QB", n, int("think_us" in columns)))
+    for values in tables:
+        out.write(struct.pack("<L", len(values)))
+        for value in values:
+            raw = value.encode("utf-8")
+            out.write(struct.pack("<L", len(raw)))
+            out.write(raw)
+    for name, schema in _COLUMNS + (_THINK_COLUMN,):
+        if name in columns:
+            column = np.ascontiguousarray(columns[name], dtype=schema)
+            width = reference_width(column, schema) if narrow else schema
+            write_array(out, column.astype(width))
     out.write(struct.pack("<L", len(sessions)))
     for position, record in sessions:
         raw = record.to_line().encode("utf-8")
@@ -493,13 +525,69 @@ def reference_encode(batch, sessions):
     return out.getvalue()
 
 
-def assert_parts_reference_columns(parts):
-    """Each part is ``bytes`` or a C-contiguous 1-D column array."""
-    for part in parts:
-        if isinstance(part, bytes):
+def reference_encode(batch, sessions, narrow=True):
+    """The concatenating encoder of one batch: its string columns
+    compacted, then :func:`reference_payload`."""
+    columns = {name: getattr(batch, name) for name, _ in _COLUMNS}
+    if batch.think_us is not None:
+        columns["think_us"] = batch.think_us
+    tables = []
+    for idx_name, table_name in _STRING_COLUMNS:
+        columns[idx_name], values = _reference_compact(
+            getattr(batch, idx_name), getattr(batch, table_name))
+        tables.append(values)
+    return reference_payload(tables, columns, sessions, narrow)
+
+
+def as_version_1(src, dst):
+    """Write ``dst`` as the format-1 file of ``src``'s rows: a version-1
+    header, every chunk salvaged from ``src`` re-encoded at schema
+    width by the reference encoder, and a re-indexed footer if ``src``
+    has one (a crashed prefix stays footer-less)."""
+    def framed(kind, raw):
+        return struct.pack(_FRAME_FMT, kind, len(raw), zlib.crc32(raw)) + raw
+
+    def compact_json(value):
+        return json.dumps(value, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+
+    out = io.BytesIO()
+    with salvage_stream(src) as reader:
+        header = compact_json(dict(reader.header, version=1))
+        out.write(MAGIC + struct.pack("<HLL", 1, len(header),
+                                      zlib.crc32(header)) + header)
+        entries = []
+        for info in reader.chunk_index:
+            payload = reader._read_frame(info.offset, "chunk")[1]
+            entries.append(dict(info.entry(), offset=out.tell()))
+            out.write(framed(b"C", reference_payload(
+                *reference_decode(payload), narrow=False)))
+        if reader.complete:
+            offset = out.tell()
+            out.write(framed(b"F", compact_json({
+                "chunks": entries, "rows": reader.total_rows,
+                "sessions": reader.total_sessions})))
+            out.write(struct.pack(_TAIL_FMT, offset) + MAGIC)
+    with open(dst, "wb") as stream:
+        stream.write(out.getvalue())
+    return dst
+
+
+def encoded_buffers(pieces, sessions):
+    """The encoder's payload buffers for ``pieces``, in file order, after
+    checking each is ``bytes`` or a C-contiguous 1-D column array."""
+    buffers = list(_buffers(_encode_chunk(pieces, sessions)))
+    for buffer in buffers:
+        if isinstance(buffer, bytes):
             continue
-        assert isinstance(part, np.ndarray), type(part)
-        assert part.ndim == 1 and part.flags.c_contiguous
+        assert isinstance(buffer, np.ndarray), type(buffer)
+        assert buffer.ndim == 1 and buffer.flags.c_contiguous
+    return buffers
+
+
+def encoded(pieces, sessions):
+    """The payload the encoder writes for ``pieces``."""
+    return b"".join(encoded_buffers(pieces, sessions))
 
 
 @st.composite
@@ -545,10 +633,8 @@ class TestEncoderMatchesReference:
         # The pieces encode as their concatenation would have; strided
         # pieces (step > 1) are made contiguous before being referenced.
         framed = list(enumerate(sessions))
-        parts = _encode_chunk(pieces, framed)
-        assert b"".join(parts) == reference_encode(reference_concat(pieces),
-                                                   framed)
-        assert_parts_reference_columns(parts)
+        assert encoded(pieces, framed) == reference_encode(
+            reference_concat(pieces), framed)
 
     @given(events=event_streams(), rows_per_chunk=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
@@ -570,16 +656,17 @@ class TestEncoderMatchesReference:
         assert chunk_payloads(path) == want
 
     def test_sessions_only_chunk(self):
+        # An empty chunk's columns stay at schema width.
         sessions = [(0, SessionRecord(1, "héavy", 0, 0.0, 9.0, 2, 128, 256,
                                       ("user:rdonly",)))]
         empty = reference_encode(OpBatch.empty(0), sessions)
+        assert empty == reference_encode(OpBatch.empty(0), sessions,
+                                         narrow=False)
         for think in (None, np.empty(0, dtype=np.int64)):
             batch = OpBatch.empty(0)
             batch.think_us = think
             for pieces in ([], [batch], [batch, batch]):
-                parts = _encode_chunk(pieces, sessions)
-                assert b"".join(parts) == empty
-                assert_parts_reference_columns(parts)
+                assert encoded(pieces, sessions) == empty
 
     def test_int64_extremes_and_non_ascii_paths(self):
         records = [
@@ -595,8 +682,41 @@ class TestEncoderMatchesReference:
         other = OpBatch.from_records(records[::-1])  # same strings, own tables
         other.think_us = batch.think_us[::-1].copy()
         pieces = [batch.select(slice(0, 5)), other, batch.select(slice(5, None))]
-        assert b"".join(_encode_chunk(pieces, [])) == reference_encode(
+        assert encoded(pieces, []) == reference_encode(
             reference_concat(pieces), [])
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_every_width_edge_round_trips(self, bits):
+        # Each integer column holds the edges of a ``bits``-wide int, or
+        # one past them: stored at exactly the width that holds them,
+        # decoded back to the schema dtype unchanged, -1 indices kept.
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        cases = [([lo, hi, 0], bits)]
+        if bits < 64:
+            cases += [([lo - 1, 0], 2 * bits), ([0, hi + 1], 2 * bits)]
+        for values, want_bits in cases:
+            batch = OpBatch.empty(len(values))
+            batch.kinds[:] = 0
+            batch.flags[:] = np.clip(values, -(1 << 15), (1 << 15) - 1)
+            for name in ("plan_ids", "sizes", "user_ids", "session_ids"):
+                getattr(batch, name)[:] = values
+            batch.think_us = np.array(values, dtype=np.int64)
+            batch.start_us[:] = batch.response_us[:] = 1.5
+            for column, _ in _STRING_COLUMNS:
+                getattr(batch, column)[:] = -1
+            payload = encoded([batch], [])
+            assert payload == reference_encode(batch, [])
+            stored = reference_blocks(payload)[1]
+            for name in ("plan_ids", "sizes", "user_ids", "session_ids",
+                         "think_us"):
+                assert stored[name].dtype == np.dtype(f"<i{want_bits // 8}")
+            assert stored["flags"].dtype.itemsize == min(want_bits, 16) // 8
+            assert stored["path_idx"].dtype == np.int8
+            decoded, _ = _decode_chunk(payload, "c")
+            for name, dtype in (*_COLUMNS, _THINK_COLUMN):
+                got, want = getattr(decoded, name), getattr(batch, name)
+                assert got.dtype == np.dtype(dtype), name
+                assert np.array_equal(got, want), name
 
     def test_a_string_two_tables_share_is_one_entry(self):
         # Distinct table objects holding the same strings: the chunk's
@@ -606,37 +726,47 @@ class TestEncoderMatchesReference:
         b = OpBatch.from_records([OpRecord(1, "t", 0, "read", p, "c",
                                            8, 1.0, 1.0) for p in ("/y", "/x")])
         assert a.paths is not b.paths
-        batch, _ = _decode_chunk(b"".join(_encode_chunk([a, b], [])), "c")
+        batch, _ = _decode_chunk(encoded([a, b], []), "c")
         assert batch.paths.values() == ["/x", "/y"]
         assert batch.path_idx.tolist() == [0, 1, 0]
         assert batch.user_types.values() == ["t"]
 
     def test_unused_string_column_aliases_the_batch(self, tmp_path):
         # Every index -1: the chunk keeps the pieces' own columns, so the
-        # part is the caller's array — same bytes as the reference, and
-        # the reason nothing may touch the rows between _encode_chunk and
-        # the write.
+        # part is the caller's array, cast only as it is written — the
+        # reason nothing may touch the rows between _encode_chunk and
+        # the write.  A float column, and an integer one left at schema
+        # width, is written as the caller's array itself.
         records, _ = small_artifact(str(tmp_path / "unused.opstream"))
         batch = OpBatch.from_records(records)
         batch.path_idx[:] = -1
+        batch.plan_ids[0] = INT64_MAX
         parts = _encode_chunk([batch], [])
-        assert b"".join(parts) == reference_encode(batch, [])
-        assert_parts_reference_columns(parts)
-        columns = [p for p in parts if isinstance(p, np.ndarray)]
-        path_part = columns[[name for name, _ in _COLUMNS].index("path_idx")]
-        assert path_part is batch.path_idx
-        assert columns[1] is batch.plan_ids
+        columns = [p for p in parts if isinstance(p, tuple)]
+        names = [name for name, _ in _COLUMNS]
+        width, (path_part,) = columns[names.index("path_idx")]
+        assert width == np.int8 and path_part is batch.path_idx
+        buffers = encoded_buffers([batch], [])
+        assert b"".join(buffers) == reference_encode(batch, [])
+        arrays = [b for b in buffers if isinstance(b, np.ndarray)]
+        for name in ("kinds", "plan_ids", "start_us", "response_us"):
+            assert arrays[names.index(name)] is getattr(batch, name), name
 
     def test_a_column_of_many_pieces_references_each_piece(self):
         batch = big_batch(600)
         pieces = [batch.select(slice(i, i + 60)) for i in range(0, 600, 60)]
-        parts = _encode_chunk(pieces, [])
-        assert b"".join(parts) == reference_encode(batch, [])
-        sizes = [p for p in parts if isinstance(p, np.ndarray)
-                 and p.dtype == np.int64 and len(p) == 60]
-        assert any(np.shares_memory(p, batch.sizes) for p in sizes)
-        assert not any(isinstance(p, np.ndarray) and len(p) == 600
-                       and p.dtype != np.int32 for p in parts)
+        buffers = encoded_buffers(pieces, [])
+        assert b"".join(buffers) == reference_encode(batch, [])
+        # sizes (up to 2**40) stays int64, start_us is float: each piece
+        # is written as a view of the parent, never a joined copy.
+        for name in ("sizes", "start_us"):
+            views = [b for b in buffers if isinstance(b, np.ndarray)
+                     and len(b) == 60 and b.dtype == getattr(batch, name).dtype
+                     and np.shares_memory(b, getattr(batch, name))]
+            assert len(views) == 10, name
+        # Only the three compacted string columns span the chunk.
+        assert sum(isinstance(b, np.ndarray) and len(b) == 600
+                   for b in buffers) == len(_STRING_COLUMNS)
 
     def test_preamble_memo_is_bounded(self):
         for n in range(3 * streamfile._NPY_HEADERS_MAX):
@@ -652,11 +782,12 @@ class TestEncoderMatchesReference:
     def test_flush_allocates_under_half_the_payload(self, tmp_path,
                                                     piece_rows):
         # The BytesIO encoder copied every column three times and peaked
-        # at ~1.4 x the payload here; the concatenating writer still
-        # copied every row of a many-piece chunk once (~1.4 x).  What is
-        # left (~0.33 x) is the three compacted int32 index columns and
-        # compaction's first-row scatter, plus, over many pieces, one
-        # joined index column at a time.
+        # at ~1.4 x the schema-width payload here; the concatenating
+        # writer still copied every row of a many-piece chunk once
+        # (~1.4 x).  What is left is the three compacted int32 index
+        # columns and compaction's first-row scatter, plus, over many
+        # pieces, one joined column at a time (a width's min/max) and
+        # one piece's narrowed cast at a time (CRC pass, then write).
         n = 20_000
         batch = big_batch(n)
         with sink_at(str(tmp_path / "a.opstream"), n) as sink:
@@ -673,7 +804,7 @@ class TestEncoderMatchesReference:
             assert sink.chunks_written == 1
         (payload,) = chunk_payloads(str(tmp_path / "a.opstream"))
         assert payload == reference_encode(batch, [])
-        assert peak < 0.5 * len(payload), (peak, len(payload))
+        assert peak < 0.5 * n * ROW_BYTES, (peak, n * ROW_BYTES)
 
 
 def npy_block(array, version=(1, 0)):
@@ -713,7 +844,9 @@ HOSTILE_BLOCKS = {
         {"descr": "|O", "fortran_order": False, "shape": (2,)}, b"\0" * 16),
     "fortran order": npy_block_with_header(
         {"descr": "<i8", "fortran_order": True, "shape": (2,)}, b"\0" * 16),
-    "wrong dtype": npy_block(np.array([5, 6], dtype=np.int32)),
+    "unsigned dtype": npy_block(np.array([5, 6], dtype="<u2")),
+    "big-endian narrower dtype": npy_block(np.array([5, 6], dtype=">i2")),
+    "float dtype": npy_block(np.array([5, 6], dtype="<f8")),
     "big-endian dtype": npy_block(np.array([5, 6], dtype=">i8")),
     "too many rows": npy_block(np.array([5, 6, 7], dtype=np.int64)),
     "two axes": npy_block(np.array([[5], [6]], dtype=np.int64)),
@@ -731,12 +864,36 @@ HOSTILE_BLOCKS = {
 }
 
 
+# Blocks outside the width rule in columns other than ``sizes``: wider
+# than the schema dtype, an integer width for a float column, a bool.
+HOSTILE_WIDTHS = {
+    "kinds as <i2": ("kinds", np.zeros(2, dtype="<i2")),
+    "flags as <i4": ("flags", np.zeros(2, dtype="<i4")),
+    "start_us as <i8": ("start_us", np.zeros(2, dtype="<i8")),
+    "flags as bool": ("flags", np.zeros(2, dtype=bool)),
+}
+
+
 class TestHostileNpyBlocks:
     """CRC-valid payloads carrying npy blocks the writer never emits."""
 
     def test_the_untouched_payload_decodes(self):
         batch, frames = _decode_chunk(payload_with(sizes=GOOD_SIZES), "c")
         assert batch.sizes.tolist() == [5, 6] and frames == []
+
+    @pytest.mark.parametrize("width", ["<i1", "<i2", "<i4"])
+    def test_a_narrower_signed_width_decodes_widened(self, width):
+        block = npy_block(np.array([5, -6], dtype=width))
+        batch, _ = _decode_chunk(payload_with(sizes=block), "c")
+        assert batch.sizes.dtype == np.int64
+        assert batch.sizes.tolist() == [5, -6]
+
+    @pytest.mark.parametrize("why", sorted(HOSTILE_WIDTHS))
+    def test_a_width_outside_the_rule_is_rejected(self, why):
+        column, array = HOSTILE_WIDTHS[why]
+        payload = payload_with(**{column: npy_block(array)})
+        with pytest.raises(StreamFormatError, match=column):
+            _decode_chunk(payload, "c")
 
     @pytest.mark.parametrize("why", sorted(HOSTILE_BLOCKS))
     def test_block_is_rejected_with_the_typed_error(self, why):
@@ -1021,6 +1178,56 @@ class TestReaderSlicing:
             assert len(visited) < len(reader.chunk_index)
 
 
+class TestVersionOneFiles:
+    """A format-1 file (every column at schema width) reads as the
+    format-2 file of the same rows."""
+
+    @pytest.fixture()
+    def pair(self, tmp_path):
+        path = str(tmp_path / "v2.opstream")
+        spec = paper_workload_spec(n_users=4, total_files=150, seed=31)
+        with StreamFileSink(path, memory_budget_bytes=ROW_BYTES * 50) as s:
+            WorkloadGenerator(spec).run_simulated(
+                sessions_per_user=2, backend="fast-columnar", log=s)
+        return path, as_version_1(path, str(tmp_path / "v1.opstream"))
+
+    def test_opens_verifies_and_decodes_the_same_chunks(self, pair):
+        v2, v1 = pair
+        assert os.path.getsize(v1) > os.path.getsize(v2)
+        report = verify_stream(v1)
+        assert report.ok and report.complete, report.errors
+        with StreamReader(v1) as old, StreamReader(v2) as new:
+            assert (old.version, new.version) == (1, 2)
+            assert len(old.chunk_index) == len(new.chunk_index) > 1
+            for info in new.chunk_index:
+                a, b = old.read_chunk(info.index), new.read_chunk(info.index)
+                assert a.sessions == b.sessions
+                for name, dtype in (*_COLUMNS, _THINK_COLUMN):
+                    got, want = getattr(a.batch, name), getattr(b.batch, name)
+                    assert got.dtype == want.dtype == np.dtype(dtype)
+                    assert np.array_equal(got, want), name
+                for _, table in _STRING_COLUMNS:
+                    assert (getattr(a.batch, table).values()
+                            == getattr(b.batch, table).values())
+
+    @pytest.mark.parametrize("where", [dict(users=[1, 3]),
+                                       dict(time_range=(0.0, 5e6))])
+    def test_slices_like_the_new_file(self, pair, where):
+        v2, v1 = pair
+        got = [r for b in iter_batches(v1, **where) for r in b.to_records()]
+        want = [r for b in iter_batches(v2, **where) for r in b.to_records()]
+        assert got == want and got
+
+    def test_replays_into_a_fresh_write(self, pair, tmp_path):
+        v2, v1 = pair
+        copy = tmp_path / "replayed.opstream"
+        with StreamReader(v1) as reader:
+            with StreamFileSink(str(copy), ROW_BYTES * 50,
+                                metadata=reader.metadata) as sink:
+                reader.replay(sink)
+        assert copy.read_bytes() == open(v2, "rb").read()
+
+
 class TestConcatRuns:
     """Slices of one parent are compacted as one run, not one by one."""
 
@@ -1040,7 +1247,7 @@ class TestConcatRuns:
                 a.select(slice(30, 32)), a.select(slice(32, 36))]
 
     def test_rows_survive_whatever_tables_they_shared(self):
-        payload = b"".join(_encode_chunk(self.pieces(), []))
+        payload = encoded(self.pieces(), [])
         assert _decode_chunk(payload, "c")[0].to_records() == self.RECORDS
 
     def test_one_compaction_per_run_of_same_table_pieces(self, monkeypatch):
@@ -1085,8 +1292,7 @@ class TestEmptyBatches:
 
     def test_empty_pieces_encode_an_empty_chunk(self):
         for pieces in ([], [OpBatch.from_records([])]):
-            batch, frames = _decode_chunk(
-                b"".join(_encode_chunk(pieces, [])), "c")
+            batch, frames = _decode_chunk(encoded(pieces, []), "c")
             assert len(batch) == 0 and batch.think_us is None
             assert frames == []
 

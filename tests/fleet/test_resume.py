@@ -26,6 +26,7 @@ from repro.fleet import (
     resume_fleet_config,
     run_fleet,
 )
+from tests.core.test_streamfile import as_version_1
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning")
@@ -129,6 +130,30 @@ class TestResumeGolden:
         survivor = next(o for o in resumed.outcomes if o.shard_index == 0)
         assert survivor.reused_rows == survivor.tally.operations
         assert resumed.reused_chunks >= 1
+        assert filecmp.cmp(resumed.out_stream, clean.out_stream,
+                           shallow=False)
+
+
+class TestFormatOneShardTemp:
+    """A shard temp an older build wrote (stream format 1) is no usable
+    prefix: the shard is regenerated, never continued or published."""
+
+    @pytest.mark.parametrize("complete", [False, True],
+                             ids=["crashed", "complete"])
+    def test_resume_regenerates_it(self, tmp_path, complete):
+        # One shard: the temp is published by rename, so a reused
+        # format-1 prefix would reach the artifact itself.
+        clean = run_fleet(_config(tmp_path, name="clean.opstream", shards=1))
+        config = _killed_run(tmp_path, row=1500, shards=1)
+        temp = os.path.join(config.out_stream + ".run", "shard0000.opstream")
+        as_version_1(clean.out_stream if complete else temp, temp)
+        with salvage_stream(temp) as old:
+            assert old.version == 1 and old.complete is complete
+            assert old.chunk_index
+        resumed = run_fleet(resume_fleet_config(config.out_stream + ".run",
+                                                workers=1))
+        assert resumed.reused_chunks == 0
+        assert resumed.tally == clean.tally
         assert filecmp.cmp(resumed.out_stream, clean.out_stream,
                            shallow=False)
 

@@ -524,6 +524,72 @@ class TestStreamCommands:
         assert code == 2
         assert "error:" in captured.err
 
+    def test_info_reports_the_format_and_bytes_per_op_row(self, tmp_path,
+                                                           capsys):
+        from repro.core import StreamReader
+
+        path = self.simulate_artifact(tmp_path)
+        with StreamReader(str(path)) as reader:
+            info = reader.info_kv()
+            rows = reader.total_rows
+        assert info["format version"] == 2
+        assert info["file bytes"] == path.stat().st_size
+        assert info["bytes per op row"] == f"{path.stat().st_size / rows:.2f}"
+        capsys.readouterr()
+        assert main(["stream", "info", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.split() == ["format", "version", ":", "2"]
+                   for line in lines)
+        assert any(line.split() == ["bytes", "per", "op", "row", ":",
+                                    info["bytes per op row"]]
+                   for line in lines)
+
+    def test_info_into_a_closed_pipe_exits_quietly(self, tmp_path):
+        # `stream info A | head -2` once head has gone: no traceback.
+        path = self.simulate_artifact(tmp_path)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "stream", "info", str(path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr
+
+    @pytest.mark.parametrize("users", ["99999999999999999999999",
+                                       "1,-9223372036854775809", "x"])
+    def test_replay_rejects_a_bad_user_list(self, tmp_path, capsys, users):
+        path = self.simulate_artifact(tmp_path)
+        capsys.readouterr()
+        assert main(["stream", "replay", str(path), "--users", users]) == 2
+        assert capsys.readouterr().err.startswith("error: bad --users list")
+
+    @pytest.mark.parametrize("window", ["9:3", "3:3", "nan:inf", "0:nan",
+                                        "1", "1:2:3"])
+    def test_replay_rejects_an_empty_or_nan_window(self, tmp_path, capsys,
+                                                   window):
+        path = self.simulate_artifact(tmp_path)
+        capsys.readouterr()
+        assert main(["stream", "replay", str(path),
+                     f"--window-us={window}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --window-us")
+
+    def test_replay_an_infinite_window_is_everything(self, tmp_path, capsys):
+        path = self.simulate_artifact(tmp_path)
+        out = capsys.readouterr().out
+        assert main(["stream", "replay", str(path),
+                     "--window-us=-inf:inf"]) == 0
+        sliced = capsys.readouterr().out
+        ops = out.split("op stream (")[1].split(" ops)")[0]
+        assert f"Replayed {ops} op rows" in sliced
+
     def test_fleet_out_stream_shard_invariant(self, tmp_path, capsys):
         blobs = []
         for shards in ("1", "2"):
