@@ -1,12 +1,10 @@
 """On-disk op-stream artifacts — the run as a durable, re-readable file.
 
-Every in-memory path so far (``UsageLog``, ``WorkloadTally``) either
-stores the whole run or only its statistics.  At the ROADMAP's
-million-user scale neither is enough: downstream consumers need the
-*operation stream itself* — LWS-style log-driven replay wants the exact
-ops, not a regeneration — and the machine generating it cannot hold it.
-``repro.core.streamfile`` makes the op stream a file, with one writer
-and one reader:
+An in-memory ``UsageLog`` or ``WorkloadTally`` stores the whole run or
+only its statistics.  At million-user scale consumers need the *op
+stream itself* (LWS-style log-driven replay wants the exact ops, not a
+regeneration) and the generating machine cannot hold it, so this module
+makes it a file, with one writer and one reader:
 
 * :class:`StreamFileSink` is the writer: an
   :class:`~repro.core.oplog.OpSink` that spills
@@ -47,9 +45,13 @@ field range-checked; any truncation, bit flip or out-of-range field
 surfaces as :class:`StreamFormatError`, never as garbage records.
 
 Reading is said once: :func:`_read_frame` is the one frame walk (seek,
-frame head, length bounded by the file size, read, CRC) and
-``StreamReader._events`` the one interleave of a chunk's op rows and
-session summaries, behind replay, the shard merge and resume.
+frame head, length bounded by the file size, read, CRC),
+:func:`_check_chunk` the one payload check and ``StreamReader._events``
+the one interleave of a chunk's op rows and session summaries, behind
+replay, the shard merge and resume.  ``read_chunk`` decodes a whole
+chunk; a user or time slice runs the same checks on the chunk as
+stored, widens only the rows it returns and reuses a chunk's parsed
+string tables while their bytes stay the same (a bounded memo).
 
 Crash recovery trusts the file alone.  The writer flushes every chunk
 frame as it writes it, so a killed process leaves whole frames;
@@ -62,8 +64,7 @@ chunk.  Nothing beside the artifact is written or read.
 Versioning: ``FORMAT_VERSION`` bumps on any layout change; readers
 reject newer versions loudly.  Version 2 narrowed the integer columns;
 a version-1 file is the all-schema-width case and reads the same way.
-See ``docs/architecture.md`` for the format's rationale and evolution
-rules.
+``docs/architecture.md`` gives the format's rationale and evolution rules.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import numbers
 import os
 import struct
 import time
@@ -372,7 +374,7 @@ def _buffers(parts: list[bytes | tuple[np.dtype, list[np.ndarray]]]):
                 yield np.ascontiguousarray(column, dtype=width)
 
 
-def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
+def _read_table(payload: bytes, pos: int) -> tuple[list[str], int]:
     """The string table at ``pos`` and the offset just past it."""
     unpack, end = _U32.unpack_from, len(payload)
     (count,) = unpack(payload, pos)
@@ -384,20 +386,21 @@ def _read_table(payload: bytes, pos: int) -> tuple[StringTable, int]:
         if pos > end:
             raise struct.error("string table runs past the payload")
         values.append(payload[pos - nbytes:pos].decode("utf-8"))
-    return StringTable(values), pos
+    return values, pos
 
 
-def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
+def _read_array(payload: bytes, pos: int, name: str,
                 widths: tuple[np.dtype, ...], n: int
                 ) -> tuple[np.ndarray, int]:
-    """The npy-framed column at ``pos``, widened to ``dtype``, and the
-    offset just past it.
+    """The npy-framed column at ``pos``, as stored, and the offset just
+    past it.
 
     The block must hold ``n`` rows at one of the file dtypes ``widths``.
-    The array is a copy that owns its memory, not a view: a consumer
-    keeping one column of each chunk must not pin every payload.  New
-    headers go through numpy's own parser, so nothing numpy rejects is
-    accepted, nor is anything but npy 1.0, C order, no object dtype.
+    The array is a view of ``payload``: :func:`_batch` widens it into a
+    copy that owns its memory, since a consumer keeping one column of
+    each chunk must not pin every payload.  New headers go through
+    numpy's own parser, so nothing numpy rejects is accepted, nor is
+    anything but npy 1.0, C order, no object dtype.
     """
     (nbytes,) = _U64.unpack_from(payload, pos)
     pos += _U64.size
@@ -432,28 +435,38 @@ def _read_array(payload: bytes, pos: int, name: str, dtype: np.dtype,
         raise StreamFormatError(
             f"column {name!r}: expected {n} x {'/'.join(allowed)}, got "
             f"{shape} x {found.str} in {stop - data} bytes")
-    return np.frombuffer(payload, found, n, data).astype(dtype), stop
+    return np.frombuffer(payload, found, n, data), stop
 
 
-def _decode_chunk(payload: bytes, what: str):
+def _check_chunk(payload: bytes, what: str, known: tuple = (b"", None)):
     """One bounds-checked forward pass over a CRC-checked chunk payload.
 
-    Returns the op rows and the *framed* session records: ``(position,
-    line bytes)`` pairs whose extents and count are checked here and
-    whose text :func:`_parse_sessions` parses when someone reads it.
+    Returns ``(tables, region, columns, frames)``: the string tables'
+    values, the bytes they were parsed from, the columns as stored
+    (:func:`_read_array`; range checks run on them, and narrowing keeps
+    values) and the *framed* session records: ``(position, line
+    bytes)`` pairs whose extents and count are checked here and whose
+    text :func:`_parse_sessions` parses when someone reads it.  Given an
+    earlier pass's ``(region, tables)`` as ``known``, a payload whose
+    table region starts with those bytes has those tables unparsed.
     """
     try:
         n, has_think = _CHUNK_HEAD.unpack_from(payload, 0)
         if has_think not in (0, 1):
             raise StreamFormatError(f"{what}: bad think flag {has_think}")
         pos = _CHUNK_HEAD.size
-        tables = {}
-        for _, table in _STRING_COLUMNS:
-            tables[table], pos = _read_table(payload, pos)
+        region, tables = known
+        if tables is not None and payload.startswith(region, pos):
+            pos += len(region)
+        else:
+            tables = []
+            for _ in _STRING_COLUMNS:
+                values, pos = _read_table(payload, pos)
+                tables.append(values)
+            region = memoryview(payload)[_CHUNK_HEAD.size:pos]
         columns = {}
-        for name, dtype, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-            columns[name], pos = _read_array(payload, pos, name, dtype,
-                                             widths, n)
+        for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
+            columns[name], pos = _read_array(payload, pos, name, widths, n)
         (n_sessions,) = _U32.unpack_from(payload, pos)
         pos += _U32.size
         frames = []
@@ -472,16 +485,33 @@ def _decode_chunk(payload: bytes, what: str):
     kinds = columns["kinds"]
     if n and (int(kinds.min()) < 0 or int(kinds.max()) >= len(OP_KIND_NAMES)):
         raise StreamFormatError(f"{what}: op kind outside the kind table")
-    for column, table in _STRING_COLUMNS:
+    for (column, _), values in zip(_STRING_COLUMNS, tables):
         idx = columns[column]
-        if n and (int(idx.min()) < -1
-                  or int(idx.max()) >= len(tables[table])):
+        if n and (int(idx.min()) < -1 or int(idx.max()) >= len(values)):
             raise StreamFormatError(f"{what}: {column} out of table range")
-    return OpBatch(**columns, **tables), frames
+    return tables, region, columns, frames
+
+
+def _batch(tables, columns: dict, rows=None) -> OpBatch:
+    """The stored ``columns`` (only ``rows``, if given) as an
+    :class:`OpBatch`: each widened to its schema dtype into a fresh array
+    that owns its memory, each table a fresh :class:`StringTable`."""
+    widened = {}
+    for name, dtype, _ in _COLUMN_DTYPES[:len(columns)]:
+        column = columns[name] if rows is None else columns[name].take(rows)
+        widened[name] = column.astype(dtype, copy=rows is None)
+    return OpBatch(**widened, **{table: StringTable(values) for (_, table),
+                                 values in zip(_STRING_COLUMNS, tables)})
+
+
+def _decode_chunk(payload: bytes, what: str):
+    """A payload checked by :func:`_check_chunk`, decoded whole."""
+    tables, _, columns, frames = _check_chunk(payload, what)
+    return _batch(tables, columns), frames
 
 
 def _parse_sessions(frames, what: str) -> list[tuple[int, SessionRecord]]:
-    """Parse the session lines :func:`_decode_chunk` framed."""
+    """Parse the session lines :func:`_check_chunk` framed."""
     try:
         return [(position, SessionRecord.from_line(raw.decode("utf-8")))
                 for position, raw in frames]
@@ -839,11 +869,34 @@ class StreamChunk:
 
 
 def _normalize_users(users) -> "np.ndarray | None":
+    """``users`` (an int id or an iterable of them) as sorted unique
+    int64s: a bool, float or string is a TypeError, an id outside int64
+    a ValueError."""
     if users is None:
         return None
-    if isinstance(users, (int, np.integer)):
-        return np.array([int(users)], dtype=np.int64)
-    return np.unique(np.array([int(u) for u in users], dtype=np.int64))
+    scalar = (int, np.integer, str, bytes, bytearray)
+    ids = [users] if isinstance(users, scalar) else list(users)
+    if not all(isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+               for u in ids):
+        raise TypeError(f"users must be int ids, got {users!r}")
+    if not all(-2**63 <= int(u) < 2**63 for u in ids):
+        raise ValueError(f"users {users!r}: an id is outside int64")
+    return np.unique(np.array([int(u) for u in ids], dtype=np.int64))
+
+
+def _normalize_window(time_range) -> "tuple | None":
+    """``time_range`` as a ``(lo, hi)`` pair of numbers with ``lo < hi``
+    (never true of a NaN bound; ``±inf`` is fine), else a ValueError."""
+    if time_range is None:
+        return None
+    try:
+        lo, hi = time_range
+        if all(isinstance(b, numbers.Real) for b in (lo, hi)) and lo < hi:
+            return lo, hi
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("time_range must be (lo, hi) with lo < hi, got "
+                     f"{time_range!r}")
 
 
 class StreamReader:
@@ -866,6 +919,8 @@ class StreamReader:
 
     def _open(self, path: str, salvage: bool) -> None:
         self.path = path
+        # Chunk index -> (table bytes, tables), filled by :meth:`_slice`.
+        self._memo, self._memo_bytes = {}, 0
         self.complete, self.damage = True, []
         try:
             self._stream = open(path, "rb")
@@ -1037,7 +1092,9 @@ class StreamReader:
                     break
                 if kind != _FRAME_CHUNK:
                     raise StreamFormatError(f"unknown frame type {kind!r}")
-                chunk = self._decode(index, payload, row_start)
+                tables, _, columns, frames = self._checked(index, payload,
+                                                           row_start)
+                chunk = StreamChunk(index, _batch(tables, columns), frames)
                 sessions = chunk.sessions
             except StreamFormatError as exc:
                 self.damage.append(f"{exc} (offset {pos})")
@@ -1047,7 +1104,7 @@ class StreamReader:
                 **_entry_from_chunk(pos, [chunk.batch], sessions)))
             row_start += len(chunk.batch)
             pos = stop
-            payload = chunk = sessions = None  # not alive into the next
+            payload = columns = chunk = sessions = None  # not alive later
         self._index_as(chunks, sum(c.sessions for c in chunks), pos)
 
     def _index_as(self, chunks, total_sessions: int, data_end: int) -> None:
@@ -1060,6 +1117,7 @@ class StreamReader:
         """Forget chunks ``n`` on: the reader then indexes (and replays)
         only the first ``n``, and ``data_end`` is where chunk ``n``
         began."""
+        self._memo, self._memo_bytes = {}, 0
         if n < len(self.chunk_index):
             chunks = self.chunk_index[:n]
             self._index_as(chunks, sum(c.sessions for c in chunks),
@@ -1068,33 +1126,67 @@ class StreamReader:
     def _read_frame(self, offset: int, what: str):
         return _read_frame(self._stream, offset, self._size, what)[:2]
 
-    def _decode(self, index: int, payload: bytes,
-                row_start: int) -> StreamChunk:
-        """Chunk ``index``'s payload, its session positions checked to
-        run in order within the chunk's rows."""
+    def _checked(self, index: int, payload: bytes, row_start: int,
+                 known: tuple = (b"", None)) -> tuple:
+        """Chunk ``index``'s payload through :func:`_check_chunk`, its
+        session positions checked to run in order within the chunk's
+        rows."""
         what = f"chunk {index}"
-        batch, frames = _decode_chunk(payload, what)
-        bounds = [row_start, *(position for position, _ in frames),
-                  row_start + len(batch)]
+        checked = _check_chunk(payload, what, known)
+        bounds = [row_start, *(position for position, _ in checked[3]),
+                  row_start + len(checked[2]["kinds"])]
         if bounds != sorted(bounds):
             raise StreamFormatError(
                 f"{what}: session positions out of order or outside its rows")
-        return StreamChunk(index, batch, frames)
+        return checked
 
     # -- access ---------------------------------------------------------------
 
-    def read_chunk(self, index: int) -> StreamChunk:
-        """Decode chunk ``index`` (CRC-checked seek through the index)."""
+    def _stored(self, index: int, known: tuple = (b"", None)) -> tuple:
+        """Chunk ``index`` read (CRC-checked seek through the index),
+        checked whole by :meth:`_checked` and against the footer: what
+        :meth:`read_chunk` decodes and a filtered read slices."""
         info = self.chunk_index[index]
         kind, payload = self._read_frame(info.offset, f"chunk {index}")
         if kind != _FRAME_CHUNK:
             raise StreamFormatError(f"chunk {index}: not a chunk frame")
-        chunk = self._decode(index, payload, info.row_start)
-        if len(chunk.batch) != info.rows or len(chunk.frames) != info.sessions:
+        checked = self._checked(index, payload, info.row_start, known)
+        if (len(checked[2]["kinds"]) != info.rows
+                or len(checked[3]) != info.sessions):
             raise StreamFormatError(
                 f"chunk {index}: payload disagrees with the footer index"
             )
-        return chunk
+        return checked
+
+    def read_chunk(self, index: int) -> StreamChunk:
+        """Decode chunk ``index`` whole: every column widened."""
+        tables, _, columns, frames = self._stored(index)
+        return StreamChunk(index, _batch(tables, columns), frames)
+
+    def _slice(self, index: int, users: "np.ndarray | None",
+               time_range) -> OpBatch:
+        """Chunk ``index``'s rows that ``users`` and ``time_range``
+        select, the chunk checked whole but only those rows widened.  Its
+        tables come from the memo if its table bytes are those they were
+        parsed from; the memo holds at most one chunk's budget of table
+        bytes, dropping its oldest entries first."""
+        memo = self._memo
+        known = memo.pop(index, (b"", None))
+        self._memo_bytes -= len(known[0])
+        tables, region, columns, _ = self._stored(index, known)
+        region, budget = bytes(region), self.rows_per_chunk * ROW_BYTES
+        while memo and self._memo_bytes + len(region) > budget:
+            self._memo_bytes -= len(memo.pop(next(iter(memo)))[0])
+        if self._memo_bytes + len(region) <= budget:
+            memo[index] = region, tables
+            self._memo_bytes += len(region)
+        mask = np.ones(len(columns["kinds"]), dtype=bool)
+        if users is not None:
+            mask &= np.isin(columns["user_ids"], users)
+        if time_range is not None:
+            starts = columns["start_us"]
+            mask &= (starts >= time_range[0]) & (starts < time_range[1])
+        return _batch(tables, columns, np.flatnonzero(mask))
 
     def _chunk_matches(self, info: ChunkInfo, users: "np.ndarray | None",
                        time_range) -> bool:
@@ -1114,8 +1206,10 @@ class StreamReader:
         """Yield op-row batches, row-filtered by user and time window.
 
         ``users`` is a user id or an iterable of them; ``time_range`` a
-        ``(lo, hi)`` half-open window over op start times.  Chunks the
-        index rules out are never read.
+        ``(lo, hi)`` half-open window over op start times.  Both are
+        checked before any chunk is read.  Chunks the index rules out
+        are never read; a filtered read checks the chunks it reads whole
+        but widens only the rows it yields (:meth:`_slice`).
 
         The reader keeps no decoded chunk alive while it decodes the
         next, but it cannot release the caller's loop variable: ``for
@@ -1124,18 +1218,14 @@ class StreamReader:
         chunk at a time ends its loop body with ``del batch``.
         """
         norm = _normalize_users(users)
+        time_range = _normalize_window(time_range)
         for info in self.chunk_index:
             if not self._chunk_matches(info, norm, time_range):
                 continue
-            batch = self.read_chunk(info.index).batch
-            if norm is not None or time_range is not None:
-                mask = np.ones(len(batch), dtype=bool)
-                if norm is not None:
-                    mask &= np.isin(batch.user_ids, norm)
-                if time_range is not None:
-                    lo, hi = time_range
-                    mask &= (batch.start_us >= lo) & (batch.start_us < hi)
-                batch = batch.select(mask)  # a copy: the chunk goes here
+            if norm is None and time_range is None:
+                batch = self.read_chunk(info.index).batch
+            else:
+                batch = self._slice(info.index, norm, time_range)
             if len(batch):
                 yield batch
             batch = None  # not alive while the next chunk decodes

@@ -5,7 +5,8 @@ payload written by something else is still outside input.  Every field
 of one real payload is mutated here and the frame re-CRC'd, and either
 ``verify_stream`` reports the artifact not ok, or replaying it into a
 ``UsageLog`` and a ``ShardAccumulator`` succeeds.  Replay never raises
-anything but ``StreamFormatError``.
+anything but ``StreamFormatError``, and a filtered read that touches the
+mutated chunk raises exactly when ``read_chunk`` does.
 
 The field map comes from :func:`payload_fields`, a parser of the chunk
 layout that shares no code with the decoder under test.
@@ -15,6 +16,7 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -321,3 +323,67 @@ class TestPayloadSweep:
         assert any("session positions" in e for e in report.errors)
         assert replay_outcome(artifact) is False
 
+
+
+def outcome(read):
+    """None if ``read()`` succeeds, else its StreamFormatError's text."""
+    try:
+        read()
+    except StreamFormatError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def selectors(source):
+    """Filters the index sends to chunk 1: its first user, a window over
+    its rows, and a window between two of its start times, which selects
+    none of its rows."""
+    with StreamReader(source) as reader:
+        info = reader.chunk_index[1]
+        starts = np.unique(reader.read_chunk(1).batch.start_us)
+        gap = (float(starts[0]) + float(starts[1])) / 2
+        found = [dict(users=[info.user_lo]),
+                 dict(time_range=(info.start_lo, info.start_hi)),
+                 dict(time_range=(gap, float(starts[1])))]
+        visited = []
+        stored = reader._stored
+        reader._stored = lambda i, *a: (visited.append(i), stored(i, *a))[1]
+        for selector in found:
+            visited.clear()
+            list(reader.iter_batches(**selector))
+            assert 1 in visited, selector
+    return found
+
+
+def _first_row(column, value):
+    """Set row 0 of ``column`` to ``value`` at the column's stored width."""
+    def mutate(payload):
+        fields = payload_fields(payload)
+        at, n = fields[("data", column)]
+        (nbytes,) = struct.unpack_from("<Q", payload, fields[("npy-length",
+                                                              column)][0])
+        width = (nbytes - 10 - fields[("npy-header", column)][1]) // n
+        raw = value.to_bytes(width, "little", signed=True)
+        return payload[:at] + raw + payload[at + width:]
+    return mutate
+
+
+# Out-of-table values in row 0, which the empty-selection filter skips.
+ROW_MUTATIONS = {"row kind past the table": _first_row("kinds", 12),
+                 **{f"row {column} below -1": _first_row(column, -2)
+                    for column in ("path_idx", "category_idx",
+                                   "user_type_idx")}}
+
+
+class TestFilteredReadsCheckWholeChunks:
+    @pytest.mark.parametrize("why", sorted(MUTATIONS) + sorted(ROW_MUTATIONS))
+    def test_a_slice_fails_exactly_when_read_chunk_does(self, artifact,
+                                                        selectors, why):
+        reframe_chunk(artifact, 1, {**MUTATIONS, **ROW_MUTATIONS}[why])
+        with StreamReader(artifact) as reader:
+            want = outcome(lambda: reader.read_chunk(1))
+            assert want is not None or why not in ROW_MUTATIONS
+            for selector in selectors:
+                got = outcome(lambda: list(reader.iter_batches(**selector)))
+                assert got == want, selector

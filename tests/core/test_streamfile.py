@@ -1171,8 +1171,8 @@ class TestReaderSlicing:
                 if c.rows and c.user_hi >= 3
             ]
             visited = []
-            read_chunk = reader.read_chunk
-            reader.read_chunk = lambda i: (visited.append(i), read_chunk(i))[1]
+            stored = reader._stored  # every filtered chunk read
+            reader._stored = lambda i, *a: (visited.append(i), stored(i, *a))[1]
             assert sum(map(len, reader.iter_batches(users=[3]))) > 0
             assert visited == last_user_chunks
             assert len(visited) < len(reader.chunk_index)
