@@ -592,14 +592,14 @@ def _main_stream(args: argparse.Namespace) -> int:
         return 0
 
     if args.stream_command == "replay":
+        from .core.streamfile import _normalize_users, _normalize_window
         from .fleet.merge import ShardAccumulator
 
         users = None
         if args.users is not None:
             try:
-                users = [int(u) for u in args.users.split(",") if u]
-                if not all(-2**63 <= u < 2**63 for u in users):
-                    raise ValueError("user id outside int64")
+                users = _normalize_users(
+                    [int(u) for u in args.users.split(",") if u])
             except ValueError:
                 print(f"error: bad --users list {args.users!r}",
                       file=sys.stderr)
@@ -607,10 +607,8 @@ def _main_stream(args: argparse.Namespace) -> int:
         time_range = None
         if args.window_us is not None:
             try:
-                lo, hi = map(float, args.window_us.split(":"))
-                if not lo < hi:  # also false when either is NaN
-                    raise ValueError("empty window")
-                time_range = (lo, hi)
+                time_range = _normalize_window(
+                    tuple(map(float, args.window_us.split(":"))))
             except ValueError:
                 print("error: --window-us wants LO:HI with LO < HI, got "
                       f"{args.window_us!r}", file=sys.stderr)

@@ -71,10 +71,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import numbers
 import os
 import struct
+import sys
 import time
 import warnings
 import zlib
@@ -438,17 +440,19 @@ def _read_array(payload: bytes, pos: int, name: str,
     return np.frombuffer(payload, found, n, data), stop
 
 
-def _check_chunk(payload: bytes, what: str, known: tuple = (b"", None)):
+def _check_chunk(payload: bytes, what: str, row_start: "int | None" = None,
+                 footer: "ChunkInfo | None" = None,
+                 known: tuple = (b"", None)):
     """One bounds-checked forward pass over a CRC-checked chunk payload.
 
-    Returns ``(tables, region, columns, frames)``: the string tables'
-    values, the bytes they were parsed from, the columns as stored
-    (:func:`_read_array`; range checks run on them, and narrowing keeps
-    values) and the *framed* session records: ``(position, line
-    bytes)`` pairs whose extents and count are checked here and whose
-    text :func:`_parse_sessions` parses when someone reads it.  Given an
-    earlier pass's ``(region, tables)`` as ``known``, a payload whose
-    table region starts with those bytes has those tables unparsed.
+    Returns the string tables' values, the bytes they were parsed from
+    (a payload whose table region starts with the bytes of ``known``,
+    an earlier pass's ``(region, tables)``, has those tables), the
+    columns as stored (range checks run on them: narrowing keeps values)
+    and the *framed* session records, ``(position, line bytes)`` pairs
+    :func:`_parse_sessions` parses when someone reads them.  Session
+    positions must run in order from ``row_start``, and the rows and
+    sessions must match the ``footer`` entry, when those are given.
     """
     try:
         n, has_think = _CHUNK_HEAD.unpack_from(payload, 0)
@@ -463,7 +467,7 @@ def _check_chunk(payload: bytes, what: str, known: tuple = (b"", None)):
             for _ in _STRING_COLUMNS:
                 values, pos = _read_table(payload, pos)
                 tables.append(values)
-            region = memoryview(payload)[_CHUNK_HEAD.size:pos]
+            region = payload[_CHUNK_HEAD.size:pos]
         columns = {}
         for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
             columns[name], pos = _read_array(payload, pos, name, widths, n)
@@ -489,6 +493,16 @@ def _check_chunk(payload: bytes, what: str, known: tuple = (b"", None)):
         idx = columns[column]
         if n and (int(idx.min()) < -1 or int(idx.max()) >= len(values)):
             raise StreamFormatError(f"{what}: {column} out of table range")
+    if row_start is not None:
+        bounds = [row_start, *(position for position, _ in frames),
+                  row_start + n]
+        if bounds != sorted(bounds):
+            raise StreamFormatError(f"{what}: session positions out of "
+                                    "order or outside its rows")
+    if footer is not None and (n != footer.rows
+                               or len(frames) != footer.sessions):
+        raise StreamFormatError(
+            f"{what}: payload disagrees with the footer index")
     return tables, region, columns, frames
 
 
@@ -504,9 +518,12 @@ def _batch(tables, columns: dict, rows=None) -> OpBatch:
                                  values in zip(_STRING_COLUMNS, tables)})
 
 
-def _decode_chunk(payload: bytes, what: str):
-    """A payload checked by :func:`_check_chunk`, decoded whole."""
-    tables, _, columns, frames = _check_chunk(payload, what)
+def _decode_chunk(payload: bytes, what: str, row_start: "int | None" = None,
+                  footer: "ChunkInfo | None" = None):
+    """A payload checked by :func:`_check_chunk`, decoded whole: the one
+    whole-chunk decode, behind ``read_chunk`` and the salvage scan."""
+    tables, _, columns, frames = _check_chunk(payload, what, row_start,
+                                              footer)
     return _batch(tables, columns), frames
 
 
@@ -869,9 +886,8 @@ class StreamChunk:
 
 
 def _normalize_users(users) -> "np.ndarray | None":
-    """``users`` (an int id or an iterable of them) as sorted unique
-    int64s: a bool, float or string is a TypeError, an id outside int64
-    a ValueError."""
+    """``users``, an int id or an iterable of them, as sorted unique
+    int64s (a bool, float or string id: TypeError; past int64: ValueError)."""
     if users is None:
         return None
     scalar = (int, np.integer, str, bytes, bytearray)
@@ -919,7 +935,7 @@ class StreamReader:
 
     def _open(self, path: str, salvage: bool) -> None:
         self.path = path
-        # Chunk index -> (table bytes, tables), filled by :meth:`_slice`.
+        # Chunk index -> (table bytes, tables, cost), filled by _slice.
         self._memo, self._memo_bytes = {}, 0
         self.complete, self.damage = True, []
         try:
@@ -1092,9 +1108,8 @@ class StreamReader:
                     break
                 if kind != _FRAME_CHUNK:
                     raise StreamFormatError(f"unknown frame type {kind!r}")
-                tables, _, columns, frames = self._checked(index, payload,
-                                                           row_start)
-                chunk = StreamChunk(index, _batch(tables, columns), frames)
+                chunk = StreamChunk(index, *_decode_chunk(
+                    payload, f"chunk {index}", row_start))
                 sessions = chunk.sessions
             except StreamFormatError as exc:
                 self.damage.append(f"{exc} (offset {pos})")
@@ -1104,7 +1119,7 @@ class StreamReader:
                 **_entry_from_chunk(pos, [chunk.batch], sessions)))
             row_start += len(chunk.batch)
             pos = stop
-            payload = columns = chunk = sessions = None  # not alive later
+            payload = chunk = sessions = None  # not alive into the next
         self._index_as(chunks, sum(c.sessions for c in chunks), pos)
 
     def _index_as(self, chunks, total_sessions: int, data_end: int) -> None:
@@ -1126,60 +1141,45 @@ class StreamReader:
     def _read_frame(self, offset: int, what: str):
         return _read_frame(self._stream, offset, self._size, what)[:2]
 
-    def _checked(self, index: int, payload: bytes, row_start: int,
-                 known: tuple = (b"", None)) -> tuple:
-        """Chunk ``index``'s payload through :func:`_check_chunk`, its
-        session positions checked to run in order within the chunk's
-        rows."""
-        what = f"chunk {index}"
-        checked = _check_chunk(payload, what, known)
-        bounds = [row_start, *(position for position, _ in checked[3]),
-                  row_start + len(checked[2]["kinds"])]
-        if bounds != sorted(bounds):
-            raise StreamFormatError(
-                f"{what}: session positions out of order or outside its rows")
-        return checked
-
     # -- access ---------------------------------------------------------------
 
-    def _stored(self, index: int, known: tuple = (b"", None)) -> tuple:
-        """Chunk ``index`` read (CRC-checked seek through the index),
-        checked whole by :meth:`_checked` and against the footer: what
-        :meth:`read_chunk` decodes and a filtered read slices."""
+    def _payload(self, index: int) -> tuple[ChunkInfo, bytes]:
+        """Chunk ``index``'s footer entry and CRC-checked payload."""
         info = self.chunk_index[index]
         kind, payload = self._read_frame(info.offset, f"chunk {index}")
         if kind != _FRAME_CHUNK:
             raise StreamFormatError(f"chunk {index}: not a chunk frame")
-        checked = self._checked(index, payload, info.row_start, known)
-        if (len(checked[2]["kinds"]) != info.rows
-                or len(checked[3]) != info.sessions):
-            raise StreamFormatError(
-                f"chunk {index}: payload disagrees with the footer index"
-            )
-        return checked
+        return info, payload
 
     def read_chunk(self, index: int) -> StreamChunk:
         """Decode chunk ``index`` whole: every column widened."""
-        tables, _, columns, frames = self._stored(index)
-        return StreamChunk(index, _batch(tables, columns), frames)
+        info, payload = self._payload(index)
+        return StreamChunk(index, *_decode_chunk(
+            payload, f"chunk {index}", info.row_start, info))
 
     def _slice(self, index: int, users: "np.ndarray | None",
                time_range) -> OpBatch:
         """Chunk ``index``'s rows that ``users`` and ``time_range``
         select, the chunk checked whole but only those rows widened.  Its
         tables come from the memo if its table bytes are those they were
-        parsed from; the memo holds at most one chunk's budget of table
-        bytes, dropping its oldest entries first."""
+        parsed from.  An entry costs its table bytes plus the parsed
+        strings and their lists; the memo holds at most one chunk's
+        budget of them, dropping its oldest entries first."""
         memo = self._memo
-        known = memo.pop(index, (b"", None))
-        self._memo_bytes -= len(known[0])
-        tables, region, columns, _ = self._stored(index, known)
-        region, budget = bytes(region), self.rows_per_chunk * ROW_BYTES
-        while memo and self._memo_bytes + len(region) > budget:
-            self._memo_bytes -= len(memo.pop(next(iter(memo)))[0])
-        if self._memo_bytes + len(region) <= budget:
-            memo[index] = region, tables
-            self._memo_bytes += len(region)
+        entry = memo.pop(index, (b"", None, 0))
+        self._memo_bytes -= entry[2]
+        info, payload = self._payload(index)
+        tables, region, columns, _ = _check_chunk(
+            payload, f"chunk {index}", info.row_start, info, entry[:2])
+        if tables is not entry[1]:  # parsed by this read
+            entry = (region, tables, len(region) + sum(
+                map(sys.getsizeof, itertools.chain(tables, *tables))))
+        budget = self.rows_per_chunk * ROW_BYTES
+        while memo and self._memo_bytes + entry[2] > budget:
+            self._memo_bytes -= memo.pop(next(iter(memo)))[2]
+        if self._memo_bytes + entry[2] <= budget:
+            memo[index] = entry
+            self._memo_bytes += entry[2]
         mask = np.ones(len(columns["kinds"]), dtype=bool)
         if users is not None:
             mask &= np.isin(columns["user_ids"], users)

@@ -347,8 +347,8 @@ def selectors(source):
                  dict(time_range=(info.start_lo, info.start_hi)),
                  dict(time_range=(gap, float(starts[1])))]
         visited = []
-        stored = reader._stored
-        reader._stored = lambda i, *a: (visited.append(i), stored(i, *a))[1]
+        sliced = reader._slice
+        reader._slice = lambda i, *a: (visited.append(i), sliced(i, *a))[1]
         for selector in found:
             visited.clear()
             list(reader.iter_batches(**selector))

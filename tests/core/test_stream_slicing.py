@@ -9,6 +9,8 @@ the whole-chunk decode (``read_chunk``) with a plain numpy mask.
 
 import math
 import struct
+import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -221,7 +223,9 @@ class TestValidSelectorsStillRead:
 
 
 def memo_bytes(reader):
-    return sum(len(region) for region, _ in reader._memo.values())
+    """What the memo holds: table bytes, parsed strings and their lists."""
+    return sum(len(region) + sum(map(sys.getsizeof, [*tables, *chain(*tables)]))
+               for region, tables, _ in reader._memo.values())
 
 
 def rewrite_first_path(path, index):

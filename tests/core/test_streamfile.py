@@ -1171,8 +1171,8 @@ class TestReaderSlicing:
                 if c.rows and c.user_hi >= 3
             ]
             visited = []
-            stored = reader._stored  # every filtered chunk read
-            reader._stored = lambda i, *a: (visited.append(i), stored(i, *a))[1]
+            sliced = reader._slice  # every filtered chunk read
+            reader._slice = lambda i, *a: (visited.append(i), sliced(i, *a))[1]
             assert sum(map(len, reader.iter_batches(users=[3]))) > 0
             assert visited == last_user_chunks
             assert len(visited) < len(reader.chunk_index)
