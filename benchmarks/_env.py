@@ -1,27 +1,17 @@
-"""Shared environment envelope for ``BENCH_*.json`` result files.
+"""The machine fingerprint stamped into benchmark results.
 
-Every benchmark stamps its machine-readable results with the same
-``env`` block — hostname, platform, CPU count, python/numpy versions —
-so a recorded throughput number can always be traced back to the
-machine that produced it.  The benchmarks import this both as a package
-module (pytest collects ``benchmarks/`` as a package) and as a plain
-script neighbour (``python benchmarks/bench_X.py``), hence the dual
-import dance at each call site::
-
-    try:
-        from ._env import write_results_json as _write_env_json
-    except ImportError:  # script mode: benchmarks/ is sys.path[0]
-        from _env import write_results_json as _write_env_json
+``benchmarks/e2e/host.py`` extends it with nproc and the git SHA, so a
+recorded number can always be traced back to the machine that produced
+it.
 """
 
-import json
 import os
 import platform
 import socket
 
 
 def bench_env() -> dict:
-    """The machine/toolchain fingerprint stamped into every envelope."""
+    """The machine/toolchain fingerprint stamped into every result."""
     import numpy
 
     return {
@@ -31,13 +21,3 @@ def bench_env() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
     }
-
-
-def write_results_json(results: dict, path: str) -> str:
-    """Write ``results`` (plus the ``env`` stamp) as JSON; returns path."""
-    results = dict(results)
-    results.setdefault("env", bench_env())
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(results, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    return path

@@ -17,18 +17,18 @@ Two implementations ship:
   :class:`~repro.core.opbatch.OpBatch`; service times and start clocks
   are single array expressions per block, and per-session slices flow to
   the sink via ``record_batch``.
-  Tens of times the DES's ops/s (the floor ``benchmarks/
-  bench_backends.py`` enforces is 40x); identical op stream.
+  Tens of times the DES's ops/s (README, "Tests and benchmarks", gives
+  the ``fleet run`` that measures the ratio); identical op stream.
   ``ColumnarReplayBackend`` is an empty subclass kept for its name,
   and the backend names ``fast`` and ``fast-columnar`` both select it.
 
 Both record through the :class:`~repro.core.oplog.OpSink` protocol.
 Because synthesis is a pure function of ``(root seed, user id)``, the
 backends emit **byte-identical** op sequences (op kind, path, size) —
-only ``start_us``/``response_us`` differ.  ``benchmarks/
-bench_backends.py`` asserts the identity and records the speedup in
-``BENCH_backends.json``; the engine-free records, timing included, are
-pinned to the per-op replay in ``tests/core/reference_scalar.py``.
+only ``start_us``/``response_us`` differ.  ``tests/core/test_execution.py``
+and, with arrivals on, ``tests/core/test_arrivals_golden.py`` assert the
+identity; the engine-free records, timing included, are pinned to the
+per-op replay in ``tests/core/reference_scalar.py``.
 
 What the fast path gives up: queueing.  Users do not contend, so
 response times carry no load dependence — Figure 5.6-style saturation

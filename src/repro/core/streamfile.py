@@ -1384,6 +1384,8 @@ def merge_stream_files(output: str, inputs: Iterable[str],
     paths = list(inputs)
     if not paths:
         raise ValueError("merge_stream_files needs at least one input")
+    if os.path.exists(output) and any(os.path.samefile(output, p) for p in paths):
+        raise ValueError(f"output {output} is also an input; writing it would truncate it")
     readers = [StreamReader(p) for p in paths]
     try:
         first = readers[0]

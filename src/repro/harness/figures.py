@@ -3,8 +3,7 @@
 Each function runs the workload generator with the paper's section 5
 parameters and returns a structured result carrying both the measured
 series/rows and, where the paper states them, the published values for
-side-by-side comparison.  The benchmark files under ``benchmarks/`` call
-exactly these functions; EXPERIMENTS.md is assembled from their output.
+side-by-side comparison.  ``benchmarks/bench_paper.py`` calls them.
 
 Experiment sizing: the thesis used 600 login sessions for Figures
 5.3–5.5 and 50 sessions per measured point elsewhere.  Those are the

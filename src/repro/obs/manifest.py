@@ -57,19 +57,18 @@ def spec_fingerprint(spec) -> str:
 
 
 def peak_rss_kib() -> int | None:
-    """Peak resident set size of this process tree, in KiB.
-
-    Sums ``RUSAGE_SELF`` and ``RUSAGE_CHILDREN`` high-water marks (the
-    children term covers reaped fleet workers).  Linux reports
-    ``ru_maxrss`` in KiB; macOS reports bytes and is normalised.
-    Returns None where the ``resource`` module is unavailable.
+    """Peak RSS of the run in KiB: the largest high-water mark of any
+    one process of the run (``RUSAGE_SELF`` or ``RUSAGE_CHILDREN``, which
+    covers reaped fleet workers).  Not their sum: a forked child starts
+    at its parent's size.  Linux reports ``ru_maxrss`` in KiB; macOS
+    reports bytes and is normalised.  None without ``resource``.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return None
-    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    peak = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+               resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     if sys.platform == "darwin":  # pragma: no cover - bytes on macOS
         peak //= 1024
     return int(peak)

@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.distributions import Distribution, RandomStreams
 from repro.fleet import FleetConfig
+from repro.scenarios import get_scenario
 from repro.sim.engine import Engine
 from repro.vfs import MemoryFileSystem
 
@@ -35,6 +36,8 @@ from .test_columnar_golden import assert_sessions_complete
 
 
 SPEC = paper_workload_spec(n_users=3, total_files=200, seed=21)
+# Two user types, eight users contending from t=0.
+MIXED_CAMPUS = get_scenario("mixed-campus").build(8, 7)
 
 
 def content_ops(log: UsageLog):
@@ -54,21 +57,23 @@ def content_sessions(log: UsageLog):
     ]
 
 
-def run(backend, **kwargs):
-    return WorkloadGenerator(SPEC).run_simulated(
+def run(backend, spec=SPEC, **kwargs):
+    return WorkloadGenerator(spec).run_simulated(
         sessions_per_user=2, backend=backend, **kwargs
     )
 
 
 class TestCrossBackendDeterminism:
-    def test_fast_matches_des_stream_exactly(self):
-        sim = run("nfs")
-        fast = run("fast")
+    @pytest.mark.parametrize("spec", [SPEC, MIXED_CAMPUS],
+                             ids=["paper", "mixed-campus"])
+    def test_fast_matches_des_stream_exactly(self, spec):
+        sim = run("nfs", spec)
+        fast = run("fast", spec)
         # Same multiset overall, and the same in-order stream per user
         # (the DES interleaves users on the engine clock; the fast path
         # runs them one after another).
         assert sorted(content_ops(sim.log)) == sorted(content_ops(fast.log))
-        for user_id in range(SPEC.n_users):
+        for user_id in range(spec.n_users):
             assert (
                 [op for op in content_ops(sim.log) if op[0] == user_id]
                 == [op for op in content_ops(fast.log) if op[0] == user_id]

@@ -179,14 +179,17 @@ class TestFleetOutStream:
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["fleet.opstream"]
 
-    def test_artifact_replays_to_fleet_tally(self, tmp_path):
+    @pytest.mark.parametrize("budget", [None, 4096], ids=["one-chunk", "spilled"])
+    def test_artifact_replays_to_fleet_tally(self, tmp_path, budget):
         from repro.core import StreamReader
         from repro.fleet.merge import ShardAccumulator
 
         path = tmp_path / "fleet.opstream"
-        result = run_fleet(self._stream_config(path, shards=2))
+        result = run_fleet(self._stream_config(
+            path, shards=2, stream_budget_bytes=budget))
         sink = ShardAccumulator()
         with StreamReader(str(path)) as reader:
+            assert (len(reader.chunk_index) > 1) == (budget is not None)
             reader.replay(sink)
         assert sink.tally == result.tally
 

@@ -1,7 +1,11 @@
 """Unit tests for the run manifest."""
 
 import json
+import os
 import re
+import sys
+
+import pytest
 
 import repro
 from repro.core import paper_workload_spec
@@ -65,6 +69,22 @@ class TestBuildManifest:
     def test_peak_rss_positive_on_posix(self):
         peak = peak_rss_kib()
         assert peak is None or peak > 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss in KiB and os.fork")
+    def test_peak_rss_is_one_process_not_a_sum(self):
+        # A forked child's high-water mark starts at its parent's
+        # resident size, so adding the two marks counts the parent twice.
+        import resource
+
+        _held = b"x" * (128 << 20)  # resident until the test returns
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        peak = build_manifest({})["peak_rss_kib"]
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert abs(peak - own) <= 0.05 * own
 
     def test_minimal_call(self):
         manifest = build_manifest({})

@@ -518,6 +518,25 @@ class TestStreamCommands:
         assert "merged" in out
         assert merged.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("inputs", [["b"], ["c", "b"]], ids=["self", "second"])
+    def test_merge_into_an_input_is_refused(self, tmp_path, capsys, inputs):
+        # Opening the output truncates it, so an input named as the
+        # output must be refused before anything is opened.
+        target = tmp_path / "b.opstream"
+        assert main(["simulate", "--users", "2", "--sessions", "1",
+                     "--files", "80", "--seed", "9",
+                     "--out-stream", str(target),
+                     "--stream-budget-bytes", "4096"]) == 0
+        (tmp_path / "c.opstream").write_bytes(target.read_bytes())
+        before = target.read_bytes()
+        capsys.readouterr()
+        code = main(["stream", "merge"]
+                    + [str(tmp_path / f"{name}.opstream") for name in inputs]
+                    + ["-o", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert target.read_bytes() == before
+
     def test_info_missing_file_fails_loudly(self, tmp_path, capsys):
         code = main(["stream", "info", str(tmp_path / "nope.opstream")])
         captured = capsys.readouterr()
