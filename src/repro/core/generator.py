@@ -52,6 +52,7 @@ from .execution import (
 )
 from .fsc import FileSystemCreator, FileSystemLayout
 from .gds import DistributionSpecifier
+from .opbatch import flush_sink
 from .oplog import OpSink, UsageLog
 from .spec import UserTypeSpec, WorkloadSpec
 from .synthesis import (
@@ -516,10 +517,9 @@ class WorkloadGenerator:
         sink = obs.wrap_sink(log)
         with obs.stage("execute"):
             duration_us = executor.execute(tasks, sink)
-        if obs.enabled:
-            # Fold the sink's deferred batch accounting now, so the
-            # registry is complete the moment this run returns.
-            sink.flush()
+        # The stream has ended: bulk-folding sinks (and the observer's
+        # accounting) are complete the moment this run returns.
+        flush_sink(sink)
         return RunResult(
             spec=self.spec,
             layout=layout,

@@ -23,7 +23,10 @@ The batch is the unit the pipeline moves around:
 * every sink folds whole batches (``record_batch``); the producers
   that emit one record at a time reach it through
   :class:`RecordBatcher`, and :class:`~repro.core.oplog.UsageLog`, the
-  row store, unpacks a batch with :meth:`to_records`.
+  row store, unpacks a batch with :meth:`to_records`;
+* the sinks whose arithmetic would cost more per session than the
+  session is worth hold the columns they fold in :class:`PendingBatches`
+  and fold in bulk, finishing when the stream ends (:func:`flush_sink`).
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,
@@ -35,6 +38,7 @@ scalar reference builder kept in ``tests/core/reference_scalar.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,6 +66,9 @@ __all__ = [
     "StringTable",
     "OpBatch",
     "RecordBatcher",
+    "FOLD_ROWS",
+    "PendingBatches",
+    "flush_sink",
 ]
 
 OP_KIND_NAMES: tuple[str, ...] = (
@@ -401,3 +408,91 @@ class RecordBatcher:
         if self._pending:
             records, self._pending = self._pending, []
             self.sink.record_batch(OpBatch.from_records(records))
+
+
+FOLD_ROWS = 4096
+"""Rows a bulk-folding sink buffers before it folds them.
+
+Enough to spread a fold's fixed cost (a dozen NumPy calls, one dict
+update per key) over thousands of rows.  On a 2-core VM, 16 384 folded
+no faster and raised a 4-shard in-process fleet run's peak RSS by ~5%."""
+
+
+class PendingBatches:
+    """The columns ``names`` of recorded batches, held for one bulk fold.
+
+    Each batch is copied into a block of ``threshold`` (:data:`FOLD_ROWS`)
+    rows, allocated once; a batch the block cannot take is held as it
+    is.  :meth:`add` says when ``rows`` reaches ``threshold`` and
+    :meth:`take` must follow before the next ``add``, so the buffer is
+    at most the block plus the incoming batch and pins at most that
+    batch's source (one decoded chunk or executor block).  Consecutive
+    batches sharing a ``categories`` table form a run; ``take``
+    re-indexes each run's ``category_idx`` (when held) into the block's
+    own table.
+    """
+
+    __slots__ = ("names", "threshold", "rows", "_block", "_runs",
+                 "_categories", "_overflow")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.threshold = FOLD_ROWS
+        self.rows = 0
+        self._block: dict[str, np.ndarray] = {}
+        self._runs: list[tuple[int, StringTable]] = []  # (first row, table)
+        self._categories = StringTable()
+        self._overflow: OpBatch | None = None
+
+    def add(self, batch: OpBatch) -> bool:
+        """Buffer ``batch``'s columns; True once a fold is due."""
+        n = len(batch)
+        lo, self.rows = self.rows, self.rows + n
+        if self.rows > self.threshold:
+            assert self._overflow is None, "take() is due"
+            self._overflow = batch
+        elif n:
+            if not self._block:
+                self._block = {name: np.empty(self.threshold,
+                                              getattr(batch, name).dtype)
+                               for name in self.names}
+            if not self._runs or batch.categories is not self._runs[-1][1]:
+                self._runs.append((lo, batch.categories))
+            for name, column in self._block.items():
+                column[lo:self.rows] = getattr(batch, name)
+        return self.rows >= self.threshold
+
+    def take(self) -> list:
+        """The buffered rows, emptying the buffer: the block, as a
+        namespace of the ``names`` columns (views, valid until the next
+        :meth:`add`) and ``categories``, then the batch it could not
+        take."""
+        overflow = self._overflow
+        filled = self.rows - (len(overflow) if overflow is not None else 0)
+        runs = []
+        if filled:
+            codes = self._block.get("category_idx")
+            if codes is not None:
+                ends = [start for start, _ in self._runs[1:]] + [filled]
+                for (start, table), end in zip(self._runs, ends):
+                    lut = np.concatenate((
+                        [-1], self._categories.intern_many(table.values())))
+                    segment = codes[start:end]
+                    np.take(lut, segment + 1, out=segment)
+            runs.append(SimpleNamespace(categories=self._categories, **{
+                name: column[:filled] for name, column in self._block.items()}))
+        if overflow is not None:
+            runs.append(overflow)
+        self.rows = 0
+        self._runs = []
+        self._overflow = None
+        return runs
+
+
+def flush_sink(sink) -> None:
+    """End the stream into ``sink``: call its ``flush()``, which the sink
+    protocol makes optional, so a bulk-folding sink is complete when
+    the producer returns."""
+    flush = getattr(sink, "flush", None)
+    if flush is not None:
+        flush()

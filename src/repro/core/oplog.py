@@ -310,11 +310,14 @@ class OpSink(Protocol):
 
     ``record_batch`` folds a columnar :class:`~repro.core.opbatch.OpBatch`
     of executed ops; ``record_session`` takes each login session's
-    summary, after every op recorded before it.  That is the whole
-    protocol.  The engine-free executor and the stream readers emit
-    batches; the producers that finish one call at a time (the DES user
-    processes, ``RealRunner``, the trace sessionizer) reach a sink
-    through :class:`~repro.core.opbatch.RecordBatcher`.
+    summary, after every op recorded before it.  A sink may also have
+    ``flush()``, which the producers call when the stream ends
+    (:func:`~repro.core.opbatch.flush_sink`) and wrapping sinks
+    forward.  That is the whole protocol.  The engine-free executor and
+    the stream readers emit batches; the producers that finish one call
+    at a time (the DES user processes, ``RealRunner``, the trace
+    sessionizer) reach a sink through
+    :class:`~repro.core.opbatch.RecordBatcher`.
 
     :class:`UsageLog` is the archival implementation;
     :class:`repro.fleet.merge.ShardAccumulator` is the constant-memory

@@ -87,7 +87,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .opbatch import OP_KIND_NAMES, OpBatch, StringTable
+from .opbatch import OP_KIND_NAMES, OpBatch, StringTable, flush_sink
 from .oplog import SessionRecord
 
 __all__ = [
@@ -593,7 +593,8 @@ def _read_frame(stream, offset: int, size: int, what: str):
 
 
 class TeeSink:
-    """Fan one op stream out to several sinks (e.g. tally + stream file)."""
+    """Fan one op stream out to several sinks (e.g. tally + stream file),
+    ``flush()`` included."""
 
     def __init__(self, *sinks):
         self.sinks = sinks
@@ -605,6 +606,10 @@ class TeeSink:
     def record_session(self, record: SessionRecord) -> None:
         for sink in self.sinks:
             sink.record_session(record)
+
+    def flush(self) -> None:
+        for sink in self.sinks:
+            flush_sink(sink)
 
 
 class StreamFileSink:
@@ -1257,7 +1262,8 @@ class StreamReader:
         """Re-emit the artifact's exact event stream into ``sink``.
 
         Ops go through ``record_batch``; session summaries interleave
-        at their recorded positions.
+        at their recorded positions, and the stream ends with the
+        sink's optional ``flush()``.
         Returns ``(op_rows, sessions)`` replayed.  Replaying into a new
         :class:`StreamFileSink` with the same budget reproduces the
         artifact byte for byte.  One decoded chunk is alive at a time
@@ -1272,6 +1278,7 @@ class StreamReader:
                 sink.record_session(event)
                 sessions += 1
             event = None  # not alive while the next chunk decodes
+        flush_sink(sink)
         return rows, sessions
 
     def info_kv(self) -> dict:

@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .core.opbatch import flush_sink
+
 __all__ = [
     "FAULT_KINDS",
     "KILL_EXIT_CODE",
@@ -235,6 +237,9 @@ class _FaultSink:
 
     def record_session(self, record) -> None:
         self.inner.record_session(record)
+
+    def flush(self) -> None:
+        flush_sink(self.inner)
 
 
 class FaultInjector:

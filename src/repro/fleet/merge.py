@@ -27,7 +27,13 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.opbatch import KIND_READ, KIND_WRITE, RECORD_KIND_NAMES, OpBatch
+from ..core.opbatch import (
+    KIND_READ,
+    KIND_WRITE,
+    RECORD_KIND_NAMES,
+    OpBatch,
+    PendingBatches,
+)
 from ..core.oplog import SessionRecord, UsageLog
 from ..sim import RunningStats
 
@@ -75,43 +81,45 @@ class WorkloadTally:
         )
 
     def record_batch(self, batch: OpBatch) -> None:
-        """Fold a batch of executed ops — ``np.bincount`` over the kind
-        and category code columns, one dict update per distinct key.
+        """Fold a batch of executed ops: one ``np.bincount`` of rows and
+        one ``np.add.at`` of sizes over a (kind, category) key, then one
+        dict update per distinct key.
 
         A read or write with a category key counts the key even when it
         moves zero bytes; with ``window_us`` set, row ``i`` counts into
-        bucket ``int(start_us[i] // window_us)``.
+        bucket ``int(start_us[i] // window_us)``.  ``batch`` may be any
+        object with the ``kinds``/``sizes``/``category_idx`` (and,
+        windowed, ``start_us``) columns and ``categories``, such as a
+        :class:`~repro.core.opbatch.PendingBatches` block.
         """
-        n = len(batch)
+        n = len(batch.kinds)
         if n == 0:
             return
         self.operations += n
-        kinds = batch.kinds
-        sizes = batch.sizes
+        names = batch.categories.values()
+        # Key column 0 holds the rows without a category (index -1).
+        shape = (len(RECORD_KIND_NAMES), len(names) + 1)
+        key = batch.kinds.astype(np.intp) * shape[1]
+        key += batch.category_idx
+        key += 1
+        rows = np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
+        moved = np.zeros(shape, dtype=np.int64)
+        np.add.at(moved.reshape(-1), key, batch.sizes)
         by_kind = self.ops_by_kind
-        counts = np.bincount(kinds, minlength=len(RECORD_KIND_NAMES))
-        for code in np.flatnonzero(counts).tolist():
+        per_kind = rows.sum(axis=1)
+        for code in np.flatnonzero(per_kind).tolist():
             name = RECORD_KIND_NAMES[code]
-            by_kind[name] = by_kind.get(name, 0) + int(counts[code])
-        read_mask = kinds == KIND_READ
-        write_mask = kinds == KIND_WRITE
-        self.bytes_read += int(sizes[read_mask].sum())
-        self.bytes_written += int(sizes[write_mask].sum())
-        data_rows = np.flatnonzero(
-            (read_mask | write_mask) & (batch.category_idx >= 0)
-        )
-        if len(data_rows):
-            per_category = np.zeros(len(batch.categories), dtype=np.int64)
-            np.add.at(per_category, batch.category_idx[data_rows],
-                      sizes[data_rows])
-            names = batch.categories.values()
-            by_category = self.bytes_by_category
-            for i in np.unique(batch.category_idx[data_rows]).tolist():
-                key = names[i]
-                if key:
-                    by_category[key] = (
-                        by_category.get(key, 0) + int(per_category[i])
-                    )
+            by_kind[name] = by_kind.get(name, 0) + int(per_kind[code])
+        self.bytes_read += int(moved[KIND_READ].sum())
+        self.bytes_written += int(moved[KIND_WRITE].sum())
+        data_rows = rows[KIND_READ, 1:] + rows[KIND_WRITE, 1:]
+        data_bytes = moved[KIND_READ, 1:] + moved[KIND_WRITE, 1:]
+        by_category = self.bytes_by_category
+        for i in np.flatnonzero(data_rows).tolist():
+            category = names[i]
+            if category:
+                by_category[category] = (
+                    by_category.get(category, 0) + int(data_bytes[i]))
         if self.window_us is not None:
             buckets = (batch.start_us // self.window_us).astype(np.int64)
             uniq, per_bucket = np.unique(buckets, return_counts=True)
@@ -218,26 +226,62 @@ class WorkloadTally:
 class ShardAccumulator:
     """The :class:`~repro.core.oplog.OpSink` one shard records into.
 
-    Always maintains the :class:`WorkloadTally` and a response-time
-    :class:`~repro.sim.RunningStats` online; retains the raw
-    :class:`UsageLog` only when ``collect_ops=True`` (memory grows with
-    operation count, so fleet runs default to stats-only).
+    Maintains the :class:`WorkloadTally` and a response-time
+    :class:`~repro.sim.RunningStats`; retains the raw :class:`UsageLog`
+    only when ``collect_ops=True`` (memory grows with operation count,
+    so fleet runs default to stats-only).
+
+    Batches fold in bulk: :meth:`record_batch` copies the columns the
+    fold reads into a block (:class:`~repro.core.opbatch.PendingBatches`)
+    and, once :data:`~repro.core.opbatch.FOLD_ROWS` rows are held, one
+    :meth:`WorkloadTally.record_batch` runs over the block (and one over
+    a batch that overflowed it) and one ``add_array`` over their
+    response times.  :meth:`flush` folds the rest; the producers call it
+    when the stream ends, and reading :attr:`tally` or
+    :attr:`response_us` calls it too, so no caller sees a partial fold.
+    Tallies are exact sums, equal for any split of the stream; response
+    count and extrema are exact, mean and M2 within ``add_array``'s
+    parallel-Welford tolerance.
     """
 
     def __init__(self, collect_ops: bool = False,
                  window_us: float | None = None):
-        self.tally = WorkloadTally(window_us=window_us)
-        self.response_us = RunningStats()
+        self._tally = WorkloadTally(window_us=window_us)
+        self._response_us = RunningStats()
+        self._pending = PendingBatches(
+            ("kinds", "sizes", "category_idx", "response_us")
+            + (("start_us",) if window_us is not None else ()))
         self.log: UsageLog | None = UsageLog() if collect_ops else None
 
+    @property
+    def tally(self) -> WorkloadTally:
+        """The workload tally, every recorded batch folded in."""
+        self.flush()
+        return self._tally
+
+    @property
+    def response_us(self) -> RunningStats:
+        """Response-time statistics, every recorded batch folded in."""
+        self.flush()
+        return self._response_us
+
     def record_session(self, record: SessionRecord) -> None:
-        self.tally.record_session(record)
+        self._tally.record_session(record)
         if self.log is not None:
             self.log.record_session(record)
 
     def record_batch(self, batch: OpBatch) -> None:
-        """Fold a columnar batch: vectorized tally + batch Welford."""
-        self.tally.record_batch(batch)
-        self.response_us.add_array(batch.response_us)
+        """Buffer a columnar batch; fold once a block is buffered."""
+        if self._pending.add(batch):
+            self.flush()
         if self.log is not None:
             self.log.record_batch(batch)
+
+    def flush(self) -> None:
+        """Fold every buffered batch (idempotent)."""
+        runs = self._pending.take()
+        if runs:
+            for run in runs:
+                self._tally.record_batch(run)
+            self._response_us.add_array(
+                np.concatenate([run.response_us for run in runs]))

@@ -78,6 +78,7 @@ from ..core.generator import (
     WorkloadGenerator,
     artifact_backend,
 )
+from ..core.opbatch import flush_sink
 from ..core.oplog import UsageLog
 from ..core.spec import SpecError, WorkloadSpec
 from ..core.specjson import spec_from_jsonable, spec_to_jsonable
@@ -632,6 +633,9 @@ class _SkipSink:
             return
         self.inner.record_session(record)
 
+    def flush(self) -> None:
+        flush_sink(self.inner)
+
 
 class _ResumeBoundary:
     """Forward a salvaged prefix's replay, noting where it ends.
@@ -667,6 +671,9 @@ class _ResumeBoundary:
         self._reach(int(record.user_id), float(record.end_us))
         if record.user_id == self.last_user:
             self.last_user_sessions += 1
+
+    def flush(self) -> None:
+        flush_sink(self.inner)
 
 
 _GENERATOR_CACHE: "list[tuple[WorkloadSpec, WorkloadGenerator]]" = []

@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.opbatch import PendingBatches, flush_sink
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -264,36 +265,22 @@ class RunObserver:
         return out
 
 
-_FLUSH_ROWS = 65536
-"""Deferred-accounting flush threshold (rows buffered per sink).
-
-Executed batches are one session each — a few dozen rows — so the
-dozen-odd NumPy reductions the stat and histogram accounting needs
-would cost more per batch than the statistics are worth.  The sink
-buffers the response/size columns instead and folds them in bulk:
-at this many rows, on :meth:`ObservingSink.flush`, and automatically
-from :meth:`RunObserver.snapshot`.  The threshold bounds what a
-streaming million-user run keeps alive to a few thousand small views.
-"""
-
-
 class ObservingSink:
     """Counts what flows into a sink, then forwards it untouched.
 
     Each batch is forwarded, then only its response and size columns
-    are *buffered* — the array reductions behind the
-    ``response_us`` stat/histogram and the ``bytes_moved`` counter run
-    over large concatenated chunks at flush time, so the per-batch
-    marginal cost is two clock reads and two list appends.  Deferral is
-    safe because executed batches carry freshly built columns (nothing
-    mutates them after ``record_batch``) and exact for counts, extrema,
-    bins and byte totals; mean/variance land within the documented
-    parallel-Welford tolerance of per-batch folding.
+    are buffered (:class:`~repro.core.opbatch.PendingBatches`): the
+    reductions behind the ``response_us`` stat/histogram and the
+    ``bytes_moved`` counter run once per block, so a session costs two
+    clock reads and a copy of two columns.  :meth:`flush` folds the rest
+    and forwards to the inner sink; :meth:`RunObserver.snapshot` calls
+    it too.  Counts, extrema, bins and byte totals are exact;
+    mean/variance land within the parallel-Welford tolerance of
+    per-batch folding.
     """
 
     __slots__ = ("inner", "observer", "_times", "_sessions", "_bytes",
-                 "_response", "_hist", "_pending_response",
-                 "_pending_sizes", "_pending_rows")
+                 "_response", "_hist", "_pending")
 
     def __init__(self, inner, observer: RunObserver):
         self.inner = inner
@@ -304,9 +291,7 @@ class ObservingSink:
         self._bytes = metrics.counter("bytes_moved")
         self._response = metrics.stat("response_us")
         self._hist = metrics.histogram("response_us", *RESPONSE_HIST_US)
-        self._pending_response: list = []
-        self._pending_sizes: list = []
-        self._pending_rows = 0
+        self._pending = PendingBatches(("response_us", "sizes"))
 
     def record_session(self, record) -> None:
         self._sessions.inc()
@@ -317,33 +302,28 @@ class ObservingSink:
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
         self.inner.record_batch(batch)
-        self._pending_response.append(batch.response_us)
-        self._pending_sizes.append(batch.sizes)
-        self._pending_rows += n
+        due = self._pending.add(batch)
         self._times.add(time.perf_counter() - wall0,
                         time.process_time() - cpu0, rows=n)
         self.observer.tick_ops(n)
-        if self._pending_rows >= _FLUSH_ROWS:
-            self.flush()
+        if due:
+            self._fold()
 
-    def flush(self) -> None:
-        """Fold the buffered batch columns into the registry.
-
-        Idempotent and cheap when nothing is pending; called from
-        :meth:`RunObserver.snapshot`, from the run driver once the
-        executor drains, and automatically past :data:`_FLUSH_ROWS`.
-        """
-        if not self._pending_rows:
+    def _fold(self) -> None:
+        runs = self._pending.take()
+        if not runs:
             return
-        response = np.concatenate(self._pending_response)
+        response = np.concatenate([run.response_us for run in runs])
         # Executed batches carry the *recorded* size column (data movers
         # keep their byte count, everything else is already zero), so
         # the plain sum is exactly the bytes-moved figure.
-        nbytes = int(np.concatenate(self._pending_sizes).sum())
-        self._pending_response.clear()
-        self._pending_sizes.clear()
-        self._pending_rows = 0
+        nbytes = sum(int(run.sizes.sum()) for run in runs)
         self._bytes.inc(nbytes)
         self._times.bytes += nbytes
         self._response.add_array(response)
         self._hist.add_array(response)
+
+    def flush(self) -> None:
+        """Fold the buffered columns, then flush the inner sink."""
+        self._fold()
+        flush_sink(self.inner)

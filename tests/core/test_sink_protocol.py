@@ -1,4 +1,7 @@
-"""The sink protocol: ``record_batch`` + ``record_session``, nothing else.
+"""The sink protocol: ``record_batch`` + ``record_session``, and an
+optional ``flush()`` that ends the stream (``StreamReader.replay`` and
+``run_simulated`` call it, the wrapping sinks forward it; the bulk-fold
+tests in ``tests/fleet/test_bulk_fold.py`` pin that).  Nothing else.
 
 Two halves.  The goldens pin, by SHA-256, the artifacts and logs of every
 producer that emits one record at a time (the DES backends, the trace
