@@ -102,12 +102,14 @@ class FileSystemLayout:
 
     def pool_arrays(self, category: FileCategory,
                     user_id: int) -> tuple[list[str], np.ndarray]:
-        """``files_for`` as ``(paths, sizes)`` columns, cached per pool.
+        """``files_for`` as ``(paths, sizes)`` columns.
 
         The columnar plan builder indexes whole chosen-file subsets at
         once (``sizes[chosen]``) instead of touching one
-        :class:`CreatedFile` attribute pair per plan.  The cache is
-        invalidated whenever :meth:`add` grows the pool.
+        :class:`CreatedFile` attribute pair per plan.  Shared pools are
+        cached (every user reads them; :meth:`add` invalidates); a
+        user's own pool is built per call, once per user and entry, so
+        the cache stays O(categories) however many users a run has.
         """
         pool_key = (category.key, None if category.is_shared else user_id)
         cached = self._pool_arrays.get(pool_key)
@@ -117,7 +119,8 @@ class FileSystemLayout:
                 [record.path for record in pool],
                 np.array([record.size for record in pool], dtype=np.int64),
             )
-            self._pool_arrays[pool_key] = cached
+            if category.is_shared:
+                self._pool_arrays[pool_key] = cached
         return cached
 
     def size_of(self, path: str) -> int | None:

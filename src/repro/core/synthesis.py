@@ -24,10 +24,11 @@ Sampling is *batched*: every per-quantity random stream is wrapped in a
 variates with one vectorized call instead of paying NumPy's scalar-call
 overhead per operation.
 
-There is one plan builder: :meth:`SessionGenerator.append_user` writes a
-user's sessions as columns into a :class:`BlockColumns` — per-chunk
-loops are ``searchsorted`` cuts over pre-drawn blocks — and
-:meth:`BlockColumns.assemble` turns the block into one
+There is one plan builder: :meth:`SessionGenerator.append_user` walks a
+user's sessions in passes — the selection walk, one draw per stream per
+entry, one chunk-cut loop (``bisect`` over each refill's prefix sums) —
+and records the plans as lists in a :class:`BlockColumns`, whose
+:meth:`~BlockColumns.assemble` lays out the block's rows once, as one
 :class:`~repro.core.opbatch.OpBatch`.  The engine-free executor consumes
 those batches whole; the DES user process and ``RealRunner`` issue one
 call at a time and read the same batch op by op through
@@ -46,7 +47,10 @@ Extensions beyond the thesis's minimum (its section 6.2 future work):
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -87,12 +91,22 @@ __all__ = [
 # wrapping.  Real specs live many orders of magnitude below this.
 _INT64_SATURATE = float(2**63 - 1024)
 
-# Max chunk variates sanitised per cumsum pass (see _chunk_run).
+# Max chunk variates sanitised per cumsum pass (random mode's slabs).
 _CHUNK_SLAB = 64
 
-# Rows a plan builder reserves before a chunk run: one run never exceeds
-# the chunk sampler's block cap (512 in SessionGenerator.__init__).
-_CHUNK_RESERVE = 512
+# Chunk variates one refill draws: the user's remaining demand in
+# chunks, estimated from its bytes, segments and the mean chunk, so one
+# refill usually covers the user.  The floor keeps a short estimate from
+# costing a run of tiny refills; the cap bounds a refill's tape and
+# prefix list whatever the demand.
+_CHUNK_REFILL_MIN = 16
+_CHUNK_REFILL_CAP = 4096
+
+# Float prefix sums are exact below this; a refill summing past it cuts
+# on Python ints instead.
+_EXACT_FLOAT = float(2**53)
+
+_INF = float("inf")
 
 _CREAT_FLAGS = int(OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC)
 
@@ -189,11 +203,11 @@ def derive_user_seats(streams: RandomStreams, family: StreamFamily,
 class _UsageSamplers:
     """The batched per-usage-entry samplers (one set per file category).
 
-    Alongside the samplers, the per-entry *constants* the hot plan loop
-    needs (category key, write fraction, open-mode flag, ...) are
-    precomputed once per kernel instead of re-derived per plan.  The
-    object is pooled: :meth:`SessionGenerator.rebind_user` rebinds the
-    inner samplers to a new user's streams in place.
+    Alongside the samplers, the per-entry *constants* the plan walk
+    needs (category key, plan shape, head-row flags, write fraction,
+    ...) are precomputed once per kernel instead of re-derived per
+    plan.  The object is pooled: :meth:`SessionGenerator.rebind_user`
+    rebinds the inner samplers to a new user's streams in place.
     """
 
     usage: UsageSpec
@@ -201,153 +215,88 @@ class _UsageSamplers:
     access_per_byte: BatchSampler
     file_size: BatchSampler
     key: str
+    fraction: float
     creates: bool
-    temporary: bool
-    is_dir: bool
+    shape: int
+    flag: int
     prefix: str
     write_fraction: float
-    mode_flag: int
 
 
-class _ChunkBlock(BatchSampler):
-    """Chunk-size sampler whose blocks carry a sanitised prefix-sum cache.
+# Plan shapes.  Every plan of a fire (one usage entry firing in one
+# session) shares its entry's shape, category and head-row flags.
+_EXISTING, _NEW, _TEMP, _DIR = 0, 1, 2, 3
+_HEAD_KIND = np.array([KIND_OPEN, KIND_CREAT, KIND_CREAT, KIND_STAT],
+                      dtype=np.int8)
 
-    Every refilled block is sanitised once (non-finite draws become 1,
-    the rest are rounded and floored at 1) and prefix-summed, so cutting
-    a segment of chunks to a byte boundary is a single ``searchsorted``
-    over the cached sums instead of a fresh sanitise + cumsum per
-    segment.  ``draw()`` still serves the *raw* variates.
-    """
 
-    __slots__ = ("san", "cum0")
-
-    def __init__(self, dist, rng_factory, block: int = 512):
-        super().__init__(dist, rng_factory=rng_factory, block=block)
-        self.san: np.ndarray | None = None
-        self.cum0: np.ndarray | None = None
-
-    def _refill(self) -> np.ndarray:
-        buffer = super()._refill()
-        san = np.maximum(
-            np.where(np.isfinite(buffer), np.rint(buffer), 1.0), 1.0
-        )
-        # int64 saturation: keeps the astype in run() defined even for
-        # absurd finite draws (the byte boundary always cuts first).
-        np.minimum(san, _INT64_SATURATE, out=san)
-        self.san = san
-        cum0 = np.empty(len(san) + 1, dtype=np.float64)
-        cum0[0] = 0.0
-        np.cumsum(san, out=cum0[1:])
-        self.cum0 = cum0
-        return buffer
-
-    def rebind(self) -> "_ChunkBlock":
-        """:meth:`BatchSampler.rebind` plus dropping the prefix-sum cache."""
-        super().rebind()
-        self.san = None
-        self.cum0 = None
-        return self
-
-    def san_view(self) -> np.ndarray:
-        """Sanitised not-yet-consumed variates (refills when spent)."""
-        buffer = self._buffer
-        if buffer is None or self._next >= len(buffer):
-            self._refill()
-        return self.san[self._next:]
-
-    def run_into(self, out: np.ndarray, row: int,
-                 boundary: int) -> tuple[int, int]:
-        """Consume chunks up to ``boundary`` bytes into ``out[row:]``.
-
-        Writes the consumed run straight into the caller's float64 row
-        buffer (no per-segment allocation or cast — the whole size
-        column is cast to int64 once per batch) and returns
-        ``(take, advanced)``.  The crossing chunk is cut to land
-        exactly on the boundary (each draw is clamped to what remains).
-        May advance fewer bytes than ``boundary`` when the block runs
-        out — the caller loops, and the next call refills.  The caller
-        must have reserved ``row + block`` rows (a run never exceeds
-        the block cap).
-        """
-        buffer = self._buffer
-        if buffer is None or self._next >= len(buffer):
-            self._refill()
-        start = self._next
-        cum0 = self.cum0
-        base = cum0[start]
-        # Element j's running total is cum0[j+1]; the crossing element is
-        # the first whose total reaches base + boundary.
-        cut = int(cum0.searchsorted(base + boundary, side="left")) - 1
-        limit = len(self.san)
-        if cut >= limit:
-            take = limit - start
-            out[row:row + take] = self.san[start:]
-            self._next = limit
-            return take, int(cum0[limit] - base)
-        take = cut + 1 - start
-        out[row:row + take] = self.san[start:cut + 1]
-        out[row + take - 1] = boundary - (cum0[cut] - base)
-        self._next = cut + 1
-        return take, boundary
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each pair, concatenated."""
+    ends = np.cumsum(counts)
+    return (np.arange(int(ends[-1]) if len(ends) else 0)
+            + np.repeat(starts - (ends - counts), counts))
 
 
 class BlockColumns:
-    """Accumulates a block of users' plan columns without per-plan arrays.
+    """A block of users' plans, kept as lists and laid out once.
 
-    Plan builders write kind/size rows straight into two growable flat
-    buffers (``kinds_buf``/``sizes_buf`` — int8 kinds, float64 sizes so
-    a chunk sampler's sanitised block can land by slice without a
-    per-segment cast) plus sparse fix-up lists.  Each user appends its
-    sessions through :meth:`SessionGenerator.append_user` — plans, the
-    interleave permutation, and its own write-mix/think draws — and
-    :meth:`assemble` then materialises every column for the whole block
-    at once: one ``np.repeat`` per constant-within-a-plan (or
-    -session) column, one fancy assignment per sparse column, one
-    permutation gather, one ``astype(int64)`` and one think sanitise.
-    So a block costs O(plans) small Python appends plus O(ops)
-    vectorized slice writes, and the per-call NumPy overhead is paid
-    per block, not per user.
+    :meth:`SessionGenerator.append_user` records each user's plans in
+    plain lists, in plan order: per *fire* (one usage entry firing in
+    one session) its plan count, shape, category, head-row flags and
+    first plan id; per plan its first row, row count, head size and
+    path; per chunk *piece* — a run of chunks cut from the block's
+    chunk tape — its first row, first tape index, row count, last
+    row's (possibly truncated) size and write fraction; per random
+    slab its rows' seek offsets and sizes.  It also appends the
+    interleave permutation and its write-mix and think draws.
+
+    :meth:`assemble` then lays out every row of the block with array
+    passes: head, close, unlink and listdir rows by index, piece rows
+    as one gather from the tape, the write mix over the read rows, the
+    rest (the lseek rows that separate passes over a file) as the
+    default.  So a block costs O(plans + pieces) small Python appends
+    plus O(rows) vectorised writes, and the per-call NumPy overhead is
+    paid per block, not per user.
     """
 
     __slots__ = (
-        "paths", "categories", "user_types", "kinds_buf", "sizes_buf",
-        "cap", "lengths", "offsets", "plan_base", "cat_base",
-        "plan_fix_pos", "plan_fix_val", "path_pos", "path_ord",
-        "plan_paths", "flag_pos", "flag_val", "mix_start", "mix_count",
-        "mix_step", "mix_wf", "total", "order", "bounds", "sess_user",
-        "sess_id", "sess_type", "mix_draws", "think_raw",
+        "paths", "categories", "user_types", "total", "tape", "tape_len",
+        "fire_plans", "fire_shape", "fire_cat", "fire_flag", "fire_id0",
+        "lengths", "offsets", "head_sizes", "plan_paths",
+        "piece_row", "piece_tape", "piece_take", "piece_last", "piece_wf",
+        "slab_row", "slab_take", "slab_wf", "slab_seeks", "slab_sizes",
+        "order", "bounds", "sess_user", "sess_id", "sess_type",
+        "mix_draws", "think_raw",
     )
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self):
         self.paths = StringTable()
         self.categories = StringTable()
         self.user_types = StringTable()
-        self.cap = capacity
-        self.kinds_buf = np.empty(capacity, dtype=np.int8)
-        self.sizes_buf = np.empty(capacity, dtype=np.float64)
-        self.lengths: list[int] = []
-        self.offsets: list[int] = []     # first (pre-interleave) row per plan
-        self.plan_base: list[int] = []   # np.repeat fill per plan
-        self.cat_base: list[int] = []
-        self.plan_fix_pos: list[int] = []  # sparse overrides (unlink/stat)
-        self.plan_fix_val: list[int] = []
-        # Paths are *deferred*: builders append the string to plan_paths
-        # and record its ordinal, and the whole vocabulary is interned in
-        # one StringTable.intern_many call at assembly time.
-        self.path_pos: list[int] = []
-        self.path_ord: list[int] = []
-        self.plan_paths: list[str] = []
-        self.flag_pos: list[int] = []
-        self.flag_val: list[int] = []
-        # Write-mix draw ranges: each chunk segment that consumes
-        # write-mix uniforms records (first row, count, row stride,
-        # write fraction); each user takes its draws in range order,
-        # one per chunk.
-        self.mix_start: list[int] = []
-        self.mix_count: list[int] = []
-        self.mix_step: list[int] = []
-        self.mix_wf: list[float] = []
         self.total = 0
+        self.tape: list[np.ndarray] = []  # sanitised chunk refills
+        self.tape_len = 0
+        self.fire_plans: list[int] = []
+        self.fire_shape: list[int] = []
+        self.fire_cat: list[int] = []
+        self.fire_flag: list[int] = []
+        self.fire_id0: list[int] = []   # plan counter before the fire
+        self.lengths: list[int] = []
+        self.offsets: list[int] = []    # first (pre-interleave) row per plan
+        self.head_sizes: list = []
+        # Paths are interned in one StringTable.intern_many call at
+        # assembly time.
+        self.plan_paths: list[str] = []
+        self.piece_row: list[int] = []
+        self.piece_tape: list[int] = []
+        self.piece_take: list[int] = []
+        self.piece_last: list = []
+        self.piece_wf: list[float] = []  # -1.0: a write-out piece
+        self.slab_row: list[int] = []
+        self.slab_take: list[int] = []
+        self.slab_wf: list[float] = []
+        self.slab_seeks: list[np.ndarray] = []
+        self.slab_sizes: list[np.ndarray] = []
         self.order: list[int] = []       # interleaved row → plan-order row
         # Session s occupies rows [bounds[s], bounds[s + 1]); sessions
         # (and so users) are contiguous and in append order.
@@ -360,35 +309,6 @@ class BlockColumns:
         self.mix_draws: list[np.ndarray] = []
         self.think_raw: list[np.ndarray] = []
 
-    def add_plan(self, n: int, plan_value: int, cat_idx: int) -> None:
-        """Close one plan of ``n`` rows (rows already written)."""
-        self.lengths.append(n)
-        self.offsets.append(self.total)
-        self.plan_base.append(plan_value)
-        self.cat_base.append(cat_idx)
-        self.total += n
-
-    def reserve(self, need: int) -> None:
-        """Grow the row buffers to hold at least ``need`` rows.
-
-        Geometric doubling; existing rows (``[0, total)`` plus any rows
-        the current plan has written past ``total``) are preserved, so
-        builders re-fetch ``kinds_buf``/``sizes_buf`` after any call
-        that may grow.
-        """
-        cap = self.cap
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        kinds = np.empty(cap, dtype=np.int8)
-        kinds[: len(self.kinds_buf)] = self.kinds_buf
-        sizes = np.empty(cap, dtype=np.float64)
-        sizes[: len(self.sizes_buf)] = self.sizes_buf
-        self.kinds_buf = kinds
-        self.sizes_buf = sizes
-        self.cap = cap
-
     def assemble(self) -> OpBatch:
         """Every appended user's sessions as one :class:`OpBatch`.
 
@@ -397,34 +317,76 @@ class BlockColumns:
         here runs once for the block, whatever its user count.
         """
         n = self.total
-        kinds = self.kinds_buf[:n]
-        if self.mix_draws:
-            # The users' write-mix blocks line up with the ranges: both
-            # were appended user by user, ranges in draw order.
-            counts = np.asarray(self.mix_count)
-            mix = np.concatenate(self.mix_draws)
-            writes = mix < np.repeat(np.asarray(self.mix_wf), counts)
-            if writes.any():
-                head = np.empty(len(counts), dtype=np.int64)
-                head[0] = 0
-                np.cumsum(counts[:-1], out=head[1:])
-                intra = np.arange(len(mix)) - np.repeat(head, counts)
-                rows = (np.repeat(np.asarray(self.mix_start), counts)
-                        + intra * np.repeat(np.asarray(self.mix_step),
-                                            counts))
-                kinds[rows[writes]] = KIND_WRITE
-        perm = np.asarray(self.order, dtype=np.int64)
-        reps = np.asarray(self.lengths, dtype=np.int64)
-        plan_col = np.repeat(np.asarray(self.plan_base, dtype=np.int64), reps)
-        if self.plan_fix_pos:
-            plan_col[self.plan_fix_pos] = self.plan_fix_val
-        path_col = np.full(n, -1, dtype=np.int32)
-        if self.path_pos:
-            path_ids = self.paths.intern_many(self.plan_paths)
-            path_col[self.path_pos] = path_ids[self.path_ord]
+        kinds = np.full(n, KIND_LSEEK, dtype=np.int8)
+        sizes = np.zeros(n, dtype=np.float64)
+        write_fraction = np.full(n, -1.0)  # >= 0 on the write-mix rows
+        fire_plans = np.asarray(self.fire_plans, dtype=np.int64)
+        shapes = np.repeat(np.asarray(self.fire_shape, dtype=np.int8),
+                           fire_plans)
+        plan_ids = _ranges(np.asarray(self.fire_id0, dtype=np.int64) + 1,
+                           fire_plans)
+        heads = np.asarray(self.offsets, dtype=np.int64)
+        lengths = np.asarray(self.lengths, dtype=np.int64)
+        path_ids = self.paths.intern_many(self.plan_paths)
+        kinds[heads] = _HEAD_KIND[shapes]
+        sizes[heads] = self.head_sizes
         flags_col = np.zeros(n, dtype=np.int16)
-        if self.flag_pos:
-            flags_col[self.flag_pos] = self.flag_val
+        flags_col[heads] = np.repeat(
+            np.asarray(self.fire_flag, dtype=np.int16), fire_plans)
+        path_col = np.full(n, -1, dtype=np.int32)
+        path_col[heads] = path_ids
+        files = shapes != _DIR
+        plan_col = np.repeat(np.where(files, plan_ids, -1), lengths)
+        temp = shapes == _TEMP
+        lasts = heads + lengths - 1
+        closes = (lasts - temp)[files]
+        kinds[closes] = KIND_CLOSE
+        path_col[closes] = path_ids[files]
+        unlinks = lasts[temp]
+        kinds[unlinks] = KIND_UNLINK
+        path_col[unlinks] = path_ids[temp]
+        plan_col[unlinks] = -1  # unlink carries no plan id
+        if not files.all():
+            # Directories: stat (the only row with the plan id), then
+            # one listdir per pass, every row sized and pathed.
+            dirs = ~files
+            plan_col[heads[dirs]] = plan_ids[dirs]
+            passes = lengths[dirs] - 1
+            rows = _ranges(heads[dirs] + 1, passes)
+            kinds[rows] = KIND_LISTDIR
+            sizes[rows] = np.repeat(sizes[heads[dirs]], passes)
+            path_col[rows] = np.repeat(path_ids[dirs], passes)
+        if self.piece_row:
+            starts = np.asarray(self.piece_row, dtype=np.int64)
+            takes = np.asarray(self.piece_take, dtype=np.int64)
+            rows = _ranges(starts, takes)
+            shift = np.repeat(
+                np.asarray(self.piece_tape, dtype=np.int64) - starts, takes)
+            sizes[rows] = np.concatenate(self.tape)[rows + shift]
+            sizes[starts + takes - 1] = self.piece_last
+            kinds[rows] = KIND_WRITE
+            write_fraction[rows] = np.repeat(np.asarray(self.piece_wf),
+                                             takes)
+        if self.slab_row:
+            takes = np.asarray(self.slab_take, dtype=np.int64)
+            rows = _ranges(np.asarray(self.slab_row, dtype=np.int64),
+                           2 * takes)
+            sizes[rows[0::2]] = np.concatenate(self.slab_seeks)
+            reads = rows[1::2]
+            sizes[reads] = np.concatenate(self.slab_sizes)
+            write_fraction[reads] = np.repeat(np.asarray(self.slab_wf),
+                                              takes)
+        # Each user drew one write-mix uniform per read row, in row
+        # order; users are contiguous, so the block's draws line up
+        # with its read rows in row order.
+        reads = np.flatnonzero(write_fraction >= 0.0)
+        if len(reads):
+            mix = np.concatenate(self.mix_draws)
+            kinds[reads] = np.where(mix < write_fraction[reads],
+                                    KIND_WRITE, KIND_READ)
+        perm = np.asarray(self.order, dtype=np.int64)
+        category = np.repeat(np.repeat(
+            np.asarray(self.fire_cat, dtype=np.int32), fire_plans), lengths)
         # perm permutes within sessions only, so the per-session columns
         # need no gather.
         per_session = np.diff(np.asarray(self.bounds, dtype=np.int64))
@@ -436,11 +398,10 @@ class BlockColumns:
         return OpBatch(
             kinds=kinds[perm],
             plan_ids=plan_col[perm],
-            sizes=self.sizes_buf[:n][perm].astype(np.int64),
+            sizes=sizes[perm].astype(np.int64),
             flags=flags_col[perm],
             path_idx=path_col[perm],
-            category_idx=np.repeat(
-                np.asarray(self.cat_base, dtype=np.int32), reps)[perm],
+            category_idx=category[perm],
             user_ids=np.repeat(
                 np.asarray(self.sess_user, dtype=np.int64), per_session),
             session_ids=np.repeat(
@@ -519,8 +480,12 @@ class SessionGenerator:
         # integer draws whose bit consumption depends on the bound.
         self._slot = BatchSampler(_UNIT, rng_factory=stream("slot"),
                                   block=512)
-        self._chunk = _ChunkBlock(user_type.access_size, stream("chunk"),
-                                  block=512)
+        self._chunk = BatchSampler(user_type.access_size,
+                                   rng_factory=stream("chunk"), block=512)
+        # What a chunk refill sizes its draw by: the mean chunk, floored
+        # at the 1-byte floor every sanitised chunk keeps (NaN too).
+        mean = float(user_type.access_size.mean())
+        self._mean_chunk = mean if mean >= 1.0 else 1.0
         self._think = BatchSampler(user_type.think_time,
                                    rng_factory=stream("think"), block=512)
         self._write_mix = BatchSampler(
@@ -545,15 +510,17 @@ class SessionGenerator:
                     rng_factory=stream(f"size:{usage.category.key}"),
                 ),
                 key=usage.category.key,
+                fraction=usage.fraction_of_users,
                 creates=usage.category.creates_files,
-                temporary=usage.category.use is UseType.TEMP,
-                is_dir=usage.category.is_directory,
+                shape=_plan_shape(usage),
+                flag=(_CREAT_FLAGS if usage.category.creates_files
+                      else 0 if usage.category.is_directory
+                      else int(OpenFlags.RDWR if usage.category.writes
+                               else OpenFlags.RDONLY)),
                 prefix=("tmp" if usage.category.use is UseType.TEMP
                         else "new"),
                 write_fraction=(0.5 if usage.category.use is UseType.RD_WRT
                                 else 0.0),
-                mode_flag=int(OpenFlags.RDWR if usage.category.writes
-                              else OpenFlags.RDONLY),
             )
             for usage in user_type.usage
         )
@@ -594,6 +561,9 @@ class SessionGenerator:
         for sampler in self._samplers:
             sampler.rebind()
         self._plan_counter = 0
+        # Chunks a call drew but did not cut: the next call (another
+        # session of this user) cuts them first.
+        self._spare: np.ndarray | None = None
         return self
 
     # -- plan construction ---------------------------------------------------
@@ -612,298 +582,306 @@ class SessionGenerator:
             return 1
         return max(1, int(round(raw)))
 
-    def _append_data_cols(self, budget: int, file_size: int,
-                          write_fraction: float, cols: BlockColumns,
-                          row0: int) -> int:
-        """Chunked read/write rows consuming ``budget`` bytes of a file,
-        appended straight into ``cols``.
+    def _walk(self, session_ids, cols: BlockColumns):
+        """Pass 1, the selection walk over every session and entry.
 
-        Sequential mode walks the file, wrapping to offset 0 with an
-        lseek row at EOF (the thesis models sequential access only);
-        random mode seeks to a uniform offset before every chunk.  Each
-        chunk segment registers its write-mix range (resolved once per
-        block).  ``row0`` is the global row index of the first appended
-        row; returns the number of rows appended.
-        """
-        if budget <= 0 or file_size <= 0:
-            return 0
-        row = row0
-        if self.access_pattern == "random":
-            remaining = budget
-            while remaining > 0:
-                san = self._chunk.san_view()
-                seeks = self._seek.peek_buffer()
-                width = min(len(san), len(seeks), _CHUNK_SLAB)
-                offsets = np.minimum(
-                    (seeks[:width] * file_size).astype(np.int64),
-                    file_size - 1,
-                )
-                candidates = np.minimum(
-                    san[:width], (file_size - offsets).astype(np.float64)
-                )
-                np.minimum(candidates, float(remaining), out=candidates)
-                total = np.cumsum(candidates)
-                cut = int(total.searchsorted(float(remaining), side="left"))
-                if cut >= width:
-                    take = width
-                    advanced = int(total[-1])
-                else:
-                    take = cut + 1
-                    advanced = remaining
-                    candidates[cut] = remaining - (int(total[cut - 1])
-                                                   if cut else 0)
-                self._chunk.consume(take)
-                self._seek.consume(take)
-                end = row + 2 * take
-                cols.reserve(end)
-                kinds_buf = cols.kinds_buf
-                sizes_buf = cols.sizes_buf
-                kinds_buf[row:end:2] = KIND_LSEEK
-                kinds_buf[row + 1:end:2] = KIND_READ
-                sizes_buf[row:end:2] = offsets[:take]
-                sizes_buf[row + 1:end:2] = candidates[:take]
-                cols.mix_start.append(row + 1)
-                cols.mix_count.append(take)
-                cols.mix_step.append(2)
-                cols.mix_wf.append(write_fraction)
-                row = end
-                remaining -= advanced
-        else:
-            position = 0
-            remaining = budget
-            chunk = self._chunk
-            reserve = cols.reserve
-            while remaining > 0:
-                if position >= file_size:
-                    reserve(row + 1)
-                    cols.kinds_buf[row] = KIND_LSEEK
-                    cols.sizes_buf[row] = 0.0
-                    row += 1
-                    position = 0
-                reserve(row + _CHUNK_RESERVE)
-                take, advanced = chunk.run_into(
-                    cols.sizes_buf, row, min(remaining, file_size - position)
-                )
-                cols.kinds_buf[row:row + take] = KIND_READ
-                cols.mix_start.append(row)
-                cols.mix_count.append(take)
-                cols.mix_step.append(1)
-                cols.mix_wf.append(write_fraction)
-                row += take
-                position += advanced
-                remaining -= advanced
-        return row - row0
-
-    def _append_write_out(self, target_size: int, cols: BlockColumns,
-                          row0: int) -> int:
-        """Sequential write rows creating ``target_size`` bytes of fresh
-        file; returns rows appended."""
-        row = row0
-        remaining = target_size
-        while remaining > 0:
-            cols.reserve(row + _CHUNK_RESERVE)
-            take, advanced = self._chunk.run_into(
-                cols.sizes_buf, row, remaining)
-            cols.kinds_buf[row:row + take] = KIND_WRITE
-            row += take
-            remaining -= advanced
-        return row - row0
-
-    def _append_existing_plan(self, path: str, file_size: int,
-                                  budget: int, write_fraction: float,
-                                  mode_flag: int, cat_idx: int,
-                                  cols: BlockColumns) -> None:
-        """RDONLY / RD-WRT plan over a file the FSC created: open → data
-        ops → close.
-
-        The budget, write fraction, open mode and category index arrive
-        precomputed from the entry-grouped walk
-        (:meth:`_append_session_plans`) — this method only appends rows.
-        """
-        self._plan_counter += 1
-        start = cols.total
-        cols.reserve(start + 1)
-        cols.kinds_buf[start] = KIND_OPEN
-        cols.sizes_buf[start] = file_size
-        n = 1 + self._append_data_cols(budget, file_size, write_fraction,
-                                       cols, start + 1)
-        end = start + n
-        cols.reserve(end + 1)
-        cols.kinds_buf[end] = KIND_CLOSE
-        cols.sizes_buf[end] = 0.0
-        n += 1
-        ordinal = len(cols.plan_paths)
-        cols.plan_paths.append(path)
-        cols.path_pos += (start, start + n - 1)
-        cols.path_ord += (ordinal, ordinal)
-        if mode_flag:
-            cols.flag_pos.append(start)
-            cols.flag_val.append(mode_flag)
-        cols.add_plan(n, self._plan_counter, cat_idx)
-
-    def _append_new_plan(self, path: str, target_size: int, budget: int,
-                             temporary: bool, cat_idx: int,
-                             cols: BlockColumns) -> None:
-        """NEW / TEMP plan: creat, write out, re-read, close (+unlink
-        for TEMP)."""
-        self._plan_counter += 1
-        plan_id = self._plan_counter
-        start = cols.total
-        cols.reserve(start + 1)
-        cols.kinds_buf[start] = KIND_CREAT
-        cols.sizes_buf[start] = target_size
-        n = 1 + self._append_write_out(target_size, cols, start + 1)
-        # Spend the rest of the access budget re-reading the fresh file
-        # (NEW files average 2.36 accesses per byte, TEMP 2.00 — beyond
-        # the single write-out pass).
-        read_budget = budget - target_size
-        if read_budget > 0:
-            row = start + n
-            cols.reserve(row + 1)
-            cols.kinds_buf[row] = KIND_LSEEK
-            cols.sizes_buf[row] = 0.0
-            n += 1
-            n += self._append_data_cols(read_budget, target_size, 0.0,
-                                        cols, start + n)
-        row = start + n
-        cols.reserve(row + 2)  # close row, plus the TEMP unlink row
-        cols.kinds_buf[row] = KIND_CLOSE
-        cols.sizes_buf[row] = 0.0
-        n += 1
-        ordinal = len(cols.plan_paths)
-        cols.plan_paths.append(path)
-        cols.path_pos += (start, start + n - 1)  # creat and close rows
-        cols.path_ord += (ordinal, ordinal)
-        if temporary:
-            row = start + n
-            cols.kinds_buf[row] = KIND_UNLINK
-            cols.sizes_buf[row] = 0.0
-            n += 1
-            cols.path_pos.append(row)
-            cols.path_ord.append(ordinal)
-            cols.plan_fix_pos.append(row)
-            cols.plan_fix_val.append(-1)  # unlink carries no plan id
-        cols.flag_pos.append(start)
-        cols.flag_val.append(_CREAT_FLAGS)
-        cols.add_plan(n, plan_id, cat_idx)
-
-    def _append_directory_plan(self, path: str, dir_size: int,
-                                   passes: int, cat_idx: int,
-                                   cols: BlockColumns) -> None:
-        """DIR plan: stat once, then one listdir per whole-directory
-        pass."""
-        self._plan_counter += 1
-        n = 1 + passes
-        start = cols.total
-        end = start + n
-        cols.reserve(end)
-        cols.kinds_buf[start:end] = KIND_LISTDIR
-        cols.kinds_buf[start] = KIND_STAT
-        cols.sizes_buf[start:end] = dir_size
-        ordinal = len(cols.plan_paths)
-        cols.plan_paths.append(path)
-        cols.path_pos.extend(range(start, start + n))
-        cols.path_ord.extend([ordinal] * n)
-        cols.plan_fix_pos.append(start)  # only stat carries the plan id
-        cols.plan_fix_val.append(self._plan_counter)
-        cols.add_plan(n, -1, cat_idx)
-
-    def _append_session_plans(self, session_id: int,
-                              cols: BlockColumns) -> None:
-        """One session's selection walk — which categories fire, how
-        many files, which pool members — and a plan per selected file.
-
-        Consumes the ``select`` and per-category ``count:`` streams one
-        entry at a time — one fraction gate per entry, one count draw
-        per fired entry, one pool ``choice`` per non-creating entry —
-        and takes each fired entry's per-plan budget/size draws as *one
-        block per stream*.  Each quantity owns a named stream and plans
-        consume it in plan order, so the block is the same sequence a
-        draw per plan would serve.  New-file paths embed the live plan
-        counter.
+        Consumes ``select`` and the ``count:`` streams exactly as a
+        per-plan walk would — one fraction gate per entry, one count
+        draw per fired entry, one pool ``choice`` per non-creating
+        fire — and records each fire: its plans' paths (new-file paths
+        embed the running plan counter) and the per-fire columns.
+        Returns the fires as ``(entry, plans)``, the fire count at each
+        session's end, and per entry its chosen pool indices and pool.
         """
         select_random = self._rng_select.random
         choice = self._rng_select.choice
+        entries = self._usage_samplers
         intern_cat = cols.categories.intern
-        user_id = self.user_id
-        for samplers in self._usage_samplers:
-            usage = samplers.usage
-            if select_random() >= usage.fraction_of_users:
+        paths = cols.plan_paths
+        picks: list[list] = [[] for _ in entries]
+        pools: list = [None] * len(entries)
+        fires: list[tuple[int, int]] = []
+        marks: list[int] = []
+        counter = self._plan_counter
+        for session_id in session_ids:
+            for e, entry in enumerate(entries):
+                if select_random() >= entry.fraction:
+                    continue
+                count = self._sample_count(entry)
+                if entry.creates:
+                    stem = (f"{self.layout.user_home(self.user_id)}/"
+                            f"{entry.prefix}-s{session_id:04d}-p")
+                    paths += [f"{stem}{counter + k:05d}-{k}"
+                              for k in range(count)]
+                else:
+                    pool = pools[e]
+                    if pool is None:
+                        pool = pools[e] = self.layout.pool_arrays(
+                            entry.usage.category, self.user_id)
+                    pool_paths = pool[0]
+                    if not pool_paths:
+                        continue
+                    chosen = choice(
+                        len(pool_paths), size=min(count, len(pool_paths)),
+                        replace=False,
+                    ).tolist()
+                    picks[e] += chosen
+                    count = len(chosen)
+                    paths += [pool_paths[i] for i in chosen]
+                fires.append((e, count))
+                cols.fire_plans.append(count)
+                cols.fire_shape.append(entry.shape)
+                cols.fire_cat.append(intern_cat(entry.key))
+                cols.fire_flag.append(entry.flag)
+                cols.fire_id0.append(counter)
+                counter += count
+            marks.append(len(fires))
+        self._plan_counter = counter
+        return fires, marks, picks, pools
+
+    def _quantities(self, fires, picks, pools):
+        """Pass 2: one ``apb:`` and one ``size:`` take per entry.
+
+        Each entry's draws cover all of the user's plans on it, in plan
+        order — the sequence a take per fire (or a draw per plan) would
+        serve, since each stream belongs to one entry.  Returns per
+        entry ``(head sizes, budgets)`` (directory entries: ``(sizes,
+        passes)``), and the user's data bytes and a segment estimate
+        for sizing chunk refills.
+        """
+        demand = [0] * len(self._usage_samplers)
+        for e, count in fires:
+            demand[e] += count
+        quantities: list = [None] * len(demand)
+        nbytes = segments = 0.0
+        for e, count in enumerate(demand):
+            if not count:
                 continue
-            count = self._sample_count(samplers)
-            if samplers.creates:
-                home = self.layout.user_home(user_id)
-                prefix = samplers.prefix
-                temporary = samplers.temporary
-                cat_idx = intern_cat(samplers.key)
-                raw = samplers.file_size.take(count)
-                targets = np.maximum(
-                    np.where(np.isfinite(raw), np.rint(raw), 1.0), 1.0)
-                ratios = _sane_ratios(samplers.access_per_byte.take(count))
-                budgets = np.rint(ratios * targets).tolist()
-                targets = targets.tolist()
-                for k in range(count):
-                    path = (
-                        f"{home}/{prefix}-s{session_id:04d}-"
-                        f"p{self._plan_counter:05d}-{k}"
-                    )
-                    self._append_new_plan(
-                        path, int(targets[k]), int(budgets[k]), temporary,
-                        cat_idx, cols,
-                    )
-                continue
-            pool_paths, pool_sizes = self.layout.pool_arrays(
-                usage.category, user_id)
-            if not pool_paths:
-                continue
-            chosen = choice(
-                len(pool_paths), size=min(count, len(pool_paths)),
-                replace=False,
-            ).reshape(-1)
-            cat_idx = intern_cat(samplers.key)
-            ratios = _sane_ratios(samplers.access_per_byte.take(len(chosen)))
-            if samplers.is_dir:
-                passes = np.maximum(np.rint(ratios), 1.0).tolist()
-                for j, idx in enumerate(chosen.tolist()):
-                    self._append_directory_plan(
-                        pool_paths[idx], int(pool_sizes[idx]),
-                        int(passes[j]), cat_idx, cols,
-                    )
+            entry = self._usage_samplers[e]
+            # Non-finite and negative ratios become 0.0.
+            ratios = [r if 0.0 <= r < _INF else 0.0
+                      for r in entry.access_per_byte.take(count).tolist()]
+            if entry.creates:
+                # Non-finite sizes become 1, the rest round, floored at 1.
+                heads = [max(round(x), 1) if -_INF < x < _INF else 1
+                         for x in entry.file_size.take(count).tolist()]
             else:
-                sizes = pool_sizes[chosen]
-                budgets = np.rint(ratios * sizes).tolist()
-                sizes = sizes.tolist()
-                write_fraction = samplers.write_fraction
-                mode_flag = samplers.mode_flag
-                for j, idx in enumerate(chosen.tolist()):
-                    self._append_existing_plan(
-                        pool_paths[idx], sizes[j], int(budgets[j]),
-                        write_fraction, mode_flag, cat_idx, cols,
-                    )
+                heads = pools[e][1][picks[e]].tolist()
+                if entry.shape == _DIR:
+                    quantities[e] = (heads, [max(round(r), 1)
+                                             for r in ratios])
+                    continue
+            budgets = [round(r * size) for r, size in zip(ratios, heads)]
+            nbytes += (sum(map(max, budgets, heads)) if entry.creates
+                       else sum(budgets))
+            segments += sum(ratios) + count
+            quantities[e] = (heads, budgets)
+        return quantities, nbytes, segments
+
+    def _refill(self, cols: BlockColumns, need: float):
+        """Draw about ``need`` chunk variates onto the block's tape.
+
+        The refill is sanitised once (non-finite draws become 1, the
+        rest are rounded and floored at 1, and saturate below int64's
+        limit) and prefix-summed.  Returns ``(cum, n, tape0)``: ``cum``
+        holds the ``n + 1`` prefix sums from 0 — floats while they are
+        exact, Python ints past 2**53 — and ``tape0`` is the refill's
+        first tape index.
+        """
+        raw = self._chunk.take(
+            min(max(int(need), _CHUNK_REFILL_MIN), _CHUNK_REFILL_CAP))
+        san = np.maximum(np.where(np.isfinite(raw), np.rint(raw), 1.0), 1.0)
+        np.minimum(san, _INT64_SATURATE, out=san)
+        return _onto_tape(cols, san)
+
+    def _cut(self, fires, marks, quantities, nbytes: float,
+             segments: float, cols: BlockColumns) -> tuple[list, int]:
+        """Pass 3, one loop over the user's plans: rows and chunk cuts.
+
+        Each file plan is a head row (open or creat), its data, a close
+        row and, for TEMP, an unlink row.  Sequential data is a list of
+        segments — for an existing file ``budget // size`` whole passes
+        then the remainder; for a new one the write-out, then the
+        re-read passes — with exactly one lseek row between consecutive
+        segments.  A segment is cut from the ``chunk`` stream with
+        ``bisect`` on the current refill's prefix sums: the crossing
+        chunk is cut to land on the segment's end, and a segment that
+        outruns the refill continues in the next one as a second piece
+        (prefix sums restart per refill, so they stay exact).  Random
+        mode reads through :meth:`_random_reads` instead.  Returns the
+        plan count at each session's end and the write-mix rows.
+        """
+        entries = self._usage_samplers
+        random = self.access_pattern == "random"
+        mean = self._mean_chunk
+        add_offset = cols.offsets.append
+        add_length = cols.lengths.append
+        head_sizes = cols.head_sizes
+        add_row = cols.piece_row.append
+        add_tape = cols.piece_tape.append
+        add_take = cols.piece_take.append
+        add_last = cols.piece_last.append
+        add_wf = cols.piece_wf.append
+        plan_marks = [len(cols.lengths)]
+        cursor = [0] * len(entries)
+        row = cols.total
+        cum: Sequence = (0.0,)
+        pos = end = tape0 = 0
+        if self._spare is not None:  # the last call's unused chunks
+            cum, end, tape0 = _onto_tape(cols, self._spare)
+        mixed = 0
+        fire = 0
+        for stop in marks:
+            for e, count in fires[fire:stop]:
+                entry = entries[e]
+                heads, seconds = quantities[e]
+                i = cursor[e]
+                cursor[e] = i + count
+                head_sizes += heads[i:i + count]
+                if entry.shape == _DIR:
+                    for passes in seconds[i:i + count]:
+                        add_offset(row)
+                        add_length(1 + passes)
+                        row += 1 + passes
+                    continue
+                creates = entry.creates
+                wf = 0.0 if creates else entry.write_fraction
+                tail = 2 if entry.shape == _TEMP else 1
+                for k in range(i, i + count):
+                    start = row
+                    row += 1
+                    size = heads[k]
+                    budget = seconds[k]
+                    if creates:  # write out, then re-read the rest
+                        segs = [size]
+                        budget -= size
+                    else:
+                        segs = []
+                    reads = budget > 0 and size > 0
+                    if reads and not random:
+                        full, rest = divmod(budget, size)
+                        segs += [size] * full
+                        if rest:
+                            segs.append(rest)
+                    for q, left in enumerate(segs):
+                        if q:
+                            row += 1  # the lseek row between passes
+                        w = wf if q or not creates else -1.0  # write-out
+                        nbytes -= left
+                        segments -= 1
+                        while left > 0:
+                            if pos == end:
+                                need = segments + 1 + (nbytes + left) / mean
+                                cum, end, tape0 = self._refill(cols, need)
+                                pos = 0
+                            base = cum[pos]
+                            j = bisect_left(cum, base + left, pos + 1)
+                            if j > end:  # the refill ends inside the segment
+                                j = end
+                                last = cum[end] - cum[end - 1]
+                                left -= int(cum[end] - base)
+                            else:
+                                last = left - (cum[j - 1] - base)
+                                left = 0
+                            add_row(row)
+                            add_tape(tape0 + pos)
+                            add_take(j - pos)
+                            add_last(last)
+                            add_wf(w)
+                            if w >= 0.0:
+                                mixed += j - pos
+                            row += j - pos
+                            pos = j
+                    if reads and random:
+                        if creates:
+                            row += 1  # lseek to 0 before the re-reads
+                        nbytes -= budget
+                        row, cum, pos, end, tape0, taken = self._random_reads(
+                            cols, row, size, budget, wf, cum, pos, end, tape0,
+                            segments + 1 + nbytes / mean)
+                        mixed += taken
+                    row += tail
+                    add_offset(start)
+                    add_length(row - start)
+            fire = stop
+            cols.bounds.append(row)
+            plan_marks.append(len(cols.lengths))
+        cols.total = row
+        self._spare = cols.tape[-1][pos:] if pos < end else None
+        return plan_marks, mixed
+
+    def _random_reads(self, cols: BlockColumns, row: int, size: int,
+                      budget: int, wf: float, cum, pos, end, tape0,
+                      need: float):
+        """Random-mode data: an lseek to a uniform offset before every
+        chunk, ``budget`` bytes of a ``size``-byte file in all.
+
+        Cuts slabs of up to ``_CHUNK_SLAB`` (offset, chunk) pairs from
+        the current refill and the ``seek`` stream, each chunk clamped to
+        the file's end and the last to the budget, and records them for
+        the layout.  ``need`` is the user's chunk demand after this
+        plan, for sizing refills.  Returns the updated row and tape
+        state and the reads appended.
+        """
+        remaining = budget
+        taken = 0
+        while remaining > 0:
+            if pos == end:
+                cum, end, tape0 = self._refill(
+                    cols, need + remaining / self._mean_chunk)
+                pos = 0
+            seeks = self._seek.peek_buffer()
+            width = min(end - pos, len(seeks), _CHUNK_SLAB)
+            offsets = np.minimum(
+                (seeks[:width] * size).astype(np.int64), size - 1)
+            candidates = np.minimum(cols.tape[-1][pos:pos + width],
+                                    (size - offsets).astype(np.float64))
+            np.minimum(candidates, float(remaining), out=candidates)
+            total = np.cumsum(candidates)
+            cut = int(total.searchsorted(float(remaining), side="left"))
+            if cut >= width:
+                take = width
+                advanced = int(total[-1])
+            else:
+                take = cut + 1
+                advanced = remaining
+                candidates[cut] = remaining - (int(total[cut - 1])
+                                               if cut else 0)
+            pos += take
+            self._seek.consume(take)
+            cols.slab_row.append(row)
+            cols.slab_take.append(take)
+            cols.slab_wf.append(wf)
+            cols.slab_seeks.append(offsets[:take])
+            cols.slab_sizes.append(candidates[:take])
+            row += 2 * take
+            taken += take
+            remaining -= advanced
+        return row, cum, pos, end, tape0, taken
 
     def append_user(self, session_ids, cols: BlockColumns) -> None:
         """Append this user's ``session_ids`` to the block ``cols``.
 
         Everything that draws from the user's streams happens here, so a
-        pooled kernel may be rebound the moment this returns: the plan
-        walk per session, then the user's whole ``slot`` block (every op
-        consumes exactly one uniform) and the interleave it drives, its
-        ``write-mix`` block and its think (and phase) block.  Each named
-        stream is still consumed session by session in draw order — a
-        block only *regroups* draws across users, whose streams are
-        disjoint — so a user's rows are the same whatever else the
-        block holds.
+        pooled kernel may be rebound the moment this returns: the
+        selection walk over all sessions (:meth:`_walk`), one ``apb:``
+        and ``size:`` take per entry (:meth:`_quantities`), the chunk
+        cuts (:meth:`_cut`), then the user's whole ``slot`` block (every
+        op consumes exactly one uniform) and the interleave it drives,
+        its ``write-mix`` block and its think (and phase) block.  Each
+        named stream serves the same sequence in the same order as a
+        draw per plan would — only draw sizes differ — and a block only
+        *regroups* draws across users, whose streams are disjoint, so a
+        user's rows are the same whatever else the block holds.
         """
         type_idx = cols.user_types.intern(self.user_type.name)
-        lengths, bounds = cols.lengths, cols.bounds
         row0 = cols.total
-        first = len(bounds) - 1  # this user's first session
-        mix0 = len(cols.mix_count)
-        marks = [len(lengths)]
+        first = len(cols.bounds) - 1  # this user's first session
+        fires, marks, picks, pools = self._walk(session_ids, cols)
+        quantities, nbytes, segments = self._quantities(fires, picks, pools)
+        plan_marks, mixed = self._cut(fires, marks, quantities, nbytes,
+                                      segments, cols)
         for session_id in session_ids:
-            self._append_session_plans(session_id, cols)
-            bounds.append(cols.total)
-            marks.append(len(lengths))
             cols.sess_user.append(self.user_id)
             cols.sess_id.append(session_id)
             cols.sess_type.append(type_idx)
@@ -913,13 +891,13 @@ class SessionGenerator:
         uniforms = self._slot.take(n).tolist()
         order = [0] * n
         max_open = self.user_type.max_open_files
-        for s in range(len(marks) - 1):
-            _interleave(lengths, cols.offsets, marks[s], marks[s + 1],
-                        uniforms, order, bounds[first + s] - row0, max_open)
+        for s in range(len(plan_marks) - 1):
+            _interleave(cols.lengths, cols.offsets, plan_marks[s],
+                        plan_marks[s + 1], uniforms, order,
+                        cols.bounds[first + s] - row0, max_open)
         cols.order += order
-        mix_n = sum(cols.mix_count[mix0:])
-        if mix_n:
-            cols.mix_draws.append(self._write_mix.take(mix_n))
+        if mixed:
+            cols.mix_draws.append(self._write_mix.take(mixed))
         think = self._think.take(n)
         if self.phase_model is not None:
             think = think * self.phase_model.step_many(self._phase.take(n))
@@ -971,13 +949,31 @@ class SessionGenerator:
         yield from self.generate_session_batch(session_id).iter_session_ops()
 
 
-def _sane_ratios(ratios: np.ndarray) -> np.ndarray:
-    """Accesses-per-byte draws with non-finite or negative ones
-    replaced by 0.0."""
-    bad = ~(np.isfinite(ratios) & (ratios >= 0.0))
-    if bad.any():
-        ratios = np.where(bad, 0.0, ratios)
-    return ratios
+def _onto_tape(cols: BlockColumns, san: np.ndarray):
+    """Append sanitised chunks to the block's tape: see
+    :meth:`SessionGenerator._refill`."""
+    n = len(san)
+    cum = np.empty(n + 1, dtype=np.float64)
+    cum[0] = 0.0
+    np.cumsum(san, out=cum[1:])
+    if cum[n] < _EXACT_FLOAT:
+        # An array, not a list: a list would box every sum as a float
+        # object, and that churn alone measurably raised peak RSS.
+        cum = array("d", cum.tobytes())
+    else:
+        cum = list(accumulate(map(int, san.tolist()), initial=0))
+    tape0 = cols.tape_len
+    cols.tape.append(san)
+    cols.tape_len = tape0 + n
+    return cum, n, tape0
+
+
+def _plan_shape(usage: UsageSpec) -> int:
+    """The shape of every plan a usage entry fires."""
+    category = usage.category
+    if category.creates_files:
+        return _TEMP if category.use is UseType.TEMP else _NEW
+    return _DIR if category.is_directory else _EXISTING
 
 
 def _interleave(lengths: list, offsets: list, p0: int, p1: int,

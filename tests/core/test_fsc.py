@@ -162,3 +162,32 @@ class TestLayoutQueries:
         assert layout.total_files == spec.total_files
         sample = layout.files[0]
         assert fs.exists(sample.path)
+
+
+class _Discard:
+    """A sink that keeps nothing."""
+
+    def record_batch(self, batch):
+        pass
+
+    def record_session(self, record):
+        pass
+
+
+class TestPoolCache:
+    def test_cache_holds_shared_pools_only(self):
+        """A 2 000-user engine-free run leaves at most one cached pool
+        per shared category: a user's own pool is built per call, so
+        the layout does not grow with the users it served."""
+        from repro.core import WorkloadGenerator
+        from repro.scenarios import get_scenario
+
+        spec = get_scenario("batch-heavy").build(2000, 7, total_files=2000)
+        result = WorkloadGenerator(spec).run_simulated(
+            sessions_per_user=1, backend="fast", log=_Discard())
+        shared = {fc.category.key for fc in spec.file_categories
+                  if fc.category.is_shared}
+        cached = [key for key, _user in result.layout._pool_arrays]
+        assert len(cached) == len(set(cached))
+        assert set(cached) <= shared
+        assert cached  # the shared pools were read through the cache
