@@ -23,8 +23,8 @@ should.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from dataclasses import dataclass
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = ["FileSystemCreator", "FileSystemLayout", "CreatedFile"]
 
 _DIR_ENTRY_BYTES = 32
 _MAX_DIR_ENTRIES = 64
+_NO_FILES = np.zeros(0, dtype=np.int64)
 
 
 class _Sampler(Protocol):
@@ -52,34 +53,51 @@ class CreatedFile:
     owner_user: int | None  # None for shared files
 
 
-@dataclass
 class FileSystemLayout:
     """Manifest of the new file system the FSC built.
 
     The USIM selects files to access from this manifest; the analyzer uses
-    the recorded sizes without re-statting.
+    the recorded sizes without re-statting.  It is arithmetic over one
+    int64 size array per category, in index order: file ``i`` of a
+    USER-owned category belongs to user ``i % n_users`` and lives at
+    ``/userNN/<short>-<i:05d>``; a shared category's file ``i`` lives
+    at ``/notes/<short>-<i:05d>`` (NOTES-owned) or under ``/system``.
+    Paths, pools and per-category statistics are derived on demand, so
+    the manifest holds eight bytes per file and nothing per user.
     """
 
-    n_users: int
-    files: list[CreatedFile] = field(default_factory=list)
-    _by_pool: dict[tuple[str, int | None], list[CreatedFile]] = field(
-        default_factory=dict
-    )
-    _size_by_path: dict[str, int] = field(default_factory=dict)
-    _pool_arrays: dict[tuple[str, int | None],
-                       tuple[list[str], np.ndarray]] = field(
-        default_factory=dict
-    )
+    def __init__(self, n_users: int,
+                 sizes: Mapping[FileCategory, Sequence[int]]):
+        self.n_users = n_users
+        self._sizes = {
+            category.key: (category, np.asarray(values, dtype=np.int64))
+            for category, values in sizes.items()
+        }
+        self._key_by_short = {
+            self._short_name(category): key
+            for key, (category, _) in self._sizes.items()
+        }
 
-    def add(self, record: CreatedFile) -> None:
-        """Index a created file."""
-        self.files.append(record)
-        pool = self._by_pool.setdefault(
-            (record.category_key, record.owner_user), []
-        )
-        pool.append(record)
-        self._size_by_path[record.path] = record.size
-        self._pool_arrays.pop((record.category_key, record.owner_user), None)
+    @staticmethod
+    def _short_name(category: FileCategory) -> str:
+        return category.key.lower().replace(":", "-").replace("-rdonly", "")
+
+    def _owner_for(self, category: FileCategory, index: int) -> int | None:
+        if category.is_shared:
+            return None
+        return index % self.n_users
+
+    def _stem(self, category: FileCategory, owner_user: int | None) -> str:
+        """A pool's path up to the file index."""
+        if owner_user is not None:
+            base = self.user_home(owner_user)
+        else:
+            base = "/notes" if category.owner is Owner.NOTES else "/system"
+        return f"{base}/{self._short_name(category)}-"
+
+    def _path_for(self, category: FileCategory, index: int) -> str:
+        stem = self._stem(category, self._owner_for(category, index))
+        return f"{stem}{index:05d}"
 
     def user_home(self, user_id: int) -> str:
         """The home directory path of virtual user ``user_id``."""
@@ -89,62 +107,61 @@ class FileSystemLayout:
             )
         return f"/user{user_id:02d}"
 
-    def files_for(self, category: FileCategory,
-                  user_id: int) -> list[CreatedFile]:
+    def pool_arrays(self, category: FileCategory, user_id: int,
+                    ) -> tuple[np.ndarray, Callable[[int], str]]:
         """Candidate files of ``category`` visible to ``user_id``.
 
-        USER-owned categories resolve to the user's own files; shared
-        categories resolve to the common pool.
+        Returns ``(sizes, path_at)``: ``sizes`` is the pool's size
+        column — the strided view ``sizes[user_id::n_users]`` for a
+        USER-owned category, the whole array for a shared one — and
+        ``path_at(k)`` renders the path of pool position ``k``, so a
+        caller formats only the paths it chooses.
         """
-        if category.is_shared:
-            return self._by_pool.get((category.key, None), [])
-        return self._by_pool.get((category.key, user_id), [])
-
-    def pool_arrays(self, category: FileCategory,
-                    user_id: int) -> tuple[list[str], np.ndarray]:
-        """``files_for`` as ``(paths, sizes)`` columns.
-
-        The columnar plan builder indexes whole chosen-file subsets at
-        once (``sizes[chosen]``) instead of touching one
-        :class:`CreatedFile` attribute pair per plan.  Shared pools are
-        cached (every user reads them; :meth:`add` invalidates); a
-        user's own pool is built per call, once per user and entry, so
-        the cache stays O(categories) however many users a run has.
-        """
-        pool_key = (category.key, None if category.is_shared else user_id)
-        cached = self._pool_arrays.get(pool_key)
-        if cached is None:
-            pool = self._by_pool.get(pool_key, [])
-            cached = (
-                [record.path for record in pool],
-                np.array([record.size for record in pool], dtype=np.int64),
-            )
-            if category.is_shared:
-                self._pool_arrays[pool_key] = cached
-        return cached
+        _, sizes = self._sizes.get(category.key, (None, _NO_FILES))
+        owner = None if category.is_shared else user_id
+        start, step = (0, 1) if owner is None else (owner, self.n_users)
+        stem = self._stem(category, owner)
+        return sizes[start::step], lambda k: f"{stem}{start + k * step:05d}"
 
     def size_of(self, path: str) -> int | None:
-        """Recorded size of a created path (None for session-created files)."""
-        return self._size_by_path.get(path)
+        """Recorded size of a created path (None for any other path)."""
+        head, _, digits = path.rpartition("-")
+        key = self._key_by_short.get(head.rpartition("/")[2])
+        # An index is at most 18 digits; a longer run is not one of
+        # ours, and int() refuses strings past a few thousand digits.
+        if (key is None or len(digits) > 18
+                or not (digits.isascii() and digits.isdigit())):
+            return None
+        category, sizes = self._sizes[key]
+        index = int(digits)
+        if index >= len(sizes) or self._path_for(category, index) != path:
+            return None
+        return int(sizes[index])
 
     def count_by_category(self) -> dict[str, int]:
         """Number of created files per category key."""
-        counts: dict[str, int] = {}
-        for record in self.files:
-            counts[record.category_key] = counts.get(record.category_key, 0) + 1
-        return counts
+        return {key: len(sizes) for key, (_, sizes) in self._sizes.items()
+                if len(sizes)}
 
     def mean_size_by_category(self) -> dict[str, float]:
         """Mean created size per category key (Table 5.1 check)."""
-        sums: dict[str, list[float]] = {}
-        for record in self.files:
-            sums.setdefault(record.category_key, []).append(record.size)
-        return {key: float(np.mean(vals)) for key, vals in sums.items()}
+        return {key: float(np.mean(sizes))
+                for key, (_, sizes) in self._sizes.items() if len(sizes)}
 
     @property
     def total_files(self) -> int:
         """Number of category files created (directory entries excluded)."""
-        return len(self.files)
+        return sum(len(sizes) for _, sizes in self._sizes.values())
+
+    @property
+    def files(self) -> list[CreatedFile]:
+        """Every created file in creation order, built on each read."""
+        return [
+            CreatedFile(self._path_for(category, index), key, size,
+                        self._owner_for(category, index))
+            for key, (category, sizes) in self._sizes.items()
+            for index, size in enumerate(sizes.tolist())
+        ]
 
 
 class FileSystemCreator:
@@ -194,38 +211,54 @@ class FileSystemCreator:
         """Materialise the new file system on ``fs`` and return the manifest.
 
         ``materialize_users`` restricts which *per-user* homes and files
-        are physically created: shared (``/system``, ``/notes``) files are
-        built whenever ``materialize_shared`` is true (the default), but
-        USER-owned files are only written for the given user ids.  The
-        engine-free fast backends pass ``materialize_shared=False`` as
-        well — they never read the store, only the manifest.  The
-        returned manifest always covers the **whole** population, and
-        every size is sampled in the same order regardless — so a shard
-        that materialises only its own users still computes a layout
-        bit-identical to the full build.  This is what lets a fleet
-        shard hold ~1/K of the file bytes while simulating 1/K of the
-        users (see :mod:`repro.fleet`).
+        are physically created; shared (``/system``, ``/notes``) files
+        are built when ``materialize_shared`` is true.  The engine-free
+        backends materialise nothing: they read only the manifest.  The
+        manifest always covers the **whole** population, sampled the
+        same way whatever is materialised, so a fleet shard that writes
+        only its own users' files (~1/K of the bytes) still computes a
+        layout bit-identical to the full build.
         """
-        layout = FileSystemLayout(n_users=self.spec.n_users)
+        n_users = self.spec.n_users
+        drawn = self._draw_sizes()
+        layout = FileSystemLayout(n_users, drawn)
         fs.makedirs("/system")
         fs.makedirs("/notes")
-        for user_id in range(self.spec.n_users):
-            if materialize_users is None or user_id in materialize_users:
-                fs.makedirs(layout.user_home(user_id))
+        homes = (range(n_users) if materialize_users is None else
+                 sorted(u for u in materialize_users if 0 <= u < n_users))
+        for user_id in homes:
+            fs.makedirs(layout.user_home(user_id))
+        for category, sizes in drawn.items():
+            if category.is_shared:
+                indices = range(len(sizes)) if materialize_shared else ()
+            else:  # file i belongs to user i % n_users
+                indices = sorted(i for u in homes
+                                 for i in range(u, len(sizes), n_users))
+            for index in indices:
+                path = layout._path_for(category, index)
+                if category.is_directory:
+                    self._create_directory(fs, path, int(sizes[index]))
+                else:
+                    self._create_file(fs, path, int(sizes[index]))
+        return layout
 
+    def _draw_sizes(self) -> dict[FileCategory, np.ndarray]:
+        """Every category's file sizes, one draw per category in spec order."""
         rng = self.streams.get("fsc")
         counts = self.category_file_counts()
+        drawn = {}
         for cat_spec in self.spec.file_categories:
             category = cat_spec.category
-            sampler = self.size_samplers[category.key]
             count = counts[category.key]
             if count == 0:
                 continue
             # One vectorized draw per category: NumPy fills sequentially
             # from the bit stream, so the sizes equal per-file scalar
-            # draws — and the FSC stream stays aligned across different
-            # materialisation subsets, exactly as before.
-            raw = np.asarray(sampler.sample(rng, size=count), dtype=float)
+            # draws — and the manifest does not depend on which files
+            # are materialised.
+            raw = np.asarray(
+                self.size_samplers[category.key].sample(rng, size=count),
+                dtype=float)
             if not np.isfinite(raw).all():
                 # Match the old scalar path, which raised on int(NaN):
                 # a non-finite file size is a broken size distribution,
@@ -234,52 +267,10 @@ class FileSystemCreator:
                     f"file-size sampler for {category.key!r} produced "
                     "non-finite draws"
                 )
-            sizes = np.maximum(np.rint(raw), 0.0).astype(np.int64).tolist()
-            for index in range(count):
-                owner_user = self._owner_for(category, index)
-                path = self._path_for(layout, category, owner_user, index)
-                size = sizes[index]
-                materialize = (
-                    (materialize_users is None
-                     or owner_user in materialize_users)
-                    if owner_user is not None
-                    else materialize_shared
-                )
-                if materialize:
-                    if category.is_directory:
-                        self._create_directory(fs, path, size)
-                    else:
-                        self._create_file(fs, path, size)
-                layout.add(
-                    CreatedFile(
-                        path=path,
-                        category_key=category.key,
-                        size=size,
-                        owner_user=owner_user,
-                    )
-                )
-        return layout
+            drawn[category] = np.maximum(np.rint(raw), 0.0).astype(np.int64)
+        return drawn
 
     # -- helpers -----------------------------------------------------------------------
-
-    def _owner_for(self, category: FileCategory, index: int) -> int | None:
-        if category.is_shared:
-            return None
-        return index % self.spec.n_users
-
-    def _path_for(
-        self,
-        layout: FileSystemLayout,
-        category: FileCategory,
-        owner_user: int | None,
-        index: int,
-    ) -> str:
-        short = category.key.lower().replace(":", "-").replace("-rdonly", "")
-        name = f"{short}-{index:05d}"
-        if owner_user is not None:
-            return f"{layout.user_home(owner_user)}/{name}"
-        base = "/notes" if category.owner is Owner.NOTES else "/system"
-        return f"{base}/{name}"
 
     @staticmethod
     def _create_file(fs: FileSystemAPI, path: str, size: int) -> None:

@@ -618,16 +618,16 @@ class SessionGenerator:
                     if pool is None:
                         pool = pools[e] = self.layout.pool_arrays(
                             entry.usage.category, self.user_id)
-                    pool_paths = pool[0]
-                    if not pool_paths:
+                    sizes, path_at = pool
+                    if not len(sizes):
                         continue
                     chosen = choice(
-                        len(pool_paths), size=min(count, len(pool_paths)),
+                        len(sizes), size=min(count, len(sizes)),
                         replace=False,
                     ).tolist()
                     picks[e] += chosen
                     count = len(chosen)
-                    paths += [pool_paths[i] for i in chosen]
+                    paths += map(path_at, chosen)
                 fires.append((e, count))
                 cols.fire_plans.append(count)
                 cols.fire_shape.append(entry.shape)
@@ -666,7 +666,7 @@ class SessionGenerator:
                 heads = [max(round(x), 1) if -_INF < x < _INF else 1
                          for x in entry.file_size.take(count).tolist()]
             else:
-                heads = pools[e][1][picks[e]].tolist()
+                heads = pools[e][0][picks[e]].tolist()
                 if entry.shape == _DIR:
                     quantities[e] = (heads, [max(round(r), 1)
                                              for r in ratios])

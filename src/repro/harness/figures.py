@@ -118,7 +118,8 @@ class FigureResult:
 def table_5_1(total_files: int = 4000, seed: int = 0) -> TableResult:
     """File characterization: paper's means vs a realised FSC build."""
     spec = paper_workload_spec(n_users=4, total_files=total_files, seed=seed)
-    layout = FileSystemCreator(spec).create(MemoryFileSystem())
+    layout = FileSystemCreator(spec).create(
+        MemoryFileSystem(), materialize_users=set(), materialize_shared=False)
     measured_sizes = layout.mean_size_by_category()
     counts = layout.count_by_category()
     rows = []
@@ -240,7 +241,8 @@ def table_5_3(
 def table_5_4(sessions: int = 20, seed: int = 0) -> TableResult:
     """The three experiment user types, with measured mean think times."""
     spec = paper_workload_spec(n_users=1, total_files=200, seed=seed)
-    layout = FileSystemCreator(spec).create(MemoryFileSystem())
+    layout = FileSystemCreator(spec).create(
+        MemoryFileSystem(), materialize_users=set(), materialize_shared=False)
     rows = []
     for name, think_us in TABLE_5_4_THINK_TIME_US.items():
         user_type = paper_user_type(name, think_time_mean_us=think_us)

@@ -187,7 +187,8 @@ def regenerate(
             collect_ops=True,
         )
     )
-    layout = WorkloadGenerator(spec).create_file_system(MemoryFileSystem())
+    layout = WorkloadGenerator(spec).create_file_system(
+        MemoryFileSystem(), materialize_users=set(), materialize_shared=False)
     return result.log, layout
 
 

@@ -265,7 +265,12 @@ def _session_plan_specs(generator, session_id: int):
                 )
                 yield "new", samplers, path, temporary
             continue
-        pool = generator.layout.files_for(category, generator.user_id)
+        # The pool by definition: the manifest's files of this category
+        # owned by this user (or shared), in creation order.
+        owner = None if category.is_shared else generator.user_id
+        pool = [record for record in generator.layout.files
+                if record.category_key == category.key
+                and record.owner_user == owner]
         if not pool:
             continue
         chosen_idx = generator._rng_select.choice(

@@ -1,8 +1,14 @@
 """Unit tests for the File System Creator."""
 
+import numpy as np
 import pytest
 
-from repro.core import FileCategory, FileSystemCreator, paper_workload_spec
+from repro.core import (
+    FileCategory,
+    FileSystemCreator,
+    FileSystemLayout,
+    paper_workload_spec,
+)
 from repro.distributions import RandomStreams
 from repro.vfs import MemoryFileSystem
 
@@ -121,26 +127,43 @@ class TestCreation:
 
 
 class TestLayoutQueries:
-    def test_files_for_user_category(self, built):
+    @staticmethod
+    def _pool_by_definition(layout, category, user_id):
+        owner = None if category.is_shared else user_id
+        return [r for r in layout.files
+                if r.category_key == category.key and r.owner_user == owner]
+
+    def test_pool_arrays_user_category(self, built):
         _, layout = built
         cat = FileCategory.from_key("REG:USER:RDONLY")
         for user_id in range(3):
-            pool = layout.files_for(cat, user_id)
+            sizes, path_at = layout.pool_arrays(cat, user_id)
+            pool = self._pool_by_definition(layout, cat, user_id)
             assert pool
-            assert all(r.owner_user == user_id for r in pool)
+            assert sizes.tolist() == [r.size for r in pool]
+            assert [path_at(k) for k in range(len(sizes))] == [
+                r.path for r in pool]
 
-    def test_files_for_shared_category(self, built):
+    def test_pool_arrays_shared_category(self, built):
         _, layout = built
         cat = FileCategory.from_key("REG:NOTES:RDONLY")
-        pool_a = layout.files_for(cat, 0)
-        pool_b = layout.files_for(cat, 2)
-        assert pool_a == pool_b
-        assert pool_a
+        sizes_a, path_a = layout.pool_arrays(cat, 0)
+        sizes_b, path_b = layout.pool_arrays(cat, 2)
+        pool = self._pool_by_definition(layout, cat, 0)
+        assert pool
+        assert sizes_a.tolist() == sizes_b.tolist() == [r.size for r in pool]
+        assert [path_a(k) for k in range(len(pool))] == [
+            path_b(k) for k in range(len(pool))] == [r.path for r in pool]
+
+    def test_pool_arrays_unknown_category_is_empty(self):
+        sizes, _ = FileSystemLayout(3, {}).pool_arrays(
+            FileCategory.from_key("REG:USER:RDONLY"), 1)
+        assert len(sizes) == 0
 
     def test_size_of(self, built):
         _, layout = built
-        record = layout.files[0]
-        assert layout.size_of(record.path) == record.size
+        for record in layout.files:
+            assert layout.size_of(record.path) == record.size
         assert layout.size_of("/not/created") is None
 
     def test_user_home_bounds(self, built):
@@ -164,30 +187,81 @@ class TestLayoutQueries:
         assert fs.exists(sample.path)
 
 
-class _Discard:
-    """A sink that keeps nothing."""
+class TestSizeOf:
+    """``size_of`` parses, range-checks and re-renders a path."""
 
-    def record_batch(self, batch):
-        pass
+    USER = FileCategory.from_key("REG:USER:RDONLY")
+    DIRS = FileCategory.from_key("DIR:USER:RDONLY")
+    OTHER = FileCategory.from_key("REG:OTHER:RDONLY")
+    NOTES = FileCategory.from_key("REG:NOTES:RD-WRT")
+    N_USER_FILES = 100_050  # past index 99 999: six-digit names
 
-    def record_session(self, record):
-        pass
+    @pytest.fixture(scope="class")
+    def layout(self):
+        return FileSystemLayout(100, {
+            self.USER: np.arange(self.N_USER_FILES) * 3,
+            self.DIRS: [714, 96, 32],
+            self.OTHER: [5, 6, 7],
+            self.NOTES: [11, 12],
+        })
+
+    def test_round_trips_every_file(self, layout):
+        files = layout.files
+        assert len(files) == layout.total_files == self.N_USER_FILES + 8
+        assert files[-9].path == "/user49/reg-user-100049"
+        for record in files:
+            size = layout.size_of(record.path)
+            assert type(size) is int
+            assert size == record.size
+
+    @pytest.mark.parametrize("path", [
+        "/user1/reg-user-00003",
+        "/user3/reg-user-00003",
+        "/user00/reg-user-3",
+        "/user03/reg-user-3",
+        "/user50/reg-user-100050",
+        "/user04/reg-user-00003",
+        "/user00/reg-other-00000",
+        "/system/reg-user-00000",
+        "/notes/reg-other-00000",
+        "/user99999/reg-user-99999",
+        "/user00/new-s0000-p00000-0",
+        "/user01/dir-user-00001/e000",
+        "/user03/reg-user-0000\u0663",
+        "/user03/reg-user-00003 ",
+        "/user03/reg-user-" + "9" * 5000,
+        "reg-user-00003",
+        "",
+        "/",
+    ])
+    def test_foreign_paths_are_none(self, layout, path):
+        assert layout.size_of(path) is None
 
 
-class TestPoolCache:
-    def test_cache_holds_shared_pools_only(self):
-        """A 2 000-user engine-free run leaves at most one cached pool
-        per shared category: a user's own pool is built per call, so
-        the layout does not grow with the users it served."""
+class TestManifestFootprint:
+    def test_engine_free_manifest_holds_sizes_only(self):
+        """The manifest of a 5 000-user run is its size arrays: at most
+        16 bytes retained per file, nothing per user."""
+        import tracemalloc
+
         from repro.core import WorkloadGenerator
         from repro.scenarios import get_scenario
 
-        spec = get_scenario("batch-heavy").build(2000, 7, total_files=2000)
-        result = WorkloadGenerator(spec).run_simulated(
-            sessions_per_user=1, backend="fast", log=_Discard())
-        shared = {fc.category.key for fc in spec.file_categories
-                  if fc.category.is_shared}
-        cached = [key for key, _user in result.layout._pool_arrays]
-        assert len(cached) == len(set(cached))
-        assert set(cached) <= shared
-        assert cached  # the shared pools were read through the cache
+        generator = WorkloadGenerator(
+            get_scenario("mixed-campus").build(5000, 7))
+
+        def build():
+            return generator.create_file_system(
+                MemoryFileSystem(), materialize_users=set(),
+                materialize_shared=False)
+
+        build()  # size tables, the fsc stream, lazy imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layout = build()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert layout.total_files >= 5000
+        assert retained <= 16 * layout.total_files

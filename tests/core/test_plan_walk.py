@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PhaseModel, synthesis
-from repro.core.fsc import CreatedFile, FileSystemLayout
+from repro.core.fsc import FileSystemLayout
 from repro.core.spec import FileCategory, UsageSpec, UserTypeSpec
 from repro.core.synthesis import BlockColumns, SessionGenerator
 from repro.distributions import Constant, RandomStreams, ShiftedExponential
@@ -78,7 +78,7 @@ ACCESS = st.sampled_from([
     Palette(NAN, -3.0, 0.4, 1.0, 4.0, 17.0, INF)])
 THINKS = st.sampled_from([
     Constant(0.0), Palette(NAN, -1.0, 0.0, 2.5, 700.0, INF)])
-POOL = st.lists(st.sampled_from([1, 2, 3, 8, 40]), max_size=3)
+POOL = st.lists(st.sampled_from([1, 2, 3, 8, 40]), max_size=9)
 
 
 @st.composite
@@ -102,16 +102,13 @@ def workloads(draw):
         think_time=draw(THINKS), access_size=draw(ACCESS),
         max_open_files=draw(st.integers(1, 8)),
     )
-    layout = FileSystemLayout(n_users=n_users)
-    for spec in usage:
-        category = spec.category
-        if category.creates_files:
-            continue
-        owners = [None] if category.is_shared else range(n_users)
-        for owner in owners:
-            for i, size in enumerate(draw(POOL)):
-                layout.add(CreatedFile(f"/pool/{category.key}/{owner}/{i}",
-                                       category.key, size, owner))
+    # Each pool category gets 0-9 files in index order; file i belongs
+    # to user i % n_users, so some users' pools are empty and pools of
+    # one category differ in length between users.
+    layout = FileSystemLayout(n_users, {
+        spec.category: draw(POOL) for spec in usage
+        if not spec.category.creates_files
+    })
     return dict(
         user_type=user_type, layout=layout, n_users=n_users,
         sessions=draw(st.integers(1, 3)),
