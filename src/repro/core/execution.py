@@ -49,9 +49,7 @@ from ..nfs import NfsTiming, SUN_NFS_TIMING
 from .arrivals import SessionSchedule
 from .opbatch import (
     DATA_KIND_CODES,
-    KIND_CREAT,
     KIND_LSEEK,
-    KIND_OPEN,
     KIND_THINK,
     OpBatch,
     REFERENCE_KIND_CODES,
@@ -253,8 +251,8 @@ class FastReplayBackend(ExecutionBackend):
       service/think contribution column, *restarted at every user* and
       seeded with that user's clock (:func:`_block_clocks`), so float
       rounding matches a per-op running sum bit for bit;
-    * path resolution, the recorded-size rule and every session summary
-      are computed once per block;
+    * the recorded-size rule and every session summary are computed
+      once per block (every row already carries its plan's path);
     * sinks still receive one ``record_batch`` slice per session
       followed by its ``record_session`` — batch boundaries are
       observable (a sink's running-moment fold, the stream writer's
@@ -306,8 +304,6 @@ class FastReplayBackend(ExecutionBackend):
         moved = np.where(_DATA_MASK[batch.kinds], batch.sizes, 0)
         summaries = _session_summaries(batch, bounds, moved)
         rec = batch.select(slice(None))
-        rec.path_idx = _resolved_paths(batch, np.repeat(
-            np.arange(len(tasks)), np.diff(bounds[user_sess])))
         rec.start_us = op_starts
         rec.response_us = service
         rec.sizes = moved
@@ -380,34 +376,6 @@ def _block_clocks(service: np.ndarray, think_us: np.ndarray,
         np.cumsum(contrib[lo:hi], out=clock[lo:hi])
     return (clock[op_slots], clock[2 * bounds[:-1] + sess_shift],
             clock[end_slots], clock[seg[1:] - 1])
-
-
-def _resolved_paths(batch: OpBatch, user_of_op: np.ndarray) -> np.ndarray:
-    """The path column with pathless rows filled from their plan's
-    open/creat row.
-
-    What a per-op executor keeps in a ``path_by_plan`` dict, for a
-    block: plan ids restart with every user, so the lookup
-    key is (user, plan id), searched in the sorted keys of the block's
-    open/creat rows (every data op's open precedes it in its user's
-    rows).
-    """
-    path_idx = batch.path_idx
-    plan_ids = batch.plan_ids
-    need = np.flatnonzero((path_idx < 0) & (plan_ids >= 0))
-    opens = np.flatnonzero(
-        (batch.kinds == KIND_OPEN) | (batch.kinds == KIND_CREAT))
-    if not len(need) or not len(opens):
-        return path_idx
-    keys = user_of_op * (int(plan_ids.max()) + 1) + plan_ids
-    order = np.argsort(keys[opens])
-    open_keys = keys[opens][order]
-    at = np.minimum(np.searchsorted(open_keys, keys[need]),
-                    len(open_keys) - 1)
-    covered = open_keys[at] == keys[need]
-    resolved = path_idx.copy()
-    resolved[need[covered]] = path_idx[opens[order[at[covered]]]]
-    return resolved
 
 
 def _session_summaries(batch: OpBatch, bounds: np.ndarray,

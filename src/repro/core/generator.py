@@ -272,6 +272,17 @@ class WorkloadGenerator:
         return creator.create(fs, materialize_users=materialize_users,
                               materialize_shared=materialize_shared)
 
+    def manifest(self) -> FileSystemLayout:
+        """The FSC manifest with no file created, which the engine-free
+        backends run against: the same sizes as a materialised build.
+        Memoized, as a pure function of the spec's seed."""
+        if self._manifest_layout is None:
+            self._manifest_layout = self.create_file_system(
+                MemoryFileSystem(), materialize_users=set(),
+                materialize_shared=False,
+            )
+        return self._manifest_layout
+
     # -- USIM, simulated ---------------------------------------------------------------
 
     def build_simulation(self, backend: str = "nfs",
@@ -462,20 +473,7 @@ class WorkloadGenerator:
         with obs.stage("plan"):
             assignment, selected = self.plan_users(user_ids)
             if engine_free:
-                # No store is ever read: materialise nothing at all,
-                # just sample the manifest (sizes are drawn identically
-                # either way, so the layout — and hence the op stream —
-                # matches the DES run bit for bit).  Memoized: the
-                # manifest is a pure function of the spec's seed, so
-                # repeated engine-free runs (bench repeats, fleet
-                # probes) reuse the first build instead of redrawing
-                # the whole population's file sizes.
-                if self._manifest_layout is None:
-                    self._manifest_layout = self.create_file_system(
-                        MemoryFileSystem(), materialize_users=set(),
-                        materialize_shared=False,
-                    )
-                layout = self._manifest_layout
+                layout = self.manifest()
                 executor = ColumnarReplayBackend(timing)
             else:
                 handle = self.build_simulation(backend, timing)

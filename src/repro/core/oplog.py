@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Iterable,
-    Iterator,
     Protocol,
     runtime_checkable,
 )
@@ -369,15 +368,6 @@ class UsageLog:
 
     # -- queries ---------------------------------------------------------------
 
-    def data_ops(self) -> Iterator[OpRecord]:
-        """Only the byte-moving calls (read/write)."""
-        return (op for op in self.operations if op.op in ("read", "write"))
-
-    def ops_of(self, *names: str) -> Iterator[OpRecord]:
-        """Operations filtered by syscall name."""
-        wanted = set(names)
-        return (op for op in self.operations if op.op in wanted)
-
     def sessions_of_user(self, user_id: int) -> list[SessionRecord]:
         """Sessions belonging to one virtual user."""
         return [s for s in self.sessions if s.user_id == user_id]
@@ -385,7 +375,8 @@ class UsageLog:
     @property
     def total_bytes(self) -> int:
         """Bytes moved by read+write calls."""
-        return sum(op.size for op in self.data_ops())
+        return sum(op.size for op in self.operations
+                   if op.op in ("read", "write"))
 
     @property
     def total_response_us(self) -> float:

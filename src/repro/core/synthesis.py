@@ -333,29 +333,26 @@ class BlockColumns:
         flags_col = np.zeros(n, dtype=np.int16)
         flags_col[heads] = np.repeat(
             np.asarray(self.fire_flag, dtype=np.int16), fire_plans)
-        path_col = np.full(n, -1, dtype=np.int32)
-        path_col[heads] = path_ids
+        # Plans are laid out back to back, so every row is its plan's.
+        path_col = np.repeat(path_ids, lengths)
         files = shapes != _DIR
         plan_col = np.repeat(np.where(files, plan_ids, -1), lengths)
         temp = shapes == _TEMP
         lasts = heads + lengths - 1
         closes = (lasts - temp)[files]
         kinds[closes] = KIND_CLOSE
-        path_col[closes] = path_ids[files]
         unlinks = lasts[temp]
         kinds[unlinks] = KIND_UNLINK
-        path_col[unlinks] = path_ids[temp]
         plan_col[unlinks] = -1  # unlink carries no plan id
         if not files.all():
             # Directories: stat (the only row with the plan id), then
-            # one listdir per pass, every row sized and pathed.
+            # one listdir per pass, every row sized.
             dirs = ~files
             plan_col[heads[dirs]] = plan_ids[dirs]
             passes = lengths[dirs] - 1
             rows = _ranges(heads[dirs] + 1, passes)
             kinds[rows] = KIND_LISTDIR
             sizes[rows] = np.repeat(sizes[heads[dirs]], passes)
-            path_col[rows] = np.repeat(path_ids[dirs], passes)
         if self.piece_row:
             starts = np.asarray(self.piece_row, dtype=np.int64)
             takes = np.asarray(self.piece_take, dtype=np.int64)

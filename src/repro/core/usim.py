@@ -49,7 +49,7 @@ def _payload(nbytes: int) -> bytes:
 class _SessionReplay:
     """One session's replay state, shared by both executors.
 
-    Holds the plan-id → descriptor/path tables and the session accounting,
+    Holds the plan-id → descriptor table and the session accounting,
     picks the file-system call for an op (:meth:`call`) and turns its
     result into the :class:`OpRecord` (:meth:`record`).  The DES ``yield
     from``s what :meth:`call` returns (a simulated client's generator);
@@ -64,13 +64,11 @@ class _SessionReplay:
         self.accounting = SessionAccounting(self.user_id, self.type_name,
                                             session_id, now_us)
         self._fd_by_plan: dict[int, int] = {}
-        self._path_by_plan: dict[int, str] = {}
 
     def call(self, fs, op: SessionOp):
         """Issue ``op`` on ``fs``: the one op-kind → syscall ladder."""
         kind = op.kind
         if kind in ("open", "creat"):
-            self._path_by_plan[op.plan_id] = op.path
             return fs.open(op.path, op.flags)
         if kind == "read":
             return fs.read(self._fd_by_plan[op.plan_id], op.size)
@@ -103,7 +101,7 @@ class _SessionReplay:
             user_type=self.type_name,
             session_id=self.session_id,
             op=op.kind,
-            path=op.path or self._path_by_plan.get(op.plan_id, ""),
+            path=op.path or "",
             category_key=op.category_key or "",
             size=apply_op_effects(op, self.accounting, observed),
             start_us=started,

@@ -50,7 +50,6 @@ from .events import (
     TraceEvent,
     TraceParseError,
 )
-from .measures import MEASURES, measure_samples, think_time_samples
 from .sessionize import (
     DEFAULT_GAP_US,
     CategoryInferencer,
@@ -60,8 +59,10 @@ from .sessionize import (
 )
 from .validate import (
     DEFAULT_KS_THRESHOLD,
+    MEASURES,
     FidelityReport,
     MeasureFidelity,
+    measure_samples,
     regenerate,
     validate_spec,
 )
@@ -100,6 +101,5 @@ __all__ = [
     "measure_samples",
     "regenerate",
     "sessionize_events",
-    "think_time_samples",
     "validate_spec",
 ]

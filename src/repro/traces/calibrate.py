@@ -7,7 +7,7 @@ trace-specific refinements:
 * the population size and file-system size default to what the trace
   actually showed (observed users / distinct paths);
 * the think-time distribution is re-fitted from *service-time-corrected*
-  gaps (:func:`~repro.traces.measures.think_time_samples`) whenever the
+  gaps (:func:`~repro.core.analyzer.think_gaps`) whenever the
   source carries per-call durations — the raw inter-request gaps
   ``characterize_log`` uses include service time, which double-counts
   latency once the synthetic workload adds its own.
@@ -25,12 +25,12 @@ import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
+from ..core.analyzer import UsageAnalyzer, think_gaps
 from ..core.characterize import characterize_log, fit_measure
 from ..core.oplog import OpSink, UsageLog
 from ..core.spec import WorkloadSpec
 from .adapters import detect_format, get_adapter
 from .events import IngestStats, IssueCollector, TraceError
-from .measures import think_time_samples
 from .sessionize import DEFAULT_GAP_US, PathSizeIndex, sessionize_events
 
 __all__ = [
@@ -151,9 +151,9 @@ def calibrate_log(
         n_users=n_users or observed_users,
         seed=seed,
     )
-    gaps = think_time_samples(log)
+    gaps = think_gaps(UsageAnalyzer(log).batch)
     if len(gaps) >= 2:
-        think_time = fit_measure([float(g) for g in gaps], method)
+        think_time = fit_measure(gaps, method)
         spec = replace(
             spec,
             user_types=tuple(replace(ut, think_time=think_time) for ut in spec.user_types),

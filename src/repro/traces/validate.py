@@ -6,8 +6,8 @@ module runs that loop mechanically:
 
 1. regenerate a synthetic workload from the calibrated spec (one engine,
    or sharded through :mod:`repro.fleet` for large traces);
-2. extract the same measure samples from source and synthetic logs
-   (:mod:`repro.traces.measures`, one shared code path);
+2. take the same measure samples from source and synthetic logs
+   (:func:`measure_samples`: one Usage Analyzer, one bias on both);
 3. compare each measure with a two-sample KS distance and a mean
    relative error.
 
@@ -27,22 +27,58 @@ from typing import Any
 
 import numpy as np
 
+from ..core.analyzer import UsageAnalyzer, access_sizes, think_gaps
 from ..core.generator import WorkloadGenerator
 from ..core.oplog import UsageLog
 from ..core.spec import WorkloadSpec
 from ..distributions import ks_two_sample
-from ..vfs import MemoryFileSystem
-from .measures import MEASURES, measure_samples
 
 __all__ = [
     "DEFAULT_KS_THRESHOLD",
+    "MEASURES",
     "MeasureFidelity",
     "FidelityReport",
+    "measure_samples",
     "regenerate",
     "validate_spec",
 ]
 
 DEFAULT_KS_THRESHOLD = 0.35
+
+# The five usage measures of the thesis's characterization (Table 5.2
+# plus the two global distributions of section 5.1).
+MEASURES = (
+    "access_size",
+    "file_size",
+    "files_referenced",
+    "access_per_byte",
+    "think_time",
+)
+
+
+def measure_samples(log: UsageLog, layout=None) -> dict[str, np.ndarray]:
+    """Sample arrays for every measure in :data:`MEASURES`.
+
+    Per-category samples are pooled across categories: the closed-loop
+    check compares whole-workload marginals, which stays meaningful
+    even when source and synthetic category taxonomies differ slightly
+    (e.g. heuristically inferred categories).  ``layout`` is anything
+    with ``size_of(path)`` for resolving referenced-file sizes.
+    """
+    analyzer = UsageAnalyzer(log, layout)
+    by_category = analyzer.fold.samples().values()
+
+    def pooled(measure: str) -> np.ndarray:
+        return np.concatenate(
+            [getattr(samples, measure) for samples in by_category] + [[]])
+
+    return {
+        "access_size": access_sizes(analyzer.batch),
+        "file_size": pooled("file_sizes"),
+        "files_referenced": pooled("files_per_session"),
+        "access_per_byte": pooled("accesses_per_byte"),
+        "think_time": think_gaps(analyzer.batch),
+    }
 
 
 @dataclass(frozen=True)
@@ -187,9 +223,7 @@ def regenerate(
             collect_ops=True,
         )
     )
-    layout = WorkloadGenerator(spec).create_file_system(
-        MemoryFileSystem(), materialize_users=set(), materialize_shared=False)
-    return result.log, layout
+    return result.log, WorkloadGenerator(spec).manifest()
 
 
 def _has_sizes(layout) -> bool:

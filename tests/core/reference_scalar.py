@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.core import (
@@ -150,6 +151,12 @@ def _data_ops(generator, plan_id: int, budget: int, file_size: int,
     return ops
 
 
+def _pathed(path: str, ops: list[SessionOp]) -> list[SessionOp]:
+    """``ops`` carrying their plan's path (the columnar layout puts it
+    on every row of a plan)."""
+    return [replace(op, path=path) for op in ops]
+
+
 def _write_out_ops(generator, plan_id: int, target_size: int,
                    category_key: str | None = None) -> list[SessionOp]:
     """Sequential writes creating ``target_size`` bytes of fresh file."""
@@ -175,8 +182,9 @@ def _plan_for_existing(generator, samplers: _UsageSamplers, path: str,
         SessionOp("open", plan_id=plan_id, path=path,
                   category_key=category.key, size=file_size, flags=mode)
     ]
-    ops.extend(_data_ops(generator, plan_id, budget, file_size,
-                         write_fraction, category_key=category.key))
+    ops.extend(_pathed(path, _data_ops(generator, plan_id, budget,
+                                       file_size, write_fraction,
+                                       category_key=category.key)))
     ops.append(SessionOp("close", plan_id=plan_id, path=path,
                          category_key=category.key))
     return _FilePlan(plan_id, ops)
@@ -194,20 +202,19 @@ def _plan_for_new(generator, samplers: _UsageSamplers, path: str,
                   category_key=category.key, size=target_size,
                   flags=flags)
     ]
-    ops.extend(_write_out_ops(generator, plan_id, target_size,
-                              category_key=category.key))
+    ops.extend(_pathed(path, _write_out_ops(generator, plan_id, target_size,
+                                            category_key=category.key)))
     # Spend the rest of the category's access budget re-reading the
     # fresh file: Table 5.2 gives NEW files 2.36 accesses per byte and
     # TEMP files 2.00, i.e. well beyond the single write-out pass.
     budget = _sample_access_budget(generator, samplers, target_size)
     read_budget = max(0, budget - target_size)
     if read_budget > 0:
-        ops.append(SessionOp("lseek", plan_id=plan_id, size=0,
+        ops.append(SessionOp("lseek", plan_id=plan_id, path=path, size=0,
                              category_key=category.key))
-        ops.extend(
-            _data_ops(generator, plan_id, read_budget, target_size, 0.0,
-                      category_key=category.key)
-        )
+        ops.extend(_pathed(path, _data_ops(
+            generator, plan_id, read_budget, target_size, 0.0,
+            category_key=category.key)))
     ops.append(SessionOp("close", plan_id=plan_id, path=path,
                          category_key=category.key))
     if temporary:
@@ -341,14 +348,11 @@ def _run_user(model, task: UserSessions, log: OpSink) -> float:
     for session_id in range(task.sessions):
         accounting = SessionAccounting(user_id, type_name, session_id,
                                        clock)
-        path_by_plan: dict[int, str] = {}
         for op in session_ops(generator, session_id):
             kind = op.kind
             if kind == "think":
                 clock += op.size
                 continue
-            if kind in ("open", "creat"):
-                path_by_plan[op.plan_id] = op.path
             # No I/O happens here, so the recorded size is the
             # synthesized one — the same rules as the other backends,
             # via the shared helper.
@@ -360,7 +364,7 @@ def _run_user(model, task: UserSessions, log: OpSink) -> float:
                     user_type=type_name,
                     session_id=session_id,
                     op=kind,
-                    path=op.path or path_by_plan.get(op.plan_id, ""),
+                    path=op.path or "",
                     category_key=op.category_key or "",
                     size=moved,
                     start_us=clock,

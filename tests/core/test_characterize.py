@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    UsageAnalyzer,
     UsageLog,
     WorkloadGenerator,
     characterize_log,
-    extract_samples,
     paper_workload_spec,
 )
+from repro.core.analyzer import access_sizes, request_gaps
 from repro.distributions import EmpiricalDistribution
 from repro.vfs import MemoryFileSystem
 
@@ -24,33 +25,31 @@ def measured():
     return result
 
 
-class TestExtractSamples:
+class TestFoldSamples:
     def test_categories_present(self, measured):
-        by_cat, access_sizes, gaps = extract_samples(
-            measured.log, measured.layout
-        )
-        assert "REG:USER:RDONLY" in by_cat
-        assert len(access_sizes) > 100
-        assert len(gaps) > 100
+        analyzer = UsageAnalyzer(measured.log, measured.layout)
+        assert "REG:USER:RDONLY" in analyzer.fold.samples()
+        assert len(access_sizes(analyzer.batch)) > 100
+        assert len(request_gaps(analyzer.batch)) > 100
 
     def test_sessions_accessing_bounded(self, measured):
-        by_cat, _, _ = extract_samples(measured.log, measured.layout)
+        fold = UsageAnalyzer(measured.log, measured.layout).fold
         n_sessions = len(measured.log.sessions)
-        for samples in by_cat.values():
+        for samples in fold.samples().values():
             assert 0 < samples.sessions_accessing <= n_sessions
 
     def test_access_per_byte_positive(self, measured):
-        by_cat, _, _ = extract_samples(measured.log, measured.layout)
-        rdonly = by_cat["REG:USER:RDONLY"]
+        fold = UsageAnalyzer(measured.log, measured.layout).fold
+        rdonly = fold.samples()["REG:USER:RDONLY"]
         assert all(r >= 0 for r in rdonly.accesses_per_byte)
         assert np.mean(rdonly.accesses_per_byte) == pytest.approx(1.42,
                                                                   rel=0.4)
 
     def test_empty_log(self):
-        by_cat, access_sizes, gaps = extract_samples(UsageLog())
-        assert by_cat == {}
-        assert access_sizes == []
-        assert gaps == []
+        analyzer = UsageAnalyzer(UsageLog())
+        assert analyzer.fold.samples() == {}
+        assert len(access_sizes(analyzer.batch)) == 0
+        assert len(request_gaps(analyzer.batch)) == 0
 
 
 class TestCharacterizeLog:

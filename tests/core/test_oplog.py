@@ -83,14 +83,6 @@ class TestUsageLog:
         log.record_session(session())
         return log
 
-    def test_data_ops_filter(self):
-        log = self.make_log()
-        assert [o.op for o in log.data_ops()] == ["read", "write"]
-
-    def test_ops_of(self):
-        log = self.make_log()
-        assert len(list(log.ops_of("open", "close"))) == 2
-
     def test_total_bytes(self):
         assert self.make_log().total_bytes == 150
 

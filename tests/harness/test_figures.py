@@ -4,9 +4,13 @@ These verify the *shapes* the paper reports, scaled down so the suite
 stays fast; the benchmarks run the full-size versions.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.harness import (
     ablation_cdf_table_points,
     ablation_server_cache,
@@ -26,6 +30,37 @@ from repro.harness import (
     table_5_3,
     table_5_4,
 )
+from repro.harness.figures import _table_5_2_fold
+
+# `repro figures table5.2` at its defaults, line by line (trailing
+# padding stripped) and byte for byte.
+TABLE_5_2_GOLDEN = (
+    "Table 5.2: User characterization by file category (paper vs measured)",
+    "category          acc/B(paper)  acc/B(meas)  files(paper)  files(meas)"
+    "  %users(paper)  %users(meas)",
+    "----------------  ------------  -----------  ------------  -----------"
+    "  -------------  ------------",
+    "DIR:USER:RDONLY   3.13          3.25         2.90          3.02"
+    "         69.00          67.33",
+    "DIR:OTHER:RDONLY  2.28          2.66         2.50          2.76"
+    "         70.00          68.00",
+    "REG:USER:RDONLY   1.42          1.43         6.00          5.92"
+    "         100.00         100.00",
+    "REG:USER:NEW      2.36          2.61         4.00          3.60"
+    "         40.00          41.33",
+    "REG:USER:RD-WRT   3.50          3.74         2.20          2.62"
+    "         46.00          46.67",
+    "REG:USER:TEMP     2.00          2.18         9.70          10.61"
+    "        59.00          61.00",
+    "REG:NOTES:RDONLY  0.7500        0.7035       11.30         11.04"
+    "        53.00          54.00",
+    "REG:NOTES:RD-WRT  1.77          1.75         5.70          5.10"
+    "         38.00          34.00",
+    "REG:OTHER:RDONLY  2.11          2.15         3.10          3.34"
+    "         55.00          57.67",
+)
+TABLE_5_2_SHA256 = (
+    "851b2bd90ea9133ec76403581da0c857c6cfb52a952762635b137175b2ca10b8")
 
 
 class TestTables:
@@ -46,6 +81,13 @@ class TestTables:
         # measured value must be below the measured TEMP value.
         assert (by_key["REG:NOTES:RDONLY"][2]
                 < by_key["REG:USER:TEMP"][2] + 1.0)
+
+    def test_table_5_2_default_output_is_pinned(self, capsys):
+        assert main(["figures", "table5.2"]) == 0
+        out = capsys.readouterr().out
+        assert tuple(line.rstrip() for line in out.splitlines()) == (
+            TABLE_5_2_GOLDEN)
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_5_2_SHA256
 
     def test_table_5_3_response_grows_with_users(self):
         result = table_5_3(max_users=4, sessions_total=12,
@@ -203,3 +245,27 @@ class TestReportFormatting:
         assert lines[0] == "T"
         assert set(lines[2]) <= {"-", " "}
         assert len({len(l) for l in lines[1:]}) <= 2
+
+
+class TestTable52AtScale:
+    """Table 5.2 is a fold over the generated stream: what it keeps is a
+    few numbers per session, and its peak does not grow with sessions
+    (the executor's block of one 150-session user sets it)."""
+
+    KIB_PER_SESSION = 4
+
+    def test_retained_and_peak_per_session(self):
+        peaks = {}
+        try:
+            for sessions in (600, 2400):
+                tracemalloc.start()
+                fold = _table_5_2_fold(sessions, seed=0)
+                held, peaks[sessions] = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                assert fold.sessions_recorded == sessions
+                assert held <= self.KIB_PER_SESSION * 1024 * sessions
+                del fold
+        finally:
+            tracemalloc.stop()
+        assert peaks[2400] - peaks[600] <= (
+            self.KIB_PER_SESSION * 1024 * (2400 - 600))

@@ -1,17 +1,24 @@
 """Calibration + closed-loop validation tests (the tentpole acceptance)."""
 
+import numpy as np
 import pytest
 
-from repro.core import UsageLog
+from repro.core import UsageAnalyzer, UsageLog
+from repro.core.analyzer import think_gaps
 from repro.traces import (
     DEFAULT_KS_THRESHOLD,
     TraceError,
     calibrate_trace_file,
     ingest_trace_file,
     measure_samples,
-    think_time_samples,
     validate_spec,
 )
+
+from ..core import reference_analyzer as reference
+
+
+def think_time_samples(log):
+    return think_gaps(UsageAnalyzer(log).batch)
 
 
 class TestIngestion:
@@ -188,3 +195,21 @@ class TestMeasures:
             "think_time",
         }
         assert all(len(v) > 0 for v in samples.values())
+
+    def test_measure_samples_are_the_per_record_walks(self, example_trace):
+        """Each measure's multiset is the per-record walks'; only the
+        order of the pooled per-category samples may differ."""
+        log = UsageLog()
+        _, sizes = ingest_trace_file(example_trace, log)
+        samples = measure_samples(log, sizes)
+        by_category, access_sizes, _ = reference.extract_samples(log, sizes)
+        np.testing.assert_array_equal(samples["access_size"], access_sizes)
+        np.testing.assert_array_equal(samples["think_time"],
+                                      reference.think_time_samples(log))
+        for measure, field in (("file_size", "file_sizes"),
+                               ("files_referenced", "files_per_session"),
+                               ("access_per_byte", "accesses_per_byte")):
+            expected = [value for cell in by_category.values()
+                        for value in getattr(cell, field)]
+            np.testing.assert_array_equal(np.sort(samples[measure]),
+                                          np.sort(expected))
