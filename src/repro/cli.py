@@ -646,7 +646,9 @@ def _main_stream(args: argparse.Namespace) -> int:
 
 
 def _main_characterize(args: argparse.Namespace) -> int:
-    from .core import UsageLog
+    from dataclasses import astuple, fields
+
+    from .core import CategoryCharacterization, UsageLog
     from .harness import format_table
 
     try:
@@ -655,34 +657,17 @@ def _main_characterize(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read usage log: {exc}", file=sys.stderr)
         return 2
-    rows = UsageAnalyzer(log).characterization()
+    rows = [astuple(row) for row in UsageAnalyzer(log).characterization()]
     if args.json:
         import json
 
-        print(json.dumps(
-            [
-                {
-                    "category": row.category_key,
-                    "mean_accesses_per_byte": row.mean_accesses_per_byte,
-                    "mean_file_size": row.mean_file_size,
-                    "mean_files": row.mean_files,
-                    "percent_of_users": row.percent_of_users,
-                    "sessions_accessing": row.sessions_accessing,
-                }
-                for row in rows
-            ],
-            indent=2,
-        ))
+        names = ["category"] + [f.name for f in fields(CategoryCharacterization)][1:]
+        print(json.dumps([dict(zip(names, row)) for row in rows], indent=2))
         return 0
     print(format_table(
         ["category", "accesses/byte", "file size", "# files",
          "% of users", "sessions"],
-        [
-            (row.category_key, row.mean_accesses_per_byte,
-             row.mean_file_size, row.mean_files,
-             row.percent_of_users, row.sessions_accessing)
-            for row in rows
-        ],
+        rows,
         title=f"Characterization of {args.logfile} "
               f"({len(log.sessions)} sessions, "
               f"{len(log.operations)} operations)",

@@ -274,18 +274,10 @@ class UsageAnalyzer:
 
     def session_measures(self) -> SessionMeasures:
         """The three per-session usage measures, one entry per session."""
-        sessions = self.log.sessions
-        return SessionMeasures(
-            access_per_byte=np.array(
-                [s.access_per_byte for s in sessions], dtype=float
-            ),
-            mean_file_size=np.array(
-                [s.mean_file_size for s in sessions], dtype=float
-            ),
-            files_referenced=np.array(
-                [float(s.files_referenced) for s in sessions], dtype=float
-            ),
-        )
+        return SessionMeasures(*(
+            np.array([getattr(s, name) for s in self.log.sessions], dtype=float)
+            for name in ("access_per_byte", "mean_file_size",
+                         "files_referenced")))
 
     def _histogram(self, values: np.ndarray, lo: float, hi: float,
                    n_bins: int) -> Histogram:

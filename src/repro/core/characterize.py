@@ -75,7 +75,7 @@ def fit_measure(samples, method: str = "fit") -> Distribution:
 
 
 def characterize_log(
-    log: UsageLog,
+    log: UsageLog | UsageAnalyzer,
     layout: FileSystemLayout | None = None,
     method: str = "fit",
     user_type_name: str = "characterized",
@@ -84,8 +84,10 @@ def characterize_log(
     seed: int = 0,
 ) -> WorkloadSpec:
     """Build a :class:`WorkloadSpec` whose distributions fit the log,
-    each measure's samples through :func:`fit_measure` with ``method``."""
-    analyzer = UsageAnalyzer(log, layout)
+    each measure's samples through :func:`fit_measure` with ``method``.
+    ``log`` may be an analyzer already built over it (and its layout)."""
+    analyzer = (log if isinstance(log, UsageAnalyzer)
+                else UsageAnalyzer(log, layout))
     usage_specs: list[UsageSpec] = []
     weighted: list[tuple[FileCategory, Distribution, float]] = []
     for key, samples in analyzer.fold.samples().items():

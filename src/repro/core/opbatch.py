@@ -38,13 +38,14 @@ scalar reference builder kept in ``tests/core/reference_scalar.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..vfs import OpenFlags
-from .oplog import OpRecord
+from .oplog import OP_KIND_NAMES, RECORD_KIND_NAMES, OpRecord
 
 __all__ = [
     "OP_KIND_NAMES",
@@ -71,19 +72,7 @@ __all__ = [
     "flush_sink",
 ]
 
-OP_KIND_NAMES: tuple[str, ...] = (
-    "open", "creat", "read", "write", "lseek", "close", "unlink", "stat",
-    "listdir", "think",
-)
-"""Canonical op-kind order; the int8 code of a kind is its index here."""
-
 OP_KIND_CODES: dict[str, int] = {name: i for i, name in enumerate(OP_KIND_NAMES)}
-
-RECORD_KIND_NAMES: tuple[str, ...] = OP_KIND_NAMES + ("mkdir", "rmdir")
-"""Op names a *record* batch may carry: the kinds above plus the two
-namespace calls only an imported trace records
-(``repro.traces.CANONICAL_OPS``).  Their codes lie past the stream
-file's kind table, so the stream writer refuses them."""
 
 _RECORD_KIND_CODES = {name: i for i, name in enumerate(RECORD_KIND_NAMES)}
 
@@ -274,26 +263,39 @@ class OpBatch:
 
     @classmethod
     def from_records(cls, records: Sequence[OpRecord]) -> "OpBatch":
-        """Columnarise a sequence of :class:`OpRecord` (inverse of
-        :meth:`to_records`; think rows cannot appear in records)."""
+        """Columnarise :class:`OpRecord` rows one column at a time (inverse
+        of :meth:`to_records`; think rows cannot appear in records)."""
         n = len(records)
-        batch = cls.empty(n)
-        paths, categories, user_types = (
-            batch.paths, batch.categories, batch.user_types
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), records), dtype, n)
+
+        def interned(name: str) -> tuple[StringTable, np.ndarray]:
+            values = list(map(attrgetter(name), records))
+            index = {v: i for i, v in enumerate(dict.fromkeys(values))}  # first-sight order
+            return (StringTable(index),
+                    np.fromiter(map(index.__getitem__, values), np.int32, n))
+
+        paths, path_idx = interned("path")
+        categories, category_idx = interned("category_key")
+        user_types, user_type_idx = interned("user_type")
+        return cls(
+            kinds=np.fromiter(map(_RECORD_KIND_CODES.__getitem__,
+                                  map(attrgetter("op"), records)), np.int8, n),
+            plan_ids=np.full(n, -1, dtype=np.int64),
+            sizes=column("size", np.int64),
+            flags=np.zeros(n, dtype=np.int16),
+            path_idx=path_idx,
+            category_idx=category_idx,
+            user_ids=column("user_id", np.int64),
+            session_ids=column("session_id", np.int64),
+            user_type_idx=user_type_idx,
+            start_us=column("start_us", np.float64),
+            response_us=column("response_us", np.float64),
+            paths=paths,
+            categories=categories,
+            user_types=user_types,
         )
-        for i, record in enumerate(records):
-            batch.kinds[i] = _RECORD_KIND_CODES[record.op]
-            batch.plan_ids[i] = -1
-            batch.sizes[i] = record.size
-            batch.flags[i] = 0
-            batch.path_idx[i] = paths.intern(record.path)
-            batch.category_idx[i] = categories.intern(record.category_key)
-            batch.user_ids[i] = record.user_id
-            batch.session_ids[i] = record.session_id
-            batch.user_type_idx[i] = user_types.intern(record.user_type)
-            batch.start_us[i] = record.start_us
-            batch.response_us[i] = record.response_us
-        return batch
 
     # -- slicing ---------------------------------------------------------------
 

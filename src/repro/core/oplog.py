@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Iterable,
+    Iterator,
     Protocol,
     runtime_checkable,
 )
@@ -37,6 +38,18 @@ __all__ = [
     "apply_op_effects",
     "UsageLog",
 ]
+
+OP_KIND_NAMES: tuple[str, ...] = (
+    "open", "creat", "read", "write", "lseek", "close", "unlink", "stat",
+    "listdir", "think",
+)
+"""Canonical op-kind order; the int8 code of a kind is its index here."""
+
+RECORD_KIND_NAMES: tuple[str, ...] = OP_KIND_NAMES + ("mkdir", "rmdir")
+"""Op names a record may carry: the kinds above plus the two namespace
+calls only an imported trace records (``repro.traces.CANONICAL_OPS``).
+Their codes lie past the stream file's kind table, so the stream writer
+refuses them."""
 
 _OP_FIELDS = 9
 _SESSION_FIELDS = 9
@@ -150,11 +163,14 @@ class OpRecord:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != _OP_FIELDS + 1 or parts[0] != "OP":
             raise ValueError(f"not an OP record: {line!r}")
+        op = _unescape(parts[4])
+        if op not in RECORD_KIND_NAMES:
+            raise ValueError(f"unknown op {op!r} in OP record: {line!r}")
         return cls(
             user_id=int(parts[1]),
             user_type=_unescape(parts[2]),
             session_id=int(parts[3]),
-            op=_unescape(parts[4]),
+            op=op,
             path=_unescape(parts[5]),
             category_key=_unescape(parts[6]),
             size=int(parts[7]),
@@ -368,6 +384,15 @@ class UsageLog:
 
     # -- queries ---------------------------------------------------------------
 
+    def data_ops(self) -> Iterator[OpRecord]:
+        """Only the byte-moving calls (read/write)."""
+        return (op for op in self.operations if op.op in ("read", "write"))
+
+    def ops_of(self, *names: str) -> Iterator[OpRecord]:
+        """Operations filtered by syscall name."""
+        wanted = set(names)
+        return (op for op in self.operations if op.op in wanted)
+
     def sessions_of_user(self, user_id: int) -> list[SessionRecord]:
         """Sessions belonging to one virtual user."""
         return [s for s in self.sessions if s.user_id == user_id]
@@ -375,8 +400,7 @@ class UsageLog:
     @property
     def total_bytes(self) -> int:
         """Bytes moved by read+write calls."""
-        return sum(op.size for op in self.operations
-                   if op.op in ("read", "write"))
+        return sum(op.size for op in self.data_ops())
 
     @property
     def total_response_us(self) -> float:

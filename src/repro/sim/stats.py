@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -33,18 +34,21 @@ class RunningStats:
 
     def add(self, value: float) -> None:
         """Fold one observation into the accumulator."""
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        self.add_many((value,))
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Fold a batch of observations."""
+        """Fold a batch of observations in turn (Welford's update, with
+        the running sums in locals)."""
+        values = list(map(float, values))
+        count, mean, m2 = self.count, self._mean, self._m2
         for value in values:
-            self.add(value)
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self._mean, self._m2 = count, mean, m2
+        self.minimum = min(itertools.chain((self.minimum,), values))
+        self.maximum = max(itertools.chain((self.maximum,), values))
 
     def add_array(self, values: np.ndarray) -> None:
         """Fold a whole array in one vectorized step.

@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..core.analyzer import UsageAnalyzer, think_gaps
 from ..core.characterize import characterize_log, fit_measure
 from ..core.oplog import OpSink, UsageLog
@@ -140,18 +142,17 @@ def calibrate_log(
     """
     if not log.operations:
         raise TraceError("trace produced no operations to calibrate from")
-    observed_users = len({op.user_id for op in log.operations})
-    observed_paths = len({op.path for op in log.operations})
+    analyzer = UsageAnalyzer(log, size_index)
+    batch = analyzer.batch  # its path table holds each distinct path once
     spec = characterize_log(
-        log,
-        layout=size_index,
+        analyzer,
         method=method,
         user_type_name=user_type_name,
-        total_files=total_files or max(50, observed_paths),
-        n_users=n_users or observed_users,
+        total_files=total_files or max(50, len(batch.paths)),
+        n_users=n_users or len(np.unique(batch.user_ids)),
         seed=seed,
     )
-    gaps = think_gaps(UsageAnalyzer(log).batch)
+    gaps = think_gaps(batch)
     if len(gaps) >= 2:
         think_time = fit_measure(gaps, method)
         spec = replace(

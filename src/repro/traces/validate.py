@@ -22,7 +22,7 @@ spec typically blows past 0.5, so 0.35 separates "the loop closed" from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -85,24 +85,16 @@ def measure_samples(log: UsageLog, layout=None) -> dict[str, np.ndarray]:
 class MeasureFidelity:
     """Source-vs-synthetic agreement for one usage measure."""
 
-    measure: str
-    ks: float
-    source_mean: float
-    synthetic_mean: float
-    mean_relative_error: float
+    measure: str  # fields in the report table's column order
     n_source: int
     n_synthetic: int
+    source_mean: float
+    synthetic_mean: float
+    ks: float
+    mean_relative_error: float
 
     def as_row(self) -> tuple:
-        return (
-            self.measure,
-            self.n_source,
-            self.n_synthetic,
-            self.source_mean,
-            self.synthetic_mean,
-            self.ks,
-            self.mean_relative_error,
-        )
+        return astuple(self)
 
 
 @dataclass

@@ -61,6 +61,38 @@ class TestOpBatchBridges:
         assert len(batch) == len(records)
         assert batch.to_records() == records
 
+    def test_from_records_is_the_per_record_interning(self):
+        # The column-wise build equals interning and assigning record by
+        # record: tables in first-sight order, every column and dtype.
+        records = make_records() * 2 + make_records()[::-1]
+        batch = OpBatch.from_records(records)
+        tables = {"paths": StringTable(), "categories": StringTable(),
+                  "user_types": StringTable()}
+        expected = {
+            "path_idx": [tables["paths"].intern(r.path) for r in records],
+            "category_idx": [tables["categories"].intern(r.category_key)
+                             for r in records],
+            "user_type_idx": [tables["user_types"].intern(r.user_type)
+                              for r in records],
+            "kinds": [OP_KIND_CODES[r.op] for r in records],
+            "plan_ids": [-1] * len(records),
+            "flags": [0] * len(records),
+            "sizes": [r.size for r in records],
+            "user_ids": [r.user_id for r in records],
+            "session_ids": [r.session_id for r in records],
+            "start_us": [r.start_us for r in records],
+            "response_us": [r.response_us for r in records],
+        }
+        empty = OpBatch.empty(0)
+        for name, values in expected.items():
+            column = getattr(batch, name)
+            assert column.dtype == getattr(empty, name).dtype, name
+            assert column.tolist() == values, name
+        for name, table in tables.items():
+            assert getattr(batch, name).values() == table.values()
+        assert batch.think_us is None
+        assert len(OpBatch.from_records([])) == 0
+
     def test_kind_codes_cover_all_names(self):
         assert len(OP_KIND_NAMES) == len(OP_KIND_CODES)
         for name, code in OP_KIND_CODES.items():

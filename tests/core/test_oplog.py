@@ -64,6 +64,21 @@ class TestRecords:
         with pytest.raises(ValueError):
             SessionRecord.from_line("OP\tnot-a-session")
 
+    @pytest.mark.parametrize("name", ["fsync", "rename", "", "READ"])
+    def test_unknown_op_rejected(self, name):
+        line = dataclasses.replace(op(), op=name).to_line()
+        with pytest.raises(ValueError, match="unknown op"):
+            OpRecord.from_line(line)
+        with pytest.raises(ValueError, match="unknown op"):
+            UsageLog.loads(op().to_line() + "\n" + line + "\n")
+
+    def test_every_record_kind_parses(self):
+        from repro.core.opbatch import RECORD_KIND_NAMES
+
+        for name in RECORD_KIND_NAMES:
+            record = dataclasses.replace(op(), op=name)
+            assert OpRecord.from_line(record.to_line()) == record
+
     def test_empty_categories_roundtrip(self):
         record = SessionRecord(
             user_id=0, user_type="t", session_id=0, start_us=0.0,
@@ -82,6 +97,14 @@ class TestUsageLog:
         log.record_op(op("close", size=0))
         log.record_session(session())
         return log
+
+    def test_data_ops_filter(self):
+        log = self.make_log()
+        assert [o.op for o in log.data_ops()] == ["read", "write"]
+
+    def test_ops_of(self):
+        log = self.make_log()
+        assert len(list(log.ops_of("open", "close"))) == 2
 
     def test_total_bytes(self):
         assert self.make_log().total_bytes == 150

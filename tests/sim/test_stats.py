@@ -1,7 +1,11 @@
 """Unit tests for statistics accumulators."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Delay, Engine, Histogram, RunningStats, smooth_counts
 from repro.sim.stats import TimeWeightedValue
@@ -24,6 +28,42 @@ class TestRunningStats:
         assert stats.sample_variance == pytest.approx(np.var(data, ddof=1))
         assert stats.minimum == np.min(data)
         assert stats.maximum == np.max(data)
+
+    @staticmethod
+    def welford(state, value):
+        # The scalar update, one observation at a time, as a reference.
+        count, mean, m2, lo, hi = state
+        value = float(value)
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+        return count, mean, m2, min(lo, value), max(hi, value)
+
+    @given(st.lists(st.floats(allow_nan=False) | st.integers(-2**60, 2**60),
+                    max_size=40),
+           st.lists(st.floats(allow_nan=False), max_size=5))
+    def test_add_many_is_welford_in_turn(self, values, before):
+        # Bit for bit, from any prior state, ints included.
+        stats = RunningStats()
+        for value in before:
+            stats.add(value)
+        state = (stats.count, stats._mean, stats._m2, stats.minimum,
+                 stats.maximum)
+        for value in values:
+            state = self.welford(state, value)
+        stats.add_many(iter(values))
+        assert repr((stats.count, stats._mean, stats._m2, stats.minimum,
+                     stats.maximum)) == repr(state)
+
+    def test_add_many_keeps_the_scalar_nan_order(self):
+        for values in ([math.nan, 1.0], [1.0, math.nan, 0.5]):
+            state = (0, 0.0, 0.0, math.inf, -math.inf)
+            for value in values:
+                state = self.welford(state, value)
+            stats = RunningStats()
+            stats.add_many(values)
+            assert repr((stats.minimum, stats.maximum)) == repr(state[3:])
 
     def test_single_value(self):
         stats = RunningStats()

@@ -334,6 +334,24 @@ class TestTraceCommands:
         assert main(["characterize", "/no/such.ulog"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_characterize_unknown_op(self, tmp_path, capsys, trace_path):
+        # A log from another tool may name calls the record format lacks:
+        # a clean read error, not a crash in the analyzer.
+        target = tmp_path / "imported.ulog"
+        main(["trace", "import", trace_path, "-o", str(target)])
+        capsys.readouterr()
+        lines = target.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("OP\t"))
+        fields = lines[at].split("\t")
+        fields[4] = "fsync"
+        lines.insert(at + 1, "\t".join(fields))
+        target.write_text("".join(lines))
+        assert main(["characterize", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read usage log" in err
+        assert "unknown op 'fsync'" in err
+
     def test_calibrate_then_validate_closed_loop(self, tmp_path, capsys,
                                                  trace_path):
         spec_path = tmp_path / "cal.spec.json"

@@ -220,3 +220,9 @@ class TestUsageLogAdapter:
         issues = IssueCollector()
         assert list(get_adapter("usagelog").iter_events(["OP\tnope\n"], issues)) == []
         assert issues.total == 1
+
+    def test_unknown_op_is_an_issue(self):
+        line = "OP\t1\ttrace\t0\tfsync\t/x\tREG:USER:RDONLY\t8\t0.0\t1.0\n"
+        issues = IssueCollector()
+        assert list(get_adapter("usagelog").iter_events([line], issues)) == []
+        assert issues.total == 1

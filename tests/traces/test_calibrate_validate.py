@@ -70,6 +70,28 @@ class TestCalibration:
             float(gaps.mean()), rel=1e-6
         )
 
+    def test_log_is_converted_once(self, example_trace, monkeypatch):
+        # One analyzer serves the characterization, the think gaps and
+        # the observed population and path counts.
+        from repro.core import dumps_spec
+        from repro.core.opbatch import OpBatch
+        from repro.traces import calibrate_log
+
+        log = UsageLog()
+        _, sizes = ingest_trace_file(example_trace, log)
+        expected = calibrate_trace_file(example_trace, seed=5).spec
+        assert expected.n_users == len({op.user_id for op in log.operations})
+        assert expected.total_files == max(
+            50, len({op.path for op in log.operations}))
+        calls = []
+        convert = OpBatch.from_records.__func__
+        monkeypatch.setattr(OpBatch, "from_records", classmethod(
+            lambda cls, records: calls.append(len(records))
+            or convert(cls, records)))
+        spec = calibrate_log(log, sizes, seed=5)
+        assert calls == [len(log.operations)]
+        assert dumps_spec(spec) == dumps_spec(expected)
+
     def test_deterministic(self, example_trace):
         from repro.core import dumps_spec
 
