@@ -22,10 +22,12 @@ Two implementations ship:
   ``ColumnarReplayBackend`` is an empty subclass kept for its name,
   and the backend names ``fast`` and ``fast-columnar`` both select it.
 
-Both record through the :class:`~repro.core.oplog.OpSink` protocol.
-Because synthesis is a pure function of ``(root seed, user id)``, the
-backends emit **byte-identical** op sequences (op kind, path, size) —
-only ``start_us``/``response_us`` differ.  ``tests/core/test_execution.py``
+Both record through the :class:`~repro.core.oplog.OpSink` protocol
+and summarise every session with :func:`session_summaries` over the
+recorded-size column :func:`recorded_sizes` starts.  Because synthesis
+is a pure function of ``(root seed, user id)``, the backends emit
+**byte-identical** op sequences (op kind, path, size) — only
+``start_us``/``response_us`` differ.  ``tests/core/test_execution.py``
 and, with arrivals on, ``tests/core/test_arrivals_golden.py`` assert the
 identity; the engine-free records, timing included, are pinned to the
 per-op replay in ``tests/core/reference_scalar.py``.
@@ -65,6 +67,8 @@ __all__ = [
     "AnalyticServiceModel",
     "FastReplayBackend",
     "ColumnarReplayBackend",
+    "recorded_sizes",
+    "session_summaries",
 ]
 
 
@@ -251,8 +255,8 @@ class FastReplayBackend(ExecutionBackend):
       service/think contribution column, *restarted at every user* and
       seeded with that user's clock (:func:`_block_clocks`), so float
       rounding matches a per-op running sum bit for bit;
-    * the recorded-size rule and every session summary are computed
-      once per block (every row already carries its plan's path);
+    * :func:`recorded_sizes` and :func:`session_summaries` run once
+      per block (every row already carries its plan's path);
     * sinks still receive one ``record_batch`` slice per session
       followed by its ``record_session`` — batch boundaries are
       observable (a sink's running-moment fold, the stream writer's
@@ -299,10 +303,8 @@ class FastReplayBackend(ExecutionBackend):
             [task.gap_after_us(s) for task in tasks
              for s in range(task.sessions)],
         )
-        # The recorded size column follows apply_op_effects: data movers
-        # keep their byte count, everything else records 0.
-        moved = np.where(_DATA_MASK[batch.kinds], batch.sizes, 0)
-        summaries = _session_summaries(batch, bounds, moved)
+        moved = recorded_sizes(batch)
+        summaries = session_summaries(batch, bounds, moved)
         rec = batch.select(slice(None))
         rec.start_us = op_starts
         rec.response_us = service
@@ -378,18 +380,28 @@ def _block_clocks(service: np.ndarray, think_us: np.ndarray,
             clock[end_slots], clock[seg[1:] - 1])
 
 
-def _session_summaries(batch: OpBatch, bounds: np.ndarray,
-                       moved: np.ndarray) -> list[tuple]:
-    """Per session of a block: ``(files referenced, bytes accessed,
-    file bytes referenced, categories)`` — the :class:`SessionRecord`
-    content, computed columnar-ly.
+def recorded_sizes(batch: OpBatch) -> np.ndarray:
+    """The recorded ``size`` column of a synthesized batch: data movers
+    (read/write/listdir) keep their byte count, every other op records
+    0.  An executor that does real I/O overwrites a read's or write's
+    entry with the bytes the call moved."""
+    return np.where(_DATA_MASK[batch.kinds], batch.sizes, 0)
 
-    Mirrors :class:`~repro.core.oplog.SessionAccounting` exactly:
+
+def session_summaries(batch: OpBatch, bounds,
+                      moved: np.ndarray) -> list[tuple]:
+    """Per session: ``(files referenced, bytes accessed, file bytes
+    referenced, categories)`` — the :class:`SessionRecord` content.
+
+    Session ``s`` is rows ``[bounds[s], bounds[s + 1])`` of ``batch``.
     open/creat/stat rows reference a file (keeping the per-path maximum
-    size), read/write/listdir rows move bytes (``moved``, the recorded
-    size column), categories come from the referencing rows.  One sort
-    over ``(session, path)`` keys serves the whole block.
+    size), every row moves its ``moved`` bytes (the recorded size
+    column), categories come from the referencing rows.  One sort over
+    ``(session, path)`` keys serves every session.  The one summary
+    rule: the block executor calls it per block, the DES user process
+    and ``RealRunner`` per session at logout.
     """
+    bounds = np.asarray(bounds, dtype=np.int64)
     n_sessions = len(bounds) - 1
     sessions = np.arange(n_sessions + 1, dtype=np.int64)
     refs = np.flatnonzero(_REF_MASK[batch.kinds])

@@ -18,8 +18,8 @@ The batch is the unit the pipeline moves around:
   ``start_us``/``response_us`` with one array expression and hands each
   session's executed slice to the sink;
 * the DES user process and ``RealRunner`` issue one call at a time, so
-  they read a session through :meth:`OpBatch.iter_session_ops`
-  (``SessionGenerator.generate_session``);
+  they read a session's batch (``SessionGenerator.generate_session_batch``)
+  through :meth:`OpBatch.iter_session_ops`;
 * every sink folds whole batches (``record_batch``); the producers
   that emit one record at a time reach it through
   :class:`RecordBatcher`, and :class:`~repro.core.oplog.UsageLog`, the

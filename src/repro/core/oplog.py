@@ -34,8 +34,6 @@ __all__ = [
     "OpRecord",
     "SessionRecord",
     "OpSink",
-    "SessionAccounting",
-    "apply_op_effects",
     "UsageLog",
 ]
 
@@ -246,77 +244,6 @@ class SessionRecord:
             file_bytes_referenced=int(parts[8]),
             categories=_split_categories(parts[9]),
         )
-
-
-class SessionAccounting:
-    """Accumulates one session's measures into a :class:`SessionRecord`.
-
-    Shared by every execution backend (DES, fast replay, real runner) so
-    the session summaries they record are computed identically.
-    """
-
-    def __init__(self, user_id: int, user_type: str, session_id: int,
-                 start_us: float):
-        self.user_id = user_id
-        self.user_type = user_type
-        self.session_id = session_id
-        self.start_us = start_us
-        self.file_sizes: dict[str, int] = {}
-        self.bytes_accessed = 0
-        self.categories: set[str] = set()
-
-    def saw_file(self, path: str, size: int, category_key: str | None) -> None:
-        """Note a referenced file; a growing file keeps its maximum size."""
-        self.file_sizes[path] = max(self.file_sizes.get(path, 0), size)
-        if category_key:
-            self.categories.add(category_key)
-
-    def accessed(self, nbytes: int) -> None:
-        """Count ``nbytes`` of data movement."""
-        self.bytes_accessed += nbytes
-
-    def finish(self, end_us: float) -> SessionRecord:
-        """Close the session and produce its summary record."""
-        return SessionRecord(
-            user_id=self.user_id,
-            user_type=self.user_type,
-            session_id=self.session_id,
-            start_us=self.start_us,
-            end_us=end_us,
-            files_referenced=len(self.file_sizes),
-            bytes_accessed=self.bytes_accessed,
-            file_bytes_referenced=sum(self.file_sizes.values()),
-            categories=tuple(sorted(self.categories)),
-        )
-
-
-def apply_op_effects(op, accounting: SessionAccounting,
-                     moved: "int | None" = None) -> int:
-    """Fold one executed op into ``accounting``; return the size to record.
-
-    This is the single source of truth for what each op kind contributes
-    to session measures and to the :class:`OpRecord` ``size`` column:
-    open/creat/stat reference a file (size 0 recorded), read/write move
-    ``moved`` bytes (the executor's observed count, defaulting to the
-    synthesized ``op.size``), listdir moves the directory size, and
-    lseek/close/unlink move nothing.  Every execution backend (DES, fast
-    replay, real runner) goes through here, which is what keeps their
-    recorded streams byte-identical.
-    """
-    kind = op.kind
-    if kind in ("open", "creat", "stat"):
-        accounting.saw_file(op.path, op.size, op.category_key)
-        return 0
-    if kind in ("read", "write"):
-        nbytes = op.size if moved is None else moved
-        accounting.accessed(nbytes)
-        return nbytes
-    if kind == "listdir":
-        accounting.accessed(op.size)
-        return op.size
-    if kind in ("lseek", "close", "unlink"):
-        return 0
-    raise ValueError(f"unknown op kind {kind!r}")
 
 
 @runtime_checkable

@@ -31,9 +31,10 @@ and records the plans as lists in a :class:`BlockColumns`, whose
 :meth:`~BlockColumns.assemble` lays out the block's rows once, as one
 :class:`~repro.core.opbatch.OpBatch`.  The engine-free executor consumes
 those batches whole; the DES user process and ``RealRunner`` issue one
-call at a time and read the same batch op by op through
-:meth:`SessionGenerator.generate_session`.  The scalar builder this
-replaced is the test reference (``tests/core/reference_scalar.py``).
+call at a time and read a session's batch
+(:meth:`SessionGenerator.generate_session_batch`) op by op.  The scalar
+builder this replaced is the test reference
+(``tests/core/reference_scalar.py``).
 
 Extensions beyond the thesis's minimum (its section 6.2 future work):
 
@@ -935,13 +936,13 @@ class SessionGenerator:
         with at most ``user_type.max_open_files`` concurrently open.
         A think-time operation follows every file operation.
 
-        This is :meth:`generate_session_batch` read op by op, for the
-        DES user process and ``RealRunner``.  Nothing is drawn until the
-        first ``next()``; the whole session is drawn then.  Sizes and
-        think times come out of int64 columns, so a pathological draw
-        saturates at ``_INT64_SATURATE`` where a Python int would keep
-        growing — unreachable for real specs (the scalar reference in
-        ``tests/core/reference_scalar.py`` keeps Python ints).
+        This is :meth:`generate_session_batch` read op by op.  Nothing
+        is drawn until the first ``next()``; the whole session is drawn
+        then.  Sizes and think times come out of int64 columns, so a
+        pathological draw saturates at ``_INT64_SATURATE`` where a
+        Python int would keep growing — unreachable for real specs (the
+        scalar reference in ``tests/core/reference_scalar.py`` keeps
+        Python ints).
         """
         yield from self.generate_session_batch(session_id).iter_session_ops()
 

@@ -15,9 +15,13 @@ time:
   ``FileSystemAPI`` and measures wall-clock time, the thesis's
   "difference of before and after calling a system call".
 
-Both read a session op by op through ``SessionGenerator.
-generate_session``, the per-op view of the batch the engine-free executor
-(:class:`~repro.core.execution.FastReplayBackend`) replays whole.
+Both hold a session as the :class:`~repro.core.opbatch.OpBatch` that
+``SessionGenerator.generate_session_batch`` synthesizes and issue its
+rows one call at a time.  Each read or write's observed byte count
+overwrites its entry of the session's recorded-size column, and at
+logout :func:`~repro.core.execution.session_summaries` — the engine-free
+executor's (:class:`~repro.core.execution.FastReplayBackend`) summary
+rule — turns batch and column into the :class:`SessionRecord`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import time
 
 from ..sim import Delay, Engine
 from ..vfs import FileSystemAPI, Whence
+from .execution import recorded_sizes, session_summaries
 from .opbatch import RecordBatcher
-from .oplog import OpRecord, OpSink, SessionAccounting, apply_op_effects
+from .oplog import OpRecord, OpSink, SessionRecord
 from .synthesis import SessionGenerator, SessionOp
 
 __all__ = [
@@ -49,11 +54,12 @@ def _payload(nbytes: int) -> bytes:
 class _SessionReplay:
     """One session's replay state, shared by both executors.
 
-    Holds the plan-id → descriptor table and the session accounting,
-    picks the file-system call for an op (:meth:`call`) and turns its
-    result into the :class:`OpRecord` (:meth:`record`).  The DES ``yield
-    from``s what :meth:`call` returns (a simulated client's generator);
-    :class:`RealRunner` takes it as the value.
+    Holds the session's synthesized batch, its recorded-size column and
+    the plan-id → descriptor table; picks the file-system call for an
+    op (:meth:`call`), turns its result into the :class:`OpRecord`
+    (:meth:`record`) and summarises the session (:meth:`finish`).  The
+    DES ``yield from``s what :meth:`call` returns (a simulated client's
+    generator); :class:`RealRunner` takes it as the value.
     """
 
     def __init__(self, generator: SessionGenerator, session_id: int,
@@ -61,8 +67,10 @@ class _SessionReplay:
         self.user_id = generator.user_id
         self.type_name = generator.user_type.name
         self.session_id = session_id
-        self.accounting = SessionAccounting(self.user_id, self.type_name,
-                                            session_id, now_us)
+        self.start_us = now_us
+        self.batch = generator.generate_session_batch(session_id)
+        self.moved = recorded_sizes(self.batch)
+        self._row = 0  # every op but a think is recorded, in row order
         self._fd_by_plan: dict[int, int] = {}
 
     def call(self, fs, op: SessionOp):
@@ -88,14 +96,15 @@ class _SessionReplay:
 
     def record(self, op: SessionOp, result, started: float,
                now_us: float) -> OpRecord:
-        """Fold the finished call into the accounting; build its record."""
-        observed = None
+        """Note the finished call's observed bytes; build its record."""
+        row = self._row
+        self._row += 1
         if op.kind in ("open", "creat"):
             self._fd_by_plan[op.plan_id] = result
         elif op.kind == "read":
-            observed = len(result)
+            self.moved[row] = len(result)
         elif op.kind == "write":
-            observed = result
+            self.moved[row] = result
         return OpRecord(
             user_id=self.user_id,
             user_type=self.type_name,
@@ -103,9 +112,25 @@ class _SessionReplay:
             op=op.kind,
             path=op.path or "",
             category_key=op.category_key or "",
-            size=apply_op_effects(op, self.accounting, observed),
+            size=int(self.moved[row]),
             start_us=started,
             response_us=now_us - started,
+        )
+
+    def finish(self, end_us: float) -> SessionRecord:
+        """Close the session: its summary record."""
+        [(files, nbytes, file_bytes, categories)] = session_summaries(
+            self.batch, (0, len(self.batch)), self.moved)
+        return SessionRecord(
+            user_id=self.user_id,
+            user_type=self.type_name,
+            session_id=self.session_id,
+            start_us=self.start_us,
+            end_us=end_us,
+            files_referenced=files,
+            bytes_accessed=nbytes,
+            file_bytes_referenced=file_bytes,
+            categories=categories,
         )
 
 
@@ -135,7 +160,7 @@ def simulated_user_process(
         yield Delay(offset)
     for session_id in range(task.sessions):
         replay = _SessionReplay(generator, session_id, engine.now)
-        for op in generator.generate_session(session_id):
+        for op in replay.batch.iter_session_ops():
             if op.kind == "think":
                 if op.size > 0:
                     yield Delay(op.size)
@@ -143,7 +168,7 @@ def simulated_user_process(
             started = engine.now
             result = yield from replay.call(client, op)
             log.record_op(replay.record(op, result, started, engine.now))
-        log.record_session(replay.accounting.finish(engine.now))
+        log.record_session(replay.finish(engine.now))
         gap = task.gap_after_us(session_id)
         if gap > 0:
             yield Delay(gap)
@@ -177,7 +202,7 @@ class RealRunner:
 
     def _run_one(self, session_id: int, log: RecordBatcher) -> None:
         replay = _SessionReplay(self.generator, session_id, self._now_us())
-        for op in self.generator.generate_session(session_id):
+        for op in replay.batch.iter_session_ops():
             if op.kind == "think":
                 if self.sleep_thinks and op.size > 0:
                     time.sleep(op.size / 1e6)
@@ -185,4 +210,4 @@ class RealRunner:
             started = self._now_us()
             result = replay.call(self.fs, op)
             log.record_op(replay.record(op, result, started, self._now_us()))
-        log.record_session(replay.accounting.finish(self._now_us()))
+        log.record_session(replay.finish(self._now_us()))

@@ -330,13 +330,12 @@ def figure_5_2(n_points: int = 101) -> FigureResult:
 
 def _measure_sessions(sessions: int, seed: int,
                       total_files: int) -> UsageAnalyzer:
+    """Figures 5.3–5.5's sessions, engine-free: the per-session measures
+    depend on no clock."""
     spec = paper_workload_spec(n_users=4, total_files=total_files, seed=seed)
-    generator = WorkloadGenerator(spec)
-    result = generator.run_real(
-        MemoryFileSystem(),
-        sessions_per_user=max(1, sessions // spec.n_users),
-    )
-    return result.analyzer
+    return WorkloadGenerator(spec).run_simulated(
+        sessions_per_user=max(1, sessions // spec.n_users), backend="fast",
+    ).analyzer
 
 
 def _histogram_figure(ident: str, title: str, x_label: str, hist,

@@ -18,7 +18,11 @@ generator's *state*: its per-quantity samplers and ``_sample_count``.
   (was ``FastReplayBackend.execute``);
 * :func:`reference_run` — ``WorkloadGenerator.run_simulated``'s plan and
   task construction with :func:`replay` as the executor (new: what the
-  golden tests call where they used to run ``backend="fast"``).
+  golden tests call where they used to run ``backend="fast"``);
+* :class:`SessionAccounting` and :func:`apply_op_effects` — the per-op
+  session summary :func:`replay` folds each op into (were
+  ``repro.core.oplog``'s, moved verbatim; every production executor now
+  calls ``repro.core.execution.session_summaries``).
 """
 
 from __future__ import annotations
@@ -32,19 +36,89 @@ from repro.core import (
     AnalyticServiceModel,
     OpRecord,
     OpSink,
-    SessionAccounting,
     SessionOp,
+    SessionRecord,
     UsageLog,
     UserSessions,
     WorkloadGenerator,
 )
-from repro.core.oplog import apply_op_effects
 from repro.core.spec import UseType
 from repro.core.synthesis import _UsageSamplers
 from repro.nfs import NfsTiming
 from repro.vfs import MemoryFileSystem, OpenFlags
 
 __all__ = ["session_ops", "replay", "reference_run"]
+
+
+class SessionAccounting:
+    """Accumulates one session's measures into a :class:`SessionRecord`.
+
+    Shared by every execution backend (DES, fast replay, real runner) so
+    the session summaries they record are computed identically.
+    """
+
+    def __init__(self, user_id: int, user_type: str, session_id: int,
+                 start_us: float):
+        self.user_id = user_id
+        self.user_type = user_type
+        self.session_id = session_id
+        self.start_us = start_us
+        self.file_sizes: dict[str, int] = {}
+        self.bytes_accessed = 0
+        self.categories: set[str] = set()
+
+    def saw_file(self, path: str, size: int, category_key: str | None) -> None:
+        """Note a referenced file; a growing file keeps its maximum size."""
+        self.file_sizes[path] = max(self.file_sizes.get(path, 0), size)
+        if category_key:
+            self.categories.add(category_key)
+
+    def accessed(self, nbytes: int) -> None:
+        """Count ``nbytes`` of data movement."""
+        self.bytes_accessed += nbytes
+
+    def finish(self, end_us: float) -> SessionRecord:
+        """Close the session and produce its summary record."""
+        return SessionRecord(
+            user_id=self.user_id,
+            user_type=self.user_type,
+            session_id=self.session_id,
+            start_us=self.start_us,
+            end_us=end_us,
+            files_referenced=len(self.file_sizes),
+            bytes_accessed=self.bytes_accessed,
+            file_bytes_referenced=sum(self.file_sizes.values()),
+            categories=tuple(sorted(self.categories)),
+        )
+
+
+def apply_op_effects(op, accounting: SessionAccounting,
+                     moved: "int | None" = None) -> int:
+    """Fold one executed op into ``accounting``; return the size to record.
+
+    This is the single source of truth for what each op kind contributes
+    to session measures and to the :class:`OpRecord` ``size`` column:
+    open/creat/stat reference a file (size 0 recorded), read/write move
+    ``moved`` bytes (the executor's observed count, defaulting to the
+    synthesized ``op.size``), listdir moves the directory size, and
+    lseek/close/unlink move nothing.  Every execution backend (DES, fast
+    replay, real runner) goes through here, which is what keeps their
+    recorded streams byte-identical.
+    """
+    kind = op.kind
+    if kind in ("open", "creat", "stat"):
+        accounting.saw_file(op.path, op.size, op.category_key)
+        return 0
+    if kind in ("read", "write"):
+        nbytes = op.size if moved is None else moved
+        accounting.accessed(nbytes)
+        return nbytes
+    if kind == "listdir":
+        accounting.accessed(op.size)
+        return op.size
+    if kind in ("lseek", "close", "unlink"):
+        return 0
+    raise ValueError(f"unknown op kind {kind!r}")
 
 
 class _FilePlan:

@@ -58,16 +58,20 @@ def content_sessions(log: UsageLog):
 
 
 def run(backend, spec=SPEC, **kwargs):
+    if backend == "real":  # RealRunner on an in-memory file system
+        return WorkloadGenerator(spec).run_real(
+            MemoryFileSystem(), sessions_per_user=2, **kwargs)
     return WorkloadGenerator(spec).run_simulated(
         sessions_per_user=2, backend=backend, **kwargs
     )
 
 
 class TestCrossBackendDeterminism:
+    @pytest.mark.parametrize("executor", ["nfs", "local", "afs", "real"])
     @pytest.mark.parametrize("spec", [SPEC, MIXED_CAMPUS],
                              ids=["paper", "mixed-campus"])
-    def test_fast_matches_des_stream_exactly(self, spec):
-        sim = run("nfs", spec)
+    def test_fast_matches_des_stream_exactly(self, spec, executor):
+        sim = run(executor, spec)
         fast = run("fast", spec)
         # Same multiset overall, and the same in-order stream per user
         # (the DES interleaves users on the engine clock; the fast path
@@ -88,6 +92,9 @@ class TestCrossBackendDeterminism:
         fast = run("fast", access_pattern="random",
                    phase_model_factory=PhaseModel)
         assert sorted(content_ops(sim.log)) == sorted(content_ops(fast.log))
+        assert sorted(content_sessions(sim.log)) == sorted(
+            content_sessions(fast.log)
+        )
 
     def test_fast_is_deterministic(self):
         assert content_ops(run("fast").log) == content_ops(run("fast").log)

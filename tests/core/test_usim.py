@@ -1,4 +1,5 @@
-"""Unit tests for the User Simulator's session op-stream generation."""
+"""Unit tests for the User Simulator: session op-stream generation and
+the bytes ``RealRunner`` records."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro.core import (
     FileSystemCreator,
     PhaseModel,
     SessionGenerator,
+    WorkloadGenerator,
     paper_user_type,
     paper_workload_spec,
 )
@@ -238,3 +240,53 @@ class TestPhaseModel:
         phased = mean_think(PhaseModel(cpu_multiplier=20.0,
                                        p_enter_cpu=0.3, p_exit_cpu=0.3))
         assert phased > plain * 2
+
+
+class _ShortReads(MemoryFileSystem):
+    """A file system whose every read returns half the bytes asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned: list[int] = []
+
+    def read(self, fd: int, size: int) -> bytes:
+        data = super().read(fd, size // 2)
+        self.returned.append(len(data))
+        return data
+
+
+class TestObservedBytes:
+    """``RealRunner`` records and summarises the bytes a call moved,
+    not the bytes the synthesizer asked for."""
+
+    SPEC = paper_workload_spec(n_users=2, total_files=150, seed=5)
+
+    def test_short_reads_are_recorded_and_summarised(self):
+        fs = _ShortReads()
+        real = WorkloadGenerator(self.SPEC).run_real(fs, sessions_per_user=3)
+        asked = WorkloadGenerator(self.SPEC).run_simulated(
+            sessions_per_user=3, backend="fast")
+        reads = [op.size for op in real.log.operations if op.op == "read"]
+        assert reads == fs.returned
+        asked_reads = [op.size for op in asked.log.operations
+                       if op.op == "read"]
+        assert len(asked_reads) == len(reads)
+        assert sum(reads) < sum(asked_reads)
+        moved: dict[tuple, int] = {}
+        for op in real.log.operations:
+            key = (op.user_id, op.session_id)
+            moved[key] = moved.get(key, 0) + op.size
+        synthesized = {(s.user_id, s.session_id): s
+                       for s in asked.log.sessions}
+        assert len(real.log.sessions) == len(synthesized) == 6
+        for session in real.log.sessions:
+            key = (session.user_id, session.session_id)
+            assert session.bytes_accessed == moved.get(key, 0)
+            # Reads move bytes; they reference no file.
+            same = synthesized[key]
+            assert (session.files_referenced, session.file_bytes_referenced,
+                    session.categories) == (
+                same.files_referenced, same.file_bytes_referenced,
+                same.categories)
+        assert sum(s.bytes_accessed for s in real.log.sessions) < sum(
+            s.bytes_accessed for s in asked.log.sessions)

@@ -61,6 +61,16 @@ TABLE_5_2_GOLDEN = (
 )
 TABLE_5_2_SHA256 = (
     "851b2bd90ea9133ec76403581da0c857c6cfb52a952762635b137175b2ca10b8")
+# `repro figures fig5.3` / `fig5.4` / `fig5.5` at their defaults (600
+# sessions of 4 users), byte for byte.
+SESSION_FIGURE_SHA256 = {
+    "fig5.3":
+        "4ec735ce5620150bd4fb939ef9e7cf03bd3972610ec192a4e6861825b24b2594",
+    "fig5.4":
+        "080932a058a3040e89c497363dbc4dba1a1c958087e9e69bc0929583cbfc86a7",
+    "fig5.5":
+        "0566ca70766aaf875048bb9b32fb9deff39d5d787bdadeaf8de287e92e659479",
+}
 
 
 class TestTables:
@@ -146,6 +156,13 @@ class TestHistogramFigures:
         assert after.sum() == pytest.approx(before.sum(), rel=0.1)
         # And reduces roughness.
         assert np.var(np.diff(after)) <= np.var(np.diff(before))
+
+    @pytest.mark.parametrize("ident", sorted(SESSION_FIGURE_SHA256))
+    def test_default_output_is_pinned(self, ident, capsys):
+        assert main(["figures", ident]) == 0
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == SESSION_FIGURE_SHA256[ident])
 
 
 class TestResponseFigures:
