@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream_sub = stream.add_subparsers(dest="stream_command", required=True)
 
     s_info = stream_sub.add_parser(
-        "info", help="print an artifact's header, totals and metadata"
+        "info", help="print an artifact's header, totals, metadata and "
+        "float-column encodings (reads every chunk once)"
     )
     s_info.add_argument("streamfile")
 

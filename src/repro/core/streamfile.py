@@ -28,19 +28,24 @@ File layout (all integers little-endian)::
     u64 footer-offset  MAGIC                 (fixed-size tail)
 
 Chunk payloads hold per-chunk *compacted* string tables (first-use
-order) followed by one npy-framed block per column — an integer column
-at the narrowest signed width that holds the chunk's values, widened
-back to its schema dtype on read — then the session records that ended
-inside the chunk, each tagged with its global op-row position so the
-exact event order (ops interleaved with session summaries) reconstructs
-on replay.
+order) followed by the columns — an integer column as one npy-framed
+block at the narrowest signed width that holds the chunk's values,
+widened back to its schema dtype on read; a float column as an encoding
+tag and its blocks: ``raw``, a ``dict`` of the response times' 64-bit
+patterns, or the start times as exceptions to the think-time ``clock``
+rule ``start[i] = (start[i-1] + response[i-1]) + think[i-1]``, whichever
+is smallest of those that decode bit for bit — then the session records
+that ended inside the chunk, each tagged with its global op-row position
+so the exact event order (ops interleaved with session summaries)
+reconstructs on replay.
 
 Determinism is the load-bearing property.  Chunk boundaries are a pure
 function of the global op-row count (``rows_per_chunk`` rows each,
 derived from the byte budget via the fixed :data:`ROW_BYTES`), never of
-arrival granularity — so re-chunking the same event stream, whether it
-comes from one run, a replay, or a k-way shard merge, reproduces the
-same frames byte for byte.  Every frame is CRC-checked and every decoded
+arrival granularity, and widths and encodings a pure function of a
+chunk's rows — so re-chunking the same event stream, whether it comes
+from one run, a replay, or a k-way shard merge, reproduces the same
+frames byte for byte.  Every frame is CRC-checked and every decoded
 field range-checked; any truncation, bit flip or out-of-range field
 surfaces as :class:`StreamFormatError`, never as garbage records.
 
@@ -62,8 +67,9 @@ and :func:`resume_stream_sink` continues writing after its last full
 chunk.  Nothing beside the artifact is written or read.
 
 Versioning: ``FORMAT_VERSION`` bumps on any layout change; readers
-reject newer versions loudly.  Version 2 narrowed the integer columns;
-a version-1 file is the all-schema-width case and reads the same way.
+reject newer versions loudly.  Version 2 narrowed the integer columns
+and version 3 put each float column behind an encoding tag; a version-1
+or -2 file is the case without those changes and reads the same way.
 ``docs/architecture.md`` gives the format's rationale and evolution rules.
 """
 
@@ -110,7 +116,7 @@ __all__ = [
 ]
 
 MAGIC = b"REPRO-OPSTREAM\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Column schema, in serialisation order.  The chunk payload stores one
 # npy block per entry; ``think_us`` is optional per chunk (synthesis
@@ -176,10 +182,12 @@ _STRING_COLUMNS = (("path_idx", "paths"), ("category_idx", "categories"),
 
 
 def _joined(pieces: list[OpBatch], name: str) -> np.ndarray:
-    """Column ``name`` of ``pieces`` as one array (a lone piece's own)."""
+    """Column ``name`` of ``pieces`` as one array (a lone piece's own,
+    an empty one for none)."""
     if len(pieces) == 1:
         return getattr(pieces[0], name)
-    return np.concatenate([getattr(piece, name) for piece in pieces])
+    return np.concatenate([getattr(piece, name) for piece in pieces]
+                          or [np.empty(0)])
 
 
 def _table_runs(pieces: list[OpBatch]) -> list[list[OpBatch]]:
@@ -258,6 +266,98 @@ def _file_dtypes(schema: np.dtype) -> tuple[np.dtype, ...]:
 _COLUMN_DTYPES = tuple((name, np.dtype(dtype), _file_dtypes(np.dtype(dtype)))
                        for name, dtype in (*_COLUMNS, _THINK_COLUMN))
 
+# Float-column encodings (format 3): a tag byte ahead of the column's
+# blocks.  ``raw`` is the format-2 block; ``dict`` (``response_us``
+# only) a table and an index block; ``clock`` (``start_us``, chunks with
+# think times) a positions block and a ``(previous, own)`` start block.
+_RAW, _DICT, _CLOCK = range(3)
+_ENCODINGS = ("raw", "dict", "clock")
+_FLOAT_COLUMNS = {"start_us": _CLOCK, "response_us": _DICT}
+_F8, _I8 = np.dtype("<f8"), np.dtype("<i8")
+_INDEX_WIDTHS = _file_dtypes(_I8)
+_NEGATIVE_ZERO = np.array(-0.0).view(np.int64)
+
+
+@dataclass(frozen=True)
+class _Coded:
+    """A ``dict`` or ``clock`` float column of ``rows`` rows as stored:
+    ``keys`` the row indices into the table ``values`` (dict), or the
+    exception positions with ``values`` their ``(previous start, own
+    start)`` pairs (clock)."""
+
+    tag: int
+    rows: int
+    keys: np.ndarray
+    values: np.ndarray
+
+
+def _clock(response: np.ndarray, think: np.ndarray, at: np.ndarray,
+           previous: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Start times of ``len(response) + 1`` rows, the first an exception,
+    by one ``np.cumsum`` over a ``2 x rows`` contribution array: row
+    ``j`` contributes ``(response[j - 1], think[j - 1])``, the row before
+    it's, unless it is an exception (``at``), which contributes
+    ``(-previous, own)`` and so resets the running sum exactly
+    (``x + -x == +0.0``, ``0.0 + v == v``).  The first row contributes
+    ``(-0.0, own)``: a decode may enter at any exception."""
+    sums = np.empty(2 * len(response) + 2)
+    sums[2::2] = response
+    sums[3::2] = think
+    sums[2 * at] = -previous
+    sums[2 * at + 1] = own
+    sums[0] = -0.0
+    with np.errstate(all="ignore"):  # inf - inf is data here
+        np.cumsum(sums, out=sums)
+    return sums[1::2]
+
+
+def _float_rows(columns: dict, name: str, lo: int = 0,
+                hi: "int | None" = None) -> np.ndarray:
+    """Rows ``[lo, hi)`` of float column ``name`` of a chunk's stored
+    ``columns``, decoded (a raw column's are a view).
+
+    A clock column is decoded from the last exception at or before
+    ``lo``, each exception's start being ``-0.0 + own``, so that every
+    entry point gives the same rows.  One :func:`_clock` cumsum does it
+    when each reset inside the range is exact: the previous start it
+    cancels is the decoded row before (finite: ``x + -x == +0.0``) and
+    the row's own start is not -0.0 (``+0.0 + v == -0.0 + v`` for every
+    other ``v``).  The writer checks that of every file it writes; a file
+    it did not write falls back to one cumsum per run of rule-following
+    rows.
+    """
+    coded = columns[name]
+    if not isinstance(coded, _Coded):
+        return coded[lo:hi]
+    hi = coded.rows if hi is None else hi
+    if coded.tag == _DICT:
+        return np.take(coded.values.view(np.float64), coded.keys[lo:hi])
+    if hi <= lo:
+        return np.empty(0)
+    positions, values = coded.keys, coded.values
+    first = int(np.searchsorted(positions, lo, "right")) - 1
+    stop = int(np.searchsorted(positions, hi))
+    base = int(positions[first])
+    at = positions[first:stop].astype(np.int64) - base
+    previous = values[2 * first:2 * stop:2]
+    own = values[2 * first + 1:2 * stop:2]
+    response = _float_rows(columns, "response_us", base, hi - 1)
+    think = columns["think_us"][base:hi - 1]
+    starts = _clock(response, think, at, previous, own)
+    later = at[1:]
+    if len(later) and not (
+            np.isfinite(previous[1:]).all()
+            and np.array_equal(starts[later - 1].view(np.int64),
+                               previous[1:].view(np.int64))
+            and (own[1:].view(np.int64) != _NEGATIVE_ZERO).all()):
+        edges = [*at.tolist(), hi - base]
+        starts = np.concatenate([
+            _clock(response[a:b - 1], think[a:b - 1], at[:1], previous[:1],
+                   own[j:j + 1])
+            for j, (a, b) in enumerate(zip(edges, edges[1:]))])
+    return starts[lo - base:]
+
+
 # (dtype, shape) per npy header seen, keyed on its raw bytes: chunks repeat
 # the same dozen headers and numpy's ``ast.literal_eval`` parse costs more
 # than copying the column.  Bounded: a hostile file can vary them forever.
@@ -308,26 +408,186 @@ def _width(widths: tuple[np.dtype, ...], columns) -> np.dtype:
     return widths[-1]
 
 
+def _index_width(limit: int) -> np.dtype:
+    """The narrowest signed width holding ``0..limit``."""
+    return _width(_INDEX_WIDTHS, [np.array([limit])])
+
+
+def _parts_nbytes(parts) -> int:
+    """Bytes :func:`_buffers` makes of ``parts``."""
+    return sum(len(part) if isinstance(part, bytes)
+               else part[0].itemsize * sum(map(len, part[1]))
+               for part in parts)
+
+
+_WINDOW_ROWS = 8192
+
+
+def _windows(pieces: list[OpBatch], names: tuple[str, ...],
+             lead: bool = False):
+    """Columns ``names`` of the rows of ``pieces`` in windows of
+    :data:`_WINDOW_ROWS` rows (the last one shorter), each joined, and
+    with ``lead`` each after the first led by a copy of the row before
+    it: yields ``(first row, arrays)``.  The float encoders' transient
+    memory is a window's, whatever the chunk's size or piecing."""
+    windows, segments, room = [], [], _WINDOW_ROWS
+    for piece in pieces:
+        at = 0
+        while at < len(piece):
+            take = min(room, len(piece) - at)
+            segments.append((piece, at, at + take))
+            at, room = at + take, room - take
+            if not room:
+                windows.append(segments)
+                segments, room = [], _WINDOW_ROWS
+    if segments:
+        windows.append(segments)
+    before, first = None, 0
+    for segments in windows:
+        arrays = []
+        for i, name in enumerate(names):
+            parts = [getattr(piece, name)[lo:hi] for piece, lo, hi in segments]
+            arrays.append(np.concatenate(
+                parts if before is None else [before[i], *parts]))
+        yield first, arrays
+        first += sum(hi - lo for _, lo, hi in segments)
+        if lead:
+            before = [array[-1:].copy() for array in arrays]
+        arrays = None  # not alive while the next window is joined
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values`` (``np.unique``'s first call
+    imports ``numpy.ma``, half a megabyte, inside a chunk flush)."""
+    ordered = np.sort(values)
+    fresh = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
+def _dict_parts(pieces: list[OpBatch], n: int):
+    """``response_us`` as a dictionary: its sorted unique 64-bit patterns
+    (an ``<i8`` view, so -0.0 and NaN payloads stay apart) and each row's
+    index into them at the narrowest width.  Exact by construction.
+
+    One sort per window gives the window's distinct patterns and each
+    row's rank among them; the chunk's table is their union, and a row's
+    index is its rank's place in it."""
+    tables, ranks = [], []
+    for _, (column,) in _windows(pieces, ("response_us",)):
+        patterns = column.view(np.int64)
+        order = np.argsort(patterns)
+        ordered = patterns[order]
+        fresh = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        tables.append(ordered[fresh])
+        ranks.append((order.astype(np.int32),
+                      np.cumsum(fresh, dtype=np.int32) - 1))
+    table = _unique(np.concatenate(tables))
+    width = _index_width(len(table) - 1)
+    if 8 * len(table) + width.itemsize * n >= 8 * n:
+        return None  # never beats raw
+    keys = []
+    for local, (order, rank) in zip(tables, ranks):
+        key = np.empty(len(order), dtype=width)
+        key[order] = np.searchsorted(table, local)[rank]
+        keys.append(key)
+    return [bytes([_DICT]) + _npy_preamble(_I8, len(table)), (_I8, [table]),
+            _npy_preamble(width, n), (width, keys)]
+
+
+def _clock_parts(pieces: list[OpBatch], n: int):
+    """``start_us`` as exceptions to the think-time clock rule
+    ``start[i] = (start[i-1] + response[i-1]) + think[i-1]`` (compared as
+    bit patterns): each exception's position and ``(previous start, own
+    start)`` pair, row 0 always one, its previous start stored as 0.0.
+
+    None unless every exception after row 0 follows a finite start and
+    :func:`_clock` gives the column back bit for bit.  Two passes over
+    :func:`_windows`: the first finds the exceptions (and gives up once
+    they cannot beat raw), the second decodes each window from its lead
+    row as an exception — the rows before it checked, the lead's start
+    is the whole decode's running sum there, so each window decodes as
+    the whole chunk does — and gathers the pairs."""
+    names = ("start_us", "response_us", "think_us")
+    width = _index_width(n - 1)
+    found, k = [np.zeros(1, dtype=np.int64)], 1
+    for first, (start, response, think) in _windows(pieces, names, True):
+        with np.errstate(all="ignore"):  # inf - inf is data here
+            follows = start[:-1] + response[:-1]
+            follows += think[:-1]
+        rows = np.flatnonzero(
+            follows.view(np.int64) != start[1:].view(np.int64))
+        # follows[j] is window row j + 1: chunk row j + 1 in the first
+        # window, first + j past a lead.
+        rows += first + (first == 0)
+        found.append(rows)
+        k += len(rows)
+        if k * (width.itemsize + 16) >= 8 * n:
+            return None  # never beats raw: skip the check
+    positions = np.concatenate(found)
+    values = np.zeros(2 * k)
+    for first, (start, response, think) in _windows(pieces, names, True):
+        # Chunk row r is window row r - first, one more past the lead.
+        lead = int(first > 0)
+        lo, hi = np.searchsorted(positions,
+                                 [first, first + len(start) - lead])
+        at = positions[lo:hi] - (first - lead)
+        if lead:
+            at = np.concatenate(([0], at))
+        previous = start[np.maximum(at - 1, 0)]
+        previous[:1 - lead] = 0.0  # chunk row 0's is stored as 0.0
+        if not np.isfinite(previous[1:]).all():
+            return None
+        decoded = _clock(response[:-1], think[:-1], at, previous, start[at])
+        if not np.array_equal(decoded.view(np.int64), start.view(np.int64)):
+            return None
+        values[2 * lo:2 * hi:2] = previous[lead:]
+        values[2 * lo + 1:2 * hi:2] = start[at[lead:]]
+    return [bytes([_CLOCK]) + _npy_preamble(width, k), (width, [positions]),
+            _npy_preamble(_F8, 2 * k), (_F8, [values])]
+
+
+def _float_parts(name: str, pieces: list[OpBatch], n: int,
+                 has_think: bool) -> list:
+    """Float column ``name`` as an encoding tag and its blocks: ``raw``
+    (the pieces' own arrays), or the column's other encoding (``clock``
+    for ``start_us`` when the chunk has think times, ``dict`` for
+    ``response_us``) when that decodes bit for bit in fewer bytes."""
+    raw = [bytes([_RAW]) + _npy_preamble(_F8, n),
+           (_F8, [getattr(piece, name) for piece in pieces])]
+    coded = None
+    if n and name == "response_us":
+        coded = _dict_parts(pieces, n)
+    elif n and has_think:
+        coded = _clock_parts(pieces, n)
+    if coded is None or _parts_nbytes(coded) >= _parts_nbytes(raw):
+        return raw
+    return coded
+
+
 def _encode_chunk(pieces: list[OpBatch],
                   sessions: list[tuple[int, SessionRecord]]
                   ) -> list[bytes | tuple[np.dtype, list[np.ndarray]]]:
     """The payload of a chunk made of ``pieces``, as parts in file order.
 
     The pieces are encoded as if concatenated, without concatenating
-    them: each column is one npy preamble for the chunk's row count
-    followed by one ``(file dtype, arrays)`` part: an array per piece
-    (per run of same-table pieces for the compacted string columns),
-    cast by :func:`_buffers` only as it is reached.  An integer column's
-    file dtype is the narrowest signed width holding the chunk's values
-    (:func:`_width`, one min/max per run of same-parent pieces); a
-    column already contiguous in its file dtype — every float column,
-    an integer one left at its schema width — is the piece's own array,
-    not a copy.  ``think_us`` is written only when every non-empty piece
-    carries one (a record batch has no pause to invent).  Small
-    ``bytes`` (counts, string tables, preambles, session lines) fill the
-    gaps.  The caller owns CRC and write order (chain ``zlib.crc32``
-    over one pass of the buffers, then write a second) and must do both
-    before anything mutates the pieces.
+    them: each integer column is one npy preamble for the chunk's row
+    count followed by one ``(file dtype, arrays)`` part: an array per
+    piece (per run of same-table pieces for the compacted string
+    columns), cast by :func:`_buffers` only as it is reached.  An
+    integer column's file dtype is the narrowest signed width holding
+    the chunk's values (:func:`_width`, one min/max per run of
+    same-parent pieces); a column already contiguous in its file dtype
+    — an integer one left at its schema width, a ``raw`` float column —
+    is the piece's own array, not a copy.  Each float column is a tag
+    byte and its encoding's blocks (:func:`_float_parts`).  ``think_us``
+    is written only when every non-empty piece carries one (a record
+    batch has no pause to invent).  Small ``bytes`` (counts, string
+    tables, preambles, session lines) fill the gaps.  The caller owns
+    CRC and write order (chain ``zlib.crc32`` over one pass of the
+    buffers, then write a second) and must do both before anything
+    mutates the pieces.
     """
     pieces = [piece for piece in pieces if len(piece)]
     n = sum(len(piece) for piece in pieces)
@@ -341,19 +601,24 @@ def _encode_chunk(pieces: list[OpBatch],
     head = [_CHUNK_HEAD.pack(n, int(has_think))]
     compacted = {}
     for idx_name, table_name in _STRING_COLUMNS:
-        compacted[idx_name], values = _compact_column(runs, idx_name,
-                                                      table_name)
+        columns, values = _compact_column(runs, idx_name, table_name)
+        if values:  # else the pieces' own columns came back
+            compacted[idx_name] = columns
         head.append(_table_bytes(values))
     parts: list[bytes | tuple[np.dtype, list[np.ndarray]]] = [
         b"".join(head)]
     for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-        columns = compacted.get(name)
+        if name in _FLOAT_COLUMNS:
+            parts += _float_parts(name, pieces, n, has_think)
+            continue
+        columns = compacted.pop(name, None)
         if columns is None:
             columns = [getattr(piece, name) for piece in pieces]
-            joined = (_joined(run, name) for run in runs)
-        else:
-            joined = columns
-        width = _width(widths, joined) if n else widths[-1]
+            width = (_width(widths, (_joined(run, name) for run in runs))
+                     if n else widths[-1])
+        else:  # compacted copies: narrowed now, they hold less meanwhile
+            width = _width(widths, columns) if n else widths[-1]
+            columns = [column.astype(width) for column in columns]
         parts += [_npy_preamble(width, n), (width, columns)]
     tail = [_U32.pack(len(sessions))]
     for position, record in sessions:
@@ -392,12 +657,13 @@ def _read_table(payload: bytes, pos: int) -> tuple[list[str], int]:
 
 
 def _read_array(payload: bytes, pos: int, name: str,
-                widths: tuple[np.dtype, ...], n: int
+                widths: tuple[np.dtype, ...], n: "int | None"
                 ) -> tuple[np.ndarray, int]:
     """The npy-framed column at ``pos``, as stored, and the offset just
     past it.
 
-    The block must hold ``n`` rows at one of the file dtypes ``widths``.
+    The block must hold ``n`` rows (any number, if None; a 1-D block
+    still) at one of the file dtypes ``widths``.
     The array is a view of ``payload``: :func:`_batch` widens it into a
     copy that owns its memory, since a consumer keeping one column of
     each chunk must not pin every payload.  New headers go through
@@ -432,27 +698,65 @@ def _read_array(payload: bytes, pos: int, name: str,
         declared = _NPY_HEADERS[raw] = (found, shape)
     found, shape = declared
     allowed = [width.str for width in widths]
-    if (shape != (n,) or found.str not in allowed
-            or stop - data != n * found.itemsize):
+    rows = shape[0] if n is None and len(shape) == 1 else n
+    if (shape != (rows,) or found.str not in allowed
+            or stop - data != rows * found.itemsize):
         raise StreamFormatError(
             f"column {name!r}: expected {n} x {'/'.join(allowed)}, got "
             f"{shape} x {found.str} in {stop - data} bytes")
-    return np.frombuffer(payload, found, n, data), stop
+    return np.frombuffer(payload, found, rows, data), stop
+
+
+def _read_float(payload: bytes, pos: int, name: str, n: int,
+                has_think: bool):
+    """Format 3's float column ``name`` at ``pos``: its encoding tag and
+    blocks, checked, as a raw array or a :class:`_Coded`, and the offset
+    just past it.  The clock's decode needs the think column, which comes
+    later: ``has_think`` says whether the chunk has one."""
+    tag = payload[pos]
+    if tag not in (_RAW, _FLOAT_COLUMNS[name]) or (
+            tag == _CLOCK and not has_think):
+        raise StreamFormatError(f"column {name!r}: bad encoding tag {tag}")
+    if tag == _RAW:
+        return _read_array(payload, pos + 1, name, (_F8,), n)
+    if tag == _DICT:
+        values, pos = _read_array(payload, pos + 1, name, (_I8,), None)
+        keys, pos = _read_array(payload, pos, name, _INDEX_WIDTHS, n)
+        valid = (not n or 0 <= int(keys.min())
+                 and int(keys.max()) < len(values)) and bool(
+                     (values[1:] > values[:-1]).all())
+    else:
+        keys, pos = _read_array(payload, pos + 1, name, _INDEX_WIDTHS, None)
+        values, pos = _read_array(payload, pos, name, (_F8,), 2 * len(keys))
+        valid = (len(keys) > 0) == (n > 0) and (
+            not n or int(keys[0]) == 0 and int(keys[-1]) < n
+            and bool((keys[1:] > keys[:-1]).all()))
+    if not valid:
+        raise StreamFormatError(
+            f"column {name!r}: {_ENCODINGS[tag]} "
+            + ("index outside its table or table not sorted unique"
+               if tag == _DICT else "exception positions not increasing "
+               "from row 0 inside the chunk"))
+    return _Coded(tag, n, keys, values), pos
 
 
 def _check_chunk(payload: bytes, what: str, row_start: "int | None" = None,
                  footer: "ChunkInfo | None" = None,
-                 known: tuple = (b"", None)):
+                 known: tuple = (b"", None), version: int = FORMAT_VERSION):
     """One bounds-checked forward pass over a CRC-checked chunk payload.
 
     Returns the string tables' values, the bytes they were parsed from
     (a payload whose table region starts with the bytes of ``known``,
     an earlier pass's ``(region, tables)``, has those tables), the
-    columns as stored (range checks run on them: narrowing keeps values)
-    and the *framed* session records, ``(position, line bytes)`` pairs
-    :func:`_parse_sessions` parses when someone reads them.  Session
-    positions must run in order from ``row_start``, and the rows and
-    sessions must match the ``footer`` entry, when those are given.
+    columns as stored (range checks run on them: narrowing keeps values;
+    a coded float column is a :class:`_Coded` whose structure is checked
+    here and whose rows :func:`_float_rows` decodes), the *framed*
+    session records, ``(position, line bytes)`` pairs
+    :func:`_parse_sessions` parses when someone reads them, and each
+    float column's ``(encoding, payload bytes)``.  Session positions
+    must run in order from ``row_start``, and the rows and sessions must
+    match the ``footer`` entry, when those are given.  A ``version``
+    before 3 has no encoding tags: its float columns are raw.
     """
     try:
         n, has_think = _CHUNK_HEAD.unpack_from(payload, 0)
@@ -468,9 +772,20 @@ def _check_chunk(payload: bytes, what: str, row_start: "int | None" = None,
                 values, pos = _read_table(payload, pos)
                 tables.append(values)
             region = payload[_CHUNK_HEAD.size:pos]
-        columns = {}
+        columns, spans = {}, {}
+        tagged = version >= 3
         for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
-            columns[name], pos = _read_array(payload, pos, name, widths, n)
+            at = pos
+            if name in _FLOAT_COLUMNS and tagged:
+                columns[name], pos = _read_float(payload, pos, name, n,
+                                                 has_think)
+            else:
+                columns[name], pos = _read_array(payload, pos, name,
+                                                 widths, n)
+            if name in _FLOAT_COLUMNS:
+                coded = columns[name]
+                spans[name] = (_ENCODINGS[getattr(coded, "tag", _RAW)],
+                               pos - at)
         (n_sessions,) = _U32.unpack_from(payload, pos)
         pos += _U32.size
         frames = []
@@ -480,7 +795,7 @@ def _check_chunk(payload: bytes, what: str, row_start: "int | None" = None,
             if pos > len(payload):
                 raise struct.error("session record runs past the payload")
             frames.append((position, payload[pos - nbytes:pos]))
-    except struct.error as exc:  # unpack_from past the end, or raised above
+    except (struct.error, IndexError) as exc:  # read past the end
         raise StreamFormatError(f"{what}: truncated payload ({exc})") from None
     except UnicodeDecodeError as exc:
         raise StreamFormatError(f"corrupt string table: {exc}") from None
@@ -503,27 +818,49 @@ def _check_chunk(payload: bytes, what: str, row_start: "int | None" = None,
                                or len(frames) != footer.sessions):
         raise StreamFormatError(
             f"{what}: payload disagrees with the footer index")
-    return tables, region, columns, frames
+    return tables, region, columns, frames, spans
+
+
+def _with_floats(columns: dict) -> dict:
+    """``columns`` with both float columns decoded whole, the response
+    times first: a clock-coded start column reads them too."""
+    columns = dict(columns)
+    for name in ("response_us", "start_us"):
+        columns[name] = _float_rows(columns, name)
+    return columns
 
 
 def _batch(tables, columns: dict, rows=None) -> OpBatch:
-    """The stored ``columns`` (only ``rows``, if given) as an
-    :class:`OpBatch`: each widened to its schema dtype into a fresh array
-    that owns its memory, each table a fresh :class:`StringTable`."""
+    """The stored ``columns`` (only ``rows``, ascending, if given) as an
+    :class:`OpBatch`: each widened or decoded to its schema dtype into a
+    fresh array that owns its memory, each table a fresh
+    :class:`StringTable`.  A float column is decoded over the rows from
+    the first to the last of ``rows`` only."""
     widened = {}
+    lo, hi = 0, None
+    if rows is None:
+        columns = _with_floats(columns)
+    else:
+        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        rows = rows - lo
     for name, dtype, _ in _COLUMN_DTYPES[:len(columns)]:
-        column = columns[name] if rows is None else columns[name].take(rows)
-        widened[name] = column.astype(dtype, copy=rows is None)
+        column = (_float_rows(columns, name, lo, hi)
+                  if name in _FLOAT_COLUMNS else columns[name][lo:hi])
+        # A decoded float column may already be a fresh array.
+        widened[name] = (column.astype(dtype, copy=column.base is not None)
+                         if rows is None
+                         else column.take(rows).astype(dtype, copy=False))
     return OpBatch(**widened, **{table: StringTable(values) for (_, table),
                                  values in zip(_STRING_COLUMNS, tables)})
 
 
 def _decode_chunk(payload: bytes, what: str, row_start: "int | None" = None,
-                  footer: "ChunkInfo | None" = None):
+                  footer: "ChunkInfo | None" = None,
+                  version: int = FORMAT_VERSION):
     """A payload checked by :func:`_check_chunk`, decoded whole: the one
     whole-chunk decode, behind ``read_chunk`` and the salvage scan."""
-    tables, _, columns, frames = _check_chunk(payload, what, row_start,
-                                              footer)
+    tables, _, columns, frames, _ = _check_chunk(
+        payload, what, row_start, footer, version=version)
     return _batch(tables, columns), frames
 
 
@@ -537,23 +874,16 @@ def _parse_sessions(frames, what: str) -> list[tuple[int, SessionRecord]]:
             f"{what}: corrupt session record ({exc})") from None
 
 
-def _entry_from_chunk(offset: int, pieces: list[OpBatch],
-                      sessions: list) -> dict:
-    """The footer-index entry of a chunk made of ``pieces`` (the
-    writer's, or one rebuilt from a decoded chunk)."""
-    n = sum(len(piece) for piece in pieces)
-    users = _column_range(pieces, "user_ids", int) if n else (None, None)
-    starts = _column_range(pieces, "start_us", float) if n else (None, None)
-    return {"offset": offset, "rows": n, "sessions": len(sessions),
-            "user_lo": users[0], "user_hi": users[1],
-            "start_lo": starts[0], "start_hi": starts[1]}
-
-
-def _column_range(pieces: list[OpBatch], name: str, scalar) -> tuple:
-    """``(min, max)`` of column ``name`` over ``pieces``, as ``scalar``s:
-    many small pieces reduce faster joined, one column at a time."""
-    column = _joined(pieces, name)
-    return scalar(column.min()), scalar(column.max())
+def _entry_from_chunk(offset: int, users: np.ndarray, starts: np.ndarray,
+                      sessions: int) -> dict:
+    """The footer-index entry of a chunk of these user ids and start
+    times (the writer's pieces joined, or a read chunk's columns)."""
+    n = len(users)
+    return {"offset": offset, "rows": n, "sessions": sessions,
+            "user_lo": int(users.min()) if n else None,
+            "user_hi": int(users.max()) if n else None,
+            "start_lo": float(starts.min()) if n else None,
+            "start_hi": float(starts.max()) if n else None}
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +1126,8 @@ class StreamFileSink:
             cut += 1
         sessions, self._sessions = self._sessions[:cut], self._sessions[cut:]
         offset = self._stream.tell()
-        entry = _entry_from_chunk(offset, pieces, sessions)
+        entry = _entry_from_chunk(offset, _joined(pieces, "user_ids"),
+                                  _joined(pieces, "start_us"), len(sessions))
         parts = _encode_chunk(pieces, sessions)
         # Two passes, one cast array alive at a time: CRC and length
         # first (the frame head precedes its payload), then the write.
@@ -1114,14 +1445,16 @@ class StreamReader:
                 if kind != _FRAME_CHUNK:
                     raise StreamFormatError(f"unknown frame type {kind!r}")
                 chunk = StreamChunk(index, *_decode_chunk(
-                    payload, f"chunk {index}", row_start))
+                    payload, f"chunk {index}", row_start,
+                    version=self.version))
                 sessions = chunk.sessions
             except StreamFormatError as exc:
                 self.damage.append(f"{exc} (offset {pos})")
                 break
             chunks.append(ChunkInfo(
-                index=index, row_start=row_start,
-                **_entry_from_chunk(pos, [chunk.batch], sessions)))
+                index=index, row_start=row_start, **_entry_from_chunk(
+                    pos, chunk.batch.user_ids, chunk.batch.start_us,
+                    len(sessions))))
             row_start += len(chunk.batch)
             pos = stop
             payload = chunk = sessions = None  # not alive into the next
@@ -1160,12 +1493,14 @@ class StreamReader:
         """Decode chunk ``index`` whole: every column widened."""
         info, payload = self._payload(index)
         return StreamChunk(index, *_decode_chunk(
-            payload, f"chunk {index}", info.row_start, info))
+            payload, f"chunk {index}", info.row_start, info, self.version))
 
     def _slice(self, index: int, users: "np.ndarray | None",
                time_range) -> OpBatch:
         """Chunk ``index``'s rows that ``users`` and ``time_range``
-        select, the chunk checked whole but only those rows widened.  Its
+        select, the chunk checked whole but only those rows widened (a
+        user slice decodes clock-coded start times from the exception at
+        or before its first row; a time window needs them all).  Its
         tables come from the memo if its table bytes are those they were
         parsed from.  An entry costs its table bytes plus the parsed
         strings and their lists; the memo holds at most one chunk's
@@ -1174,8 +1509,9 @@ class StreamReader:
         entry = memo.pop(index, (b"", None, 0))
         self._memo_bytes -= entry[2]
         info, payload = self._payload(index)
-        tables, region, columns, _ = _check_chunk(
-            payload, f"chunk {index}", info.row_start, info, entry[:2])
+        tables, region, columns, _, _ = _check_chunk(
+            payload, f"chunk {index}", info.row_start, info, entry[:2],
+            self.version)
         if tables is not entry[1]:  # parsed by this read
             entry = (region, tables, len(region) + sum(
                 map(sys.getsizeof, itertools.chain(tables, *tables))))
@@ -1189,6 +1525,8 @@ class StreamReader:
         if users is not None:
             mask &= np.isin(columns["user_ids"], users)
         if time_range is not None:
+            # Decoded once, whole: the batch then takes its rows.
+            columns = _with_floats(columns)
             starts = columns["start_us"]
             mask &= (starts >= time_range[0]) & (starts < time_range[1])
         return _batch(tables, columns, np.flatnonzero(mask))
@@ -1282,7 +1620,8 @@ class StreamReader:
         return rows, sessions
 
     def info_kv(self) -> dict:
-        """Human-readable summary (the ``stream info`` CLI verb)."""
+        """Human-readable summary (the ``stream info`` CLI verb); the
+        float encodings read every chunk once."""
         users = [c for c in self.chunk_index if c.rows]
         out = {
             "path": self.path,
@@ -1302,8 +1641,39 @@ class StreamReader:
             out["op start span (µs)"] = (
                 f"{min(c.start_lo for c in users):.1f}.."
                 f"{max(c.start_hi for c in users):.1f}")
+        out.update(self._encoding_kv(out["file bytes"]))
         for key, value in sorted(self.metadata.items()):
             out[f"meta.{key}"] = value
+        return out
+
+    def _encoding_kv(self, file_bytes: int) -> dict:
+        """Per float column, the encodings its chunks are stored in and
+        its share of the file's bytes (one checked pass over the chunks;
+        a chunk that fails it is counted, not raised)."""
+        chunks = {name: dict.fromkeys(_ENCODINGS, 0)
+                  for name in _FLOAT_COLUMNS}
+        spent = dict.fromkeys(_FLOAT_COLUMNS, 0)
+        unreadable = 0
+        for info in self.chunk_index:
+            try:
+                payload = self._payload(info.index)[1]
+                spans = _check_chunk(payload, f"chunk {info.index}",
+                                     version=self.version)[4]
+            except StreamFormatError:
+                unreadable += 1
+                continue
+            for name, (encoding, nbytes) in spans.items():
+                chunks[name][encoding] += 1
+                spent[name] += nbytes
+        out = {}
+        for name in _FLOAT_COLUMNS:
+            used = ", ".join(f"{encoding} x{count}" for encoding, count
+                             in chunks[name].items() if count)
+            share = 100 * spent[name] / file_bytes if file_bytes else 0.0
+            out[f"{name} encoding"] = (f"{used or 'no chunks'} "
+                                       f"({share:.1f}% of file bytes)")
+        if unreadable:
+            out["unreadable chunks"] = unreadable
         return out
 
     def close(self) -> None:
@@ -1590,17 +1960,23 @@ def verify_stream(path: str) -> StreamVerifyReport:
         errors = list(reader.damage)
         chunks_ok = sessions_seen = 0
         for info in reader.chunk_index:
-            chunk = None  # not alive while the next chunk decodes
+            # Checked whole, but only the start times decoded: the footer
+            # entry needs nothing else widened.
+            columns = starts = None  # not alive while the next is read
+            what = f"chunk {info.index}"
             try:
-                chunk = reader.read_chunk(info.index)
-                sessions = chunk.sessions
+                columns, frames = _check_chunk(
+                    reader._payload(info.index)[1], what, info.row_start,
+                    info, version=reader.version)[2:4]
+                sessions = len(_parse_sessions(frames, what))
             except StreamFormatError as exc:
-                errors.append(f"chunk {info.index}: {exc}")
+                errors.append(f"{what}: {exc}")
                 continue
             chunks_ok += 1
-            sessions_seen += len(sessions)
+            sessions_seen += sessions
+            starts = _float_rows(columns, "start_us")
             if info.entry() != _entry_from_chunk(
-                    info.offset, [chunk.batch], sessions):
+                    info.offset, columns["user_ids"], starts, sessions):
                 errors.append(f"chunk {info.index}: footer index "
                               "disagrees with rows")
         if sessions_seen != reader.total_sessions and not errors:

@@ -526,6 +526,7 @@ class _ResolvedRun:
             "backend": artifact_backend(self.backend),
             "seed": self.spec.seed,
             "users": self.spec.n_users,
+            "spec_sha256": spec_fingerprint(self.spec),
             **self.shape,
         }
 

@@ -30,6 +30,7 @@ from ..core import (
     SessionGenerator,
     UsageAnalyzer,
     UsageFold,
+    UsageLog,
     WorkloadGenerator,
     paper_user_type,
     paper_workload_spec,
@@ -328,14 +329,24 @@ def figure_5_2(n_points: int = 101) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
+class _SessionLog(UsageLog):
+    """A usage log that keeps only the session records: the per-session
+    measures read nothing else."""
+
+    def record_batch(self, batch) -> None:
+        pass
+
+
 def _measure_sessions(sessions: int, seed: int,
                       total_files: int) -> UsageAnalyzer:
     """Figures 5.3–5.5's sessions, engine-free: the per-session measures
     depend on no clock."""
     spec = paper_workload_spec(n_users=4, total_files=total_files, seed=seed)
-    return WorkloadGenerator(spec).run_simulated(
+    log = _SessionLog()
+    WorkloadGenerator(spec).run_simulated(
         sessions_per_user=max(1, sessions // spec.n_users), backend="fast",
-    ).analyzer
+        log=log)
+    return UsageAnalyzer(log)
 
 
 def _histogram_figure(ident: str, title: str, x_label: str, hist,

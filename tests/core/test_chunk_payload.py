@@ -41,6 +41,14 @@ from repro.scenarios import build_scenario_spec
 
 TABLES = ("paths", "categories", "user_types")
 COLUMNS = tuple(name for name, _ in (*_COLUMNS, _THINK_COLUMN))
+# A float column is an encoding tag, then its blocks by encoding.
+FLOAT_BLOCKS = {0: ("",), 1: (".table", ".keys"), 2: (".positions", ".pairs")}
+# The blocks of the source artifact's chunk 1: start_us clock-coded,
+# response_us dictionary-coded.
+BLOCKS = tuple(block for name in COLUMNS for block in (
+    {"start_us": ("start_us.positions", "start_us.pairs"),
+     "response_us": ("response_us.table", "response_us.keys")}.get(
+         name, (name,))))
 
 
 def reframe_chunk(path, index, mutate):
@@ -77,8 +85,10 @@ def reframe_chunk(path, index, mutate):
 
 def payload_fields(payload):
     """``{field: (offset, struct format)}`` for one chunk payload, plus
-    ``("npy-header", column)`` entries as ``(offset, length)`` of the npy
-    header text."""
+    ``("npy-header", block)`` entries as ``(offset, length)`` of the npy
+    header text and ``("data", block)`` ones as ``(offset, rows)``.  A
+    float column's tag is ``("tag", column)``; its blocks are named
+    ``column`` (raw) or ``column.part`` (see :data:`FLOAT_BLOCKS`)."""
     fields = {"rows": (0, "<Q"), "think": (8, "<B")}
     n, has_think = struct.unpack_from("<QB", payload, 0)
     pos = 9
@@ -93,13 +103,22 @@ def payload_fields(payload):
                     fields[("length", table, which)] = (pos, "<L")
             pos += 4 + nbytes
     for name in COLUMNS[:len(_COLUMNS) + has_think]:
-        (nbytes,) = struct.unpack_from("<Q", payload, pos)
-        fields[("npy-length", name)] = (pos, "<Q")
-        (header_len,) = struct.unpack_from("<H", payload, pos + 16)
-        fields[("npy-header-length", name)] = (pos + 16, "<H")
-        fields[("npy-header", name)] = (pos + 18, header_len)
-        fields[("data", name)] = (pos + 18 + header_len, n)
-        pos += 8 + nbytes
+        blocks = (name,)
+        if name in ("start_us", "response_us"):
+            fields[("tag", name)] = (pos, "<B")
+            blocks = [name + part for part in FLOAT_BLOCKS[payload[pos]]]
+            pos += 1
+        for block in blocks:
+            (nbytes,) = struct.unpack_from("<Q", payload, pos)
+            fields[("npy-length", block)] = (pos, "<Q")
+            (header_len,) = struct.unpack_from("<H", payload, pos + 16)
+            fields[("npy-header-length", block)] = (pos + 16, "<H")
+            fields[("npy-header", block)] = (pos + 18, header_len)
+            data = pos + 18 + header_len
+            header = payload[pos + 18:data].decode("latin-1")
+            rows = int(header.split("'shape': (")[1].split(",")[0])
+            fields[("data", block)] = (data, rows)
+            pos += 8 + nbytes
     (sessions,) = struct.unpack_from("<L", payload, pos)
     fields["sessions"] = (pos, "<L")
     pos += 4
@@ -122,6 +141,14 @@ def set_kind(path, chunk, kind):
     reframe_chunk(path, chunk, mutate)
 
 
+def set_exception(path, chunk, index, position):
+    """Set exception ``index`` of chunk ``chunk``'s clock-coded start
+    times to row ``position``, re-CRC'd."""
+    def change(values, fields, rows):
+        values[index] = position
+    reframe_chunk(path, chunk, _edit("start_us.positions", change))
+
+
 @pytest.fixture(scope="module")
 def source(tmp_path_factory):
     """A multi-chunk mixed-campus artifact: think column, three string
@@ -135,6 +162,9 @@ def source(tmp_path_factory):
         assert len(reader.chunk_index) >= 3
         chunk = reader.read_chunk(1)
         assert chunk.batch.think_us is not None and len(chunk.sessions) >= 2
+        fields = payload_fields(reader._payload(1)[1])
+        assert all(("data", block) in fields for block in BLOCKS)
+        assert fields[("data", "start_us.positions")][1] >= 2
     assert verify_stream(path).ok
     return path
 
@@ -260,16 +290,17 @@ def _mutations():
               *(("length", table, which) for table in TABLES
                 for which in ("first", "last")),
               *(("position", which) for which in ("first", "last")),
-              *(("line-length", which) for which in ("first", "last"))]
-    for column in COLUMNS:
-        scalar += [("npy-length", column), ("npy-header-length", column)]
+              *(("line-length", which) for which in ("first", "last")),
+              ("tag", "start_us"), ("tag", "response_us")]
+    for block in BLOCKS:
+        scalar += [("npy-length", block), ("npy-header-length", block)]
     for field in scalar:
         label = field if isinstance(field, str) else " ".join(field)
         for rule in RULES:
             out[f"{label} {rule}"] = _numeric(field, rule)
-    for column in COLUMNS:
+    for block in BLOCKS:
         for why, rewrite in HEADER_REWRITES.items():
-            out[f"npy-header {column} {why}"] = _header(column, rewrite)
+            out[f"npy-header {block} {why}"] = _header(block, rewrite)
     out["trailing byte"] = lambda payload: payload + b"\0"
     out["trailing session head"] = lambda payload: payload + b"\0" * 12
     out["last byte cut"] = lambda payload: payload[:-1]
@@ -277,6 +308,72 @@ def _mutations():
 
 
 MUTATIONS = _mutations()
+
+
+def _edit(block, change):
+    """Rewrite the values of ``block`` (an integer block) in place:
+    ``change(values, fields, rows)`` edits a writable copy."""
+    def mutate(payload):
+        fields = payload_fields(payload)
+        at, count = fields[("data", block)]
+        offset, length = fields[("npy-header", block)]
+        header = payload[offset:offset + length].decode("latin-1")
+        descr = header.split("'descr': '")[1].split("'")[0]
+        values = np.frombuffer(payload, descr, count, at).copy()
+        change(values, fields, struct.unpack_from("<Q", payload, 0)[0])
+        return payload[:at] + values.tobytes() + payload[at + values.nbytes:]
+    return mutate
+
+
+def _swap_last_two(values, fields, rows):
+    values[-2:] = values[-2:][::-1].copy()
+
+
+def _repeat_last(values, fields, rows):
+    values[-1] = values[-2]
+
+
+def _last_past_the_chunk(values, fields, rows):
+    values[-1] = rows
+
+
+def _first_not_zero(values, fields, rows):
+    values[0] = 1
+
+
+def _key_past_the_table(values, fields, rows):
+    values[-1] = fields[("data", "response_us.table")][1]
+
+
+def _swap_first_two(values, fields, rows):
+    values[:2] = values[1::-1].copy()
+
+
+def _tag(column, tag):
+    def mutate(payload):
+        at = payload_fields(payload)[("tag", column)][0]
+        return payload[:at] + bytes([tag]) + payload[at + 1:]
+    return mutate
+
+
+# Format 3's encodings, each broken one way: every one is corrupt.
+ENCODING_MUTATIONS = {
+    "exception positions reversed": _edit("start_us.positions",
+                                          _swap_last_two),
+    "exception positions repeated": _edit("start_us.positions",
+                                          _repeat_last),
+    "exception position past the chunk": _edit("start_us.positions",
+                                               _last_past_the_chunk),
+    "first exception not row 0": _edit("start_us.positions",
+                                       _first_not_zero),
+    "dictionary index past its table": _edit("response_us.keys",
+                                             _key_past_the_table),
+    "dictionary table unsorted": _edit("response_us.table",
+                                       _swap_first_two),
+    "start_us tagged dict": _tag("start_us", 1),
+    "response_us tagged clock": _tag("response_us", 2),
+    "unknown encoding tag": _tag("start_us", 3),
+}
 
 
 class TestPayloadSweep:
@@ -300,6 +397,47 @@ class TestPayloadSweep:
             reframe_chunk(path, 1, MUTATIONS[why])
             caught += not assert_rejected_or_valid(path).ok
         assert caught >= 0.9 * len(MUTATIONS), (caught, len(MUTATIONS))
+
+    def test_info_gives_each_float_columns_encoding_and_share(self, source):
+        spent = {"start_us": 0, "response_us": 0}
+        used = {"start_us": {}, "response_us": {}}
+        with StreamReader(source) as reader:
+            info = reader.info_kv()
+            for chunk in reader.chunk_index:
+                payload = reader._payload(chunk.index)[1]
+                fields = payload_fields(payload)
+                for column in spent:
+                    tag_at = fields[("tag", column)][0]
+                    block = [b for b in BLOCKS if b.split(".")[0] == column]
+                    blocks = [name for name in (column, *block)
+                              if ("npy-length", name) in fields]
+                    last = fields[("npy-length", blocks[-1])][0]
+                    (nbytes,) = struct.unpack_from("<Q", payload, last)
+                    spent[column] += last + 8 + nbytes - tag_at
+                    encoding = ("raw", "dict", "clock")[payload[tag_at]]
+                    used[column][encoding] = used[column].get(encoding, 0) + 1
+        size = info["file bytes"]
+        for column in spent:
+            counts = ", ".join(f"{encoding} x{count}" for encoding, count
+                               in sorted(used[column].items(),
+                                         key=lambda item: ("raw", "dict",
+                                                           "clock").index(
+                                                               item[0])))
+            assert info[f"{column} encoding"] == (
+                f"{counts} ({100 * spent[column] / size:.1f}% of file bytes)")
+
+    def test_info_counts_a_chunk_it_cannot_read(self, artifact):
+        reframe_chunk(artifact, 1, ENCODING_MUTATIONS["unknown encoding tag"])
+        with StreamReader(artifact) as reader:
+            assert reader.info_kv()["unreadable chunks"] == 1
+
+    @pytest.mark.parametrize("why", sorted(ENCODING_MUTATIONS))
+    def test_a_broken_encoding_is_rejected(self, artifact, why):
+        reframe_chunk(artifact, 1, ENCODING_MUTATIONS[why])
+        report = verify_stream(artifact)
+        assert not report.ok
+        assert [e.split(":")[0] for e in report.errors] == ["chunk 1"]
+        assert replay_outcome(artifact) is False
 
     @pytest.mark.parametrize("position", ["before the chunk", "past its rows",
                                           "out of order"])
@@ -377,13 +515,16 @@ ROW_MUTATIONS = {"row kind past the table": _first_row("kinds", 12),
 
 
 class TestFilteredReadsCheckWholeChunks:
-    @pytest.mark.parametrize("why", sorted(MUTATIONS) + sorted(ROW_MUTATIONS))
+    @pytest.mark.parametrize("why", sorted(MUTATIONS) + sorted(ROW_MUTATIONS)
+                             + sorted(ENCODING_MUTATIONS))
     def test_a_slice_fails_exactly_when_read_chunk_does(self, artifact,
                                                         selectors, why):
-        reframe_chunk(artifact, 1, {**MUTATIONS, **ROW_MUTATIONS}[why])
+        reframe_chunk(artifact, 1, {**MUTATIONS, **ROW_MUTATIONS,
+                                    **ENCODING_MUTATIONS}[why])
         with StreamReader(artifact) as reader:
             want = outcome(lambda: reader.read_chunk(1))
-            assert want is not None or why not in ROW_MUTATIONS
+            assert want is not None or why not in {**ROW_MUTATIONS,
+                                                   **ENCODING_MUTATIONS}
             for selector in selectors:
                 got = outcome(lambda: list(reader.iter_batches(**selector)))
                 assert got == want, selector

@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.core.opbatch import RecordBatcher
 from repro.traces import TraceEvent, sessionize_events
-from tests.core.test_streamfile import as_version_1
+from tests.core.test_streamfile import as_version_1, as_version_2
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -58,17 +58,19 @@ class TestGoldens:
     # payload and the replayed usage log stayed byte-identical.  Re-taken
     # again at stream format 2 (integer columns at their chunk's width):
     # every chunk decodes to the same columns, rows and sessions, and the
-    # replayed usage log is byte-identical.
+    # replayed usage log is byte-identical.  Re-taken at stream format 3
+    # (float columns behind encoding tags, ``spec_sha256`` in the header):
+    # the format-2 digests below still pin the same files' format-2 copies.
     @pytest.mark.parametrize("backend, budget, digest", [
         ("nfs", None,
-         "a67bf50c8f3a7c1e98b1f01e4007619d321e9cd81229e9dbfdd1c643fa899ec4"),
+         "7855d823c2da45fc5e80a4bb246961f06005fb441aa40ac51f509ac43af181f9"),
         ("local", None,
-         "e00d427369c09576d78639cc5973517ba83265dc5bea775c80d55a022eef4b91"),
+         "6cbc895124ac2929ceca7441f69dab31a793cfdea555888e908b7f1b7910e7c3"),
         ("afs", None,
-         "8a3e0cb8beabd8448a10a365e8accb2ca93d0f24ae9c75e20afd601e2d0d29ba"),
+         "7ac23484cebb7fadee6e91126132325f1e775bdd71ef05b614ae34b49df338a6"),
         # 4 KiB: chunks far smaller than the batcher's block.
         ("nfs", 4096,
-         "a0f330325f8fe340f83d0e04b4bd3c84068a85edfa212777bc698f2a13db991b"),
+         "0635e2af2971c865577d614a8494229b35cb887cd16e416893ed777c58eee9bd"),
     ])
     def test_des_simulate_out_stream(self, tmp_path, capsys, backend,
                                      budget, digest):
@@ -98,6 +100,27 @@ class TestGoldens:
         cli("simulate", *SIM, "--backend", backend, "--out-stream", out,
             *extra)
         assert sha256(as_version_1(out, tmp_path / "v1.opstream")) == digest
+
+    # The same runs' format-2 digests, pinned before format 3: the
+    # reference encoder's version-2 copy of today's artifact is the older
+    # build's file byte for byte.
+    @pytest.mark.parametrize("backend, budget, digest", [
+        ("nfs", None,
+         "a67bf50c8f3a7c1e98b1f01e4007619d321e9cd81229e9dbfdd1c643fa899ec4"),
+        ("local", None,
+         "e00d427369c09576d78639cc5973517ba83265dc5bea775c80d55a022eef4b91"),
+        ("afs", None,
+         "8a3e0cb8beabd8448a10a365e8accb2ca93d0f24ae9c75e20afd601e2d0d29ba"),
+        ("nfs", 4096,
+         "a0f330325f8fe340f83d0e04b4bd3c84068a85edfa212777bc698f2a13db991b"),
+    ])
+    def test_des_simulate_out_stream_as_format_2(self, tmp_path, capsys,
+                                                  backend, budget, digest):
+        out = tmp_path / "a.opstream"
+        extra = ["--stream-budget-bytes", budget] if budget else []
+        cli("simulate", *SIM, "--backend", backend, "--out-stream", out,
+            *extra)
+        assert sha256(as_version_2(out, tmp_path / "v2.opstream")) == digest
 
     def test_des_fleet_oplog(self, tmp_path, capsys):
         out = tmp_path / "fleet.oplog"

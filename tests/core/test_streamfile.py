@@ -52,8 +52,10 @@ from repro.core.streamfile import (
     MAGIC,
     ROW_BYTES,
     _buffers,
+    _check_chunk,
     _decode_chunk,
     _encode_chunk,
+    _float_rows,
     _parse_sessions,
     rows_per_chunk_for,
     verify_stream,
@@ -316,17 +318,41 @@ def chunk_payloads(path):
                 for info in reader.chunk_index]
 
 
-def reference_blocks(payload):
+def reference_clock(positions, values, response, think):
+    """A clock-coded start column decoded by a per-row running sum: row 0
+    is its own start; each later exception resets the sum to ``(sum -
+    previous start) + own start``; every other row adds the row before's
+    response, then its think time."""
+    exceptions = dict(zip(positions.tolist(), values.reshape(-1, 2).tolist()))
+    out = np.empty(len(response))
+    with np.errstate(all="ignore"):
+        for i in range(len(response)):
+            if i in exceptions:
+                prev, own = map(np.float64, exceptions[i])
+                total = (np.float64(-0.0) if i == 0 else total + -prev) + own
+            else:
+                total = (total + np.float64(response[i - 1])) + np.float64(
+                    think[i - 1])
+            out[i] = total
+    return out
+
+
+def reference_blocks(payload, version=3):
     """The pre-rewrite decoder: per-field cursor takes and ``np.load``.
 
     Returns ``(tables, columns, sessions)`` with plain lists for the
-    tables and each column as stored, so the comparison needs nothing
-    from the code under test.
+    tables and each column as stored — a format-3 float column decoded
+    from its encoding by plain loops, its tag in ``columns["encodings"]``
+    — so the comparison needs nothing from the code under test.
     """
     cursor = io.BytesIO(payload)
 
     def unpack(fmt):
         return struct.unpack(fmt, cursor.read(struct.calcsize(fmt)))
+
+    def load():
+        (nbytes,) = unpack("<Q")
+        return np.load(io.BytesIO(cursor.read(nbytes)), allow_pickle=False)
 
     n, has_think = unpack("<QB")
     tables = []
@@ -334,12 +360,24 @@ def reference_blocks(payload):
         (count,) = unpack("<L")
         tables.append([cursor.read(unpack("<L")[0]).decode("utf-8")
                        for _ in range(count)])
-    columns = {}
+    columns, coded = {}, {}
     for name, _ in _COLUMNS + ((_THINK_COLUMN,) if has_think else ()):
-        (nbytes,) = unpack("<Q")
-        columns[name] = np.load(io.BytesIO(cursor.read(nbytes)),
-                                allow_pickle=False)
-        assert columns[name].shape == (n,)
+        tag = unpack("<B")[0] if version >= 3 and name in FLOATS else 0
+        blocks = [load() for _ in range(1 + (tag > 0))]
+        coded[name] = tag, blocks
+        columns[name] = blocks[-1]
+    for name in ("response_us", "start_us"):  # the clock reads responses
+        tag, blocks = coded[name]
+        if tag == 1:  # dict: table of <i8 patterns, then indices
+            table, keys = blocks
+            columns[name] = table.view("<f8")[keys.astype(np.int64)]
+        elif tag == 2:  # clock: positions, then (previous, own) pairs
+            columns[name] = reference_clock(
+                *blocks, columns["response_us"], columns["think_us"])
+    assert all(column.shape == (n,) for column in columns.values())
+    if version >= 3:
+        columns["encodings"] = {name: ENCODING_TAGS[coded[name][0]]
+                                for name in FLOATS}
     sessions = []
     for _ in range(unpack("<L")[0]):
         position, nbytes = unpack("<QL")
@@ -350,14 +388,17 @@ def reference_blocks(payload):
 
 
 SCHEMA = dict((*_COLUMNS, _THINK_COLUMN))
+FLOATS = ("start_us", "response_us")
+ENCODING_TAGS = ("raw", "dict", "clock")
 
 
-def reference_decode(payload):
+def reference_decode(payload, version=3):
     """:func:`reference_blocks` with every column widened to its schema
     dtype, after checking the width rule: an integer column is a signed
     little-endian block no wider than its schema dtype, a float column
     exactly its schema dtype."""
-    tables, columns, sessions = reference_blocks(payload)
+    tables, columns, sessions = reference_blocks(payload, version)
+    columns.pop("encodings", None)
     for name, stored in columns.items():
         schema = np.dtype(SCHEMA[name])
         if schema.kind == "i":
@@ -491,18 +532,59 @@ def reference_width(column, schema):
     return schema
 
 
-def reference_payload(tables, columns, sessions, narrow=True):
+def npy_bytes(array):
+    """``array`` as a length-framed ``np.save`` block."""
+    block = io.BytesIO()
+    np.save(block, array, allow_pickle=False)
+    return struct.pack("<Q", block.tell()) + block.getvalue()
+
+
+def reference_float_block(name, columns):
+    """Format 3's float column ``name``: a tag and its blocks, the
+    fewest bytes of ``raw`` and the column's other encoding when that
+    decodes back bit for bit (ties go to raw), found by brute force."""
+    column = np.ascontiguousarray(columns[name], dtype="<f8")
+    n = len(column)
+    raw = b"\0" + npy_bytes(column)
+    if not n:
+        return raw
+    if name == "response_us":
+        patterns = column.view("<i8").tolist()
+        table = sorted(set(patterns))
+        index = {pattern: i for i, pattern in enumerate(table)}
+        keys = np.array([index[p] for p in patterns], dtype=np.int64)
+        other = (b"\1" + npy_bytes(np.array(table, dtype="<i8"))
+                 + npy_bytes(keys.astype(reference_width(keys, "int64"))))
+    elif "think_us" in columns:
+        response = np.ascontiguousarray(columns["response_us"], "<f8")
+        think = columns["think_us"]
+        bits = column.view("<i8")
+        with np.errstate(all="ignore"):
+            positions = [0] + [
+                i for i in range(1, n)
+                if ((column[i - 1] + response[i - 1])
+                    + np.float64(think[i - 1])).view("<i8") != bits[i]]
+        values = np.array([[column[i - 1] if i else 0.0, column[i]]
+                           for i in positions], dtype="<f8").reshape(-1)
+        positions = np.array(positions, dtype=np.int64)
+        decoded = reference_clock(positions, values, response, think)
+        if not (np.isfinite(values[2::2]).all()
+                and np.array_equal(decoded.view("<i8"), bits)):
+            return raw
+        other = (b"\2" + npy_bytes(positions.astype(
+            reference_width(positions, "int64"))) + npy_bytes(values))
+    else:
+        return raw
+    return min(raw, other, key=len)
+
+
+def reference_payload(tables, columns, sessions, version=3):
     """A chunk payload from its parts: ``np.save`` into a ``BytesIO``
     per column, every block copied into one payload ``BytesIO``.
-    ``narrow=False`` writes every column at its schema width (format
-    version 1).  Shares no code with the encoder under test."""
-    def write_array(out, array):
-        block = io.BytesIO()
-        np.save(block, array, allow_pickle=False)
-        raw = block.getvalue()
-        out.write(struct.pack("<Q", len(raw)))
-        out.write(raw)
-
+    ``version=1`` writes every column at its schema width, ``version=2``
+    narrows the integer columns, ``version=3`` also stores each float
+    column in its smallest exact encoding.  Shares no code with the
+    encoder under test."""
     out = io.BytesIO()
     n = len(columns["kinds"])
     out.write(struct.pack("<QB", n, int("think_us" in columns)))
@@ -513,10 +595,12 @@ def reference_payload(tables, columns, sessions, narrow=True):
             out.write(struct.pack("<L", len(raw)))
             out.write(raw)
     for name, schema in _COLUMNS + (_THINK_COLUMN,):
-        if name in columns:
+        if name in FLOATS and version >= 3:
+            out.write(reference_float_block(name, columns))
+        elif name in columns:
             column = np.ascontiguousarray(columns[name], dtype=schema)
-            width = reference_width(column, schema) if narrow else schema
-            write_array(out, column.astype(width))
+            width = reference_width(column, schema) if version > 1 else schema
+            out.write(npy_bytes(column.astype(width)))
     out.write(struct.pack("<L", len(sessions)))
     for position, record in sessions:
         raw = record.to_line().encode("utf-8")
@@ -525,7 +609,7 @@ def reference_payload(tables, columns, sessions, narrow=True):
     return out.getvalue()
 
 
-def reference_encode(batch, sessions, narrow=True):
+def reference_encode(batch, sessions, version=3):
     """The concatenating encoder of one batch: its string columns
     compacted, then :func:`reference_payload`."""
     columns = {name: getattr(batch, name) for name, _ in _COLUMNS}
@@ -536,14 +620,16 @@ def reference_encode(batch, sessions, narrow=True):
         columns[idx_name], values = _reference_compact(
             getattr(batch, idx_name), getattr(batch, table_name))
         tables.append(values)
-    return reference_payload(tables, columns, sessions, narrow)
+    return reference_payload(tables, columns, sessions, version)
 
 
-def as_version_1(src, dst):
-    """Write ``dst`` as the format-1 file of ``src``'s rows: a version-1
-    header, every chunk salvaged from ``src`` re-encoded at schema
-    width by the reference encoder, and a re-indexed footer if ``src``
-    has one (a crashed prefix stays footer-less)."""
+def as_version(src, dst, version):
+    """Write ``dst`` as the format-``version`` file of ``src``'s rows:
+    the header the older build wrote (that version, and no
+    ``spec_sha256`` in its metadata: format 3 began stamping it), every
+    chunk salvaged from ``src`` re-encoded by the reference encoder at
+    that version, and a re-indexed footer if ``src`` has one (a crashed
+    prefix stays footer-less)."""
     def framed(kind, raw):
         return struct.pack(_FRAME_FMT, kind, len(raw), zlib.crc32(raw)) + raw
 
@@ -553,15 +639,18 @@ def as_version_1(src, dst):
 
     out = io.BytesIO()
     with salvage_stream(src) as reader:
-        header = compact_json(dict(reader.header, version=1))
-        out.write(MAGIC + struct.pack("<HLL", 1, len(header),
+        metadata = dict(reader.metadata)
+        metadata.pop("spec_sha256", None)
+        header = compact_json(dict(reader.header, version=version,
+                                   metadata=metadata))
+        out.write(MAGIC + struct.pack("<HLL", version, len(header),
                                       zlib.crc32(header)) + header)
         entries = []
         for info in reader.chunk_index:
             payload = reader._read_frame(info.offset, "chunk")[1]
             entries.append(dict(info.entry(), offset=out.tell()))
             out.write(framed(b"C", reference_payload(
-                *reference_decode(payload), narrow=False)))
+                *reference_decode(payload, reader.version), version)))
         if reader.complete:
             offset = out.tell()
             out.write(framed(b"F", compact_json({
@@ -571,6 +660,16 @@ def as_version_1(src, dst):
     with open(dst, "wb") as stream:
         stream.write(out.getvalue())
     return dst
+
+
+def as_version_1(src, dst):
+    """:func:`as_version` 1: every column at schema width."""
+    return as_version(src, dst, 1)
+
+
+def as_version_2(src, dst):
+    """:func:`as_version` 2: integer columns narrowed, floats raw."""
+    return as_version(src, dst, 2)
 
 
 def encoded_buffers(pieces, sessions):
@@ -660,8 +759,8 @@ class TestEncoderMatchesReference:
         sessions = [(0, SessionRecord(1, "héavy", 0, 0.0, 9.0, 2, 128, 256,
                                       ("user:rdonly",)))]
         empty = reference_encode(OpBatch.empty(0), sessions)
-        assert empty == reference_encode(OpBatch.empty(0), sessions,
-                                         narrow=False)
+        assert reference_encode(OpBatch.empty(0), sessions, version=2) == (
+            reference_encode(OpBatch.empty(0), sessions, version=1))
         for think in (None, np.empty(0, dtype=np.int64)):
             batch = OpBatch.empty(0)
             batch.think_us = think
@@ -735,8 +834,8 @@ class TestEncoderMatchesReference:
         # Every index -1: the chunk keeps the pieces' own columns, so the
         # part is the caller's array, cast only as it is written — the
         # reason nothing may touch the rows between _encode_chunk and
-        # the write.  A float column, and an integer one left at schema
-        # width, is written as the caller's array itself.
+        # the write.  A raw float column, and an integer one left at
+        # schema width, is written as the caller's array itself.
         records, _ = small_artifact(str(tmp_path / "unused.opstream"))
         batch = OpBatch.from_records(records)
         batch.path_idx[:] = -1
@@ -764,9 +863,12 @@ class TestEncoderMatchesReference:
                      and len(b) == 60 and b.dtype == getattr(batch, name).dtype
                      and np.shares_memory(b, getattr(batch, name))]
             assert len(views) == 10, name
-        # Only the three compacted string columns span the chunk.
+        # Only the three compacted string columns and the index column
+        # of the dictionary-coded response times (all 0.0) span the chunk.
+        assert reference_blocks(b"".join(buffers))[1]["encodings"] == {
+            "start_us": "raw", "response_us": "dict"}
         assert sum(isinstance(b, np.ndarray) and len(b) == 600
-                   for b in buffers) == len(_STRING_COLUMNS)
+                   for b in buffers) == len(_STRING_COLUMNS) + 1
 
     def test_preamble_memo_is_bounded(self):
         for n in range(3 * streamfile._NPY_HEADERS_MAX):
@@ -786,8 +888,9 @@ class TestEncoderMatchesReference:
         # writer still copied every row of a many-piece chunk once
         # (~1.4 x).  What is left is the three compacted int32 index
         # columns and compaction's first-row scatter, plus, over many
-        # pieces, one joined column at a time (a width's min/max) and
-        # one piece's narrowed cast at a time (CRC pass, then write).
+        # pieces, one joined column at a time (a width's min/max), one
+        # window of the float encoders at a time (streamfile._windows)
+        # and one piece's narrowed cast at a time (CRC pass, then write).
         n = 20_000
         batch = big_batch(n)
         with sink_at(str(tmp_path / "a.opstream"), n) as sink:
@@ -805,6 +908,197 @@ class TestEncoderMatchesReference:
         (payload,) = chunk_payloads(str(tmp_path / "a.opstream"))
         assert payload == reference_encode(batch, [])
         assert peak < 0.5 * n * ROW_BYTES, (peak, n * ROW_BYTES)
+
+
+# Bit patterns worth a float column: any int64 (NaN payloads, signaling
+# NaNs, subnormals), and the special values by name.
+FLOAT_BITS = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                              -5e-324, 1.5, 2.0**53, 1e300]).view(
+                                  np.int64).tolist()))
+
+
+def as_floats(bits):
+    return np.array(bits, dtype=np.int64).view(np.float64)
+
+
+@st.composite
+def float_chunks(draw):
+    """``(start, response, think-or-None)`` of one chunk: responses from a
+    small pool or arbitrary; starts that follow the think-time clock
+    rule except where a reset (an arbitrary, equal or decreasing start)
+    is drawn, or arbitrary throughout."""
+    n = draw(st.integers(0, 24))
+    pool = draw(st.lists(FLOAT_BITS, min_size=1, max_size=4))
+    bits = st.sampled_from(pool) if draw(st.booleans()) else FLOAT_BITS
+    response = as_floats(draw(st.lists(bits, min_size=n, max_size=n)))
+    think = None
+    if draw(st.booleans()):
+        think = np.array(draw(st.lists(
+            st.one_of(st.integers(0, 10**6),
+                      st.integers(INT64_MIN, INT64_MAX)),
+            min_size=n, max_size=n)), dtype=np.int64)
+    if think is None or not draw(st.booleans()):
+        return as_floats(draw(st.lists(FLOAT_BITS, min_size=n,
+                                       max_size=n))), response, think
+    start = np.empty(n)
+    for i in range(n):
+        reset = draw(st.sampled_from(["rule"] * 4 + ["any", "same", "less"]))
+        if i == 0 or reset == "any":
+            start[i] = as_floats([draw(FLOAT_BITS)])[0]
+        elif reset == "same":
+            start[i] = start[i - 1]
+        elif reset == "less":
+            start[i] = start[i - 1] - 1.0
+        else:
+            with np.errstate(all="ignore"):
+                start[i] = (start[i - 1] + response[i - 1]) + np.float64(
+                    think[i - 1])
+    return start, response, think
+
+
+def float_batch(start, response, think):
+    """A batch carrying these float columns (every other column 0/-1)."""
+    batch = OpBatch.empty(len(start))
+    for name in ("kinds", "plan_ids", "sizes", "flags", "user_ids",
+                 "session_ids"):
+        getattr(batch, name)[:] = 0
+    for column, _ in _STRING_COLUMNS:
+        getattr(batch, column)[:] = -1
+    batch.start_us[:] = start
+    batch.response_us[:] = response
+    batch.think_us = think
+    return batch
+
+
+def same_bits(a, b):
+    return np.asarray(a, np.float64).tobytes() == np.asarray(
+        b, np.float64).tobytes()
+
+
+class TestFloatEncodings:
+    """Format 3's float columns decode bit for bit, whatever they hold:
+    the encoder falls back to raw wherever an encoding would not."""
+
+    @given(chunk=float_chunks(), window=st.sampled_from([1, 3, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_is_bit_exact(self, chunk, window):
+        batch = float_batch(*chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streamfile, "_WINDOW_ROWS", window)
+            payload = encoded([batch], [])
+        assert payload == reference_encode(reference_concat([batch]), [])
+        decoded, _ = _decode_chunk(payload, "c")
+        for name in ("start_us", "response_us"):
+            assert same_bits(getattr(decoded, name), getattr(batch, name))
+        # Any row range decodes as the whole column does, a clock column
+        # from the last exception at or before its first row.
+        columns = _check_chunk(payload, "c")[2]
+        n = len(batch)
+        for lo in range(n):
+            for hi in range(lo, n + 1):
+                assert same_bits(_float_rows(columns, "start_us", lo, hi),
+                                 batch.start_us[lo:hi])
+
+    def test_each_column_takes_its_encoding(self):
+        think = np.arange(1, 9, dtype=np.int64) * 10
+        response = np.full(8, 2.5)
+        start = np.empty(8)
+        start[0] = 100.0
+        for i in range(1, 8):
+            start[i] = (start[i - 1] + response[i - 1]) + think[i - 1]
+        start[5] = 0.0  # a reset, as at a user's first op
+        start[6] = (start[5] + response[5]) + think[5]
+        start[7] = (start[6] + response[6]) + think[6]
+        n = 64  # enough rows for a dictionary to beat raw
+        start, response, think = (np.resize(start, n), np.resize(response, n),
+                                  np.resize(think, n))
+
+        def at(row, value):
+            return np.where(np.arange(n) == row, value, start)
+
+        cases = {
+            "rule": (start, think, "clock"),
+            "no think column": (start, None, "raw"),
+            "-0.0 after row 0": (at(5, -0.0), think, "raw"),
+            "-0.0 at row 0": (at(0, -0.0), think, "clock"),
+            "inf before a reset": (at(4, np.inf), think, "raw"),
+            "nan before a reset": (at(4, np.nan), think, "raw"),
+        }
+        for why, (column, think_us, start_as) in cases.items():
+            batch = float_batch(column, response, think_us)
+            payload = encoded([batch], [])
+            encodings = reference_blocks(payload)[1]["encodings"]
+            assert encodings == {"start_us": start_as,
+                                 "response_us": "dict"}, why
+            decoded, _ = _decode_chunk(payload, "c")
+            assert same_bits(decoded.start_us, batch.start_us), why
+
+    @staticmethod
+    def four_runs():
+        """64 rows of clock-coded start times, exceptions at rows 0, 20,
+        40 and 60 (each a reset to 0.0), and their payload."""
+        think = np.full(64, 7, dtype=np.int64)
+        start = np.zeros(64)
+        for i in range(1, 64):
+            start[i] = 0.0 if i in (20, 40, 60) else start[i - 1] + 7.0
+        batch = float_batch(start, np.zeros(64), think)
+        payload = encoded([batch], [])
+        assert reference_blocks(payload)[1]["encodings"]["start_us"] == (
+            "clock")
+        return batch, payload
+
+    @pytest.mark.parametrize("positions, why", [
+        ([0, 40, 20, 60], "unsorted"), ([0, 20, 20, 60], "repeated"),
+        ([0, 20, 40, 64], "past the chunk"), ([1, 20, 40, 60], "not row 0"),
+    ])
+    def test_broken_exception_positions_are_rejected(self, positions, why):
+        _, payload = self.four_runs()
+        block = npy_block(np.array([0, 20, 40, 60], dtype=np.int8))
+        assert payload.count(block) == 1
+        bad = payload.replace(block, npy_block(np.array(positions,
+                                                        dtype=np.int8)))
+        with pytest.raises(StreamFormatError, match="exception positions"):
+            _decode_chunk(bad, "c")
+
+    @pytest.mark.parametrize("pair, value", [
+        (4, 123.0), (4, np.inf), (2, np.nan), (3, -0.0)])
+    def test_inexact_resets_decode_run_by_run(self, pair, value):
+        # A file this writer never writes: a previous start that is not
+        # the row before, or a -0.0 own start after row 0.  Each run
+        # starts at -0.0 + own whatever the previous start says, and
+        # every entry point gives the same rows.
+        batch, payload = self.four_runs()
+        pairs = np.array([0.0, 0.0, 133.0, 0.0, 133.0, 0.0, 133.0, 0.0])
+        assert payload.count(npy_block(pairs)) == 1
+        lying = pairs.copy()
+        lying[pair] = value
+        bad = payload.replace(npy_block(pairs), npy_block(lying))
+        want = batch.start_us.copy()
+        if pair % 2:  # an own start
+            want[20 * (pair // 2)] = value
+        assert same_bits(_decode_chunk(bad, "c")[0].start_us, want)
+        columns = _check_chunk(bad, "c")[2]
+        for lo in range(0, 64, 3):
+            assert same_bits(_float_rows(columns, "start_us", lo, 64),
+                             want[lo:])
+
+    def test_distinct_responses_stay_raw(self):
+        rng = np.random.default_rng(1)
+        batch = float_batch(np.zeros(50), rng.random(50), None)
+        assert reference_blocks(encoded([batch], []))[1]["encodings"] == {
+            "start_us": "raw", "response_us": "raw"}
+
+    def test_a_signaling_nan_start_stays_raw(self):
+        snan = np.array([0x7FF0000000000001], dtype=np.int64).view(
+            np.float64)[0]
+        think = np.zeros(40, dtype=np.int64)
+        batch = float_batch(np.full(40, snan), np.zeros(40), think)
+        payload = encoded([batch], [])
+        assert reference_blocks(payload)[1]["encodings"]["start_us"] == "raw"
+        assert same_bits(_decode_chunk(payload, "c")[0].start_us,
+                         batch.start_us)
 
 
 def npy_block(array, version=(1, 0)):
@@ -832,6 +1126,8 @@ def payload_with(n=2, **blocks):
         block = blocks.get(name)
         if block is None:  # kind 0 (open), every string index "none"
             block = npy_block(np.full(n, -(name != "kinds"), dtype=dtype))
+        if name in FLOATS:
+            out.write(b"\0")  # raw
         out.write(struct.pack("<Q", len(block)))
         out.write(block)
     out.write(struct.pack("<L", 0))  # no sessions
@@ -1178,26 +1474,28 @@ class TestReaderSlicing:
             assert len(visited) < len(reader.chunk_index)
 
 
-class TestVersionOneFiles:
-    """A format-1 file (every column at schema width) reads as the
-    format-2 file of the same rows."""
+class TestOlderVersionFiles:
+    """A format-1 file (every column at schema width) and a format-2
+    file (integer columns narrowed, float columns raw) read as the
+    format-3 file of the same rows."""
 
-    @pytest.fixture()
-    def pair(self, tmp_path):
-        path = str(tmp_path / "v2.opstream")
+    @pytest.fixture(params=[1, 2])
+    def pair(self, tmp_path, request):
+        path = str(tmp_path / "v3.opstream")
         spec = paper_workload_spec(n_users=4, total_files=150, seed=31)
         with StreamFileSink(path, memory_budget_bytes=ROW_BYTES * 50) as s:
             WorkloadGenerator(spec).run_simulated(
                 sessions_per_user=2, backend="fast-columnar", log=s)
-        return path, as_version_1(path, str(tmp_path / "v1.opstream"))
+        old = str(tmp_path / f"v{request.param}.opstream")
+        return path, as_version(path, old, request.param)
 
     def test_opens_verifies_and_decodes_the_same_chunks(self, pair):
-        v2, v1 = pair
-        assert os.path.getsize(v1) > os.path.getsize(v2)
-        report = verify_stream(v1)
+        new_path, old_path = pair
+        assert os.path.getsize(old_path) > os.path.getsize(new_path)
+        report = verify_stream(old_path)
         assert report.ok and report.complete, report.errors
-        with StreamReader(v1) as old, StreamReader(v2) as new:
-            assert (old.version, new.version) == (1, 2)
+        with StreamReader(old_path) as old, StreamReader(new_path) as new:
+            assert old.version < new.version == 3
             assert len(old.chunk_index) == len(new.chunk_index) > 1
             for info in new.chunk_index:
                 a, b = old.read_chunk(info.index), new.read_chunk(info.index)
@@ -1205,7 +1503,7 @@ class TestVersionOneFiles:
                 for name, dtype in (*_COLUMNS, _THINK_COLUMN):
                     got, want = getattr(a.batch, name), getattr(b.batch, name)
                     assert got.dtype == want.dtype == np.dtype(dtype)
-                    assert np.array_equal(got, want), name
+                    assert got.tobytes() == want.tobytes(), name
                 for _, table in _STRING_COLUMNS:
                     assert (getattr(a.batch, table).values()
                             == getattr(b.batch, table).values())
@@ -1213,19 +1511,19 @@ class TestVersionOneFiles:
     @pytest.mark.parametrize("where", [dict(users=[1, 3]),
                                        dict(time_range=(0.0, 5e6))])
     def test_slices_like_the_new_file(self, pair, where):
-        v2, v1 = pair
-        got = [r for b in iter_batches(v1, **where) for r in b.to_records()]
-        want = [r for b in iter_batches(v2, **where) for r in b.to_records()]
+        new, old = pair
+        got = [r for b in iter_batches(old, **where) for r in b.to_records()]
+        want = [r for b in iter_batches(new, **where) for r in b.to_records()]
         assert got == want and got
 
     def test_replays_into_a_fresh_write(self, pair, tmp_path):
-        v2, v1 = pair
+        new, old = pair
         copy = tmp_path / "replayed.opstream"
-        with StreamReader(v1) as reader:
+        with StreamReader(old) as reader:
             with StreamFileSink(str(copy), ROW_BYTES * 50,
                                 metadata=reader.metadata) as sink:
                 reader.replay(sink)
-        assert copy.read_bytes() == open(v2, "rb").read()
+        assert copy.read_bytes() == open(new, "rb").read()
 
 
 class TestConcatRuns:

@@ -26,7 +26,7 @@ from repro.fleet import (
     resume_fleet_config,
     run_fleet,
 )
-from tests.core.test_streamfile import as_version_1
+from tests.core.test_streamfile import as_version
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning")
@@ -135,20 +135,21 @@ class TestResumeGolden:
 
 
 class TestFormatOneShardTemp:
-    """A shard temp an older build wrote (stream format 1) is no usable
-    prefix: the shard is regenerated, never continued or published."""
+    """A shard temp an older build wrote (stream format 1 or 2) is no
+    usable prefix: the shard is regenerated, never continued or
+    published."""
 
     @pytest.mark.parametrize("complete", [False, True],
                              ids=["crashed", "complete"])
-    def test_resume_regenerates_it(self, tmp_path, complete):
+    def test_resume_regenerates_it(self, tmp_path, complete, version=1):
         # One shard: the temp is published by rename, so a reused
         # format-1 prefix would reach the artifact itself.
         clean = run_fleet(_config(tmp_path, name="clean.opstream", shards=1))
         config = _killed_run(tmp_path, row=1500, shards=1)
         temp = os.path.join(config.out_stream + ".run", "shard0000.opstream")
-        as_version_1(clean.out_stream if complete else temp, temp)
+        as_version(clean.out_stream if complete else temp, temp, version)
         with salvage_stream(temp) as old:
-            assert old.version == 1 and old.complete is complete
+            assert old.version == version and old.complete is complete
             assert old.chunk_index
         resumed = run_fleet(resume_fleet_config(config.out_stream + ".run",
                                                 workers=1))
@@ -156,6 +157,11 @@ class TestFormatOneShardTemp:
         assert resumed.tally == clean.tally
         assert filecmp.cmp(resumed.out_stream, clean.out_stream,
                            shallow=False)
+
+    @pytest.mark.parametrize("complete", [False, True],
+                             ids=["crashed", "complete"])
+    def test_resume_regenerates_a_format_2_temp(self, tmp_path, complete):
+        self.test_resume_regenerates_it(tmp_path, complete, version=2)
 
 
 def _plant_progress(run_dir, mutate):

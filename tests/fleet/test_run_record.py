@@ -89,6 +89,7 @@ GOLDEN = {
         "backend": "fast-columnar",
         "seed": 11,
         "users": 6,
+        "spec_sha256": SPEC_SHA256,
         "sessions_per_user": 1,
         "access_pattern": "sequential",
         "phases": False,

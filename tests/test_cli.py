@@ -569,13 +569,18 @@ class TestStreamCommands:
         with StreamReader(str(path)) as reader:
             info = reader.info_kv()
             rows = reader.total_rows
-        assert info["format version"] == 2
+        assert info["format version"] == 3
         assert info["file bytes"] == path.stat().st_size
+        assert info["start_us encoding"].startswith("clock x1 (")
+        assert info["response_us encoding"].startswith("dict x1 (")
+        assert len(info["meta.spec_sha256"]) == 64
         assert info["bytes per op row"] == f"{path.stat().st_size / rows:.2f}"
         capsys.readouterr()
         assert main(["stream", "info", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert any(line.split() == ["format", "version", ":", "2"]
+        assert any(line.split() == ["format", "version", ":", "3"]
+                   for line in lines)
+        assert any(line.split()[:4] == ["start_us", "encoding", ":", "clock"]
                    for line in lines)
         assert any(line.split() == ["bytes", "per", "op", "row", ":",
                                     info["bytes per op row"]]
