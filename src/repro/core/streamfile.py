@@ -549,17 +549,18 @@ def _clock_parts(pieces: list[OpBatch], n: int):
 
 
 def _float_parts(name: str, pieces: list[OpBatch], n: int,
-                 has_think: bool) -> list:
+                 has_think: bool, raw_floats: bool) -> list:
     """Float column ``name`` as an encoding tag and its blocks: ``raw``
-    (the pieces' own arrays), or the column's other encoding (``clock``
-    for ``start_us`` when the chunk has think times, ``dict`` for
-    ``response_us``) when that decodes bit for bit in fewer bytes."""
+    (the pieces' own arrays), or, unless ``raw_floats``, the column's
+    other encoding (``clock`` for ``start_us`` when the chunk has think
+    times, ``dict`` for ``response_us``) when that decodes bit for bit
+    in fewer bytes."""
     raw = [bytes([_RAW]) + _npy_preamble(_F8, n),
            (_F8, [getattr(piece, name) for piece in pieces])]
     coded = None
-    if n and name == "response_us":
+    if n and not raw_floats and name == "response_us":
         coded = _dict_parts(pieces, n)
-    elif n and has_think:
+    elif n and not raw_floats and has_think:
         coded = _clock_parts(pieces, n)
     if coded is None or _parts_nbytes(coded) >= _parts_nbytes(raw):
         return raw
@@ -567,7 +568,8 @@ def _float_parts(name: str, pieces: list[OpBatch], n: int,
 
 
 def _encode_chunk(pieces: list[OpBatch],
-                  sessions: list[tuple[int, SessionRecord]]
+                  sessions: list[tuple[int, SessionRecord]],
+                  raw_floats: bool = False
                   ) -> list[bytes | tuple[np.dtype, list[np.ndarray]]]:
     """The payload of a chunk made of ``pieces``, as parts in file order.
 
@@ -581,7 +583,8 @@ def _encode_chunk(pieces: list[OpBatch],
     same-parent pieces); a column already contiguous in its file dtype
     — an integer one left at its schema width, a ``raw`` float column —
     is the piece's own array, not a copy.  Each float column is a tag
-    byte and its encoding's blocks (:func:`_float_parts`).  ``think_us``
+    byte and its encoding's blocks (:func:`_float_parts`; ``raw`` only,
+    with ``raw_floats``).  ``think_us``
     is written only when every non-empty piece carries one (a record
     batch has no pause to invent).  Small ``bytes`` (counts, string
     tables, preambles, session lines) fill the gaps.  The caller owns
@@ -609,7 +612,7 @@ def _encode_chunk(pieces: list[OpBatch],
         b"".join(head)]
     for name, _, widths in _COLUMN_DTYPES[:len(_COLUMNS) + has_think]:
         if name in _FLOAT_COLUMNS:
-            parts += _float_parts(name, pieces, n, has_think)
+            parts += _float_parts(name, pieces, n, has_think, raw_floats)
             continue
         columns = compacted.pop(name, None)
         if columns is None:
@@ -964,13 +967,16 @@ class StreamFileSink:
     fault-injection seam for spill-path errors (ENOSPC) — and an enabled
     ``observer`` charges each write to the "spill" stage and ticks
     ``stream.{chunks,rows,bytes}``.  Neither changes a byte of the file.
+    ``raw_floats`` stores every float column ``raw``: for a file that is
+    only ever merged, which decodes and re-encodes it anyway.
     """
 
     def __init__(self, path: str,
                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
                  metadata: dict | None = None, observer=None,
-                 flush_hook=None):
-        self._start(path, memory_budget_bytes, metadata, observer, flush_hook)
+                 flush_hook=None, raw_floats: bool = False):
+        self._start(path, memory_budget_bytes, metadata, observer, flush_hook,
+                    raw_floats)
         self._stream = open(path, "wb")
         try:
             self._write_header()
@@ -979,8 +985,9 @@ class StreamFileSink:
             raise
 
     def _start(self, path, memory_budget_bytes, metadata, observer,
-               flush_hook) -> None:
+               flush_hook, raw_floats) -> None:
         self.path = path
+        self._raw_floats = raw_floats
         self.rows_per_chunk = rows_per_chunk_for(memory_budget_bytes)
         self.metadata = dict(metadata or {})
         self._observer = (observer if getattr(observer, "enabled", False)
@@ -995,7 +1002,8 @@ class StreamFileSink:
 
     @classmethod
     def _continuing(cls, prefix: "StreamReader", memory_budget_bytes: int,
-                    observer=None, flush_hook=None) -> "StreamFileSink":
+                    observer=None, flush_hook=None,
+                    raw_floats=False) -> "StreamFileSink":
         """A sink appending to ``prefix``'s footer-less file after its
         last indexed chunk.
 
@@ -1006,7 +1014,7 @@ class StreamFileSink:
         """
         sink = cls.__new__(cls)  # the header is on disk: no __init__
         sink._start(prefix.path, memory_budget_bytes, prefix.metadata,
-                    observer, flush_hook)
+                    observer, flush_hook, raw_floats)
         sink._index = [info.entry() for info in prefix.chunk_index]
         sink._rows_done = prefix.total_rows
         sink._sessions_done = prefix.total_sessions
@@ -1128,7 +1136,7 @@ class StreamFileSink:
         offset = self._stream.tell()
         entry = _entry_from_chunk(offset, _joined(pieces, "user_ids"),
                                   _joined(pieces, "start_us"), len(sessions))
-        parts = _encode_chunk(pieces, sessions)
+        parts = _encode_chunk(pieces, sessions, self._raw_floats)
         # Two passes, one cast array alive at a time: CRC and length
         # first (the frame head precedes its payload), then the write.
         crc = nbytes = 0
@@ -1852,7 +1860,7 @@ def salvage_stream(path: str) -> StreamReader:
 def resume_stream_sink(path: str,
                        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
                        metadata: dict | None = None, observer=None,
-                       flush_hook=None):
+                       flush_hook=None, raw_floats: bool = False):
     """A :class:`StreamFileSink` continuing whatever survives at ``path``.
 
     Returns ``(sink, prefix)``, ``prefix`` an open :class:`StreamReader`
@@ -1891,7 +1899,8 @@ def resume_stream_sink(path: str,
         prefix = None
     if prefix is None:
         return StreamFileSink(path, memory_budget_bytes, metadata=metadata,
-                              observer=observer, flush_hook=flush_hook), None
+                              observer=observer, flush_hook=flush_hook,
+                              raw_floats=raw_floats), None
     if prefix.complete:
         return None, prefix
     try:
@@ -1899,7 +1908,7 @@ def resume_stream_sink(path: str,
             raise StreamFormatError(
                 f"{path}: resume metadata does not match the on-disk header")
         sink = StreamFileSink._continuing(prefix, memory_budget_bytes,
-                                          observer, flush_hook)
+                                          observer, flush_hook, raw_floats)
     except BaseException:
         prefix.close()
         raise

@@ -739,6 +739,9 @@ def _run_shard(task: _ShardTask) -> ShardOutcome:
             metadata=run.stream_metadata,
             observer=observer,
             flush_hook=flush_hook,
+            # Only a 1-shard temp is published as it is; the merge
+            # decodes and re-encodes the others.
+            raw_floats=run.shards > 1,
         )
         if task.resume:
             stream_sink, salvaged = resume_stream_sink(task.stream_path,

@@ -745,9 +745,10 @@ class TestEncoderMatchesReference:
         path = str(tmp_path_factory.mktemp("enc") / "a.opstream")
         want = []
 
-        def recording(pieces, sessions):
+        def recording(pieces, sessions, raw_floats):
+            assert not raw_floats
             want.append(reference_encode(reference_concat(pieces), sessions))
-            return _encode_chunk(pieces, sessions)
+            return _encode_chunk(pieces, sessions, raw_floats)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(streamfile, "_encode_chunk", recording)

@@ -56,6 +56,20 @@ def _killed_run(tmp_path, row=2000, name="victim.opstream", shards=2,
 
 
 class TestResumeGolden:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_only_a_published_shard_temp_encodes_its_floats(self, tmp_path,
+                                                            shards):
+        # A temp the merge re-encodes stays raw; a 1-shard temp is the
+        # artifact, so it takes the smallest encodings.
+        config = _killed_run(tmp_path, row=1500, shards=shards)
+        temp = os.path.join(config.out_stream + ".run", "shard0001.opstream"
+                            if shards > 1 else "shard0000.opstream")
+        with salvage_stream(temp) as reader:
+            assert reader.chunk_index
+            info = reader.info_kv()
+        want = "raw" if shards > 1 else "clock"
+        assert info["start_us encoding"].startswith(want), info
+
     def test_resume_is_bit_for_bit_and_reuses_chunks(self, tmp_path):
         clean = run_fleet(_config(tmp_path, name="clean.opstream"))
         config = _killed_run(tmp_path, row=2000)
